@@ -8,7 +8,7 @@ library (the same files work with `shadowsum shadow`).
 import json
 import pathlib
 
-from shadowsum.diagrams import build_diagram, state_sum
+from shadowsum.diagrams import build_diagram, contract_state_sum
 from shadowsum.fusion import build_fusion_table
 from shadowsum.reps import level_alphabet
 from shadowsum.roots import build_root_system
@@ -54,7 +54,7 @@ def main():
         rs = build_root_system(doc["group"])
         alphabet = level_alphabet(rs, doc["k"])
         table = build_fusion_table(alphabet)
-        r = state_sum(build_diagram(doc["circles"]), alphabet, table)
+        r = contract_state_sum(build_diagram(doc["circles"]), alphabet, table)
         print(f"{name:<22} {doc['group']} k={doc['k']}  |L| = "
               f"{r.value.real:+.9f} {r.value.imag:+.9f}i   "
               f"({r.colorings_retained}/{r.colorings_total} colorings kept)  -> {path}")

@@ -31,9 +31,9 @@ from .diagrams import (
     ShadowDiagram,
     StateSumResult,
     build_diagram,
+    contract_state_sum,
     empty_link_value,
     gleam_of_face,
-    state_sum,
 )
 from .determinants import (
     SphereMetricSample,

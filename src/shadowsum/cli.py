@@ -10,7 +10,9 @@ Link file schema:
       "circles": [ { "id": ..., "parent": ... | null, "winding": int,
                      "positive_side": "inside" | "outside",
                      "color": [fundamental-weight coords] } ] }
-Output for `shadow`: { "value": {"re", "im"}, "colorings", optional "terms" }.
+Output for `shadow`: { "value": {"re", "im"}, "abs_sum", "colorings", "retained",
+optional "terms" }.  The per-term listing of --diagnostics is refused (exit 3)
+when it would hold more than MAX_LISTED_TERMS terms.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import json
 import sys
 
 import numpy as np
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from .determinants import (
     det_rig_quadrature,
     round_sphere_metric,
 )
-from .diagrams import build_diagram, combine_partitions, state_sum
+from .diagrams import build_diagram, contract_state_sum, state_sum
 from .errors import ParseError, PreconditionError, ShadowsumError
 from .fusion import (
     build_fusion_table,
@@ -46,6 +47,8 @@ from .regularize import det_rig_n, regularized_indicator
 from .reps import level_alphabet, weight_multiplicities
 from .roots import build_root_system
 
+MAX_LISTED_TERMS = 10**6  # budget of the per-term listing of `shadow --diagnostics`
+
 
 @dataclass
 class JobConfig:
@@ -55,7 +58,6 @@ class JobConfig:
     k: int | None = None
     output: str | None = None
     diagnostics: bool = False
-    workers: int = 1
     quad_res: str = "64x128"
     reg_n: int = 4
     oracle_tol: float = 1e-6
@@ -124,6 +126,11 @@ def _c2j(z: complex) -> dict:
 _LINK_KEYS = {"id", "parent", "winding", "positive_side", "color"}
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; bools are ints to Python but not to the link schema."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_link_document(doc: dict, cfg: JobConfig) -> tuple[str, int, list[dict]]:
     if not isinstance(doc, dict):
         raise ParseError("link file must hold a JSON object")
@@ -131,7 +138,7 @@ def _parse_link_document(doc: dict, cfg: JobConfig) -> tuple[str, int, list[dict
     k = cfg.k if cfg.k is not None else doc.get("k")
     if group is None:
         raise ParseError("no group given (flag --group or file key 'group')")
-    if not isinstance(k, int):
+    if not _is_int(k):
         raise ParseError("no integer level given (flag --k or file key 'k')")
     circles = doc.get("circles")
     if not isinstance(circles, list):
@@ -141,16 +148,11 @@ def _parse_link_document(doc: dict, cfg: JobConfig) -> tuple[str, int, list[dict
             raise ParseError(
                 f"circle #{i} must be an object with id/winding/positive_side/color"
             )
-        if not isinstance(c["winding"], int):
+        if not _is_int(c["winding"]):
             raise ParseError(f"circle #{i}: winding must be an integer")
-        if not isinstance(c["color"], list):
-            raise ParseError(f"circle #{i}: color must be a coordinate array")
-    return str(group), int(k), circles
-
-
-def _partition_worker(args) -> object:
-    diagram, alphabet, table, diagnostics, part = args
-    return state_sum(diagram, alphabet, table, diagnostics=diagnostics, partition=part)
+        if not isinstance(c["color"], list) or not all(_is_int(x) for x in c["color"]):
+            raise ParseError(f"circle #{i}: color must be an array of integer coordinates")
+    return str(group), k, circles
 
 
 def cmd_shadow(cfg: JobConfig) -> dict:
@@ -161,29 +163,25 @@ def cmd_shadow(cfg: JobConfig) -> dict:
     alphabet = level_alphabet(rs, k)
     diagram = build_diagram(circles)
     table = build_fusion_table(alphabet)
-    workers = cfg.workers
-    if workers < 1:
-        raise PreconditionError(f"worker count must be >= 1, got {workers}")
-    if workers == 1 or cfg.diagnostics:  # per-term diagnostics stay sequential
-        workers = 1
-        results = [state_sum(diagram, alphabet, table, diagnostics=cfg.diagnostics)]
-    else:
-        jobs = [(diagram, alphabet, table, False, (j, workers)) for j in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_partition_worker, jobs))
-    combined = results[0] if len(results) == 1 else combine_partitions(results)
+    result = contract_state_sum(diagram, alphabet, table)
     out = {
         "group": group,
         "k": k,
-        "value": _c2j(combined.value),
-        "colorings": combined.colorings_total,
-        "retained": combined.colorings_retained,
-        "workers": workers,
+        "value": _c2j(result.value),
+        "abs_sum": result.abs_sum,
+        "colorings": result.colorings_total,
+        "retained": result.colorings_retained,
     }
-    if cfg.diagnostics and combined.terms is not None:
+    if cfg.diagnostics:
+        if result.colorings_retained > MAX_LISTED_TERMS:
+            raise PreconditionError(
+                f"--diagnostics would list {result.colorings_retained} terms; "
+                f"the budget is {MAX_LISTED_TERMS}"
+            )
+        listing = state_sum(diagram, alphabet, table, diagnostics=True)
         out["terms"] = [
             {"coloring": [list(c) for c in col], "term": _c2j(t)}
-            for col, t in combined.terms
+            for col, t in listing.terms
         ]
     return out
 
@@ -326,9 +324,7 @@ def cmd_validate(cfg: JobConfig) -> tuple[dict, int]:
             )
         for i, c in enumerate(circles):
             col = c.get("color", [])
-            if len(col) != rs.rank or any(
-                not isinstance(x, int) or x < 0 for x in col
-            ):
+            if len(col) != rs.rank or any(x < 0 for x in col):
                 note(
                     "color",
                     f"circle {c.get('id')}: color {col} is not a dominant weight "
@@ -364,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("shadow", help="state-sum invariant of a link file")
     common(sp)
     sp.add_argument("input", nargs="?", help="link JSON file")
-    sp.add_argument("--workers", type=int, default=1)
 
     sp = sub.add_parser("fusion", help="fusion coefficient table")
     common(sp)

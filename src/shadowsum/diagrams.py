@@ -13,9 +13,12 @@ The invariant of a colored diagram is
           * prod_Y dim(phi(Y))^chi(Y)
           * exp(pi i <phi(Y), phi(Y)+2 rho> / k)^{gleam(Y)}
 
-summed over all maps from faces to the level alphabet.  Enumeration is
-depth-first in region-tree order and prunes on vanishing fusion factors;
-terms are accumulated in a compensated (error-tracking) sum.
+summed over all maps from faces to the level alphabet.  Every factor is
+local to one circle (an edge of the region tree) or one face (a node), so
+`contract_state_sum` evaluates the sum exactly by eliminating faces from
+the leaves up, in O(#faces |A|^2).  The enumerator `state_sum` lists the
+individual terms: depth-first in region-tree order, pruned on vanishing
+fusion factors, accumulated in a compensated (error-tracking) sum.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import PreconditionError
 from .fusion import FusionTable, quantum_dimension
@@ -101,18 +106,24 @@ def build_diagram(circles: Iterable[Circle | dict]) -> ShadowDiagram:
             raise PreconditionError(
                 f"circle {c.circle_id} is parented to unknown circle {c.parent!r}"
             )
-    # Forest check: walking parents must terminate at a root.
+    # Forest check: walking parents must terminate at a root.  Each circle is
+    # walked once: ON_WALK marks the current walk, REACHES_ROOT earlier ones.
+    ON_WALK, REACHES_ROOT = 1, 2
+    state: dict[str, int] = {}
     for c in cs:
-        seen = {c.circle_id}
-        cur = c.parent
-        while cur is not None:
-            if cur in seen:
-                raise PreconditionError(
-                    f"containment cycle through circle {cur!r} violates the "
-                    "disjoint-circles assumption"
-                )
-            seen.add(cur)
+        walk = []
+        cur = c.circle_id
+        while cur is not None and cur not in state:
+            state[cur] = ON_WALK
+            walk.append(cur)
             cur = by_id[cur].parent
+        if cur is not None and state[cur] == ON_WALK:
+            raise PreconditionError(
+                f"containment cycle through circle {cur!r} violates the "
+                "disjoint-circles assumption"
+            )
+        for cid in walk:
+            state[cid] = REACHES_ROOT
 
     children: dict[str | None, list[str]] = {None: []}
     for c in cs:
@@ -177,6 +188,7 @@ class KahanComplex:
 @dataclass(frozen=True)
 class StateSumResult:
     value: complex
+    abs_sum: float  # sum of |term| over all colorings: the scale of rounding error
     colorings_total: int
     colorings_retained: int
     terms: tuple[tuple[tuple[Labels, ...], complex], ...] | None = None
@@ -184,7 +196,7 @@ class StateSumResult:
 
 @dataclass(frozen=True)
 class _TermData:
-    """Per-diagram tables shared by the pruned and partitioned evaluations."""
+    """Per-diagram tables shared by the contraction and the enumerator."""
 
     k: int
     chis: tuple[int, ...]
@@ -234,6 +246,66 @@ def _prepare(diagram: ShadowDiagram, alphabet: LevelAlphabet, fusion: FusionTabl
     )
 
 
+def contract_state_sum(
+    diagram: ShadowDiagram,
+    alphabet: LevelAlphabet,
+    fusion: FusionTable,
+) -> StateSumResult:
+    """Sum the invariant over all area colorings by elimination on the region tree.
+
+    Face f carries the weight w_f(a) = dim(a)^chi_f exp(i pi gleam_f <a, a+2rho>/k)
+    and circle gamma joins a face to its parent through the matrix
+    N_gamma[a, b] = N^a_{gamma b} (a the color of Y^-, b that of Y^+).  In
+    reverse preorder every face is finished before its parent, which then
+    absorbs the message N_gamma m_f (parent is Y^-) or N_gamma^T m_f (parent
+    is Y^+), so m_f = w_f * prod_children messages and the sum is sum m_outer.
+    Since N >= 0, the same pass over |w_f| gives sum |term|, and over the
+    support N != 0 with exact ints the number of nonvanishing colorings.
+    """
+    data = _prepare(diagram, alphabet, fusion)
+    n_faces = len(data.chis)
+    n_colors = len(alphabet.elements)
+    elements = alphabet.elements
+
+    qdims = np.array(data.qdims)
+    abs_w = np.empty((n_faces, n_colors))
+    w = np.empty((n_faces, n_colors), dtype=complex)
+    for f, (chi, gleam) in enumerate(zip(data.chis, data.gleams)):
+        # exp(i pi q / k) has period 2k in q: reduce exactly before rounding
+        angles = [float((gleam * q) % (2 * data.k)) for q in data.phase_q]
+        abs_w[f] = qdims**chi
+        w[f] = abs_w[f] * np.exp(1j * math.pi / data.k * np.array(angles))
+
+    # N_gamma in floats for the sums, and its support N != 0 in exact ints for the count
+    fusion_mats: dict[Labels, tuple[np.ndarray, np.ndarray]] = {}
+    link: list[tuple[int, Labels, bool] | None] = [None] * n_faces  # face -> parent
+    for minus, plus, gamma in data.circle_faces:
+        if gamma not in fusion_mats:
+            mat = np.array([[fusion.get(lam, gamma, nu) for nu in elements] for lam in elements])
+            fusion_mats[gamma] = mat.astype(float), (mat != 0).astype(int).astype(object)
+        # preorder puts the circle's inner face (the child) after its outer face
+        child, parent = max(minus, plus), min(minus, plus)
+        link[child] = (parent, gamma, parent == minus)
+
+    # w[f], abs_w[f] and counts[f] become the messages m_f as children are absorbed
+    counts = np.ones((n_faces, n_colors), dtype=int).astype(object)
+    for f in range(n_faces - 1, 0, -1):
+        parent, gamma, parent_is_minus = link[f]
+        mat, support = fusion_mats[gamma]
+        if not parent_is_minus:
+            mat, support = mat.T, support.T
+        w[parent] *= mat @ w[f]
+        abs_w[parent] *= mat @ abs_w[f]
+        counts[parent] *= support @ counts[f]
+
+    return StateSumResult(
+        value=complex(w[0].sum()),
+        abs_sum=float(abs_w[0].sum()),
+        colorings_total=n_colors**n_faces,
+        colorings_retained=int(counts[0].sum()),
+    )
+
+
 def term_value(
     data: _TermData,
     alphabet: LevelAlphabet,
@@ -263,26 +335,18 @@ def state_sum(
     alphabet: LevelAlphabet,
     fusion: FusionTable,
     diagnostics: bool = False,
-    partition: tuple[int, int] | None = None,
 ) -> StateSumResult:
-    """Sum the invariant over all area colorings (optionally one partition).
+    """Sum the invariant by enumerating every area coloring (exponential).
 
-    Colorings are enumerated depth-first over faces in region-tree order;
-    a branch is cut as soon as some circle's fusion factor vanishes.  With
-    partition = (j, p) only colorings whose outer-face color index is
-    congruent to j mod p are summed; combining the p partial results in
-    fixed order reproduces the full sum deterministically.
+    Colorings are enumerated depth-first over faces in region-tree order,
+    lexicographically, with an explicit stack; a branch is cut as soon as
+    some circle's fusion factor vanishes.  With diagnostics the nonvanishing
+    terms are listed.  `contract_state_sum` gives the same value in
+    polynomial time; this enumerator lists terms and serves as its oracle.
     """
     data = _prepare(diagram, alphabet, fusion)
     n_faces = len(diagram.faces)
     n_colors = len(alphabet.elements)
-    if partition is not None:
-        j, p = partition
-        if p < 1 or not (0 <= j < p):
-            raise PreconditionError(f"bad partition {partition}")
-        first_choices = [i for i in range(n_colors) if i % p == j]
-    else:
-        first_choices = list(range(n_colors))
 
     # circles whose fusion factor becomes decidable once face f is colored
     # (in region-tree order that is the inner face, except for inside-out
@@ -292,60 +356,42 @@ def state_sum(
         ready_at[max(minus, plus)].append((minus, plus, gamma))
 
     acc = KahanComplex()
+    abs_acc = KahanComplex()
     terms: list[tuple[tuple[Labels, ...], complex]] = []
     coloring = [0] * n_faces
+    next_color = [0] * n_faces  # next color to try at each face on the stack
     retained = 0
+    face = 0
+    while face >= 0:
+        ci = next_color[face]
+        if ci == n_colors:
+            face -= 1
+            continue
+        next_color[face] = ci + 1
+        coloring[face] = ci
+        if any(
+            fusion.get(alphabet.elements[coloring[minus]], gamma, alphabet.elements[coloring[plus]])
+            == 0
+            for minus, plus, gamma in ready_at[face]
+        ):
+            continue
+        if face + 1 < n_faces:
+            face += 1
+            next_color[face] = 0
+            continue
+        t = term_value(data, alphabet, fusion, coloring)
+        retained += 1
+        acc.add(t)
+        abs_acc.add(abs(t))
+        if diagnostics:
+            terms.append((tuple(alphabet.elements[c] for c in coloring), t))
 
-    def descend(face: int) -> None:
-        nonlocal retained
-        choices = first_choices if face == 0 else range(n_colors)
-        for ci in choices:
-            coloring[face] = ci
-            ok = True
-            for minus, plus, gamma in ready_at[face]:
-                if (
-                    fusion.get(
-                        alphabet.elements[coloring[minus]],
-                        gamma,
-                        alphabet.elements[coloring[plus]],
-                    )
-                    == 0
-                ):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if face + 1 < n_faces:
-                descend(face + 1)
-            else:
-                t = term_value(data, alphabet, fusion, coloring)
-                retained += 1
-                acc.add(t)
-                if diagnostics:
-                    terms.append(
-                        (tuple(alphabet.elements[c] for c in coloring), t)
-                    )
-
-    descend(0)
-    total_space = n_colors ** n_faces if partition is None else len(first_choices) * n_colors ** (n_faces - 1)
     return StateSumResult(
         value=acc.total,
-        colorings_total=total_space,
+        abs_sum=abs_acc.total.real,
+        colorings_total=n_colors**n_faces,
         colorings_retained=retained,
         terms=tuple(terms) if diagnostics else None,
-    )
-
-
-def combine_partitions(parts: Sequence[StateSumResult]) -> StateSumResult:
-    """Fixed-order reduction of per-partition results (bit-reproducible)."""
-    acc = KahanComplex()
-    for p in parts:
-        acc.add(p.value)
-    return StateSumResult(
-        value=acc.total,
-        colorings_total=sum(p.colorings_total for p in parts),
-        colorings_retained=sum(p.colorings_retained for p in parts),
-        terms=None,
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,12 +27,19 @@ class LevelAlphabet:
     rs: RootSystem
     k: int
     elements: tuple[Labels, ...]
+    _positions: dict[Labels, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_positions", {lam: i for i, lam in enumerate(self.elements)})
 
     def __contains__(self, labels) -> bool:
-        return tuple(labels) in set(self.elements)
+        return tuple(labels) in self._positions
 
     def index(self, labels) -> int:
-        return self.elements.index(tuple(labels))
+        try:
+            return self._positions[tuple(labels)]
+        except KeyError:
+            raise ValueError(f"{tuple(labels)} is not in the level alphabet") from None
 
 
 def level_alphabet(rs: RootSystem, k: int) -> LevelAlphabet:

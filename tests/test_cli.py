@@ -31,6 +31,19 @@ BAD_COLOR = {
 }
 
 
+def deep_chain(n):
+    """n nested circles, each colored [1], at A1 k=3."""
+    return {
+        "group": "A1",
+        "k": 3,
+        "circles": [
+            {"id": f"c{i}", "parent": f"c{i - 1}" if i else None, "winding": 1,
+             "positive_side": "inside", "color": [1]}
+            for i in range(n)
+        ],
+    }
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "shadowsum", *args],
@@ -60,21 +73,22 @@ class TestShadow:
         assert r.returncode == 0
         assert json.loads(r.stdout)["k"] == 4
 
-    def test_deterministic_output_same_worker_count(self, tmp_path):
+    def test_deterministic_output(self, tmp_path):
         path = write(tmp_path, "two.json", TWO_CIRCLES)
         outs = set()
         for _ in range(2):
-            r = run_cli("shadow", "--workers", "2", path)
+            r = run_cli("shadow", path)
             assert r.returncode == 0, r.stderr
             outs.add(r.stdout)
         assert len(outs) == 1
 
-    def test_workers_agree_with_sequential(self, tmp_path):
+    def test_abs_sum_bounds_value(self, tmp_path):
         path = write(tmp_path, "two.json", TWO_CIRCLES)
-        seq = json.loads(run_cli("shadow", path).stdout)
-        par = json.loads(run_cli("shadow", "--workers", "3", path).stdout)
-        assert par["value"]["re"] == pytest.approx(seq["value"]["re"], abs=1e-12)
-        assert par["retained"] == seq["retained"]
+        doc = json.loads(run_cli("shadow", "--diagnostics", path).stdout)
+        listed = sum(abs(complex(t["term"]["re"], t["term"]["im"])) for t in doc["terms"])
+        assert doc["abs_sum"] == pytest.approx(listed, rel=1e-12)
+        assert abs(complex(doc["value"]["re"], doc["value"]["im"])) <= doc["abs_sum"]
+        assert len(doc["terms"]) == doc["retained"]
 
     def test_diagnostics_terms(self, tmp_path):
         path = write(tmp_path, "empty.json", EMPTY)
@@ -109,6 +123,61 @@ class TestShadow:
         path = write(tmp_path, "badcolor.json", BAD_COLOR)
         r = run_cli("shadow", path)
         assert r.returncode == 3
+
+    def test_deep_chain_exit_0(self, tmp_path):
+        path = write(tmp_path, "deep.json", deep_chain(1500))
+        r = run_cli("shadow", path)
+        assert r.returncode == 0, r.stderr[-500:]
+        doc = json.loads(r.stdout)
+        assert doc["retained"] == 2
+        assert abs(doc["value"]["re"]) <= doc["abs_sum"]
+
+    def test_deep_chain_diagnostics_no_traceback(self, tmp_path):
+        path = write(tmp_path, "deep.json", deep_chain(1500))
+        r = run_cli("shadow", "--diagnostics", path)
+        assert r.returncode == 0, r.stderr[-500:]
+        doc = json.loads(r.stdout)
+        assert len(doc["terms"]) == doc["retained"] == 2
+
+    def test_diagnostics_budget_exit_3(self, tmp_path):
+        # 20 side-by-side circles colored [1] at A1 k=10: about 9 * 2^20 terms
+        doc = {
+            "group": "A1",
+            "k": 10,
+            "circles": [
+                {"id": f"c{i}", "parent": None, "winding": 1,
+                 "positive_side": "inside", "color": [1]}
+                for i in range(20)
+            ],
+        }
+        path = write(tmp_path, "wide.json", doc)
+        r = run_cli("shadow", "--diagnostics", path)
+        assert r.returncode == 3
+        err = json.loads(r.stdout)["error"]
+        assert err["code"] == "precondition" and "budget" in err["message"]
+        plain = run_cli("shadow", path)
+        assert plain.returncode == 0
+        assert json.loads(plain.stdout)["retained"] > 10**6
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("color", [1.7]),
+            ("color", ["1"]),
+            ("color", [True]),
+            ("winding", True),
+            ("k", True),
+        ],
+    )
+    def test_strict_link_types_exit_2(self, tmp_path, field, value):
+        doc = json.loads(json.dumps(TWO_CIRCLES))
+        if field == "k":
+            doc["k"] = value
+        else:
+            doc["circles"][0][field] = value
+        r = run_cli("shadow", write(tmp_path, "typed.json", doc))
+        assert r.returncode == 2
+        assert json.loads(r.stdout)["error"]["code"] == "parse"
 
 
 class TestFusion:

@@ -1,8 +1,11 @@
 import cmath
 import itertools
+import json
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,7 @@ from conftest import random_forest_diagram
 from shadowsum.diagrams import (
     KahanComplex,
     build_diagram,
-    combine_partitions,
+    contract_state_sum,
     empty_link_value,
     gleam_of_face,
     state_sum,
@@ -233,28 +236,6 @@ class TestStateSum:
             v2 = state_sum(build_diagram(flipped), al, ft).value
             assert abs(v1 - v2) < 1e-9
 
-    def test_partitioned_equals_sequential(self, a1k4, a1k4_table):
-        d = build_diagram(
-            [circle("a", winding=2, color=(1,)), circle("b", parent="a", winding=-1, color=(2,))]
-        )
-        full = state_sum(d, a1k4, a1k4_table)
-        for workers in (2, 3):
-            parts = [
-                state_sum(d, a1k4, a1k4_table, partition=(j, workers))
-                for j in range(workers)
-            ]
-            combined = combine_partitions(parts)
-            assert abs(combined.value - full.value) < 1e-12
-            assert combined.colorings_total == full.colorings_total
-            assert combined.colorings_retained == full.colorings_retained
-            again = combine_partitions(
-                [
-                    state_sum(d, a1k4, a1k4_table, partition=(j, workers))
-                    for j in range(workers)
-                ]
-            )
-            assert again.value == combined.value  # bit-reproducible
-
 
 def all_small_diagrams():
     """Every diagram shape with <= 3 faces: none, one circle, two nested,
@@ -285,3 +266,93 @@ def test_pruned_equals_naive_exactly(a1):
             want, n_nonzero = naive_state_sum(d, al, ft)
             assert got.value == want
             assert got.colorings_retained == n_nonzero
+
+
+UNKNOT_A1K4 = [circle("c", winding=1, color=(1,))]  # four terms cancelling to exactly 0
+
+
+@pytest.mark.parametrize(
+    "label,k", [("A1", 3), ("A1", 4), ("A1", 5), ("A1", 6), ("A2", 5), ("B2", 5)]
+)
+def test_contraction_matches_enumerator(label, k):
+    """Tree contraction against the enumerator on random forests of <= 6 circles.
+
+    The tolerance is relative to sum |term|: sums that cancel to zero (such
+    as the A1 k=4 unknot colored [1]) have no meaningful value-relative error.
+    """
+    al = level_alphabet(build_root_system(label), k)
+    ft = build_fusion_table(al)
+    rng = random.Random(f"contract:{label}:{k}")
+    diagrams = [random_forest_diagram(rng, al, max_circles=6) for _ in range(12)]
+    if (label, k) == ("A1", 4):
+        diagrams.append(build_diagram(UNKNOT_A1K4))
+    for d in diagrams:
+        got = contract_state_sum(d, al, ft)
+        want = state_sum(d, al, ft, diagnostics=True)
+        abs_sum = math.fsum(abs(t) for _, t in want.terms)
+        assert abs(got.value - want.value) <= 1e-12 * abs_sum
+        assert got.colorings_retained == want.colorings_retained
+        assert got.colorings_total == want.colorings_total
+        assert abs(got.abs_sum - abs_sum) <= 1e-12 * abs_sum
+        assert abs(want.abs_sum - abs_sum) <= 1e-12 * abs_sum
+
+
+def test_unknot_a1k4_cancels(a1k4, a1k4_table):
+    r = contract_state_sum(build_diagram(UNKNOT_A1K4), a1k4, a1k4_table)
+    assert r.colorings_retained == 4
+    assert abs(r.value) <= 1e-15 * r.abs_sum
+
+
+def test_contraction_deep_chain_is_iterative(a1):
+    """1500 nested circles: no recursion in the forest check or the contraction."""
+    al = level_alphabet(a1, 3)
+    ft = build_fusion_table(al)
+    n = 1500
+    d = build_diagram(
+        [circle(str(i), parent=str(i - 1) if i else None, winding=1, color=(1,)) for i in range(n)]
+    )
+    r = contract_state_sum(d, al, ft)
+    # at level 1, fusing with (1,) swaps the two colors: adjacent faces alternate
+    assert r.colorings_retained == 2
+    assert r.colorings_total == 2 ** (n + 1)
+    assert math.isfinite(abs(r.value)) and abs(r.value) <= r.abs_sum
+
+
+def _bench_reference_links():
+    """Every shadow input the benchmark records a reference for, with its key."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        import workloads as wl
+    finally:
+        sys.path.remove(str(bench))
+    refs = json.loads((bench / "references.json").read_text())
+    for workload, slots in (("statesum_deep", wl.STATESUM_SLOTS), ("fusion_wide", wl.FUSION_WIDE_SLOTS)):
+        for name, group, k, parents, colors, sides in slots:
+            n = len(parents)
+            for v, windings in enumerate(wl.winding_pool(name, n)):
+                doc = wl.link_document(group, k, parents, colors, sides, windings,
+                                       [f"c{i}" for i in range(n)], list(range(n)), False)
+                yield doc, refs[f"{workload}/{name}/{v}"]
+
+
+def test_abs_sum_matches_bench_references():
+    """abs_sum and value against the references recorded from the enumerator.
+
+    Each recorded abs_sum is a plain left-to-right float sum of the listed
+    |term|, so it carries up to (retained - 1) ulp-scale roundings.
+    """
+    tables = {}
+    checked = 0
+    for doc, ref in _bench_reference_links():
+        key = (doc["group"], doc["k"])
+        if key not in tables:
+            al = level_alphabet(build_root_system(doc["group"]), doc["k"])
+            tables[key] = (al, build_fusion_table(al))
+        al, ft = tables[key]
+        r = contract_state_sum(build_diagram(doc["circles"]), al, ft)
+        want = complex(ref["re"], ref["im"])
+        assert abs(r.value - want) <= 1e-9 * ref["abs_sum"]
+        assert abs(r.abs_sum - ref["abs_sum"]) <= r.colorings_retained * 2.0**-52 * ref["abs_sum"]
+        checked += 1
+    assert checked == 96

@@ -25,6 +25,15 @@ class TestLevelAlphabet:
         al = level_alphabet(a1, 3)
         assert (2,) not in al
 
+    def test_index_and_membership(self, a2):
+        al = level_alphabet(a2, 6)
+        for i, lam in enumerate(al.elements):
+            assert al.index(lam) == i and al.index(list(lam)) == i
+            assert lam in al and list(lam) in al
+        assert (9, 9) not in al
+        with pytest.raises(ValueError):
+            al.index((9, 9))
+
     def test_level_bound_rejected(self, a1):
         with pytest.raises(PreconditionError) as ei:
             level_alphabet(a1, 2)
