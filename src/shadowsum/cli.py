@@ -1,13 +1,14 @@
 """Batch front end: parse link files, run the computations, emit JSON.
 
 One JSON document goes to stdout; diagnostics go to stderr.  Exit codes:
-0 ok, 2 parse failure, 3 precondition violation, 4 internal-oracle failure.
-Flags may be preloaded from a JSON config file (same keys as the flags);
-explicit flags win.
+0 ok, 2 parse failure (usage errors included), 3 precondition violation,
+4 internal-oracle failure.  The keys of a --config JSON file are the
+subcommand's long flag names; each becomes `--key=value` (`true`: a bare
+`--key`) ahead of the command line, so explicit flags win.
 
-Link file schema:
+Link file schema, read by `parse_link` and nothing else:
     { "group": "A1", "k": 4,
-      "circles": [ { "id": ..., "parent": ... | null, "winding": int,
+      "circles": [ { "id": str, "parent": str | null (optional), "winding": int,
                      "positive_side": "inside" | "outside",
                      "color": [fundamental-weight coords] } ] }
 Output for `shadow`: { "value": {"re", "im"}, "abs_sum", "colorings", "retained",
@@ -22,7 +23,6 @@ import json
 import sys
 
 import numpy as np
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -49,81 +49,8 @@ from .roots import build_root_system
 
 MAX_LISTED_TERMS = 10**6  # budget of the per-term listing of `shadow --diagnostics`
 
-
-@dataclass
-class JobConfig:
-    command: str
-    input_path: str | None = None
-    group: str | None = None
-    k: int | None = None
-    output: str | None = None
-    diagnostics: bool = False
-    quad_res: str = "64x128"
-    reg_n: int = 4
-    oracle_tol: float = 1e-6
-    dump: bool = False
-    fmt: str = "json"
-    b: str | None = None
-    alpha_b: str | None = None
-    chi: int = 2
-    weight: str | None = None
-    color: str | None = None
-    winding: int = 1
-    n_points: int = 64
-    face_values: str | None = None
-    verify: bool = False
-
-
-def _parse_fraction(s: str) -> Fraction:
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ParseError(f"cannot parse rational number {s!r}: {e}") from None
-
-
-def _parse_b(cfg: JobConfig, rs) -> tuple:
-    if cfg.b is not None:
-        coords = [_parse_fraction(p) for p in cfg.b.split(",")]
-        if len(coords) != rs.ambient_dim:
-            raise PreconditionError(
-                f"--b needs {rs.ambient_dim} ambient coordinates for "
-                f"{rs.type_label}{rs.rank}, got {len(coords)}"
-            )
-        return tuple(coords)
-    if cfg.alpha_b is not None:
-        if rs.rank != 1:
-            raise PreconditionError("--alpha-b is a rank-1 shorthand; use --b")
-        return rs.from_labels([_parse_fraction(cfg.alpha_b)])
-    raise PreconditionError("need --b (ambient coords) or --alpha-b (rank 1)")
-
-
-def _require_group(cfg: JobConfig):
-    if cfg.group is None:
-        raise PreconditionError("missing --group")
-    return build_root_system(cfg.group)
-
-
-def _require_k(cfg: JobConfig) -> int:
-    if cfg.k is None:
-        raise PreconditionError("missing --k")
-    return cfg.k
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path} is not valid JSON: {e}") from None
-
-
-def _c2j(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
-
-
-_LINK_KEYS = {"id", "parent", "winding", "positive_side", "color"}
+_TOP_KEYS = {"group", "k", "circles"}
+_CIRCLE_KEYS = {"id", "parent", "winding", "positive_side", "color"}
 
 
 def _is_int(x) -> bool:
@@ -131,48 +58,144 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _parse_link_document(doc: dict, cfg: JobConfig) -> tuple[str, int, list[dict]]:
+def parse_link(doc, group: str | None = None, k: int | None = None, report: list | None = None):
+    """Read a link document into (RootSystem, LevelAlphabet, ShadowDiagram).
+
+    `group` and `k` are the flags; they win over the file's keys.  With
+    report=None the first problem is raised: ParseError for the schema,
+    PreconditionError for the rest.  Given a list, every problem is recorded
+    once as {"code", "message"}, checks that an earlier problem makes
+    impossible are skipped, and None is returned if anything was recorded.
+    """
+
+    def problem(code: str, message: str) -> None:
+        if report is None:
+            raise (ParseError if code == "parse" else PreconditionError)(message)
+        report.append({"code": code, "message": message})
+
     if not isinstance(doc, dict):
-        raise ParseError("link file must hold a JSON object")
-    group = cfg.group or doc.get("group")
-    k = cfg.k if cfg.k is not None else doc.get("k")
-    if group is None:
-        raise ParseError("no group given (flag --group or file key 'group')")
-    if not _is_int(k):
-        raise ParseError("no integer level given (flag --k or file key 'k')")
+        problem("parse", "link file must hold a JSON object")
+        return None
+    if set(doc) - _TOP_KEYS:
+        problem("parse", f"unknown top-level keys {sorted(set(doc) - _TOP_KEYS)}")
+    if "group" in doc and not isinstance(doc["group"], str):
+        problem("parse", "file key 'group' must be a string such as \"A1\"")
+    elif group is None and "group" not in doc:
+        problem("parse", "no group given (flag --group or file key 'group')")
+    if "k" in doc and not _is_int(doc["k"]):
+        problem("parse", "file key 'k' must be an integer")
+    elif k is None and "k" not in doc:
+        problem("parse", "no level given (flag --k or file key 'k')")
     circles = doc.get("circles")
     if not isinstance(circles, list):
-        raise ParseError("link file needs a 'circles' array")
+        problem("parse", "link file needs a 'circles' array")
+        return None
     for i, c in enumerate(circles):
-        if not isinstance(c, dict) or not {"id", "winding", "positive_side", "color"} <= set(c):
-            raise ParseError(
-                f"circle #{i} must be an object with id/winding/positive_side/color"
+        if not isinstance(c, dict):
+            problem("parse", f"circle #{i} must be an object")
+            continue
+        if _CIRCLE_KEYS - {"parent"} - set(c) or set(c) - _CIRCLE_KEYS:
+            problem("parse", f"circle #{i} must have the keys id, winding, positive_side, "
+                             f"color and optionally parent; it has {sorted(c)}")
+        parent = c.get("parent")
+        if not isinstance(c.get("id", ""), str) or not (parent is None or isinstance(parent, str)):
+            problem("parse", f"circle #{i}: id and parent must be strings")
+        if not _is_int(c.get("winding", 0)):
+            problem("parse", f"circle #{i}: winding must be an integer")
+        color = c.get("color", [])
+        if not isinstance(color, list) or not all(_is_int(x) for x in color):
+            problem("parse", f"circle #{i}: color must be an array of integer coordinates")
+    if report:
+        return None
+    group = doc.get("group") if group is None else group
+    k = doc.get("k") if k is None else k
+
+    rs = alphabet = diagram = None
+    try:
+        rs = build_root_system(group)
+    except PreconditionError as e:
+        problem("group", str(e))
+    if rs is not None:
+        try:
+            alphabet = level_alphabet(rs, k)
+        except PreconditionError as e:
+            problem("level-bound", str(e))
+    if alphabet is not None:
+        for c in circles:
+            if tuple(c["color"]) not in alphabet:
+                problem("color", f"circle {c['id']}: color {c['color']} is outside the level "
+                                 f"alphabet of {rs.type_label}{rs.rank} at k = {k}")
+    sides_ok = True
+    for c in circles:
+        if c["positive_side"] not in ("inside", "outside"):
+            sides_ok = False
+            problem("positive-side",
+                    f"circle {c['id']}: positive_side must be 'inside' or 'outside'")
+    if sides_ok:
+        try:
+            diagram = build_diagram(circles)
+        except PreconditionError as e:
+            problem("assumption-1", str(e))
+    return None if report else (rs, alphabet, diagram)
+
+
+def _load_json(path: str):
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e}") from None
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise ParseError(f"{path} nests JSON too deeply") from None
+
+
+def _c2j(z: complex) -> dict:
+    return {"re": z.real, "im": z.imag}
+
+
+def _root_system(args):
+    if args.group is None:
+        raise PreconditionError("missing --group")
+    return build_root_system(args.group)
+
+
+def _alphabet(args):
+    rs = _root_system(args)
+    if args.k is None:
+        raise PreconditionError("missing --k")
+    return level_alphabet(rs, args.k)
+
+
+def _field_b(args, rs) -> tuple:
+    if args.b is not None:
+        if len(args.b) != rs.ambient_dim:
+            raise PreconditionError(
+                f"--b needs {rs.ambient_dim} ambient coordinates for "
+                f"{rs.type_label}{rs.rank}, got {len(args.b)}"
             )
-        if not _is_int(c["winding"]):
-            raise ParseError(f"circle #{i}: winding must be an integer")
-        if not isinstance(c["color"], list) or not all(_is_int(x) for x in c["color"]):
-            raise ParseError(f"circle #{i}: color must be an array of integer coordinates")
-    return str(group), k, circles
+        return args.b
+    if args.alpha_b is not None:
+        if rs.rank != 1:
+            raise PreconditionError("--alpha-b is a rank-1 shorthand; use --b")
+        return rs.from_labels([args.alpha_b])
+    raise PreconditionError("need --b (ambient coords) or --alpha-b (rank 1)")
 
 
-def cmd_shadow(cfg: JobConfig) -> dict:
-    if cfg.input_path is None:
-        raise ParseError("shadow needs a link file")
-    group, k, circles = _parse_link_document(_load_json(cfg.input_path), cfg)
-    rs = build_root_system(group)
-    alphabet = level_alphabet(rs, k)
-    diagram = build_diagram(circles)
+def cmd_shadow(args) -> dict:
+    rs, alphabet, diagram = parse_link(_load_json(args.input), args.group, args.k)
     table = build_fusion_table(alphabet)
     result = contract_state_sum(diagram, alphabet, table)
     out = {
-        "group": group,
-        "k": k,
+        "group": f"{rs.type_label}{rs.rank}",
+        "k": alphabet.k,
         "value": _c2j(result.value),
         "abs_sum": result.abs_sum,
         "colorings": result.colorings_total,
         "retained": result.colorings_retained,
     }
-    if cfg.diagnostics:
+    if args.diagnostics:
         if result.colorings_retained > MAX_LISTED_TERMS:
             raise PreconditionError(
                 f"--diagnostics would list {result.colorings_retained} terms; "
@@ -186,36 +209,33 @@ def cmd_shadow(cfg: JobConfig) -> dict:
     return out
 
 
-def cmd_fusion(cfg: JobConfig) -> dict | list[str]:
-    rs = _require_group(cfg)
-    alphabet = level_alphabet(rs, _require_k(cfg))
+def cmd_fusion(args) -> dict | list[str]:
+    alphabet = _alphabet(args)
     table = build_fusion_table(alphabet)
-    if cfg.verify:
-        verify_against_verlinde(table, tol=cfg.oracle_tol)
-    if cfg.fmt == "text":
+    if args.verify:
+        verify_against_verlinde(table, tol=args.oracle_tol)
+    if args.format == "text":
         return table_lines(table)
     entries = [
         {"lam": list(l), "mu": list(m), "nu": list(n), "n": v}
         for (l, m, n), v in sorted(table.coefficients.items())
     ]
     return {
-        "group": cfg.group,
-        "k": cfg.k,
+        "group": args.group,
+        "k": args.k,
         "alphabet": [list(w) for w in alphabet.elements],
-        "entries": entries if cfg.dump else len(entries),
-        "verified": bool(cfg.verify),
+        "entries": entries if args.dump else len(entries),
+        "verified": bool(args.verify),
     }
 
 
-def cmd_qdim(cfg: JobConfig) -> dict:
-    rs = _require_group(cfg)
-    alphabet = level_alphabet(rs, _require_k(cfg))
-    if cfg.weight is not None:
-        w = tuple(int(x) for x in cfg.weight.split(","))
-        return {"weight": list(w), "qdim": quantum_dimension(alphabet, w)}
+def cmd_qdim(args) -> dict:
+    alphabet = _alphabet(args)
+    if args.weight is not None:
+        return {"weight": list(args.weight), "qdim": quantum_dimension(alphabet, args.weight)}
     return {
-        "group": cfg.group,
-        "k": cfg.k,
+        "group": args.group,
+        "k": args.k,
         "qdims": [
             {"weight": list(w), "qdim": quantum_dimension(alphabet, w)}
             for w in alphabet.elements
@@ -223,237 +243,215 @@ def cmd_qdim(cfg: JobConfig) -> dict:
     }
 
 
-def cmd_det(cfg: JobConfig) -> dict:
-    rs = _require_group(cfg)
-    b = _parse_b(cfg, rs)
+def cmd_det(args) -> dict:
+    rs = _root_system(args)
+    b = _field_b(args, rs)
     out = {
-        "group": cfg.group,
+        "group": args.group,
         "det_k": det_k(rs, b),
         "det_half": det_half(rs, b),
-        "chi": cfg.chi,
-        "det_rig_constant": det_rig_constant(rs, b, cfg.chi),
+        "chi": args.chi,
+        "det_rig_constant": det_rig_constant(rs, b, args.chi),
     }
-    if cfg.diagnostics:
-        try:
-            nt, nph = cfg.quad_res.split("x")
-            metric = round_sphere_metric(int(nt), int(nph))
-        except ValueError:
-            raise ParseError(f"bad --quad-res {cfg.quad_res!r}; expected e.g. 64x128")
+    if args.diagnostics:
+        metric = round_sphere_metric(*args.quad_res)
         bf = tuple(float(x) for x in b)
         out["det_rig_quadrature"] = det_rig_quadrature(rs, lambda t, p: bf, metric)
     return out
 
 
-def _stepped_field(cfg: JobConfig, rs) -> SteppedField:
-    if cfg.input_path is not None:
-        group, k, circles = _parse_link_document(_load_json(cfg.input_path), cfg)
-        diagram = build_diagram(circles)
-        if cfg.face_values is None:
+def cmd_regularize(args) -> dict:
+    rs = _root_system(args)
+    if args.input is None:
+        field = SteppedField.constant(_field_b(args, rs))
+    else:
+        _, _, diagram = parse_link(_load_json(args.input), args.group)
+        if args.face_values is None:
             raise PreconditionError("--face-values needed with a link file")
-        vals = []
-        for part in cfg.face_values.split(";"):
-            vals.append(tuple(_parse_fraction(x) for x in part.split(",")))
-        if any(len(v) != rs.ambient_dim for v in vals):
+        if any(len(v) != rs.ambient_dim for v in args.face_values):
             raise PreconditionError(
                 f"each face value needs {rs.ambient_dim} ambient coordinates"
             )
-        return SteppedField(diagram=diagram, values=tuple(vals))
-    return SteppedField.constant(_parse_b(cfg, rs))
-
-
-def cmd_regularize(cfg: JobConfig) -> dict:
-    rs = _require_group(cfg)
-    field = _stepped_field(cfg, rs)
-    ind = regularized_indicator(rs, cfg.reg_n, field)
-    det = det_rig_n(rs, cfg.reg_n, field)
+        field = SteppedField(diagram=diagram, values=args.face_values)
     return {
-        "group": cfg.group,
-        "n": cfg.reg_n,
-        "indicator": ind,
-        "det_rig_n": _c2j(det),
+        "group": args.group,
+        "n": args.n,
+        "indicator": regularized_indicator(rs, args.n, field),
+        "det_rig_n": _c2j(det_rig_n(rs, args.n, field)),
         "faces": len(field.diagram.faces),
     }
 
 
-def cmd_holonomy(cfg: JobConfig) -> dict:
-    rs = _require_group(cfg)
-    b = _parse_b(cfg, rs)
-    color = tuple(int(x) for x in (cfg.color or "1").split(","))
-    ws = weight_multiplicities(rs, color)
-    ribbon = VerticalRibbon(sigma=(0.0, 0.0), winding=cfg.winding)
+def cmd_holonomy(args) -> dict:
+    rs = _root_system(args)
+    b = _field_b(args, rs)
+    ws = weight_multiplicities(rs, args.color)
+    ribbon = VerticalRibbon(sigma=(0.0, 0.0), winding=args.wind)
     bf = [float(x) for x in b]
     closed = wilson_closed_form(rs, [ribbon.loop], [ws], None, lambda s: bf)
-    bmat = weight_rep_matrix(ws, b) * cfg.winding
-    product = ribbon_holonomy(lambda t, u: None, lambda _: bmat, cfg.n_points)
+    bmat = weight_rep_matrix(ws, b) * args.wind
+    product = ribbon_holonomy(lambda t, u: None, lambda _: bmat, args.n)
     return {
-        "group": cfg.group,
-        "color": list(color),
-        "winding": cfg.winding,
-        "n": cfg.n_points,
+        "group": args.group,
+        "color": list(args.color),
+        "winding": args.wind,
+        "n": args.n,
         "closed_form": _c2j(closed),
         "product_trace": _c2j(complex(np.trace(product))),
     }
 
 
-def cmd_validate(cfg: JobConfig) -> tuple[dict, int]:
-    if cfg.input_path is None:
-        raise ParseError("validate needs an input file")
+def cmd_validate(args) -> tuple[dict, int]:
     report: list[dict] = []
-
-    def note(code: str, message: str) -> None:
-        report.append({"code": code, "message": message})
-
     try:
-        doc = _load_json(cfg.input_path)
-        group, k, circles = _parse_link_document(doc, cfg)
-    except ParseError as e:
-        note("parse", str(e))
-        return {"ok": False, "report": report}, 2
+        parse_link(_load_json(args.input), args.group, args.k, report)
+    except ParseError as e:  # unreadable or not JSON
+        report.append({"code": "parse", "message": str(e)})
+    if not report:
+        return {"ok": True, "report": report}, 0
+    return {"ok": False, "report": report}, 2 if report[0]["code"] == "parse" else 3
 
-    rs = None
+
+def _list_of(convert, what: str, sep: str = ","):
+    """An argparse type: `sep`-joined values, each read by `convert`."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(x) for x in text.split(sep))
+        except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
+
+    return parse
+
+
+def _rational(text: str) -> Fraction:
     try:
-        rs = build_root_system(group)
-    except PreconditionError as e:
-        note("group", str(e))
-    if rs is not None:
-        if k <= rs.dual_coxeter:
-            note(
-                "level-bound",
-                f"k = {k} violates k > g: the dual Coxeter number of "
-                f"{rs.type_label}{rs.rank} is g = {rs.dual_coxeter}",
-            )
-        for i, c in enumerate(circles):
-            col = c.get("color", [])
-            if len(col) != rs.rank or any(x < 0 for x in col):
-                note(
-                    "color",
-                    f"circle {c.get('id')}: color {col} is not a dominant weight "
-                    f"label vector of length {rs.rank}",
-                )
-    for i, c in enumerate(circles):
-        if c.get("positive_side") not in ("inside", "outside"):
-            note("positive-side", f"circle {c.get('id')}: bad positive_side")
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"cannot parse rational number {text!r}") from None
+
+
+def _grid(text: str) -> tuple[int, int]:
     try:
-        build_diagram(circles)
-    except PreconditionError as e:
-        note("assumption-1", str(e))
-    ok = not report
-    return {"ok": ok, "report": report}, 0 if ok else 3
+        n_theta, n_phi = (int(x) for x in text.split("x"))
+        if n_theta > 0 and n_phi > 0:
+            return n_theta, n_phi
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a grid such as 64x128, got {text!r}")
+
+
+_labels = _list_of(int, "comma-joined integer labels")
+_rationals = _list_of(Fraction, "comma-joined rationals")
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors raise ParseError, so they exit 2 with a JSON document."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="shadowsum",
         description="Shadow state sums in S^2 x S^1 and torus-gauge determinant kernels",
     )
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_k=True):
+    def command(name, run, help, with_k=True):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
         sp.add_argument("--group", help="simple type label, e.g. A1, B3, G2")
         if with_k:
             sp.add_argument("--k", type=int, help="level parameter k (requires k > g)")
-        sp.add_argument("--config", help="JSON file preloading these flags")
+        sp.add_argument("--config", help="JSON file of flag values, keyed by long flag name")
         sp.add_argument("--output", help="write the JSON document here instead of stdout")
-        sp.add_argument("--diagnostics", action="store_true")
+        return sp
 
-    sp = sub.add_parser("shadow", help="state-sum invariant of a link file")
-    common(sp)
-    sp.add_argument("input", nargs="?", help="link JSON file")
+    def field(sp):
+        sp.add_argument("--b", type=_rationals, help="ambient coordinates of b, comma-joined")
+        sp.add_argument("--alpha-b", type=_rational, help="rank-1 shorthand: the value alpha(b)")
 
-    sp = sub.add_parser("fusion", help="fusion coefficient table")
-    common(sp)
+    sp = command("shadow", cmd_shadow, "state-sum invariant of a link file")
+    sp.add_argument("--diagnostics", action="store_true", help="list every nonvanishing term")
+    sp.add_argument("input", help="link JSON file")
+
+    sp = command("fusion", cmd_fusion, "fusion coefficient table")
     sp.add_argument("--dump", action="store_true", help="list every triple")
-    sp.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
+    sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.add_argument("--verify", action="store_true", help="cross-check against the Verlinde oracle")
     sp.add_argument("--oracle-tol", type=float, default=1e-6)
 
-    sp = sub.add_parser("qdim", help="quantum dimensions of the level alphabet")
-    common(sp)
-    sp.add_argument("--weight", help="one weight as comma-joined labels")
+    sp = command("qdim", cmd_qdim, "quantum dimensions of the level alphabet")
+    sp.add_argument("--weight", type=_labels, help="one weight as comma-joined labels")
 
-    sp = sub.add_parser("det", help="determinant closed forms at a constant field")
-    common(sp, with_k=False)
-    sp.add_argument("--b", help="ambient coordinates of b, comma-joined rationals")
-    sp.add_argument("--alpha-b", dest="alpha_b", help="rank-1 shorthand: the value alpha(b)")
+    sp = command("det", cmd_det, "determinant closed forms at a constant field", with_k=False)
+    field(sp)
     sp.add_argument("--chi", type=int, default=2, help="Euler number of the surface")
-    sp.add_argument("--quad-res", default="64x128", help="quadrature grid, e.g. 256x512")
+    sp.add_argument("--diagnostics", action="store_true", help="add the surface quadrature")
+    sp.add_argument("--quad-res", type=_grid, default="64x128", help="quadrature grid, e.g. 512x1024")
 
-    sp = sub.add_parser("regularize", help="regularized indicator and determinant stage n")
-    common(sp, with_k=False)
+    sp = command("regularize", cmd_regularize, "regularized indicator and determinant stage n",
+                 with_k=False)
     sp.add_argument("input", nargs="?", help="link JSON file for a stepped field")
-    sp.add_argument("--n", dest="reg_n", type=int, default=4, help="regularization index")
-    sp.add_argument("--b", help="ambient coordinates of a constant field")
-    sp.add_argument("--alpha-b", dest="alpha_b")
-    sp.add_argument("--face-values", help="per-face ambient coords, ';'-separated")
+    sp.add_argument("--n", type=int, default=4, help="regularization index")
+    field(sp)
+    sp.add_argument("--face-values", type=_list_of(_rationals, "';'-separated rational lists", ";"),
+                    help="per-face ambient coords, ';'-separated")
 
-    sp = sub.add_parser("holonomy", help="vertical-ribbon holonomy and its closed form")
-    common(sp, with_k=False)
-    sp.add_argument("--b", help="ambient coordinates of the constant field")
-    sp.add_argument("--alpha-b", dest="alpha_b")
-    sp.add_argument("--color", help="highest weight labels, comma-joined (default 1)")
-    sp.add_argument("--wind", dest="winding", type=int, default=1)
-    sp.add_argument("--n", dest="n_points", type=int, default=64)
+    sp = command("holonomy", cmd_holonomy, "vertical-ribbon holonomy and its closed form",
+                 with_k=False)
+    field(sp)
+    sp.add_argument("--color", type=_labels, default=(1,),
+                    help="highest weight labels, comma-joined (default 1)")
+    sp.add_argument("--wind", type=int, default=1)
+    sp.add_argument("--n", type=int, default=64)
 
-    sp = sub.add_parser("validate", help="report schema and assumption violations")
-    common(sp)
-    sp.add_argument("input", nargs="?", help="link JSON file")
+    sp = command("validate", cmd_validate, "report schema and assumption violations")
+    sp.add_argument("input", help="link JSON file")
     return p
 
 
-def _config_from_args(args: argparse.Namespace) -> JobConfig:
-    cfg = JobConfig(command=args.command)
-    merged: dict = {}
-    if getattr(args, "config", None):
-        doc = _load_json(args.config)
-        if not isinstance(doc, dict):
-            raise ParseError("config file must hold a JSON object")
-        merged.update(doc)
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None and value is not False:
-            merged[key] = value
-    for key, value in merged.items():
-        name = {"input": "input_path", "format": "fmt", "wind": "winding", "n": "reg_n"}.get(key, key)
-        if hasattr(cfg, name):
-            setattr(cfg, name, value)
-    return cfg
+def _config_tokens(doc) -> list[str]:
+    """--config keys as flags: {"alpha-b": "1/2", "dump": true} -> --alpha-b=1/2 --dump."""
+    if not isinstance(doc, dict):
+        raise ParseError("config file must hold a JSON object")
+    tokens = []
+    for key, value in doc.items():
+        if value is True:
+            tokens.append(f"--{key}")
+        elif isinstance(value, (str, float)) or _is_int(value):
+            tokens.append(f"--{key}={value if isinstance(value, str) else json.dumps(value)}")
+        else:
+            raise ParseError(f"config key {key!r}: expected a string, a number or true")
+    return tokens
+
+
+def _parse_argv(argv: list[str]) -> argparse.Namespace:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    return parser.parse_args([args.command, *_config_tokens(_load_json(args.config)), *argv[1:]])
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cfg = _config_from_args(args)
-        status = 0
-        if cfg.command == "shadow":
-            doc = cmd_shadow(cfg)
-        elif cfg.command == "fusion":
-            doc = cmd_fusion(cfg)
-        elif cfg.command == "qdim":
-            doc = cmd_qdim(cfg)
-        elif cfg.command == "det":
-            doc = cmd_det(cfg)
-        elif cfg.command == "regularize":
-            doc = cmd_regularize(cfg)
-        elif cfg.command == "holonomy":
-            doc = cmd_holonomy(cfg)
-        elif cfg.command == "validate":
-            doc, status = cmd_validate(cfg)
-        else:  # pragma: no cover
-            raise ParseError(f"unknown command {cfg.command!r}")
+        args = _parse_argv(argv)
+        doc = args.run(args)
     except ShadowsumError as e:
         err = {"error": {"code": e.code, "exit": e.exit_code, "message": str(e)}}
         print(json.dumps(err, sort_keys=True))
         print(f"shadowsum: {e.code}: {e}", file=sys.stderr)
         return e.exit_code
 
-    if isinstance(doc, list):
-        text = "\n".join(doc)
-    else:
-        text = json.dumps(doc, sort_keys=True)
-    if cfg.output:
-        with open(cfg.output, "w") as f:
+    doc, status = doc if isinstance(doc, tuple) else (doc, 0)
+    text = "\n".join(doc) if isinstance(doc, list) else json.dumps(doc, sort_keys=True)
+    if args.output:
+        with open(args.output, "w") as f:
             f.write(text + "\n")
     else:
         print(text)

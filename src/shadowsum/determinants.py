@@ -31,6 +31,8 @@ from .diagrams import ShadowDiagram
 from .errors import PreconditionError
 from .roots import RootSystem, is_regular
 
+MAX_QUAD_NODES = 2**21  # budget of `round_sphere_metric`: n_theta * n_phi nodes
+
 
 def _pairings(rs: RootSystem, b: Sequence) -> list[float]:
     """alpha(b) for every positive root, as floats."""
@@ -140,6 +142,11 @@ class SphereMetricSample:
 
 def round_sphere_metric(n_theta: int = 64, n_phi: int = 128) -> SphereMetricSample:
     """Gauss-Legendre x uniform product rule on the unit round sphere (R_g = 2)."""
+    if n_theta * n_phi > MAX_QUAD_NODES:
+        raise PreconditionError(
+            f"a {n_theta}x{n_phi} quadrature grid has {n_theta * n_phi} nodes; "
+            f"the budget is {MAX_QUAD_NODES}"
+        )
     x, w = np.polynomial.legendre.leggauss(n_theta)  # x = cos(theta)
     theta = np.arccos(x)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi

@@ -23,6 +23,7 @@ fusion factors, accumulated in a compensated (error-tracking) sum.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -261,19 +262,25 @@ def contract_state_sum(
     is Y^+), so m_f = w_f * prod_children messages and the sum is sum m_outer.
     Since N >= 0, the same pass over |w_f| gives sum |term|, and over the
     support N != 0 with exact ints the number of nonvanishing colorings.
+
+    chi_f is 1 - #children (2 - #roots for the outer face), so dim^chi_f
+    underflows on faces with many children.  Face f is weighted by
+    dim^(chi_f + #children_f) instead, which is 1 or 2, and each message it
+    absorbs is divided by dim of its color.  A value or abs_sum that is not
+    a finite double is refused.
     """
     data = _prepare(diagram, alphabet, fusion)
-    n_faces = len(data.chis)
+    n_faces = len(data.gleams)
     n_colors = len(alphabet.elements)
     elements = alphabet.elements
 
     qdims = np.array(data.qdims)
     abs_w = np.empty((n_faces, n_colors))
     w = np.empty((n_faces, n_colors), dtype=complex)
-    for f, (chi, gleam) in enumerate(zip(data.chis, data.gleams)):
+    for f, gleam in enumerate(data.gleams):
         # exp(i pi q / k) has period 2k in q: reduce exactly before rounding
         angles = [float((gleam * q) % (2 * data.k)) for q in data.phase_q]
-        abs_w[f] = qdims**chi
+        abs_w[f] = qdims ** (1 if f else 2)  # dim^(chi_f + #children_f)
         w[f] = abs_w[f] * np.exp(1j * math.pi / data.k * np.array(angles))
 
     # N_gamma in floats for the sums, and its support N != 0 in exact ints for the count
@@ -289,18 +296,24 @@ def contract_state_sum(
 
     # w[f], abs_w[f] and counts[f] become the messages m_f as children are absorbed
     counts = np.ones((n_faces, n_colors), dtype=int).astype(object)
-    for f in range(n_faces - 1, 0, -1):
-        parent, gamma, parent_is_minus = link[f]
-        mat, support = fusion_mats[gamma]
-        if not parent_is_minus:
-            mat, support = mat.T, support.T
-        w[parent] *= mat @ w[f]
-        abs_w[parent] *= mat @ abs_w[f]
-        counts[parent] *= support @ counts[f]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        for f in range(n_faces - 1, 0, -1):
+            parent, gamma, parent_is_minus = link[f]
+            mat, support = fusion_mats[gamma]
+            if not parent_is_minus:
+                mat, support = mat.T, support.T
+            w[parent] *= (mat @ w[f]) / qdims
+            abs_w[parent] *= (mat @ abs_w[f]) / qdims
+            counts[parent] *= support @ counts[f]
 
+    value, abs_sum = complex(w[0].sum()), float(abs_w[0].sum())
+    if not (cmath.isfinite(value) and math.isfinite(abs_sum)):
+        raise PreconditionError(
+            f"the state sum is not a finite double (value {value}, sum |term| {abs_sum})"
+        )
     return StateSumResult(
-        value=complex(w[0].sum()),
-        abs_sum=float(abs_w[0].sum()),
+        value=value,
+        abs_sum=abs_sum,
         colorings_total=n_colors**n_faces,
         colorings_retained=int(counts[0].sum()),
     )

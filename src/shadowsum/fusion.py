@@ -26,6 +26,7 @@ from .reps import Labels, LevelAlphabet, weight_multiplicities
 from .roots import RootSystem, weyl_orbit
 
 _FOLD_LIMIT = 100_000
+MAX_FUSION_TRIPLES = 10**6  # budget of `build_fusion_table`: |A|^3 coefficients
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,14 @@ class FusionTable:
 
 
 def build_fusion_table(alphabet: LevelAlphabet) -> FusionTable:
-    """Compute every triple via the quantum-Weyl-group sum."""
+    """Compute every triple via the quantum-Weyl-group sum (at most MAX_FUSION_TRIPLES)."""
+    triples = len(alphabet.elements) ** 3
+    if triples > MAX_FUSION_TRIPLES:
+        rs = alphabet.rs
+        raise PreconditionError(
+            f"the fusion table of {rs.type_label}{rs.rank} at k = {alphabet.k} holds "
+            f"{triples} triples; the budget is {MAX_FUSION_TRIPLES}"
+        )
     qwg = QuantumWeylGroup(rs=alphabet.rs, k=alphabet.k)
     coeffs = {}
     for mu in alphabet.elements:

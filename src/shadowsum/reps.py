@@ -19,6 +19,9 @@ from .roots import RootSystem, dominant_weights_up_to_level
 
 Labels = tuple[int, ...]
 
+# Budget of `level_alphabet`: candidate label vectors scanned, prod_i (floor((k-g)/a_i) + 1).
+MAX_ALPHABET_BOX = 10**5
+
 
 @dataclass(frozen=True)
 class LevelAlphabet:
@@ -46,7 +49,8 @@ def level_alphabet(rs: RootSystem, k: int) -> LevelAlphabet:
     """All dominant weights with <lambda, theta> <= k - g.
 
     Requires k > g; at and below the dual Coxeter number the state sum
-    degenerates and is out of scope here.
+    degenerates and is out of scope here.  The box of candidates scanned,
+    one range per comark a_i, must hold at most MAX_ALPHABET_BOX vectors.
     """
     g = rs.dual_coxeter
     if k <= g:
@@ -54,6 +58,12 @@ def level_alphabet(rs: RootSystem, k: int) -> LevelAlphabet:
             f"level bound violated: need k > g, got k = {k} with dual Coxeter "
             f"number g = {g} for {rs.type_label}{rs.rank} "
             f"(the alphabet requires <lambda, theta> <= k - g)"
+        )
+    box = math.prod((k - g) // a + 1 for a in rs.comarks)
+    if box > MAX_ALPHABET_BOX:
+        raise PreconditionError(
+            f"the level alphabet of {rs.type_label}{rs.rank} at k = {k} scans {box} "
+            f"candidate weights; the budget is {MAX_ALPHABET_BOX}"
         )
     elems = dominant_weights_up_to_level(rs, k - g)
     return LevelAlphabet(rs=rs, k=k, elements=tuple(elems))

@@ -258,9 +258,10 @@ def _invert_rational(mat: list[list[Fraction]]) -> list[list[Fraction]]:
 def parse_type_label(label: str) -> tuple[str, int]:
     """Split a label like "B3" into ("B", 3); raises on malformed labels."""
     label = label.strip()
-    if len(label) < 2 or label[0].upper() not in "ABCDEFG" or not label[1:].isdigit():
+    kind, rank = label[:1].upper(), label[1:]
+    if kind not in set("ABCDEFG") or not (rank.isascii() and rank.isdigit()):
         raise PreconditionError(f"invalid type label {label!r}; expected e.g. A1 .. G2")
-    return label[0].upper(), int(label[1:])
+    return kind, int(rank)
 
 
 def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:

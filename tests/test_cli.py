@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from shadowsum import cli
+
 EMPTY = {"group": "A1", "k": 4, "circles": []}
 TWO_CIRCLES = {
     "group": "A1",
@@ -321,3 +323,202 @@ class TestConfigFile:
         r = run_cli("det", "--group", "A1", "--alpha-b", "1/2", "--output", str(out))
         assert r.returncode == 0 and r.stdout == ""
         assert json.loads(out.read_text())["det_k"] == pytest.approx(4.0)
+
+
+# -- one input path: in-process runs of cli.main ---------------------------------
+
+
+def run_main(capsys, *args):
+    """cli.main in this process: (exit code, the one JSON document on stdout)."""
+    rc = cli.main([str(a) for a in args])
+    out = capsys.readouterr().out
+    return rc, json.loads(out)
+
+
+def one_circle(**fields):
+    c = {"id": "a", "parent": None, "winding": 1, "positive_side": "inside", "color": [1]}
+    return {"group": "A1", "k": 4, "circles": [dict(c, **fields)]}
+
+
+class TestOneLinkParser:
+    """shadow and validate read link files through the same parse_link."""
+
+    def agree(self, capsys, path):
+        rc, doc = run_main(capsys, "shadow", path)
+        vrc, report = run_main(capsys, "validate", path)
+        assert vrc == rc
+        if rc:
+            assert report["report"][0]["message"] == doc["error"]["message"]
+        return rc, doc, report
+
+    def test_color_outside_alphabet(self, tmp_path, capsys):
+        rc, doc, report = self.agree(capsys, write(tmp_path, "c.json", one_circle(color=[5])))
+        assert rc == 3 and "outside the level alphabet" in doc["error"]["message"]
+        assert [e["code"] for e in report["report"]] == ["color"]
+
+    def test_bad_positive_side_reported_once(self, tmp_path, capsys):
+        path = write(tmp_path, "s.json", one_circle(positive_side="up"))
+        rc, _, report = self.agree(capsys, path)
+        assert rc == 3
+        assert [e["code"] for e in report["report"]] == ["positive-side"]
+
+    def test_misspelt_circle_key(self, tmp_path, capsys):
+        rc, doc, _ = self.agree(capsys, write(tmp_path, "k.json", one_circle(colour=[2])))
+        assert rc == 2 and doc["error"]["code"] == "parse"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            dict(EMPTY, group=["A1"]),
+            dict(EMPTY, group=1),
+            dict(EMPTY, extra=1),
+            one_circle(id=1),
+            one_circle(parent=0),
+            [],
+        ],
+        ids=["group-list", "group-int", "top-key", "int-id", "int-parent", "not-object"],
+    )
+    def test_schema_violations_exit_2(self, tmp_path, capsys, doc):
+        rc, err, report = self.agree(capsys, write(tmp_path, "bad.json", doc))
+        assert rc == 2 and err["error"]["code"] == "parse"
+        assert [e["code"] for e in report["report"]] == ["parse"]
+
+    def test_validate_collects_independent_problems(self, tmp_path, capsys):
+        doc = {"group": "A1", "k": 4, "circles": [
+            {"id": "a", "parent": "b", "winding": 1, "positive_side": "inside", "color": [7]},
+            {"id": "b", "parent": "a", "winding": 1, "positive_side": "inside", "color": [8]},
+        ]}
+        rc, _, report = self.agree(capsys, write(tmp_path, "two.json", doc))
+        assert rc == 3
+        assert [e["code"] for e in report["report"]] == ["color", "color", "assumption-1"]
+
+    def test_parent_may_be_omitted(self, tmp_path, capsys):
+        doc = one_circle()
+        del doc["circles"][0]["parent"]
+        rc, out, _ = self.agree(capsys, write(tmp_path, "p.json", doc))
+        assert rc == 0 and out["retained"] > 0
+
+    def test_regularize_reads_the_same_schema(self, tmp_path, capsys):
+        path = write(tmp_path, "k.json", one_circle(colour=[2]))
+        rc, doc = run_main(capsys, "regularize", "--group", "A1", path,
+                           "--face-values", "1/4,-1/4;1/6,-1/6")
+        assert rc == 2 and doc["error"]["code"] == "parse"
+
+    def test_deeply_nested_link_file(self, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000 + "]" * 100_000)
+        for cmd in ("shadow", "validate"):
+            rc, doc = run_main(capsys, cmd, p)
+            assert rc == 2, doc
+
+
+class TestUsageErrorsAsJson:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["shadow", "--workers", "2", "x.json"],
+            ["qdim", "--k", "four"],
+            ["qdim", "--group", "A1", "--k", "4", "--weight", "1.5"],
+            ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--color", "x"],
+            ["det", "--group", "A1", "--alpha-b", "1/2", "--diagnostics", "--quad-res", "64"],
+            ["det", "--group", "A1", "--alpha-b", "1/2", "--diagnostics", "--quad-res", "0x8"],
+            ["regularize", "--group", "A1", "--face-values", "1/4;x"],
+            ["nosuchcommand"],
+            [],
+        ],
+    )
+    def test_usage_error_exit_2(self, capsys, argv):
+        rc, doc = run_main(capsys, *argv)
+        assert rc == 2 and doc["error"]["code"] == "parse"
+
+    @pytest.mark.parametrize("cmd", ["fusion", "qdim", "regularize", "holonomy", "validate"])
+    def test_diagnostics_only_where_used(self, capsys, cmd):
+        rc, doc = run_main(capsys, cmd, "--diagnostics", "--group", "A1", "x.json")
+        assert rc == 2 and "--diagnostics" in doc["error"]["message"]
+
+    def test_help_and_version_unchanged(self):
+        r = run_cli("--help")
+        assert r.returncode == 0 and "usage: shadowsum" in r.stdout
+        r = run_cli("--version")
+        assert r.returncode == 0 and r.stdout.strip()
+
+    def test_non_ascii_rank_is_a_precondition(self, tmp_path, capsys):
+        rc, doc = run_main(capsys, "shadow", "--group", "A²", write(tmp_path, "e.json", EMPTY))
+        assert rc == 3 and doc["error"]["code"] == "precondition"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qdim", "--group", "A1", "--k", str(10**12)],
+            ["fusion", "--group", "A1", "--k", "200"],
+            ["det", "--group", "A1", "--alpha-b", "1/2", "--diagnostics",
+             "--quad-res", "100000x100000"],
+        ],
+    )
+    def test_budgets_exit_3(self, capsys, argv):
+        rc, doc = run_main(capsys, *argv)
+        assert rc == 3 and "budget" in doc["error"]["message"]
+
+    def test_shadow_overflow_exit_3(self, tmp_path, capsys):
+        doc = {"group": "A1", "k": 10, "circles": [
+            {"id": f"c{i}", "winding": 1, "positive_side": "inside", "color": [1]}
+            for i in range(2000)
+        ]}
+        rc, err = run_main(capsys, "shadow", write(tmp_path, "wide.json", doc))
+        assert rc == 3 and "finite" in err["error"]["message"]
+
+
+class TestConfigAsFlags:
+    def config(self, tmp_path, doc):
+        p = tmp_path / "cfg.json"
+        p.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        return str(p)
+
+    def test_n_reaches_holonomy(self, tmp_path, capsys):
+        rc, doc = run_main(capsys, "holonomy", "--group", "A1", "--alpha-b", "1/3",
+                           "--config", self.config(tmp_path, {"n": 8}))
+        assert rc == 0 and doc["n"] == 8
+
+    def test_flag_spelling_keys(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, {"group": "A1", "alpha-b": "1/2", "diagnostics": True,
+                                     "quad-res": "16x32"})
+        rc, doc = run_main(capsys, "det", "--config", cfg)
+        assert rc == 0
+        assert doc["det_rig_constant"] == pytest.approx(4.0)
+        assert "det_rig_quadrature" in doc
+
+    def test_values_get_the_flag_type_check(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, {"group": "A1", "k": "5"})
+        rc, doc = run_main(capsys, "qdim", "--config", cfg)
+        assert rc == 0 and len(doc["qdims"]) == 4
+        cfg = self.config(tmp_path, {"group": "A1", "k": "x"})
+        rc, doc = run_main(capsys, "qdim", "--config", cfg)
+        assert rc == 2 and doc["error"]["code"] == "parse"
+
+    def test_flags_win(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, {"group": "A1", "wind": 3, "n": 8})
+        rc, doc = run_main(capsys, "holonomy", "--config", cfg, "--alpha-b", "1/3", "--n", "16")
+        assert rc == 0 and doc["n"] == 16 and doc["winding"] == 3
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"workers": 3},
+            {"quad_res": "16x32"},
+            {"input": "link.json"},
+            {"dump": False},
+            {"group": None},
+            {"group": ["A1"]},
+            [],
+        ],
+        ids=["retired", "underscore", "input", "false", "null", "list", "not-object"],
+    )
+    def test_bad_keys_are_usage_errors(self, tmp_path, capsys, doc):
+        rc, err = run_main(capsys, "fusion", "--group", "A1", "--k", "4",
+                           "--config", self.config(tmp_path, doc))
+        assert rc == 2 and err["error"]["code"] == "parse"
+
+    def test_deeply_nested_config(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, "[" * 100_000 + "]" * 100_000)
+        rc, err = run_main(capsys, "qdim", "--group", "A1", "--k", "4", "--config", cfg)
+        assert rc == 2 and err["error"]["code"] == "parse"

@@ -171,3 +171,8 @@ class TestQuadrature:
         with pytest.raises(PreconditionError) as ei:
             det_rig_quadrature(a1, lambda t, p: b, round_sphere_metric(8, 16))
         assert "node" in str(ei.value)
+
+
+def test_quadrature_grid_budget_refuses_before_allocating():
+    with pytest.raises(PreconditionError, match="budget"):
+        round_sphere_metric(10**6, 10**6)

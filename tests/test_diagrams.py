@@ -356,3 +356,58 @@ def test_abs_sum_matches_bench_references():
         assert abs(r.abs_sum - ref["abs_sum"]) <= r.colorings_retained * 2.0**-52 * ref["abs_sum"]
         checked += 1
     assert checked == 96
+
+
+def side_by_side_closed_form(alphabet, table, n, gamma, winding):
+    """n root circles colored gamma, positive side inside, as a sum over the outer color.
+
+    The outer face has chi = 2 - n and gleam -n*winding; each inner face has
+    chi = 1 and gleam winding.  With phi_a(g) = exp(i pi g <a, a+2rho>/k) and
+    m_a = sum_b N^a_{gamma b} dim(b) phi_b(winding), the state sum is
+    sum_a dim(a)^2 phi_a(-n winding) (m_a / dim(a))^n.  Returns (value, sum |term|).
+    """
+    rs, k = alphabet.rs, alphabet.k
+
+    def phase(lam, g):
+        q = g * rs.label_form(lam, tuple(x + 2 for x in lam)) % (2 * k)
+        return cmath.exp(1j * math.pi * float(q) / k)
+
+    dims = {lam: quantum_dimension(alphabet, lam) for lam in alphabet.elements}
+    value = abs_sum = 0
+    for a in alphabet.elements:
+        m = sum(table.get(a, gamma, b) * dims[b] * phase(b, winding) for b in alphabet.elements)
+        m_abs = sum(table.get(a, gamma, b) * dims[b] for b in alphabet.elements)
+        value += dims[a] ** 2 * phase(a, -n * winding) * (m / dims[a]) ** n
+        abs_sum += dims[a] ** 2 * (m_abs / dims[a]) ** n
+    return value, abs_sum
+
+
+@pytest.mark.parametrize(
+    "label,k,n,gamma,winding",
+    [
+        ("A1", 10, 700, (0,), 0),  # the empty-link value; dim^chi underflowed to 22.94
+        ("A1", 10, 1000, (1,), 1),  # about 9.02e280
+        ("A1", 5, 3, (2,), -2),
+        ("A2", 5, 40, (1, 0), 2),
+        ("B2", 6, 60, (0, 1), 1),
+    ],
+)
+def test_contraction_side_by_side_closed_form(label, k, n, gamma, winding):
+    """Many children on one face: the contraction keeps its scale."""
+    al = level_alphabet(build_root_system(label), k)
+    ft = build_fusion_table(al)
+    d = build_diagram([circle(f"c{i}", winding=winding, color=gamma) for i in range(n)])
+    r = contract_state_sum(d, al, ft)
+    value, abs_sum = side_by_side_closed_form(al, ft, n, gamma, winding)
+    assert abs(r.value - value) <= 1e-9 * abs_sum
+    assert r.abs_sum == pytest.approx(abs_sum, rel=1e-9)
+    if gamma == (0,) and winding == 0:
+        assert r.value.real == pytest.approx(empty_link_value(al), rel=1e-12)
+
+
+def test_contraction_refuses_non_finite(a1):
+    """2000 circles colored [1] at A1 k=10 overflow a double: exit 3, not Infinity/NaN."""
+    al = level_alphabet(a1, 10)
+    d = build_diagram([circle(f"c{i}", winding=1, color=(1,)) for i in range(2000)])
+    with pytest.raises(PreconditionError, match="not a finite double"):
+        contract_state_sum(d, al, build_fusion_table(al))

@@ -150,3 +150,11 @@ class TestTableAndExport:
         for line in lines:
             lam, mu, nu, n = line.split()
             assert int(n) >= 0
+
+
+def test_fusion_table_budget_refuses_before_building(a1):
+    """|A|^3 = 199^3 triples at A1 k=200 exceeds the budget; nothing is built."""
+    from shadowsum.fusion import build_fusion_table
+
+    with pytest.raises(PreconditionError, match="budget"):
+        build_fusion_table(level_alphabet(a1, 200))

@@ -157,3 +157,11 @@ class TestCharacter:
             for i in range(a2.ambient_dim)
         )
         assert abs(character_eval(ws, sb) - character_eval(ws, b)) < 1e-12
+
+
+@pytest.mark.parametrize("label,k", [("A1", 10**12), ("E8", 10**6), ("A8", 10**40)])
+def test_alphabet_budget_refuses_before_scanning(label, k):
+    """The candidate box is counted from the comarks before any weight is scanned."""
+    rs = build_root_system(label)
+    with pytest.raises(PreconditionError, match="budget"):
+        level_alphabet(rs, k)

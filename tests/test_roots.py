@@ -178,3 +178,10 @@ def test_orbit_preserves_norm(coords, b2):
     n = b2.inner(v, v)
     for w, _ in weyl_orbit(b2, v):
         assert b2.inner(w, w) == n
+
+
+@pytest.mark.parametrize("label", ["A²", "A١", "", "A", "Z3", "A1.5", "A-1"])
+def test_malformed_type_label_rejected(label):
+    """Only ASCII digits are a rank: int() of other digit characters fails or surprises."""
+    with pytest.raises(PreconditionError):
+        build_root_system(label)
