@@ -9,7 +9,9 @@ ring identity.
 
 import time
 
-from shadowsum.fusion import build_fusion_table, quantum_dimension, verlinde_oracle
+import numpy as np
+
+from shadowsum.fusion import build_fusion_table, quantum_dimension, table_entries, verlinde_oracle
 from shadowsum.reps import level_alphabet
 from shadowsum.roots import build_root_system
 
@@ -24,16 +26,12 @@ def main():
             t1 = time.time()
             table = build_fusion_table(alphabet)
             mismatches = 0
-            worst_ring = 0.0
-            dims = {lam: quantum_dimension(alphabet, lam) for lam in alphabet.elements}
-            for (lam, mu, nu), n in table.coefficients.items():
+            dims = [quantum_dimension(alphabet, lam) for lam in alphabet.elements]
+            for lam, mu, nu, n in table_entries(alphabet, table):
                 if n != verlinde_oracle(alphabet, lam, mu, nu):
                     mismatches += 1
-            for lam in alphabet.elements:
-                for mu in alphabet.elements:
-                    lhs = sum(table.get(lam, mu, nu) * dims[nu] for nu in alphabet.elements)
-                    worst_ring = max(worst_ring, abs(lhs - dims[lam] * dims[mu]))
-            n_triples = len(table.coefficients)
+            worst_ring = float(abs(table @ dims - np.outer(dims, dims)).max())
+            n_triples = table.size
             total += n_triples
             status = "ok" if mismatches == 0 else f"{mismatches} MISMATCHES"
             print(f"{label} k={k:<2} alphabet {len(alphabet.elements):>3} "

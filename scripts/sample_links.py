@@ -9,7 +9,6 @@ import json
 import pathlib
 
 from shadowsum.diagrams import build_diagram, contract_state_sum
-from shadowsum.fusion import build_fusion_table
 from shadowsum.reps import level_alphabet
 from shadowsum.roots import build_root_system
 
@@ -53,8 +52,7 @@ def main():
         path.write_text(json.dumps(doc, indent=2))
         rs = build_root_system(doc["group"])
         alphabet = level_alphabet(rs, doc["k"])
-        table = build_fusion_table(alphabet)
-        r = contract_state_sum(build_diagram(doc["circles"]), alphabet, table)
+        r = contract_state_sum(build_diagram(doc["circles"]), alphabet)
         print(f"{name:<22} {doc['group']} k={doc['k']}  |L| = "
               f"{r.value.real:+.9f} {r.value.imag:+.9f}i   "
               f"({r.colorings_retained}/{r.colorings_total} colorings kept)  -> {path}")

@@ -19,10 +19,9 @@ from .reps import (
     weyl_dimension,
 )
 from .fusion import (
-    FusionTable,
     QuantumWeylGroup,
     build_fusion_table,
-    fusion_coefficient,
+    fusion_matrix,
     quantum_dimension,
     verlinde_oracle,
 )

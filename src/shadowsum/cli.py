@@ -39,6 +39,7 @@ from .errors import ParseError, PreconditionError, ShadowsumError
 from .fusion import (
     build_fusion_table,
     quantum_dimension,
+    table_entries,
     table_lines,
     verify_against_verlinde,
 )
@@ -185,8 +186,7 @@ def _field_b(args, rs) -> tuple:
 
 def cmd_shadow(args) -> dict:
     rs, alphabet, diagram = parse_link(_load_json(args.input), args.group, args.k)
-    table = build_fusion_table(alphabet)
-    result = contract_state_sum(diagram, alphabet, table)
+    result = contract_state_sum(diagram, alphabet)
     out = {
         "group": f"{rs.type_label}{rs.rank}",
         "k": alphabet.k,
@@ -201,7 +201,7 @@ def cmd_shadow(args) -> dict:
                 f"--diagnostics would list {result.colorings_retained} terms; "
                 f"the budget is {MAX_LISTED_TERMS}"
             )
-        listing = state_sum(diagram, alphabet, table, diagnostics=True)
+        listing = state_sum(diagram, alphabet, diagnostics=True)
         out["terms"] = [
             {"coloring": [list(c) for c in col], "term": _c2j(t)}
             for col, t in listing.terms
@@ -213,18 +213,20 @@ def cmd_fusion(args) -> dict | list[str]:
     alphabet = _alphabet(args)
     table = build_fusion_table(alphabet)
     if args.verify:
-        verify_against_verlinde(table, tol=args.oracle_tol)
+        verify_against_verlinde(alphabet, table, tol=args.oracle_tol)
     if args.format == "text":
-        return table_lines(table)
-    entries = [
-        {"lam": list(l), "mu": list(m), "nu": list(n), "n": v}
-        for (l, m, n), v in sorted(table.coefficients.items())
-    ]
+        return table_lines(alphabet, table)
+    entries = table.size
+    if args.dump:
+        entries = [
+            {"lam": list(l), "mu": list(m), "nu": list(n), "n": v}
+            for l, m, n, v in table_entries(alphabet, table)
+        ]
     return {
         "group": args.group,
         "k": args.k,
         "alphabet": [list(w) for w in alphabet.elements],
-        "entries": entries if args.dump else len(entries),
+        "entries": entries,
         "verified": bool(args.verify),
     }
 

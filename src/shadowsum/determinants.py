@@ -56,10 +56,21 @@ def det_half(rs: RootSystem, b: Sequence) -> float:
 
 
 def det_rig_constant(rs: RootSystem, b: Sequence, chi: int) -> float:
-    """det_k(b)^(chi/2) for a constant regular field on a surface of Euler number chi."""
+    """det_k(b)^(chi/2) for a constant regular field on a surface of Euler number chi.
+
+    A power that is not a finite positive double (large |chi|) is refused.
+    """
     if not is_regular(rs, tuple(b)):
         raise PreconditionError(f"constant field value {tuple(b)} is singular")
-    return det_k(rs, b) ** (chi / 2.0)
+    try:
+        out = det_k(rs, b) ** (chi / 2.0)
+    except OverflowError:
+        out = math.inf
+    if not 0.0 < out < math.inf:
+        raise PreconditionError(
+            f"det_k(b)^(chi/2) at chi = {chi} is not a finite positive double ({out})"
+        )
+    return out
 
 
 @dataclass(frozen=True)

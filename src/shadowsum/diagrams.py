@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .fusion import FusionTable, quantum_dimension
+from .fusion import fusion_matrix, quantum_dimension
 from .reps import Labels, LevelAlphabet
 
 OUTER_FACE = "outer"
@@ -200,23 +200,15 @@ class _TermData:
     """Per-diagram tables shared by the contraction and the enumerator."""
 
     k: int
-    chis: tuple[int, ...]
     gleams: tuple[int, ...]
     qdims: tuple[float, ...]
     phase_q: tuple[Fraction, ...]  # <phi, phi + 2 rho> per alphabet entry
     # circles as (face index of Y^-, face index of Y^+, color labels)
     circle_faces: tuple[tuple[int, int, Labels], ...]
+    fusion: dict[Labels, np.ndarray]  # N_gamma for each circle color gamma
 
 
-def _prepare(diagram: ShadowDiagram, alphabet: LevelAlphabet, fusion: FusionTable) -> _TermData:
-    if fusion.alphabet is not alphabet and (
-        fusion.alphabet.k != alphabet.k
-        or fusion.alphabet.rs.type_label != alphabet.rs.type_label
-        or fusion.alphabet.rs.rank != alphabet.rs.rank
-    ):
-        raise PreconditionError(
-            "fusion table was built for a different root system or level than the alphabet"
-        )
+def _prepare(diagram: ShadowDiagram, alphabet: LevelAlphabet) -> _TermData:
     rs = alphabet.rs
     for c in diagram.circles:
         if c.color not in alphabet:
@@ -239,19 +231,15 @@ def _prepare(diagram: ShadowDiagram, alphabet: LevelAlphabet, fusion: FusionTabl
         circle_faces.append((minus, plus, c.color))
     return _TermData(
         k=alphabet.k,
-        chis=tuple(f.euler for f in diagram.faces),
         gleams=tuple(f.gleam for f in diagram.faces),
         qdims=qdims,
         phase_q=phase_q,
         circle_faces=tuple(circle_faces),
+        fusion={gamma: fusion_matrix(alphabet, gamma) for gamma in {c.color for c in diagram.circles}},
     )
 
 
-def contract_state_sum(
-    diagram: ShadowDiagram,
-    alphabet: LevelAlphabet,
-    fusion: FusionTable,
-) -> StateSumResult:
+def contract_state_sum(diagram: ShadowDiagram, alphabet: LevelAlphabet) -> StateSumResult:
     """Sum the invariant over all area colorings by elimination on the region tree.
 
     Face f carries the weight w_f(a) = dim(a)^chi_f exp(i pi gleam_f <a, a+2rho>/k)
@@ -269,10 +257,9 @@ def contract_state_sum(
     absorbs is divided by dim of its color.  A value or abs_sum that is not
     a finite double is refused.
     """
-    data = _prepare(diagram, alphabet, fusion)
+    data = _prepare(diagram, alphabet)
     n_faces = len(data.gleams)
     n_colors = len(alphabet.elements)
-    elements = alphabet.elements
 
     qdims = np.array(data.qdims)
     abs_w = np.empty((n_faces, n_colors))
@@ -284,12 +271,12 @@ def contract_state_sum(
         w[f] = abs_w[f] * np.exp(1j * math.pi / data.k * np.array(angles))
 
     # N_gamma in floats for the sums, and its support N != 0 in exact ints for the count
-    fusion_mats: dict[Labels, tuple[np.ndarray, np.ndarray]] = {}
+    fusion_mats = {
+        gamma: (mat.astype(float), (mat != 0).astype(int).astype(object))
+        for gamma, mat in data.fusion.items()
+    }
     link: list[tuple[int, Labels, bool] | None] = [None] * n_faces  # face -> parent
     for minus, plus, gamma in data.circle_faces:
-        if gamma not in fusion_mats:
-            mat = np.array([[fusion.get(lam, gamma, nu) for nu in elements] for lam in elements])
-            fusion_mats[gamma] = mat.astype(float), (mat != 0).astype(int).astype(object)
         # preorder puts the circle's inner face (the child) after its outer face
         child, parent = max(minus, plus), min(minus, plus)
         link[child] = (parent, gamma, parent == minus)
@@ -319,22 +306,24 @@ def contract_state_sum(
     )
 
 
-def term_value(
-    data: _TermData,
-    alphabet: LevelAlphabet,
-    fusion: FusionTable,
-    coloring: Sequence[int],
-) -> complex:
-    """Canonical per-coloring term; factors multiplied in fixed face order."""
+def term_value(data: _TermData, coloring: Sequence[int]) -> complex:
+    """Canonical per-coloring term; factors multiplied in fixed circle and face order.
+
+    prod_f dim^chi_f is taken as dim(outer)^2 times, circle by circle,
+    dim(inner face) / dim(outer face), the scaling of the contraction: a face
+    with many children would underflow dim^chi_f.
+    """
     n_product = 1
+    dim_product = data.qdims[coloring[0]] ** 2
     for minus, plus, gamma in data.circle_faces:
-        n_product *= fusion.get(alphabet.elements[coloring[minus]], gamma, alphabet.elements[coloring[plus]])
+        n_product *= int(data.fusion[gamma][coloring[minus], coloring[plus]])
         if n_product == 0:
             return 0j
-    dim_product = 1.0
+        # preorder puts the circle's inner face after its outer face
+        inner, outer = coloring[max(minus, plus)], coloring[min(minus, plus)]
+        dim_product *= data.qdims[inner] / data.qdims[outer]
     exponent = Fraction(0)
     for fi, ci in enumerate(coloring):
-        dim_product *= data.qdims[ci] ** data.chis[fi]
         exponent += data.gleams[fi] * data.phase_q[ci]
     exponent = exponent % (2 * data.k)  # exp(i pi q / k) has period 2k in q
     return n_product * dim_product * complex(
@@ -346,7 +335,6 @@ def term_value(
 def state_sum(
     diagram: ShadowDiagram,
     alphabet: LevelAlphabet,
-    fusion: FusionTable,
     diagnostics: bool = False,
 ) -> StateSumResult:
     """Sum the invariant by enumerating every area coloring (exponential).
@@ -357,7 +345,7 @@ def state_sum(
     terms are listed.  `contract_state_sum` gives the same value in
     polynomial time; this enumerator lists terms and serves as its oracle.
     """
-    data = _prepare(diagram, alphabet, fusion)
+    data = _prepare(diagram, alphabet)
     n_faces = len(diagram.faces)
     n_colors = len(alphabet.elements)
 
@@ -383,8 +371,7 @@ def state_sum(
         next_color[face] = ci + 1
         coloring[face] = ci
         if any(
-            fusion.get(alphabet.elements[coloring[minus]], gamma, alphabet.elements[coloring[plus]])
-            == 0
+            data.fusion[gamma][coloring[minus], coloring[plus]] == 0
             for minus, plus, gamma in ready_at[face]
         ):
             continue
@@ -392,7 +379,7 @@ def state_sum(
             face += 1
             next_color[face] = 0
             continue
-        t = term_value(data, alphabet, fusion, coloring)
+        t = term_value(data, coloring)
         retained += 1
         acc.add(t)
         abs_acc.add(abs(t))

@@ -9,24 +9,31 @@ of weight multiplicities of the middle representation:
 Only finitely many tau contribute, because m_mu vanishes outside the convex
 hull of the mu-orbit; those are enumerated exactly by running over the
 (finite) support of m_mu and folding each candidate point into the
-fundamental alcove of the level-k action.  The Verlinde oracle recomputes
-the same numbers from the modular S-matrix and is kept fully independent.
+fundamental alcove of the level-k action.  `fusion_matrix` is the one
+evaluator: all N^lam_{mu nu} for one mu, as an integer matrix over the level
+alphabet; the full table stacks those matrices.  The Verlinde oracle
+recomputes the same numbers from the modular S-matrix and is kept fully
+independent.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .errors import OracleError, PreconditionError
 from .reps import Labels, LevelAlphabet, weight_multiplicities
 from .roots import RootSystem, weyl_orbit
 
 _FOLD_LIMIT = 100_000
-MAX_FUSION_TRIPLES = 10**6  # budget of `build_fusion_table`: |A|^3 coefficients
+# Budget of one call: the integers it computes, |A|^2 in `fusion_matrix`, |A|^3 in `build_fusion_table`.
+MAX_FUSION_COEFFS = 10**6
 
 
 @dataclass(frozen=True)
@@ -124,37 +131,50 @@ def _require_in_alphabet(alphabet: LevelAlphabet, lam: Sequence[int], name: str)
     return t
 
 
-def fusion_coefficient(
-    qwg: QuantumWeylGroup,
-    alphabet: LevelAlphabet,
-    lam: Sequence[int],
-    mu: Sequence[int],
-    nu: Sequence[int],
-) -> int:
-    """N^lam_{mu nu} = sum_{tau in W_k} sgn(tau) m_mu(nu - tau(lam)), exactly.
+_fusion_cache: dict[tuple[str, int, int, Labels], np.ndarray] = {}
 
-    For each weight beta in the support of m_mu the point nu + rho - beta
-    equals w(lam + rho) + k gamma for at most one group element; alcove
-    folding finds it (or detects a wall, where stabilized points contribute
-    canceling pairs and are skipped).
+
+def _require_budget(alphabet: LevelAlphabet, coeffs: int, what: str) -> None:
+    if coeffs > MAX_FUSION_COEFFS:
+        rs = alphabet.rs
+        raise PreconditionError(
+            f"the {what} of {rs.type_label}{rs.rank} at k = {alphabet.k} holds "
+            f"{coeffs} coefficients; the budget is {MAX_FUSION_COEFFS}"
+        )
+
+
+def fusion_matrix(alphabet: LevelAlphabet, gamma: Sequence[int]) -> np.ndarray:
+    """N_gamma[a, b] = N^{A[a]}_{gamma A[b]} over the level alphabet A, exactly.
+
+    N^lam_{gamma nu} = sum_{tau in W_k} sgn(tau) m_gamma(nu - tau(lam)).  For
+    column b (nu = A[b]) and each weight beta in the support of m_gamma, the
+    point nu + rho - beta equals tau(lam + rho) for at most one lam in A;
+    alcove folding finds it and its sign (or a wall, where stabilized points
+    contribute canceling pairs and are skipped).  The int64 array is cached
+    per (type, rank, k, gamma) and returned read-only.
     """
-    if qwg.k != alphabet.k or qwg.rs is not alphabet.rs:
-        raise PreconditionError("fusion inputs built for different root system or level")
-    lam = _require_in_alphabet(alphabet, lam, "lambda")
-    mu = _require_in_alphabet(alphabet, mu, "mu")
-    nu = _require_in_alphabet(alphabet, nu, "nu")
+    gamma = _require_in_alphabet(alphabet, gamma, "gamma")
     rs = alphabet.rs
-    rho = (1,) * rs.rank
-    lam_shift = tuple(a + b for a, b in zip(lam, rho))
-    total = 0
-    for beta, m in weight_multiplicities(rs, mu).multiplicities.items():
-        target = tuple(n + r - b for n, r, b in zip(nu, rho, beta))
-        folded, sign = qwg.fold(target)
-        if folded == lam_shift:
-            total += sign * m
-    if total < 0:
-        raise AssertionError(f"negative fusion coefficient for {(lam, mu, nu)}")
-    return total
+    key = (rs.type_label, rs.rank, alphabet.k, gamma)
+    hit = _fusion_cache.get(key)
+    if hit is not None:
+        return hit
+    n = len(alphabet.elements)
+    _require_budget(alphabet, n * n, "fusion matrix")
+    qwg = QuantumWeylGroup(rs=rs, k=alphabet.k)
+    row_of = {tuple(x + 1 for x in lam): a for a, lam in enumerate(alphabet.elements)}
+    support = weight_multiplicities(rs, gamma).multiplicities.items()
+    mat = np.zeros((n, n), dtype=np.int64)
+    for b, nu in enumerate(alphabet.elements):
+        for beta, m in support:
+            folded, sign = qwg.fold(tuple(x + 1 - y for x, y in zip(nu, beta)))
+            if folded is not None:
+                mat[row_of[folded], b] += sign * m
+    if (mat < 0).any():
+        raise AssertionError(f"negative fusion coefficient for gamma = {gamma}")
+    mat.setflags(write=False)
+    _fusion_cache[key] = mat
+    return mat
 
 
 # -- Verlinde oracle ---------------------------------------------------------
@@ -234,51 +254,23 @@ def verlinde_oracle(
 # -- tables -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FusionTable:
-    """All coefficients N^lam_{mu nu} over one level alphabet."""
-
-    alphabet: LevelAlphabet
-    coefficients: dict[tuple[Labels, Labels, Labels], int]
-
-    def get(self, lam, mu, nu) -> int:
-        return self.coefficients[(tuple(lam), tuple(mu), tuple(nu))]
+def build_fusion_table(alphabet: LevelAlphabet) -> np.ndarray:
+    """T[l, m, n] = N^{A[l]}_{A[m] A[n]} for every triple (at most MAX_FUSION_COEFFS)."""
+    _require_budget(alphabet, len(alphabet.elements) ** 3, "fusion table")
+    return np.stack([fusion_matrix(alphabet, mu) for mu in alphabet.elements], axis=1)
 
 
-def build_fusion_table(alphabet: LevelAlphabet) -> FusionTable:
-    """Compute every triple via the quantum-Weyl-group sum (at most MAX_FUSION_TRIPLES)."""
-    triples = len(alphabet.elements) ** 3
-    if triples > MAX_FUSION_TRIPLES:
-        rs = alphabet.rs
-        raise PreconditionError(
-            f"the fusion table of {rs.type_label}{rs.rank} at k = {alphabet.k} holds "
-            f"{triples} triples; the budget is {MAX_FUSION_TRIPLES}"
-        )
-    qwg = QuantumWeylGroup(rs=alphabet.rs, k=alphabet.k)
-    coeffs = {}
-    for mu in alphabet.elements:
-        support = weight_multiplicities(alphabet.rs, mu).multiplicities
-        rho = (1,) * alphabet.rs.rank
-        for nu in alphabet.elements:
-            sums: dict[Labels, int] = {}
-            for beta, m in support.items():
-                target = tuple(n + r - b for n, r, b in zip(nu, rho, beta))
-                folded, sign = qwg.fold(target)
-                if folded is not None:
-                    sums[folded] = sums.get(folded, 0) + sign * m
-            for lam in alphabet.elements:
-                lam_shift = tuple(a + b for a, b in zip(lam, rho))
-                n = sums.get(lam_shift, 0)
-                if n < 0:
-                    raise AssertionError(f"negative coefficient at {(lam, mu, nu)}")
-                coeffs[(lam, mu, nu)] = n
-    return FusionTable(alphabet=alphabet, coefficients=coeffs)
+def table_entries(alphabet: LevelAlphabet, table: np.ndarray):
+    """(lam, mu, nu, N^lam_{mu nu}) for every triple in index order, which is
+    sorted label order since the alphabet is sorted."""
+    triples = itertools.product(alphabet.elements, repeat=3)
+    return ((*t, n) for t, n in zip(triples, table.ravel().tolist()))
 
 
-def verify_against_verlinde(table: FusionTable, tol: float = 1e-6) -> None:
+def verify_against_verlinde(alphabet: LevelAlphabet, table: np.ndarray, tol: float = 1e-6) -> None:
     """Raise OracleError on the first triple disagreeing with the S-matrix."""
-    for (lam, mu, nu), n in table.coefficients.items():
-        v = verlinde_oracle(table.alphabet, lam, mu, nu, tol=tol)
+    for lam, mu, nu, n in table_entries(alphabet, table):
+        v = verlinde_oracle(alphabet, lam, mu, nu, tol=tol)
         if v != n:
             raise OracleError(
                 f"fusion table entry N^{lam}_({mu},{nu}) = {n} disagrees with "
@@ -286,18 +278,9 @@ def verify_against_verlinde(table: FusionTable, tol: float = 1e-6) -> None:
             )
 
 
-def table_lines(table: FusionTable) -> list[str]:
+def table_lines(alphabet: LevelAlphabet, table: np.ndarray) -> list[str]:
     """Plain-text export, one 'lam mu nu N' per line (label coords comma-joined)."""
-    out = []
-    for (lam, mu, nu), n in sorted(table.coefficients.items()):
-        out.append(
-            " ".join(
-                [
-                    ",".join(map(str, lam)),
-                    ",".join(map(str, mu)),
-                    ",".join(map(str, nu)),
-                    str(n),
-                ]
-            )
-        )
-    return out
+    return [
+        " ".join([*(",".join(map(str, w)) for w in (lam, mu, nu)), str(n)])
+        for lam, mu, nu, n in table_entries(alphabet, table)
+    ]

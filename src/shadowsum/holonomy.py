@@ -22,14 +22,24 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import PreconditionError
 from .reps import WeightSystem, character_eval
 from .roots import RootSystem
 
+MAX_HOLONOMY_FACTORS = 2**16  # budget of `holonomy` and `ribbon_holonomy`: n factors
+
 LoopSampler = Callable[[float], tuple]
 ConnectionSampler = Callable[[tuple], np.ndarray]
+
+
+def _require_factors(n: int) -> None:
+    if n < 1:
+        raise PreconditionError(f"holonomy needs n >= 1, got {n}")
+    if n > MAX_HOLONOMY_FACTORS:
+        raise PreconditionError(
+            f"holonomy with n = {n} factors; the budget is {MAX_HOLONOMY_FACTORS}"
+        )
 
 
 def holonomy(loop: LoopSampler, connection: ConnectionSampler, n: int) -> np.ndarray:
@@ -39,8 +49,8 @@ def holonomy(loop: LoopSampler, connection: ConnectionSampler, n: int) -> np.nda
     needs; `connection` returns the matrix A(l'(t)) in a chosen faithful
     representation.
     """
-    if n < 1:
-        raise PreconditionError(f"holonomy needs n >= 1, got {n}")
+    _require_factors(n)
+    import scipy.linalg  # here, not at the top: it is most of the CLI's import time
     out = None
     for j in range(1, n + 1):
         a = np.asarray(connection(loop(j / n)), dtype=complex)
@@ -59,8 +69,8 @@ def ribbon_holonomy(
 
     The transverse average int_0^1 ... du uses Gauss-Legendre nodes.
     """
-    if n < 1:
-        raise PreconditionError(f"holonomy needs n >= 1, got {n}")
+    _require_factors(n)
+    import scipy.linalg  # here, not at the top: it is most of the CLI's import time
     x, w = np.polynomial.legendre.leggauss(u_nodes)
     us = 0.5 * (x + 1.0)
     ws = 0.5 * w

@@ -30,7 +30,7 @@ from shadowsum.determinants import (
 )
 from shadowsum.diagrams import build_diagram, empty_link_value, state_sum
 from shadowsum.errors import PreconditionError
-from shadowsum.fusion import build_fusion_table, quantum_dimension, verlinde_oracle
+from shadowsum.fusion import build_fusion_table, quantum_dimension, table_entries, verlinde_oracle
 from shadowsum.holonomy import (
     holonomy,
     ribbon_holonomy,
@@ -57,7 +57,7 @@ def test_fusion_equivalence_full_sweep():
     t0 = time.time()
     triples = 0
     for label, k, alphabet, table in _sweep_tables():
-        for (lam, mu, nu), n in table.coefficients.items():
+        for lam, mu, nu, n in table_entries(alphabet, table):
             assert n == verlinde_oracle(alphabet, lam, mu, nu), (label, k, lam, mu, nu)
             triples += 1
     elapsed = time.time() - t0
@@ -70,11 +70,11 @@ def test_quantum_dimension_ring_property():
     """sum_nu N^lam_{mu nu} dim(nu) = dim(lam) dim(mu) to 1e-9 on the sweep."""
     worst = 0.0
     for label, k, alphabet, table in _sweep_tables():
-        dims = {lam: quantum_dimension(alphabet, lam) for lam in alphabet.elements}
-        for lam in alphabet.elements:
-            for mu in alphabet.elements:
-                lhs = sum(table.get(lam, mu, nu) * dims[nu] for nu in alphabet.elements)
-                err = abs(lhs - dims[lam] * dims[mu])
+        dims = [quantum_dimension(alphabet, lam) for lam in alphabet.elements]
+        for l, lam in enumerate(alphabet.elements):
+            for m, mu in enumerate(alphabet.elements):
+                lhs = sum(int(table[l, m, n]) * dims[n] for n in range(len(dims)))
+                err = abs(lhs - dims[l] * dims[m])
                 worst = max(worst, err)
                 assert err < 1e-9, (label, k, lam, mu)
     print(f"\nACCEPTANCE PASS: quantum-dimension ring property, worst residual {worst:.2e}")
@@ -84,15 +84,13 @@ def test_empty_link_values():
     """A1 k=4 gives 4; general (G,k) matches sum of squared quantum dimensions."""
     rs = build_root_system("A1")
     alphabet = level_alphabet(rs, 4)
-    table = build_fusion_table(alphabet)
-    v = state_sum(build_diagram([]), alphabet, table).value
+    v = state_sum(build_diagram([]), alphabet).value
     assert abs(v - 4.0) < 1e-9
     cases = [("A2", 5), ("B2", 6), ("C3", 6), ("G2", 6), ("D4", 7)]
     for label, k in cases:
         rs = build_root_system(label)
         alphabet = level_alphabet(rs, k)
-        table = build_fusion_table(alphabet)
-        got = state_sum(build_diagram([]), alphabet, table).value
+        got = state_sum(build_diagram([]), alphabet).value
         want = empty_link_value(alphabet)
         assert abs(got - want) < 1e-9, (label, k)
     print(f"\nACCEPTANCE PASS: empty-link values (A1 k=4 -> 4; {cases} both ways)")
@@ -122,7 +120,7 @@ def test_state_sum_oracle_equivalence():
         for shape in all_small_diagrams():
             cs = [dict(c, color=list(rng.choice(alphabet.elements))) for c in shape]
             d = build_diagram(cs)
-            got = state_sum(d, alphabet, table)
+            got = state_sum(d, alphabet)
             want, retained = naive_state_sum(d, alphabet, table)
             assert got.value == want  # zero tolerance
             assert got.colorings_retained == retained

@@ -453,11 +453,25 @@ class TestUsageErrorsAsJson:
             ["fusion", "--group", "A1", "--k", "200"],
             ["det", "--group", "A1", "--alpha-b", "1/2", "--diagnostics",
              "--quad-res", "100000x100000"],
+            ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--n", "10000000"],
         ],
     )
     def test_budgets_exit_3(self, capsys, argv):
         rc, doc = run_main(capsys, *argv)
         assert rc == 3 and "budget" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("chi", ["2000", "-2000"])
+    def test_det_power_out_of_range_exit_3(self, capsys, chi):
+        """det_k = 3 at alpha(b) = 1/3: 3^1000 overflows and 3^-1000 underflows to 0."""
+        rc, doc = run_main(capsys, "det", "--group", "A1", "--alpha-b", "1/3", "--chi", chi)
+        assert rc == 3 and "finite positive" in doc["error"]["message"]
+
+    def test_import_leaves_scipy_unloaded(self):
+        code = ("import sys, shadowsum.cli; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True)
+        assert r.stdout.strip() == "[]"
 
     def test_shadow_overflow_exit_3(self, tmp_path, capsys):
         doc = {"group": "A1", "k": 10, "circles": [

@@ -21,7 +21,8 @@ from shadowsum.diagrams import (
     state_sum,
 )
 from shadowsum.errors import PreconditionError
-from shadowsum.fusion import build_fusion_table, quantum_dimension
+from shadowsum import cli
+from shadowsum.fusion import build_fusion_table, fusion_matrix, quantum_dimension
 from shadowsum.reps import level_alphabet
 from shadowsum.roots import build_root_system
 
@@ -36,12 +37,13 @@ def circle(cid, parent=None, winding=1, side="inside", color=(0,)):
     }
 
 
-def naive_state_sum(diagram, alphabet, fusion):
+def naive_state_sum(diagram, alphabet, table):
     """Full product-space enumeration with plain nested loops; no pruning.
 
-    Mirrors the canonical term arithmetic (integer fusion product, dims in
-    face order, exact rational phase exponent) so agreement can be checked
-    with zero tolerance.
+    `table` is the full fusion table T[lam, mu, nu].  Mirrors the canonical
+    term arithmetic (integer fusion product and dim(inner)/dim(outer) ratios
+    in circle order after dim(outer face)^2, exact rational phase exponent)
+    so agreement can be checked with zero tolerance.
     """
     rs = alphabet.rs
     k = alphabet.k
@@ -52,30 +54,27 @@ def naive_state_sum(diagram, alphabet, fusion):
         for lam in alphabet.elements
     ]
     face_ids = [f.face_id for f in diagram.faces]
-    chis = [f.euler for f in diagram.faces]
     gleams = [f.gleam for f in diagram.faces]
     circles = []
     for c in diagram.circles:
         inner = face_ids.index(f"in:{c.circle_id}")
         outer = face_ids.index("outer" if c.parent is None else f"in:{c.parent}")
         plus, minus = (inner, outer) if c.positive_side == "inside" else (outer, inner)
-        circles.append((minus, plus, c.color))
+        circles.append((minus, plus, alphabet.index(c.color), inner, outer))
     acc = KahanComplex()
     n_nonzero = 0
-    for coloring in itertools.product(range(len(alphabet.elements)), repeat=len(chis)):
+    for coloring in itertools.product(range(len(alphabet.elements)), repeat=len(gleams)):
         n_product = 1
-        for minus, plus, gamma in circles:
-            n_product *= fusion.get(
-                alphabet.elements[coloring[minus]], gamma, alphabet.elements[coloring[plus]]
-            )
+        dim_product = qdims[coloring[0]] ** 2
+        for minus, plus, gamma, inner, outer in circles:
+            n_product *= int(table[coloring[minus], gamma, coloring[plus]])
             if n_product == 0:
                 break
+            dim_product *= qdims[coloring[inner]] / qdims[coloring[outer]]
         if n_product == 0:
             continue
-        dim_product = 1.0
         exponent = Fraction(0)
         for fi, ci in enumerate(coloring):
-            dim_product *= qdims[ci] ** chis[fi]
             exponent += gleams[fi] * phase_q[ci]
         exponent = exponent % (2 * k)
         term = n_product * dim_product * complex(
@@ -162,24 +161,24 @@ def test_forest_invariants_property(seed, a1k4):
 
 
 class TestStateSum:
-    def test_empty_link_a1_k4(self, a1k4, a1k4_table):
+    def test_empty_link_a1_k4(self, a1k4):
         d = build_diagram([])
-        r = state_sum(d, a1k4, a1k4_table)
+        r = state_sum(d, a1k4)
         assert abs(r.value - 4.0) < 1e-9
         assert abs(empty_link_value(a1k4) - 4.0) < 1e-9
 
-    def test_wind0_trivial_color(self, a1k4, a1k4_table):
+    def test_wind0_trivial_color(self, a1k4):
         d = build_diagram([circle("c", winding=0, color=(0,))])
-        r = state_sum(d, a1k4, a1k4_table)
+        r = state_sum(d, a1k4)
         assert abs(r.value - 4.0) < 1e-9
 
     def test_single_circle_brute_force(self, a1k4, a1k4_table):
         d = build_diagram([circle("c", winding=1, color=(1,))])
-        r = state_sum(d, a1k4, a1k4_table, diagnostics=True)
+        r = state_sum(d, a1k4, diagnostics=True)
         val = 0j
         for a in range(3):
             for b in range(3):
-                n = a1k4_table.get((b,), (1,), (a,))
+                n = a1k4_table[b, 1, a]
                 val += (
                     n
                     * quantum_dimension(a1k4, (a,))
@@ -193,32 +192,27 @@ class TestStateSum:
     def test_trivially_colored_wind0_circles_match_empty(self, a1):
         for k in (4, 5):
             al = level_alphabet(a1, k)
-            ft = build_fusion_table(al)
-            expect = state_sum(build_diagram([]), al, ft).value
+            expect = state_sum(build_diagram([]), al).value
             for n in (1, 2, 3):
                 circles = [
                     circle(str(i), parent=str(i - 1) if i and i % 2 else None,
                            winding=0, color=(0,))
                     for i in range(n)
                 ]
-                got = state_sum(build_diagram(circles), al, ft).value
+                got = state_sum(build_diagram(circles), al).value
                 assert abs(got - expect) < 1e-9
 
-    def test_mismatched_fusion_rejected(self, a1, a1k4):
-        other = build_fusion_table(level_alphabet(a1, 5))
-        with pytest.raises(PreconditionError):
-            state_sum(build_diagram([]), a1k4, other)
-
-    def test_color_outside_alphabet_rejected(self, a1k4, a1k4_table):
+    def test_color_outside_alphabet_rejected(self, a1k4):
         d = build_diagram([circle("c", color=(3,))])
         with pytest.raises(PreconditionError):
-            state_sum(d, a1k4, a1k4_table)
+            state_sum(d, a1k4)
+        with pytest.raises(PreconditionError):
+            contract_state_sum(d, a1k4)
 
     @pytest.mark.parametrize("label,k", [("A1", 5), ("A2", 5), ("B2", 5)])
     def test_double_reversal_invariance(self, label, k):
         rs = build_root_system(label)
         al = level_alphabet(rs, k)
-        ft = build_fusion_table(al)
         rng = random.Random(20240 + k)
         for _ in range(6):
             d = random_forest_diagram(rng, al, max_circles=4, max_wind=2)
@@ -232,8 +226,8 @@ class TestStateSum:
                 )
                 for c in d.circles
             ]
-            v1 = state_sum(d, al, ft).value
-            v2 = state_sum(build_diagram(flipped), al, ft).value
+            v1 = state_sum(d, al).value
+            v2 = state_sum(build_diagram(flipped), al).value
             assert abs(v1 - v2) < 1e-9
 
 
@@ -262,7 +256,7 @@ def test_pruned_equals_naive_exactly(a1):
         for shape in all_small_diagrams():
             cs = [dict(c, color=list(rng.choice(colors))) for c in shape]
             d = build_diagram(cs)
-            got = state_sum(d, al, ft)
+            got = state_sum(d, al)
             want, n_nonzero = naive_state_sum(d, al, ft)
             assert got.value == want
             assert got.colorings_retained == n_nonzero
@@ -281,14 +275,13 @@ def test_contraction_matches_enumerator(label, k):
     as the A1 k=4 unknot colored [1]) have no meaningful value-relative error.
     """
     al = level_alphabet(build_root_system(label), k)
-    ft = build_fusion_table(al)
     rng = random.Random(f"contract:{label}:{k}")
     diagrams = [random_forest_diagram(rng, al, max_circles=6) for _ in range(12)]
     if (label, k) == ("A1", 4):
         diagrams.append(build_diagram(UNKNOT_A1K4))
     for d in diagrams:
-        got = contract_state_sum(d, al, ft)
-        want = state_sum(d, al, ft, diagnostics=True)
+        got = contract_state_sum(d, al)
+        want = state_sum(d, al, diagnostics=True)
         abs_sum = math.fsum(abs(t) for _, t in want.terms)
         assert abs(got.value - want.value) <= 1e-12 * abs_sum
         assert got.colorings_retained == want.colorings_retained
@@ -297,8 +290,8 @@ def test_contraction_matches_enumerator(label, k):
         assert abs(want.abs_sum - abs_sum) <= 1e-12 * abs_sum
 
 
-def test_unknot_a1k4_cancels(a1k4, a1k4_table):
-    r = contract_state_sum(build_diagram(UNKNOT_A1K4), a1k4, a1k4_table)
+def test_unknot_a1k4_cancels(a1k4):
+    r = contract_state_sum(build_diagram(UNKNOT_A1K4), a1k4)
     assert r.colorings_retained == 4
     assert abs(r.value) <= 1e-15 * r.abs_sum
 
@@ -306,12 +299,11 @@ def test_unknot_a1k4_cancels(a1k4, a1k4_table):
 def test_contraction_deep_chain_is_iterative(a1):
     """1500 nested circles: no recursion in the forest check or the contraction."""
     al = level_alphabet(a1, 3)
-    ft = build_fusion_table(al)
     n = 1500
     d = build_diagram(
         [circle(str(i), parent=str(i - 1) if i else None, winding=1, color=(1,)) for i in range(n)]
     )
-    r = contract_state_sum(d, al, ft)
+    r = contract_state_sum(d, al)
     # at level 1, fusing with (1,) swaps the two colors: adjacent faces alternate
     assert r.colorings_retained == 2
     assert r.colorings_total == 2 ** (n + 1)
@@ -342,15 +334,10 @@ def test_abs_sum_matches_bench_references():
     Each recorded abs_sum is a plain left-to-right float sum of the listed
     |term|, so it carries up to (retained - 1) ulp-scale roundings.
     """
-    tables = {}
     checked = 0
     for doc, ref in _bench_reference_links():
-        key = (doc["group"], doc["k"])
-        if key not in tables:
-            al = level_alphabet(build_root_system(doc["group"]), doc["k"])
-            tables[key] = (al, build_fusion_table(al))
-        al, ft = tables[key]
-        r = contract_state_sum(build_diagram(doc["circles"]), al, ft)
+        al = level_alphabet(build_root_system(doc["group"]), doc["k"])
+        r = contract_state_sum(build_diagram(doc["circles"]), al)
         want = complex(ref["re"], ref["im"])
         assert abs(r.value - want) <= 1e-9 * ref["abs_sum"]
         assert abs(r.abs_sum - ref["abs_sum"]) <= r.colorings_retained * 2.0**-52 * ref["abs_sum"]
@@ -358,7 +345,7 @@ def test_abs_sum_matches_bench_references():
     assert checked == 96
 
 
-def side_by_side_closed_form(alphabet, table, n, gamma, winding):
+def side_by_side_closed_form(alphabet, n, gamma, winding):
     """n root circles colored gamma, positive side inside, as a sum over the outer color.
 
     The outer face has chi = 2 - n and gleam -n*winding; each inner face has
@@ -372,12 +359,14 @@ def side_by_side_closed_form(alphabet, table, n, gamma, winding):
         q = g * rs.label_form(lam, tuple(x + 2 for x in lam)) % (2 * k)
         return cmath.exp(1j * math.pi * float(q) / k)
 
-    dims = {lam: quantum_dimension(alphabet, lam) for lam in alphabet.elements}
+    els = alphabet.elements
+    dims = [quantum_dimension(alphabet, lam) for lam in els]
+    fusion = fusion_matrix(alphabet, gamma)
     value = abs_sum = 0
-    for a in alphabet.elements:
-        m = sum(table.get(a, gamma, b) * dims[b] * phase(b, winding) for b in alphabet.elements)
-        m_abs = sum(table.get(a, gamma, b) * dims[b] for b in alphabet.elements)
-        value += dims[a] ** 2 * phase(a, -n * winding) * (m / dims[a]) ** n
+    for a, lam in enumerate(els):
+        m = sum(fusion[a, b] * dims[b] * phase(nu, winding) for b, nu in enumerate(els))
+        m_abs = sum(fusion[a, b] * dims[b] for b in range(len(els)))
+        value += dims[a] ** 2 * phase(lam, -n * winding) * (m / dims[a]) ** n
         abs_sum += dims[a] ** 2 * (m_abs / dims[a]) ** n
     return value, abs_sum
 
@@ -395,10 +384,9 @@ def side_by_side_closed_form(alphabet, table, n, gamma, winding):
 def test_contraction_side_by_side_closed_form(label, k, n, gamma, winding):
     """Many children on one face: the contraction keeps its scale."""
     al = level_alphabet(build_root_system(label), k)
-    ft = build_fusion_table(al)
     d = build_diagram([circle(f"c{i}", winding=winding, color=gamma) for i in range(n)])
-    r = contract_state_sum(d, al, ft)
-    value, abs_sum = side_by_side_closed_form(al, ft, n, gamma, winding)
+    r = contract_state_sum(d, al)
+    value, abs_sum = side_by_side_closed_form(al, n, gamma, winding)
     assert abs(r.value - value) <= 1e-9 * abs_sum
     assert r.abs_sum == pytest.approx(abs_sum, rel=1e-9)
     if gamma == (0,) and winding == 0:
@@ -410,4 +398,38 @@ def test_contraction_refuses_non_finite(a1):
     al = level_alphabet(a1, 10)
     d = build_diagram([circle(f"c{i}", winding=1, color=(1,)) for i in range(2000)])
     with pytest.raises(PreconditionError, match="not a finite double"):
-        contract_state_sum(d, al, build_fusion_table(al))
+        contract_state_sum(d, al)
+
+
+def _shadow_cli(tmp_path, capsys, doc, *flags):
+    path = tmp_path / "link.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["shadow", str(path), *flags])
+    return rc, json.loads(capsys.readouterr().out)
+
+
+def test_diagnostics_terms_sum_to_value(tmp_path, capsys):
+    """700 side-by-side [0] circles at A1 k=10: the listed terms keep their scale."""
+    doc = {"group": "A1", "k": 10,
+           "circles": [circle(f"c{i}", winding=0, color=(0,)) for i in range(700)]}
+    rc, out = _shadow_cli(tmp_path, capsys, doc, "--diagnostics")
+    assert rc == 0
+    assert len(out["terms"]) == 9
+    total = sum(complex(t["term"]["re"], t["term"]["im"]) for t in out["terms"])
+    value = complex(out["value"]["re"], out["value"]["im"])
+    assert abs(total - value) <= 1e-12 * out["abs_sum"]
+    assert value.real == pytest.approx(52.3606797749979, rel=1e-12)
+
+
+def test_shadow_beyond_the_full_table_budget(tmp_path, capsys):
+    """A2 k=20 has 171 weights: 171^3 table entries exceed the budget, 171^2 per circle do not."""
+    al = level_alphabet(build_root_system("A2"), 20)
+    assert len(al.elements) == 171
+    doc = {"group": "A2", "k": 20,
+           "circles": [circle(f"c{i}", winding=1, color=(1, 1)) for i in range(2)]}
+    rc, out = _shadow_cli(tmp_path, capsys, doc)
+    assert rc == 0
+    value, abs_sum = side_by_side_closed_form(al, 2, (1, 1), 1)
+    assert abs(complex(out["value"]["re"], out["value"]["im"]) - value) <= 1e-9 * abs_sum
+    with pytest.raises(PreconditionError, match="budget"):
+        build_fusion_table(al)

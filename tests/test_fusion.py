@@ -1,13 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowsum.errors import OracleError, PreconditionError
 from shadowsum.fusion import (
+    MAX_FUSION_COEFFS,
     QuantumWeylGroup,
-    fusion_coefficient,
+    build_fusion_table,
+    fusion_matrix,
     quantum_dimension,
     table_lines,
     verify_against_verlinde,
@@ -35,33 +38,38 @@ class TestQuantumDimension:
 
 
 class TestFusionCoefficient:
+    """Through fusion_matrix: N_mu[a, b] = N^{A[a]}_{mu A[b]}; at A1, A[i] = (i,)."""
+
     def test_trivial_mu_is_delta(self, a1k4):
-        qwg = QuantumWeylGroup(rs=a1k4.rs, k=4)
-        for lam in a1k4.elements:
-            for nu in a1k4.elements:
-                expect = 1 if lam == nu else 0
-                assert fusion_coefficient(qwg, a1k4, lam, (0,), nu) == expect
+        n = fusion_matrix(a1k4, (0,))
+        assert n.dtype == np.int64
+        assert (n == np.eye(3, dtype=int)).all()
 
     def test_a1_k4_examples(self, a1k4):
-        qwg = QuantumWeylGroup(rs=a1k4.rs, k=4)
-        assert fusion_coefficient(qwg, a1k4, (0,), (1,), (1,)) == 1
-        assert fusion_coefficient(qwg, a1k4, (1,), (1,), (1,)) == 0
-        assert fusion_coefficient(qwg, a1k4, (2,), (1,), (1,)) == 1
+        n = fusion_matrix(a1k4, (1,))
+        assert n[0, 1] == 1
+        assert n[1, 1] == 0
+        assert n[2, 1] == 1
 
     def test_a1_k5_example(self, a1):
-        al = level_alphabet(a1, 5)
-        qwg = QuantumWeylGroup(rs=a1, k=5)
-        assert fusion_coefficient(qwg, al, (1,), (1,), (2,)) == 1
+        assert fusion_matrix(level_alphabet(a1, 5), (1,))[1, 2] == 1
 
     def test_outside_alphabet_rejected(self, a1k4):
-        qwg = QuantumWeylGroup(rs=a1k4.rs, k=4)
         with pytest.raises(PreconditionError):
-            fusion_coefficient(qwg, a1k4, (3,), (1,), (1,))
+            fusion_matrix(a1k4, (3,))
 
-    def test_mismatched_level_rejected(self, a1, a1k4):
-        qwg = QuantumWeylGroup(rs=a1, k=5)
-        with pytest.raises(PreconditionError):
-            fusion_coefficient(qwg, a1k4, (0,), (0,), (0,))
+    def test_cached_and_read_only(self, a2):
+        n = fusion_matrix(level_alphabet(a2, 6), (1, 1))
+        assert fusion_matrix(level_alphabet(a2, 6), [1, 1]) is n  # keyed by level, not object
+        with pytest.raises(ValueError):
+            n[0, 0] = 7
+
+    def test_budget_refuses_before_building(self, a1):
+        """|A|^2 = 1001^2 coefficients at A1 k=1002 exceeds the budget."""
+        al = level_alphabet(a1, 1002)
+        assert len(al.elements) ** 2 > MAX_FUSION_COEFFS
+        with pytest.raises(PreconditionError, match="budget"):
+            fusion_matrix(al, (1,))
 
 
 class TestVerlindeOracle:
@@ -128,23 +136,33 @@ class TestQuantumWeylGroup:
 
 
 class TestTableAndExport:
-    def test_verify_and_symmetry(self, a1k4_table):
-        verify_against_verlinde(a1k4_table)
-        for (l, m, n), v in a1k4_table.coefficients.items():
-            assert v == a1k4_table.get(m, l, n)  # lambda <-> mu exchange
+    def test_verify_and_symmetry(self, a1k4, a1k4_table):
+        verify_against_verlinde(a1k4, a1k4_table)
+        assert a1k4_table.shape == (3, 3, 3)
+        assert (a1k4_table == a1k4_table.transpose(1, 0, 2)).all()  # lambda <-> mu exchange
+
+    def test_slices_are_the_matrices(self, a1k4, a1k4_table):
+        for m, mu in enumerate(a1k4.elements):
+            assert (a1k4_table[:, m, :] == fusion_matrix(a1k4, mu)).all()
 
     def test_ring_property(self, a1k4, a1k4_table):
-        for lam in a1k4.elements:
-            for mu in a1k4.elements:
+        for l, lam in enumerate(a1k4.elements):
+            for m, mu in enumerate(a1k4.elements):
                 lhs = sum(
-                    a1k4_table.get(lam, mu, nu) * quantum_dimension(a1k4, nu)
-                    for nu in a1k4.elements
+                    a1k4_table[l, m, n] * quantum_dimension(a1k4, nu)
+                    for n, nu in enumerate(a1k4.elements)
                 )
                 rhs = quantum_dimension(a1k4, lam) * quantum_dimension(a1k4, mu)
                 assert abs(lhs - rhs) < 1e-9
 
-    def test_text_export(self, a1k4_table):
-        lines = table_lines(a1k4_table)
+    def test_verify_reports_a_wrong_entry(self, a1k4, a1k4_table):
+        bad = a1k4_table.copy()
+        bad[2, 1, 1] = 0
+        with pytest.raises(OracleError, match="disagrees"):
+            verify_against_verlinde(a1k4, bad)
+
+    def test_text_export(self, a1k4, a1k4_table):
+        lines = table_lines(a1k4, a1k4_table)
         assert len(lines) == 27
         assert lines[0].split() == ["0", "0", "0", "1"]
         for line in lines:
@@ -153,8 +171,6 @@ class TestTableAndExport:
 
 
 def test_fusion_table_budget_refuses_before_building(a1):
-    """|A|^3 = 199^3 triples at A1 k=200 exceeds the budget; nothing is built."""
-    from shadowsum.fusion import build_fusion_table
-
+    """|A|^3 = 199^3 coefficients at A1 k=200 exceeds the budget; nothing is built."""
     with pytest.raises(PreconditionError, match="budget"):
         build_fusion_table(level_alphabet(a1, 200))

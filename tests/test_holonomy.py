@@ -7,6 +7,7 @@ import pytest
 
 from shadowsum.errors import PreconditionError
 from shadowsum.holonomy import (
+    MAX_HOLONOMY_FACTORS,
     VerticalRibbon,
     holonomy,
     ribbon_holonomy,
@@ -55,6 +56,14 @@ class TestHolonomy:
     def test_bad_n_rejected(self):
         with pytest.raises(PreconditionError):
             holonomy(lambda t: t, lambda t: np.eye(1), 0)
+
+    def test_factor_budget_refuses_before_the_first_factor(self):
+        def never(_):
+            raise AssertionError("sampled a factor")
+
+        for product in (holonomy, ribbon_holonomy):
+            with pytest.raises(PreconditionError, match="budget"):
+                product(never, never, MAX_HOLONOMY_FACTORS + 1)
 
 
 class TestRibbonHolonomy:
