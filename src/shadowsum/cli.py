@@ -34,7 +34,7 @@ from .determinants import (
     det_rig_quadrature,
     round_sphere_metric,
 )
-from .diagrams import build_diagram, contract_state_sum, state_sum
+from .diagrams import build_diagram, contract_state_sum, prepare_terms, state_sum
 from .errors import ParseError, PreconditionError, ShadowsumError
 from .fusion import (
     build_fusion_table,
@@ -186,7 +186,8 @@ def _field_b(args, rs) -> tuple:
 
 def cmd_shadow(args) -> dict:
     rs, alphabet, diagram = parse_link(_load_json(args.input), args.group, args.k)
-    result = contract_state_sum(diagram, alphabet)
+    data = prepare_terms(diagram, alphabet)
+    result = contract_state_sum(diagram, alphabet, data)
     out = {
         "group": f"{rs.type_label}{rs.rank}",
         "k": alphabet.k,
@@ -201,7 +202,7 @@ def cmd_shadow(args) -> dict:
                 f"--diagnostics would list {result.colorings_retained} terms; "
                 f"the budget is {MAX_LISTED_TERMS}"
             )
-        listing = state_sum(diagram, alphabet, diagnostics=True)
+        listing = state_sum(diagram, alphabet, diagnostics=True, data=data)
         out["terms"] = [
             {"coloring": [list(c) for c in col], "term": _c2j(t)}
             for col, t in listing.terms

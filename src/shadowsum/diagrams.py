@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .fusion import fusion_matrix, quantum_dimension
+from .fusion import fusion_matrices, quantum_dimension
 from .reps import Labels, LevelAlphabet
 
 OUTER_FACE = "outer"
@@ -196,8 +196,12 @@ class StateSumResult:
 
 
 @dataclass(frozen=True)
-class _TermData:
-    """Per-diagram tables shared by the contraction and the enumerator."""
+class TermData:
+    """Per-diagram tables shared by the contraction and the enumerator.
+
+    Build it once with `prepare_terms` and pass it to both to reuse the fusion
+    matrices, as `shadow --diagnostics` does.
+    """
 
     k: int
     gleams: tuple[int, ...]
@@ -208,7 +212,9 @@ class _TermData:
     fusion: dict[Labels, np.ndarray]  # N_gamma for each circle color gamma
 
 
-def _prepare(diagram: ShadowDiagram, alphabet: LevelAlphabet) -> _TermData:
+def prepare_terms(diagram: ShadowDiagram, alphabet: LevelAlphabet) -> TermData:
+    """The term tables of `diagram`; the fusion matrices of all its circle
+    colours share one budget (MAX_FUSION_COEFFS), checked before any is built."""
     rs = alphabet.rs
     for c in diagram.circles:
         if c.color not in alphabet:
@@ -229,17 +235,19 @@ def _prepare(diagram: ShadowDiagram, alphabet: LevelAlphabet) -> _TermData:
         outer = idx[_face_id_of(c.parent)]
         plus, minus = (inner, outer) if c.positive_side == "inside" else (outer, inner)
         circle_faces.append((minus, plus, c.color))
-    return _TermData(
+    return TermData(
         k=alphabet.k,
         gleams=tuple(f.gleam for f in diagram.faces),
         qdims=qdims,
         phase_q=phase_q,
         circle_faces=tuple(circle_faces),
-        fusion={gamma: fusion_matrix(alphabet, gamma) for gamma in {c.color for c in diagram.circles}},
+        fusion=fusion_matrices(alphabet, (c.color for c in diagram.circles)),
     )
 
 
-def contract_state_sum(diagram: ShadowDiagram, alphabet: LevelAlphabet) -> StateSumResult:
+def contract_state_sum(
+    diagram: ShadowDiagram, alphabet: LevelAlphabet, data: TermData | None = None
+) -> StateSumResult:
     """Sum the invariant over all area colorings by elimination on the region tree.
 
     Face f carries the weight w_f(a) = dim(a)^chi_f exp(i pi gleam_f <a, a+2rho>/k)
@@ -257,7 +265,7 @@ def contract_state_sum(diagram: ShadowDiagram, alphabet: LevelAlphabet) -> State
     absorbs is divided by dim of its color.  A value or abs_sum that is not
     a finite double is refused.
     """
-    data = _prepare(diagram, alphabet)
+    data = data or prepare_terms(diagram, alphabet)
     n_faces = len(data.gleams)
     n_colors = len(alphabet.elements)
 
@@ -306,7 +314,7 @@ def contract_state_sum(diagram: ShadowDiagram, alphabet: LevelAlphabet) -> State
     )
 
 
-def term_value(data: _TermData, coloring: Sequence[int]) -> complex:
+def term_value(data: TermData, coloring: Sequence[int]) -> complex:
     """Canonical per-coloring term; factors multiplied in fixed circle and face order.
 
     prod_f dim^chi_f is taken as dim(outer)^2 times, circle by circle,
@@ -336,6 +344,7 @@ def state_sum(
     diagram: ShadowDiagram,
     alphabet: LevelAlphabet,
     diagnostics: bool = False,
+    data: TermData | None = None,
 ) -> StateSumResult:
     """Sum the invariant by enumerating every area coloring (exponential).
 
@@ -345,7 +354,7 @@ def state_sum(
     terms are listed.  `contract_state_sum` gives the same value in
     polynomial time; this enumerator lists terms and serves as its oracle.
     """
-    data = _prepare(diagram, alphabet)
+    data = data or prepare_terms(diagram, alphabet)
     n_faces = len(diagram.faces)
     n_colors = len(alphabet.elements)
 

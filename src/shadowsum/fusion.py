@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .reps import Labels, LevelAlphabet, weight_multiplicities
 from .roots import RootSystem, weyl_orbit
 
 _FOLD_LIMIT = 100_000
-# Budget of one call: the integers it computes, |A|^2 in `fusion_matrix`, |A|^3 in `build_fusion_table`.
+# Budget of one call: the integers it computes, |A|^2 per matrix (|A|^3 for the full table).
 MAX_FUSION_COEFFS = 10**6
 
 
@@ -131,14 +131,11 @@ def _require_in_alphabet(alphabet: LevelAlphabet, lam: Sequence[int], name: str)
     return t
 
 
-_fusion_cache: dict[tuple[str, int, int, Labels], np.ndarray] = {}
-
-
 def _require_budget(alphabet: LevelAlphabet, coeffs: int, what: str) -> None:
     if coeffs > MAX_FUSION_COEFFS:
         rs = alphabet.rs
         raise PreconditionError(
-            f"the {what} of {rs.type_label}{rs.rank} at k = {alphabet.k} holds "
+            f"{what} of {rs.type_label}{rs.rank} at k = {alphabet.k}: "
             f"{coeffs} coefficients; the budget is {MAX_FUSION_COEFFS}"
         )
 
@@ -150,17 +147,12 @@ def fusion_matrix(alphabet: LevelAlphabet, gamma: Sequence[int]) -> np.ndarray:
     column b (nu = A[b]) and each weight beta in the support of m_gamma, the
     point nu + rho - beta equals tau(lam + rho) for at most one lam in A;
     alcove folding finds it and its sign (or a wall, where stabilized points
-    contribute canceling pairs and are skipped).  The int64 array is cached
-    per (type, rank, k, gamma) and returned read-only.
+    contribute canceling pairs and are skipped).
     """
     gamma = _require_in_alphabet(alphabet, gamma, "gamma")
     rs = alphabet.rs
-    key = (rs.type_label, rs.rank, alphabet.k, gamma)
-    hit = _fusion_cache.get(key)
-    if hit is not None:
-        return hit
     n = len(alphabet.elements)
-    _require_budget(alphabet, n * n, "fusion matrix")
+    _require_budget(alphabet, n * n, "one fusion matrix")
     qwg = QuantumWeylGroup(rs=rs, k=alphabet.k)
     row_of = {tuple(x + 1 for x in lam): a for a, lam in enumerate(alphabet.elements)}
     support = weight_multiplicities(rs, gamma).multiplicities.items()
@@ -172,9 +164,15 @@ def fusion_matrix(alphabet: LevelAlphabet, gamma: Sequence[int]) -> np.ndarray:
                 mat[row_of[folded], b] += sign * m
     if (mat < 0).any():
         raise AssertionError(f"negative fusion coefficient for gamma = {gamma}")
-    mat.setflags(write=False)
-    _fusion_cache[key] = mat
     return mat
+
+
+def fusion_matrices(alphabet: LevelAlphabet, gammas: Iterable[Sequence[int]]) -> dict[Labels, np.ndarray]:
+    """N_gamma for each distinct gamma, in first-seen order; refused as a whole
+    when the |A|^2 coefficients per gamma add up to more than MAX_FUSION_COEFFS."""
+    distinct = list(dict.fromkeys(tuple(int(v) for v in g) for g in gammas))
+    _require_budget(alphabet, len(alphabet.elements) ** 2 * len(distinct), f"{len(distinct)} fusion matrices")
+    return {g: fusion_matrix(alphabet, g) for g in distinct}
 
 
 # -- Verlinde oracle ---------------------------------------------------------
@@ -255,9 +253,8 @@ def verlinde_oracle(
 
 
 def build_fusion_table(alphabet: LevelAlphabet) -> np.ndarray:
-    """T[l, m, n] = N^{A[l]}_{A[m] A[n]} for every triple (at most MAX_FUSION_COEFFS)."""
-    _require_budget(alphabet, len(alphabet.elements) ** 3, "fusion table")
-    return np.stack([fusion_matrix(alphabet, mu) for mu in alphabet.elements], axis=1)
+    """T[l, m, n] = N^{A[l]}_{A[m] A[n]}: the |A| matrices stacked, |A|^3 coefficients."""
+    return np.stack(list(fusion_matrices(alphabet, alphabet.elements).values()), axis=1)
 
 
 def table_entries(alphabet: LevelAlphabet, table: np.ndarray):

@@ -74,7 +74,7 @@ def run(capsys, argv):
 @given(doc=JSON | link_documents() | mutated_link_documents(), diagnostics=st.booleans())
 def test_shadow_exits_cleanly_and_validate_agrees(doc, diagnostics, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(reps, "MAX_ALPHABET_BOX", 40)
-    monkeypatch.setattr(fusion, "MAX_FUSION_COEFFS", 200)  # |A| <= 14, as 14^3 <= 3000 was
+    monkeypatch.setattr(fusion, "MAX_FUSION_COEFFS", 200)  # |A|^2 per colour: |A| <= 14 for one colour
     monkeypatch.setattr(cli, "MAX_LISTED_TERMS", 2000)
     path = tmp_path / "link.json"
     path.write_text(json.dumps(doc))

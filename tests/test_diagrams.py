@@ -21,7 +21,7 @@ from shadowsum.diagrams import (
     state_sum,
 )
 from shadowsum.errors import PreconditionError
-from shadowsum import cli
+from shadowsum import cli, fusion
 from shadowsum.fusion import build_fusion_table, fusion_matrix, quantum_dimension
 from shadowsum.reps import level_alphabet
 from shadowsum.roots import build_root_system
@@ -408,12 +408,17 @@ def _shadow_cli(tmp_path, capsys, doc, *flags):
     return rc, json.loads(capsys.readouterr().out)
 
 
-def test_diagnostics_terms_sum_to_value(tmp_path, capsys):
-    """700 side-by-side [0] circles at A1 k=10: the listed terms keep their scale."""
+def test_diagnostics_terms_sum_to_value(tmp_path, capsys, monkeypatch):
+    """700 side-by-side [0] circles at A1 k=10: the listed terms keep their scale,
+    and the contraction and the listing share the one matrix of colour [0]."""
+    built = []
+    build = fusion.fusion_matrix
+    monkeypatch.setattr(fusion, "fusion_matrix", lambda al, g: built.append(g) or build(al, g))
     doc = {"group": "A1", "k": 10,
            "circles": [circle(f"c{i}", winding=0, color=(0,)) for i in range(700)]}
     rc, out = _shadow_cli(tmp_path, capsys, doc, "--diagnostics")
     assert rc == 0
+    assert built == [(0,)]
     assert len(out["terms"]) == 9
     total = sum(complex(t["term"]["re"], t["term"]["im"]) for t in out["terms"])
     value = complex(out["value"]["re"], out["value"]["im"])
@@ -433,3 +438,16 @@ def test_shadow_beyond_the_full_table_budget(tmp_path, capsys):
     assert abs(complex(out["value"]["re"], out["value"]["im"]) - value) <= 1e-9 * abs_sum
     with pytest.raises(PreconditionError, match="budget"):
         build_fusion_table(al)
+
+
+def test_shadow_refuses_many_colours_before_building(tmp_path, capsys, monkeypatch):
+    """26 distinct colours at A1 k=200 need 26 * 199^2 > 10^6 coefficients: exit 3, no matrix built."""
+    def unbuilt(alphabet, gamma):
+        raise AssertionError("a fusion matrix was built before the budget check")
+
+    monkeypatch.setattr(fusion, "fusion_matrix", unbuilt)
+    doc = {"group": "A1", "k": 200, "circles": [circle(f"c{i}", color=(i,)) for i in range(26)]}
+    rc, out = _shadow_cli(tmp_path, capsys, doc)
+    assert rc == 3
+    assert "26 fusion matrices" in out["error"]["message"]
+    assert "1029626 coefficients; the budget is 1000000" in out["error"]["message"]

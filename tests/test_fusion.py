@@ -58,12 +58,6 @@ class TestFusionCoefficient:
         with pytest.raises(PreconditionError):
             fusion_matrix(a1k4, (3,))
 
-    def test_cached_and_read_only(self, a2):
-        n = fusion_matrix(level_alphabet(a2, 6), (1, 1))
-        assert fusion_matrix(level_alphabet(a2, 6), [1, 1]) is n  # keyed by level, not object
-        with pytest.raises(ValueError):
-            n[0, 0] = 7
-
     def test_budget_refuses_before_building(self, a1):
         """|A|^2 = 1001^2 coefficients at A1 k=1002 exceeds the budget."""
         al = level_alphabet(a1, 1002)
