@@ -6,7 +6,6 @@ from .errors import OracleError, ParseError, PreconditionError, ShadowsumError
 from .roots import (
     RootSystem,
     build_root_system,
-    inner_product,
     is_regular,
     weyl_orbit,
 )
@@ -23,7 +22,7 @@ from .fusion import (
     build_fusion_table,
     fusion_matrix,
     quantum_dimension,
-    verlinde_oracle,
+    verlinde_table,
 )
 from .diagrams import (
     Circle,

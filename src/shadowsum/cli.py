@@ -43,7 +43,13 @@ from .fusion import (
     table_lines,
     verify_against_verlinde,
 )
-from .holonomy import VerticalRibbon, weight_rep_matrix, wilson_closed_form, ribbon_holonomy
+from .holonomy import (
+    VerticalRibbon,
+    require_rep_dim,
+    ribbon_holonomy,
+    weight_rep_matrix,
+    wilson_closed_form,
+)
 from .regularize import det_rig_n, regularized_indicator
 from .reps import level_alphabet, weight_multiplicities
 from .roots import build_root_system
@@ -288,6 +294,7 @@ def cmd_regularize(args) -> dict:
 def cmd_holonomy(args) -> dict:
     rs = _root_system(args)
     b = _field_b(args, rs)
+    require_rep_dim(rs, args.color)
     ws = weight_multiplicities(rs, args.color)
     ribbon = VerticalRibbon(sigma=(0.0, 0.0), winding=args.wind)
     bf = [float(x) for x in b]
@@ -344,6 +351,17 @@ def _grid(text: str) -> tuple[int, int]:
     raise argparse.ArgumentTypeError(f"expected a grid such as 64x128, got {text!r}")
 
 
+def _oracle_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = None
+    if tol is None or not 0.0 < tol < 0.5:  # nan and inf fail too
+        raise argparse.ArgumentTypeError(
+            f"expected a finite tolerance strictly between 0 and 0.5, got {text!r}")
+    return tol
+
+
 _labels = _list_of(int, "comma-joined integer labels")
 _rationals = _list_of(Fraction, "comma-joined rationals")
 
@@ -385,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dump", action="store_true", help="list every triple")
     sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.add_argument("--verify", action="store_true", help="cross-check against the Verlinde oracle")
-    sp.add_argument("--oracle-tol", type=float, default=1e-6)
+    sp.add_argument("--oracle-tol", type=_oracle_tol, default=1e-6,
+                    help="rounding tolerance of the Verlinde oracle, in (0, 0.5)")
 
     sp = command("qdim", cmd_qdim, "quantum dimensions of the level alphabet")
     sp.add_argument("--weight", type=_labels, help="one weight as comma-joined labels")

@@ -12,8 +12,8 @@ hull of the mu-orbit; those are enumerated exactly by running over the
 fundamental alcove of the level-k action.  `fusion_matrix` is the one
 evaluator: all N^lam_{mu nu} for one mu, as an integer matrix over the level
 alphabet; the full table stacks those matrices.  The Verlinde oracle
-recomputes the same numbers from the modular S-matrix and is kept fully
-independent.
+`verlinde_table` recomputes the whole table from one modular S-matrix and
+shares nothing with the folding path but the budget check.
 """
 
 from __future__ import annotations
@@ -61,9 +61,6 @@ class QuantumWeylGroup:
         rho = self.rs.weyl_vector
         return tuple(self.k * Fraction(x) - r for x, r in zip(b, rho))
 
-    def level(self, shifted: Sequence[int]) -> int:
-        return int(sum(a * m for a, m in zip(self.rs.comarks, shifted)))
-
     def reflect_simple(self, shifted: Sequence[int], i: int) -> Labels:
         row = self.rs.cartan_matrix[i]
         mi = shifted[i]
@@ -71,7 +68,7 @@ class QuantumWeylGroup:
 
     def reflect_affine(self, shifted: Sequence[int]) -> Labels:
         """Reflection in the wall <x, theta> = k (shifted picture)."""
-        excess = self.level(shifted) - self.k
+        excess = self.rs.level_of_labels(shifted) - self.k
         return tuple(m - excess * t for m, t in zip(shifted, self.theta_labels))
 
     def fold(self, shifted: Sequence[int]) -> tuple[Labels | None, int]:
@@ -90,7 +87,7 @@ class QuantumWeylGroup:
                 continue
             if 0 in m:
                 return None, 0
-            lev = self.level(m)
+            lev = self.rs.level_of_labels(m)
             if lev > self.k:
                 m = self.reflect_affine(m)
                 sign = -sign
@@ -113,8 +110,7 @@ def quantum_dimension(alphabet: LevelAlphabet, lam: Sequence[int]) -> float:
     rho = (1,) * rs.rank
     lam_rho = tuple(a + b for a, b in zip(lam, rho))
     out = 1.0
-    for alpha in rs.positive_roots:
-        al = tuple(rs.inner(alpha, cr) for cr in rs.simple_coroots)
+    for al in rs.positive_root_labels:
         num = rs.label_form(lam_rho, al)
         den = rs.label_form(rho, al)
         out *= math.sin(math.pi * float(num) / k) / math.sin(math.pi * float(den) / k)
@@ -177,10 +173,8 @@ def fusion_matrices(alphabet: LevelAlphabet, gammas: Iterable[Sequence[int]]) ->
 
 # -- Verlinde oracle ---------------------------------------------------------
 
-_smatrix_cache: dict[tuple[str, int, int], list[list[complex]]] = {}
 
-
-def _s_matrix(alphabet: LevelAlphabet) -> list[list[complex]]:
+def _s_matrix(alphabet: LevelAlphabet) -> np.ndarray:
     """Unnormalized S-matrix entries via the Weyl sum.
 
     s[lam][mu] = sum_{w in W} sgn(w) exp(-2 pi i <w(lam+rho), mu+rho> / k).
@@ -188,10 +182,6 @@ def _s_matrix(alphabet: LevelAlphabet) -> list[list[complex]]:
     divided by sum_sigma |s[0][sigma]|^2 (row-0 unitarity).
     """
     rs = alphabet.rs
-    key = (rs.type_label, rs.rank, alphabet.k)
-    hit = _smatrix_cache.get(key)
-    if hit is not None:
-        return hit
     k = alphabet.k
     rho = rs.weyl_vector
     shifted_ambient = [
@@ -210,43 +200,36 @@ def _s_matrix(alphabet: LevelAlphabet) -> list[list[complex]]:
                 val += sign * cmath.exp(-2j * math.pi * float(ph))
             row.append(val)
         s.append(row)
-    _smatrix_cache[key] = s
-    return s
+    return np.array(s)
 
 
-def verlinde_oracle(
-    alphabet: LevelAlphabet,
-    lam: Sequence[int],
-    mu: Sequence[int],
-    nu: Sequence[int],
-    tol: float = 1e-6,
-) -> int:
-    """Independent N^lam_{mu nu} from the Verlinde sum over the S-matrix.
+def verlinde_table(alphabet: LevelAlphabet, tol: float = 1e-6) -> np.ndarray:
+    """V[l, m, n] = N^{A[l]}_{A[m] A[n]} from the Verlinde sum over one S-matrix.
 
-    The value is rounded from a float within `tol` of an integer; a larger
-    rounding residue is reported as an oracle failure (a bug, not bad input).
+    V = sum_sigma s[l, sigma] s[m, sigma] conj(s[n, sigma]) / s[0, sigma],
+    divided by sum_sigma |s[0, sigma]|^2.  Every value is rounded from a
+    float within `tol` of an integer (0 < tol < 1/2); a larger rounding
+    residue is reported as an oracle failure (a bug, not bad input).
     """
-    la = _require_in_alphabet(alphabet, lam, "lambda")
-    m = _require_in_alphabet(alphabet, mu, "mu")
-    n = _require_in_alphabet(alphabet, nu, "nu")
+    if not 0.0 < tol < 0.5:  # nan too
+        raise PreconditionError(f"oracle tolerance must lie strictly between 0 and 0.5, got {tol}")
+    _require_budget(alphabet, len(alphabet.elements) ** 3, "the Verlinde table")
     s = _s_matrix(alphabet)
-    il, im, iu = alphabet.index(la), alphabet.index(m), alphabet.index(n)
-    i0 = alphabet.index((0,) * alphabet.rs.rank)
-    num = 0j
-    norm = 0.0
-    for sig in range(len(alphabet.elements)):
-        num += s[il][sig] * s[im][sig] * s[iu][sig].conjugate() / s[i0][sig]
-        norm += abs(s[i0][sig]) ** 2
-    val = num / norm
-    rounded = round(val.real)
-    residue = abs(val - rounded)
-    if residue > tol:
+    s0 = s[alphabet.index((0,) * alphabet.rs.rank)]
+    third = s.conj() / s0
+    vals = np.einsum("ls,ms,ns->lmn", s, s, third, optimize=True) / np.sum(np.abs(s0) ** 2)
+    rounded = np.rint(vals.real)
+    residue = np.abs(vals - rounded)
+    far = np.argwhere(residue > tol)
+    if len(far):
+        l, m, n = far[0]
+        rs, elems = alphabet.rs, alphabet.elements
         raise OracleError(
-            f"Verlinde sum {val} for {(la, m, n)} at {alphabet.rs.type_label}"
-            f"{alphabet.rs.rank}, k={alphabet.k} is {residue:.3e} from an integer "
-            f"(tolerance {tol:.1e})"
+            f"Verlinde sum {vals[l, m, n]} for {(elems[l], elems[m], elems[n])} at "
+            f"{rs.type_label}{rs.rank}, k={alphabet.k} is {residue[l, m, n]:.3e} from an "
+            f"integer (tolerance {tol:.1e})"
         )
-    return int(rounded)
+    return rounded.astype(np.int64)
 
 
 # -- tables -------------------------------------------------------------------
@@ -265,14 +248,17 @@ def table_entries(alphabet: LevelAlphabet, table: np.ndarray):
 
 
 def verify_against_verlinde(alphabet: LevelAlphabet, table: np.ndarray, tol: float = 1e-6) -> None:
-    """Raise OracleError on the first triple disagreeing with the S-matrix."""
-    for lam, mu, nu, n in table_entries(alphabet, table):
-        v = verlinde_oracle(alphabet, lam, mu, nu, tol=tol)
-        if v != n:
-            raise OracleError(
-                f"fusion table entry N^{lam}_({mu},{nu}) = {n} disagrees with "
-                f"Verlinde oracle value {v}"
-            )
+    """Raise OracleError on the first triple, in index order, disagreeing with
+    the Verlinde table."""
+    oracle = verlinde_table(alphabet, tol=tol)
+    wrong = np.argwhere(oracle != table)
+    if len(wrong):
+        l, m, n = wrong[0]
+        lam, mu, nu = (alphabet.elements[i] for i in (l, m, n))
+        raise OracleError(
+            f"fusion table entry N^{lam}_({mu},{nu}) = {table[l, m, n]} disagrees with "
+            f"Verlinde oracle value {oracle[l, m, n]}"
+        )
 
 
 def table_lines(alphabet: LevelAlphabet, table: np.ndarray) -> list[str]:

@@ -24,10 +24,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .reps import WeightSystem, character_eval
+from .reps import WeightSystem, character_eval, weyl_dimension
 from .roots import RootSystem
 
 MAX_HOLONOMY_FACTORS = 2**16  # budget of `holonomy` and `ribbon_holonomy`: n factors
+MAX_REP_DIM = 256  # budget of the `holonomy` command: dimension of the coloured module
 
 LoopSampler = Callable[[float], tuple]
 ConnectionSampler = Callable[[tuple], np.ndarray]
@@ -39,6 +40,17 @@ def _require_factors(n: int) -> None:
     if n > MAX_HOLONOMY_FACTORS:
         raise PreconditionError(
             f"holonomy with n = {n} factors; the budget is {MAX_HOLONOMY_FACTORS}"
+        )
+
+
+def require_rep_dim(rs: RootSystem, color: Sequence[int]) -> None:
+    """Refuse a colour whose module is larger than MAX_REP_DIM, by its exact
+    Weyl dimension, before any multiplicity or dim x dim matrix is built."""
+    dim = weyl_dimension(rs, color)
+    if dim > MAX_REP_DIM:
+        raise PreconditionError(
+            f"the module of highest weight {tuple(color)} of {rs.type_label}{rs.rank} has "
+            f"dimension {dim}; the budget is {MAX_REP_DIM}"
         )
 
 

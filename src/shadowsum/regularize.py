@@ -36,6 +36,9 @@ from .roots import RootSystem
 # -- smooth periodic bump and its trig-polynomial approximation ---------------
 
 _BUMP_C = 0.25  # transition fits inside the C/n-neighborhood of the integers
+# Accuracy floor of `trig_cutoff`: double precision does not reach below it, so
+# no cutoff is asked for, or records, a smaller sup error.
+CUTOFF_FLOOR = 1e-12
 
 
 def _smooth_step(t: np.ndarray) -> np.ndarray:
@@ -57,7 +60,7 @@ class TrigCutoff:
     """Recentred truncated Fourier series of the bump, pbar_n = p_n - p_n(0).
 
     Guarantees pbar_n(m) = 0 exactly for integer m; `sup_error` is the
-    measured uniform distance to psi_n on a dense grid.
+    measured uniform distance to psi_n on a dense grid, at least CUTOFF_FLOOR.
     """
 
     def __init__(self, n: int, coeffs: np.ndarray, sup_error: float):
@@ -79,20 +82,13 @@ class TrigCutoff:
         return float(self.coeffs @ np.cos(2.0 * math.pi * m * xf))
 
 
-_cutoff_cache: dict[tuple[int, float], TrigCutoff] = {}
-
-
 def trig_cutoff(n: int, target: float) -> TrigCutoff:
-    """Build (and cache) pbar_n with sup error below `target` where feasible.
+    """Build pbar_n with sup error below `target` where feasible.
 
-    Accuracy below ~1e-12 is not reachable in double precision; the builder
-    floors the target there and records the achieved error.
+    Accuracy below CUTOFF_FLOOR is not reachable in double precision; the
+    builder floors the target there and records the achieved error.
     """
-    target = max(target, 1e-12)
-    key = (n, target)
-    hit = _cutoff_cache.get(key)
-    if hit is not None:
-        return hit
+    target = max(target, CUTOFF_FLOOR)
     K = 1 << 13
     grid = np.arange(K) / K
     psi = bump(n, grid)
@@ -117,9 +113,7 @@ def trig_cutoff(n: int, target: float) -> TrigCutoff:
         if err <= target or M == len(spectrum) - 1:
             break
         M *= 2
-    cut = TrigCutoff(n, best[0], best[1])
-    _cutoff_cache[key] = cut
-    return cut
+    return TrigCutoff(n, best[0], max(best[1], CUTOFF_FLOOR))
 
 
 def mesh_cells(field: SteppedField, n: int) -> int:
@@ -133,15 +127,29 @@ def total_cells(field: SteppedField, n: int) -> int:
     return max(1, len(field.diagram.faces)) * mesh_cells(field, n)
 
 
-def cutoff_accuracy_target(rs: RootSystem, field: SteppedField, n: int) -> float:
+def cutoff_accuracy_target(rs: RootSystem, cells_total: int) -> float:
     """Per-factor accuracy making the whole product 1/N_n^2-close to 1.
 
-    The product has N_n * |R+| factors, so the per-factor budget is
-    1/(8 N_n^3 |R+|); below the double-precision floor the builder clips it
-    and the product accuracy degrades gracefully to ~N_n |R+| * 1e-12.
+    The product has N_n * |R+| factors (N_n = `cells_total`), so the
+    per-factor budget is 1/(8 N_n^3 |R+|).  Below CUTOFF_FLOOR the builder
+    clips it, and the stage's error bound is then only N_n |R+| sup_error,
+    which passes 1 by n = 16 on a one-face A1 field; `regularized_indicator`
+    refuses such stages.
     """
-    nn = total_cells(field, n)
-    return 1.0 / (8.0 * nn ** 3 * len(rs.positive_roots))
+    return 1.0 / (8.0 * cells_total ** 3 * len(rs.positive_roots))
+
+
+def _require_trusted_stage(rs: RootSystem, n: int, cells_total: int, sup_error: float) -> None:
+    """Refuse stage n when its error bound N_n |R+| sup_error is not below 1.
+
+    Exact for any n: the integer N_n |R+| is compared with 1/sup_error.
+    """
+    if cells_total * len(rs.positive_roots) >= 1.0 / sup_error:
+        raise PreconditionError(
+            f"regularize stage n = {n} cannot be trusted: its error bound N_n |R+| sup_error "
+            f"is at least 1 (N_n = #faces * 4^{n} cells, |R+| = {len(rs.positive_roots)}, "
+            f"sup_error >= {sup_error:.2e})"
+        )
 
 
 def regularized_indicator(rs: RootSystem, n: int, field: SteppedField) -> float:
@@ -149,9 +157,14 @@ def regularized_indicator(rs: RootSystem, n: int, field: SteppedField) -> float:
 
     Exactly 0 whenever some alpha(value) is an integer (exact rational
     test); close to 1 when every value keeps all alpha-pairings at least
-    1/n away from the integers.
+    1/n away from the integers.  Refused (PreconditionError) when the error
+    bound N_n |R+| sup_error is not below 1: first against CUTOFF_FLOOR,
+    before the cutoff is built, then against the cutoff's own sup error.
     """
-    cut = trig_cutoff(n, cutoff_accuracy_target(rs, field, n))
+    cells_total = total_cells(field, n)
+    _require_trusted_stage(rs, n, cells_total, CUTOFF_FLOOR)
+    cut = trig_cutoff(n, cutoff_accuracy_target(rs, cells_total))
+    _require_trusted_stage(rs, n, cells_total, cut.sup_error)
     cells = mesh_cells(field, n)
     out = 1.0
     for b in field.values:
@@ -196,14 +209,8 @@ class LogPoly:
         return complex(np.polynomial.chebyshev.chebval(x / 2.0, self.coeffs))
 
 
-_log_cache: dict[int, LogPoly] = {}
-
-
 def log_poly(n: int) -> LogPoly:
-    """Build (and cache) log^(n), fitting until sup error <= 4^-n or floor."""
-    hit = _log_cache.get(n)
-    if hit is not None:
-        return hit
+    """Build log^(n), fitting until sup error <= 4^-n or floor."""
     target = max(4.0 ** (-n), 2e-11)
     a = 1.0 / n
     samples = []
@@ -230,9 +237,7 @@ def log_poly(n: int) -> LogPoly:
         if err <= target or deg >= 1000:
             break
         deg *= 2
-    lp = LogPoly(n, best[0], best[1])
-    _log_cache[n] = lp
-    return lp
+    return LogPoly(n, best[0], best[1])
 
 
 def det_rig_n(rs: RootSystem, n: int, field: SteppedField) -> complex:

@@ -87,8 +87,7 @@ def weyl_dimension(rs: RootSystem, lam: Sequence[int]) -> int:
     rho = (1,) * rs.rank
     lam_rho = tuple(a + b for a, b in zip(lam, rho))
     num = Fraction(1)
-    for alpha in rs.positive_roots:
-        al = tuple(rs.inner(alpha, cr) for cr in rs.simple_coroots)
+    for al in rs.positive_root_labels:
         num *= rs.label_form(lam_rho, al) / rs.label_form(rho, al)
     assert num.denominator == 1
     return int(num)
@@ -104,29 +103,15 @@ def _check_dominant(rs: RootSystem, lam: Sequence[int]) -> Labels:
     return t
 
 
-_mult_cache: dict[tuple[str, int, Labels], "WeightSystem"] = {}
-
-
 def weight_multiplicities(rs: RootSystem, lam: Sequence[int]) -> WeightSystem:
     """Weight multiplicity table by the Freudenthal recursion (exact).
 
     Weights of the module are found breadth-first from the highest weight by
     subtracting simple roots; a candidate is kept iff the recursion gives a
-    positive multiplicity.  Results are memoized per (type, weight); the
-    cache is filled by whichever caller arrives first and only read after.
+    positive multiplicity.
     """
     lam = _check_dominant(rs, lam)
-    key = (rs.type_label, rs.rank, lam)
-    hit = _mult_cache.get(key)
-    if hit is not None:
-        return hit
-
-    den = rs.weight_form_den
     rho = (1,) * rs.rank
-    pos_labels = [
-        tuple(int(rs.inner(a, cr)) for cr in rs.simple_coroots)
-        for a in rs.positive_roots
-    ]
 
     def norm_shifted(mu: Labels) -> Fraction:
         v = tuple(a + b for a, b in zip(mu, rho))
@@ -149,7 +134,7 @@ def weight_multiplicities(rs: RootSystem, lam: Sequence[int]) -> WeightSystem:
             if denom <= 0:
                 continue
             acc = Fraction(0)
-            for al in pos_labels:
+            for al in rs.positive_root_labels:
                 j = 1
                 while True:
                     up = tuple(a + j * b for a, b in zip(mu, al))
@@ -171,7 +156,6 @@ def weight_multiplicities(rs: RootSystem, lam: Sequence[int]) -> WeightSystem:
             f"Freudenthal total {ws.dimension()} != Weyl dimension "
             f"{weyl_dimension(rs, lam)} for {rs.type_label}{rs.rank} weight {lam}"
         )
-    _mult_cache[key] = ws
     return ws
 
 

@@ -138,6 +138,8 @@ class RootSystem:
     dual_coxeter: int
     cartan_matrix: tuple[tuple[int, ...], ...]
     comarks: tuple[int, ...]
+    # label_j(alpha) = <alpha, coroot(alpha_j)> of each positive root, in positive_roots order
+    positive_root_labels: tuple[tuple[int, ...], ...] = field(repr=False, default=())
     # integer Gram data for label arithmetic: weight_form_den * <w_i, w_j>
     weight_gram_num: tuple[tuple[int, ...], ...] = field(repr=False, default=())
     weight_form_den: int = field(repr=False, default=1)
@@ -163,14 +165,7 @@ class RootSystem:
         n = self.inner(alpha, alpha)
         return _scale(Fraction(2) / n, alpha)
 
-    def root_pairing(self, alpha: Vector, x: Sequence):
-        """alpha(x) under the t ~ t* identification, i.e. <alpha, x>."""
-        return self.inner(alpha, x)
-
     # -- label (fundamental-weight) coordinates ---------------------------
-
-    def to_labels(self, x: Sequence) -> tuple:
-        return tuple(self.inner(x, cr) for cr in self.simple_coroots)
 
     def from_labels(self, labels: Sequence) -> Vector:
         if len(labels) != self.rank:
@@ -195,19 +190,9 @@ class RootSystem:
     def simple_root_labels(self, i: int) -> tuple[int, ...]:
         return self.cartan_matrix[i]
 
-    def level_of_labels(self, m: Sequence[int]) -> Fraction:
-        """<x, theta> for x given by labels."""
-        return sum(Fraction(a) * mi for a, mi in zip(self.comarks, m))
-
-    def is_dominant_labels(self, m: Sequence[int]) -> bool:
-        return all(int(mi) == mi and mi >= 0 for mi in m)
-
-    # -- lattice membership ------------------------------------------------
-
-    def in_coroot_lattice(self, x: Sequence[Fraction]) -> bool:
-        """Whether x lies in the lattice generated by the coroots."""
-        coeffs = self._solve_in_basis(self.simple_coroots, x)
-        return coeffs is not None and all(c.denominator == 1 for c in coeffs)
+    def level_of_labels(self, m: Sequence[int]) -> int:
+        """<x, theta> for x given by integer labels: the comark-weighted sum."""
+        return sum(a * mi for a, mi in zip(self.comarks, m))
 
     def _solve_in_basis(self, basis: Sequence[Vector], x: Sequence) -> list[Fraction] | None:
         """Solve x = sum c_i basis_i exactly via the Gram system."""
@@ -323,15 +308,16 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
 
     # Positivity: nonnegative coefficients in the simple-root basis.
     cartan_inv = _invert_rational([[Fraction(c) for c in row] for row in cartan])
-    positive = []
+    positive, positive_labels = [], []
     for beta in sorted(all_roots):
-        labels = [tmp.inner(beta, cr) for cr in simple_coroots]
+        labels = tuple(int(tmp.inner(beta, cr)) for cr in simple_coroots)
         coeffs = [
-            sum(Fraction(labels[j]) * cartan_inv[j][i] for j in range(rank))
+            sum(labels[j] * cartan_inv[j][i] for j in range(rank))
             for i in range(rank)
         ]
         if all(c >= 0 for c in coeffs):
             positive.append(beta)
+            positive_labels.append(labels)
     if 2 * len(positive) != len(all_roots):
         raise AssertionError(f"{t}{rank}: positivity split failed")
 
@@ -411,6 +397,7 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
         dual_coxeter=g,
         cartan_matrix=cartan,
         comarks=comarks,
+        positive_root_labels=tuple(positive_labels),
         weight_gram_num=gram_num,
         weight_form_den=den,
     )
@@ -429,11 +416,6 @@ def _add_all(vs: Iterable[Vector], dim: int) -> Vector:
     return s
 
 
-def inner_product(rs: RootSystem, x: Sequence, y: Sequence):
-    """Normalized invariant product; exact on rational inputs."""
-    return rs.inner(x, y)
-
-
 def is_regular(rs: RootSystem, b: Sequence) -> bool:
     """True iff alpha(b) is not an integer for every positive root alpha.
 
@@ -441,7 +423,7 @@ def is_regular(rs: RootSystem, b: Sequence) -> bool:
     integral only when it is exactly integral as a float.
     """
     for alpha in rs.positive_roots:
-        v = rs.root_pairing(alpha, b)
+        v = rs.inner(alpha, b)
         if isinstance(v, Fraction):
             if v.denominator == 1:
                 return False
@@ -501,6 +483,6 @@ def dominant_weights_up_to_level(rs: RootSystem, max_level: int) -> list[tuple[i
     out = []
     for combo in itertools.product(*(range(c + 1) for c in caps)):
         if rs.level_of_labels(combo) <= max_level:
-            out.append(tuple(int(x) for x in combo))
+            out.append(combo)
     out.sort()
     return out

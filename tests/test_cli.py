@@ -196,6 +196,12 @@ class TestFusion:
         assert len(lines) == 27
         assert all(len(line.split()) == 4 for line in lines)
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0.5"])
+    def test_oracle_tol_outside_open_interval_exit_2(self, capsys, tol):
+        rc, doc = run_main(capsys, "fusion", "--group", "A1", "--k", "4", "--verify",
+                           "--oracle-tol", tol)
+        assert rc == 2 and "--oracle-tol" in doc["error"]["message"]
+
     def test_oracle_failure_exit_4(self):
         r = run_cli("fusion", "--group", "A1", "--k", "4", "--verify", "--oracle-tol", "1e-30")
         assert r.returncode == 4
@@ -261,6 +267,19 @@ class TestRegularizeAndHolonomy:
         doc = json.loads(r.stdout)
         assert doc["faces"] == 2
         assert doc["indicator"] == pytest.approx(1.0, abs=1e-4)
+
+    @pytest.mark.parametrize("n", ["16", "30", "600"])
+    def test_regularize_untrusted_stage_exit_3(self, capsys, n):
+        """The stage's bound N_n |R+| sup_error is 6.0 at n = 16 and larger beyond."""
+        rc, doc = run_main(capsys, "regularize", "--group", "A1", "--alpha-b", "1/3", "--n", n)
+        assert rc == 3 and "cannot be trusted" in doc["error"]["message"]
+
+    def test_regularize_n14_unchanged(self, capsys):
+        """n = 14, the largest stage the benchmark runs (bound 0.066), still runs."""
+        rc, doc = run_main(capsys, "regularize", "--group", "A1", "--alpha-b", "1/3", "--n", "14")
+        assert rc == 0
+        assert doc["indicator"] == pytest.approx(0.9996959731302164, rel=1e-12)
+        assert doc["det_rig_n"]["re"] == pytest.approx(2.999999999996653, rel=1e-12)
 
     def test_holonomy_vertical(self):
         r = run_cli("holonomy", "--group", "A1", "--alpha-b", "1/3",
@@ -454,6 +473,7 @@ class TestUsageErrorsAsJson:
             ["det", "--group", "A1", "--alpha-b", "1/2", "--diagnostics",
              "--quad-res", "100000x100000"],
             ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--n", "10000000"],
+            ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--color", "100000", "--n", "8"],
         ],
     )
     def test_budgets_exit_3(self, capsys, argv):

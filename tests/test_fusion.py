@@ -14,7 +14,7 @@ from shadowsum.fusion import (
     quantum_dimension,
     table_lines,
     verify_against_verlinde,
-    verlinde_oracle,
+    verlinde_table,
 )
 from shadowsum.reps import level_alphabet
 from shadowsum.roots import build_root_system
@@ -76,24 +76,49 @@ class TestVerlindeOracle:
             val = sum(s[l][sig] * s[m][sig] * s[n][sig] / s[0][sig] for sig in range(3))
             return round(val / norm)
 
+        v = verlinde_table(a1k4)
         for l in range(3):
             for m in range(3):
                 for n in range(3):
-                    assert verlinde_oracle(a1k4, (l,), (m,), (n,)) == direct(l, m, n)
+                    assert v[l, m, n] == direct(l, m, n)
 
     def test_a1_k5_example(self, a1):
         al = level_alphabet(a1, 5)
-        assert verlinde_oracle(al, (1,), (1,), (2,)) == 1
+        assert verlinde_table(al)[1, 1, 2] == 1
 
     def test_trivial_row_orthogonality(self, a1k4):
-        for lam in a1k4.elements:
-            for nu in a1k4.elements:
+        v = verlinde_table(a1k4)
+        for l, lam in enumerate(a1k4.elements):
+            for n, nu in enumerate(a1k4.elements):
                 expect = 1 if lam == nu else 0
-                assert verlinde_oracle(a1k4, lam, (0,), nu) == expect
+                assert v[l, a1k4.index((0,)), n] == expect
 
     def test_rounding_residue_reported(self, a1k4):
         with pytest.raises(OracleError):
-            verlinde_oracle(a1k4, (1,), (1,), (0,), tol=1e-30)
+            verlinde_table(a1k4, tol=1e-30)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.5, 0.0])
+    def test_tolerance_outside_open_interval_refused(self, a1k4, tol):
+        with pytest.raises(PreconditionError, match="tolerance"):
+            verlinde_table(a1k4, tol=tol)
+
+    def test_budget_refuses_before_building(self, a1):
+        """|A|^3 = 199^3 at A1 k=200 exceeds the budget; the S-matrix is never built."""
+        with pytest.raises(PreconditionError, match="budget"):
+            verlinde_table(level_alphabet(a1, 200))
+
+    def test_int64_table_of_the_alphabet(self, a1k4):
+        v = verlinde_table(a1k4)
+        assert v.dtype == np.int64 and v.shape == (3, 3, 3)
+
+    @pytest.mark.parametrize(
+        "label,k",
+        [("B2", 8), ("C2", 8), ("G2", 10), ("A1", 30), ("A2", 9), ("B3", 7), ("A3", 7)],
+    )
+    def test_equals_fusion_table_on_export_alphabets(self, label, k):
+        """The alphabets the benchmark's `fusion --verify` exports."""
+        al = level_alphabet(build_root_system(label), k)
+        assert (verlinde_table(al) == build_fusion_table(al)).all()
 
 
 class TestQuantumWeylGroup:

@@ -8,8 +8,10 @@ import pytest
 from shadowsum.errors import PreconditionError
 from shadowsum.holonomy import (
     MAX_HOLONOMY_FACTORS,
+    MAX_REP_DIM,
     VerticalRibbon,
     holonomy,
+    require_rep_dim,
     ribbon_holonomy,
     scaled_ribbon,
     weight_rep_matrix,
@@ -56,6 +58,13 @@ class TestHolonomy:
     def test_bad_n_rejected(self):
         with pytest.raises(PreconditionError):
             holonomy(lambda t: t, lambda t: np.eye(1), 0)
+
+    def test_rep_dim_budget(self, a1):
+        """A1 colour (m,) has Weyl dimension m + 1; the budget admits up to MAX_REP_DIM."""
+        require_rep_dim(a1, (MAX_REP_DIM - 1,))
+        for color in ((MAX_REP_DIM,), (100000,)):
+            with pytest.raises(PreconditionError, match="budget"):
+                require_rep_dim(a1, color)
 
     def test_factor_budget_refuses_before_the_first_factor(self):
         def never(_):

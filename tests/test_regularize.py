@@ -8,6 +8,7 @@ from shadowsum.determinants import SteppedField, det_rig_constant, det_rig_step
 from shadowsum.diagrams import build_diagram
 from shadowsum.errors import PreconditionError
 from shadowsum.regularize import (
+    CUTOFF_FLOOR,
     bump,
     det_rig_n,
     exp_poly,
@@ -89,6 +90,17 @@ class TestIndicator:
     def test_bad_index_rejected(self, a1):
         with pytest.raises(PreconditionError):
             regularized_indicator(a1, 0, SteppedField.constant(a1.from_labels([Q(1, 2)])))
+
+    def test_large_stage_refused_before_building_a_cutoff(self, a1, monkeypatch):
+        """From N_n |R+| >= 1/CUTOFF_FLOOR on, no cutoff is built and no 4^n float formed."""
+        import shadowsum.regularize as reg
+
+        monkeypatch.setattr(reg, "trig_cutoff", None)
+        f = one_circle_field(a1, inner=Q(1, 2), outer=Q(1, 3))  # two faces
+        n = next(n for n in range(1, 40) if total_cells(f, n) >= 1 / CUTOFF_FLOOR)
+        for stage in (n, 600):
+            with pytest.raises(PreconditionError, match="cannot be trusted"):
+                regularized_indicator(a1, stage, f)
 
 
 class TestLogExpPolys:

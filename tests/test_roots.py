@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from shadowsum.errors import PreconditionError
 from shadowsum.roots import (
     build_root_system,
-    inner_product,
     is_regular,
     simple_reflection_matrix,
     weyl_group_order,
@@ -76,17 +75,17 @@ def test_invalid_pairs_rejected(bad):
     assert bad[0] in str(ei.value) and str(bad[1]) in str(ei.value)
 
 
-def test_inner_product_examples(a1):
+def test_inner_examples(a1):
     alpha = a1.positive_roots[0]
     assert a1.inner(a1.coroot(alpha), a1.coroot(alpha)) == 2
     zero = (Q(0),) * a1.ambient_dim
-    assert inner_product(a1, zero, alpha) == 0
+    assert a1.inner(zero, alpha) == 0
     assert a1.inner(a1.weyl_vector, a1.weyl_vector) == Q(1, 2)
 
 
-def test_inner_product_dimension_mismatch(a1, a2):
+def test_inner_dimension_mismatch(a1, a2):
     with pytest.raises(PreconditionError):
-        inner_product(a1, a2.weyl_vector, a2.weyl_vector)
+        a1.inner(a2.weyl_vector, a2.weyl_vector)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "C3"])
@@ -185,3 +184,18 @@ def test_malformed_type_label_rejected(label):
     """Only ASCII digits are a rank: int() of other digit characters fails or surprises."""
     with pytest.raises(PreconditionError):
         build_root_system(label)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "E6", "F4", "G2"])
+def test_positive_root_labels_match_ambient_roots(label):
+    """The stored labels are <alpha, coroot(alpha_j)> of each positive root, in order."""
+    rs = build_root_system(label)
+    derived = tuple(
+        tuple(rs.inner(alpha, cr) for cr in rs.simple_coroots) for alpha in rs.positive_roots
+    )
+    assert rs.positive_root_labels == derived
+    assert all(type(x) is int for al in rs.positive_root_labels for x in al)
+    for labels in [(0,) * rs.rank, (1,) * rs.rank, tuple(range(rs.rank)), *rs.positive_root_labels]:
+        level = rs.level_of_labels(labels)
+        assert type(level) is int
+        assert level == sum(Q(a) * m for a, m in zip(rs.comarks, labels))
