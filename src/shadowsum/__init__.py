@@ -31,7 +31,6 @@ from .diagrams import (
     build_diagram,
     contract_state_sum,
     empty_link_value,
-    gleam_of_face,
 )
 from .determinants import (
     SphereMetricSample,
@@ -51,6 +50,6 @@ from .holonomy import (
     holonomy,
     ribbon_holonomy,
     scaled_ribbon,
-    weight_rep_matrix,
+    weight_phases,
     wilson_closed_form,
 )

@@ -2,7 +2,8 @@
 
 One JSON document goes to stdout; diagnostics go to stderr.  Exit codes:
 0 ok, 2 parse failure (usage errors included), 3 precondition violation,
-4 internal-oracle failure.  The keys of a --config JSON file are the
+4 internal-oracle failure, 141 stdout closed by its reader before the
+document was written.  The keys of a --config JSON file are the
 subcommand's long flag names; each becomes `--key=value` (`true`: a bare
 `--key`) ahead of the command line, so explicit flags win.
 
@@ -20,9 +21,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-
-import numpy as np
 from fractions import Fraction
 
 from . import __version__
@@ -47,7 +47,7 @@ from .holonomy import (
     VerticalRibbon,
     require_rep_dim,
     ribbon_holonomy,
-    weight_rep_matrix,
+    weight_phases,
     wilson_closed_form,
 )
 from .regularize import det_rig_n, regularized_indicator
@@ -265,7 +265,7 @@ def cmd_det(args) -> dict:
     if args.diagnostics:
         metric = round_sphere_metric(*args.quad_res)
         bf = tuple(float(x) for x in b)
-        out["det_rig_quadrature"] = det_rig_quadrature(rs, lambda t, p: bf, metric)
+        out["det_rig_quadrature"] = det_rig_quadrature(rs, lambda theta, phi: bf, metric)
     return out
 
 
@@ -299,15 +299,15 @@ def cmd_holonomy(args) -> dict:
     ribbon = VerticalRibbon(sigma=(0.0, 0.0), winding=args.wind)
     bf = [float(x) for x in b]
     closed = wilson_closed_form(rs, [ribbon.loop], [ws], None, lambda s: bf)
-    bmat = weight_rep_matrix(ws, b) * args.wind
-    product = ribbon_holonomy(lambda t, u: None, lambda _: bmat, args.n)
+    phases = weight_phases(ws, b) * args.wind
+    product = ribbon_holonomy(lambda t, u: None, lambda _: phases, args.n)
     return {
         "group": args.group,
         "color": list(args.color),
         "winding": args.wind,
         "n": args.n,
         "closed_form": _c2j(closed),
-        "product_trace": _c2j(complex(np.trace(product))),
+        "product_trace": _c2j(complex(product.sum())),
     }
 
 
@@ -459,6 +459,21 @@ def _parse_argv(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args([args.command, *_config_tokens(_load_json(args.config)), *argv[1:]])
 
 
+def _emit(text: str, path: str | None, status: int) -> int:
+    """Write the document; a reader closing stdout early (`| head`) gives 141 = 128 + SIGPIPE."""
+    if path:
+        with open(path, "w") as f:
+            f.write(text + "\n")
+        return status
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the Python docs' recipe: stdout to devnull, so exit flushes nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("shadowsum: stdout was closed before the document was written", file=sys.stderr)
+        return 141
+    return status
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -466,18 +481,12 @@ def main(argv: list[str] | None = None) -> int:
         doc = args.run(args)
     except ShadowsumError as e:
         err = {"error": {"code": e.code, "exit": e.exit_code, "message": str(e)}}
-        print(json.dumps(err, sort_keys=True))
         print(f"shadowsum: {e.code}: {e}", file=sys.stderr)
-        return e.exit_code
+        return _emit(json.dumps(err, sort_keys=True), None, e.exit_code)
 
     doc, status = doc if isinstance(doc, tuple) else (doc, 0)
     text = "\n".join(doc) if isinstance(doc, list) else json.dumps(doc, sort_keys=True)
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
-    return status
+    return _emit(text, args.output, status)
 
 
 if __name__ == "__main__":

@@ -192,23 +192,22 @@ def _principal_log_2sin(x: np.ndarray) -> np.ndarray:
 
 def det_rig_quadrature(
     rs: RootSystem,
-    sampler: Callable[[float, float], Sequence[float]],
+    sampler: Callable[[np.ndarray, np.ndarray], np.ndarray],
     metric: SphereMetricSample,
     singular_tol: float = 1e-12,
 ) -> float:
     """Quadrature evaluation of the regularized determinant of a smooth field.
 
-    sampler(c1, c2) returns the ambient coordinates of B at a node.  Any
-    node where some alpha(B) is within singular_tol of an integer is
-    rejected (named in the error).  On a closed surface the result is real;
-    a non-negligible imaginary residue raises, since it signals a field
-    that is not regular across the whole grid.
+    sampler(theta, phi) maps the node coordinate arrays to the ambient
+    coordinates of B: an (n, dim) array, or a (dim,) one that broadcasts (a
+    constant field).  Any node where some alpha(B) is within singular_tol of
+    an integer is rejected (named in the error).  On a closed surface the
+    result is real; a non-negligible imaginary residue raises, since it
+    signals a field that is not regular across the whole grid.
     """
     metric.validate()
-    n = metric.nodes.shape[0]
-    values = np.empty((n, rs.ambient_dim))
-    for i in range(n):
-        values[i, :] = np.asarray(sampler(metric.nodes[i, 0], metric.nodes[i, 1]), dtype=float)
+    sample = np.asarray(sampler(metric.nodes[:, 0], metric.nodes[:, 1]), dtype=float)
+    values = np.broadcast_to(sample, (metric.nodes.shape[0], rs.ambient_dim))
     scale = float(rs.form_scale)
     rweight = metric.weights * metric.scalar_curvature / (4.0 * math.pi)
     total = 0j

@@ -60,15 +60,6 @@ class ShadowDiagram:
     circles: tuple[Circle, ...]
     faces: tuple[Face, ...]  # region-tree preorder; outer face first
 
-    def face_index(self, face_id: str) -> int:
-        for i, f in enumerate(self.faces):
-            if f.face_id == face_id:
-                return i
-        raise PreconditionError(f"unknown face {face_id!r}")
-
-    def face(self, face_id: str) -> Face:
-        return self.faces[self.face_index(face_id)]
-
 
 def _face_id_of(circle_id: str | None) -> str:
     return OUTER_FACE if circle_id is None else f"in:{circle_id}"
@@ -163,11 +154,6 @@ def build_diagram(circles: Iterable[Circle | dict]) -> ShadowDiagram:
         faces.append(Face(face_id=fid, boundary=boundary, euler=euler, gleam=gleams[fid]))
 
     return ShadowDiagram(circles=tuple(cs), faces=tuple(faces))
-
-
-def gleam_of_face(diagram: ShadowDiagram, face_id: str) -> int:
-    """The signed winding sum attached to one face (stored at build time)."""
-    return diagram.face(face_id).gleam
 
 
 @dataclass

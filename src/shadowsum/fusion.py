@@ -29,11 +29,13 @@ import numpy as np
 
 from .errors import OracleError, PreconditionError
 from .reps import Labels, LevelAlphabet, weight_multiplicities
-from .roots import RootSystem, weyl_orbit
+from .roots import RootSystem, weyl_group_order, weyl_orbit
 
 _FOLD_LIMIT = 100_000
 # Budget of one call: the integers it computes, |A|^2 per matrix (|A|^3 for the full table).
 MAX_FUSION_COEFFS = 10**6
+# Budget of `verlinde_table`: Weyl-orbit phases of the S-matrix, |W| * |A|^2.
+MAX_VERLINDE_ORBIT_TERMS = 2 * 10**5
 
 
 @dataclass(frozen=True)
@@ -127,12 +129,13 @@ def _require_in_alphabet(alphabet: LevelAlphabet, lam: Sequence[int], name: str)
     return t
 
 
-def _require_budget(alphabet: LevelAlphabet, coeffs: int, what: str) -> None:
-    if coeffs > MAX_FUSION_COEFFS:
+def _require_budget(alphabet: LevelAlphabet, count: int, what: str, unit: str = "coefficients",
+                    budget: int = MAX_FUSION_COEFFS) -> None:
+    if count > budget:
         rs = alphabet.rs
         raise PreconditionError(
             f"{what} of {rs.type_label}{rs.rank} at k = {alphabet.k}: "
-            f"{coeffs} coefficients; the budget is {MAX_FUSION_COEFFS}"
+            f"{count} {unit}; the budget is {budget}"
         )
 
 
@@ -214,6 +217,9 @@ def verlinde_table(alphabet: LevelAlphabet, tol: float = 1e-6) -> np.ndarray:
     if not 0.0 < tol < 0.5:  # nan too
         raise PreconditionError(f"oracle tolerance must lie strictly between 0 and 0.5, got {tol}")
     _require_budget(alphabet, len(alphabet.elements) ** 3, "the Verlinde table")
+    orbit_terms = weyl_group_order(alphabet.rs) * len(alphabet.elements) ** 2
+    _require_budget(alphabet, orbit_terms, "the Verlinde S-matrix",
+                    "Weyl-orbit terms (|W| |A|^2)", MAX_VERLINDE_ORBIT_TERMS)
     s = _s_matrix(alphabet)
     s0 = s[alphabet.index((0,) * alphabet.rs.rank)]
     third = s.conj() / s0

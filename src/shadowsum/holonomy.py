@@ -1,11 +1,12 @@
-"""Holonomy as ordered exponential products, and the closed-form Wilson values.
+"""Holonomy of t-valued connections, and the closed-form Wilson values.
 
-The n-point approximation of the holonomy of a matrix-valued connection
-along a loop is prod_{j=1..n} exp((1/n) A(l'(t))|_{t=j/n}) with factors
-multiplied left to right in increasing j.  The ribbon variant averages the
-sampled algebra element over the transverse parameter inside each factor.
-For t-valued (abelian) connections the product collapses to the exponential
-of a Riemann sum, so the limit is exp of the loop integral.
+A t-valued (abelian) connection is sampled as its weight-phase vector: the
+diagonal of A in a weight basis of the module (`weight_phases`).  Its
+factors commute, so the n-point ordered product
+prod_{j=1..n} exp((1/n) A(l'(j/n))) is, entry by entry, exp of the Riemann
+sum (1/n) sum_j A(l'(j/n)), and the limit is exp of the loop integral.  The
+ribbon variant averages the sample over the transverse parameter inside
+each factor.  Non-abelian (matrix-valued) connections are not handled.
 
 For links whose projected ribbons stay embedded and disjoint, the gauge-
 field average of the Wilson loop product has the closed form
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -54,21 +55,24 @@ def require_rep_dim(rs: RootSystem, color: Sequence[int]) -> None:
         )
 
 
+def _exp_riemann_sum(samples: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """exp((1/n) sum_j a_j) for weight-phase vectors a_j: the ordered product
+    of n commuting diagonal factors exp(a_j / n), entry by entry."""
+    total = np.asarray(sum(np.asarray(a, dtype=complex) for a in samples))
+    if total.ndim != 1:
+        raise PreconditionError(f"a connection sample must be a 1-D phase vector, not {total.shape}")
+    return np.exp(total / n)
+
+
 def holonomy(loop: LoopSampler, connection: ConnectionSampler, n: int) -> np.ndarray:
-    """Ordered product prod_{j=1..n} exp((1/n) A(l'(j/n))).
+    """Weight phases of prod_{j=1..n} exp((1/n) A(l'(j/n))), as a 1-D vector.
 
     `loop(t)` returns whatever point/velocity data the connection sampler
-    needs; `connection` returns the matrix A(l'(t)) in a chosen faithful
-    representation.
+    needs; `connection` returns A(l'(t)) as its weight-phase vector (see
+    `weight_phases`).
     """
     _require_factors(n)
-    import scipy.linalg  # here, not at the top: it is most of the CLI's import time
-    out = None
-    for j in range(1, n + 1):
-        a = np.asarray(connection(loop(j / n)), dtype=complex)
-        f = scipy.linalg.expm(a / n)
-        out = f if out is None else out @ f
-    return out
+    return _exp_riemann_sum((connection(loop(j / n)) for j in range(1, n + 1)), n)
 
 
 def ribbon_holonomy(
@@ -82,20 +86,14 @@ def ribbon_holonomy(
     The transverse average int_0^1 ... du uses Gauss-Legendre nodes.
     """
     _require_factors(n)
-    import scipy.linalg  # here, not at the top: it is most of the CLI's import time
     x, w = np.polynomial.legendre.leggauss(u_nodes)
     us = 0.5 * (x + 1.0)
     ws = 0.5 * w
-    out = None
-    for j in range(1, n + 1):
-        t = j / n
-        a = None
-        for u, wu in zip(us, ws):
-            sample = np.asarray(connection(loop_family(t, u)), dtype=complex)
-            a = wu * sample if a is None else a + wu * sample
-        f = scipy.linalg.expm(a / n)
-        out = f if out is None else out @ f
-    return out
+    averages = (
+        np.tensordot(ws, [connection(loop_family(j / n, u)) for u in us], axes=1)
+        for j in range(1, n + 1)
+    )
+    return _exp_riemann_sum(averages, n)
 
 
 def scaled_ribbon(
@@ -105,18 +103,18 @@ def scaled_ribbon(
     return lambda t, u: loop_family(t, s * (u - 0.5) + 0.5)
 
 
-def weight_rep_matrix(ws: WeightSystem, b: Sequence[float]) -> np.ndarray:
-    """Matrix of b in the weight basis of the module: diag(2 pi i beta(b)).
+def weight_phases(ws: WeightSystem, b: Sequence[float]) -> np.ndarray:
+    """b in the weight basis of the module, as its diagonal: 2 pi i beta(b) for
+    every weight beta, repeated by multiplicity, in sorted label order.
 
-    Faithful on the torus whenever the module's weights span the weight
-    lattice; enough for the abelian holonomy cross-checks.
-    """
+    beta(b) = sum_i label_i(beta) <omega_i, b>: exact for rational b."""
     rs = ws.rs
+    pairings = [rs.inner(w, tuple(b)) for w in rs.fundamental_weights]
     entries = []
     for labels, m in sorted(ws.multiplicities.items()):
-        beta = rs.from_labels(labels)
-        entries.extend([2j * math.pi * float(rs.inner(beta, tuple(b)))] * m)
-    return np.diag(entries)
+        beta_b = sum(c * p for c, p in zip(labels, pairings))
+        entries.extend([2j * math.pi * float(beta_b)] * m)
+    return np.array(entries)
 
 
 # -- closed-form Wilson values -------------------------------------------------
@@ -164,12 +162,10 @@ def wilson_closed_form(
         v = np.zeros(rs.ambient_dim)
         for u, wu in zip(us, ws):
             for j in range(1, t_nodes + 1):
-                t = j / t_nodes
-                sigma, dsigma, dtau = ribbon(t, u)
-                contrib = np.zeros(rs.ambient_dim)
+                sigma, dsigma, dtau = ribbon(j / t_nodes, u)
+                contrib = float(dtau) * np.asarray(b_field(sigma), dtype=float)
                 if a_form is not None:
-                    contrib += np.asarray(a_form(sigma, dsigma), dtype=float)
-                contrib += float(dtau) * np.asarray(b_field(sigma), dtype=float)
+                    contrib = np.asarray(a_form(sigma, dsigma), dtype=float) + contrib
                 v += wu * contrib / t_nodes
         total *= character_eval(color, tuple(v))
     return total

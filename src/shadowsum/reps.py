@@ -1,9 +1,9 @@
 """Dominant weights, level alphabets, weight multiplicities, characters.
 
 Weights are handled by their integer coordinates in the fundamental-weight
-basis ("labels").  Multiplicities come from the Freudenthal recursion run
-in exact integer arithmetic (the invariant form scaled to an integer
-quadratic form on labels).
+basis ("labels").  Multiplicities come from the Freudenthal recursion, run
+exactly in `Fraction` arithmetic on labels (the invariant form on labels
+through the root system's integer Gram data).
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ trigonometric layer in other modules.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -19,15 +20,15 @@ from .errors import PreconditionError
 
 Vector = tuple[Fraction, ...]
 
-# (dim g, |W|) per type; used to validate construction and for orbit checks.
-_DIM_G = {
-    "A": lambda n: (n + 1) ** 2 - 1,
-    "B": lambda n: n * (2 * n + 1),
-    "C": lambda n: n * (2 * n + 1),
-    "D": lambda n: n * (2 * n - 1),
-    "E": {6: 78, 7: 133, 8: 248},
-    "F": {4: 52},
-    "G": {2: 14},
+# (dim g, |W|) per type: dim g validates construction; |W| is `weyl_group_order`.
+_DIM_AND_ORDER = {
+    "A": lambda n: ((n + 1) ** 2 - 1, math.factorial(n + 1)),
+    "B": lambda n: (n * (2 * n + 1), 2**n * math.factorial(n)),
+    "C": lambda n: (n * (2 * n + 1), 2**n * math.factorial(n)),
+    "D": lambda n: (n * (2 * n - 1), 2 ** (n - 1) * math.factorial(n)),
+    "E": {6: (78, 51_840), 7: (133, 2_903_040), 8: (248, 696_729_600)}.get,
+    "F": {4: (52, 1_152)}.get,
+    "G": {2: (14, 12)}.get,
 }
 
 _VALID_RANKS = {
@@ -131,7 +132,6 @@ class RootSystem:
     positive_roots: tuple[Vector, ...]
     roots: tuple[Vector, ...]
     simple_coroots: tuple[Vector, ...]
-    positive_coroots: tuple[Vector, ...]
     fundamental_weights: tuple[Vector, ...]
     weyl_vector: Vector
     highest_root: Vector
@@ -273,7 +273,6 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
         positive_roots=(),
         roots=(),
         simple_coroots=(),
-        positive_coroots=(),
         fundamental_weights=(),
         weyl_vector=(),
         highest_root=(),
@@ -300,7 +299,7 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
                 all_roots.add(new)
                 frontier.append(new)
 
-    expected = _DIM_G[t](rank) if callable(_DIM_G[t]) else _DIM_G[t][rank]
+    expected = _DIM_AND_ORDER[t](rank)[0]
     if len(all_roots) != expected - rank:
         raise AssertionError(
             f"{t}{rank}: generated {len(all_roots)} roots, expected {expected - rank}"
@@ -374,8 +373,7 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
         tuple(int(v * den) for v in row) for row in gram
     )
 
-    positive_coroots = tuple(tmp.coroot(b) for b in positive)
-    short_coroot_norm = min(tmp.inner(c, c) for c in positive_coroots)
+    short_coroot_norm = min(tmp.inner(c, c) for c in map(tmp.coroot, positive))
     if short_coroot_norm != 2:
         raise AssertionError(
             f"{t}{rank}: short coroots have norm {short_coroot_norm}, expected 2"
@@ -390,7 +388,6 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
         positive_roots=tuple(positive),
         roots=tuple(sorted(all_roots)),
         simple_coroots=simple_coroots,
-        positive_coroots=positive_coroots,
         fundamental_weights=fundamental_weights,
         weyl_vector=rho,
         highest_root=theta,
@@ -460,8 +457,8 @@ def weyl_orbit(rs: RootSystem, lam: Sequence) -> list[tuple[Vector, int]]:
 
 
 def weyl_group_order(rs: RootSystem) -> int:
-    """|W|, from the regular orbit of the Weyl vector."""
-    return len(weyl_orbit(rs, rs.weyl_vector))
+    """|W| in closed form (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Plates I-IX)."""
+    return _DIM_AND_ORDER[rs.type_label](rs.rank)[1]
 
 
 def simple_reflection_matrix(rs: RootSystem, i: int) -> list[list[Fraction]]:

@@ -34,7 +34,7 @@ from shadowsum.fusion import build_fusion_table, quantum_dimension, verlinde_tab
 from shadowsum.holonomy import (
     holonomy,
     ribbon_holonomy,
-    weight_rep_matrix,
+    weight_phases,
     wilson_closed_form,
 )
 from shadowsum.regularize import det_rig_n, regularized_indicator
@@ -204,11 +204,11 @@ def test_holonomy_criteria():
     c = 0.37
 
     def conn(t):
-        return np.array([[2j * math.pi * c * t]])
+        return np.array([2j * math.pi * c * t])
 
     want = cmath.exp(2j * math.pi * c * 0.5)
     ns = [16, 32, 64, 128, 256, 512]
-    errs = [abs(holonomy(lambda t: t, conn, n)[0, 0] - want) for n in ns]
+    errs = [abs(holonomy(lambda t: t, conn, n)[0] - want) for n in ns]
     slope = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert 0.8 <= slope <= 1.2
 
@@ -232,9 +232,9 @@ def test_holonomy_criteria():
     def conn_rib(sample):
         sigma, dsigma, dtau = sample
         vec = np.asarray(a_form(sigma, dsigma)) + dtau * np.asarray(b)
-        return weight_rep_matrix(ws, vec)
+        return weight_phases(ws, vec)
 
-    direct = np.trace(ribbon_holonomy(lambda t, u: family(t, u), conn_rib, 4096))
+    direct = ribbon_holonomy(lambda t, u: family(t, u), conn_rib, 4096).sum()
     gap = abs(closed - direct)
     assert gap < 1e-6
     print(f"\nACCEPTANCE PASS: holonomy slope {slope:.3f} in [0.8, 1.2]; "

@@ -474,6 +474,7 @@ class TestUsageErrorsAsJson:
              "--quad-res", "100000x100000"],
             ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--n", "10000000"],
             ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--color", "100000", "--n", "8"],
+            ["fusion", "--group", "E6", "--k", "13", "--verify"],
         ],
     )
     def test_budgets_exit_3(self, capsys, argv):
@@ -487,11 +488,37 @@ class TestUsageErrorsAsJson:
         assert rc == 3 and "finite positive" in doc["error"]["message"]
 
     def test_import_leaves_scipy_unloaded(self):
-        code = ("import sys, shadowsum.cli; "
-                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        """Neither the import nor the holonomy and quadrature kernels load scipy."""
+        code = ("import sys, shadowsum.cli as cli\n"
+                "def scipy(): print([m for m in sys.modules if m.split('.')[0] == 'scipy'], "
+                "file=sys.stderr)\n"
+                "scipy()\n"
+                "cli.main(['holonomy', '--group', 'G2', '--b', '1/7,1/5,-12/35', "
+                "'--color', '1,1', '--n', '16'])\n"
+                "cli.main(['det', '--group', 'A1', '--alpha-b', '1/3', '--diagnostics', "
+                "'--quad-res', '8x16'])\n"
+                "scipy()\n")
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                            check=True)
-        assert r.stdout.strip() == "[]"
+        assert r.stderr.split() == ["[]", "[]"]
+        holonomy, det = map(json.loads, r.stdout.splitlines())
+        assert holonomy["product_trace"]["re"] == pytest.approx(holonomy["closed_form"]["re"])
+        assert det["det_rig_quadrature"] == pytest.approx(3.0, rel=1e-6)
+
+    def test_closed_stdout_exits_141(self):
+        """A reader that stops early (`| head -c 100`) gets exit 128 + SIGPIPE and
+        one stderr line, no traceback."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "shadowsum", "fusion", "--group", "A1", "--k", "30",
+             "--dump", "--format", "text"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 141
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert "stdout" in err
 
     def test_shadow_overflow_exit_3(self, tmp_path, capsys):
         doc = {"group": "A1", "k": 10, "circles": [

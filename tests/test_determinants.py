@@ -139,9 +139,8 @@ class TestQuadrature:
     def test_smooth_field_against_1d_oracle(self, a1):
         w = [float(c) for c in a1.fundamental_weights[0]]
 
-        def sampler(t, p):
-            x = 0.5 + 0.2 * math.cos(t)
-            return tuple(c * x for c in w)
+        def sampler(theta, phi):
+            return np.outer(0.5 + 0.2 * np.cos(theta), w)
 
         oracle = math.exp(
             quad(
@@ -157,9 +156,8 @@ class TestQuadrature:
     def test_grid_refinement_order_at_least_two(self, a1):
         w = [float(c) for c in a1.fundamental_weights[0]]
 
-        def sampler(t, p):
-            x = 0.5 + 0.2 * math.cos(t) * math.cos(t)
-            return tuple(c * x for c in w)
+        def sampler(theta, phi):
+            return np.outer(0.5 + 0.2 * np.cos(theta) * np.cos(theta), w)
 
         ref = det_rig_quadrature(a1, sampler, round_sphere_metric(128, 256))
         e_coarse = abs(det_rig_quadrature(a1, sampler, round_sphere_metric(4, 8)) - ref)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowsum import fusion
 from shadowsum.errors import OracleError, PreconditionError
 from shadowsum.fusion import (
     MAX_FUSION_COEFFS,
+    MAX_VERLINDE_ORBIT_TERMS,
     QuantumWeylGroup,
     build_fusion_table,
     fusion_matrix,
@@ -106,6 +108,22 @@ class TestVerlindeOracle:
         """|A|^3 = 199^3 at A1 k=200 exceeds the budget; the S-matrix is never built."""
         with pytest.raises(PreconditionError, match="budget"):
             verlinde_table(level_alphabet(a1, 200))
+
+    @pytest.mark.parametrize(
+        "label,k,terms",
+        [("D4", 9, 110_592), ("F4", 12, 93_312), ("E6", 13, 466_560),
+         ("E7", 19, 11_612_160), ("E8", 31, 696_729_600)],
+    )
+    def test_orbit_budget(self, monkeypatch, label, k, terms):
+        """|W| |A|^2 above MAX_VERLINDE_ORBIT_TERMS is refused before the S-matrix
+        is built; every E-type is, and the largest admitted jobs still reach it."""
+        def built(alphabet):
+            raise AssertionError("S-matrix built")
+
+        monkeypatch.setattr(fusion, "_s_matrix", built)
+        with pytest.raises(AssertionError if terms <= MAX_VERLINDE_ORBIT_TERMS
+                           else PreconditionError, match=f"{terms} Weyl-orbit|built"):
+            verlinde_table(level_alphabet(build_root_system(label), k))
 
     def test_int64_table_of_the_alphabet(self, a1k4):
         v = verlinde_table(a1k4)

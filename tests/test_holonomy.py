@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import math
 from fractions import Fraction as Q
 
@@ -14,7 +15,7 @@ from shadowsum.holonomy import (
     require_rep_dim,
     ribbon_holonomy,
     scaled_ribbon,
-    weight_rep_matrix,
+    weight_phases,
     wilson_closed_form,
 )
 from shadowsum.reps import character_eval, weight_multiplicities
@@ -24,10 +25,11 @@ class TestHolonomy:
     def test_vertical_constant_is_exact_for_every_n(self, a1):
         b = a1.from_labels([Q(1, 3)])
         ws = weight_multiplicities(a1, (1,))
-        bmat = weight_rep_matrix(ws, b)
-        want = np.diag(np.exp(np.diag(bmat)))
+        phases = weight_phases(ws, b)
+        want = np.exp(phases)
         for n in (1, 2, 7, 64):
-            got = holonomy(lambda t: None, lambda _: bmat, n)
+            got = holonomy(lambda t: None, lambda _: phases, n)
+            assert got.shape == (2,)
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_abelian_limit_and_richardson(self, a1):
@@ -35,11 +37,11 @@ class TestHolonomy:
         v = 0.4
 
         def conn(t):
-            return np.array([[2j * math.pi * (v + 0.3 * math.cos(2 * math.pi * t))]])
+            return np.array([2j * math.pi * (v + 0.3 * math.cos(2 * math.pi * t))])
 
         want = cmath.exp(2j * math.pi * v)
-        e64 = abs(holonomy(lambda t: t, conn, 64)[0, 0] - want)
-        e128 = abs(holonomy(lambda t: t, conn, 128)[0, 0] - want)
+        e64 = abs(holonomy(lambda t: t, conn, 64)[0] - want)
+        e128 = abs(holonomy(lambda t: t, conn, 128)[0] - want)
         assert e128 <= e64 + 1e-12
 
     def test_sawtooth_error_slope_is_one(self):
@@ -47,17 +49,30 @@ class TestHolonomy:
         c = 0.37
 
         def conn(t):
-            return np.array([[2j * math.pi * c * t]])
+            return np.array([2j * math.pi * c * t])
 
         want = cmath.exp(2j * math.pi * c * 0.5)
         ns = [16, 32, 64, 128, 256]
-        errs = [abs(holonomy(lambda t: t, conn, n)[0, 0] - want) for n in ns]
+        errs = [abs(holonomy(lambda t: t, conn, n)[0] - want) for n in ns]
         slope = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
         assert 0.8 <= slope <= 1.2
 
     def test_bad_n_rejected(self):
         with pytest.raises(PreconditionError):
-            holonomy(lambda t: t, lambda t: np.eye(1), 0)
+            holonomy(lambda t: t, lambda t: np.zeros(1), 0)
+
+    def test_matrix_sample_rejected(self):
+        """Samples are weight-phase vectors; a dense matrix is not one."""
+        for product in (holonomy, ribbon_holonomy):
+            with pytest.raises(PreconditionError, match="1-D"):
+                product(lambda *t: None, lambda _: np.zeros((2, 2)), 4)
+
+    def test_weight_phases_trace_is_the_character(self, a2):
+        ws = weight_multiplicities(a2, (1, 1))
+        b = a2.from_labels([Q(1, 5), Q(1, 7)])
+        phases = weight_phases(ws, b)
+        assert phases.shape == (8,)
+        assert abs(np.exp(phases).sum() - character_eval(ws, b)) < 1e-12
 
     def test_rep_dim_budget(self, a1):
         """A1 colour (m,) has Weyl dimension m + 1; the budget admits up to MAX_REP_DIM."""
@@ -79,10 +94,23 @@ class TestRibbonHolonomy:
     def test_vertical_ribbon_matches_loop(self, a1):
         b = a1.from_labels([Q(2, 7)])
         ws = weight_multiplicities(a1, (1,))
-        bmat = weight_rep_matrix(ws, b)
-        got = ribbon_holonomy(lambda t, u: None, lambda _: bmat, 16)
-        want = holonomy(lambda t: None, lambda _: bmat, 16)
+        phases = weight_phases(ws, b)
+        got = ribbon_holonomy(lambda t, u: None, lambda _: phases, 16)
+        want = holonomy(lambda t: None, lambda _: phases, 16)
+        assert got.shape == want.shape == (2,)
         assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_one_factor_count_per_job(self, a1, monkeypatch):
+        """ribbon_holonomy does not go through the public holonomy (the package
+        attribute `shadowsum.holonomy` is the function, so fetch the module)."""
+        hol = importlib.import_module("shadowsum.holonomy")
+
+        def never(*args):
+            raise AssertionError("ribbon_holonomy called holonomy")
+
+        monkeypatch.setattr(hol, "holonomy", never)
+        phases = weight_phases(weight_multiplicities(a1, (1,)), a1.from_labels([Q(1, 3)]))
+        assert hol.ribbon_holonomy(lambda t, u: None, lambda _: phases, 8).shape == (2,)
 
     def test_scaled_ribbon_limit_recovers_core(self, a1):
         """s -> 0 shrinks the ribbon onto its core loop for a smooth connection."""
@@ -95,7 +123,7 @@ class TestRibbonHolonomy:
         def conn(sample):
             du, _ = sample
             scale = 1.0 + du * du  # nonlinear profile across the ribbon width
-            return scale * weight_rep_matrix(ws, b)
+            return scale * weight_phases(ws, b)
 
         core = holonomy(lambda t: (0.0, t), conn, 64)
         diffs = []
@@ -163,10 +191,10 @@ class TestWilsonClosedForm:
             def conn(sample):
                 sigma, dsigma, dtau = sample
                 vec = np.asarray(a_form(sigma, dsigma), dtype=float) + dtau * np.asarray(b)
-                return weight_rep_matrix(ws, vec)
+                return weight_phases(ws, vec)
 
             h = ribbon_holonomy(lambda t, u: family(t, u), conn, 4096)
-            direct *= np.trace(h)
+            direct *= h.sum()
         assert abs(closed - direct) < 1e-6
 
     def test_length_mismatch_rejected(self, a1):

@@ -36,7 +36,7 @@ def test_invariants_all_types(label):
     # positive root count from the known algebra dimension
     assert 2 * len(rs.positive_roots) == KNOWN_DIM[label[0]](rs.rank) - rs.rank
     # short coroots have squared length exactly 2
-    assert min(rs.inner(c, c) for c in rs.positive_coroots) == 2
+    assert min(rs.inner(c, c) for c in map(rs.coroot, rs.positive_roots)) == 2
     # dual Coxeter number from <theta, rho>, exactly
     assert rs.dual_coxeter == 1 + rs.inner(rs.highest_root, rs.weyl_vector)
     assert rs.dual_coxeter == KNOWN_G[label[0]](rs.rank)
@@ -153,8 +153,13 @@ def test_weyl_orbit_examples(a1, a2):
 
 
 def test_weyl_group_orders():
-    for label, order in [("A1", 2), ("A2", 6), ("A3", 24), ("B2", 8), ("G2", 12), ("F4", 1152)]:
+    for label, order in [("A1", 2), ("A2", 6), ("A3", 24), ("B2", 8), ("G2", 12), ("F4", 1152),
+                         ("E6", 51_840), ("E7", 2_903_040), ("E8", 696_729_600)]:
         assert weyl_group_order(build_root_system(label)) == order
+    # orbit counting stays the oracle of the closed form
+    for label in ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"):
+        rs = build_root_system(label)
+        assert len(weyl_orbit(rs, rs.weyl_vector)) == weyl_group_order(rs)
 
 
 @settings(max_examples=40, deadline=None)
