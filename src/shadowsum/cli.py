@@ -460,10 +460,15 @@ def _parse_argv(argv: list[str]) -> argparse.Namespace:
 
 
 def _emit(text: str, path: str | None, status: int) -> int:
-    """Write the document; a reader closing stdout early (`| head`) gives 141 = 128 + SIGPIPE."""
+    """Write the document; a reader closing stdout early (`| head`) gives 141 = 128 + SIGPIPE.
+
+    An --output path that cannot be written is a parse error, reported on stdout."""
     if path:
-        with open(path, "w") as f:
-            f.write(text + "\n")
+        try:
+            with open(path, "w") as f:
+                f.write(text + "\n")
+        except OSError as e:
+            return _fail(ParseError(f"cannot write {path}: {e}"))
         return status
     try:
         print(text, flush=True)
@@ -474,15 +479,20 @@ def _emit(text: str, path: str | None, status: int) -> int:
     return status
 
 
+def _fail(e: ShadowsumError) -> int:
+    """One stderr line and the JSON error document on stdout; the error's exit code."""
+    err = {"error": {"code": e.code, "exit": e.exit_code, "message": str(e)}}
+    print(f"shadowsum: {e.code}: {e}", file=sys.stderr)
+    return _emit(json.dumps(err, sort_keys=True), None, e.exit_code)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse_argv(argv)
         doc = args.run(args)
     except ShadowsumError as e:
-        err = {"error": {"code": e.code, "exit": e.exit_code, "message": str(e)}}
-        print(f"shadowsum: {e.code}: {e}", file=sys.stderr)
-        return _emit(json.dumps(err, sort_keys=True), None, e.exit_code)
+        return _fail(e)
 
     doc, status = doc if isinstance(doc, tuple) else (doc, 0)
     text = "\n".join(doc) if isinstance(doc, list) else json.dumps(doc, sort_keys=True)

@@ -18,11 +18,9 @@ shares nothing with the folding path but the budget check.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,17 +49,6 @@ class QuantumWeylGroup:
 
     rs: RootSystem
     k: int
-    theta_labels: Labels = field(init=False)
-
-    def __post_init__(self):
-        rs = self.rs
-        th = tuple(int(rs.inner(rs.highest_root, cr)) for cr in rs.simple_coroots)
-        object.__setattr__(self, "theta_labels", th)
-
-    def psi(self, b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """The conjugation map psi_k: b -> k b - rho (ambient coordinates)."""
-        rho = self.rs.weyl_vector
-        return tuple(self.k * Fraction(x) - r for x, r in zip(b, rho))
 
     def reflect_simple(self, shifted: Sequence[int], i: int) -> Labels:
         row = self.rs.cartan_matrix[i]
@@ -71,7 +58,7 @@ class QuantumWeylGroup:
     def reflect_affine(self, shifted: Sequence[int]) -> Labels:
         """Reflection in the wall <x, theta> = k (shifted picture)."""
         excess = self.rs.level_of_labels(shifted) - self.k
-        return tuple(m - excess * t for m, t in zip(shifted, self.theta_labels))
+        return tuple(m - excess * t for m, t in zip(shifted, self.rs.highest_root_labels))
 
     def fold(self, shifted: Sequence[int]) -> tuple[Labels | None, int]:
         """Fold a rho-shifted point into the fundamental alcove.
@@ -181,29 +168,22 @@ def _s_matrix(alphabet: LevelAlphabet) -> np.ndarray:
     """Unnormalized S-matrix entries via the Weyl sum.
 
     s[lam][mu] = sum_{w in W} sgn(w) exp(-2 pi i <w(lam+rho), mu+rho> / k).
-    The overall normalization constant cancels in the Verlinde ratio once
-    divided by sum_sigma |s[0][sigma]|^2 (row-0 unitarity).
+    On labels <x, y> = x G y / weight_form_den with the integer Gram matrix
+    G, so the phases of one orbit are one integer product, reduced exactly
+    modulo k * weight_form_den before `exp`.  The overall normalization
+    constant cancels in the Verlinde ratio once divided by
+    sum_sigma |s[0][sigma]|^2 (row-0 unitarity).
     """
     rs = alphabet.rs
-    k = alphabet.k
-    rho = rs.weyl_vector
-    shifted_ambient = [
-        tuple(a + b for a, b in zip(rs.from_labels(lam), rho))
-        for lam in alphabet.elements
-    ]
-    orbits = [weyl_orbit(rs, v) for v in shifted_ambient]
-    s = []
-    for orb in orbits:
-        row = []
-        for target in shifted_ambient:
-            val = 0j
-            for vec, sign in orb:
-                ph = rs.inner(vec, target) / k
-                ph -= math.floor(ph)
-                val += sign * cmath.exp(-2j * math.pi * float(ph))
-            row.append(val)
-        s.append(row)
-    return np.array(s)
+    period = alphabet.k * rs.weight_form_den
+    shifted = [tuple(m + 1 for m in lam) for lam in alphabet.elements]
+    paired = np.array(rs.weight_gram_num, dtype=np.int64) @ np.array(shifted, dtype=np.int64).T
+    rows = []
+    for x in shifted:
+        points, signs = zip(*weyl_orbit(rs, x))
+        phases = (np.array(points, dtype=np.int64) @ paired) % period
+        rows.append(np.array(signs) @ np.exp(-2j * np.pi * phases / period))
+    return np.array(rows)
 
 
 def verlinde_table(alphabet: LevelAlphabet, tol: float = 1e-6) -> np.ndarray:

@@ -1,11 +1,20 @@
 """Root-system data for the simple Lie types A..G at rank <= 8.
 
-Everything is stored as exact rationals in a fixed orthogonal ambient basis
-per type (the standard orthonormal realizations).  The invariant scalar
-product is the Euclidean dot product rescaled so that every short coroot
-has squared length 2; equivalently, long roots have squared length 2.
-Regularity and lattice tests are exact; floats appear only at the
-trigonometric layer in other modules.
+The root data are computed once, in integers, from the Cartan matrix
+(Humphreys, Introduction to Lie Algebras and Representation Theory,
+10-11): the positive roots are generated as integer coordinates in the
+simple-root basis, and their labels, the highest root, the comarks and the
+dual Coxeter number follow from those coordinates.  The one rational
+computation is the exact inverse of the Cartan matrix, for the fundamental
+weights and the integer Gram data of the form on labels.
+
+Ambient vectors are exact `Fraction` tuples in a fixed orthogonal basis per
+type (the standard orthonormal realizations); they serve callers that pair a
+root with an ambient point b.  The invariant scalar product is the Euclidean
+dot product rescaled so that every short coroot has squared length 2;
+equivalently, long roots have squared length 2.  Regularity and lattice
+tests are exact; floats appear only at the trigonometric layer in other
+modules.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import PreconditionError
 
@@ -60,6 +69,12 @@ def _sub(x: Vector, y: Vector) -> Vector:
 
 def _scale(c: Fraction, x: Vector) -> Vector:
     return tuple(c * a for a in x)
+
+
+def _combine(coeffs: Sequence, vectors: Sequence[Vector]) -> Vector:
+    """sum_i coeffs[i] * vectors[i], exactly."""
+    terms = [(Fraction(c), v) for c, v in zip(coeffs, vectors) if c]
+    return tuple(sum((c * v[d] for c, v in terms), Fraction(0)) for d in range(len(vectors[0])))
 
 
 def _simple_roots(type_label: str, rank: int) -> tuple[list[Vector], int, Fraction]:
@@ -118,9 +133,9 @@ def _simple_roots(type_label: str, rank: int) -> tuple[list[Vector], int, Fracti
 class RootSystem:
     """Immutable root/coroot/weight data of one simple type.
 
-    All vectors are Fraction tuples in the ambient basis.  `cartan[i][j]`
-    is <alpha_i, coroot(alpha_j)>; weights are frequently handled through
-    their integer coordinates in the fundamental-weight basis ("labels"),
+    Vectors are Fraction tuples in the ambient basis.  `cartan[i][j]` is
+    <alpha_i, coroot(alpha_j)>; weights are mostly handled through their
+    integer coordinates in the fundamental-weight basis ("labels"),
     i.e. label_j(x) = <x, coroot(alpha_j)>.
     """
 
@@ -138,8 +153,10 @@ class RootSystem:
     dual_coxeter: int
     cartan_matrix: tuple[tuple[int, ...], ...]
     comarks: tuple[int, ...]
-    # label_j(alpha) = <alpha, coroot(alpha_j)> of each positive root, in positive_roots order
+    # label_j(alpha) = <alpha, coroot(alpha_j)> of each positive root, in positive_roots
+    # order, and of the highest root
     positive_root_labels: tuple[tuple[int, ...], ...] = field(repr=False, default=())
+    highest_root_labels: tuple[int, ...] = field(repr=False, default=())
     # integer Gram data for label arithmetic: weight_form_den * <w_i, w_j>
     weight_gram_num: tuple[tuple[int, ...], ...] = field(repr=False, default=())
     weight_form_den: int = field(repr=False, default=1)
@@ -172,10 +189,7 @@ class RootSystem:
             raise PreconditionError(
                 f"expected {self.rank} fundamental-weight coordinates, got {len(labels)}"
             )
-        v = tuple(Fraction(0) for _ in range(self.ambient_dim))
-        for c, w in zip(labels, self.fundamental_weights):
-            v = _add(v, _scale(Fraction(c), w))
-        return v
+        return _combine(labels, self.fundamental_weights)
 
     def label_form(self, m: Sequence[int], n: Sequence[int]) -> Fraction:
         """<x,y> for x,y given by integer labels (exact)."""
@@ -194,50 +208,24 @@ class RootSystem:
         """<x, theta> for x given by integer labels: the comark-weighted sum."""
         return sum(a * mi for a, mi in zip(self.comarks, m))
 
-    def _solve_in_basis(self, basis: Sequence[Vector], x: Sequence) -> list[Fraction] | None:
-        """Solve x = sum c_i basis_i exactly via the Gram system."""
-        n = len(basis)
-        gram = [[self.inner(basis[i], basis[j]) for j in range(n)] for i in range(n)]
-        rhs = [self.inner(basis[i], x) for i in range(n)]
-        coeffs = _solve_rational(gram, rhs)
-        if coeffs is None:
-            return None
-        recon = tuple(Fraction(0) for _ in range(self.ambient_dim))
-        for c, b in zip(coeffs, basis):
-            recon = _add(recon, _scale(c, b))
-        if recon != tuple(Fraction(v) for v in x):
-            return None  # x outside the span of the basis
-        return coeffs
 
-
-def _solve_rational(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination over Fractions; None when singular."""
+def _invert_rational(mat: Sequence[Sequence[int]]) -> list[list[Fraction]]:
+    """Exact inverse by Gauss-Jordan elimination over Fractions."""
     n = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
+    a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(mat)]
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
-            return None
+            raise AssertionError("singular matrix")
         a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
+        inv = 1 / a[col][col]
         a[col] = [v * inv for v in a[col]]
         for r in range(n):
             if r != col and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
-def _invert_rational(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(mat)
-    cols = []
-    for j in range(n):
-        rhs = [Fraction(1 if i == j else 0) for i in range(n)]
-        col = _solve_rational(mat, rhs)
-        if col is None:
-            raise AssertionError("singular matrix")
-        cols.append(col)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    return [row[n:] for row in a]
 
 
 def parse_type_label(label: str) -> tuple[str, int]:
@@ -253,6 +241,9 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
     """Construct the full root system of a simple type of rank <= 8.
 
     Accepts either build_root_system("G", 2) or build_root_system("G2").
+    The positive roots are the closure of the simple roots under the simple
+    reflections s_i(c) = c - label_i(c) e_i in simple-root coordinates c,
+    keeping the results with non-negative coordinates; label(c) = c C.
     """
     if rank is None:
         type_label, rank = parse_type_label(type_label)
@@ -264,153 +255,75 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
         )
 
     simple, dim, scale = _simple_roots(t, rank)
-    tmp = RootSystem(
-        type_label=t,
-        rank=rank,
-        ambient_dim=dim,
-        form_scale=scale,
-        simple_roots=tuple(simple),
-        positive_roots=(),
-        roots=(),
-        simple_coroots=(),
-        fundamental_weights=(),
-        weyl_vector=(),
-        highest_root=(),
-        dual_coxeter=0,
-        cartan_matrix=(),
-        comarks=(),
-    )
-    simple_coroots = tuple(tmp.coroot(a) for a in simple)
-
+    norms = [scale * sum(a * a for a in alpha) for alpha in simple]  # |alpha_i|^2
+    simple_coroots = tuple(_scale(2 / n, alpha) for alpha, n in zip(simple, norms))
     cartan = tuple(
-        tuple(int(tmp.inner(simple[i], simple_coroots[j])) for j in range(rank))
-        for i in range(rank)
+        tuple(int(scale * sum(a * b for a, b in zip(alpha, cr))) for cr in simple_coroots)
+        for alpha in simple
     )
 
-    # Reflection closure of the simple roots gives all roots.
-    all_roots: set[Vector] = set(simple)
-    frontier = list(simple)
+    labels_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+    frontier = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     while frontier:
-        beta = frontier.pop()
-        for i in range(rank):
-            c = tmp.inner(beta, simple_coroots[i])
-            new = _sub(beta, _scale(Fraction(c), simple[i]))
-            if new not in all_roots:
-                all_roots.add(new)
-                frontier.append(new)
+        c = frontier.pop()
+        if c in labels_of:
+            continue
+        labels_of[c] = lab = tuple(
+            sum(ci * row[j] for ci, row in zip(c, cartan)) for j in range(rank)
+        )
+        for i, li in enumerate(lab):
+            if li and c[i] >= li:
+                frontier.append(c[:i] + (c[i] - li,) + c[i + 1:])
 
     expected = _DIM_AND_ORDER[t](rank)[0]
-    if len(all_roots) != expected - rank:
+    if 2 * len(labels_of) != expected - rank:
         raise AssertionError(
-            f"{t}{rank}: generated {len(all_roots)} roots, expected {expected - rank}"
+            f"{t}{rank}: generated {2 * len(labels_of)} roots, expected {expected - rank}"
         )
-
-    # Positivity: nonnegative coefficients in the simple-root basis.
-    cartan_inv = _invert_rational([[Fraction(c) for c in row] for row in cartan])
-    positive, positive_labels = [], []
-    for beta in sorted(all_roots):
-        labels = tuple(int(tmp.inner(beta, cr)) for cr in simple_coroots)
-        coeffs = [
-            sum(labels[j] * cartan_inv[j][i] for j in range(rank))
-            for i in range(rank)
-        ]
-        if all(c >= 0 for c in coeffs):
-            positive.append(beta)
-            positive_labels.append(labels)
-    if 2 * len(positive) != len(all_roots):
-        raise AssertionError(f"{t}{rank}: positivity split failed")
-
-    rho = tuple(Fraction(0) for _ in range(dim))
-    for beta in positive:
-        rho = _add(rho, beta)
-    rho = _scale(Fraction(1, 2), rho)
-
-    # Fundamental weights: dual basis to the simple coroots inside span(roots).
-    fw = []
-    for i in range(rank):
-        w = tuple(Fraction(0) for _ in range(dim))
-        for j in range(rank):
-            w = _add(w, _scale(cartan_inv[i][j], simple[j]))
-        fw.append(w)
-    fundamental_weights = tuple(fw)
-    if rho != _add_all(fundamental_weights, dim):
+    if [sum(col) for col in zip(*labels_of.values())] != [2] * rank:
         raise AssertionError(f"{t}{rank}: rho != sum of fundamental weights")
-
-    # Highest root: the unique long root in the closed fundamental chamber.
-    max_norm = max(tmp.inner(b, b) for b in all_roots)
-    chamber = [
-        b
-        for b in all_roots
-        if tmp.inner(b, b) == max_norm
-        and all(tmp.inner(b, cr) >= 0 for cr in simple_coroots)
+    root_norms = [
+        sum(ci * li * n for ci, li, n in zip(c, lab, norms)) / 2 for c, lab in labels_of.items()
     ]
-    if len(chamber) != 1:
-        raise AssertionError(f"{t}{rank}: highest root not unique: {chamber}")
-    theta = chamber[0]
-    if max_norm != 2:
-        raise AssertionError(f"{t}{rank}: long roots have norm {max_norm}, expected 2")
-
-    pair = tmp.inner(theta, rho)
-    if pair.denominator != 1:
-        raise AssertionError(f"{t}{rank}: <theta, rho> = {pair} not an integer")
-    g = 1 + int(pair)
-
-    # Comarks: coefficients of coroot(theta) in the simple-coroot basis.
-    comarks_f = tmp._solve_in_basis(simple_coroots, tmp.coroot(theta))
-    if comarks_f is None or any(c.denominator != 1 or c < 0 for c in comarks_f):
-        raise AssertionError(f"{t}{rank}: bad comarks {comarks_f}")
-    comarks = tuple(int(c) for c in comarks_f)
-
-    gram = [
-        [tmp.inner(fundamental_weights[i], fundamental_weights[j]) for j in range(rank)]
-        for i in range(rank)
-    ]
-    den = 1
-    for row in gram:
-        for v in row:
-            den = den * v.denominator // _gcd(den, v.denominator)
-    gram_num = tuple(
-        tuple(int(v * den) for v in row) for row in gram
-    )
-
-    short_coroot_norm = min(tmp.inner(c, c) for c in map(tmp.coroot, positive))
-    if short_coroot_norm != 2:
+    long_norm, short_coroot_norm = max(root_norms), min(4 / n for n in root_norms)
+    if long_norm != 2 or short_coroot_norm != 2:
         raise AssertionError(
-            f"{t}{rank}: short coroots have norm {short_coroot_norm}, expected 2"
+            f"{t}{rank}: long roots have norm {long_norm} and short coroots "
+            f"{short_coroot_norm}, expected 2"
         )
 
+    theta = max(labels_of, key=sum)  # the root of greatest height
+    comarks_f = [c * n / 2 for c, n in zip(theta, norms)]
+    if any(a.denominator != 1 for a in comarks_f):
+        raise AssertionError(f"{t}{rank}: bad comarks {comarks_f}")
+    comarks = tuple(int(a) for a in comarks_f)
+
+    cartan_inv = _invert_rational(cartan)
+    fundamental_weights = tuple(_combine(row, simple) for row in cartan_inv)
+    gram = [[cartan_inv[i][j] * norms[j] / 2 for j in range(rank)] for i in range(rank)]
+    den = math.lcm(*(v.denominator for row in gram for v in row))
+
+    positive = sorted((_combine(c, simple), lab) for c, lab in labels_of.items())
     return RootSystem(
         type_label=t,
         rank=rank,
         ambient_dim=dim,
         form_scale=scale,
         simple_roots=tuple(simple),
-        positive_roots=tuple(positive),
-        roots=tuple(sorted(all_roots)),
+        positive_roots=tuple(v for v, _ in positive),
+        roots=tuple(sorted([v for v, _ in positive] + [_scale(-1, v) for v, _ in positive])),
         simple_coroots=simple_coroots,
         fundamental_weights=fundamental_weights,
-        weyl_vector=rho,
-        highest_root=theta,
-        dual_coxeter=g,
+        weyl_vector=_combine((1,) * rank, fundamental_weights),
+        highest_root=_combine(theta, simple),
+        dual_coxeter=1 + sum(comarks),
         cartan_matrix=cartan,
         comarks=comarks,
-        positive_root_labels=tuple(positive_labels),
-        weight_gram_num=gram_num,
+        positive_root_labels=tuple(lab for _, lab in positive),
+        highest_root_labels=labels_of[theta],
+        weight_gram_num=tuple(tuple(int(v * den) for v in row) for row in gram),
         weight_form_den=den,
     )
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _add_all(vs: Iterable[Vector], dim: int) -> Vector:
-    s = tuple(Fraction(0) for _ in range(dim))
-    for v in vs:
-        s = _add(s, v)
-    return s
 
 
 def is_regular(rs: RootSystem, b: Sequence) -> bool:
@@ -429,28 +342,31 @@ def is_regular(rs: RootSystem, b: Sequence) -> bool:
     return True
 
 
-def weyl_orbit(rs: RootSystem, lam: Sequence) -> list[tuple[Vector, int]]:
-    """Orbit of lam under the Weyl group, with determinant signs.
+def weyl_orbit(rs: RootSystem, labels: Sequence) -> list[tuple[tuple, int]]:
+    """Orbit of a weight, given by its labels, under the Weyl group, with signs.
 
-    Orbit enumeration is breadth-first over simple reflections; generators
-    fixing a point are skipped (stabilizer pruning), so each element carries
-    the sign of one group element producing it.  Signs are canonical when
-    lam is regular.
+    Orbit enumeration is breadth-first over the simple reflections
+    s_i(m) = m - m_i C[i] on labels; generators fixing a point (m_i = 0)
+    are skipped (stabilizer pruning), so each element carries the sign of
+    one group element producing it.  Signs are canonical when the weight is
+    regular.  Labels of any number type are accepted; returns sorted
+    (labels, sign) pairs.
     """
-    start = tuple(Fraction(v) for v in lam)
-    seen: dict[Vector, int] = {start: 1}
+    start = tuple(labels)
+    if len(start) != rs.rank:
+        raise PreconditionError(f"expected {rs.rank} labels, got {len(start)}")
+    seen = {start: 1}
     frontier = [start]
     while frontier:
         nxt = []
-        for v in frontier:
-            sv = seen[v]
-            for i in range(rs.rank):
-                c = rs.inner(v, rs.simple_coroots[i])
-                if c == 0:
-                    continue  # reflection stabilizes v
-                w = _sub(v, _scale(Fraction(c), rs.simple_roots[i]))
+        for m in frontier:
+            sign = seen[m]
+            for mi, row in zip(m, rs.cartan_matrix):
+                if mi == 0:
+                    continue  # reflection stabilizes m
+                w = tuple(x - mi * r for x, r in zip(m, row))
                 if w not in seen:
-                    seen[w] = -sv
+                    seen[w] = -sign
                     nxt.append(w)
         frontier = nxt
     return sorted(seen.items())
@@ -459,17 +375,6 @@ def weyl_orbit(rs: RootSystem, lam: Sequence) -> list[tuple[Vector, int]]:
 def weyl_group_order(rs: RootSystem) -> int:
     """|W| in closed form (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Plates I-IX)."""
     return _DIM_AND_ORDER[rs.type_label](rs.rank)[1]
-
-
-def simple_reflection_matrix(rs: RootSystem, i: int) -> list[list[Fraction]]:
-    """Matrix of the i-th simple reflection in the ambient basis."""
-    dim = rs.ambient_dim
-    cols = []
-    for j in range(dim):
-        e = _e(j, dim)
-        c = rs.inner(e, rs.simple_coroots[i])
-        cols.append(_sub(e, _scale(Fraction(c), rs.simple_roots[i])))
-    return [[cols[j][i2] for j in range(dim)] for i2 in range(dim)]
 
 
 def dominant_weights_up_to_level(rs: RootSystem, max_level: int) -> list[tuple[int, ...]]:

@@ -38,6 +38,13 @@ def a1k4_table(a1k4):
     return build_fusion_table(a1k4)
 
 
+def simple_reflection_matrix(rs, i):
+    """Matrix of the i-th simple reflection v -> v - <v, coroot_i> alpha_i in the ambient basis."""
+    alpha, coroot = rs.simple_roots[i], rs.simple_coroots[i]
+    return [[int(r == c) - rs.form_scale * coroot[c] * alpha[r] for c in range(rs.ambient_dim)]
+            for r in range(rs.ambient_dim)]
+
+
 def random_forest_diagram(rng: random.Random, alphabet, max_circles=6, max_wind=3):
     """Random nesting forest with colors drawn from the alphabet."""
     n = rng.randint(0, max_circles)

@@ -444,6 +444,7 @@ class TestUsageErrorsAsJson:
             ["regularize", "--group", "A1", "--face-values", "1/4;x"],
             ["nosuchcommand"],
             [],
+            ["qdim", "--group", "A1", "--k", "4", "--output", "/dev/null/x.json"],
         ],
     )
     def test_usage_error_exit_2(self, capsys, argv):

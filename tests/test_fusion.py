@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowsum import fusion
+from shadowsum import fusion, reps
 from shadowsum.errors import OracleError, PreconditionError
 from shadowsum.fusion import (
     MAX_FUSION_COEFFS,
@@ -125,6 +125,22 @@ class TestVerlindeOracle:
                            else PreconditionError, match=f"{terms} Weyl-orbit|built"):
             verlinde_table(level_alphabet(build_root_system(label), k))
 
+    @pytest.mark.parametrize("label,k", [("B2", 8), ("A3", 7)])
+    def test_shares_nothing_with_folding(self, monkeypatch, label, k):
+        """With fold, fusion_matrix and Freudenthal disabled, the oracle still
+        gives the folded table."""
+        al = level_alphabet(build_root_system(label), k)
+        expected = build_fusion_table(al)
+
+        def disabled(*args, **kwargs):
+            raise AssertionError("the Verlinde oracle used the folding path")
+
+        monkeypatch.setattr(QuantumWeylGroup, "fold", disabled)
+        monkeypatch.setattr(fusion, "fusion_matrix", disabled)
+        monkeypatch.setattr(reps, "weight_multiplicities", disabled)
+        monkeypatch.setattr(fusion, "weight_multiplicities", disabled)
+        assert (verlinde_table(al) == expected).all()
+
     def test_int64_table_of_the_alphabet(self, a1k4):
         v = verlinde_table(a1k4)
         assert v.dtype == np.int64 and v.shape == (3, 3, 3)
@@ -164,12 +180,6 @@ class TestQuantumWeylGroup:
         folded, sign = qwg.fold(point)
         assert folded == start
         assert sign == (-1) ** len(word)
-
-    def test_psi_map(self, a1):
-        qwg = QuantumWeylGroup(rs=a1, k=4)
-        lam = a1.from_labels([1])
-        psi = qwg.psi(lam)
-        assert psi == tuple(4 * x - r for x, r in zip(lam, a1.weyl_vector))
 
 
 class TestTableAndExport:

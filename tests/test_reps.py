@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import simple_reflection_matrix
 from shadowsum.errors import PreconditionError
 from shadowsum.reps import (
     character_eval,
@@ -147,8 +148,6 @@ class TestCharacter:
         assert character_eval(ws, shifted) == character_eval(ws, b)
 
     def test_weyl_invariance(self, a2):
-        from shadowsum.roots import simple_reflection_matrix
-
         ws = weight_multiplicities(a2, (1, 2))
         b = a2.from_labels([Q(1, 5), Q(3, 7)])
         s = simple_reflection_matrix(a2, 0)

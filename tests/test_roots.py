@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import simple_reflection_matrix
 from shadowsum.errors import PreconditionError
 from shadowsum.roots import (
     build_root_system,
     is_regular,
-    simple_reflection_matrix,
     weyl_group_order,
     weyl_orbit,
 )
@@ -140,14 +140,14 @@ def test_is_regular_examples(a1, a2):
 
 
 def test_weyl_orbit_examples(a1, a2):
-    half_alpha = a1.from_labels([1])
+    half_alpha = (1,)
     orb = weyl_orbit(a1, half_alpha)
     assert len(orb) == 2
     assert {s for _, s in orb} == {1, -1}
-    zero_orbit = weyl_orbit(a1, (Q(0),) * a1.ambient_dim)
+    zero_orbit = weyl_orbit(a1, (0,))
     assert len(zero_orbit) == 1 and zero_orbit[0][1] == 1
 
-    orb2 = weyl_orbit(a2, a2.weyl_vector)
+    orb2 = weyl_orbit(a2, (1, 1))  # rho
     assert len(orb2) == 6
     assert sum(s for _, s in orb2) == 0
 
@@ -157,16 +157,16 @@ def test_weyl_group_orders():
                          ("E6", 51_840), ("E7", 2_903_040), ("E8", 696_729_600)]:
         assert weyl_group_order(build_root_system(label)) == order
     # orbit counting stays the oracle of the closed form
-    for label in ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"):
+    for label in ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "E6"):
         rs = build_root_system(label)
-        assert len(weyl_orbit(rs, rs.weyl_vector)) == weyl_group_order(rs)
+        assert len(weyl_orbit(rs, (1,) * rs.rank)) == weyl_group_order(rs)
 
 
 @settings(max_examples=40, deadline=None)
 @given(labels=st.tuples(st.integers(0, 3), st.integers(0, 3)))
 def test_orbit_size_divides_group_order(labels):
     rs = build_root_system("B2")
-    orb = weyl_orbit(rs, rs.from_labels(list(labels)))
+    orb = weyl_orbit(rs, labels)
     assert 8 % len(orb) == 0
 
 
@@ -178,10 +178,11 @@ def test_orbit_size_divides_group_order(labels):
     )
 )
 def test_orbit_preserves_norm(coords, b2):
-    v = b2.from_labels(list(coords))
+    v = b2.from_labels(coords)
     n = b2.inner(v, v)
-    for w, _ in weyl_orbit(b2, v):
-        assert b2.inner(w, w) == n
+    for w, _ in weyl_orbit(b2, coords):
+        u = b2.from_labels(w)
+        assert b2.inner(u, u) == n
 
 
 @pytest.mark.parametrize("label", ["A²", "A١", "", "A", "Z3", "A1.5", "A-1"])
@@ -204,3 +205,30 @@ def test_positive_root_labels_match_ambient_roots(label):
         level = rs.level_of_labels(labels)
         assert type(level) is int
         assert level == sum(Q(a) * m for a, m in zip(rs.comarks, labels))
+
+
+# Marks (theta in simple roots) and comarks (coroot(theta) in simple coroots) in
+# Bourbaki's numbering: the plates of Lie Groups and Lie Algebras ch. VI, and
+# Kac, Infinite-dimensional Lie algebras, Table Aff 1.
+MARKS_AND_COMARKS = {
+    "A": lambda n: ((1,) * n, (1,) * n),
+    "B": lambda n: ((1,) + (2,) * (n - 1), (1,) + (2,) * (n - 2) + (1,)),
+    "C": lambda n: ((2,) * (n - 1) + (1,), (1,) * n),
+    "D": lambda n: ((1,) + (2,) * (n - 3) + (1, 1), (1,) + (2,) * (n - 3) + (1, 1)),
+    "E": {6: ((1, 2, 2, 3, 2, 1),) * 2, 7: ((2, 2, 3, 4, 3, 2, 1),) * 2,
+          8: ((2, 3, 4, 6, 5, 4, 3, 2),) * 2}.get,
+    "F": {4: ((2, 3, 4, 2), (2, 3, 2, 1))}.get,
+    "G": {2: ((3, 2), (1, 2))}.get,
+}
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_highest_root_and_comarks_match_tables(label):
+    rs = build_root_system(label)
+    marks, comarks = MARKS_AND_COMARKS[label[0]](rs.rank)
+    theta = tuple(
+        sum(m * alpha[d] for m, alpha in zip(marks, rs.simple_roots)) for d in range(rs.ambient_dim)
+    )
+    assert rs.highest_root == theta
+    assert rs.comarks == comarks
+    assert rs.dual_coxeter == 1 + sum(comarks)
