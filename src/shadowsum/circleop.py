@@ -27,7 +27,7 @@ from .roots import RootSystem, is_regular
 
 @dataclass(frozen=True)
 class CircleOperatorData:
-    """A regular Cartan element plus truncation order, with cached spectra."""
+    """A regular Cartan element plus truncation order, with its root pairings."""
 
     rs: RootSystem
     b: tuple
@@ -48,12 +48,13 @@ class CircleOperatorData:
     def dim(self) -> int:
         return self.rs.rank + len(self.rs.roots)
 
-    def eigenvalue(self, mode: int, coord: int) -> complex:
-        """Spectrum of d/dt + ad(b) on mode `mode`, coordinate `coord`."""
-        r = self.rs.rank
-        if coord < r:
-            return 2j * math.pi * mode
-        return 2j * math.pi * (mode + self.pairings[coord - r])
+    @property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues 2 pi i (mode + shift) of d/dt + ad(b), a row per mode -order..order;
+        the shift is 0 on the Cartan coordinates and alpha(b) on X_alpha."""
+        modes = np.arange(-self.order, self.order + 1)[:, None]
+        shift = np.concatenate([np.zeros(self.rs.rank), self.pairings])
+        return 2j * math.pi * (modes + shift)
 
 
 def _check_series(data: CircleOperatorData, coeffs: np.ndarray) -> np.ndarray:
@@ -69,13 +70,7 @@ def _check_series(data: CircleOperatorData, coeffs: np.ndarray) -> np.ndarray:
 
 def apply_operator(data: CircleOperatorData, coeffs: np.ndarray) -> np.ndarray:
     """(d/dt + ad(b)) f, mode by mode."""
-    c = _check_series(data, coeffs)
-    out = np.empty_like(c)
-    for i in range(c.shape[0]):
-        mode = i - data.order
-        for j in range(data.dim):
-            out[i, j] = data.eigenvalue(mode, j) * c[i, j]
-    return out
+    return data.spectrum * _check_series(data, coeffs)
 
 
 def circle_inverse_apply(
@@ -95,14 +90,9 @@ def circle_inverse_apply(
             "series violates the admissibility constraint: its mean has a "
             f"Cartan component of size {float(mean_t.max())!r}"
         )
-    out = np.zeros_like(c)
-    for i in range(c.shape[0]):
-        mode = i - data.order
-        for j in range(data.dim):
-            if j < r and mode == 0:
-                continue  # annihilated direction; inverse not defined there
-            out[i, j] = c[i, j] / data.eigenvalue(mode, j)
-    return out
+    invertible = np.ones(c.shape, dtype=bool)
+    invertible[data.order, :r] = False  # annihilated direction; inverse not defined there
+    return np.divide(c, data.spectrum, out=np.zeros_like(c), where=invertible)
 
 
 def random_admissible_series(

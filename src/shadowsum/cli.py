@@ -45,8 +45,8 @@ from .fusion import (
 )
 from .holonomy import (
     VerticalRibbon,
+    holonomy,
     require_rep_dim,
-    ribbon_holonomy,
     weight_phases,
     wilson_closed_form,
 )
@@ -300,7 +300,7 @@ def cmd_holonomy(args) -> dict:
     bf = [float(x) for x in b]
     closed = wilson_closed_form(rs, [ribbon.loop], [ws], None, lambda s: bf)
     phases = weight_phases(ws, b) * args.wind
-    product = ribbon_holonomy(lambda t, u: None, lambda _: phases, args.n)
+    product = holonomy(lambda t: None, lambda _: phases, args.n)
     return {
         "group": args.group,
         "color": list(args.color),
@@ -334,11 +334,23 @@ def _list_of(convert, what: str, sep: str = ","):
     return parse
 
 
-def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"cannot parse rational number {text!r}") from None
+def _double_sized(convert, what: str):
+    """An argparse type: a value read by `convert` that a double holds (the kernels use floats)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            float(value)
+            return value
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise argparse.ArgumentTypeError(
+                f"expected {what} within the range of a double, got {text!r}") from None
+
+    return parse
+
+
+_rational = _double_sized(Fraction, "a rational number")
+_winding = _double_sized(int, "an integer")
 
 
 def _grid(text: str) -> tuple[int, int]:
@@ -363,7 +375,7 @@ def _oracle_tol(text: str) -> float:
 
 
 _labels = _list_of(int, "comma-joined integer labels")
-_rationals = _list_of(Fraction, "comma-joined rationals")
+_rationals = _list_of(_rational, "comma-joined rationals")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -428,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     field(sp)
     sp.add_argument("--color", type=_labels, default=(1,),
                     help="highest weight labels, comma-joined (default 1)")
-    sp.add_argument("--wind", type=int, default=1)
+    sp.add_argument("--wind", type=_winding, default=1)
     sp.add_argument("--n", type=int, default=64)
 
     sp = command("validate", cmd_validate, "report schema and assumption violations")

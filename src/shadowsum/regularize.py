@@ -20,7 +20,9 @@ tends to 1 on fields bounded away from the singular set.
 Determinant.  exp is replaced by its degree-n Taylor polynomial and log by
 a polynomial fit converging uniformly to the principal log on the compact
 pieces of [-2, -1/n] u [1/n, 2]; the integral reduces to Euler-number
-weights per face under the standing metric assumption.
+weights per face under the standing metric assumption.  By parity the log
+fit is two real fits on [1/n, 2], which also measure its error on
+[-2, -1/n] (see `log_poly`).
 """
 
 from __future__ import annotations
@@ -69,17 +71,11 @@ class TrigCutoff:
         self.sup_error = sup_error
 
     def __call__(self, x: Fraction | float) -> float:
-        if isinstance(x, Fraction):
-            x = x - math.floor(x)
-            if x == 0:
-                return 0.0
-            xf = float(x)
-        else:
-            xf = x - math.floor(x)
-            if xf == 0.0:
-                return 0.0
+        x = x - math.floor(x)  # exact for Fraction and float alike
+        if x == 0:
+            return 0.0
         m = np.arange(len(self.coeffs))
-        return float(self.coeffs @ np.cos(2.0 * math.pi * m * xf))
+        return float(self.coeffs @ np.cos(2.0 * math.pi * m * float(x)))
 
 
 def trig_cutoff(n: int, target: float) -> TrigCutoff:
@@ -90,9 +86,7 @@ def trig_cutoff(n: int, target: float) -> TrigCutoff:
     """
     target = max(target, CUTOFF_FLOOR)
     K = 1 << 13
-    grid = np.arange(K) / K
-    psi = bump(n, grid)
-    spectrum = np.fft.rfft(psi) / K
+    spectrum = np.fft.rfft(bump(n, np.arange(K) / K)) / K
     dense_n = 4 * K
     psi_dense = bump(n, np.arange(dense_n) / dense_n)
     best = None
@@ -116,15 +110,11 @@ def trig_cutoff(n: int, target: float) -> TrigCutoff:
     return TrigCutoff(n, best[0], max(best[1], CUTOFF_FLOOR))
 
 
-def mesh_cells(field: SteppedField, n: int) -> int:
-    """Cells per face of the n-th fourfold refinement."""
+def total_cells(field: SteppedField, n: int) -> int:
+    """N_n: cells of the n-th fourfold refinement of the field's faces."""
     if n < 1:
         raise PreconditionError(f"regularization index must be >= 1, got {n}")
-    return 4 ** n
-
-
-def total_cells(field: SteppedField, n: int) -> int:
-    return max(1, len(field.diagram.faces)) * mesh_cells(field, n)
+    return max(1, len(field.diagram.faces)) * 4 ** n
 
 
 def cutoff_accuracy_target(rs: RootSystem, cells_total: int) -> float:
@@ -139,10 +129,10 @@ def cutoff_accuracy_target(rs: RootSystem, cells_total: int) -> float:
     return 1.0 / (8.0 * cells_total ** 3 * len(rs.positive_roots))
 
 
-def _require_trusted_stage(rs: RootSystem, n: int, cells_total: int, sup_error: float) -> None:
+def _require_trusted_stage(rs: RootSystem, n: int, cells_total: float, sup_error: float) -> None:
     """Refuse stage n when its error bound N_n |R+| sup_error is not below 1.
 
-    Exact for any n: the integer N_n |R+| is compared with 1/sup_error.
+    Exact for any n: the integer N_n |R+| (inf: too large to form) is compared with 1/sup_error.
     """
     if cells_total * len(rs.positive_roots) >= 1.0 / sup_error:
         raise PreconditionError(
@@ -161,11 +151,13 @@ def regularized_indicator(rs: RootSystem, n: int, field: SteppedField) -> float:
     bound N_n |R+| sup_error is not below 1: first against CUTOFF_FLOOR,
     before the cutoff is built, then against the cutoff's own sup error.
     """
-    cells_total = total_cells(field, n)
+    # From 2n >= e on, 4^n >= 2^e > 1/CUTOFF_FLOOR fails the first check alone: no huge N_n
+    e = math.frexp(1.0 / CUTOFF_FLOOR)[1]
+    cells_total = total_cells(field, n) if 2 * n < e else math.inf
     _require_trusted_stage(rs, n, cells_total, CUTOFF_FLOOR)
     cut = trig_cutoff(n, cutoff_accuracy_target(rs, cells_total))
     _require_trusted_stage(rs, n, cells_total, cut.sup_error)
-    cells = mesh_cells(field, n)
+    cells = 4 ** n  # per face
     out = 1.0
     for b in field.values:
         face_factor = 1.0
@@ -184,8 +176,7 @@ def regularized_indicator(rs: RootSystem, n: int, field: SteppedField) -> float:
 
 def exp_poly(n: int, z: complex) -> complex:
     """Degree-n Taylor polynomial of exp at 0."""
-    term = 1.0 + 0j
-    total = 1.0 + 0j
+    term = total = 1.0 + 0j
     for j in range(1, n + 1):
         term *= z / j
         total += term
@@ -210,28 +201,34 @@ class LogPoly:
 
 
 def log_poly(n: int) -> LogPoly:
-    """Build log^(n), fitting until sup error <= 4^-n or floor."""
+    """Build log^(n), fitting until sup error <= 4^-n or floor.
+
+    ln|x| is even and pi H(-x) - pi/2 is odd, so on sample points symmetric
+    about 0 the least-squares fit splits into two real fits on x > 0: ln x
+    in T_{2j}(x/2) and sign x = 1 in T_{2j+1}(x/2), giving
+    log^(n) = even + i pi/2 - (i pi/2) odd.  The error at -x has the modulus
+    of the error at x, so `sup_error` is measured on [1/n, 2] alone.
+    """
     target = max(4.0 ** (-n), 2e-11)
     a = 1.0 / n
-    samples = []
-    for lo, hi in ((a, 2.0), (-2.0, -a)):
-        t = np.cos(np.pi * (np.arange(1200) + 0.5) / 1200)
-        samples.append((lo + hi) / 2.0 + (hi - lo) / 2.0 * t)
-    x = np.concatenate(samples)
-    y = np.log(np.abs(x)) + 1j * math.pi * (x < 0)
-    dense = []
-    for lo, hi in ((a, 2.0), (-2.0, -a)):
-        dense.append(np.linspace(lo, hi, 4000))
-    xd = np.concatenate(dense)
-    yd = np.log(np.abs(xd)) + 1j * math.pi * (xd < 0)
+    t = np.cos(np.pi * (np.arange(1200) + 0.5) / 1200)
+    x = (a + 2.0) / 2.0 + (2.0 - a) / 2.0 * t
+    ln_x = np.log(x)
+    xd = np.linspace(a, 2.0, 4000)
+    ln_xd = np.log(xd)
     best = None
     deg = max(8, 4 * n)
     while True:
         deg = min(deg, 1000)
         v = np.polynomial.chebyshev.chebvander(x / 2.0, deg)
-        coef, *_ = np.linalg.lstsq(v, y, rcond=None)
+        even, *_ = np.linalg.lstsq(v[:, 0::2], ln_x, rcond=None)
+        odd, *_ = np.linalg.lstsq(v[:, 1::2], np.ones_like(x), rcond=None)
+        coef = np.empty(deg + 1, dtype=complex)
+        coef[0::2] = even
+        coef[1::2] = -0.5j * math.pi * odd
+        coef[0] += 0.5j * math.pi
         vals = np.polynomial.chebyshev.chebval(xd / 2.0, coef)
-        err = float(np.max(np.abs(vals - yd)))
+        err = float(np.max(np.abs(vals - ln_xd)))
         if best is None or err < best[1]:
             best = (coef, err)
         if err <= target or deg >= 1000:

@@ -268,9 +268,10 @@ class TestRegularizeAndHolonomy:
         assert doc["faces"] == 2
         assert doc["indicator"] == pytest.approx(1.0, abs=1e-4)
 
-    @pytest.mark.parametrize("n", ["16", "30", "600"])
+    @pytest.mark.parametrize("n", ["16", "30", "600", str(10**12)])
     def test_regularize_untrusted_stage_exit_3(self, capsys, n):
-        """The stage's bound N_n |R+| sup_error is 6.0 at n = 16 and larger beyond."""
+        """The stage's bound N_n |R+| sup_error is 6.0 at n = 16 and larger beyond;
+        n = 10**12 is refused without forming 4^n."""
         rc, doc = run_main(capsys, "regularize", "--group", "A1", "--alpha-b", "1/3", "--n", n)
         assert rc == 3 and "cannot be trusted" in doc["error"]["message"]
 
@@ -445,6 +446,10 @@ class TestUsageErrorsAsJson:
             ["nosuchcommand"],
             [],
             ["qdim", "--group", "A1", "--k", "4", "--output", "/dev/null/x.json"],
+            ["det", "--group", "A1", "--alpha-b", f"{10**400}/3"],
+            ["regularize", "--group", "A1", "--alpha-b", f"{10**400}/3", "--n", "3"],
+            ["holonomy", "--group", "A1", "--alpha-b", f"{10**400}/3"],
+            ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--wind", str(10**400)],
         ],
     )
     def test_usage_error_exit_2(self, capsys, argv):

@@ -118,6 +118,16 @@ class TestLogExpPolys:
         want = math.log(2.0) + 1j * math.pi
         assert abs(lp(-2.0) - want) < 1e-5
 
+    @pytest.mark.parametrize("n", [2, 8, 14])
+    def test_log_poly_branches_mirror(self, n):
+        """Re p(-x) = Re p(x) and Im p(x) + Im p(-x) = pi: the error at -x has the
+        modulus of the error at x, so sup_error measured on x > 0 bounds both branches."""
+        lp = log_poly(n)
+        for x in np.linspace(1.0 / n, 2.0, 101):
+            p, q = lp(x), lp(-x)
+            assert abs(q.real - p.real) <= 1e-12
+            assert abs(p.imag + q.imag - math.pi) <= 1e-12
+
     def test_uniform_error_decreases(self):
         errs = [log_poly(n).sup_error for n in (2, 4, 8)]
         assert errs[2] < errs[0]
