@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .roots import RootSystem, is_regular
+from .roots import RootSystem, format_vector, is_regular
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class CircleOperatorData:
         rs = self.rs
         b = tuple(self.b)
         if not is_regular(rs, b):
-            raise PreconditionError(f"b = {b} is singular; T(b) is undefined")
+            raise PreconditionError(f"b = {format_vector(b)} is singular; T(b) is undefined")
         if self.order < 0:
             raise PreconditionError("truncation order must be >= 0")
         pair = tuple(float(rs.inner(alpha, b)) for alpha in rs.roots)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -272,8 +273,12 @@ def cmd_det(args) -> dict:
 def cmd_regularize(args) -> dict:
     rs = _root_system(args)
     if args.input is None:
+        if args.face_values is not None:
+            raise ParseError("--face-values needs a link file")
         field = SteppedField.constant(_field_b(args, rs))
     else:
+        if args.b is not None or args.alpha_b is not None:
+            raise ParseError("a link file takes --face-values, not --b or --alpha-b")
         _, _, diagram = parse_link(_load_json(args.input), args.group)
         if args.face_values is None:
             raise PreconditionError("--face-values needed with a link file")
@@ -296,10 +301,14 @@ def cmd_holonomy(args) -> dict:
     b = _field_b(args, rs)
     require_rep_dim(rs, args.color)
     ws = weight_multiplicities(rs, args.color)
-    ribbon = VerticalRibbon(sigma=(0.0, 0.0), winding=args.wind)
+    # Weights have integer labels, so both values depend on the winding only modulo the
+    # lcm D of the denominators of <w_j, b>: take its least-absolute residue before floats.
+    period = math.lcm(*(rs.inner(w, b).denominator for w in rs.fundamental_weights))
+    wind = args.wind - period * round(Fraction(args.wind, period))
+    ribbon = VerticalRibbon(sigma=(0.0, 0.0), winding=wind)
     bf = [float(x) for x in b]
     closed = wilson_closed_form(rs, [ribbon.loop], [ws], None, lambda s: bf)
-    phases = weight_phases(ws, b) * args.wind
+    phases = weight_phases(ws, b) * wind
     product = holonomy(lambda t: None, lambda _: phases, args.n)
     return {
         "group": args.group,
@@ -404,8 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     def field(sp):
-        sp.add_argument("--b", type=_rationals, help="ambient coordinates of b, comma-joined")
-        sp.add_argument("--alpha-b", type=_rational, help="rank-1 shorthand: the value alpha(b)")
+        one_of = sp.add_mutually_exclusive_group()
+        one_of.add_argument("--b", type=_rationals, help="ambient coordinates of b, comma-joined")
+        one_of.add_argument("--alpha-b", type=_rational,
+                            help="rank-1 shorthand: the value alpha(b); excludes --b")
 
     sp = command("shadow", cmd_shadow, "state-sum invariant of a link file")
     sp.add_argument("--diagnostics", action="store_true", help="list every nonvanishing term")
@@ -486,15 +497,23 @@ def _emit(text: str, path: str | None, status: int) -> int:
         print(text, flush=True)
     except BrokenPipeError:  # the Python docs' recipe: stdout to devnull, so exit flushes nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("shadowsum: stdout was closed before the document was written", file=sys.stderr)
+        _note("shadowsum: stdout was closed before the document was written")
         return 141
     return status
+
+
+def _note(line: str) -> None:
+    """One stderr line, best-effort: stderr may be the pipe a reader closed (`2>&1 | head`)."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:  # same recipe as for stdout
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
 
 
 def _fail(e: ShadowsumError) -> int:
     """One stderr line and the JSON error document on stdout; the error's exit code."""
     err = {"error": {"code": e.code, "exit": e.exit_code, "message": str(e)}}
-    print(f"shadowsum: {e.code}: {e}", file=sys.stderr)
+    _note(f"shadowsum: {e.code}: {e}")
     return _emit(json.dumps(err, sort_keys=True), None, e.exit_code)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .diagrams import ShadowDiagram
 from .errors import PreconditionError
-from .roots import RootSystem, is_regular
+from .roots import RootSystem, format_vector, is_regular
 
 MAX_QUAD_NODES = 2**21  # budget of `round_sphere_metric`: n_theta * n_phi nodes
 
@@ -61,7 +61,7 @@ def det_rig_constant(rs: RootSystem, b: Sequence, chi: int) -> float:
     A power that is not a finite positive double (large |chi|) is refused.
     """
     if not is_regular(rs, tuple(b)):
-        raise PreconditionError(f"constant field value {tuple(b)} is singular")
+        raise PreconditionError(f"constant field value {format_vector(b)} is singular")
     try:
         out = det_k(rs, b) ** (chi / 2.0)
     except OverflowError:
@@ -111,7 +111,7 @@ def det_rig_step(rs: RootSystem, field: SteppedField) -> float:
     for face, b in zip(field.diagram.faces, field.values):
         if not is_regular(rs, b):
             raise PreconditionError(
-                f"face {face.face_id!r} carries the singular value {b}"
+                f"face {face.face_id!r} carries the singular value {format_vector(b)}"
             )
         out *= det_half(rs, b) ** face.euler
     return out

@@ -13,7 +13,10 @@ The invariant of a colored diagram is
           * prod_Y dim(phi(Y))^chi(Y)
           * exp(pi i <phi(Y), phi(Y)+2 rho> / k)^{gleam(Y)}
 
-summed over all maps from faces to the level alphabet.  Every factor is
+summed over all maps from faces to the level alphabet.  The phase exponent
+is kept as the integer weight_form_den <phi, phi+2 rho> (the root system's
+`label_form`) and reduced modulo 2k weight_form_den before its one float
+division.  Every factor is
 local to one circle (an edge of the region tree) or one face (a node), so
 `contract_state_sum` evaluates the sum exactly by eliminating faces from
 the leaves up, in O(#faces |A|^2).  The enumerator `state_sum` lists the
@@ -26,7 +29,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -190,9 +192,10 @@ class TermData:
     """
 
     k: int
+    form_den: int  # the root system's weight_form_den
     gleams: tuple[int, ...]
     qdims: tuple[float, ...]
-    phase_q: tuple[Fraction, ...]  # <phi, phi + 2 rho> per alphabet entry
+    phase_q: tuple[int, ...]  # form_den <phi, phi + 2 rho> per alphabet entry
     # circles as (face index of Y^-, face index of Y^+, color labels)
     circle_faces: tuple[tuple[int, int, Labels], ...]
     fusion: dict[Labels, np.ndarray]  # N_gamma for each circle color gamma
@@ -223,6 +226,7 @@ def prepare_terms(diagram: ShadowDiagram, alphabet: LevelAlphabet) -> TermData:
         circle_faces.append((minus, plus, c.color))
     return TermData(
         k=alphabet.k,
+        form_den=rs.weight_form_den,
         gleams=tuple(f.gleam for f in diagram.faces),
         qdims=qdims,
         phase_q=phase_q,
@@ -258,9 +262,9 @@ def contract_state_sum(
     qdims = np.array(data.qdims)
     abs_w = np.empty((n_faces, n_colors))
     w = np.empty((n_faces, n_colors), dtype=complex)
+    period = 2 * data.k * data.form_den  # exp(i pi q / k) has period 2k in q: reduce, then divide
     for f, gleam in enumerate(data.gleams):
-        # exp(i pi q / k) has period 2k in q: reduce exactly before rounding
-        angles = [float((gleam * q) % (2 * data.k)) for q in data.phase_q]
+        angles = [(gleam * q) % period / data.form_den for q in data.phase_q]
         abs_w[f] = qdims ** (1 if f else 2)  # dim^(chi_f + #children_f)
         w[f] = abs_w[f] * np.exp(1j * math.pi / data.k * np.array(angles))
 
@@ -316,13 +320,12 @@ def term_value(data: TermData, coloring: Sequence[int]) -> complex:
         # preorder puts the circle's inner face after its outer face
         inner, outer = coloring[max(minus, plus)], coloring[min(minus, plus)]
         dim_product *= data.qdims[inner] / data.qdims[outer]
-    exponent = Fraction(0)
-    for fi, ci in enumerate(coloring):
-        exponent += data.gleams[fi] * data.phase_q[ci]
-    exponent = exponent % (2 * data.k)  # exp(i pi q / k) has period 2k in q
+    exponent = sum(g * data.phase_q[ci] for g, ci in zip(data.gleams, coloring))
+    # exp(i pi q / k) has period 2k in q: reduce the integer d q, then divide once
+    exponent = exponent % (2 * data.k * data.form_den) / data.form_den
     return n_product * dim_product * complex(
-        math.cos(math.pi * float(exponent) / data.k),
-        math.sin(math.pi * float(exponent) / data.k),
+        math.cos(math.pi * exponent / data.k),
+        math.sin(math.pi * exponent / data.k),
     )
 
 

@@ -13,7 +13,9 @@ fundamental alcove of the level-k action.  `fusion_matrix` is the one
 evaluator: all N^lam_{mu nu} for one mu, as an integer matrix over the level
 alphabet; the full table stacks those matrices.  The Verlinde oracle
 `verlinde_table` recomputes the whole table from one modular S-matrix and
-shares nothing with the folding path but the budget check.
+shares nothing with the folding path but the budget check.  Quantum
+dimensions and S-matrix phases both read the invariant form on labels as the
+integer weight_form_den <x, y>; each divides once, in floats.
 """
 
 from __future__ import annotations
@@ -99,10 +101,10 @@ def quantum_dimension(alphabet: LevelAlphabet, lam: Sequence[int]) -> float:
     rho = (1,) * rs.rank
     lam_rho = tuple(a + b for a, b in zip(lam, rho))
     out = 1.0
-    for al in rs.positive_root_labels:
-        num = rs.label_form(lam_rho, al)
-        den = rs.label_form(rho, al)
-        out *= math.sin(math.pi * float(num) / k) / math.sin(math.pi * float(den) / k)
+    for al in rs.positive_root_labels:  # label_form is weight_form_den <., .>
+        num = rs.label_form(lam_rho, al) / rs.weight_form_den
+        den = rs.label_form(rho, al) / rs.weight_form_den
+        out *= math.sin(math.pi * num / k) / math.sin(math.pi * den / k)
     return out
 
 

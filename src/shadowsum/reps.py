@@ -1,9 +1,9 @@
 """Dominant weights, level alphabets, weight multiplicities, characters.
 
 Weights are handled by their integer coordinates in the fundamental-weight
-basis ("labels").  Multiplicities come from the Freudenthal recursion, run
-exactly in `Fraction` arithmetic on labels (the invariant form on labels
-through the root system's integer Gram data).
+basis ("labels").  The Freudenthal recursion (Humphreys, Introduction to Lie
+Algebras, 22.3) and the Weyl dimension run in integers on `label_form`, which
+is weight_form_den times the invariant form; the factor cancels in each ratio.
 """
 
 from __future__ import annotations
@@ -86,11 +86,10 @@ def weyl_dimension(rs: RootSystem, lam: Sequence[int]) -> int:
     lam = _check_dominant(rs, lam)
     rho = (1,) * rs.rank
     lam_rho = tuple(a + b for a, b in zip(lam, rho))
-    num = Fraction(1)
-    for al in rs.positive_root_labels:
-        num *= rs.label_form(lam_rho, al) / rs.label_form(rho, al)
-    assert num.denominator == 1
-    return int(num)
+    num = math.prod(rs.label_form(lam_rho, al) for al in rs.positive_root_labels)
+    dim, rem = divmod(num, math.prod(rs.label_form(rho, al) for al in rs.positive_root_labels))
+    assert rem == 0
+    return dim
 
 
 def _check_dominant(rs: RootSystem, lam: Sequence[int]) -> Labels:
@@ -113,18 +112,17 @@ def weight_multiplicities(rs: RootSystem, lam: Sequence[int]) -> WeightSystem:
     lam = _check_dominant(rs, lam)
     rho = (1,) * rs.rank
 
-    def norm_shifted(mu: Labels) -> Fraction:
+    def norm_shifted(mu: Labels) -> int:
         v = tuple(a + b for a, b in zip(mu, rho))
         return rs.label_form(v, v)
 
     lam_norm = norm_shifted(lam)
     mult: dict[Labels, int] = {lam: 1}
-    simple_labels = [rs.simple_root_labels(i) for i in range(rs.rank)]
     frontier = [lam]
     while frontier:
         candidates: set[Labels] = set()
         for w in frontier:
-            for s in simple_labels:
+            for s in rs.cartan_matrix:
                 candidates.add(tuple(a - b for a, b in zip(w, s)))
         frontier = []
         for mu in sorted(candidates):
@@ -133,7 +131,7 @@ def weight_multiplicities(rs: RootSystem, lam: Sequence[int]) -> WeightSystem:
             denom = lam_norm - norm_shifted(mu)
             if denom <= 0:
                 continue
-            acc = Fraction(0)
+            acc = 0
             for al in rs.positive_root_labels:
                 j = 1
                 while True:
@@ -145,9 +143,9 @@ def weight_multiplicities(rs: RootSystem, lam: Sequence[int]) -> WeightSystem:
                     j += 1
             if acc == 0:
                 continue
-            m_mu = acc / denom
-            assert m_mu.denominator == 1 and m_mu > 0, (lam, mu, m_mu)
-            mult[mu] = int(m_mu)
+            m_mu, rem = divmod(acc, denom)
+            assert rem == 0 and m_mu > 0, (lam, mu, acc, denom)
+            mult[mu] = m_mu
             frontier.append(mu)
 
     ws = WeightSystem(rs=rs, highest=lam, multiplicities=mult)

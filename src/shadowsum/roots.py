@@ -191,22 +191,24 @@ class RootSystem:
             )
         return _combine(labels, self.fundamental_weights)
 
-    def label_form(self, m: Sequence[int], n: Sequence[int]) -> Fraction:
-        """<x,y> for x,y given by integer labels (exact)."""
+    def label_form(self, m: Sequence[int], n: Sequence[int]) -> int:
+        """weight_form_den * <x,y> for x,y given by integer labels: an exact integer."""
         num = 0
         for i, mi in enumerate(m):
             if mi == 0:
                 continue
             row = self.weight_gram_num[i]
             num += mi * sum(r * nj for r, nj in zip(row, n))
-        return Fraction(num, self.weight_form_den)
-
-    def simple_root_labels(self, i: int) -> tuple[int, ...]:
-        return self.cartan_matrix[i]
+        return num
 
     def level_of_labels(self, m: Sequence[int]) -> int:
         """<x, theta> for x given by integer labels: the comark-weighted sum."""
         return sum(a * mi for a, mi in zip(self.comarks, m))
+
+
+def format_vector(x: Sequence) -> str:
+    """A point for messages: rationals as p/q, e.g. (1/3, -1/3), not Fraction(1, 3)."""
+    return "(" + ", ".join(map(str, x)) + ")"
 
 
 def _invert_rational(mat: Sequence[Sequence[int]]) -> list[list[Fraction]]:

@@ -1,4 +1,6 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,14 @@ from shadowsum.diagrams import build_diagram
 from shadowsum.fusion import build_fusion_table
 from shadowsum.reps import level_alphabet
 from shadowsum.roots import build_root_system
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env() -> dict:
+    """The environment for a subprocess that imports shadowsum from this checkout."""
+    return dict(os.environ, PYTHONPATH=str(SRC))
 
 
 @pytest.fixture(scope="session")

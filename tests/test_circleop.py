@@ -22,6 +22,11 @@ class TestConstruction:
         with pytest.raises(PreconditionError):
             CircleOperatorData(rs=a1, b=a1.from_labels([1]), order=4)
 
+    def test_singular_message_shows_rationals(self, a1):
+        with pytest.raises(PreconditionError) as ei:
+            CircleOperatorData(rs=a1, b=a1.from_labels([1]), order=4)
+        assert "(1/2, -1/2)" in str(ei.value) and "Fraction(" not in str(ei.value)
+
     def test_pairings_split(self, a1):
         d = data_a1(a1)
         # Cartan coordinates first, then one pairing per root

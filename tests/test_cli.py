@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from conftest import src_env
 from shadowsum import cli
 
 EMPTY = {"group": "A1", "k": 4, "circles": []}
@@ -51,6 +52,7 @@ def run_cli(*args):
         [sys.executable, "-m", "shadowsum", *args],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
 
 
@@ -228,6 +230,11 @@ class TestDetAndQdim:
         r = run_cli("det", "--group", "A1", "--alpha-b", "1")
         assert r.returncode == 3
 
+    def test_singular_message_shows_rationals(self, capsys):
+        rc, doc = run_main(capsys, "det", "--group", "A2", "--b", "1/3,1/3,1/3")
+        msg = doc["error"]["message"]
+        assert rc == 3 and "(1/3, 1/3, 1/3)" in msg and "Fraction(" not in msg
+
     def test_det_bad_rational_exit_2(self):
         r = run_cli("det", "--group", "A1", "--alpha-b", "zebra")
         assert r.returncode == 2
@@ -268,6 +275,13 @@ class TestRegularizeAndHolonomy:
         assert doc["faces"] == 2
         assert doc["indicator"] == pytest.approx(1.0, abs=1e-4)
 
+    def test_regularize_link_file_refuses_b(self, tmp_path, capsys):
+        """With a link file the field comes from --face-values; --alpha-b would be ignored."""
+        path = write(tmp_path, "one.json", one_circle())
+        rc, doc = run_main(capsys, "regularize", "--group", "A1", "--n", "3", path,
+                           "--face-values", "1/4,-1/4;1/6,-1/6", "--alpha-b", "1/3")
+        assert rc == 2 and "--face-values" in doc["error"]["message"]
+
     @pytest.mark.parametrize("n", ["16", "30", "600", str(10**12)])
     def test_regularize_untrusted_stage_exit_3(self, capsys, n):
         """The stage's bound N_n |R+| sup_error is 6.0 at n = 16 and larger beyond;
@@ -288,6 +302,18 @@ class TestRegularizeAndHolonomy:
         doc = json.loads(r.stdout)
         assert doc["closed_form"]["re"] == pytest.approx(doc["product_trace"]["re"], abs=1e-9)
         assert doc["closed_form"]["re"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_holonomy_huge_winding_reduced(self, capsys):
+        """<w, b> = 1/6, so both values depend on the winding modulo 6 only, and
+        10**21 = -2 mod 6: the --wind -2 values, both -1 (2 cos(2 pi/3))."""
+        argv = ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--wind"]
+        rc, big = run_main(capsys, *argv, str(10**21))
+        assert rc == 0 and big["winding"] == 10**21
+        rc, small = run_main(capsys, *argv, "-2")
+        assert rc == 0
+        for key in ("closed_form", "product_trace"):
+            assert big[key] == small[key]
+            assert big[key]["re"] == pytest.approx(-1.0, abs=1e-9)
 
 
 class TestValidate:
@@ -450,6 +476,10 @@ class TestUsageErrorsAsJson:
             ["regularize", "--group", "A1", "--alpha-b", f"{10**400}/3", "--n", "3"],
             ["holonomy", "--group", "A1", "--alpha-b", f"{10**400}/3"],
             ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--wind", str(10**400)],
+            ["regularize", "--group", "A1", "--alpha-b", "1/3", "--face-values", "1/4,-1/4"],
+            ["det", "--group", "A1", "--b", "1/6,-1/6", "--alpha-b", "1/3"],
+            ["regularize", "--group", "A1", "--alpha-b", "1/3", "--b", "1/6,-1/6"],
+            ["holonomy", "--group", "A1", "--b", "1/6,-1/6", "--alpha-b", "1/3"],
         ],
     )
     def test_usage_error_exit_2(self, capsys, argv):
@@ -505,7 +535,7 @@ class TestUsageErrorsAsJson:
                 "'--quad-res', '8x16'])\n"
                 "scipy()\n")
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                           check=True)
+                           check=True, env=src_env())
         assert r.stderr.split() == ["[]", "[]"]
         holonomy, det = map(json.loads, r.stdout.splitlines())
         assert holonomy["product_trace"]["re"] == pytest.approx(holonomy["closed_form"]["re"])
@@ -517,7 +547,7 @@ class TestUsageErrorsAsJson:
         proc = subprocess.Popen(
             [sys.executable, "-m", "shadowsum", "fusion", "--group", "A1", "--k", "30",
              "--dump", "--format", "text"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env(),
         )
         assert len(proc.stdout.read(100)) == 100
         proc.stdout.close()
@@ -525,6 +555,18 @@ class TestUsageErrorsAsJson:
         assert proc.wait() == 141
         assert "Traceback" not in err and "Exception ignored" not in err
         assert "stdout" in err
+
+    def test_closed_shared_pipe_exits_141(self):
+        """With stderr on the same pipe (`2>&1 | head -c 100`) the stderr line is
+        lost with the pipe, and the exit is still 141."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "shadowsum", "fusion", "--group", "A1", "--k", "30",
+             "--dump", "--format", "text"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=src_env(),
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        assert proc.wait() == 141
 
     def test_shadow_overflow_exit_3(self, tmp_path, capsys):
         doc = {"group": "A1", "k": 10, "circles": [
@@ -561,6 +603,12 @@ class TestConfigAsFlags:
         cfg = self.config(tmp_path, {"group": "A1", "k": "x"})
         rc, doc = run_main(capsys, "qdim", "--config", cfg)
         assert rc == 2 and doc["error"]["code"] == "parse"
+
+    def test_b_and_alpha_b_exclude_each_other_across_config(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, {"alpha-b": "1/3"})
+        rc, err = run_main(capsys, "holonomy", "--group", "A1", "--config", cfg,
+                           "--b", "1/6,-1/6")
+        assert rc == 2 and err["error"]["code"] == "parse"
 
     def test_flags_win(self, tmp_path, capsys):
         cfg = self.config(tmp_path, {"group": "A1", "wind": 3, "n": 8})

@@ -105,6 +105,12 @@ class TestSteppedField:
             det_rig_step(a1, f)
         assert "in:c" in str(ei.value)
 
+    def test_singular_face_message_shows_rationals(self, a1):
+        values = (a1.from_labels([Q(1, 3)]), a1.from_labels([1]))
+        with pytest.raises(PreconditionError) as ei:
+            det_rig_step(a1, SteppedField(diagram=one_circle_diagram(), values=values))
+        assert "(1/2, -1/2)" in str(ei.value) and "Fraction(" not in str(ei.value)
+
 
 class TestMetricSamples:
     def test_round_sphere_invariants(self):

@@ -49,7 +49,7 @@ def naive_state_sum(diagram, alphabet, table):
     qdims = [quantum_dimension(alphabet, lam) for lam in alphabet.elements]
     rho2 = (2,) * rs.rank
     phase_q = [
-        rs.label_form(lam, tuple(a + b for a, b in zip(lam, rho2)))
+        Fraction(rs.label_form(lam, tuple(a + b for a, b in zip(lam, rho2))), rs.weight_form_den)
         for lam in alphabet.elements
     ]
     face_ids = [f.face_id for f in diagram.faces]
@@ -356,7 +356,8 @@ def side_by_side_closed_form(alphabet, n, gamma, winding):
     rs, k = alphabet.rs, alphabet.k
 
     def phase(lam, g):
-        q = g * rs.label_form(lam, tuple(x + 2 for x in lam)) % (2 * k)
+        q = g * Fraction(rs.label_form(lam, tuple(x + 2 for x in lam)), rs.weight_form_den)
+        q %= 2 * k
         return cmath.exp(1j * math.pi * float(q) / k)
 
     els = alphabet.elements

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -232,3 +233,18 @@ def test_highest_root_and_comarks_match_tables(label):
     assert rs.highest_root == theta
     assert rs.comarks == comarks
     assert rs.dual_coxeter == 1 + sum(comarks)
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_label_form_is_scaled_ambient_form(label):
+    """label_form is the integer weight_form_den <x, y>: on every pair of unit label
+    vectors (the Gram data itself) and on a few random label vectors."""
+    rs = build_root_system(label)
+    units = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    rnd = random.Random(label)
+    extra = [tuple(rnd.randint(-4, 4) for _ in range(rs.rank)) for _ in range(4)]
+    pairs = [(m, n) for m in units for n in units] + list(zip(extra, extra[::-1]))
+    for m, n in pairs:
+        value = rs.label_form(m, n)
+        assert type(value) is int
+        assert value == rs.weight_form_den * rs.inner(rs.from_labels(m), rs.from_labels(n))
