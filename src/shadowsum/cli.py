@@ -56,6 +56,8 @@ from .reps import level_alphabet, weight_multiplicities
 from .roots import build_root_system
 
 MAX_LISTED_TERMS = 10**6  # budget of the per-term listing of `shadow --diagnostics`
+_ORACLE_TOL = 1e-6  # `fusion --verify` without --oracle-tol
+_QUAD_RES = (64, 128)  # `det --diagnostics` without --quad-res
 
 _TOP_KEYS = {"group", "k", "circles"}
 _CIRCLE_KEYS = {"id", "parent", "winding", "positive_side", "color"}
@@ -218,18 +220,20 @@ def cmd_shadow(args) -> dict:
 
 
 def cmd_fusion(args) -> dict | list[str]:
+    if args.format == "text" and not args.dump:
+        raise ParseError("--format text lists every triple; it needs --dump")
+    if args.oracle_tol is not None and not args.verify:
+        raise ParseError("--oracle-tol needs --verify")
     alphabet = _alphabet(args)
     table = build_fusion_table(alphabet)
     if args.verify:
-        verify_against_verlinde(alphabet, table, tol=args.oracle_tol)
+        verify_against_verlinde(alphabet, table, tol=args.oracle_tol or _ORACLE_TOL)
     if args.format == "text":
         return table_lines(alphabet, table)
     entries = table.size
     if args.dump:
-        entries = [
-            {"lam": list(l), "mu": list(m), "nu": list(n), "n": v}
-            for l, m, n, v in table_entries(alphabet, table)
-        ]
+        entries = [{"lam": l, "mu": m, "nu": n, "n": v}
+                   for l, m, n, v in table_entries(alphabet, table)]
     return {
         "group": args.group,
         "k": args.k,
@@ -254,6 +258,8 @@ def cmd_qdim(args) -> dict:
 
 
 def cmd_det(args) -> dict:
+    if args.quad_res is not None and not args.diagnostics:
+        raise ParseError("--quad-res needs --diagnostics")
     rs = _root_system(args)
     b = _field_b(args, rs)
     out = {
@@ -264,7 +270,7 @@ def cmd_det(args) -> dict:
         "det_rig_constant": det_rig_constant(rs, b, args.chi),
     }
     if args.diagnostics:
-        metric = round_sphere_metric(*args.quad_res)
+        metric = round_sphere_metric(*(args.quad_res or _QUAD_RES))
         bf = tuple(float(x) for x in b)
         out["det_rig_quadrature"] = det_rig_quadrature(rs, lambda theta, phi: bf, metric)
     return out
@@ -426,8 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dump", action="store_true", help="list every triple")
     sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.add_argument("--verify", action="store_true", help="cross-check against the Verlinde oracle")
-    sp.add_argument("--oracle-tol", type=_oracle_tol, default=1e-6,
-                    help="rounding tolerance of the Verlinde oracle, in (0, 0.5)")
+    sp.add_argument("--oracle-tol", type=_oracle_tol,
+                    help="rounding tolerance of the Verlinde oracle, in (0, 0.5); "
+                         f"with --verify (default {_ORACLE_TOL})")
 
     sp = command("qdim", cmd_qdim, "quantum dimensions of the level alphabet")
     sp.add_argument("--weight", type=_labels, help="one weight as comma-joined labels")
@@ -436,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     field(sp)
     sp.add_argument("--chi", type=int, default=2, help="Euler number of the surface")
     sp.add_argument("--diagnostics", action="store_true", help="add the surface quadrature")
-    sp.add_argument("--quad-res", type=_grid, default="64x128", help="quadrature grid, e.g. 512x1024")
+    sp.add_argument("--quad-res", type=_grid,
+                    help="quadrature grid, e.g. 512x1024; with --diagnostics (default 64x128)")
 
     sp = command("regularize", cmd_regularize, "regularized indicator and determinant stage n",
                  with_k=False)

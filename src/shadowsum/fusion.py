@@ -9,11 +9,15 @@ of weight multiplicities of the middle representation:
 Only finitely many tau contribute, because m_mu vanishes outside the convex
 hull of the mu-orbit; those are enumerated exactly by running over the
 (finite) support of m_mu and folding each candidate point into the
-fundamental alcove of the level-k action.  `fusion_matrix` is the one
-evaluator: all N^lam_{mu nu} for one mu, as an integer matrix over the level
-alphabet; the full table stacks those matrices.  The Verlinde oracle
-`verlinde_table` recomputes the whole table from one modular S-matrix and
-shares nothing with the folding path but the budget check.  Quantum
+fundamental alcove of the level-k action (Kac-Walton).  `fusion_matrix` is
+the one evaluator: all N^lam_{mu nu} for one mu, as an integer matrix over
+the level alphabet; the full table stacks those matrices.  Folding works on
+int64 arrays of points, in blocks of at most _FOLD_BLOCK points, each pass
+reflecting every point not yet folded; a folded point is located in the
+alphabet by its mixed-radix key (base k + 1, first label most significant).
+The Verlinde oracle `verlinde_table` recomputes the whole table from one
+modular S-matrix and shares nothing with the folding path but the budget
+check.  Quantum
 dimensions and S-matrix phases both read the invariant form on labels as the
 integer weight_form_den <x, y>; each divides once, in floats.
 """
@@ -32,6 +36,8 @@ from .reps import Labels, LevelAlphabet, weight_multiplicities
 from .roots import RootSystem, weyl_group_order, weyl_orbit
 
 _FOLD_LIMIT = 100_000
+# Points folded per array pass of `fusion_matrix`; bounds its working memory.
+_FOLD_BLOCK = 2**14
 # Budget of one call: the integers it computes, |A|^2 per matrix (|A|^3 for the full table).
 MAX_FUSION_COEFFS = 10**6
 # Budget of `verlinde_table`: Weyl-orbit phases of the S-matrix, |W| * |A|^2.
@@ -52,41 +58,44 @@ class QuantumWeylGroup:
     rs: RootSystem
     k: int
 
-    def reflect_simple(self, shifted: Sequence[int], i: int) -> Labels:
-        row = self.rs.cartan_matrix[i]
-        mi = shifted[i]
-        return tuple(m - mi * row[j] for j, m in enumerate(shifted))
+    def fold(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fold rho-shifted points, the rows of an int64 (N, rank) array, into
+        the fundamental alcove.
 
-    def reflect_affine(self, shifted: Sequence[int]) -> Labels:
-        """Reflection in the wall <x, theta> = k (shifted picture)."""
-        excess = self.rs.level_of_labels(shifted) - self.k
-        return tuple(m - excess * t for m, t in zip(shifted, self.rs.highest_root_labels))
-
-    def fold(self, shifted: Sequence[int]) -> tuple[Labels | None, int]:
-        """Fold a rho-shifted point into the fundamental alcove.
-
-        Returns (folded point, sign) for alcove-interior points and
-        (None, 0) for points on a wall (vanishing signed-orbit sum).
+        Returns (folded, sign): the folded rows and, per row, the sign
+        (-1)^(reflections applied) of an alcove-interior point, or 0 for a
+        point on a wall (vanishing signed-orbit sum; its row is then
+        meaningless).  Each pass reflects every row still active: in the
+        simple wall of its first negative label, else in the affine wall
+        <x, theta> = k while its level is above k.  A row with no negative
+        label stops on a wall (a zero label, or level k) or inside.  A row
+        still active after _FOLD_LIMIT passes raises AssertionError.
         """
-        m = tuple(int(v) for v in shifted)
-        sign = 1
+        start = np.asarray(points, dtype=np.int64)
+        cartan = np.array(self.rs.cartan_matrix, dtype=np.int64)
+        comarks = np.array(self.rs.comarks, dtype=np.int64)
+        theta = np.array(self.rs.highest_root_labels, dtype=np.int64)
+        folded, sign = start.copy(), np.ones(len(start), dtype=np.int64)
+        active, pts = np.arange(len(start)), start.copy()
         for _ in range(_FOLD_LIMIT):
-            neg = next((i for i, v in enumerate(m) if v < 0), None)
-            if neg is not None:
-                m = self.reflect_simple(m, neg)
-                sign = -sign
-                continue
-            if 0 in m:
-                return None, 0
-            lev = self.rs.level_of_labels(m)
-            if lev > self.k:
-                m = self.reflect_affine(m)
-                sign = -sign
-                continue
-            if lev == self.k:
-                return None, 0
-            return m, sign
-        raise AssertionError(f"alcove folding did not terminate for {shifted}")
+            negative = pts < 0
+            simple = negative.any(axis=1)
+            level = pts @ comarks
+            wall = ~simple & ((pts == 0).any(axis=1) | (level == self.k))
+            affine = ~simple & ~wall & (level > self.k)
+            rows = np.flatnonzero(simple)
+            i = negative[rows].argmax(axis=1)
+            pts[rows] -= pts[rows, i][:, None] * cartan[i]
+            pts[affine] -= (level[affine] - self.k)[:, None] * theta
+            moved = simple | affine
+            sign[active[moved]] *= -1
+            sign[active[wall]] = 0
+            folded[active[~moved]] = pts[~moved]
+            active, pts = active[moved], pts[moved]
+            if not len(active):
+                return folded, sign
+        stuck = tuple(start[active[0]].tolist())
+        raise AssertionError(f"alcove folding did not terminate for {stuck}")
 
 
 def quantum_dimension(alphabet: LevelAlphabet, lam: Sequence[int]) -> float:
@@ -135,21 +144,35 @@ def fusion_matrix(alphabet: LevelAlphabet, gamma: Sequence[int]) -> np.ndarray:
     column b (nu = A[b]) and each weight beta in the support of m_gamma, the
     point nu + rho - beta equals tau(lam + rho) for at most one lam in A;
     alcove folding finds it and its sign (or a wall, where stabilized points
-    contribute canceling pairs and are skipped).
+    contribute canceling pairs and are skipped).  The points of all columns
+    are folded in array passes of at most _FOLD_BLOCK points.  A folded point
+    is found in A by its mixed-radix key in base k + 1, first label most
+    significant, so the keys of the sorted alphabet increase.
     """
     gamma = _require_in_alphabet(alphabet, gamma, "gamma")
-    rs = alphabet.rs
+    rs, k = alphabet.rs, alphabet.k
     n = len(alphabet.elements)
     _require_budget(alphabet, n * n, "one fusion matrix")
-    qwg = QuantumWeylGroup(rs=rs, k=alphabet.k)
-    row_of = {tuple(x + 1 for x in lam): a for a, lam in enumerate(alphabet.elements)}
-    support = weight_multiplicities(rs, gamma).multiplicities.items()
+    # interior labels lie in 1..k-1, so distinct points have distinct keys
+    if (k + 1) ** rs.rank >= 2**63:
+        raise AssertionError(f"mixed-radix keys overflow int64 at k = {k}")
+    place = (k + 1) ** np.arange(rs.rank - 1, -1, -1, dtype=np.int64)
+    shifted = np.array(alphabet.elements, dtype=np.int64) + 1
+    keys = shifted @ place
+    support = weight_multiplicities(rs, gamma).multiplicities
+    betas = np.array(list(support), dtype=np.int64)
+    mults = np.array(list(support.values()), dtype=np.int64)
+    qwg = QuantumWeylGroup(rs=rs, k=k)
     mat = np.zeros((n, n), dtype=np.int64)
-    for b, nu in enumerate(alphabet.elements):
-        for beta, m in support:
-            folded, sign = qwg.fold(tuple(x + 1 - y for x, y in zip(nu, beta)))
-            if folded is not None:
-                mat[row_of[folded], b] += sign * m
+    for lo in range(0, n * len(betas), _FOLD_BLOCK):
+        col, j = np.divmod(np.arange(lo, min(lo + _FOLD_BLOCK, n * len(betas))), len(betas))
+        folded, sign = qwg.fold(shifted[col] - betas[j])
+        hit = sign != 0
+        key = folded[hit] @ place
+        row = np.searchsorted(keys, key)
+        if (row == n).any() or (keys[np.minimum(row, n - 1)] != key).any():
+            raise AssertionError(f"a folded point for gamma = {gamma} is not in the alphabet")
+        np.add.at(mat, (row, col[hit]), sign[hit] * mults[j[hit]])
     if (mat < 0).any():
         raise AssertionError(f"negative fusion coefficient for gamma = {gamma}")
     return mat
@@ -230,8 +253,10 @@ def build_fusion_table(alphabet: LevelAlphabet) -> np.ndarray:
 
 def table_entries(alphabet: LevelAlphabet, table: np.ndarray):
     """(lam, mu, nu, N^lam_{mu nu}) for every triple in index order, which is
-    sorted label order since the alphabet is sorted."""
-    triples = itertools.product(alphabet.elements, repeat=3)
+    sorted label order since the alphabet is sorted.  Each weight is one list,
+    shared by every entry that names it."""
+    labels = [list(w) for w in alphabet.elements]
+    triples = itertools.product(labels, repeat=3)
     return ((*t, n) for t, n in zip(triples, table.ravel().tolist()))
 
 
@@ -251,7 +276,6 @@ def verify_against_verlinde(alphabet: LevelAlphabet, table: np.ndarray, tol: flo
 
 def table_lines(alphabet: LevelAlphabet, table: np.ndarray) -> list[str]:
     """Plain-text export, one 'lam mu nu N' per line (label coords comma-joined)."""
-    return [
-        " ".join([*(",".join(map(str, w)) for w in (lam, mu, nu)), str(n)])
-        for lam, mu, nu, n in table_entries(alphabet, table)
-    ]
+    labels = [",".join(map(str, w)) for w in alphabet.elements]
+    triples = itertools.product(labels, repeat=3)
+    return [f"{lam} {mu} {nu} {n}" for (lam, mu, nu), n in zip(triples, table.ravel().tolist())]

@@ -55,6 +55,34 @@ def simple_reflection_matrix(rs, i):
             for r in range(rs.ambient_dim)]
 
 
+def reflect_simple(rs, shifted, i):
+    """The i-th simple reflection of a rho-shifted point in labels: m_j - m_i C_ij."""
+    return tuple(m - shifted[i] * c for m, c in zip(shifted, rs.cartan_matrix[i]))
+
+
+def reflect_affine(rs, k, shifted):
+    """Reflection of a rho-shifted point in the wall <x, theta> = k."""
+    excess = rs.level_of_labels(shifted) - k
+    return tuple(m - excess * t for m, t in zip(shifted, rs.highest_root_labels))
+
+
+def fold_point(rs, k, shifted):
+    """One point folded into the level-k alcove, one reflection at a time:
+    (folded point, sign), or (None, 0) on a wall.  The reference for
+    `QuantumWeylGroup.fold`."""
+    m, sign = tuple(shifted), 1
+    while True:
+        neg = next((i for i, v in enumerate(m) if v < 0), None)
+        if neg is not None:
+            m, sign = reflect_simple(rs, m, neg), -sign
+        elif 0 in m or rs.level_of_labels(m) == k:
+            return None, 0
+        elif rs.level_of_labels(m) > k:
+            m, sign = reflect_affine(rs, k, m), -sign
+        else:
+            return m, sign
+
+
 def random_forest_diagram(rng: random.Random, alphabet, max_circles=6, max_wind=3):
     """Random nesting forest with colors drawn from the alphabet."""
     n = rng.randint(0, max_circles)

@@ -480,6 +480,9 @@ class TestUsageErrorsAsJson:
             ["det", "--group", "A1", "--b", "1/6,-1/6", "--alpha-b", "1/3"],
             ["regularize", "--group", "A1", "--alpha-b", "1/3", "--b", "1/6,-1/6"],
             ["holonomy", "--group", "A1", "--b", "1/6,-1/6", "--alpha-b", "1/3"],
+            ["fusion", "--group", "A1", "--k", "4", "--format", "text"],
+            ["fusion", "--group", "A1", "--k", "4", "--oracle-tol", "1e-3"],
+            ["det", "--group", "A1", "--alpha-b", "1/2", "--quad-res", "16x32"],
         ],
     )
     def test_usage_error_exit_2(self, capsys, argv):
@@ -540,6 +543,20 @@ class TestUsageErrorsAsJson:
         holonomy, det = map(json.loads, r.stdout.splitlines())
         assert holonomy["product_trace"]["re"] == pytest.approx(holonomy["closed_form"]["re"])
         assert det["det_rig_quadrature"] == pytest.approx(3.0, rel=1e-6)
+
+    @pytest.mark.parametrize("preset,expected", [(None, "1 1"), ("2", "2 1")])
+    def test_import_defaults_blas_threads_to_one(self, preset, expected):
+        """Importing shadowsum sets one BLAS thread; a value the caller set wins."""
+        env = src_env()
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            env.pop(var, None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = ("import os, shadowsum\n"
+                "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, env=env)
+        assert r.stdout.strip() == expected
 
     def test_closed_stdout_exits_141(self):
         """A reader that stops early (`| head -c 100`) gets exit 128 + SIGPIPE and

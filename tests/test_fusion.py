@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,8 @@ from shadowsum.fusion import (
 )
 from shadowsum.reps import level_alphabet
 from shadowsum.roots import build_root_system
+
+from conftest import fold_point, reflect_affine, reflect_simple
 
 
 class TestQuantumDimension:
@@ -159,27 +162,80 @@ class TestQuantumWeylGroup:
     @pytest.mark.parametrize("label,k", [("A1", 5), ("A2", 5), ("B2", 6), ("G2", 7)])
     def test_alphabet_shifts_are_alcove_interior(self, label, k):
         rs = build_root_system(label)
-        qwg = QuantumWeylGroup(rs=rs, k=k)
-        for lam in level_alphabet(rs, k).elements:
-            shifted = tuple(x + 1 for x in lam)
-            folded, sign = qwg.fold(shifted)
-            assert folded == shifted and sign == 1
+        shifted = np.array(level_alphabet(rs, k).elements, dtype=np.int64) + 1
+        folded, sign = QuantumWeylGroup(rs=rs, k=k).fold(shifted)
+        assert (folded == shifted).all() and (sign == 1).all()
 
     @settings(max_examples=60, deadline=None)
-    @given(word=st.lists(st.integers(0, 2), max_size=8), lam=st.integers(0, 2))
-    def test_sign_character_multiplicative(self, word, lam):
+    @given(word=st.lists(st.integers(0, 2), max_size=8))
+    def test_sign_character_multiplicative(self, word):
+        """Every shifted alphabet point, moved by one reflection word, folds back
+        with sign (-1)^len(word)."""
         rs = build_root_system("B2")
-        qwg = QuantumWeylGroup(rs=rs, k=6)
-        start = tuple(x + 1 for x in level_alphabet(rs, 6).elements[lam])
-        point = start
-        for gen in word:
-            if gen < 2:
-                point = qwg.reflect_simple(point, gen)
-            else:
-                point = qwg.reflect_affine(point)  # reflection in the level-k wall
-        folded, sign = qwg.fold(point)
-        assert folded == start
-        assert sign == (-1) ** len(word)
+        starts = [tuple(x + 1 for x in lam) for lam in level_alphabet(rs, 6).elements]
+        points = []
+        for point in starts:
+            for gen in word:
+                point = reflect_simple(rs, point, gen) if gen < 2 else reflect_affine(rs, 6, point)
+            points.append(point)
+        folded, sign = QuantumWeylGroup(rs=rs, k=6).fold(np.array(points, dtype=np.int64))
+        assert (folded == np.array(starts)).all()
+        assert (sign == (-1) ** len(word)).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(label=st.sampled_from(["A2", "B2", "G2", "A3"]), k=st.integers(4, 12),
+           data=st.data())
+    def test_equals_one_point_at_a_time(self, label, k, data):
+        rs = build_root_system(label)
+        k += rs.dual_coxeter
+        coords = st.lists(st.integers(-3 * k, 3 * k), min_size=rs.rank, max_size=rs.rank)
+        points = data.draw(st.lists(coords, min_size=1, max_size=50))
+        folded, sign = QuantumWeylGroup(rs=rs, k=k).fold(np.array(points, dtype=np.int64))
+        for point, row, s in zip(points, folded.tolist(), sign.tolist()):
+            one, one_sign = fold_point(rs, k, point)
+            assert s == one_sign and (s == 0 or tuple(row) == one)
+
+    @pytest.mark.parametrize("label,k", [("A2", 6), ("B2", 6), ("G2", 7)])
+    def test_walls_get_sign_zero(self, label, k):
+        """Points with a zero label or at level exactly k, and their reflections,
+        lie on a wall."""
+        rs = build_root_system(label)
+        box = itertools.product(range(k + 1), repeat=rs.rank)
+        walls = [m for m in box if 0 in m or rs.level_of_labels(m) == k]
+        walls += [reflect_simple(rs, m, i) for m in walls for i in range(rs.rank)]
+        walls += [reflect_affine(rs, k, m) for m in walls]
+        _, sign = QuantumWeylGroup(rs=rs, k=k).fold(np.array(walls, dtype=np.int64))
+        assert len(walls) > 3 * k and (sign == 0).all()
+
+    def test_fold_limit_stops_a_long_fold(self, monkeypatch, a1):
+        """A pass reflects each active point once or stops it: -7 -> 7 -> 3 takes
+        three passes, -13 -> 13 -> -3 -> 3 four."""
+        monkeypatch.setattr(fusion, "_FOLD_LIMIT", 3)
+        qwg = QuantumWeylGroup(rs=a1, k=5)
+        folded, sign = qwg.fold(np.array([[-7]]))
+        assert folded.tolist() == [[3]] and sign.tolist() == [1]
+        with pytest.raises(AssertionError, match=r"not terminate for \(-13,\)"):
+            qwg.fold(np.array([[2], [-13]]))
+
+    def test_folded_point_outside_the_alphabet_is_a_bug(self, monkeypatch, a1k4):
+        def outside(self, points):
+            return np.full_like(points, 4), np.ones(len(points), dtype=np.int64)
+
+        monkeypatch.setattr(QuantumWeylGroup, "fold", outside)
+        with pytest.raises(AssertionError, match="not in the alphabet"):
+            fusion_matrix(a1k4, (1,))
+
+    @pytest.mark.parametrize("c", [1, 500, 998])
+    def test_a1_k1000_truncated_clebsch_gordan(self, a1, c):
+        """N^a_{c b} = 1 iff |a - b| <= c <= min(a + b, 2(k - 2) - a - b) and a + b + c
+        is even.  At c = 998 about 10^6 points are folded, across many blocks; the
+        Verlinde oracle is over budget here."""
+        k = 1000
+        mat = fusion_matrix(level_alphabet(a1, k), (c,))
+        a, b = np.ogrid[: k - 1, : k - 1]
+        rule = ((abs(a - b) <= c) & (c <= np.minimum(a + b, 2 * (k - 2) - a - b))
+                & ((a + b + c) % 2 == 0))
+        assert (mat == rule).all()
 
 
 class TestTableAndExport:
