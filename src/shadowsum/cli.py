@@ -35,7 +35,7 @@ from .determinants import (
     det_rig_quadrature,
     round_sphere_metric,
 )
-from .diagrams import build_diagram, contract_state_sum, prepare_terms, state_sum
+from .diagrams import build_diagram, contract_state_sum, list_terms, prepare_terms
 from .errors import ParseError, PreconditionError, ShadowsumError
 from .fusion import (
     build_fusion_table,
@@ -211,10 +211,9 @@ def cmd_shadow(args) -> dict:
                 f"--diagnostics would list {result.colorings_retained} terms; "
                 f"the budget is {MAX_LISTED_TERMS}"
             )
-        listing = state_sum(diagram, alphabet, diagnostics=True, data=data)
         out["terms"] = [
             {"coloring": [list(c) for c in col], "term": _c2j(t)}
-            for col, t in listing.terms
+            for col, t in list_terms(diagram, alphabet, data)
         ]
     return out
 
@@ -277,15 +276,15 @@ def cmd_det(args) -> dict:
 
 
 def cmd_regularize(args) -> dict:
-    rs = _root_system(args)
     if args.input is None:
+        rs = _root_system(args)
         if args.face_values is not None:
             raise ParseError("--face-values needs a link file")
         field = SteppedField.constant(_field_b(args, rs))
     else:
         if args.b is not None or args.alpha_b is not None:
             raise ParseError("a link file takes --face-values, not --b or --alpha-b")
-        _, _, diagram = parse_link(_load_json(args.input), args.group)
+        rs, _, diagram = parse_link(_load_json(args.input), args.group)
         if args.face_values is None:
             raise PreconditionError("--face-values needed with a link file")
         if any(len(v) != rs.ambient_dim for v in args.face_values):
@@ -294,7 +293,7 @@ def cmd_regularize(args) -> dict:
             )
         field = SteppedField(diagram=diagram, values=args.face_values)
     return {
-        "group": args.group,
+        "group": f"{rs.type_label}{rs.rank}",
         "n": args.n,
         "indicator": regularized_indicator(rs, args.n, field),
         "det_rig_n": _c2j(det_rig_n(rs, args.n, field)),

@@ -172,17 +172,6 @@ def round_sphere_metric(n_theta: int = 64, n_phi: int = 128) -> SphereMetricSamp
     )
 
 
-def flat_torus_metric(n: int = 32) -> SphereMetricSample:
-    """Zero-curvature diagnostics grid (chi = 0); kills the determinant integrand."""
-    u = (np.arange(n) + 0.5) / n
-    uu, vv = np.meshgrid(u, u, indexing="ij")
-    nodes = np.stack([uu.ravel(), vv.ravel()], axis=1)
-    weights = np.full(nodes.shape[0], 1.0 / (n * n))
-    curv = np.zeros(nodes.shape[0])
-    return SphereMetricSample(nodes=nodes, weights=weights, scalar_curvature=curv,
-                              area=1.0, euler=0)
-
-
 def _principal_log_2sin(x: np.ndarray) -> np.ndarray:
     """log(x) for real nonzero x: ln|x| + i pi on the negatives."""
     out = np.log(np.abs(x)).astype(complex)

@@ -19,9 +19,10 @@ is kept as the integer weight_form_den <phi, phi+2 rho> (the root system's
 division.  Every factor is
 local to one circle (an edge of the region tree) or one face (a node), so
 `contract_state_sum` evaluates the sum exactly by eliminating faces from
-the leaves up, in O(#faces |A|^2).  The enumerator `state_sum` lists the
-individual terms: depth-first in region-tree order, pruned on vanishing
-fusion factors, accumulated in a compensated (error-tracking) sum.
+the leaves up, in O(#faces |A|^2); it is the one evaluator of the value,
+of sum |term| and of the number of terms.  `list_terms` only lists the
+nonvanishing terms (for `shadow --diagnostics`): depth-first in region-tree
+order, pruned on vanishing fusion factors.
 """
 
 from __future__ import annotations
@@ -67,24 +68,24 @@ def _face_id_of(circle_id: str | None) -> str:
     return OUTER_FACE if circle_id is None else f"in:{circle_id}"
 
 
-def build_diagram(circles: Iterable[Circle | dict]) -> ShadowDiagram:
-    """Validate the nesting forest and derive faces, Euler numbers, gleams.
+def build_diagram(circles: Iterable[dict]) -> ShadowDiagram:
+    """Validate the nesting forest of link-file circle dicts and derive faces,
+    Euler numbers, gleams.
 
     The face inside circle c (and outside c's children) gets chi = 1 - #children;
     the outer face gets chi = 2 - #roots.  Rejects containment cycles and
     dangling parent references as violations of the disjointness assumption.
     """
-    cs: list[Circle] = []
-    for c in circles:
-        if isinstance(c, dict):
-            c = Circle(
-                circle_id=str(c["id"]),
-                parent=None if c.get("parent") is None else str(c["parent"]),
-                winding=int(c["winding"]),
-                positive_side=str(c["positive_side"]),
-                color=tuple(int(x) for x in c["color"]),
-            )
-        cs.append(c)
+    cs = [
+        Circle(
+            circle_id=str(c["id"]),
+            parent=None if c.get("parent") is None else str(c["parent"]),
+            winding=int(c["winding"]),
+            positive_side=str(c["positive_side"]),
+            color=tuple(int(x) for x in c["color"]),
+        )
+        for c in circles
+    ]
 
     ids = [c.circle_id for c in cs]
     if len(set(ids)) != len(ids):
@@ -158,34 +159,17 @@ def build_diagram(circles: Iterable[Circle | dict]) -> ShadowDiagram:
     return ShadowDiagram(circles=tuple(cs), faces=tuple(faces))
 
 
-@dataclass
-class KahanComplex:
-    """Compensated complex accumulator; exact zeros leave the state untouched."""
-
-    total: complex = 0j
-    _comp: complex = 0j
-
-    def add(self, term: complex) -> None:
-        if term == 0:
-            return
-        y = term - self._comp
-        t = self.total + y
-        self._comp = (t - self.total) - y
-        self.total = t
-
-
 @dataclass(frozen=True)
 class StateSumResult:
     value: complex
     abs_sum: float  # sum of |term| over all colorings: the scale of rounding error
     colorings_total: int
     colorings_retained: int
-    terms: tuple[tuple[tuple[Labels, ...], complex], ...] | None = None
 
 
 @dataclass(frozen=True)
 class TermData:
-    """Per-diagram tables shared by the contraction and the enumerator.
+    """Per-diagram tables shared by the contraction and the term lister.
 
     Build it once with `prepare_terms` and pass it to both to reuse the fusion
     matrices, as `shadow --diagnostics` does.
@@ -329,19 +313,14 @@ def term_value(data: TermData, coloring: Sequence[int]) -> complex:
     )
 
 
-def state_sum(
-    diagram: ShadowDiagram,
-    alphabet: LevelAlphabet,
-    diagnostics: bool = False,
-    data: TermData | None = None,
-) -> StateSumResult:
-    """Sum the invariant by enumerating every area coloring (exponential).
+def list_terms(
+    diagram: ShadowDiagram, alphabet: LevelAlphabet, data: TermData | None = None
+) -> list[tuple[tuple[Labels, ...], complex]]:
+    """Every nonvanishing term as (face colours in face order, term), lexicographically.
 
-    Colorings are enumerated depth-first over faces in region-tree order,
-    lexicographically, with an explicit stack; a branch is cut as soon as
-    some circle's fusion factor vanishes.  With diagnostics the nonvanishing
-    terms are listed.  `contract_state_sum` gives the same value in
-    polynomial time; this enumerator lists terms and serves as its oracle.
+    Colorings are enumerated depth-first over faces in region-tree order with
+    an explicit stack; a branch is cut as soon as some circle's fusion factor
+    vanishes.  Exponential: `contract_state_sum` evaluates the sum.
     """
     data = data or prepare_terms(diagram, alphabet)
     n_faces = len(diagram.faces)
@@ -354,12 +333,9 @@ def state_sum(
     for minus, plus, gamma in data.circle_faces:
         ready_at[max(minus, plus)].append((minus, plus, gamma))
 
-    acc = KahanComplex()
-    abs_acc = KahanComplex()
     terms: list[tuple[tuple[Labels, ...], complex]] = []
     coloring = [0] * n_faces
     next_color = [0] * n_faces  # next color to try at each face on the stack
-    retained = 0
     face = 0
     while face >= 0:
         ci = next_color[face]
@@ -377,22 +353,7 @@ def state_sum(
             face += 1
             next_color[face] = 0
             continue
-        t = term_value(data, coloring)
-        retained += 1
-        acc.add(t)
-        abs_acc.add(abs(t))
-        if diagnostics:
-            terms.append((tuple(alphabet.elements[c] for c in coloring), t))
-
-    return StateSumResult(
-        value=acc.total,
-        abs_sum=abs_acc.total.real,
-        colorings_total=n_colors**n_faces,
-        colorings_retained=retained,
-        terms=tuple(terms) if diagnostics else None,
-    )
-
-
-def empty_link_value(alphabet: LevelAlphabet) -> float:
-    """sum_lambda dim_q(lambda)^2, the bare-sphere state sum."""
-    return sum(quantum_dimension(alphabet, lam) ** 2 for lam in alphabet.elements)
+        terms.append(
+            (tuple(alphabet.elements[c] for c in coloring), term_value(data, coloring))
+        )
+    return terms

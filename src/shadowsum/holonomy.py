@@ -96,13 +96,6 @@ def ribbon_holonomy(
     return _exp_riemann_sum(averages, n)
 
 
-def scaled_ribbon(
-    loop_family: Callable[[float, float], tuple], s: float
-) -> Callable[[float, float], tuple]:
-    """The width-s subribbon R^(s)(t, u) = R(t, s (u - 1/2) + 1/2)."""
-    return lambda t, u: loop_family(t, s * (u - 0.5) + 0.5)
-
-
 def weight_phases(ws: WeightSystem, b: Sequence[float]) -> np.ndarray:
     """b in the weight basis of the module, as its diagonal: 2 pi i beta(b) for
     every weight beta, repeated by multiplicity, in sorted label order.

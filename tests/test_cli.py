@@ -450,6 +450,17 @@ class TestOneLinkParser:
                            "--face-values", "1/4,-1/4;1/6,-1/6")
         assert rc == 2 and doc["error"]["code"] == "parse"
 
+    def test_regularize_reads_the_group_from_the_file(self, tmp_path, capsys):
+        """As for shadow, the file's group serves when --group is left out."""
+        argv = ["regularize", "--n", "3", write(tmp_path, "g.json", one_circle()),
+                "--face-values", "1/4,-1/4;1/3,-1/3"]
+        outputs = []
+        for flags in ([], ["--group", "A1"]):
+            assert cli.main(argv + flags) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["group"] == "A1"
+
     def test_deeply_nested_link_file(self, tmp_path, capsys):
         p = tmp_path / "deep.json"
         p.write_text("[" * 100_000 + "]" * 100_000)
@@ -527,8 +538,10 @@ class TestUsageErrorsAsJson:
         assert rc == 3 and "finite positive" in doc["error"]["message"]
 
     def test_import_leaves_scipy_unloaded(self):
-        """Neither the import nor the holonomy and quadrature kernels load scipy."""
+        """Neither the import nor the holonomy and quadrature kernels load scipy,
+        and the import leaves shadowsum.circleop, which no command uses, unloaded."""
         code = ("import sys, shadowsum.cli as cli\n"
+                "print('shadowsum.circleop' in sys.modules, file=sys.stderr)\n"
                 "def scipy(): print([m for m in sys.modules if m.split('.')[0] == 'scipy'], "
                 "file=sys.stderr)\n"
                 "scipy()\n"
@@ -539,7 +552,7 @@ class TestUsageErrorsAsJson:
                 "scipy()\n")
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                            check=True, env=src_env())
-        assert r.stderr.split() == ["[]", "[]"]
+        assert r.stderr.split() == ["False", "[]", "[]"]
         holonomy, det = map(json.loads, r.stdout.splitlines())
         assert holonomy["product_trace"]["re"] == pytest.approx(holonomy["closed_form"]["re"])
         assert det["det_rig_quadrature"] == pytest.approx(3.0, rel=1e-6)

@@ -9,17 +9,28 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from shadowsum.determinants import (
+    SphereMetricSample,
     SteppedField,
     det_half,
     det_k,
     det_rig_constant,
     det_rig_quadrature,
     det_rig_step,
-    flat_torus_metric,
     round_sphere_metric,
 )
 from shadowsum.diagrams import build_diagram
 from shadowsum.errors import PreconditionError
+
+
+def flat_torus_metric(n: int = 32) -> SphereMetricSample:
+    """Zero-curvature diagnostics grid (chi = 0); kills the determinant integrand."""
+    u = (np.arange(n) + 0.5) / n
+    uu, vv = np.meshgrid(u, u, indexing="ij")
+    nodes = np.stack([uu.ravel(), vv.ravel()], axis=1)
+    weights = np.full(nodes.shape[0], 1.0 / (n * n))
+    curv = np.zeros(nodes.shape[0])
+    return SphereMetricSample(nodes=nodes, weights=weights, scalar_curvature=curv,
+                              area=1.0, euler=0)
 
 
 def one_circle_diagram():

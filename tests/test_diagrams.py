@@ -12,13 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_forest_diagram
-from shadowsum.diagrams import (
-    KahanComplex,
-    build_diagram,
-    contract_state_sum,
-    empty_link_value,
-    state_sum,
-)
+from shadowsum.diagrams import build_diagram, contract_state_sum, list_terms
 from shadowsum.errors import PreconditionError
 from shadowsum import cli, fusion
 from shadowsum.fusion import build_fusion_table, fusion_matrix, quantum_dimension
@@ -36,13 +30,19 @@ def circle(cid, parent=None, winding=1, side="inside", color=(0,)):
     }
 
 
-def naive_state_sum(diagram, alphabet, table):
+def empty_link_value(alphabet):
+    """sum_lambda dim_q(lambda)^2, the bare-sphere state sum."""
+    return sum(quantum_dimension(alphabet, lam) ** 2 for lam in alphabet.elements)
+
+
+def naive_terms(diagram, alphabet, table):
     """Full product-space enumeration with plain nested loops; no pruning.
 
     `table` is the full fusion table T[lam, mu, nu].  Mirrors the canonical
     term arithmetic (integer fusion product and dim(inner)/dim(outer) ratios
     in circle order after dim(outer face)^2, exact rational phase exponent)
-    so agreement can be checked with zero tolerance.
+    so the nonvanishing (coloring, term) pairs, in lexicographic order, can
+    be compared with zero tolerance.
     """
     rs = alphabet.rs
     k = alphabet.k
@@ -60,8 +60,7 @@ def naive_state_sum(diagram, alphabet, table):
         outer = face_ids.index("outer" if c.parent is None else f"in:{c.parent}")
         plus, minus = (inner, outer) if c.positive_side == "inside" else (outer, inner)
         circles.append((minus, plus, alphabet.index(c.color), inner, outer))
-    acc = KahanComplex()
-    n_nonzero = 0
+    terms = []
     for coloring in itertools.product(range(len(alphabet.elements)), repeat=len(gleams)):
         n_product = 1
         dim_product = qdims[coloring[0]] ** 2
@@ -80,9 +79,8 @@ def naive_state_sum(diagram, alphabet, table):
             math.cos(math.pi * float(exponent) / k),
             math.sin(math.pi * float(exponent) / k),
         )
-        n_nonzero += 1
-        acc.add(term)
-    return acc.total, n_nonzero
+        terms.append((tuple(alphabet.elements[c] for c in coloring), term))
+    return terms
 
 
 class TestBuildDiagram:
@@ -163,18 +161,18 @@ def test_forest_invariants_property(seed, a1k4):
 class TestStateSum:
     def test_empty_link_a1_k4(self, a1k4):
         d = build_diagram([])
-        r = state_sum(d, a1k4)
+        r = contract_state_sum(d, a1k4)
         assert abs(r.value - 4.0) < 1e-9
         assert abs(empty_link_value(a1k4) - 4.0) < 1e-9
 
     def test_wind0_trivial_color(self, a1k4):
         d = build_diagram([circle("c", winding=0, color=(0,))])
-        r = state_sum(d, a1k4)
+        r = contract_state_sum(d, a1k4)
         assert abs(r.value - 4.0) < 1e-9
 
     def test_single_circle_brute_force(self, a1k4, a1k4_table):
         d = build_diagram([circle("c", winding=1, color=(1,))])
-        r = state_sum(d, a1k4, diagnostics=True)
+        r = contract_state_sum(d, a1k4)
         val = 0j
         for a in range(3):
             for b in range(3):
@@ -187,25 +185,25 @@ class TestStateSum:
                     * cmath.exp(-1j * math.pi * b * (b + 2) / 8)
                 )
         assert abs(r.value - val) < 1e-12
-        assert abs(r.value - sum(t for _, t in r.terms)) < 1e-12  # diagnostics consistency
+        assert abs(r.value - sum(t for _, t in list_terms(d, a1k4))) < 1e-12  # diagnostics consistency
 
     def test_trivially_colored_wind0_circles_match_empty(self, a1):
         for k in (4, 5):
             al = level_alphabet(a1, k)
-            expect = state_sum(build_diagram([]), al).value
+            expect = contract_state_sum(build_diagram([]), al).value
             for n in (1, 2, 3):
                 circles = [
                     circle(str(i), parent=str(i - 1) if i and i % 2 else None,
                            winding=0, color=(0,))
                     for i in range(n)
                 ]
-                got = state_sum(build_diagram(circles), al).value
+                got = contract_state_sum(build_diagram(circles), al).value
                 assert abs(got - expect) < 1e-9
 
     def test_color_outside_alphabet_rejected(self, a1k4):
         d = build_diagram([circle("c", color=(3,))])
         with pytest.raises(PreconditionError):
-            state_sum(d, a1k4)
+            list_terms(d, a1k4)
         with pytest.raises(PreconditionError):
             contract_state_sum(d, a1k4)
 
@@ -226,8 +224,8 @@ class TestStateSum:
                 )
                 for c in d.circles
             ]
-            v1 = state_sum(d, al).value
-            v2 = state_sum(build_diagram(flipped), al).value
+            v1 = contract_state_sum(d, al).value
+            v2 = contract_state_sum(build_diagram(flipped), al).value
             assert abs(v1 - v2) < 1e-9
 
 
@@ -247,7 +245,7 @@ def all_small_diagrams():
 
 
 def test_pruned_equals_naive_exactly(a1):
-    """Zero-tolerance agreement between the pruned DFS and naive loops."""
+    """Zero-tolerance agreement, term by term, between the pruned DFS and naive loops."""
     for k in (3, 4, 5):
         al = level_alphabet(a1, k)
         ft = build_fusion_table(al)
@@ -256,10 +254,7 @@ def test_pruned_equals_naive_exactly(a1):
         for shape in all_small_diagrams():
             cs = [dict(c, color=list(rng.choice(colors))) for c in shape]
             d = build_diagram(cs)
-            got = state_sum(d, al)
-            want, n_nonzero = naive_state_sum(d, al, ft)
-            assert got.value == want
-            assert got.colorings_retained == n_nonzero
+            assert list_terms(d, al) == naive_terms(d, al, ft)
 
 
 UNKNOT_A1K4 = [circle("c", winding=1, color=(1,))]  # four terms cancelling to exactly 0
@@ -269,7 +264,8 @@ UNKNOT_A1K4 = [circle("c", winding=1, color=(1,))]  # four terms cancelling to e
     "label,k", [("A1", 3), ("A1", 4), ("A1", 5), ("A1", 6), ("A2", 5), ("B2", 5)]
 )
 def test_contraction_matches_enumerator(label, k):
-    """Tree contraction against the enumerator on random forests of <= 6 circles.
+    """Tree contraction against the correctly rounded sum of the listed terms
+    on random forests of <= 6 circles.
 
     The tolerance is relative to sum |term|: sums that cancel to zero (such
     as the A1 k=4 unknot colored [1]) have no meaningful value-relative error.
@@ -281,13 +277,13 @@ def test_contraction_matches_enumerator(label, k):
         diagrams.append(build_diagram(UNKNOT_A1K4))
     for d in diagrams:
         got = contract_state_sum(d, al)
-        want = state_sum(d, al, diagnostics=True)
-        abs_sum = math.fsum(abs(t) for _, t in want.terms)
-        assert abs(got.value - want.value) <= 1e-12 * abs_sum
-        assert got.colorings_retained == want.colorings_retained
-        assert got.colorings_total == want.colorings_total
+        terms = [t for _, t in list_terms(d, al)]
+        want = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+        abs_sum = math.fsum(abs(t) for t in terms)
+        assert abs(got.value - want) <= 1e-12 * abs_sum
+        assert got.colorings_retained == len(terms)
+        assert got.colorings_total == len(al.elements) ** len(d.faces)
         assert abs(got.abs_sum - abs_sum) <= 1e-12 * abs_sum
-        assert abs(want.abs_sum - abs_sum) <= 1e-12 * abs_sum
 
 
 def test_unknot_a1k4_cancels(a1k4):

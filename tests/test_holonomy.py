@@ -14,11 +14,15 @@ from shadowsum.holonomy import (
     holonomy,
     require_rep_dim,
     ribbon_holonomy,
-    scaled_ribbon,
     weight_phases,
     wilson_closed_form,
 )
 from shadowsum.reps import character_eval, weight_multiplicities
+
+
+def scaled_ribbon(loop_family, s):
+    """The width-s subribbon R^(s)(t, u) = R(t, s (u - 1/2) + 1/2)."""
+    return lambda t, u: loop_family(t, s * (u - 0.5) + 0.5)
 
 
 class TestHolonomy:
