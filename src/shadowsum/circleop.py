@@ -24,6 +24,8 @@ import numpy as np
 from .errors import PreconditionError
 from .roots import RootSystem, format_vector, is_regular
 
+CONSTRAINT_TOL = 0.0  # largest Cartan component an admissible series' mean may have
+
 
 @dataclass(frozen=True)
 class CircleOperatorData:
@@ -73,19 +75,17 @@ def apply_operator(data: CircleOperatorData, coeffs: np.ndarray) -> np.ndarray:
     return data.spectrum * _check_series(data, coeffs)
 
 
-def circle_inverse_apply(
-    data: CircleOperatorData, coeffs: np.ndarray, constraint_tol: float = 0.0
-) -> np.ndarray:
+def circle_inverse_apply(data: CircleOperatorData, coeffs: np.ndarray) -> np.ndarray:
     """Apply (d/dt + ad(b))^{-1} on the admissible truncated space.
 
     Rejects series whose zero mode has a Cartan component larger than
-    `constraint_tol` (the mean of an admissible series lies in the root
+    CONSTRAINT_TOL (the mean of an admissible series lies in the root
     complement, where ad(b) is invertible).
     """
     c = _check_series(data, coeffs)
     r = data.rs.rank
     mean_t = np.abs(c[data.order, :r])
-    if np.any(mean_t > constraint_tol):
+    if np.any(mean_t > CONSTRAINT_TOL):
         raise PreconditionError(
             "series violates the admissibility constraint: its mean has a "
             f"Cartan component of size {float(mean_t.max())!r}"

@@ -7,7 +7,8 @@ document was written.  The keys of a --config JSON file are the
 subcommand's long flag names; each becomes `--key=value` (`true`: a bare
 `--key`) ahead of the command line, so explicit flags win.
 
-Link file schema, read by `parse_link` and nothing else:
+Link file schema, read by `parse_link` (`parse_stepped_link` for `regularize`,
+which needs no level) and nothing else:
     { "group": "A1", "k": 4,
       "circles": [ { "id": str, "parent": str | null (optional), "winding": int,
                      "positive_side": "inside" | "outside",
@@ -45,9 +46,9 @@ from .fusion import (
     verify_against_verlinde,
 )
 from .holonomy import (
-    VerticalRibbon,
     holonomy,
     require_rep_dim,
+    vertical_ribbon,
     weight_phases,
     wilson_closed_form,
 )
@@ -68,24 +69,15 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def parse_link(doc, group: str | None = None, k: int | None = None, report: list | None = None):
-    """Read a link document into (RootSystem, LevelAlphabet, ShadowDiagram).
+def _raise(code: str, message: str) -> None:
+    raise (ParseError if code == "parse" else PreconditionError)(message)
 
-    `group` and `k` are the flags; they win over the file's keys.  With
-    report=None the first problem is raised: ParseError for the schema,
-    PreconditionError for the rest.  Given a list, every problem is recorded
-    once as {"code", "message"}, checks that an earlier problem makes
-    impossible are skipped, and None is returned if anything was recorded.
-    """
 
-    def problem(code: str, message: str) -> None:
-        if report is None:
-            raise (ParseError if code == "parse" else PreconditionError)(message)
-        report.append({"code": code, "message": message})
-
+def _link_head(doc, group: str | None, problem) -> bool:
+    """The top-level keys of a link document, the level aside; False if it is no object."""
     if not isinstance(doc, dict):
         problem("parse", "link file must hold a JSON object")
-        return None
+        return False
     if set(doc) - _TOP_KEYS:
         problem("parse", f"unknown top-level keys {sorted(set(doc) - _TOP_KEYS)}")
     if "group" in doc and not isinstance(doc["group"], str):
@@ -94,8 +86,11 @@ def parse_link(doc, group: str | None = None, k: int | None = None, report: list
         problem("parse", "no group given (flag --group or file key 'group')")
     if "k" in doc and not _is_int(doc["k"]):
         problem("parse", "file key 'k' must be an integer")
-    elif k is None and "k" not in doc:
-        problem("parse", "no level given (flag --k or file key 'k')")
+    return True
+
+
+def _link_circles(doc: dict, problem) -> list | None:
+    """The circles array and each circle's keys; None if there is no array."""
     circles = doc.get("circles")
     if not isinstance(circles, list):
         problem("parse", "link file needs a 'circles' array")
@@ -115,12 +110,47 @@ def parse_link(doc, group: str | None = None, k: int | None = None, report: list
         color = c.get("color", [])
         if not isinstance(color, list) or not all(_is_int(x) for x in color):
             problem("parse", f"circle #{i}: color must be an array of integer coordinates")
-    if report:
+    return circles
+
+
+def _link_diagram(circles: list, problem):
+    """Each positive_side, then the nesting forest; None after a problem."""
+    sides_ok = True
+    for c in circles:
+        if c["positive_side"] not in ("inside", "outside"):
+            sides_ok = False
+            problem("positive-side",
+                    f"circle {c['id']}: positive_side must be 'inside' or 'outside'")
+    if sides_ok:
+        try:
+            return build_diagram(circles)
+        except PreconditionError as e:
+            problem("assumption-1", str(e))
+    return None
+
+
+def parse_link(doc, group: str | None = None, k: int | None = None, report: list | None = None):
+    """Read a link document into (RootSystem, LevelAlphabet, ShadowDiagram).
+
+    `group` and `k` are the flags; they win over the file's keys.  With
+    report=None the first problem is raised: ParseError for the schema,
+    PreconditionError for the rest.  Given a list, every problem is recorded
+    once as {"code", "message"}, checks that an earlier problem makes
+    impossible are skipped, and None is returned if anything was recorded.
+    """
+    problem = _raise if report is None else (
+        lambda code, message: report.append({"code": code, "message": message}))
+    if not _link_head(doc, group, problem):
+        return None
+    if k is None and "k" not in doc:
+        problem("parse", "no level given (flag --k or file key 'k')")
+    circles = _link_circles(doc, problem)
+    if circles is None or report:
         return None
     group = doc.get("group") if group is None else group
     k = doc.get("k") if k is None else k
 
-    rs = alphabet = diagram = None
+    rs = alphabet = None
     try:
         rs = build_root_system(group)
     except PreconditionError as e:
@@ -135,18 +165,21 @@ def parse_link(doc, group: str | None = None, k: int | None = None, report: list
             if tuple(c["color"]) not in alphabet:
                 problem("color", f"circle {c['id']}: color {c['color']} is outside the level "
                                  f"alphabet of {rs.type_label}{rs.rank} at k = {k}")
-    sides_ok = True
-    for c in circles:
-        if c["positive_side"] not in ("inside", "outside"):
-            sides_ok = False
-            problem("positive-side",
-                    f"circle {c['id']}: positive_side must be 'inside' or 'outside'")
-    if sides_ok:
-        try:
-            diagram = build_diagram(circles)
-        except PreconditionError as e:
-            problem("assumption-1", str(e))
+    diagram = _link_diagram(circles, problem)
     return None if report else (rs, alphabet, diagram)
+
+
+def parse_stepped_link(doc, group: str | None = None):
+    """Read a link document into (RootSystem, ShadowDiagram) for a stepped field.
+
+    The same schema, group, positive_side and forest checks as `parse_link`,
+    raised; a stepped field has no level, so the level and the colours go
+    unchecked.
+    """
+    _link_head(doc, group, _raise)
+    circles = _link_circles(doc, _raise)
+    rs = build_root_system(doc.get("group") if group is None else group)
+    return rs, _link_diagram(circles, _raise)
 
 
 def _load_json(path: str):
@@ -284,7 +317,7 @@ def cmd_regularize(args) -> dict:
     else:
         if args.b is not None or args.alpha_b is not None:
             raise ParseError("a link file takes --face-values, not --b or --alpha-b")
-        rs, _, diagram = parse_link(_load_json(args.input), args.group)
+        rs, diagram = parse_stepped_link(_load_json(args.input), args.group)
         if args.face_values is None:
             raise PreconditionError("--face-values needed with a link file")
         if any(len(v) != rs.ambient_dim for v in args.face_values):
@@ -310,11 +343,10 @@ def cmd_holonomy(args) -> dict:
     # lcm D of the denominators of <w_j, b>: take its least-absolute residue before floats.
     period = math.lcm(*(rs.inner(w, b).denominator for w in rs.fundamental_weights))
     wind = args.wind - period * round(Fraction(args.wind, period))
-    ribbon = VerticalRibbon(sigma=(0.0, 0.0), winding=wind)
-    bf = [float(x) for x in b]
-    closed = wilson_closed_form(rs, [ribbon.loop], [ws], None, lambda s: bf)
+    bf = tuple(float(x) for x in b)
+    closed = wilson_closed_form(rs, [vertical_ribbon(wind)], [ws], None, lambda sigma: bf)
     phases = weight_phases(ws, b) * wind
-    product = holonomy(lambda t: None, lambda _: phases, args.n)
+    product = holonomy(lambda t: phases, n=args.n)
     return {
         "group": args.group,
         "color": list(args.color),

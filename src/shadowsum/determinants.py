@@ -27,11 +27,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diagrams import ShadowDiagram
+from .diagrams import ShadowDiagram, build_diagram
 from .errors import PreconditionError
 from .roots import RootSystem, format_vector, is_regular
 
 MAX_QUAD_NODES = 2**21  # budget of `round_sphere_metric`: n_theta * n_phi nodes
+AREA_TOL = 1e-8  # quadrature mass against the declared area
+CURVATURE_TOL = 1e-6  # curvature integral against 4 pi chi (Gauss-Bonnet)
+SINGULAR_TOL = 1e-12  # distance of alpha(B) from an integer that counts as singular
 
 
 def _pairings(rs: RootSystem, b: Sequence) -> list[float]:
@@ -93,16 +96,9 @@ class SteppedField:
             )
 
     @staticmethod
-    def constant(diagram_or_b, b: Sequence | None = None) -> "SteppedField":
-        """SteppedField.constant(b) for the bare sphere, or (diagram, b)."""
-        from .diagrams import build_diagram
-
-        if b is None:
-            diagram, b = build_diagram([]), diagram_or_b
-        else:
-            diagram = diagram_or_b
-        v = tuple(Fraction(x) for x in b)
-        return SteppedField(diagram=diagram, values=(v,) * len(diagram.faces))
+    def constant(b: Sequence) -> "SteppedField":
+        """The constant field b on the bare sphere."""
+        return SteppedField(diagram=build_diagram([]), values=(tuple(Fraction(x) for x in b),))
 
 
 def det_rig_step(rs: RootSystem, field: SteppedField) -> float:
@@ -137,14 +133,14 @@ class SphereMetricSample:
     area: float
     euler: int
 
-    def validate(self, area_tol: float = 1e-8, curv_tol: float = 1e-6) -> None:
+    def validate(self) -> None:
         mass = float(self.weights.sum())
-        if abs(mass - self.area) > area_tol:
+        if abs(mass - self.area) > AREA_TOL:
             raise PreconditionError(
                 f"quadrature mass {mass!r} differs from declared area {self.area!r}"
             )
         total_curv = float(self.weights @ self.scalar_curvature)
-        if abs(total_curv - 4.0 * math.pi * self.euler) > curv_tol:
+        if abs(total_curv - 4.0 * math.pi * self.euler) > CURVATURE_TOL:
             raise PreconditionError(
                 f"curvature integral {total_curv!r} != 4 pi chi = "
                 f"{4.0 * math.pi * self.euler!r}"
@@ -183,13 +179,12 @@ def det_rig_quadrature(
     rs: RootSystem,
     sampler: Callable[[np.ndarray, np.ndarray], np.ndarray],
     metric: SphereMetricSample,
-    singular_tol: float = 1e-12,
 ) -> float:
     """Quadrature evaluation of the regularized determinant of a smooth field.
 
     sampler(theta, phi) maps the node coordinate arrays to the ambient
     coordinates of B: an (n, dim) array, or a (dim,) one that broadcasts (a
-    constant field).  Any node where some alpha(B) is within singular_tol of
+    constant field).  Any node where some alpha(B) is within SINGULAR_TOL of
     an integer is rejected (named in the error).  On a closed surface the
     result is real; a non-negligible imaginary residue raises, since it
     signals a field that is not regular across the whole grid.
@@ -204,7 +199,7 @@ def det_rig_quadrature(
         av = np.array([float(x) for x in alpha]) * scale
         pair = values @ av
         dist = np.abs(pair - np.round(pair))
-        if np.any(dist <= singular_tol):
+        if np.any(dist <= SINGULAR_TOL):
             i = int(np.argmin(dist))
             raise PreconditionError(
                 f"field is singular at grid node {i} "

@@ -14,6 +14,7 @@ import numpy as np
 
 from conftest import random_forest_diagram
 from test_diagrams import all_small_diagrams, empty_link_value, naive_terms
+from test_holonomy import circling_ribbon, phase_map, ribbon_holonomy
 from shadowsum.circleop import (
     CircleOperatorData,
     apply_operator,
@@ -31,12 +32,7 @@ from shadowsum.determinants import (
 from shadowsum.diagrams import build_diagram, contract_state_sum, list_terms
 from shadowsum.errors import PreconditionError
 from shadowsum.fusion import build_fusion_table, quantum_dimension, verlinde_table
-from shadowsum.holonomy import (
-    holonomy,
-    ribbon_holonomy,
-    weight_phases,
-    wilson_closed_form,
-)
+from shadowsum.holonomy import holonomy, wilson_closed_form
 from shadowsum.regularize import det_rig_n, regularized_indicator
 from shadowsum.reps import level_alphabet, weight_multiplicities
 from shadowsum.roots import build_root_system
@@ -201,37 +197,29 @@ def test_holonomy_criteria():
     c = 0.37
 
     def conn(t):
-        return np.array([2j * math.pi * c * t])
+        return (2j * math.pi * c * t)[:, None]
 
     want = cmath.exp(2j * math.pi * c * 0.5)
     ns = [16, 32, 64, 128, 256, 512]
-    errs = [abs(holonomy(lambda t: t, conn, n)[0] - want) for n in ns]
+    errs = [abs(holonomy(conn, n)[0] - want) for n in ns]
     slope = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert 0.8 <= slope <= 1.2
 
     rs = build_root_system("A1")
     ws = weight_multiplicities(rs, (1,))
-    b = [float(x) for x in rs.from_labels([Q(1, 3)])]
+    b = np.array([float(x) for x in rs.from_labels([Q(1, 3)])])
+    omega = np.array([float(x) for x in rs.fundamental_weights[0]])
 
     def a_form(sigma, dsigma):
-        return [0.15 * dsigma[0] * float(x) for x in rs.fundamental_weights[0]]
+        return 0.15 * dsigma[:, :1] * omega
 
-    def family(t, u):
-        ang = 2.0 * math.pi * t
-        return (
-            (math.cos(ang), math.sin(ang)),
-            (-2.0 * math.pi * math.sin(ang), 2.0 * math.pi * math.cos(ang)),
-            1.0,
-        )
+    closed = wilson_closed_form(rs, [circling_ribbon], [ws], a_form, lambda s: b)
 
-    closed = wilson_closed_form(rs, [family], [ws], a_form, lambda s: b, t_nodes=512)
-
-    def conn_rib(sample):
+    def conn_rib(sample, m=phase_map(ws)):
         sigma, dsigma, dtau = sample
-        vec = np.asarray(a_form(sigma, dsigma)) + dtau * np.asarray(b)
-        return weight_phases(ws, vec)
+        return (a_form(sigma, dsigma) + dtau * b) @ m
 
-    direct = ribbon_holonomy(lambda t, u: family(t, u), conn_rib, 4096).sum()
+    direct = ribbon_holonomy(circling_ribbon, conn_rib, 4096).sum()
     gap = abs(closed - direct)
     assert gap < 1e-6
     print(f"\nACCEPTANCE PASS: holonomy slope {slope:.3f} in [0.8, 1.2]; "

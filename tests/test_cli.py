@@ -461,6 +461,21 @@ class TestOneLinkParser:
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["group"] == "A1"
 
+    def test_regularize_needs_no_level(self, tmp_path, capsys):
+        """A stepped field uses no alphabet: a file without k prints what the file
+        with k prints, while shadow and validate still refuse it for want of a level."""
+        no_k = {key: v for key, v in one_circle().items() if key != "k"}
+        outputs = []
+        for name, doc in (("k.json", one_circle()), ("no_k.json", no_k)):
+            argv = ["regularize", "--n", "3", write(tmp_path, name, doc),
+                    "--face-values", "1/4,-1/4;1/3,-1/3"]
+            assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        for cmd in ("shadow", "validate"):
+            rc, doc = run_main(capsys, cmd, tmp_path / "no_k.json")
+            assert rc == 2, doc
+
     def test_deeply_nested_link_file(self, tmp_path, capsys):
         p = tmp_path / "deep.json"
         p.write_text("[" * 100_000 + "]" * 100_000)

@@ -1,5 +1,4 @@
 import cmath
-import importlib
 import math
 from fractions import Fraction as Q
 
@@ -10,19 +9,50 @@ from shadowsum.errors import PreconditionError
 from shadowsum.holonomy import (
     MAX_HOLONOMY_FACTORS,
     MAX_REP_DIM,
-    VerticalRibbon,
     holonomy,
     require_rep_dim,
-    ribbon_holonomy,
+    vertical_ribbon,
     weight_phases,
     wilson_closed_form,
 )
-from shadowsum.reps import character_eval, weight_multiplicities
+from shadowsum.reps import character_eval, weight_multiplicities, weyl_dimension
+from shadowsum.roots import build_root_system
+
+
+def ribbon_holonomy(loop_family, connection, n, u_nodes=16):
+    """Direct ordered product of n ribbon factors, the oracle for the closed form.
+
+    Factor j is exp((1/n) a_j), where a_j is the Gauss-Legendre u-average of
+    connection(loop_family(j/n, u)).  The samplers take the whole (t, u) grid
+    as arrays; the connection returns weight-phase rows (or one broadcast
+    row).  Weight-phase factors are diagonal, so the n factors are multiplied
+    entry by entry, one after another.
+    """
+    x, w = np.polynomial.legendre.leggauss(u_nodes)
+    t, u = np.meshgrid(np.arange(1, n + 1) / n, 0.5 * (x + 1.0), indexing="ij")
+    phases = np.asarray(connection(loop_family(t.ravel(), u.ravel())), dtype=complex)
+    phases = np.broadcast_to(phases, (n * u_nodes, phases.shape[-1])).reshape(n, u_nodes, -1)
+    factors = np.exp(np.einsum("u,jud->jd", 0.5 * w, phases) / n)
+    return np.prod(factors, axis=0)
+
+
+def phase_map(ws):
+    """The linear map b -> weight_phases(ws, b) as a matrix, so rows of ambient
+    vectors map to rows of weight phases: phases = vectors @ phase_map(ws)."""
+    return np.stack([weight_phases(ws, e) for e in np.eye(ws.rs.ambient_dim)])
 
 
 def scaled_ribbon(loop_family, s):
     """The width-s subribbon R^(s)(t, u) = R(t, s (u - 1/2) + 1/2)."""
     return lambda t, u: loop_family(t, s * (u - 0.5) + 0.5)
+
+
+def circling_ribbon(t, u):
+    """sigma moves once around the unit circle while tau winds once."""
+    ang = 2.0 * math.pi * t
+    sigma = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    dsigma = 2.0 * math.pi * np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
+    return sigma, dsigma, 1.0
 
 
 class TestHolonomy:
@@ -32,7 +62,7 @@ class TestHolonomy:
         phases = weight_phases(ws, b)
         want = np.exp(phases)
         for n in (1, 2, 7, 64):
-            got = holonomy(lambda t: None, lambda _: phases, n)
+            got = holonomy(lambda t: phases, n)
             assert got.shape == (2,)
             assert np.max(np.abs(got - want)) < 1e-12
 
@@ -41,11 +71,11 @@ class TestHolonomy:
         v = 0.4
 
         def conn(t):
-            return np.array([2j * math.pi * (v + 0.3 * math.cos(2 * math.pi * t))])
+            return (2j * math.pi * (v + 0.3 * np.cos(2 * math.pi * t)))[:, None]
 
         want = cmath.exp(2j * math.pi * v)
-        e64 = abs(holonomy(lambda t: t, conn, 64)[0] - want)
-        e128 = abs(holonomy(lambda t: t, conn, 128)[0] - want)
+        e64 = abs(holonomy(conn, 64)[0] - want)
+        e128 = abs(holonomy(conn, 128)[0] - want)
         assert e128 <= e64 + 1e-12
 
     def test_sawtooth_error_slope_is_one(self):
@@ -53,23 +83,36 @@ class TestHolonomy:
         c = 0.37
 
         def conn(t):
-            return np.array([2j * math.pi * c * t])
+            return (2j * math.pi * c * t)[:, None]
 
         want = cmath.exp(2j * math.pi * c * 0.5)
         ns = [16, 32, 64, 128, 256]
-        errs = [abs(holonomy(lambda t: t, conn, n)[0] - want) for n in ns]
+        errs = [abs(holonomy(conn, n)[0] - want) for n in ns]
         slope = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
         assert 0.8 <= slope <= 1.2
 
+    def test_connection_sampled_once_on_every_node(self):
+        calls = []
+
+        def conn(t):
+            calls.append(t.copy())
+            return np.zeros((len(t), 3))
+
+        assert holonomy(conn, 8).shape == (3,)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.arange(1, 9) / 8)
+
     def test_bad_n_rejected(self):
         with pytest.raises(PreconditionError):
-            holonomy(lambda t: t, lambda t: np.zeros(1), 0)
+            holonomy(lambda t: np.zeros(1), 0)
 
-    def test_matrix_sample_rejected(self):
-        """Samples are weight-phase vectors; a dense matrix is not one."""
-        for product in (holonomy, ribbon_holonomy):
-            with pytest.raises(PreconditionError, match="1-D"):
-                product(lambda *t: None, lambda _: np.zeros((2, 2)), 4)
+    def test_matrix_sample_rejected(self, a1):
+        """Samples are weight-phase vectors, one per node; a dense matrix is not one."""
+        ws = weight_multiplicities(a1, (1,))
+        with pytest.raises(PreconditionError, match="1-D"):
+            holonomy(lambda t: np.zeros((2, 2)), 4)
+        with pytest.raises(PreconditionError, match="1-D"):
+            wilson_closed_form(a1, [vertical_ribbon(1)], [ws], None, lambda s: np.zeros((2, 2)))
 
     def test_weight_phases_trace_is_the_character(self, a2):
         ws = weight_multiplicities(a2, (1, 1))
@@ -89,9 +132,8 @@ class TestHolonomy:
         def never(_):
             raise AssertionError("sampled a factor")
 
-        for product in (holonomy, ribbon_holonomy):
-            with pytest.raises(PreconditionError, match="budget"):
-                product(never, never, MAX_HOLONOMY_FACTORS + 1)
+        with pytest.raises(PreconditionError, match="budget"):
+            holonomy(never, MAX_HOLONOMY_FACTORS + 1)
 
 
 class TestRibbonHolonomy:
@@ -100,40 +142,26 @@ class TestRibbonHolonomy:
         ws = weight_multiplicities(a1, (1,))
         phases = weight_phases(ws, b)
         got = ribbon_holonomy(lambda t, u: None, lambda _: phases, 16)
-        want = holonomy(lambda t: None, lambda _: phases, 16)
+        want = holonomy(lambda t: phases, 16)
         assert got.shape == want.shape == (2,)
         assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_one_factor_count_per_job(self, a1, monkeypatch):
-        """ribbon_holonomy does not go through the public holonomy (the package
-        attribute `shadowsum.holonomy` is the function, so fetch the module)."""
-        hol = importlib.import_module("shadowsum.holonomy")
-
-        def never(*args):
-            raise AssertionError("ribbon_holonomy called holonomy")
-
-        monkeypatch.setattr(hol, "holonomy", never)
-        phases = weight_phases(weight_multiplicities(a1, (1,)), a1.from_labels([Q(1, 3)]))
-        assert hol.ribbon_holonomy(lambda t, u: None, lambda _: phases, 8).shape == (2,)
 
     def test_scaled_ribbon_limit_recovers_core(self, a1):
         """s -> 0 shrinks the ribbon onto its core loop for a smooth connection."""
         ws = weight_multiplicities(a1, (1,))
-        b = [float(x) for x in a1.from_labels([Q(1, 5)])]
+        phases = weight_phases(ws, [float(x) for x in a1.from_labels([Q(1, 5)])])
 
         def family(t, u):
-            return (u - 0.5, t)
+            return u - 0.5
 
-        def conn(sample):
-            du, _ = sample
+        def conn(du):
             scale = 1.0 + du * du  # nonlinear profile across the ribbon width
-            return scale * weight_phases(ws, b)
+            return scale[:, None] * phases
 
-        core = holonomy(lambda t: (0.0, t), conn, 64)
+        core = holonomy(lambda t: phases, 64)
         diffs = []
         for s in (1.0, 0.5, 0.25, 0.125):
-            fam = scaled_ribbon(family, s)
-            h = ribbon_holonomy(fam, conn, 64)
+            h = ribbon_holonomy(scaled_ribbon(family, s), conn, 64)
             diffs.append(float(np.max(np.abs(h - core))))
         assert diffs[-1] < diffs[0]
         assert all(diffs[i + 1] <= 0.3 * diffs[i] for i in range(len(diffs) - 1))
@@ -143,15 +171,13 @@ class TestWilsonClosedForm:
     def test_vertical_ribbon_constant_field(self, a1):
         b = a1.from_labels([Q(1, 3)])
         ws = weight_multiplicities(a1, (1,))
-        vr = VerticalRibbon(sigma=(0.0, 0.0), winding=1)
         bf = [float(x) for x in b]
-        got = wilson_closed_form(a1, [vr.loop], [ws], None, lambda s: bf)
+        got = wilson_closed_form(a1, [vertical_ribbon(1)], [ws], None, lambda s: bf)
         assert abs(got - character_eval(ws, b)) < 1e-9
 
     def test_trivial_color_gives_one(self, a1):
         ws = weight_multiplicities(a1, (0,))
-        vr = VerticalRibbon(sigma=(0.0, 0.0), winding=3)
-        got = wilson_closed_form(a1, [vr.loop], [ws], None, lambda s: [0.7, -0.3])
+        got = wilson_closed_form(a1, [vertical_ribbon(3)], [ws], None, lambda s: [0.7, -0.3])
         assert got == pytest.approx(1.0)
 
     def test_step_field_winding_w(self, a1):
@@ -159,46 +185,78 @@ class TestWilsonClosedForm:
         ws = weight_multiplicities(a1, (2,))
         b = a1.from_labels([Q(1, 5)])
         bf = [float(x) for x in b]
+
+        def field(sigma):
+            inside = np.asarray(sigma)[..., 0] > 0.25
+            return np.where(inside[..., None], bf, 0.0)
+
         for w in (-2, 1, 3):
-            vr = VerticalRibbon(sigma=(0.5, 0.5), winding=w)
+            def ribbon(t, u, w=w):
+                return (0.5, 0.5), (0.0, 0.0), float(w)
 
-            def field(sigma):
-                return bf if sigma == (0.5, 0.5) else [0.0, 0.0]
-
-            got = wilson_closed_form(a1, [vr.loop], [ws], None, field)
+            got = wilson_closed_form(a1, [ribbon], [ws], None, field)
             want = character_eval(ws, tuple(w * x for x in b))
             assert abs(got - want) < 1e-9
+
+    @pytest.mark.parametrize(
+        "label, color, labels",
+        [("A1", (1,), [Q(2, 11)]), ("B2", (1, 1), [Q(1, 13), Q(-2, 17)]),
+         ("A2", (2, 2), [Q(3, 19), Q(-1, 23)]), ("G2", (1, 1), [Q(1, 29), Q(2, 31)])],
+    )
+    def test_vertical_windings_match_the_exact_character(self, label, color, labels):
+        """Closed form at wind = ±1..3 against character_eval at the exact wind * b."""
+        rs = build_root_system(label)
+        ws = weight_multiplicities(rs, color)
+        b = rs.from_labels(labels)
+        bf = [float(x) for x in b]
+        dim = weyl_dimension(rs, color)
+        for wind in (-3, -2, -1, 1, 2, 3):
+            got = wilson_closed_form(rs, [vertical_ribbon(wind)], [ws], None, lambda s: bf)
+            want = character_eval(ws, tuple(wind * x for x in b))
+            assert abs(got - want) <= 1e-12 * dim, (label, wind)
+
+    def test_each_sampler_called_once_per_ribbon(self, a1):
+        calls = {"ribbon": 0, "a_form": 0, "b_field": 0}
+
+        def ribbon(t, u):
+            calls["ribbon"] += 1
+            return circling_ribbon(t, u)
+
+        def a_form(sigma, dsigma):
+            calls["a_form"] += 1
+            return 0.1 * dsigma
+
+        def b_field(sigma):
+            calls["b_field"] += 1
+            return np.array([0.2, -0.2])
+
+        colors = [weight_multiplicities(a1, (1,)), weight_multiplicities(a1, (2,))]
+        wilson_closed_form(a1, [ribbon, ribbon], colors, a_form, b_field)
+        assert calls == {"ribbon": 2, "a_form": 2, "b_field": 2}
 
     def test_matches_direct_ribbon_product(self, a1):
         """Closed form vs a high-n ordered product in the weight representation."""
         ws1 = weight_multiplicities(a1, (1,))
         ws2 = weight_multiplicities(a1, (2,))
-        b = [float(x) for x in a1.from_labels([Q(1, 3)])]
+        b = np.array([float(x) for x in a1.from_labels([Q(1, 3)])])
+        omega = np.array([float(x) for x in a1.fundamental_weights[0]])
 
         def a_form(sigma, dsigma):
-            return [0.15 * dsigma[0] * float(x) for x in a1.fundamental_weights[0]]
-
-        # nonvertical ribbon: sigma moves around a circle while tau winds once
-        def family(t, u):
-            ang = 2.0 * math.pi * t
-            sigma = (math.cos(ang), math.sin(ang))
-            dsigma = (-2.0 * math.pi * math.sin(ang), 2.0 * math.pi * math.cos(ang))
-            return (sigma, dsigma, 1.0)
+            return 0.15 * dsigma[:, :1] * omega
 
         colors = [ws1, ws2]
+        # nonvertical ribbon: sigma moves around a circle while tau winds once
         closed = wilson_closed_form(
-            a1, [family, family], colors, a_form, lambda s: b, t_nodes=512
+            a1, [circling_ribbon, circling_ribbon], colors, a_form, lambda s: b
         )
 
         direct = 1.0 + 0j
         for ws in colors:
-            def conn(sample):
+            def conn(sample, m=phase_map(ws)):
                 sigma, dsigma, dtau = sample
-                vec = np.asarray(a_form(sigma, dsigma), dtype=float) + dtau * np.asarray(b)
-                return weight_phases(ws, vec)
+                return (a_form(sigma, dsigma) + dtau * b) @ m
 
-            h = ribbon_holonomy(lambda t, u: family(t, u), conn, 4096)
-            direct *= h.sum()
+            direct *= ribbon_holonomy(circling_ribbon, conn, 4096).sum()
         assert abs(closed - direct) < 1e-6
 
     def test_length_mismatch_rejected(self, a1):
