@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""Compare the CLI's outputs from two source trees, byte for byte.
+
+    python scripts/compare_outputs.py OLD_SRC NEW_SRC --seeds 1 2
+
+OLD_SRC and NEW_SRC are directories holding the shadowsum package, such as
+the src/ of two checkouts.  The jobs are the benchmark's, built from
+bench/workloads.py: every job of each workload for each seed, the same job
+with `--diagnostics` for each shadow job, and the layer probe jobs.  Each
+job runs as one `python -m shadowsum` process per tree, in a fresh
+directory holding its input files.  The exit code, stdout and the --output
+file must agree byte for byte.  Prints one line per job that differs and a
+summary line; exits 1 on any difference.
+
+With no arguments it compares this checkout's src/ with itself on the probe
+jobs only, which checks the script itself in a few seconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # leave bench/ as it is
+sys.path.insert(0, str(ROOT / "bench"))
+
+import workloads as wl  # noqa: E402
+
+JOB_TIMEOUT_S = 600
+
+
+def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
+    """(name, argv, input files) of every job to compare."""
+    jobs = [(f"probe/{argv[0]}", argv, wl.PROBE_FILES) for argv in wl.PROBE_JOBS]
+    for workload in wl.WORKLOADS:
+        for seed in seeds:
+            for job in wl.make_jobs(workload, seed):
+                name = f"{workload}/{seed}/{job['slot']}"
+                jobs.append((name, job["argv"], job["files"]))
+                if job["argv"][0] == "shadow":
+                    jobs.append((f"{name} --diagnostics", [*job["argv"], "--diagnostics"],
+                                 job["files"]))
+    return jobs
+
+
+def run(src: Path, argv: list[str], files: dict[str, str]) -> tuple[int, bytes, bytes | None]:
+    """Exit code, stdout and --output file contents of one job on one tree."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            Path(tmp, name).write_text(text)
+        proc = subprocess.run([sys.executable, "-m", "shadowsum", *argv], cwd=tmp,
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              stdin=subprocess.DEVNULL, capture_output=True,
+                              timeout=JOB_TIMEOUT_S)
+        output = None
+        if "--output" in argv:
+            path = Path(tmp, argv[argv.index("--output") + 1])
+            output = path.read_bytes() if path.exists() else None
+    return proc.returncode, proc.stdout, output
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("old", nargs="?", type=Path, help="source tree of the reference")
+    p.add_argument("new", nargs="?", type=Path, help="source tree to compare with it")
+    p.add_argument("--seeds", type=int, nargs="+", default=[],
+                   help="workload seeds (default: none, the probe jobs only)")
+    args = p.parse_args(argv)
+    if (args.old is None) != (args.new is None):
+        p.error("give both OLD_SRC and NEW_SRC, or neither")
+    old, new = (args.old or ROOT / "src").resolve(), (args.new or ROOT / "src").resolve()
+
+    jobs = job_set(args.seeds)
+    differ = 0
+    for name, job_argv, files in jobs:
+        a, b = run(old, job_argv, files), run(new, job_argv, files)
+        parts = [what for what, x, y in zip(("exit code", "stdout", "--output"), a, b) if x != y]
+        if parts:
+            differ += 1
+            print(f"DIFF {name}: {', '.join(parts)}")
+    print(f"{len(jobs)} jobs, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -39,6 +39,7 @@ from .determinants import (
 from .diagrams import build_diagram, contract_state_sum, list_terms, prepare_terms
 from .errors import ParseError, PreconditionError, ShadowsumError
 from .fusion import (
+    ORACLE_TOL,
     build_fusion_table,
     quantum_dimension,
     table_entries,
@@ -57,7 +58,6 @@ from .reps import level_alphabet, weight_multiplicities
 from .roots import build_root_system
 
 MAX_LISTED_TERMS = 10**6  # budget of the per-term listing of `shadow --diagnostics`
-_ORACLE_TOL = 1e-6  # `fusion --verify` without --oracle-tol
 _QUAD_RES = (64, 128)  # `det --diagnostics` without --quad-res
 
 _TOP_KEYS = {"group", "k", "circles"}
@@ -259,7 +259,7 @@ def cmd_fusion(args) -> dict | list[str]:
     alphabet = _alphabet(args)
     table = build_fusion_table(alphabet)
     if args.verify:
-        verify_against_verlinde(alphabet, table, tol=args.oracle_tol or _ORACLE_TOL)
+        verify_against_verlinde(alphabet, table, tol=args.oracle_tol or ORACLE_TOL)
     if args.format == "text":
         return table_lines(alphabet, table)
     entries = table.size
@@ -465,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--verify", action="store_true", help="cross-check against the Verlinde oracle")
     sp.add_argument("--oracle-tol", type=_oracle_tol,
                     help="rounding tolerance of the Verlinde oracle, in (0, 0.5); "
-                         f"with --verify (default {_ORACLE_TOL})")
+                         f"with --verify (default {ORACLE_TOL})")
 
     sp = command("qdim", cmd_qdim, "quantum dimensions of the level alphabet")
     sp.add_argument("--weight", type=_labels, help="one weight as comma-joined labels")
@@ -475,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--chi", type=int, default=2, help="Euler number of the surface")
     sp.add_argument("--diagnostics", action="store_true", help="add the surface quadrature")
     sp.add_argument("--quad-res", type=_grid,
-                    help="quadrature grid, e.g. 512x1024; with --diagnostics (default 64x128)")
+                    help="quadrature grid, e.g. 512x1024; with --diagnostics "
+                         f"(default {_QUAD_RES[0]}x{_QUAD_RES[1]})")
 
     sp = command("regularize", cmd_regularize, "regularized indicator and determinant stage n",
                  with_k=False)

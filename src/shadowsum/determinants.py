@@ -147,7 +147,7 @@ class SphereMetricSample:
             )
 
 
-def round_sphere_metric(n_theta: int = 64, n_phi: int = 128) -> SphereMetricSample:
+def round_sphere_metric(n_theta: int, n_phi: int) -> SphereMetricSample:
     """Gauss-Legendre x uniform product rule on the unit round sphere (R_g = 2)."""
     if n_theta * n_phi > MAX_QUAD_NODES:
         raise PreconditionError(

@@ -7,6 +7,14 @@ exactly two of them and contributes +wind to the face on its positive side
 and -wind to the other, so gleams always sum to zero while the face Euler
 characteristics sum to chi(S^2) = 2.
 
+Faces are integers, numbered once by `build_diagram` in a preorder walk of
+the region tree: 0 is the outer face, and the face inside a circle follows
+its outer face, the children of a face taken by sorted circle id.  Each
+circle records its inner and outer face index, so every non-outer face has
+exactly one bounding circle and every later stage reads the indices
+instead of deriving them.  `regularize --face-values` lists face values in
+this order.
+
 The invariant of a colored diagram is
 
     |L| = sum_{colorings phi} prod_i N^{phi(Y^-_i)}_{gamma_i phi(Y^+_i)}
@@ -16,9 +24,8 @@ The invariant of a colored diagram is
 summed over all maps from faces to the level alphabet.  The phase exponent
 is kept as the integer weight_form_den <phi, phi+2 rho> (the root system's
 `label_form`) and reduced modulo 2k weight_form_den before its one float
-division.  Every factor is
-local to one circle (an edge of the region tree) or one face (a node), so
-`contract_state_sum` evaluates the sum exactly by eliminating faces from
+division.  Every factor is local to one circle (an edge of the region
+tree) or one face (a node), so `contract_state_sum` evaluates the sum exactly by eliminating faces from
 the leaves up, in O(#faces |A|^2); it is the one evaluator of the value,
 of sum |term| and of the number of terms.  `list_terms` only lists the
 nonvanishing terms (for `shadow --diagnostics`): depth-first in region-tree
@@ -38,8 +45,6 @@ from .errors import PreconditionError
 from .fusion import fusion_matrices, quantum_dimension
 from .reps import Labels, LevelAlphabet
 
-OUTER_FACE = "outer"
-
 
 @dataclass(frozen=True)
 class Circle:
@@ -48,115 +53,99 @@ class Circle:
     winding: int
     positive_side: str  # "inside" | "outside"
     color: Labels
+    inner: int  # index of the face inside the circle
+    outer: int  # index of the face outside it: the parent's inner face, or 0
 
 
 @dataclass(frozen=True)
 class Face:
-    face_id: str
-    boundary: tuple[str, ...]  # ids of adjacent circles
+    face_id: str  # display name: "outer" or "in:<circle id>"
     euler: int
     gleam: int
 
 
 @dataclass(frozen=True)
 class ShadowDiagram:
-    circles: tuple[Circle, ...]
+    circles: tuple[Circle, ...]  # in file order
     faces: tuple[Face, ...]  # region-tree preorder; outer face first
-
-
-def _face_id_of(circle_id: str | None) -> str:
-    return OUTER_FACE if circle_id is None else f"in:{circle_id}"
 
 
 def build_diagram(circles: Iterable[dict]) -> ShadowDiagram:
     """Validate the nesting forest of link-file circle dicts and derive faces,
     Euler numbers, gleams.
 
-    The face inside circle c (and outside c's children) gets chi = 1 - #children;
-    the outer face gets chi = 2 - #roots.  Rejects containment cycles and
-    dangling parent references as violations of the disjointness assumption.
+    Faces are numbered in one preorder walk of the region tree: the outer
+    face is 0, and each circle's inner face comes after its parent's, the
+    children of a face taken by sorted circle id.  The face inside circle c
+    (and outside c's children) gets chi = 1 - #children; the outer face gets
+    chi = 2 - #roots.  Rejects containment cycles (circles the walk never
+    reaches) and dangling parent references as violations of the
+    disjointness assumption.
     """
-    cs = [
-        Circle(
-            circle_id=str(c["id"]),
-            parent=None if c.get("parent") is None else str(c["parent"]),
-            winding=int(c["winding"]),
-            positive_side=str(c["positive_side"]),
-            color=tuple(int(x) for x in c["color"]),
-        )
-        for c in circles
-    ]
-
-    ids = [c.circle_id for c in cs]
+    docs = list(circles)
+    ids = [str(c["id"]) for c in docs]
     if len(set(ids)) != len(ids):
         raise PreconditionError(f"duplicate circle ids in {ids}")
-    by_id = {c.circle_id: c for c in cs}
-    for c in cs:
-        if c.positive_side not in ("inside", "outside"):
+    parent = {cid: None if c.get("parent") is None else str(c["parent"])
+              for cid, c in zip(ids, docs)}
+    children: dict[str | None, list[str]] = {cid: [] for cid in [None, *ids]}
+    for cid, c in zip(ids, docs):
+        side = str(c["positive_side"])
+        if side not in ("inside", "outside"):
             raise PreconditionError(
-                f"circle {c.circle_id}: positive_side must be 'inside' or 'outside', "
-                f"got {c.positive_side!r}"
+                f"circle {cid}: positive_side must be 'inside' or 'outside', got {side!r}"
             )
-        if c.parent is not None and c.parent not in by_id:
+        if parent[cid] is not None and parent[cid] not in parent:
             raise PreconditionError(
-                f"circle {c.circle_id} is parented to unknown circle {c.parent!r}"
+                f"circle {cid} is parented to unknown circle {parent[cid]!r}"
             )
-    # Forest check: walking parents must terminate at a root.  Each circle is
-    # walked once: ON_WALK marks the current walk, REACHES_ROOT earlier ones.
-    ON_WALK, REACHES_ROOT = 1, 2
-    state: dict[str, int] = {}
-    for c in cs:
-        walk = []
-        cur = c.circle_id
-        while cur is not None and cur not in state:
-            state[cur] = ON_WALK
-            walk.append(cur)
-            cur = by_id[cur].parent
-        if cur is not None and state[cur] == ON_WALK:
-            raise PreconditionError(
-                f"containment cycle through circle {cur!r} violates the "
-                "disjoint-circles assumption"
-            )
-        for cid in walk:
-            state[cid] = REACHES_ROOT
-
-    children: dict[str | None, list[str]] = {None: []}
-    for c in cs:
-        children.setdefault(c.circle_id, [])
-    for c in cs:
-        children.setdefault(c.parent, []).append(c.circle_id)
+        children[parent[cid]].append(cid)
     for v in children.values():
         v.sort()
 
-    # Faces in region-tree preorder.
-    order: list[str | None] = [None]
-    stack = list(reversed(children[None]))
+    face_of: dict[str | None, int] = {}  # None: the outer face; else the face inside
+    stack: list[str | None] = [None]
     while stack:
         cid = stack.pop()
-        order.append(cid)
+        face_of[cid] = len(face_of)
         stack.extend(reversed(children[cid]))
+    if len(face_of) <= len(ids):
+        # The parents of a circle the walk missed never reach a root: follow
+        # them until one repeats, which lies on the cycle.
+        cur, seen = next(cid for cid in ids if cid not in face_of), set()
+        while cur not in seen:
+            seen.add(cur)
+            cur = parent[cur]
+        raise PreconditionError(
+            f"containment cycle through circle {cur!r} violates the "
+            "disjoint-circles assumption"
+        )
 
-    gleams = {_face_id_of(cid): 0 for cid in order}
-    for c in cs:
-        inner = _face_id_of(c.circle_id)
-        outer = _face_id_of(c.parent)
-        s = 1 if c.positive_side == "inside" else -1
-        gleams[inner] += s * c.winding
-        gleams[outer] -= s * c.winding
-
-    faces = []
-    for cid in order:
-        fid = _face_id_of(cid)
-        kids = children[None if cid is None else cid]
-        if cid is None:
-            boundary = tuple(kids)
-            euler = 2 - len(kids)
-        else:
-            boundary = tuple([cid] + kids)
-            euler = 1 - len(kids)
-        faces.append(Face(face_id=fid, boundary=boundary, euler=euler, gleam=gleams[fid]))
-
-    return ShadowDiagram(circles=tuple(cs), faces=tuple(faces))
+    cs = []
+    gleams = [0] * len(face_of)
+    for cid, c in zip(ids, docs):
+        circle = Circle(
+            circle_id=cid,
+            parent=parent[cid],
+            winding=int(c["winding"]),
+            positive_side=str(c["positive_side"]),
+            color=tuple(int(x) for x in c["color"]),
+            inner=face_of[cid],
+            outer=face_of[parent[cid]],
+        )
+        s = circle.winding if circle.positive_side == "inside" else -circle.winding
+        gleams[circle.inner] += s
+        gleams[circle.outer] -= s
+        cs.append(circle)
+    faces = tuple(
+        Face(
+            face_id="outer" if cid is None else f"in:{cid}",
+            euler=(2 if cid is None else 1) - len(children[cid]),
+            gleam=gleams[f],
+        )
+        for cid, f in face_of.items()
+    )
+    return ShadowDiagram(circles=tuple(cs), faces=faces)
 
 
 @dataclass(frozen=True)
@@ -180,9 +169,11 @@ class TermData:
     gleams: tuple[int, ...]
     qdims: tuple[float, ...]
     phase_q: tuple[int, ...]  # form_den <phi, phi + 2 rho> per alphabet entry
-    # circles as (face index of Y^-, face index of Y^+, color labels)
-    circle_faces: tuple[tuple[int, int, Labels], ...]
-    fusion: dict[Labels, np.ndarray]  # N_gamma for each circle color gamma
+    # circles in file order as (inner face, outer face, M): M[a, b] is the
+    # circle's fusion factor with colour a outside and b inside, which is
+    # N_gamma for positive side inside and its transpose otherwise; circles
+    # of one colour and side share one M
+    circles: tuple[tuple[int, int, np.ndarray], ...]
 
 
 def prepare_terms(diagram: ShadowDiagram, alphabet: LevelAlphabet) -> TermData:
@@ -201,21 +192,17 @@ def prepare_terms(diagram: ShadowDiagram, alphabet: LevelAlphabet) -> TermData:
         rs.label_form(lam, tuple(a + b for a, b in zip(lam, rho2)))
         for lam in alphabet.elements
     )
-    idx = {f.face_id: i for i, f in enumerate(diagram.faces)}
-    circle_faces = []
-    for c in diagram.circles:
-        inner = idx[_face_id_of(c.circle_id)]
-        outer = idx[_face_id_of(c.parent)]
-        plus, minus = (inner, outer) if c.positive_side == "inside" else (outer, inner)
-        circle_faces.append((minus, plus, c.color))
+    fusion = fusion_matrices(alphabet, (c.color for c in diagram.circles))
+    oriented = {(g, side): m if side == "inside" else m.T
+             for g, m in fusion.items() for side in ("inside", "outside")}
     return TermData(
         k=alphabet.k,
         form_den=rs.weight_form_den,
         gleams=tuple(f.gleam for f in diagram.faces),
         qdims=qdims,
         phase_q=phase_q,
-        circle_faces=tuple(circle_faces),
-        fusion=fusion_matrices(alphabet, (c.color for c in diagram.circles)),
+        circles=tuple((c.inner, c.outer, oriented[c.color, c.positive_side])
+                      for c in diagram.circles),
     )
 
 
@@ -225,13 +212,13 @@ def contract_state_sum(
     """Sum the invariant over all area colorings by elimination on the region tree.
 
     Face f carries the weight w_f(a) = dim(a)^chi_f exp(i pi gleam_f <a, a+2rho>/k)
-    and circle gamma joins a face to its parent through the matrix
-    N_gamma[a, b] = N^a_{gamma b} (a the color of Y^-, b that of Y^+).  In
-    reverse preorder every face is finished before its parent, which then
-    absorbs the message N_gamma m_f (parent is Y^-) or N_gamma^T m_f (parent
-    is Y^+), so m_f = w_f * prod_children messages and the sum is sum m_outer.
-    Since N >= 0, the same pass over |w_f| gives sum |term|, and over the
-    support N != 0 with exact ints the number of nonvanishing colorings.
+    and the circle bounding f joins it to its outer face through M[a, b],
+    the fusion factor with a outside and b inside.  In reverse preorder
+    every face is finished before its outer face, which then absorbs the
+    message M m_f, so m_f = w_f * prod_children messages and the sum is
+    sum m_outer.  Since M >= 0, the same pass over |w_f| gives sum |term|,
+    and over the support M != 0 with exact ints the number of nonvanishing
+    colorings.
 
     chi_f is 1 - #children (2 - #roots for the outer face), so dim^chi_f
     underflows on faces with many children.  Face f is weighted by
@@ -252,28 +239,20 @@ def contract_state_sum(
         abs_w[f] = qdims ** (1 if f else 2)  # dim^(chi_f + #children_f)
         w[f] = abs_w[f] * np.exp(1j * math.pi / data.k * np.array(angles))
 
-    # N_gamma in floats for the sums, and its support N != 0 in exact ints for the count
-    fusion_mats = {
-        gamma: (mat.astype(float), (mat != 0).astype(int).astype(object))
-        for gamma, mat in data.fusion.items()
-    }
-    link: list[tuple[int, Labels, bool] | None] = [None] * n_faces  # face -> parent
-    for minus, plus, gamma in data.circle_faces:
-        # preorder puts the circle's inner face (the child) after its outer face
-        child, parent = max(minus, plus), min(minus, plus)
-        link[child] = (parent, gamma, parent == minus)
-
+    bounding = {inner: (outer, mat) for inner, outer, mat in data.circles}
+    # each distinct M in floats for the sums, and its support M != 0 in exact ints for the count
+    converted: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     # w[f], abs_w[f] and counts[f] become the messages m_f as children are absorbed
     counts = np.ones((n_faces, n_colors), dtype=int).astype(object)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
         for f in range(n_faces - 1, 0, -1):
-            parent, gamma, parent_is_minus = link[f]
-            mat, support = fusion_mats[gamma]
-            if not parent_is_minus:
-                mat, support = mat.T, support.T
-            w[parent] *= (mat @ w[f]) / qdims
-            abs_w[parent] *= (mat @ abs_w[f]) / qdims
-            counts[parent] *= support @ counts[f]
+            outer, mat = bounding[f]
+            if id(mat) not in converted:
+                converted[id(mat)] = (mat.astype(float), (mat != 0).astype(int).astype(object))
+            mat, support = converted[id(mat)]
+            w[outer] *= (mat @ w[f]) / qdims
+            abs_w[outer] *= (mat @ abs_w[f]) / qdims
+            counts[outer] *= support @ counts[f]
 
     value, abs_sum = complex(w[0].sum()), float(abs_w[0].sum())
     if not (cmath.isfinite(value) and math.isfinite(abs_sum)):
@@ -297,13 +276,11 @@ def term_value(data: TermData, coloring: Sequence[int]) -> complex:
     """
     n_product = 1
     dim_product = data.qdims[coloring[0]] ** 2
-    for minus, plus, gamma in data.circle_faces:
-        n_product *= int(data.fusion[gamma][coloring[minus], coloring[plus]])
+    for inner, outer, mat in data.circles:
+        n_product *= int(mat[coloring[outer], coloring[inner]])
         if n_product == 0:
             return 0j
-        # preorder puts the circle's inner face after its outer face
-        inner, outer = coloring[max(minus, plus)], coloring[min(minus, plus)]
-        dim_product *= data.qdims[inner] / data.qdims[outer]
+        dim_product *= data.qdims[coloring[inner]] / data.qdims[coloring[outer]]
     exponent = sum(g * data.phase_q[ci] for g, ci in zip(data.gleams, coloring))
     # exp(i pi q / k) has period 2k in q: reduce the integer d q, then divide once
     exponent = exponent % (2 * data.k * data.form_den) / data.form_den
@@ -319,19 +296,14 @@ def list_terms(
     """Every nonvanishing term as (face colours in face order, term), lexicographically.
 
     Colorings are enumerated depth-first over faces in region-tree order with
-    an explicit stack; a branch is cut as soon as some circle's fusion factor
-    vanishes.  Exponential: `contract_state_sum` evaluates the sum.
+    an explicit stack; a branch is cut as soon as the fusion factor of the
+    circle bounding the face just coloured vanishes (its outer face comes
+    earlier in preorder).  Exponential: `contract_state_sum` evaluates the sum.
     """
     data = data or prepare_terms(diagram, alphabet)
     n_faces = len(diagram.faces)
     n_colors = len(alphabet.elements)
-
-    # circles whose fusion factor becomes decidable once face f is colored
-    # (in region-tree order that is the inner face, except for inside-out
-    # orientations where it is still the later of the two faces).
-    ready_at: list[list[tuple[int, int, Labels]]] = [[] for _ in range(n_faces)]
-    for minus, plus, gamma in data.circle_faces:
-        ready_at[max(minus, plus)].append((minus, plus, gamma))
+    bounding = {inner: (outer, mat) for inner, outer, mat in data.circles}
 
     terms: list[tuple[tuple[Labels, ...], complex]] = []
     coloring = [0] * n_faces
@@ -344,11 +316,10 @@ def list_terms(
             continue
         next_color[face] = ci + 1
         coloring[face] = ci
-        if any(
-            data.fusion[gamma][coloring[minus], coloring[plus]] == 0
-            for minus, plus, gamma in ready_at[face]
-        ):
-            continue
+        if face:
+            outer, mat = bounding[face]
+            if mat[coloring[outer], ci] == 0:
+                continue
         if face + 1 < n_faces:
             face += 1
             next_color[face] = 0

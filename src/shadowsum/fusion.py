@@ -42,6 +42,8 @@ _FOLD_BLOCK = 2**14
 MAX_FUSION_COEFFS = 10**6
 # Budget of `verlinde_table`: Weyl-orbit phases of the S-matrix, |W| * |A|^2.
 MAX_VERLINDE_ORBIT_TERMS = 2 * 10**5
+# Rounding tolerance of the Verlinde oracle; `fusion --verify` without --oracle-tol.
+ORACLE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -211,7 +213,7 @@ def _s_matrix(alphabet: LevelAlphabet) -> np.ndarray:
     return np.array(rows)
 
 
-def verlinde_table(alphabet: LevelAlphabet, tol: float = 1e-6) -> np.ndarray:
+def verlinde_table(alphabet: LevelAlphabet, tol: float = ORACLE_TOL) -> np.ndarray:
     """V[l, m, n] = N^{A[l]}_{A[m] A[n]} from the Verlinde sum over one S-matrix.
 
     V = sum_sigma s[l, sigma] s[m, sigma] conj(s[n, sigma]) / s[0, sigma],
@@ -260,7 +262,7 @@ def table_entries(alphabet: LevelAlphabet, table: np.ndarray):
     return ((*t, n) for t, n in zip(triples, table.ravel().tolist()))
 
 
-def verify_against_verlinde(alphabet: LevelAlphabet, table: np.ndarray, tol: float = 1e-6) -> None:
+def verify_against_verlinde(alphabet: LevelAlphabet, table: np.ndarray, tol: float = ORACLE_TOL) -> None:
     """Raise OracleError on the first triple, in index order, disagreeing with
     the Verlinde table."""
     oracle = verlinde_table(alphabet, tol=tol)

@@ -239,20 +239,17 @@ def parse_type_label(label: str) -> tuple[str, int]:
     return kind, int(rank)
 
 
-def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
-    """Construct the full root system of a simple type of rank <= 8.
+def build_root_system(type_label: str) -> RootSystem:
+    """Construct the full root system of a simple type of rank <= 8, e.g. "G2".
 
-    Accepts either build_root_system("G", 2) or build_root_system("G2").
     The positive roots are the closure of the simple roots under the simple
     reflections s_i(c) = c - label_i(c) e_i in simple-root coordinates c,
     keeping the results with non-negative coordinates; label(c) = c C.
     """
-    if rank is None:
-        type_label, rank = parse_type_label(type_label)
-    t = type_label.upper()
+    t, rank = parse_type_label(type_label)
     if t not in _VALID_RANKS or rank not in _VALID_RANKS[t]:
         raise PreconditionError(
-            f"invalid simple type ({type_label!r}, rank {rank}); supported: "
+            f"invalid simple type ({t!r}, rank {rank}); supported: "
             "A1-A8, B2-B8, C2-C8, D4-D8, E6-E8, F4, G2"
         )
 

@@ -101,3 +101,18 @@ def random_forest_diagram(rng: random.Random, alphabet, max_circles=6, max_wind=
             }
         )
     return build_diagram(circles)
+
+
+def _parented(**parents):
+    """Link-file circles (A1 colour [0]) from id=parent keywords, in keyword order."""
+    return [{"id": cid, "parent": p, "winding": 1, "positive_side": "inside", "color": [0]}
+            for cid, p in parents.items()]
+
+
+# Containment cycles that no existing tree check reaches head on, as
+# (name, circles, ids of the circles that lie on a cycle).
+CYCLE_FORESTS = [
+    ("hangs-inside-two-cycle", _parented(c="a", a="b", b="a"), {"a", "b"}),
+    ("two-disjoint-cycles", _parented(r=None, a="b", b="a", c="d", d="c"), {"a", "b", "c", "d"}),
+    ("self-parent-beside-tree", _parented(r=None, s="r", t="s", x="x"), {"x"}),
+]

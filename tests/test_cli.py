@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import src_env
+from conftest import CYCLE_FORESTS, src_env
 from shadowsum import cli
 
 EMPTY = {"group": "A1", "k": 4, "circles": []}
@@ -437,6 +437,16 @@ class TestOneLinkParser:
         rc, _, report = self.agree(capsys, write(tmp_path, "two.json", doc))
         assert rc == 3
         assert [e["code"] for e in report["report"]] == ["color", "color", "assumption-1"]
+
+    @pytest.mark.parametrize("name,circles,on_cycle", CYCLE_FORESTS,
+                             ids=[name for name, _, _ in CYCLE_FORESTS])
+    def test_cycle_is_one_assumption_problem(self, tmp_path, capsys, name, circles, on_cycle):
+        """shadow exits 3 and validate reports the cycle once, naming a circle on it."""
+        doc = {"group": "A1", "k": 4, "circles": circles}
+        rc, err, report = self.agree(capsys, write(tmp_path, "cycle.json", doc))
+        assert rc == 3
+        assert [e["code"] for e in report["report"]] == ["assumption-1"]
+        assert err["error"]["message"].split("'")[1] in on_cycle
 
     def test_parent_may_be_omitted(self, tmp_path, capsys):
         doc = one_circle()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_forest_diagram
+from conftest import CYCLE_FORESTS, random_forest_diagram
 from shadowsum.diagrams import build_diagram, contract_state_sum, list_terms
 from shadowsum.errors import PreconditionError
 from shadowsum import cli, fusion
@@ -146,6 +146,61 @@ class TestBuildDiagram:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(PreconditionError):
             build_diagram([circle("a"), circle("a")])
+
+    @pytest.mark.parametrize("name,circles,on_cycle", CYCLE_FORESTS,
+                             ids=[name for name, _, _ in CYCLE_FORESTS])
+    def test_cycle_named_by_a_circle_on_it(self, name, circles, on_cycle):
+        """Whatever the file order, the message names a circle on a cycle,
+        never one that only hangs inside it or a circle of a valid tree."""
+        for order in itertools.permutations(circles):
+            with pytest.raises(PreconditionError, match="containment cycle") as ei:
+                build_diagram(order)
+            named = str(ei.value).split("'")[1]
+            assert named in on_cycle, (name, [c["id"] for c in order], str(ei.value))
+
+
+# Two roots, "m" a leaf and "p" with children "q" and "r": listed by sorted id
+# the Euler numbers are [0, 1, -1, 1, 1]; in file order they would differ.
+TWO_LEVEL = [circle("p", winding=2), circle("r", parent="p", winding=-1, side="outside"),
+             circle("q", parent="p", winding=3), circle("m", winding=-2, side="outside")]
+TWO_LEVEL_FACES = ["outer", "in:m", "in:p", "in:q", "in:r"]
+
+
+class TestFaceOrder:
+    def test_preorder_by_sorted_id_whatever_the_file_order(self):
+        want = build_diagram(TWO_LEVEL).faces
+        assert [f.face_id for f in want] == TWO_LEVEL_FACES
+        assert [f.euler for f in want] == [0, 1, -1, 1, 1]
+        rng = random.Random(13)
+        for _ in range(12):
+            shuffled = rng.sample(TWO_LEVEL, len(TWO_LEVEL))
+            assert build_diagram(shuffled).faces == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_circles_record_their_faces(self, seed):
+        d = random_forest_diagram(random.Random(seed), level_alphabet(build_root_system("A1"), 4))
+        by_id = {c.circle_id: c for c in d.circles}
+        assert sorted(c.inner for c in d.circles) == list(range(1, len(d.faces)))
+        for c in d.circles:
+            assert d.faces[c.inner].face_id == f"in:{c.circle_id}"
+            assert c.outer == (0 if c.parent is None else by_id[c.parent].inner)
+
+    def test_regularize_reads_face_values_in_face_order(self, tmp_path, capsys, a1):
+        """The stage-n determinant of the stepped field tends to
+        prod_f (2 sin(pi alpha_f))^chi_f; values follow TWO_LEVEL_FACES."""
+        alphas = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(1, 4), Fraction(2, 5)]
+        values = ";".join(f"{a / 2},{-a / 2}" for a in alphas)  # A1: alpha(x, -x) = 2x
+        chis = [0, 1, -1, 1, 1]
+        want = math.prod((2 * math.sin(math.pi * a)) ** chi for a, chi in zip(alphas, chis))
+        in_file_order = math.prod((2 * math.sin(math.pi * a)) ** chi
+                                  for a, chi in zip(alphas, [0, -1, 1, 1, 1]))
+        assert abs(want - in_file_order) > 0.5
+        path = tmp_path / "two_level.json"
+        path.write_text(json.dumps({"group": "A1", "circles": TWO_LEVEL}))
+        assert cli.main(["regularize", "--n", "12", str(path), "--face-values", values]) == 0
+        got = json.loads(capsys.readouterr().out)["det_rig_n"]
+        assert complex(got["re"], got["im"]) == pytest.approx(want, rel=1e-6)
 
 
 @settings(max_examples=60, deadline=None)

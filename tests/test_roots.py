@@ -61,18 +61,18 @@ def test_highest_root_unique_long_dominant(label):
 
 
 def test_example_counts():
-    assert len(build_root_system("A", 1).positive_roots) == 1
-    assert build_root_system("A", 1).dual_coxeter == 2
-    assert len(build_root_system("A", 2).positive_roots) == 3
-    assert build_root_system("A", 2).dual_coxeter == 3
-    assert len(build_root_system("G", 2).positive_roots) == 6
-    assert build_root_system("G", 2).dual_coxeter == 4
+    assert len(build_root_system("A1").positive_roots) == 1
+    assert build_root_system("A1").dual_coxeter == 2
+    assert len(build_root_system("A2").positive_roots) == 3
+    assert build_root_system("A2").dual_coxeter == 3
+    assert len(build_root_system("G2").positive_roots) == 6
+    assert build_root_system("G2").dual_coxeter == 4
 
 
 @pytest.mark.parametrize("bad", [("A", 0), ("A", 9), ("B", 1), ("D", 3), ("E", 5), ("H", 2), ("F", 3)])
 def test_invalid_pairs_rejected(bad):
     with pytest.raises(PreconditionError) as ei:
-        build_root_system(*bad)
+        build_root_system(f"{bad[0]}{bad[1]}")
     assert bad[0] in str(ei.value) and str(bad[1]) in str(ei.value)
 
 
