@@ -10,7 +10,9 @@ with `--diagnostics` for each shadow job, and the layer probe jobs.  Each
 job runs as one `python -m shadowsum` process per tree, in a fresh
 directory holding its input files.  The exit code, stdout and the --output
 file must agree byte for byte.  Prints one line per job that differs and a
-summary line; exits 1 on any difference.
+summary line; exits 1 on any difference.  Where the differing outputs are
+JSON, the line also gives the largest absolute difference over the numeric
+leaves and its key path, such as `max |Δ| 3e-16 at closed_form.re`.
 
 With no arguments it compares this checkout's src/ with itself on the probe
 jobs only, which checks the script itself in a few seconds.
@@ -19,6 +21,7 @@ jobs only, which checks the script itself in a few seconds.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -64,6 +67,29 @@ def run(src: Path, argv: list[str], files: dict[str, str]) -> tuple[int, bytes, 
     return proc.returncode, proc.stdout, output
 
 
+def _numeric_leaves(doc, path: str = ""):
+    """(key path, value) of every number in a JSON document; bools are not numbers."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _numeric_leaves(value, f"{path}.{key}" if path else str(key))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _numeric_leaves(value, f"{path}[{i}]")
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield path, doc
+
+
+def max_numeric_diff(old: bytes | None, new: bytes | None) -> tuple[float, str] | None:
+    """(largest |new - old|, its key path) over the numeric leaves both JSON
+    documents hold at the same path; None unless both parse and a leaf differs."""
+    try:
+        a, b = (dict(_numeric_leaves(json.loads(doc))) for doc in (old, new))
+    except (TypeError, ValueError):  # no document, or not JSON
+        return None
+    diffs = [(abs(b[path] - a[path]), path) for path in a.keys() & b.keys() if a[path] != b[path]]
+    return max(diffs, default=None)
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("old", nargs="?", type=Path, help="source tree of the reference")
@@ -82,7 +108,9 @@ def main(argv: list[str] | None = None) -> int:
         parts = [what for what, x, y in zip(("exit code", "stdout", "--output"), a, b) if x != y]
         if parts:
             differ += 1
-            print(f"DIFF {name}: {', '.join(parts)}")
+            deltas = [d for d in map(max_numeric_diff, a[1:], b[1:]) if d]
+            note = "; max |Δ| {:.2g} at {}".format(*max(deltas)) if deltas else ""
+            print(f"DIFF {name}: {', '.join(parts)}{note}")
     print(f"{len(jobs)} jobs, {differ} differ")
     return 1 if differ else 0
 

@@ -1,7 +1,8 @@
 """Inverse of d/dt + ad(b) on g-valued Fourier series over the circle.
 
 Series live in the complexified root-space basis [H_1..H_r, X_alpha for
-alpha in roots] where ad(b) is diagonal: 0 on the Cartan coordinates and
+the positive roots alpha in `root_pairings` order, then X_-alpha in the
+same order] where ad(b) is diagonal: 0 on the Cartan coordinates and
 2 pi i alpha(b) on X_alpha (the exponential convention exp(b) = 1 iff b is
 in the coroot lattice).  Mode n of the operator multiplies coordinate
 X_alpha by 2 pi i (n + alpha(b)) and Cartan coordinates by 2 pi i n, so
@@ -34,7 +35,7 @@ class CircleOperatorData:
     rs: RootSystem
     b: tuple
     order: int
-    pairings: tuple[float, ...] = field(init=False)  # alpha(b) over all roots
+    pairings: tuple[float, ...] = field(init=False)  # alpha(b), then -alpha(b), alpha > 0
 
     def __post_init__(self):
         rs = self.rs
@@ -43,12 +44,12 @@ class CircleOperatorData:
             raise PreconditionError(f"b = {format_vector(b)} is singular; T(b) is undefined")
         if self.order < 0:
             raise PreconditionError("truncation order must be >= 0")
-        pair = tuple(float(rs.inner(alpha, b)) for alpha in rs.roots)
-        object.__setattr__(self, "pairings", pair)
+        pair = tuple(float(x) for x in rs.root_pairings(b))
+        object.__setattr__(self, "pairings", pair + tuple(-x for x in pair))
 
     @property
     def dim(self) -> int:
-        return self.rs.rank + len(self.rs.roots)
+        return self.rs.rank + len(self.pairings)
 
     @property
     def spectrum(self) -> np.ndarray:

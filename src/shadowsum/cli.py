@@ -341,10 +341,10 @@ def cmd_holonomy(args) -> dict:
     ws = weight_multiplicities(rs, args.color)
     # Weights have integer labels, so both values depend on the winding only modulo the
     # lcm D of the denominators of <w_j, b>: take its least-absolute residue before floats.
-    period = math.lcm(*(rs.inner(w, b).denominator for w in rs.fundamental_weights))
+    period = math.lcm(*(p.denominator for p in rs.weight_pairings(b)))
     wind = args.wind - period * round(Fraction(args.wind, period))
     bf = tuple(float(x) for x in b)
-    closed = wilson_closed_form(rs, [vertical_ribbon(wind)], [ws], None, lambda sigma: bf)
+    closed = wilson_closed_form([vertical_ribbon(wind)], [ws], None, lambda sigma: bf)
     phases = weight_phases(ws, b) * wind
     product = holonomy(lambda t: phases, n=args.n)
     return {

@@ -37,24 +37,19 @@ CURVATURE_TOL = 1e-6  # curvature integral against 4 pi chi (Gauss-Bonnet)
 SINGULAR_TOL = 1e-12  # distance of alpha(B) from an integer that counts as singular
 
 
-def _pairings(rs: RootSystem, b: Sequence) -> list[float]:
-    """alpha(b) for every positive root, as floats."""
-    return [float(rs.inner(alpha, tuple(b))) for alpha in rs.positive_roots]
-
-
 def det_k(rs: RootSystem, b: Sequence) -> float:
     """prod_{alpha>0} 4 sin^2(pi alpha(b)); vanishes on singular b."""
     out = 1.0
-    for x in _pairings(rs, b):
-        out *= 4.0 * math.sin(math.pi * x) ** 2
+    for x in rs.root_pairings(b):
+        out *= 4.0 * math.sin(math.pi * float(x)) ** 2
     return out
 
 
 def det_half(rs: RootSystem, b: Sequence) -> float:
     """Signed half-power prod_{alpha>0} 2 sin(pi alpha(b)); its square is det_k."""
     out = 1.0
-    for x in _pairings(rs, b):
-        out *= 2.0 * math.sin(math.pi * x)
+    for x in rs.root_pairings(b):
+        out *= 2.0 * math.sin(math.pi * float(x))
     return out
 
 

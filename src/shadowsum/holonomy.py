@@ -16,7 +16,8 @@ field average of the Wilson loop product has the closed form
 
     prod_i Tr_{rho_i}( exp( int_0^1 ( oint_{(R_i^(s))_u} (A_c + B dt) ) du ) )
 
-whose argument is t-valued; traces are evaluated through characters.
+whose argument is t-valued, so each trace is the sum of exp over the
+module's weight phases at it (`weight_phases`, the one evaluator of beta(b)).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .reps import WeightSystem, character_eval, weyl_dimension
+from .reps import WeightSystem, weyl_dimension
 from .roots import RootSystem
 
 MAX_HOLONOMY_FACTORS = 2**16  # budget of `holonomy`: n factors
@@ -78,8 +79,7 @@ def weight_phases(ws: WeightSystem, b: Sequence[float]) -> np.ndarray:
     every weight beta, repeated by multiplicity, in sorted label order.
 
     beta(b) = sum_i label_i(beta) <omega_i, b>: exact for rational b."""
-    rs = ws.rs
-    pairings = [rs.inner(w, tuple(b)) for w in rs.fundamental_weights]
+    pairings = ws.rs.weight_pairings(b)
     entries = []
     for labels, m in sorted(ws.multiplicities.items()):
         beta_b = sum(c * p for c, p in zip(labels, pairings))
@@ -97,13 +97,12 @@ def vertical_ribbon(winding: int) -> Callable:
 
 
 def wilson_closed_form(
-    rs: RootSystem,
     ribbons: Sequence[Callable[[np.ndarray, np.ndarray], tuple]],
     colors: Sequence[WeightSystem],
     a_form: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
     b_field: Callable[[np.ndarray], np.ndarray],
 ) -> complex:
-    """prod_i Tr_{rho_i} exp( int_0^1 ( oint (A_c + B dt) ) du ), via characters.
+    """prod_i Tr_{rho_i} exp( int_0^1 ( oint (A_c + B dt) ) du ), via `weight_phases`.
 
     Each ribbon sampler maps the grid arrays (t, u) to (sigma, dsigma/dt,
     dtau/dt); the 1-form part contributes a_form(sigma, dsigma/dt) and the
@@ -125,5 +124,6 @@ def wilson_closed_form(
         integrand = np.asarray(dtau, dtype=float)[..., None] * field
         if a_form is not None:
             integrand = integrand + np.asarray(a_form(sigma, dsigma), dtype=float)
-        total *= character_eval(color, tuple(weights @ _rows(integrand, weights.size)))
+        integral = weights @ _rows(integrand, weights.size)
+        total *= complex(np.exp(weight_phases(color, integral)).sum())
     return total

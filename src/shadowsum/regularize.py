@@ -161,8 +161,7 @@ def regularized_indicator(rs: RootSystem, n: int, field: SteppedField) -> float:
     out = 1.0
     for b in field.values:
         face_factor = 1.0
-        for alpha in rs.positive_roots:
-            x = rs.inner(alpha, b)
+        for x in rs.root_pairings(b):
             v = cut(x)
             if v == 0.0:
                 return 0.0
@@ -208,6 +207,10 @@ def log_poly(n: int) -> LogPoly:
     in T_{2j}(x/2) and sign x = 1 in T_{2j+1}(x/2), giving
     log^(n) = even + i pi/2 - (i pi/2) odd.  The error at -x has the modulus
     of the error at x, so `sup_error` is measured on [1/n, 2] alone.
+
+    Degrees run over 4n 2^j (at least 8, at most 1000).  The fit error behaves
+    like e^(-deg/2n), so the target needs about 2n ln(1/target); the search
+    starts one doubling below that, skipping fits it would discard.
     """
     target = max(4.0 ** (-n), 2e-11)
     a = 1.0 / n
@@ -218,6 +221,8 @@ def log_poly(n: int) -> LogPoly:
     ln_xd = np.log(xd)
     best = None
     deg = max(8, 4 * n)
+    while 2 * deg < 2 * n * math.log(1.0 / target):
+        deg *= 2
     while True:
         deg = min(deg, 1000)
         v = np.polynomial.chebyshev.chebvander(x / 2.0, deg)
@@ -250,10 +255,9 @@ def det_rig_n(rs: RootSystem, n: int, field: SteppedField) -> complex:
         raise PreconditionError(f"regularization index must be >= 1, got {n}")
     lp = log_poly(n)
     total = 1.0 + 0j
-    for alpha in rs.positive_roots:
+    for column in zip(*map(rs.root_pairings, field.values)):  # one root, every face
         acc = 0j
-        for face, b in zip(field.diagram.faces, field.values):
-            x = 2.0 * math.sin(math.pi * float(rs.inner(alpha, b)))
-            acc += lp(x) * face.euler
+        for face, x in zip(field.diagram.faces, column):
+            acc += lp(2.0 * math.sin(math.pi * float(x))) * face.euler
         total *= exp_poly(n, acc)
     return total

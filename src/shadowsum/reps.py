@@ -1,4 +1,4 @@
-"""Dominant weights, level alphabets, weight multiplicities, characters.
+"""Dominant weights, level alphabets, weight multiplicities, Weyl dimensions.
 
 Weights are handled by their integer coordinates in the fundamental-weight
 basis ("labels").  The Freudenthal recursion (Humphreys, Introduction to Lie
@@ -8,10 +8,8 @@ is weight_form_den times the invariant form; the factor cancels in each ratio.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import PreconditionError
@@ -155,22 +153,3 @@ def weight_multiplicities(rs: RootSystem, lam: Sequence[int]) -> WeightSystem:
             f"{weyl_dimension(rs, lam)} for {rs.type_label}{rs.rank} weight {lam}"
         )
     return ws
-
-
-def character_eval(ws: WeightSystem, b: Sequence) -> complex:
-    """Character value sum_beta m(beta) e^{2 pi i beta(b)} at b in t.
-
-    With the convention exp(b) = identity iff b lies in the coroot lattice,
-    the phases use the 2 pi i factor and the value is periodic under
-    translations of b by coroots.  Exact rational b gets its phase reduced
-    mod 1 before any float rounding.
-    """
-    rs = ws.rs
-    total = 0j
-    for labels, m in ws.multiplicities.items():
-        beta = rs.from_labels(labels)
-        phase = rs.inner(beta, tuple(b))
-        if isinstance(phase, Fraction):
-            phase = phase - math.floor(phase)
-        total += m * cmath.exp(2j * math.pi * float(phase))
-    return total

@@ -9,12 +9,12 @@ computation is the exact inverse of the Cartan matrix, for the fundamental
 weights and the integer Gram data of the form on labels.
 
 Ambient vectors are exact `Fraction` tuples in a fixed orthogonal basis per
-type (the standard orthonormal realizations); they serve callers that pair a
-root with an ambient point b.  The invariant scalar product is the Euclidean
-dot product rescaled so that every short coroot has squared length 2;
-equivalently, long roots have squared length 2.  Regularity and lattice
-tests are exact; floats appear only at the trigonometric layer in other
-modules.
+type (the standard orthonormal realizations); other modules pair a field
+value b with them only through `root_pairings` and `weight_pairings`.  The
+invariant scalar product is the Euclidean dot product rescaled so that every
+short coroot has squared length 2; equivalently, long roots have squared
+length 2.  Regularity and lattice tests are exact; floats appear only at the
+trigonometric layer in other modules.
 """
 
 from __future__ import annotations
@@ -155,11 +155,11 @@ class RootSystem:
     comarks: tuple[int, ...]
     # label_j(alpha) = <alpha, coroot(alpha_j)> of each positive root, in positive_roots
     # order, and of the highest root
-    positive_root_labels: tuple[tuple[int, ...], ...] = field(repr=False, default=())
-    highest_root_labels: tuple[int, ...] = field(repr=False, default=())
+    positive_root_labels: tuple[tuple[int, ...], ...] = field(repr=False)
+    highest_root_labels: tuple[int, ...] = field(repr=False)
     # integer Gram data for label arithmetic: weight_form_den * <w_i, w_j>
-    weight_gram_num: tuple[tuple[int, ...], ...] = field(repr=False, default=())
-    weight_form_den: int = field(repr=False, default=1)
+    weight_gram_num: tuple[tuple[int, ...], ...] = field(repr=False)
+    weight_form_den: int = field(repr=False)
 
     # -- basic bilinear algebra -------------------------------------------
 
@@ -177,6 +177,17 @@ class RootSystem:
         if isinstance(s, Fraction):
             return self.form_scale * s
         return float(self.form_scale) * s
+
+    def root_pairings(self, b: Sequence) -> tuple:
+        """alpha(b) for the positive roots, in `positive_roots` order; exact for rational b."""
+        b = tuple(b)
+        return tuple(self.inner(alpha, b) for alpha in self.positive_roots)
+
+    def weight_pairings(self, b: Sequence) -> tuple:
+        """<omega_j, b> per fundamental weight, so beta(b) = sum_j label_j(beta) <omega_j, b>;
+        exact for rational b."""
+        b = tuple(b)
+        return tuple(self.inner(w, b) for w in self.fundamental_weights)
 
     def coroot(self, alpha: Vector) -> Vector:
         n = self.inner(alpha, alpha)
@@ -331,8 +342,7 @@ def is_regular(rs: RootSystem, b: Sequence) -> bool:
     Exact for rational coordinates; for float coordinates a value counts as
     integral only when it is exactly integral as a float.
     """
-    for alpha in rs.positive_roots:
-        v = rs.inner(alpha, b)
+    for v in rs.root_pairings(b):
         if isinstance(v, Fraction):
             if v.denominator == 1:
                 return False

@@ -1,11 +1,15 @@
+import cmath
+import math
 import os
 import random
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shadowsum.diagrams import build_diagram
-from shadowsum.fusion import build_fusion_table
+from shadowsum.fusion import _s_matrix, build_fusion_table
 from shadowsum.reps import level_alphabet
 from shadowsum.roots import build_root_system
 
@@ -46,6 +50,70 @@ def a1k4(a1):
 @pytest.fixture(scope="session")
 def a1k4_table(a1k4):
     return build_fusion_table(a1k4)
+
+
+def character_eval(ws, b):
+    """Character value sum_beta m(beta) e^{2 pi i beta(b)} at b in t: the exact-rational
+    oracle of `weight_phases`.
+
+    With the convention exp(b) = identity iff b lies in the coroot lattice,
+    the phases use the 2 pi i factor and the value is periodic under
+    translations of b by coroots.  Exact rational b gets its phase reduced
+    mod 1 before any float rounding.
+    """
+    rs = ws.rs
+    total = 0j
+    for labels, m in ws.multiplicities.items():
+        beta = rs.from_labels(labels)
+        phase = rs.inner(beta, tuple(b))
+        if isinstance(phase, Fraction):
+            phase = phase - math.floor(phase)
+        total += m * cmath.exp(2j * math.pi * float(phase))
+    return total
+
+
+def verlinde_link_value(alphabet, components):
+    """The state sum of a flat forest from the modular S-matrix alone: the oracle
+    for whole links.
+
+    `components` holds one (colour, winding, positive_side) per circle, every
+    circle a root of the forest, every winding +1 or -1.  Chern-Simons theory
+    on S^2 x S^1 (Witten, Commun. Math. Phys. 121, 1989) gives
+
+        D^2 dim V(lam_1 .. lam_n) prod_i theta_{lam_i}^{s_i},
+
+    with D^2 = 1 / S_00^2, theta_lam = exp(i pi <lam, lam + 2 rho> / k), and
+    dim V from the Verlinde formula (Verlinde, Nucl. Phys. B 300, 1988):
+    sum_sigma S_{0 sigma}^{2-n} prod_i S_{lam_i sigma}.  A circle of winding -1
+    runs down the S^1, which is its dual colour running up: S_{lam* sigma} is
+    conj(S_{lam sigma}).  s_i is the gleam the circle gives its inner face:
+    the winding, negated when the positive side is outside.  S is
+    `fusion._s_matrix` scaled so that S_00 > 0 and the row of 0 has unit norm;
+    nothing here folds, builds a fusion matrix or runs Freudenthal.
+    """
+    rs, k = alphabet.rs, alphabet.k
+    s = _s_matrix(alphabet)
+    zero = alphabet.index((0,) * rs.rank)
+    s0 = s[zero]
+    S = s * (abs(s0[zero]) / s0[zero]) / math.sqrt(np.sum(np.abs(s0) ** 2))
+    S0 = S[zero].real
+    dim_v = S0 ** (2 - len(components))
+    twist = 1 + 0j
+    for color, winding, side in components:
+        if winding not in (1, -1):
+            raise ValueError(f"the oracle covers windings +-1, not {winding}")
+        row = S[alphabet.index(color)]
+        dim_v = dim_v * (row if winding == 1 else row.conj())
+        q = rs.label_form(color, tuple(c + 2 for c in color))
+        gleam = winding if side == "inside" else -winding
+        twist *= cmath.exp(1j * math.pi * gleam * q / (k * rs.weight_form_den))
+    return complex(dim_v.sum()) / S0[zero] ** 2 * twist
+
+
+def flat_forest(components):
+    """Side-by-side circles, one per (colour, winding, positive_side)."""
+    return build_diagram([{"id": str(i), "winding": w, "positive_side": side, "color": list(c)}
+                          for i, (c, w, side) in enumerate(components)])
 
 
 def simple_reflection_matrix(rs, i):

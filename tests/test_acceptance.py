@@ -213,7 +213,7 @@ def test_holonomy_criteria():
     def a_form(sigma, dsigma):
         return 0.15 * dsigma[:, :1] * omega
 
-    closed = wilson_closed_form(rs, [circling_ribbon], [ws], a_form, lambda s: b)
+    closed = wilson_closed_form([circling_ribbon], [ws], a_form, lambda s: b)
 
     def conn_rib(sample, m=phase_map(ws)):
         sigma, dsigma, dtau = sample

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CYCLE_FORESTS, random_forest_diagram
+from conftest import CYCLE_FORESTS, flat_forest, random_forest_diagram, verlinde_link_value
 from shadowsum.diagrams import build_diagram, contract_state_sum, list_terms
 from shadowsum.errors import PreconditionError
 from shadowsum import cli, fusion
@@ -345,6 +345,39 @@ def test_unknot_a1k4_cancels(a1k4):
     r = contract_state_sum(build_diagram(UNKNOT_A1K4), a1k4)
     assert r.colorings_retained == 4
     assert abs(r.value) <= 1e-15 * r.abs_sum
+
+
+def test_verlinde_oracle_known_values(a1k4):
+    """The S-matrix oracle on A1 k=4 flat forests with hand-derived values:
+    D^2 = 4 and theta_[1] = exp(3 pi i / 8)."""
+    theta = cmath.exp(3j * math.pi / 8)
+    one, two = (1,), (2,)
+    cases = [
+        ([(one, 1, "inside")], 0),  # no invariant in V_[1]
+        ([(one, 1, "inside"), (one, 1, "inside")], 4 * theta**2),
+        ([(one, 1, "inside"), (one, -1, "inside")], 4),
+        ([(one, 1, "inside")] * 4, -8j),  # dim V = 2, theta^4 = -i
+        ([(two, 1, "inside")] * 3, 0),
+    ]
+    for components, want in cases:
+        assert abs(verlinde_link_value(a1k4, components) - want) < 1e-12, components
+        assert abs(contract_state_sum(flat_forest(components), a1k4).value - want) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "label,k", [("A1", 4), ("A1", 7), ("A2", 6), ("A3", 6), ("B2", 6), ("C3", 6), ("G2", 7)]
+)
+def test_flat_forests_match_verlinde(label, k):
+    """The contraction against the S-matrix oracle on flat forests of |winding| = 1
+    circles with random colours, orientations and positive sides, up to 16
+    circles (|A|^17 colourings, far beyond the enumerator)."""
+    al = level_alphabet(build_root_system(label), k)
+    rng = random.Random(f"verlinde:{label}:{k}")
+    for n in [*range(7), 10, 16]:
+        components = [(rng.choice(al.elements), rng.choice((1, -1)),
+                       rng.choice(("inside", "outside"))) for _ in range(n)]
+        got = contract_state_sum(flat_forest(components), al)
+        assert abs(got.value - verlinde_link_value(al, components)) <= 1e-12 * got.abs_sum
 
 
 def test_contraction_deep_chain_is_iterative(a1):

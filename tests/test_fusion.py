@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowsum import fusion, reps
+from shadowsum.diagrams import contract_state_sum
 from shadowsum.errors import OracleError, PreconditionError
 from shadowsum.fusion import (
     MAX_FUSION_COEFFS,
@@ -22,7 +23,13 @@ from shadowsum.fusion import (
 from shadowsum.reps import level_alphabet
 from shadowsum.roots import build_root_system
 
-from conftest import fold_point, reflect_affine, reflect_simple
+from conftest import (
+    flat_forest,
+    fold_point,
+    reflect_affine,
+    reflect_simple,
+    verlinde_link_value,
+)
 
 
 class TestQuantumDimension:
@@ -131,9 +138,12 @@ class TestVerlindeOracle:
     @pytest.mark.parametrize("label,k", [("B2", 8), ("A3", 7)])
     def test_shares_nothing_with_folding(self, monkeypatch, label, k):
         """With fold, fusion_matrix and Freudenthal disabled, the oracle still
-        gives the folded table."""
+        gives the folded table, and the whole-link oracle the state sum."""
         al = level_alphabet(build_root_system(label), k)
         expected = build_fusion_table(al)
+        lam, mu = al.elements[1], al.elements[-1]  # lam lam* mu mu* holds an invariant
+        components = [(lam, 1, "inside"), (lam, -1, "outside"), (mu, 1, "inside"), (mu, -1, "inside")]
+        link = contract_state_sum(flat_forest(components), al)
 
         def disabled(*args, **kwargs):
             raise AssertionError("the Verlinde oracle used the folding path")
@@ -143,6 +153,7 @@ class TestVerlindeOracle:
         monkeypatch.setattr(reps, "weight_multiplicities", disabled)
         monkeypatch.setattr(fusion, "weight_multiplicities", disabled)
         assert (verlinde_table(al) == expected).all()
+        assert abs(verlinde_link_value(al, components) - link.value) <= 1e-12 * link.abs_sum
 
     def test_int64_table_of_the_alphabet(self, a1k4):
         v = verlinde_table(a1k4)

@@ -15,7 +15,8 @@ from shadowsum.holonomy import (
     weight_phases,
     wilson_closed_form,
 )
-from shadowsum.reps import character_eval, weight_multiplicities, weyl_dimension
+from conftest import character_eval
+from shadowsum.reps import weight_multiplicities, weyl_dimension
 from shadowsum.roots import build_root_system
 
 
@@ -112,7 +113,7 @@ class TestHolonomy:
         with pytest.raises(PreconditionError, match="1-D"):
             holonomy(lambda t: np.zeros((2, 2)), 4)
         with pytest.raises(PreconditionError, match="1-D"):
-            wilson_closed_form(a1, [vertical_ribbon(1)], [ws], None, lambda s: np.zeros((2, 2)))
+            wilson_closed_form([vertical_ribbon(1)], [ws], None, lambda s: np.zeros((2, 2)))
 
     def test_weight_phases_trace_is_the_character(self, a2):
         ws = weight_multiplicities(a2, (1, 1))
@@ -172,12 +173,12 @@ class TestWilsonClosedForm:
         b = a1.from_labels([Q(1, 3)])
         ws = weight_multiplicities(a1, (1,))
         bf = [float(x) for x in b]
-        got = wilson_closed_form(a1, [vertical_ribbon(1)], [ws], None, lambda s: bf)
+        got = wilson_closed_form([vertical_ribbon(1)], [ws], None, lambda s: bf)
         assert abs(got - character_eval(ws, b)) < 1e-9
 
     def test_trivial_color_gives_one(self, a1):
         ws = weight_multiplicities(a1, (0,))
-        got = wilson_closed_form(a1, [vertical_ribbon(3)], [ws], None, lambda s: [0.7, -0.3])
+        got = wilson_closed_form([vertical_ribbon(3)], [ws], None, lambda s: [0.7, -0.3])
         assert got == pytest.approx(1.0)
 
     def test_step_field_winding_w(self, a1):
@@ -194,7 +195,7 @@ class TestWilsonClosedForm:
             def ribbon(t, u, w=w):
                 return (0.5, 0.5), (0.0, 0.0), float(w)
 
-            got = wilson_closed_form(a1, [ribbon], [ws], None, field)
+            got = wilson_closed_form([ribbon], [ws], None, field)
             want = character_eval(ws, tuple(w * x for x in b))
             assert abs(got - want) < 1e-9
 
@@ -211,7 +212,7 @@ class TestWilsonClosedForm:
         bf = [float(x) for x in b]
         dim = weyl_dimension(rs, color)
         for wind in (-3, -2, -1, 1, 2, 3):
-            got = wilson_closed_form(rs, [vertical_ribbon(wind)], [ws], None, lambda s: bf)
+            got = wilson_closed_form([vertical_ribbon(wind)], [ws], None, lambda s: bf)
             want = character_eval(ws, tuple(wind * x for x in b))
             assert abs(got - want) <= 1e-12 * dim, (label, wind)
 
@@ -231,7 +232,7 @@ class TestWilsonClosedForm:
             return np.array([0.2, -0.2])
 
         colors = [weight_multiplicities(a1, (1,)), weight_multiplicities(a1, (2,))]
-        wilson_closed_form(a1, [ribbon, ribbon], colors, a_form, b_field)
+        wilson_closed_form([ribbon, ribbon], colors, a_form, b_field)
         assert calls == {"ribbon": 2, "a_form": 2, "b_field": 2}
 
     def test_matches_direct_ribbon_product(self, a1):
@@ -247,7 +248,7 @@ class TestWilsonClosedForm:
         colors = [ws1, ws2]
         # nonvertical ribbon: sigma moves around a circle while tau winds once
         closed = wilson_closed_form(
-            a1, [circling_ribbon, circling_ribbon], colors, a_form, lambda s: b
+            [circling_ribbon, circling_ribbon], colors, a_form, lambda s: b
         )
 
         direct = 1.0 + 0j
@@ -262,4 +263,4 @@ class TestWilsonClosedForm:
     def test_length_mismatch_rejected(self, a1):
         ws = weight_multiplicities(a1, (1,))
         with pytest.raises(PreconditionError):
-            wilson_closed_form(a1, [], [ws], None, lambda s: [0.0, 0.0])
+            wilson_closed_form([], [ws], None, lambda s: [0.0, 0.0])

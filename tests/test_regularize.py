@@ -132,6 +132,12 @@ class TestLogExpPolys:
         errs = [log_poly(n).sup_error for n in (2, 4, 8)]
         assert errs[2] < errs[0]
 
+    def test_chosen_degrees(self):
+        """The degree each n settles on: the first on the grid 4n 2^j (at least 8,
+        capped at 1000) whose fit meets max(4^-n, 2e-11), wherever the search starts."""
+        got = [len(log_poly(n).coeffs) - 1 for n in range(1, 17)]
+        assert got == [8, 16, 48, 64, 80, 96, 224, 256, 288, 320, 352, 384, 832, 896, 960, 1000]
+
 
 class TestDetRigN:
     def test_constant_convergence_by_n12(self, a1):

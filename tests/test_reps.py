@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import simple_reflection_matrix
+from conftest import character_eval, simple_reflection_matrix
 from shadowsum.errors import PreconditionError
 from shadowsum.reps import (
-    character_eval,
     level_alphabet,
     weight_multiplicities,
     weyl_dimension,

@@ -1,5 +1,6 @@
 """Smoke test of the scripts: each runs to exit 0 against the current library."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +20,30 @@ def test_script_runs(script, tmp_path):
     assert r.returncode == 0, r.stderr[-2000:]
     if script.name == "fusion_sweep.py":
         assert "MISMATCHES" not in r.stdout
+
+
+def load_script(name):
+    """Import a script as a module, leaving sys.path and the bytecode flag as they were."""
+    saved = sys.dont_write_bytecode, list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode, sys.path[:] = saved
+    return module
+
+
+def test_max_numeric_diff():
+    diff = load_script("compare_outputs").max_numeric_diff
+    old = b'{"closed_form": {"re": 0.5, "im": 1.0}, "n": 3, "terms": [{"t": 1}, {"t": 2}]}'
+    assert diff(old, old) is None
+    new = b'{"closed_form": {"re": 0.5000000000000001, "im": 1.0}, "n": 3, "terms": [{"t": 1}, {"t": 2}]}'
+    assert diff(old, new) == (1.1102230246251565e-16, "closed_form.re")
+    new = b'{"closed_form": {"re": 0.5, "im": 1.0}, "n": 4, "terms": [{"t": 1}, {"t": -2}]}'
+    assert diff(old, new) == (4, "terms[1].t")
+    assert diff(b'[{"a": 1.5}]', b'[{"a": 1.0}]') == (0.5, "[0].a")
+    # strings, bools, missing paths, absent or non-JSON documents carry no numeric difference
+    assert diff(b'{"a": "x", "ok": true}', b'{"a": "y", "ok": false, "b": 1}') is None
+    assert diff(b'lam mu nu 1', b'lam mu nu 2') is None
+    assert diff(b'{"a": 1}', None) is None
