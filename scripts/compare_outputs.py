@@ -6,7 +6,8 @@
 OLD_SRC and NEW_SRC are directories holding the shadowsum package, such as
 the src/ of two checkouts.  The jobs are the benchmark's, built from
 bench/workloads.py: every job of each workload for each seed, the same job
-with `--diagnostics` for each shadow job, and the layer probe jobs.  Each
+with `--diagnostics` for each shadow job, the layer probe jobs, and
+`--help` of the top-level parser and of each subcommand.  Each
 job runs as one `python -m shadowsum` process per tree, in a fresh
 directory holding its input files.  The exit code, stdout and the --output
 file must agree byte for byte.  Prints one line per job that differs and a
@@ -15,7 +16,7 @@ JSON, the line also gives the largest absolute difference over the numeric
 leaves and its key path, such as `max |Δ| 3e-16 at closed_form.re`.
 
 With no arguments it compares this checkout's src/ with itself on the probe
-jobs only, which checks the script itself in a few seconds.
+and help jobs only, which checks the script itself in a few seconds.
 """
 
 from __future__ import annotations
@@ -35,11 +36,14 @@ sys.path.insert(0, str(ROOT / "bench"))
 import workloads as wl  # noqa: E402
 
 JOB_TIMEOUT_S = 600
+COMMANDS = ("shadow", "fusion", "qdim", "det", "regularize", "holonomy", "validate")
 
 
 def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
     """(name, argv, input files) of every job to compare."""
-    jobs = [(f"probe/{argv[0]}", argv, wl.PROBE_FILES) for argv in wl.PROBE_JOBS]
+    jobs = [("help", ["--help"], {})]
+    jobs += [(f"help/{cmd}", [cmd, "--help"], {}) for cmd in COMMANDS]
+    jobs += [(f"probe/{argv[0]}", argv, wl.PROBE_FILES) for argv in wl.PROBE_JOBS]
     for workload in wl.WORKLOADS:
         for seed in seeds:
             for job in wl.make_jobs(workload, seed):
@@ -95,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("old", nargs="?", type=Path, help="source tree of the reference")
     p.add_argument("new", nargs="?", type=Path, help="source tree to compare with it")
     p.add_argument("--seeds", type=int, nargs="+", default=[],
-                   help="workload seeds (default: none, the probe jobs only)")
+                   help="workload seeds (default: none, the probe and help jobs only)")
     args = p.parse_args(argv)
     if (args.old is None) != (args.new is None):
         p.error("give both OLD_SRC and NEW_SRC, or neither")

@@ -11,8 +11,8 @@ import time
 
 import numpy as np
 
-from shadowsum.fusion import build_fusion_table, quantum_dimension, verlinde_table
-from shadowsum.reps import level_alphabet
+from shadowsum.fusion import build_fusion_table, verlinde_table
+from shadowsum.reps import level_alphabet, quantum_dimension
 from shadowsum.roots import build_root_system
 
 

@@ -8,9 +8,9 @@ closed-form limits.
 
 from fractions import Fraction as Q
 
-from shadowsum.determinants import SteppedField, det_rig_constant, det_rig_step
+from shadowsum.determinants import det_rig_constant
 from shadowsum.diagrams import build_diagram
-from shadowsum.regularize import det_rig_n, regularized_indicator
+from shadowsum.regularize import SteppedField, det_rig_n, det_rig_step, regularized_indicator
 from shadowsum.roots import build_root_system
 
 

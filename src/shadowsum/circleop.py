@@ -19,7 +19,7 @@ has a Cartan component (the admissibility constraint).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+
 import numpy as np
 
 from .errors import PreconditionError
@@ -28,24 +28,20 @@ from .roots import RootSystem, format_vector, is_regular
 CONSTRAINT_TOL = 0.0  # largest Cartan component an admissible series' mean may have
 
 
-@dataclass(frozen=True)
 class CircleOperatorData:
     """A regular Cartan element plus truncation order, with its root pairings."""
 
-    rs: RootSystem
-    b: tuple
-    order: int
-    pairings: tuple[float, ...] = field(init=False)  # alpha(b), then -alpha(b), alpha > 0
+    __slots__ = ("rs", "b", "order", "pairings")
 
-    def __post_init__(self):
-        rs = self.rs
-        b = tuple(self.b)
+    def __init__(self, rs: RootSystem, b: tuple, order: int):
+        b = tuple(b)
         if not is_regular(rs, b):
             raise PreconditionError(f"b = {format_vector(b)} is singular; T(b) is undefined")
-        if self.order < 0:
+        if order < 0:
             raise PreconditionError("truncation order must be >= 0")
         pair = tuple(float(x) for x in rs.root_pairings(b))
-        object.__setattr__(self, "pairings", pair + tuple(-x for x in pair))
+        self.rs, self.b, self.order = rs, b, order
+        self.pairings = pair + tuple(-x for x in pair)  # alpha(b), then -alpha(b), alpha > 0
 
     @property
     def dim(self) -> int:

@@ -5,7 +5,9 @@ One JSON document goes to stdout; diagnostics go to stderr.  Exit codes:
 4 internal-oracle failure, 141 stdout closed by its reader before the
 document was written.  The keys of a --config JSON file are the
 subcommand's long flag names; each becomes `--key=value` (`true`: a bare
-`--key`) ahead of the command line, so explicit flags win.
+`--key`) ahead of the command line, so explicit flags win.  Each command
+imports the modules it runs when it runs, so a job loads no other
+(`qdim` loads no numpy).
 
 Link file schema, read by `parse_link` (`parse_stepped_link` for `regularize`,
 which needs no level) and nothing else:
@@ -28,34 +30,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .determinants import (
-    SteppedField,
-    det_half,
-    det_k,
-    det_rig_constant,
-    det_rig_quadrature,
-    round_sphere_metric,
-)
-from .diagrams import build_diagram, contract_state_sum, list_terms, prepare_terms
-from .errors import ParseError, PreconditionError, ShadowsumError
-from .fusion import (
-    ORACLE_TOL,
-    build_fusion_table,
-    quantum_dimension,
-    table_entries,
-    table_lines,
-    verify_against_verlinde,
-)
-from .holonomy import (
-    holonomy,
-    require_rep_dim,
-    vertical_ribbon,
-    weight_phases,
-    wilson_closed_form,
-)
-from .regularize import det_rig_n, regularized_indicator
-from .reps import level_alphabet, weight_multiplicities
-from .roots import build_root_system
+from .errors import ORACLE_TOL, ParseError, PreconditionError, ShadowsumError
 
 MAX_LISTED_TERMS = 10**6  # budget of the per-term listing of `shadow --diagnostics`
 _QUAD_RES = (64, 128)  # `det --diagnostics` without --quad-res
@@ -115,6 +90,8 @@ def _link_circles(doc: dict, problem) -> list | None:
 
 def _link_diagram(circles: list, problem):
     """Each positive_side, then the nesting forest; None after a problem."""
+    from .diagrams import build_diagram
+
     sides_ok = True
     for c in circles:
         if c["positive_side"] not in ("inside", "outside"):
@@ -138,6 +115,9 @@ def parse_link(doc, group: str | None = None, k: int | None = None, report: list
     once as {"code", "message"}, checks that an earlier problem makes
     impossible are skipped, and None is returned if anything was recorded.
     """
+    from .reps import level_alphabet
+    from .roots import build_root_system
+
     problem = _raise if report is None else (
         lambda code, message: report.append({"code": code, "message": message}))
     if not _link_head(doc, group, problem):
@@ -176,6 +156,8 @@ def parse_stepped_link(doc, group: str | None = None):
     raised; a stepped field has no level, so the level and the colours go
     unchecked.
     """
+    from .roots import build_root_system
+
     _link_head(doc, group, _raise)
     circles = _link_circles(doc, _raise)
     rs = build_root_system(doc.get("group") if group is None else group)
@@ -199,12 +181,16 @@ def _c2j(z: complex) -> dict:
 
 
 def _root_system(args):
+    from .roots import build_root_system
+
     if args.group is None:
         raise PreconditionError("missing --group")
     return build_root_system(args.group)
 
 
 def _alphabet(args):
+    from .reps import level_alphabet
+
     rs = _root_system(args)
     if args.k is None:
         raise PreconditionError("missing --k")
@@ -227,6 +213,8 @@ def _field_b(args, rs) -> tuple:
 
 
 def cmd_shadow(args) -> dict:
+    from .diagrams import contract_state_sum, list_terms, prepare_terms
+
     rs, alphabet, diagram = parse_link(_load_json(args.input), args.group, args.k)
     data = prepare_terms(diagram, alphabet)
     result = contract_state_sum(diagram, alphabet, data)
@@ -252,6 +240,8 @@ def cmd_shadow(args) -> dict:
 
 
 def cmd_fusion(args) -> dict | list[str]:
+    from .fusion import build_fusion_table, table_entries, table_lines, verify_against_verlinde
+
     if args.format == "text" and not args.dump:
         raise ParseError("--format text lists every triple; it needs --dump")
     if args.oracle_tol is not None and not args.verify:
@@ -276,6 +266,8 @@ def cmd_fusion(args) -> dict | list[str]:
 
 
 def cmd_qdim(args) -> dict:
+    from .reps import quantum_dimension
+
     alphabet = _alphabet(args)
     if args.weight is not None:
         return {"weight": list(args.weight), "qdim": quantum_dimension(alphabet, args.weight)}
@@ -290,6 +282,9 @@ def cmd_qdim(args) -> dict:
 
 
 def cmd_det(args) -> dict:
+    from .determinants import (
+        det_half, det_k, det_rig_constant, det_rig_quadrature, round_sphere_metric)
+
     if args.quad_res is not None and not args.diagnostics:
         raise ParseError("--quad-res needs --diagnostics")
     rs = _root_system(args)
@@ -309,6 +304,8 @@ def cmd_det(args) -> dict:
 
 
 def cmd_regularize(args) -> dict:
+    from .regularize import SteppedField, det_rig_n, regularized_indicator
+
     if args.input is None:
         rs = _root_system(args)
         if args.face_values is not None:
@@ -335,12 +332,21 @@ def cmd_regularize(args) -> dict:
 
 
 def cmd_holonomy(args) -> dict:
+    from .holonomy import (
+        holonomy, require_rep_dim, vertical_ribbon, weight_phases, wilson_closed_form)
+    from .reps import weight_multiplicities
+
     rs = _root_system(args)
     b = _field_b(args, rs)
     require_rep_dim(rs, args.color)
     ws = weight_multiplicities(rs, args.color)
-    # Weights have integer labels, so both values depend on the winding only modulo the
-    # lcm D of the denominators of <w_j, b>: take its least-absolute residue before floats.
+    # Weights have integer labels, so both values are unchanged by a coroot-lattice vector
+    # in b and depend on the winding only modulo the lcm D of the denominators of <w_j, b>.
+    # Take the least-absolute residues before floats: b - sum_j round(<w_j, b>) coroot_j,
+    # whose <w_j, b> lie in [-1/2, 1/2], and the winding modulo D.
+    shift = [round(p) for p in rs.weight_pairings(b)]
+    b = tuple(x - sum(n * c[d] for n, c in zip(shift, rs.simple_coroots))
+              for d, x in enumerate(b))
     period = math.lcm(*(p.denominator for p in rs.weight_pairings(b)))
     wind = args.wind - period * round(Fraction(args.wind, period))
     bf = tuple(float(x) for x in b)

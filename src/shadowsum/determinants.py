@@ -12,22 +12,19 @@ The regularized determinant of a t-valued field B on a closed surface is
 
 with log the principal branch restricted to the nonzero reals.  Constant
 fields reduce to det(...)^{chi/2} by Gauss-Bonnet; step fields reduce to
-face-wise half-power determinants raised to the face Euler numbers,
-provided the metric gives the projected ribbons vanishing geodesic
-curvature (the standing metric assumption), so that the curvature measure
-of each face is 4 pi chi(face).
+face-wise half-power determinants raised to the face Euler numbers
+(`regularize.det_rig_step`), provided the metric gives the projected
+ribbons vanishing geodesic curvature (the standing metric assumption), so
+that the curvature measure of each face is 4 pi chi(face).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .diagrams import ShadowDiagram, build_diagram
 from .errors import PreconditionError
 from .roots import RootSystem, format_vector, is_regular
 
@@ -71,48 +68,10 @@ def det_rig_constant(rs: RootSystem, b: Sequence, chi: int) -> float:
     return out
 
 
-@dataclass(frozen=True)
-class SteppedField:
-    """A t-valued field constant on each face of a diagram.
-
-    `values[i]` is the (rational) ambient coordinate tuple on face i, in the
-    diagram's face order.  The empty diagram makes this a constant field on
-    the bare sphere.
-    """
-
-    diagram: ShadowDiagram
-    values: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        if len(self.values) != len(self.diagram.faces):
-            raise PreconditionError(
-                f"stepped field needs one value per face: got {len(self.values)} "
-                f"values for {len(self.diagram.faces)} faces"
-            )
-
-    @staticmethod
-    def constant(b: Sequence) -> "SteppedField":
-        """The constant field b on the bare sphere."""
-        return SteppedField(diagram=build_diagram([]), values=(tuple(Fraction(x) for x in b),))
-
-
-def det_rig_step(rs: RootSystem, field: SteppedField) -> float:
-    """prod_faces det_half(b_face)^chi(face); rejects singular face values."""
-    out = 1.0
-    for face, b in zip(field.diagram.faces, field.values):
-        if not is_regular(rs, b):
-            raise PreconditionError(
-                f"face {face.face_id!r} carries the singular value {format_vector(b)}"
-            )
-        out *= det_half(rs, b) ** face.euler
-    return out
-
-
 # -- quadrature on surfaces ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SphereMetricSample:
+class SphereMetricSample(NamedTuple):
     """Quadrature data for a closed surface: nodes, weights, curvature samples.
 
     `nodes` is an (n, 2) array of (theta, phi)-style coordinates handed to

@@ -36,18 +36,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import PreconditionError
-from .fusion import fusion_matrices, quantum_dimension
-from .reps import Labels, LevelAlphabet
+from .fusion import fusion_matrices
+from .reps import Labels, LevelAlphabet, quantum_dimension
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(NamedTuple):
     circle_id: str
     parent: str | None
     winding: int
@@ -57,15 +55,13 @@ class Circle:
     outer: int  # index of the face outside it: the parent's inner face, or 0
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     face_id: str  # display name: "outer" or "in:<circle id>"
     euler: int
     gleam: int
 
 
-@dataclass(frozen=True)
-class ShadowDiagram:
+class ShadowDiagram(NamedTuple):
     circles: tuple[Circle, ...]  # in file order
     faces: tuple[Face, ...]  # region-tree preorder; outer face first
 
@@ -148,16 +144,14 @@ def build_diagram(circles: Iterable[dict]) -> ShadowDiagram:
     return ShadowDiagram(circles=tuple(cs), faces=faces)
 
 
-@dataclass(frozen=True)
-class StateSumResult:
+class StateSumResult(NamedTuple):
     value: complex
     abs_sum: float  # sum of |term| over all colorings: the scale of rounding error
     colorings_total: int
     colorings_retained: int
 
 
-@dataclass(frozen=True)
-class TermData:
+class TermData(NamedTuple):
     """Per-diagram tables shared by the contraction and the term lister.
 
     Build it once with `prepare_terms` and pass it to both to reuse the fusion

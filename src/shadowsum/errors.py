@@ -31,3 +31,9 @@ class OracleError(ShadowsumError):
 
     exit_code = 4
     code = "oracle"
+
+
+# Rounding tolerance of the Verlinde oracle (`fusion.verlinde_table`); `fusion --verify`
+# without --oracle-tol.  Kept here, beside OracleError, so the CLI's help text names it
+# without importing numpy.
+ORACLE_TOL = 1e-6

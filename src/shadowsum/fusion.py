@@ -1,4 +1,4 @@
-"""Quantum dimensions, fusion coefficients, and a Verlinde cross-check.
+"""Fusion coefficients and a Verlinde cross-check.
 
 The fusion coefficient N^lam_{mu nu} is the signed sum over the quantum
 Weyl group W_k (the affine Weyl group conjugated by psi_k: b -> k b - rho)
@@ -17,21 +17,18 @@ reflecting every point not yet folded; a folded point is located in the
 alphabet by its mixed-radix key (base k + 1, first label most significant).
 The Verlinde oracle `verlinde_table` recomputes the whole table from one
 modular S-matrix and shares nothing with the folding path but the budget
-check.  Quantum
-dimensions and S-matrix phases both read the invariant form on labels as the
-integer weight_form_den <x, y>; each divides once, in floats.
+check.  The S-matrix phases read the invariant form on labels as the
+integer weight_form_den <x, y> and divide once, in floats.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import OracleError, PreconditionError
+from .errors import ORACLE_TOL, OracleError, PreconditionError
 from .reps import Labels, LevelAlphabet, weight_multiplicities
 from .roots import RootSystem, weyl_group_order, weyl_orbit
 
@@ -42,12 +39,9 @@ _FOLD_BLOCK = 2**14
 MAX_FUSION_COEFFS = 10**6
 # Budget of `verlinde_table`: Weyl-orbit phases of the S-matrix, |W| * |A|^2.
 MAX_VERLINDE_ORBIT_TERMS = 2 * 10**5
-# Rounding tolerance of the Verlinde oracle; `fusion --verify` without --oracle-tol.
-ORACLE_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class QuantumWeylGroup:
+class QuantumWeylGroup(NamedTuple):
     """Level-k alcove data for the psi_k-conjugated affine Weyl group.
 
     In the rho-shifted picture x = lam + rho, the group acts by
@@ -100,35 +94,6 @@ class QuantumWeylGroup:
         raise AssertionError(f"alcove folding did not terminate for {stuck}")
 
 
-def quantum_dimension(alphabet: LevelAlphabet, lam: Sequence[int]) -> float:
-    """dim_q = prod_{alpha>0} sin(pi <lam+rho, alpha>/k) / sin(pi <rho, alpha>/k).
-
-    Strictly positive on the level alphabet: for integrable lam every
-    <lam+rho, alpha> lies strictly between 0 and k.
-    """
-    rs = alphabet.rs
-    lam = _require_in_alphabet(alphabet, lam, "lambda")
-    k = alphabet.k
-    rho = (1,) * rs.rank
-    lam_rho = tuple(a + b for a, b in zip(lam, rho))
-    out = 1.0
-    for al in rs.positive_root_labels:  # label_form is weight_form_den <., .>
-        num = rs.label_form(lam_rho, al) / rs.weight_form_den
-        den = rs.label_form(rho, al) / rs.weight_form_den
-        out *= math.sin(math.pi * num / k) / math.sin(math.pi * den / k)
-    return out
-
-
-def _require_in_alphabet(alphabet: LevelAlphabet, lam: Sequence[int], name: str) -> Labels:
-    t = tuple(int(v) for v in lam)
-    if t not in alphabet:
-        raise PreconditionError(
-            f"{name} = {t} is not integrable at level {alphabet.k - alphabet.rs.dual_coxeter} "
-            f"for {alphabet.rs.type_label}{alphabet.rs.rank} at k = {alphabet.k}"
-        )
-    return t
-
-
 def _require_budget(alphabet: LevelAlphabet, count: int, what: str, unit: str = "coefficients",
                     budget: int = MAX_FUSION_COEFFS) -> None:
     if count > budget:
@@ -151,7 +116,7 @@ def fusion_matrix(alphabet: LevelAlphabet, gamma: Sequence[int]) -> np.ndarray:
     is found in A by its mixed-radix key in base k + 1, first label most
     significant, so the keys of the sorted alphabet increase.
     """
-    gamma = _require_in_alphabet(alphabet, gamma, "gamma")
+    gamma = alphabet.require(gamma, "gamma")
     rs, k = alphabet.rs, alphabet.k
     n = len(alphabet.elements)
     _require_budget(alphabet, n * n, "one fusion matrix")

@@ -1,8 +1,9 @@
 """Regularization sequences for the indicator of the regular set and the
 determinant: trigonometric-polynomial cutoffs and polynomial exp/log.
 
-The n-th stage works on the n-th barycentric refinement of a face mesh
-compatible with the diagram, simulated combinatorially: every face is
+Fields are stepped (`SteppedField`): one exact value per face of a
+diagram.  The n-th stage works on the n-th barycentric refinement of a face
+mesh compatible with the diagram, simulated combinatorially: every face is
 subdivided fourfold per step, so stage n has N_n = max(1, #faces) * 4^n
 cells and each cell inherits its face's (exact) field value.
 
@@ -29,11 +30,54 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Sequence
+
 import numpy as np
 
-from .determinants import SteppedField
+from .determinants import det_half
+from .diagrams import ShadowDiagram, build_diagram
 from .errors import PreconditionError
-from .roots import RootSystem
+from .roots import RootSystem, format_vector, is_regular
+
+# -- stepped fields -----------------------------------------------------------
+
+
+class SteppedField:
+    """A t-valued field constant on each face of a diagram.
+
+    `values[i]` is the (rational) ambient coordinate tuple on face i, in the
+    diagram's face order.  The empty diagram makes this a constant field on
+    the bare sphere.
+    """
+
+    __slots__ = ("diagram", "values")
+
+    def __init__(self, diagram: ShadowDiagram, values: tuple[tuple[Fraction, ...], ...]):
+        if len(values) != len(diagram.faces):
+            raise PreconditionError(
+                f"stepped field needs one value per face: got {len(values)} "
+                f"values for {len(diagram.faces)} faces"
+            )
+        self.diagram, self.values = diagram, values
+
+    @staticmethod
+    def constant(b: Sequence) -> SteppedField:
+        """The constant field b on the bare sphere."""
+        return SteppedField(diagram=build_diagram([]), values=(tuple(Fraction(x) for x in b),))
+
+
+def det_rig_step(rs: RootSystem, field: SteppedField) -> float:
+    """prod_faces det_half(b_face)^chi(face), the limit of `det_rig_n` as n grows;
+    rejects singular face values."""
+    out = 1.0
+    for face, b in zip(field.diagram.faces, field.values):
+        if not is_regular(rs, b):
+            raise PreconditionError(
+                f"face {face.face_id!r} carries the singular value {format_vector(b)}"
+            )
+        out *= det_half(rs, b) ** face.euler
+    return out
+
 
 # -- smooth periodic bump and its trig-polynomial approximation ---------------
 

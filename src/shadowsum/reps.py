@@ -1,16 +1,17 @@
-"""Dominant weights, level alphabets, weight multiplicities, Weyl dimensions.
+"""Dominant weights, level alphabets, weight multiplicities, Weyl and quantum dimensions.
 
 Weights are handled by their integer coordinates in the fundamental-weight
 basis ("labels").  The Freudenthal recursion (Humphreys, Introduction to Lie
 Algebras, 22.3) and the Weyl dimension run in integers on `label_form`, which
 is weight_form_den times the invariant form; the factor cancels in each ratio.
+The quantum dimension, the Weyl dimension's q-analogue at level k, reads the
+same integers and divides each once, in floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import PreconditionError
 from .roots import RootSystem, dominant_weights_up_to_level
@@ -21,17 +22,14 @@ Labels = tuple[int, ...]
 MAX_ALPHABET_BOX = 10**5
 
 
-@dataclass(frozen=True)
 class LevelAlphabet:
     """The dominant weights integrable at level k - g: <lambda, theta> <= k - g."""
 
-    rs: RootSystem
-    k: int
-    elements: tuple[Labels, ...]
-    _positions: dict[Labels, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("rs", "k", "elements", "_positions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_positions", {lam: i for i, lam in enumerate(self.elements)})
+    def __init__(self, rs: RootSystem, k: int, elements: tuple[Labels, ...]):
+        self.rs, self.k, self.elements = rs, k, elements
+        self._positions = {lam: i for i, lam in enumerate(elements)}
 
     def __contains__(self, labels) -> bool:
         return tuple(labels) in self._positions
@@ -41,6 +39,17 @@ class LevelAlphabet:
             return self._positions[tuple(labels)]
         except KeyError:
             raise ValueError(f"{tuple(labels)} is not in the level alphabet") from None
+
+    def require(self, labels: Sequence[int], name: str) -> Labels:
+        """`labels` as an int tuple; PreconditionError, naming it `name`, unless it is
+        in the alphabet."""
+        t = tuple(int(v) for v in labels)
+        if t not in self:
+            raise PreconditionError(
+                f"{name} = {t} is not integrable at level {self.k - self.rs.dual_coxeter} "
+                f"for {self.rs.type_label}{self.rs.rank} at k = {self.k}"
+            )
+        return t
 
 
 def level_alphabet(rs: RootSystem, k: int) -> LevelAlphabet:
@@ -67,8 +76,7 @@ def level_alphabet(rs: RootSystem, k: int) -> LevelAlphabet:
     return LevelAlphabet(rs=rs, k=k, elements=tuple(elems))
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class WeightSystem(NamedTuple):
     """Full multiplicity table of one irreducible highest-weight module."""
 
     rs: RootSystem
@@ -88,6 +96,25 @@ def weyl_dimension(rs: RootSystem, lam: Sequence[int]) -> int:
     dim, rem = divmod(num, math.prod(rs.label_form(rho, al) for al in rs.positive_root_labels))
     assert rem == 0
     return dim
+
+
+def quantum_dimension(alphabet: LevelAlphabet, lam: Sequence[int]) -> float:
+    """dim_q = prod_{alpha>0} sin(pi <lam+rho, alpha>/k) / sin(pi <rho, alpha>/k).
+
+    Strictly positive on the level alphabet: for integrable lam every
+    <lam+rho, alpha> lies strictly between 0 and k.
+    """
+    rs = alphabet.rs
+    lam = alphabet.require(lam, "lambda")
+    k = alphabet.k
+    rho = (1,) * rs.rank
+    lam_rho = tuple(a + b for a, b in zip(lam, rho))
+    out = 1.0
+    for al in rs.positive_root_labels:  # label_form is weight_form_den <., .>
+        num = rs.label_form(lam_rho, al) / rs.weight_form_den
+        den = rs.label_form(rho, al) / rs.weight_form_den
+        out *= math.sin(math.pi * num / k) / math.sin(math.pi * den / k)
+    return out
 
 
 def _check_dominant(rs: RootSystem, lam: Sequence[int]) -> Labels:

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import PreconditionError
 
@@ -129,8 +128,7 @@ def _simple_roots(type_label: str, rank: int) -> tuple[list[Vector], int, Fracti
     raise AssertionError(t)
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """Immutable root/coroot/weight data of one simple type.
 
     Vectors are Fraction tuples in the ambient basis.  `cartan[i][j]` is
@@ -155,11 +153,11 @@ class RootSystem:
     comarks: tuple[int, ...]
     # label_j(alpha) = <alpha, coroot(alpha_j)> of each positive root, in positive_roots
     # order, and of the highest root
-    positive_root_labels: tuple[tuple[int, ...], ...] = field(repr=False)
-    highest_root_labels: tuple[int, ...] = field(repr=False)
+    positive_root_labels: tuple[tuple[int, ...], ...]
+    highest_root_labels: tuple[int, ...]
     # integer Gram data for label arithmetic: weight_form_den * <w_i, w_j>
-    weight_gram_num: tuple[tuple[int, ...], ...] = field(repr=False)
-    weight_form_den: int = field(repr=False)
+    weight_gram_num: tuple[tuple[int, ...], ...]
+    weight_form_den: int
 
     # -- basic bilinear algebra -------------------------------------------
 

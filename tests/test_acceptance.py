@@ -22,7 +22,6 @@ from shadowsum.circleop import (
     random_admissible_series,
 )
 from shadowsum.determinants import (
-    SteppedField,
     det_half,
     det_k,
     det_rig_constant,
@@ -31,10 +30,10 @@ from shadowsum.determinants import (
 )
 from shadowsum.diagrams import build_diagram, contract_state_sum, list_terms
 from shadowsum.errors import PreconditionError
-from shadowsum.fusion import build_fusion_table, quantum_dimension, verlinde_table
+from shadowsum.fusion import build_fusion_table, verlinde_table
 from shadowsum.holonomy import holonomy, wilson_closed_form
-from shadowsum.regularize import det_rig_n, regularized_indicator
-from shadowsum.reps import level_alphabet, weight_multiplicities
+from shadowsum.regularize import SteppedField, det_rig_n, regularized_indicator
+from shadowsum.reps import level_alphabet, quantum_dimension, weight_multiplicities
 from shadowsum.roots import build_root_system
 
 SWEEP = [("A1", range(3, 11)), ("A2", range(4, 7)), ("B2", range(4, 7))]

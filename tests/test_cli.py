@@ -315,6 +315,19 @@ class TestRegularizeAndHolonomy:
             assert big[key] == small[key]
             assert big[key]["re"] == pytest.approx(-1.0, abs=1e-9)
 
+    def test_holonomy_huge_b_reduced(self, capsys):
+        """alpha(b) = 6e16 + 1/3 differs from 1/3 by a coroot-lattice vector, which no
+        weight sees: the output is that of --alpha-b 1/3, byte for byte, not the
+        phase the 17-digit float of 6e16 + 1/3 would lose."""
+        argv = ["holonomy", "--group", "A1", "--color", "2", "--wind", "1", "--n", "16",
+                "--alpha-b"]
+        outputs = []
+        for alpha_b in ("180000000000000001/3", "1/3"):
+            assert cli.main([*argv, alpha_b]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["closed_form"]["re"] == pytest.approx(0.0, abs=1e-9)
+
 
 class TestValidate:
     def test_ok_file(self, tmp_path):
@@ -564,9 +577,10 @@ class TestUsageErrorsAsJson:
 
     def test_import_leaves_scipy_unloaded(self):
         """Neither the import nor the holonomy and quadrature kernels load scipy,
-        and the import leaves shadowsum.circleop, which no command uses, unloaded."""
+        and the import loads no module of the package but cli and errors."""
         code = ("import sys, shadowsum.cli as cli\n"
-                "print('shadowsum.circleop' in sys.modules, file=sys.stderr)\n"
+                "print(sorted(m for m in sys.modules if m.startswith('shadowsum.')), "
+                "file=sys.stderr)\n"
                 "def scipy(): print([m for m in sys.modules if m.split('.')[0] == 'scipy'], "
                 "file=sys.stderr)\n"
                 "scipy()\n"
@@ -577,10 +591,32 @@ class TestUsageErrorsAsJson:
                 "scipy()\n")
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                            check=True, env=src_env())
-        assert r.stderr.split() == ["False", "[]", "[]"]
+        assert r.stderr.splitlines() == ["['shadowsum.cli', 'shadowsum.errors']", "[]", "[]"]
         holonomy, det = map(json.loads, r.stdout.splitlines())
         assert holonomy["product_trace"]["re"] == pytest.approx(holonomy["closed_form"]["re"])
         assert det["det_rig_quadrature"] == pytest.approx(3.0, rel=1e-6)
+
+    @pytest.mark.parametrize("argv,only,never", [
+        (["qdim", "--group", "E6", "--k", "16"], {"cli", "errors", "roots", "reps"}, {"numpy"}),
+        (["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics", "--quad-res", "8x16"],
+         None, {"diagrams", "fusion", "reps", "holonomy", "regularize"}),
+        (["shadow", "link.json"], None, {"determinants", "holonomy", "regularize", "circleop"}),
+    ], ids=["qdim", "det", "shadow"])
+    def test_command_loads_only_its_modules(self, tmp_path, argv, only, never):
+        """A command imports the modules it runs and no other, in a fresh interpreter:
+        `qdim` needs the root data and the alphabet alone, not numpy."""
+        write(tmp_path, "link.json", TWO_CIRCLES)
+        code = ("import json, sys, shadowsum.cli as cli\n"
+                f"rc = cli.main({argv!r})\n"
+                "loaded = [m.split('.', 1)[1] for m in sys.modules if m.startswith('shadowsum.')]\n"
+                "loaded += ['numpy'] if 'numpy' in sys.modules else []\n"
+                "print(json.dumps([rc, loaded]), file=sys.stderr)\n")
+        r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                           text=True, check=True, env=src_env())
+        rc, loaded = json.loads(r.stderr)
+        assert rc == 0
+        assert only is None or set(loaded) == only
+        assert not never & set(loaded)
 
     @pytest.mark.parametrize("preset,expected", [(None, "1 1"), ("2", "2 1")])
     def test_import_defaults_blas_threads_to_one(self, preset, expected):

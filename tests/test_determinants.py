@@ -10,16 +10,15 @@ from scipy.integrate import quad
 
 from shadowsum.determinants import (
     SphereMetricSample,
-    SteppedField,
     det_half,
     det_k,
     det_rig_constant,
     det_rig_quadrature,
-    det_rig_step,
     round_sphere_metric,
 )
 from shadowsum.diagrams import build_diagram
 from shadowsum.errors import PreconditionError
+from shadowsum.regularize import SteppedField, det_rig_step
 
 
 def flat_torus_metric(n: int = 32) -> SphereMetricSample:

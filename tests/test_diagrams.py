@@ -15,8 +15,8 @@ from conftest import CYCLE_FORESTS, flat_forest, random_forest_diagram, verlinde
 from shadowsum.diagrams import build_diagram, contract_state_sum, list_terms
 from shadowsum.errors import PreconditionError
 from shadowsum import cli, fusion
-from shadowsum.fusion import build_fusion_table, fusion_matrix, quantum_dimension
-from shadowsum.reps import level_alphabet
+from shadowsum.fusion import build_fusion_table, fusion_matrix
+from shadowsum.reps import level_alphabet, quantum_dimension
 from shadowsum.roots import build_root_system
 
 

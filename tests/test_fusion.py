@@ -15,12 +15,11 @@ from shadowsum.fusion import (
     QuantumWeylGroup,
     build_fusion_table,
     fusion_matrix,
-    quantum_dimension,
     table_lines,
     verify_against_verlinde,
     verlinde_table,
 )
-from shadowsum.reps import level_alphabet
+from shadowsum.reps import level_alphabet, quantum_dimension
 from shadowsum.roots import build_root_system
 
 from conftest import (

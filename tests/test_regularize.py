@@ -4,13 +4,15 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from shadowsum.determinants import SteppedField, det_rig_constant, det_rig_step
+from shadowsum.determinants import det_rig_constant
 from shadowsum.diagrams import build_diagram
 from shadowsum.errors import PreconditionError
 from shadowsum.regularize import (
     CUTOFF_FLOOR,
+    SteppedField,
     bump,
     det_rig_n,
+    det_rig_step,
     exp_poly,
     log_poly,
     regularized_indicator,
