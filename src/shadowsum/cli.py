@@ -7,7 +7,7 @@ document was written.  The keys of a --config JSON file are the
 subcommand's long flag names; each becomes `--key=value` (`true`: a bare
 `--key`) ahead of the command line, so explicit flags win.  Each command
 imports the modules it runs when it runs, so a job loads no other
-(`qdim` loads no numpy).
+(`qdim`, `shadow` and `validate` load no numpy).
 
 Link file schema, read by `parse_link` (`parse_stepped_link` for `regularize`,
 which needs no level) and nothing else:

@@ -25,11 +25,16 @@ summed over all maps from faces to the level alphabet.  The phase exponent
 is kept as the integer weight_form_den <phi, phi+2 rho> (the root system's
 `label_form`) and reduced modulo 2k weight_form_den before its one float
 division.  Every factor is local to one circle (an edge of the region
-tree) or one face (a node), so `contract_state_sum` evaluates the sum exactly by eliminating faces from
-the leaves up, in O(#faces |A|^2); it is the one evaluator of the value,
-of sum |term| and of the number of terms.  `list_terms` only lists the
-nonvanishing terms (for `shadow --diagnostics`): depth-first in region-tree
-order, pruned on vanishing fusion factors.
+tree) or one face (a node), so `contract_state_sum` evaluates the sum
+exactly by eliminating faces from the leaves up.  Each circle's fusion
+factor is the list of its nonzero (outer colour, inner colour, N) triples,
+so the elimination costs O(#faces * nonzeros) in Python floats, complexes
+and ints, where a dense matrix would cost O(#faces |A|^2); it is the one
+evaluator of the value, of sum |term| and of the number of terms.
+`list_terms` only lists the nonvanishing terms (for `shadow
+--diagnostics`): depth-first in region-tree order, pruned on vanishing
+fusion factors, which it reads from the same triples through one dict per
+circle.  The module uses no numpy.
 """
 
 from __future__ import annotations
@@ -38,10 +43,8 @@ import cmath
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import PreconditionError
-from .fusion import fusion_matrices
+from .fusion import Triples, fusion_matrices
 from .reps import Labels, LevelAlphabet, quantum_dimension
 
 
@@ -155,7 +158,7 @@ class TermData(NamedTuple):
     """Per-diagram tables shared by the contraction and the term lister.
 
     Build it once with `prepare_terms` and pass it to both to reuse the fusion
-    matrices, as `shadow --diagnostics` does.
+    triples, as `shadow --diagnostics` does.
     """
 
     k: int
@@ -163,11 +166,12 @@ class TermData(NamedTuple):
     gleams: tuple[int, ...]
     qdims: tuple[float, ...]
     phase_q: tuple[int, ...]  # form_den <phi, phi + 2 rho> per alphabet entry
-    # circles in file order as (inner face, outer face, M): M[a, b] is the
-    # circle's fusion factor with colour a outside and b inside, which is
-    # N_gamma for positive side inside and its transpose otherwise; circles
-    # of one colour and side share one M
-    circles: tuple[tuple[int, int, np.ndarray], ...]
+    # circles in file order as (inner face, outer face, triples): the nonzero
+    # entries (a, b, M[a, b]) of the circle's fusion factor with colour a
+    # outside and b inside, sorted by (a, b); that is N_gamma for positive side
+    # inside and its transpose (swapped triples) otherwise.  Circles of one
+    # colour and side share one list.
+    circles: tuple[tuple[int, int, Triples], ...]
 
 
 def prepare_terms(diagram: ShadowDiagram, alphabet: LevelAlphabet) -> TermData:
@@ -187,8 +191,10 @@ def prepare_terms(diagram: ShadowDiagram, alphabet: LevelAlphabet) -> TermData:
         for lam in alphabet.elements
     )
     fusion = fusion_matrices(alphabet, (c.color for c in diagram.circles))
-    oriented = {(g, side): m if side == "inside" else m.T
-             for g, m in fusion.items() for side in ("inside", "outside")}
+    oriented = {}
+    for g, side in dict.fromkeys((c.color, c.positive_side) for c in diagram.circles):
+        t = fusion[g]
+        oriented[g, side] = t if side == "inside" else sorted((b, a, n) for a, b, n in t)
     return TermData(
         k=alphabet.k,
         form_den=rs.weight_form_den,
@@ -210,8 +216,9 @@ def contract_state_sum(
     the fusion factor with a outside and b inside.  In reverse preorder
     every face is finished before its outer face, which then absorbs the
     message M m_f, so m_f = w_f * prod_children messages and the sum is
-    sum m_outer.  Since M >= 0, the same pass over |w_f| gives sum |term|,
-    and over the support M != 0 with exact ints the number of nonvanishing
+    sum m_outer.  Each message is summed over the nonzero entries of M
+    only.  Since M >= 0, the same pass over |w_f| gives sum |term|, and
+    over the support M != 0 with exact ints the number of nonvanishing
     colorings.
 
     chi_f is 1 - #children (2 - #roots for the outer face), so dim^chi_f
@@ -221,34 +228,35 @@ def contract_state_sum(
     a finite double is refused.
     """
     data = data or prepare_terms(diagram, alphabet)
-    n_faces = len(data.gleams)
     n_colors = len(alphabet.elements)
-
-    qdims = np.array(data.qdims)
-    abs_w = np.empty((n_faces, n_colors))
-    w = np.empty((n_faces, n_colors), dtype=complex)
+    qdims = data.qdims
+    turn = 1j * math.pi / data.k
     period = 2 * data.k * data.form_den  # exp(i pi q / k) has period 2k in q: reduce, then divide
-    for f, gleam in enumerate(data.gleams):
-        angles = [(gleam * q) % period / data.form_den for q in data.phase_q]
-        abs_w[f] = qdims ** (1 if f else 2)  # dim^(chi_f + #children_f)
-        w[f] = abs_w[f] * np.exp(1j * math.pi / data.k * np.array(angles))
-
-    bounding = {inner: (outer, mat) for inner, outer, mat in data.circles}
-    # each distinct M in floats for the sums, and its support M != 0 in exact ints for the count
-    converted: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     # w[f], abs_w[f] and counts[f] become the messages m_f as children are absorbed
-    counts = np.ones((n_faces, n_colors), dtype=int).astype(object)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        for f in range(n_faces - 1, 0, -1):
-            outer, mat = bounding[f]
-            if id(mat) not in converted:
-                converted[id(mat)] = (mat.astype(float), (mat != 0).astype(int).astype(object))
-            mat, support = converted[id(mat)]
-            w[outer] *= (mat @ w[f]) / qdims
-            abs_w[outer] *= (mat @ abs_w[f]) / qdims
-            counts[outer] *= support @ counts[f]
+    w, abs_w, counts = [], [], []
+    for f, gleam in enumerate(data.gleams):
+        mags = list(qdims) if f else [d * d for d in qdims]  # dim^(chi_f + #children_f)
+        abs_w.append(mags)
+        w.append([m * cmath.exp(turn * ((gleam * q) % period / data.form_den))
+                  for m, q in zip(mags, data.phase_q)])
+        counts.append([1] * n_colors)
 
-    value, abs_sum = complex(w[0].sum()), float(abs_w[0].sum())
+    bounding = {inner: (outer, triples) for inner, outer, triples in data.circles}
+    for f in range(len(data.gleams) - 1, 0, -1):
+        outer, triples = bounding[f]
+        w_f, abs_f, count_f = w[f], abs_w[f], counts[f]
+        msg, abs_msg, count_msg = [0j] * n_colors, [0.0] * n_colors, [0] * n_colors
+        for a, b, n in triples:
+            msg[a] += n * w_f[b]
+            abs_msg[a] += n * abs_f[b]
+            count_msg[a] += count_f[b]
+        w_o, abs_o, count_o = w[outer], abs_w[outer], counts[outer]
+        for a, d in enumerate(qdims):
+            w_o[a] *= msg[a] / d
+            abs_o[a] *= abs_msg[a] / d
+            count_o[a] *= count_msg[a]
+
+    value, abs_sum = complex(sum(w[0])), float(sum(abs_w[0]))
     if not (cmath.isfinite(value) and math.isfinite(abs_sum)):
         raise PreconditionError(
             f"the state sum is not a finite double (value {value}, sum |term| {abs_sum})"
@@ -256,22 +264,25 @@ def contract_state_sum(
     return StateSumResult(
         value=value,
         abs_sum=abs_sum,
-        colorings_total=n_colors**n_faces,
-        colorings_retained=int(counts[0].sum()),
+        colorings_total=n_colors ** len(data.gleams),
+        colorings_retained=sum(counts[0]),
     )
 
 
-def term_value(data: TermData, coloring: Sequence[int]) -> complex:
+def term_value(data: TermData, coeffs: Sequence[dict[tuple[int, int], int]],
+               coloring: Sequence[int]) -> complex:
     """Canonical per-coloring term; factors multiplied in fixed circle and face order.
 
-    prod_f dim^chi_f is taken as dim(outer)^2 times, circle by circle,
-    dim(inner face) / dim(outer face), the scaling of the contraction: a face
-    with many children would underflow dim^chi_f.
+    coeffs[i] maps (outer colour, inner colour) to the nonzero fusion factors
+    of circle i (`data.circles[i]`'s triples).  prod_f dim^chi_f is taken as
+    dim(outer)^2 times, circle by circle, dim(inner face) / dim(outer face),
+    the scaling of the contraction: a face with many children would
+    underflow dim^chi_f.
     """
     n_product = 1
     dim_product = data.qdims[coloring[0]] ** 2
-    for inner, outer, mat in data.circles:
-        n_product *= int(mat[coloring[outer], coloring[inner]])
+    for (inner, outer, _), coeff in zip(data.circles, coeffs):
+        n_product *= coeff.get((coloring[outer], coloring[inner]), 0)
         if n_product == 0:
             return 0j
         dim_product *= data.qdims[coloring[inner]] / data.qdims[coloring[outer]]
@@ -297,7 +308,10 @@ def list_terms(
     data = data or prepare_terms(diagram, alphabet)
     n_faces = len(diagram.faces)
     n_colors = len(alphabet.elements)
-    bounding = {inner: (outer, mat) for inner, outer, mat in data.circles}
+    # one (outer colour, inner colour) -> coefficient dict per distinct triples list
+    dicts = {id(t): {(a, b): n for a, b, n in t} for _, _, t in data.circles}
+    coeffs = [dicts[id(t)] for _, _, t in data.circles]
+    bounding = {inner: (outer, coeff) for (inner, outer, _), coeff in zip(data.circles, coeffs)}
 
     terms: list[tuple[tuple[Labels, ...], complex]] = []
     coloring = [0] * n_faces
@@ -311,14 +325,14 @@ def list_terms(
         next_color[face] = ci + 1
         coloring[face] = ci
         if face:
-            outer, mat = bounding[face]
-            if mat[coloring[outer], ci] == 0:
+            outer, coeff = bounding[face]
+            if (coloring[outer], ci) not in coeff:
                 continue
         if face + 1 < n_faces:
             face += 1
             next_color[face] = 0
             continue
         terms.append(
-            (tuple(alphabet.elements[c] for c in coloring), term_value(data, coloring))
+            (tuple(alphabet.elements[c] for c in coloring), term_value(data, coeffs, coloring))
         )
     return terms

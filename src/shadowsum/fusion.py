@@ -10,35 +10,43 @@ Only finitely many tau contribute, because m_mu vanishes outside the convex
 hull of the mu-orbit; those are enumerated exactly by running over the
 (finite) support of m_mu and folding each candidate point into the
 fundamental alcove of the level-k action (Kac-Walton).  `fusion_matrix` is
-the one evaluator: all N^lam_{mu nu} for one mu, as an integer matrix over
-the level alphabet; the full table stacks those matrices.  Folding works on
-int64 arrays of points, in blocks of at most _FOLD_BLOCK points, each pass
-reflecting every point not yet folded; a folded point is located in the
-alphabet by its mixed-radix key (base k + 1, first label most significant).
-The Verlinde oracle `verlinde_table` recomputes the whole table from one
-modular S-matrix and shares nothing with the folding path but the budget
-check.  The S-matrix phases read the invariant form on labels as the
-integer weight_form_den <x, y> and divide once, in floats.
+the one evaluator: all N^lam_{mu nu} for one mu, as the nonzero entries of
+an integer matrix over the level alphabet, (row, col, coeff) triples of
+Python ints sorted by (row, col).  The matrices are sparse (0.3-9% nonzero
+on small colours), so nothing dense is built for the state sum.
+`QuantumWeylGroup.fold` folds one rho-shifted point.  The candidate points
+of one call repeat across columns, weights and colours, so each is folded
+once: the fold cache maps a point's integer mixed-radix key to its alphabet
+row and sign, and is shared by every mu of `fusion_matrices`.  The key of
+nu + rho - beta is the key of nu + rho minus that of beta, one subtraction.
+The dense full table (`build_fusion_table`, which scatters the triples) and
+the Verlinde oracle are the only parts that use numpy, and they import it
+when called.  The Verlinde oracle `verlinde_table` recomputes the whole
+table from one modular S-matrix and shares nothing with the folding path
+but the budget check.  The S-matrix phases read the invariant form on
+labels as the integer weight_form_den <x, y> and divide once, in floats.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import ORACLE_TOL, OracleError, PreconditionError
 from .reps import Labels, LevelAlphabet, weight_multiplicities
 from .roots import RootSystem, weyl_group_order, weyl_orbit
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _FOLD_LIMIT = 100_000
-# Points folded per array pass of `fusion_matrix`; bounds its working memory.
-_FOLD_BLOCK = 2**14
 # Budget of one call: the integers it computes, |A|^2 per matrix (|A|^3 for the full table).
 MAX_FUSION_COEFFS = 10**6
 # Budget of `verlinde_table`: Weyl-orbit phases of the S-matrix, |W| * |A|^2.
 MAX_VERLINDE_ORBIT_TERMS = 2 * 10**5
+
+# The nonzero entries of one fusion matrix: (row, col, coeff), sorted by (row, col).
+Triples = list[tuple[int, int, int]]
 
 
 class QuantumWeylGroup(NamedTuple):
@@ -54,44 +62,34 @@ class QuantumWeylGroup(NamedTuple):
     rs: RootSystem
     k: int
 
-    def fold(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fold rho-shifted points, the rows of an int64 (N, rank) array, into
-        the fundamental alcove.
+    def fold(self, point: Sequence[int]) -> tuple[Labels | None, int]:
+        """Fold one rho-shifted point, given by its labels, into the fundamental alcove.
 
-        Returns (folded, sign): the folded rows and, per row, the sign
-        (-1)^(reflections applied) of an alcove-interior point, or 0 for a
-        point on a wall (vanishing signed-orbit sum; its row is then
-        meaningless).  Each pass reflects every row still active: in the
-        simple wall of its first negative label, else in the affine wall
-        <x, theta> = k while its level is above k.  A row with no negative
-        label stops on a wall (a zero label, or level k) or inside.  A row
-        still active after _FOLD_LIMIT passes raises AssertionError.
+        Returns (folded, sign): the folded point and the sign
+        (-1)^(reflections applied) of an alcove-interior point, or (None, 0)
+        for a point on a wall (vanishing signed-orbit sum).  Each step
+        reflects the point in the simple wall of its first negative label,
+        else in the affine wall <x, theta> = k while its level is above k.
+        A point with no negative label stops on a wall (a zero label, or
+        level k) or inside.  A point still moving after _FOLD_LIMIT steps
+        raises AssertionError.
         """
-        start = np.asarray(points, dtype=np.int64)
-        cartan = np.array(self.rs.cartan_matrix, dtype=np.int64)
-        comarks = np.array(self.rs.comarks, dtype=np.int64)
-        theta = np.array(self.rs.highest_root_labels, dtype=np.int64)
-        folded, sign = start.copy(), np.ones(len(start), dtype=np.int64)
-        active, pts = np.arange(len(start)), start.copy()
+        rs, k = self.rs, self.k
+        m, sign = list(point), 1
         for _ in range(_FOLD_LIMIT):
-            negative = pts < 0
-            simple = negative.any(axis=1)
-            level = pts @ comarks
-            wall = ~simple & ((pts == 0).any(axis=1) | (level == self.k))
-            affine = ~simple & ~wall & (level > self.k)
-            rows = np.flatnonzero(simple)
-            i = negative[rows].argmax(axis=1)
-            pts[rows] -= pts[rows, i][:, None] * cartan[i]
-            pts[affine] -= (level[affine] - self.k)[:, None] * theta
-            moved = simple | affine
-            sign[active[moved]] *= -1
-            sign[active[wall]] = 0
-            folded[active[~moved]] = pts[~moved]
-            active, pts = active[moved], pts[moved]
-            if not len(active):
-                return folded, sign
-        stuck = tuple(start[active[0]].tolist())
-        raise AssertionError(f"alcove folding did not terminate for {stuck}")
+            i = next((i for i, v in enumerate(m) if v < 0), None)
+            if i is not None:
+                mi = m[i]
+                m = [v - mi * c for v, c in zip(m, rs.cartan_matrix[i])]
+            else:
+                level = rs.level_of_labels(m)
+                if 0 in m or level == k:
+                    return None, 0
+                if level < k:
+                    return tuple(m), sign
+                m = [v - (level - k) * t for v, t in zip(m, rs.highest_root_labels)]
+            sign = -sign
+        raise AssertionError(f"alcove folding did not terminate for {tuple(point)}")
 
 
 def _require_budget(alphabet: LevelAlphabet, count: int, what: str, unit: str = "coefficients",
@@ -104,53 +102,68 @@ def _require_budget(alphabet: LevelAlphabet, count: int, what: str, unit: str = 
         )
 
 
-def fusion_matrix(alphabet: LevelAlphabet, gamma: Sequence[int]) -> np.ndarray:
-    """N_gamma[a, b] = N^{A[a]}_{gamma A[b]} over the level alphabet A, exactly.
+def fusion_matrix(alphabet: LevelAlphabet, gamma: Sequence[int],
+                  folds: dict[int, tuple[int, int]] | None = None) -> Triples:
+    """N_gamma[a, b] = N^{A[a]}_{gamma A[b]} over the level alphabet A, exactly,
+    as its nonzero entries (a, b, N_gamma[a, b]) sorted by (a, b).
 
     N^lam_{gamma nu} = sum_{tau in W_k} sgn(tau) m_gamma(nu - tau(lam)).  For
     column b (nu = A[b]) and each weight beta in the support of m_gamma, the
     point nu + rho - beta equals tau(lam + rho) for at most one lam in A;
     alcove folding finds it and its sign (or a wall, where stabilized points
-    contribute canceling pairs and are skipped).  The points of all columns
-    are folded in array passes of at most _FOLD_BLOCK points.  A folded point
-    is found in A by its mixed-radix key in base k + 1, first label most
-    significant, so the keys of the sorted alphabet increase.
+    contribute canceling pairs and are skipped).
+
+    `folds` is the fold cache: it maps the key of every point folded so far
+    to (row of the folded point in A, sign), sign 0 on a wall.
+    `fusion_matrices` passes one cache to all its colours.  The key of a
+    point x is sum_i (x_i + 3k) (7k)^(rank-1-i).  A weight beta of V(gamma) has
+    |beta_i| < 3k: beta_i = <beta, alpha_i^vee> is at most the pairing of
+    gamma with the highest coroot, which is at most the lacing number (at
+    most 3) times the level of gamma (below k).  So every digit of nu + rho -
+    beta lies in 0..7k-1, and its key is the key of nu + rho minus
+    sum_i beta_i (7k)^(rank-1-i).
     """
     gamma = alphabet.require(gamma, "gamma")
     rs, k = alphabet.rs, alphabet.k
     n = len(alphabet.elements)
     _require_budget(alphabet, n * n, "one fusion matrix")
-    # interior labels lie in 1..k-1, so distinct points have distinct keys
-    if (k + 1) ** rs.rank >= 2**63:
-        raise AssertionError(f"mixed-radix keys overflow int64 at k = {k}")
-    place = (k + 1) ** np.arange(rs.rank - 1, -1, -1, dtype=np.int64)
-    shifted = np.array(alphabet.elements, dtype=np.int64) + 1
-    keys = shifted @ place
-    support = weight_multiplicities(rs, gamma).multiplicities
-    betas = np.array(list(support), dtype=np.int64)
-    mults = np.array(list(support.values()), dtype=np.int64)
+    folds = {} if folds is None else folds
+    places = [(7 * k) ** p for p in range(rs.rank - 1, -1, -1)]
+    shifted = [tuple(v + 1 for v in lam) for lam in alphabet.elements]
+    rows = {x: a for a, x in enumerate(shifted)}
+    support = [(beta, sum(v * p for v, p in zip(beta, places)), m)
+               for beta, m in weight_multiplicities(rs, gamma).multiplicities.items()]
     qwg = QuantumWeylGroup(rs=rs, k=k)
-    mat = np.zeros((n, n), dtype=np.int64)
-    for lo in range(0, n * len(betas), _FOLD_BLOCK):
-        col, j = np.divmod(np.arange(lo, min(lo + _FOLD_BLOCK, n * len(betas))), len(betas))
-        folded, sign = qwg.fold(shifted[col] - betas[j])
-        hit = sign != 0
-        key = folded[hit] @ place
-        row = np.searchsorted(keys, key)
-        if (row == n).any() or (keys[np.minimum(row, n - 1)] != key).any():
-            raise AssertionError(f"a folded point for gamma = {gamma} is not in the alphabet")
-        np.add.at(mat, (row, col[hit]), sign[hit] * mults[j[hit]])
-    if (mat < 0).any():
+    entries: dict[int, int] = {}  # a * n + b -> N_gamma[a, b]
+    for b, x in enumerate(shifted):
+        base = sum((v + 3 * k) * p for v, p in zip(x, places))
+        for beta, offset, m in support:
+            hit = folds.get(base - offset)
+            if hit is None:
+                folded, sign = qwg.fold([v - w for v, w in zip(x, beta)])
+                row = 0 if folded is None else rows.get(folded)
+                if row is None:
+                    raise AssertionError(
+                        f"a folded point for gamma = {gamma} is not in the alphabet")
+                hit = folds[base - offset] = (row, sign)
+            row, sign = hit
+            if sign:
+                at = row * n + b
+                entries[at] = entries.get(at, 0) + sign * m
+    triples = [(*divmod(at, n), c) for at, c in sorted(entries.items()) if c]
+    if any(c < 0 for _, _, c in triples):
         raise AssertionError(f"negative fusion coefficient for gamma = {gamma}")
-    return mat
+    return triples
 
 
-def fusion_matrices(alphabet: LevelAlphabet, gammas: Iterable[Sequence[int]]) -> dict[Labels, np.ndarray]:
-    """N_gamma for each distinct gamma, in first-seen order; refused as a whole
-    when the |A|^2 coefficients per gamma add up to more than MAX_FUSION_COEFFS."""
+def fusion_matrices(alphabet: LevelAlphabet, gammas: Iterable[Sequence[int]]) -> dict[Labels, Triples]:
+    """N_gamma for each distinct gamma, in first-seen order, over one fold cache;
+    refused as a whole when the |A|^2 coefficients per gamma add up to more
+    than MAX_FUSION_COEFFS."""
     distinct = list(dict.fromkeys(tuple(int(v) for v in g) for g in gammas))
     _require_budget(alphabet, len(alphabet.elements) ** 2 * len(distinct), f"{len(distinct)} fusion matrices")
-    return {g: fusion_matrix(alphabet, g) for g in distinct}
+    folds: dict[int, tuple[int, int]] = {}
+    return {g: fusion_matrix(alphabet, g, folds) for g in distinct}
 
 
 # -- Verlinde oracle ---------------------------------------------------------
@@ -166,6 +179,8 @@ def _s_matrix(alphabet: LevelAlphabet) -> np.ndarray:
     constant cancels in the Verlinde ratio once divided by
     sum_sigma |s[0][sigma]|^2 (row-0 unitarity).
     """
+    import numpy as np
+
     rs = alphabet.rs
     period = alphabet.k * rs.weight_form_den
     shifted = [tuple(m + 1 for m in lam) for lam in alphabet.elements]
@@ -186,6 +201,8 @@ def verlinde_table(alphabet: LevelAlphabet, tol: float = ORACLE_TOL) -> np.ndarr
     float within `tol` of an integer (0 < tol < 1/2); a larger rounding
     residue is reported as an oracle failure (a bug, not bad input).
     """
+    import numpy as np
+
     if not 0.0 < tol < 0.5:  # nan too
         raise PreconditionError(f"oracle tolerance must lie strictly between 0 and 0.5, got {tol}")
     _require_budget(alphabet, len(alphabet.elements) ** 3, "the Verlinde table")
@@ -214,8 +231,17 @@ def verlinde_table(alphabet: LevelAlphabet, tol: float = ORACLE_TOL) -> np.ndarr
 
 
 def build_fusion_table(alphabet: LevelAlphabet) -> np.ndarray:
-    """T[l, m, n] = N^{A[l]}_{A[m] A[n]}: the |A| matrices stacked, |A|^3 coefficients."""
-    return np.stack(list(fusion_matrices(alphabet, alphabet.elements).values()), axis=1)
+    """T[l, m, n] = N^{A[l]}_{A[m] A[n]}: the triples of the |A| matrices scattered
+    into one dense int64 array, |A|^3 coefficients."""
+    import numpy as np
+
+    matrices = fusion_matrices(alphabet, alphabet.elements)
+    n = len(alphabet.elements)
+    table = np.zeros((n, n, n), dtype=np.int64)
+    for m, triples in enumerate(matrices.values()):
+        t = np.array(triples, dtype=np.int64).reshape(-1, 3)
+        table[t[:, 0], m, t[:, 1]] = t[:, 2]
+    return table
 
 
 def table_entries(alphabet: LevelAlphabet, table: np.ndarray):
@@ -230,6 +256,8 @@ def table_entries(alphabet: LevelAlphabet, table: np.ndarray):
 def verify_against_verlinde(alphabet: LevelAlphabet, table: np.ndarray, tol: float = ORACLE_TOL) -> None:
     """Raise OracleError on the first triple, in index order, disagreeing with
     the Verlinde table."""
+    import numpy as np
+
     oracle = verlinde_table(alphabet, tol=tol)
     wrong = np.argwhere(oracle != table)
     if len(wrong):

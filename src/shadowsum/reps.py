@@ -141,6 +141,12 @@ def weight_multiplicities(rs: RootSystem, lam: Sequence[int]) -> WeightSystem:
         v = tuple(a + b for a, b in zip(mu, rho))
         return rs.label_form(v, v)
 
+    # per positive root alpha: alpha, the row G alpha that pairs labels with it,
+    # and label_form(alpha, alpha), the step of label_form(mu + j alpha, alpha) in j
+    roots = []
+    for al in rs.positive_root_labels:
+        g_al = tuple(sum(g * a for g, a in zip(row, al)) for row in rs.weight_gram_num)
+        roots.append((al, g_al, sum(a * g for a, g in zip(al, g_al))))
     lam_norm = norm_shifted(lam)
     mult: dict[Labels, int] = {lam: 1}
     frontier = [lam]
@@ -157,15 +163,15 @@ def weight_multiplicities(rs: RootSystem, lam: Sequence[int]) -> WeightSystem:
             if denom <= 0:
                 continue
             acc = 0
-            for al in rs.positive_root_labels:
-                j = 1
-                while True:
-                    up = tuple(a + j * b for a, b in zip(mu, al))
+            for al, g_al, al_norm in roots:
+                up, form = mu, sum(a * g for a, g in zip(mu, g_al))
+                while True:  # up = mu + j alpha, form = label_form(up, alpha), j = 1, 2, ...
+                    up = tuple(a + b for a, b in zip(up, al))
+                    form += al_norm
                     m = mult.get(up)
                     if m is None:
                         break
-                    acc += 2 * m * rs.label_form(up, al)
-                    j += 1
+                    acc += 2 * m * form
             if acc == 0:
                 continue
             m_mu, rem = divmod(acc, denom)

@@ -52,6 +52,14 @@ def a1k4_table(a1k4):
     return build_fusion_table(a1k4)
 
 
+def densify(triples, n):
+    """The n x n int64 matrix whose nonzero entries are the (row, col, coeff) triples."""
+    mat = np.zeros((n, n), dtype=np.int64)
+    for a, b, c in triples:
+        mat[a, b] = c
+    return mat
+
+
 def character_eval(ws, b):
     """Character value sum_beta m(beta) e^{2 pi i beta(b)} at b in t: the exact-rational
     oracle of `weight_phases`.

@@ -596,15 +596,24 @@ class TestUsageErrorsAsJson:
         assert holonomy["product_trace"]["re"] == pytest.approx(holonomy["closed_form"]["re"])
         assert det["det_rig_quadrature"] == pytest.approx(3.0, rel=1e-6)
 
+    SHADOW_MODULES = {"cli", "errors", "roots", "reps", "fusion", "diagrams"}
+
     @pytest.mark.parametrize("argv,only,never", [
         (["qdim", "--group", "E6", "--k", "16"], {"cli", "errors", "roots", "reps"}, {"numpy"}),
         (["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics", "--quad-res", "8x16"],
          None, {"diagrams", "fusion", "reps", "holonomy", "regularize"}),
-        (["shadow", "link.json"], None, {"determinants", "holonomy", "regularize", "circleop"}),
-    ], ids=["qdim", "det", "shadow"])
+        (["shadow", "link.json"], SHADOW_MODULES, {"determinants", "holonomy", "regularize",
+                                                   "circleop", "numpy"}),
+        (["shadow", "link.json", "--diagnostics"], SHADOW_MODULES, {"numpy"}),
+        (["validate", "link.json"], SHADOW_MODULES, {"numpy"}),
+        (["fusion", "--group", "A1", "--k", "5", "--dump", "--verify"],
+         {"cli", "errors", "roots", "reps", "fusion", "numpy"}, {"diagrams"}),
+    ], ids=["qdim", "det", "shadow", "shadow-diagnostics", "validate", "fusion"])
     def test_command_loads_only_its_modules(self, tmp_path, argv, only, never):
         """A command imports the modules it runs and no other, in a fresh interpreter:
-        `qdim` needs the root data and the alphabet alone, not numpy."""
+        `qdim` needs the root data and the alphabet alone, `shadow` and `validate`
+        the fusion triples and the diagrams, and none of them numpy; the dense
+        `fusion` export does load numpy."""
         write(tmp_path, "link.json", TWO_CIRCLES)
         code = ("import json, sys, shadowsum.cli as cli\n"
                 f"rc = cli.main({argv!r})\n"

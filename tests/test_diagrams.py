@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CYCLE_FORESTS, flat_forest, random_forest_diagram, verlinde_link_value
-from shadowsum.diagrams import build_diagram, contract_state_sum, list_terms
+from conftest import CYCLE_FORESTS, densify, flat_forest, random_forest_diagram, verlinde_link_value
+from shadowsum.diagrams import build_diagram, contract_state_sum, list_terms, prepare_terms
 from shadowsum.errors import PreconditionError
 from shadowsum import cli, fusion
 from shadowsum.fusion import build_fusion_table, fusion_matrix
@@ -446,7 +446,7 @@ def side_by_side_closed_form(alphabet, n, gamma, winding):
 
     els = alphabet.elements
     dims = [quantum_dimension(alphabet, lam) for lam in els]
-    fusion = fusion_matrix(alphabet, gamma)
+    fusion = densify(fusion_matrix(alphabet, gamma), len(els))
     value = abs_sum = 0
     for a, lam in enumerate(els):
         m = sum(fusion[a, b] * dims[b] * phase(nu, winding) for b, nu in enumerate(els))
@@ -498,7 +498,8 @@ def test_diagnostics_terms_sum_to_value(tmp_path, capsys, monkeypatch):
     and the contraction and the listing share the one matrix of colour [0]."""
     built = []
     build = fusion.fusion_matrix
-    monkeypatch.setattr(fusion, "fusion_matrix", lambda al, g: built.append(g) or build(al, g))
+    monkeypatch.setattr(fusion, "fusion_matrix",
+                        lambda al, g, folds=None: built.append(g) or build(al, g, folds))
     doc = {"group": "A1", "k": 10,
            "circles": [circle(f"c{i}", winding=0, color=(0,)) for i in range(700)]}
     rc, out = _shadow_cli(tmp_path, capsys, doc, "--diagnostics")
@@ -527,7 +528,7 @@ def test_shadow_beyond_the_full_table_budget(tmp_path, capsys):
 
 def test_shadow_refuses_many_colours_before_building(tmp_path, capsys, monkeypatch):
     """26 distinct colours at A1 k=200 need 26 * 199^2 > 10^6 coefficients: exit 3, no matrix built."""
-    def unbuilt(alphabet, gamma):
+    def unbuilt(alphabet, gamma, folds=None):
         raise AssertionError("a fusion matrix was built before the budget check")
 
     monkeypatch.setattr(fusion, "fusion_matrix", unbuilt)
@@ -536,3 +537,17 @@ def test_shadow_refuses_many_colours_before_building(tmp_path, capsys, monkeypat
     assert rc == 3
     assert "26 fusion matrices" in out["error"]["message"]
     assert "1029626 coefficients; the budget is 1000000" in out["error"]["message"]
+
+
+@pytest.mark.parametrize("c", [1, 500])
+def test_outside_orientation_is_the_transpose(a1, c):
+    """At A1 k=1000 a circle with positive side outside gets the swapped triples
+    of N_c, which equal the dense transpose; positive side inside gets N_c."""
+    al = level_alphabet(a1, 1000)
+    n = len(al.elements)
+    dense = densify(fusion_matrix(al, (c,)), n)
+    d = build_diagram([circle("in", color=(c,)), circle("out", side="outside", color=(c,))])
+    (_, _, inside), (_, _, outside) = prepare_terms(d, al).circles
+    assert (densify(inside, n) == dense).all()
+    assert (densify(outside, n) == dense.T).all()
+    assert outside == sorted(outside)
