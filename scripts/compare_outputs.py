@@ -7,7 +7,9 @@ OLD_SRC and NEW_SRC are directories holding the shadowsum package, such as
 the src/ of two checkouts.  The jobs are the benchmark's, built from
 bench/workloads.py: every job of each workload for each seed, the same job
 with `--diagnostics` for each shadow job, the layer probe jobs, and
-`--help` of the top-level parser and of each subcommand.  Each
+`--help` of the top-level parser and of each subcommand.  With seeds, it
+adds `det --diagnostics --b` and `holonomy --b` jobs on the types the
+benchmark never runs (FIELD_JOBS), with b drawn per seed.  Each
 job runs as one `python -m shadowsum` process per tree, in a fresh
 directory holding its input files.  The exit code, stdout and the --output
 file must agree byte for byte.  Prints one line per job that differs and a
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -37,6 +40,10 @@ import workloads as wl  # noqa: E402
 
 JOB_TIMEOUT_S = 600
 COMMANDS = ("shadow", "fusion", "qdim", "det", "regularize", "holonomy", "validate")
+# (group, ambient dimension, holonomy colour): types no benchmark job runs, each colour
+# of dimension at most holonomy.MAX_REP_DIM (7, 6, 8, 27, 56 and 26)
+FIELD_JOBS = [("B3", 3, "1,0,0"), ("C3", 3, "1,0,0"), ("D4", 4, "1,0,0,0"),
+              ("E6", 8, "1,0,0,0,0,0"), ("E7", 8, "0,0,0,0,0,0,1"), ("F4", 4, "0,0,0,1")]
 
 
 def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
@@ -52,6 +59,13 @@ def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
                 if job["argv"][0] == "shadow":
                     jobs.append((f"{name} --diagnostics", [*job["argv"], "--diagnostics"],
                                  job["files"]))
+    for seed in seeds:
+        for group, dim, color in FIELD_JOBS:
+            b = "--b=" + ",".join(map(str, wl.generic_b(random.Random(f"{group}:{seed}"), dim)))
+            det = ["det", "--group", group, b, "--diagnostics", "--quad-res", "32x64"]
+            hol = ["holonomy", "--group", group, b, "--color", color, "--wind", "2"]
+            jobs += [(f"field/{seed}/det/{group}", det, {}),
+                     (f"field/{seed}/holonomy/{group}", hol, {})]
     return jobs
 
 

@@ -3,7 +3,7 @@
 
 Prints, for a constant field with alpha(b) = 1/2 and for a two-face step
 field, the regularized indicator and determinant at n = 1..12 against their
-closed-form limits.
+closed-form limits.  Field values are A1 coweight coordinates x = alpha(b)/2.
 """
 
 from fractions import Fraction as Q
@@ -25,7 +25,7 @@ def table(rs, field, target, title):
 
 def main():
     rs = build_root_system("A1")
-    b = rs.from_labels([Q(1, 2)])
+    b = (Q(1, 4),)
     const = SteppedField.constant(b)
     table(rs, const, det_rig_constant(rs, b, 2), "constant field, alpha(b) = 1/2")
 
@@ -34,12 +34,12 @@ def main():
     )
     step = SteppedField(
         diagram=diagram,
-        values=(rs.from_labels([Q(1, 2)]), rs.from_labels([Q(1, 3)])),
+        values=((Q(1, 4),), (Q(1, 6),)),
     )
     table(rs, step, det_rig_step(rs, step), "step field, faces alpha(b) = 1/2 and 1/3")
 
     singular = SteppedField(
-        diagram=diagram, values=(rs.from_labels([Q(1, 2)]), rs.from_labels([2]))
+        diagram=diagram, values=((Q(1, 4),), (Q(1),))
     )
     print("\nsingular step field: indicator =",
           [regularized_indicator(rs, n, singular) for n in range(1, 9)])

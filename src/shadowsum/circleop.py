@@ -1,5 +1,8 @@
 """Inverse of d/dt + ad(b) on g-valued Fourier series over the circle.
 
+b is given by its ambient coordinates and converted once to coweight
+coordinates (`roots.RootSystem.coweight_coordinates`) for its root pairings.
+
 Series live in the complexified root-space basis [H_1..H_r, X_alpha for
 the positive roots alpha in `root_pairings` order, then X_-alpha in the
 same order] where ad(b) is diagonal: 0 on the Cartan coordinates and
@@ -29,17 +32,19 @@ CONSTRAINT_TOL = 0.0  # largest Cartan component an admissible series' mean may 
 
 
 class CircleOperatorData:
-    """A regular Cartan element plus truncation order, with its root pairings."""
+    """A regular Cartan element b (ambient coordinates) plus truncation order, with its
+    root pairings."""
 
     __slots__ = ("rs", "b", "order", "pairings")
 
     def __init__(self, rs: RootSystem, b: tuple, order: int):
         b = tuple(b)
-        if not is_regular(rs, b):
+        x = rs.coweight_coordinates(b)
+        if not is_regular(rs, x):
             raise PreconditionError(f"b = {format_vector(b)} is singular; T(b) is undefined")
         if order < 0:
             raise PreconditionError("truncation order must be >= 0")
-        pair = tuple(float(x) for x in rs.root_pairings(b))
+        pair = tuple(float(v) for v in rs.root_pairings(x))
         self.rs, self.b, self.order = rs, b, order
         self.pairings = pair + tuple(-x for x in pair)  # alpha(b), then -alpha(b), alpha > 0
 

@@ -198,17 +198,14 @@ def _alphabet(args):
 
 
 def _field_b(args, rs) -> tuple:
+    """The field value of --b (ambient coordinates) or --alpha-b (A1), as coweight
+    coordinates x: on A1, alpha(b) = 2 x."""
     if args.b is not None:
-        if len(args.b) != rs.ambient_dim:
-            raise PreconditionError(
-                f"--b needs {rs.ambient_dim} ambient coordinates for "
-                f"{rs.type_label}{rs.rank}, got {len(args.b)}"
-            )
-        return args.b
+        return rs.coweight_coordinates(args.b)
     if args.alpha_b is not None:
         if rs.rank != 1:
             raise PreconditionError("--alpha-b is a rank-1 shorthand; use --b")
-        return rs.from_labels([args.alpha_b])
+        return (args.alpha_b / 2,)
     raise PreconditionError("need --b (ambient coords) or --alpha-b (rank 1)")
 
 
@@ -257,7 +254,7 @@ def cmd_fusion(args) -> dict | list[str]:
         entries = [{"lam": l, "mu": m, "nu": n, "n": v}
                    for l, m, n, v in table_entries(alphabet, table)]
     return {
-        "group": args.group,
+        "group": f"{alphabet.rs.type_label}{alphabet.rs.rank}",
         "k": args.k,
         "alphabet": [list(w) for w in alphabet.elements],
         "entries": entries,
@@ -272,7 +269,7 @@ def cmd_qdim(args) -> dict:
     if args.weight is not None:
         return {"weight": list(args.weight), "qdim": quantum_dimension(alphabet, args.weight)}
     return {
-        "group": args.group,
+        "group": f"{alphabet.rs.type_label}{alphabet.rs.rank}",
         "k": args.k,
         "qdims": [
             {"weight": list(w), "qdim": quantum_dimension(alphabet, w)}
@@ -284,22 +281,26 @@ def cmd_qdim(args) -> dict:
 def cmd_det(args) -> dict:
     from .determinants import (
         det_half, det_k, det_rig_constant, det_rig_quadrature, round_sphere_metric)
+    from .roots import format_vector, is_regular
 
     if args.quad_res is not None and not args.diagnostics:
         raise ParseError("--quad-res needs --diagnostics")
     rs = _root_system(args)
-    b = _field_b(args, rs)
+    x = _field_b(args, rs)
+    if not is_regular(rs, x):
+        typed = format_vector(args.b) if args.b is not None else f"alpha(b) = {args.alpha_b}"
+        raise PreconditionError(f"constant field value {typed} is singular")
     out = {
-        "group": args.group,
-        "det_k": det_k(rs, b),
-        "det_half": det_half(rs, b),
+        "group": f"{rs.type_label}{rs.rank}",
+        "det_k": det_k(rs, x),
+        "det_half": det_half(rs, x),
         "chi": args.chi,
-        "det_rig_constant": det_rig_constant(rs, b, args.chi),
+        "det_rig_constant": det_rig_constant(rs, x, args.chi),
     }
     if args.diagnostics:
         metric = round_sphere_metric(*(args.quad_res or _QUAD_RES))
-        bf = tuple(float(x) for x in b)
-        out["det_rig_quadrature"] = det_rig_quadrature(rs, lambda theta, phi: bf, metric)
+        xf = tuple(float(v) for v in x)
+        out["det_rig_quadrature"] = det_rig_quadrature(rs, lambda theta, phi: xf, metric)
     return out
 
 
@@ -317,11 +318,8 @@ def cmd_regularize(args) -> dict:
         rs, diagram = parse_stepped_link(_load_json(args.input), args.group)
         if args.face_values is None:
             raise PreconditionError("--face-values needed with a link file")
-        if any(len(v) != rs.ambient_dim for v in args.face_values):
-            raise PreconditionError(
-                f"each face value needs {rs.ambient_dim} ambient coordinates"
-            )
-        field = SteppedField(diagram=diagram, values=args.face_values)
+        values = tuple(map(rs.coweight_coordinates, args.face_values))
+        field = SteppedField(diagram=diagram, values=values)
     return {
         "group": f"{rs.type_label}{rs.rank}",
         "n": args.n,
@@ -337,24 +335,22 @@ def cmd_holonomy(args) -> dict:
     from .reps import weight_multiplicities
 
     rs = _root_system(args)
-    b = _field_b(args, rs)
+    x = _field_b(args, rs)
     require_rep_dim(rs, args.color)
     ws = weight_multiplicities(rs, args.color)
     # Weights have integer labels, so both values are unchanged by a coroot-lattice vector
-    # in b and depend on the winding only modulo the lcm D of the denominators of <w_j, b>.
-    # Take the least-absolute residues before floats: b - sum_j round(<w_j, b>) coroot_j,
-    # whose <w_j, b> lie in [-1/2, 1/2], and the winding modulo D.
-    shift = [round(p) for p in rs.weight_pairings(b)]
-    b = tuple(x - sum(n * c[d] for n, c in zip(shift, rs.simple_coroots))
-              for d, x in enumerate(b))
-    period = math.lcm(*(p.denominator for p in rs.weight_pairings(b)))
+    # in b, an integer vector in x, and depend on the winding only modulo the lcm D of the
+    # denominators of x.  Take the least-absolute residues before floats: x - round(x),
+    # in [-1/2, 1/2], and the winding modulo D.
+    x = tuple(v - round(v) for v in x)
+    period = math.lcm(*(v.denominator for v in x))
     wind = args.wind - period * round(Fraction(args.wind, period))
-    bf = tuple(float(x) for x in b)
-    closed = wilson_closed_form([vertical_ribbon(wind)], [ws], None, lambda sigma: bf)
-    phases = weight_phases(ws, b) * wind
+    xf = tuple(float(v) for v in x)
+    closed = wilson_closed_form([vertical_ribbon(wind)], [ws], None, lambda sigma: xf)
+    phases = weight_phases(ws, x) * wind
     product = holonomy(lambda t: phases, n=args.n)
     return {
-        "group": args.group,
+        "group": f"{rs.type_label}{rs.rank}",
         "color": list(args.color),
         "winding": args.wind,
         "n": args.n,

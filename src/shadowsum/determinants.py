@@ -1,6 +1,8 @@
 """Closed forms and quadrature for the torus-gauge determinant kernels.
 
-For b in the Cartan subalgebra,
+A field value b in the Cartan subalgebra is passed as its coweight
+coordinates x (`roots.RootSystem.coweight_coordinates`), so every alpha(b)
+is a label combination of x.  For such b,
 
     det(id_k - e^{ad b}|_k)        = prod_{alpha>0} 4 sin^2(pi alpha(b))
     det^{1/2}(id_k - e^{ad b}|_k)  = prod_{alpha>0} 2 sin(pi alpha(b))
@@ -34,31 +36,32 @@ CURVATURE_TOL = 1e-6  # curvature integral against 4 pi chi (Gauss-Bonnet)
 SINGULAR_TOL = 1e-12  # distance of alpha(B) from an integer that counts as singular
 
 
-def det_k(rs: RootSystem, b: Sequence) -> float:
-    """prod_{alpha>0} 4 sin^2(pi alpha(b)); vanishes on singular b."""
+def det_k(rs: RootSystem, x: Sequence) -> float:
+    """prod_{alpha>0} 4 sin^2(pi alpha(b)) at b with coweight coordinates x; vanishes on
+    singular b."""
     out = 1.0
-    for x in rs.root_pairings(b):
-        out *= 4.0 * math.sin(math.pi * float(x)) ** 2
+    for v in rs.root_pairings(x):
+        out *= 4.0 * math.sin(math.pi * float(v)) ** 2
     return out
 
 
-def det_half(rs: RootSystem, b: Sequence) -> float:
+def det_half(rs: RootSystem, x: Sequence) -> float:
     """Signed half-power prod_{alpha>0} 2 sin(pi alpha(b)); its square is det_k."""
     out = 1.0
-    for x in rs.root_pairings(b):
-        out *= 2.0 * math.sin(math.pi * float(x))
+    for v in rs.root_pairings(x):
+        out *= 2.0 * math.sin(math.pi * float(v))
     return out
 
 
-def det_rig_constant(rs: RootSystem, b: Sequence, chi: int) -> float:
+def det_rig_constant(rs: RootSystem, x: Sequence, chi: int) -> float:
     """det_k(b)^(chi/2) for a constant regular field on a surface of Euler number chi.
 
     A power that is not a finite positive double (large |chi|) is refused.
     """
-    if not is_regular(rs, tuple(b)):
-        raise PreconditionError(f"constant field value {format_vector(b)} is singular")
+    if not is_regular(rs, x):
+        raise PreconditionError(f"constant field value x = {format_vector(x)} is singular")
     try:
-        out = det_k(rs, b) ** (chi / 2.0)
+        out = det_k(rs, x) ** (chi / 2.0)
     except OverflowError:
         out = math.inf
     if not 0.0 < out < math.inf:
@@ -136,22 +139,21 @@ def det_rig_quadrature(
 ) -> float:
     """Quadrature evaluation of the regularized determinant of a smooth field.
 
-    sampler(theta, phi) maps the node coordinate arrays to the ambient
-    coordinates of B: an (n, dim) array, or a (dim,) one that broadcasts (a
-    constant field).  Any node where some alpha(B) is within SINGULAR_TOL of
-    an integer is rejected (named in the error).  On a closed surface the
-    result is real; a non-negligible imaginary residue raises, since it
-    signals a field that is not regular across the whole grid.
+    sampler(theta, phi) maps the node coordinate arrays to the coweight
+    coordinates x of B: an (n, rank) array, or a (rank,) one that broadcasts
+    (a constant field).  Every alpha(B) comes from one product of x with the
+    (rank, |R+|) label matrix.  Any node where some alpha(B) is within
+    SINGULAR_TOL of an integer is rejected (named in the error).  On a closed
+    surface the result is real; a non-negligible imaginary residue raises,
+    since it signals a field that is not regular across the whole grid.
     """
     metric.validate()
     sample = np.asarray(sampler(metric.nodes[:, 0], metric.nodes[:, 1]), dtype=float)
-    values = np.broadcast_to(sample, (metric.nodes.shape[0], rs.ambient_dim))
-    scale = float(rs.form_scale)
+    labels = np.array(rs.positive_root_labels, dtype=float).T
+    pairs = np.broadcast_to(sample @ labels, (metric.nodes.shape[0], labels.shape[1]))
     rweight = metric.weights * metric.scalar_curvature / (4.0 * math.pi)
     total = 0j
-    for alpha in rs.positive_roots:
-        av = np.array([float(x) for x in alpha]) * scale
-        pair = values @ av
+    for pair in pairs.T:  # a root at a time: a constant field's pairs stay a broadcast view
         dist = np.abs(pair - np.round(pair))
         if np.any(dist <= SINGULAR_TOL):
             i = int(np.argmin(dist))

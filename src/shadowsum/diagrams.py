@@ -41,11 +41,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import PreconditionError
-from .fusion import Triples, fusion_matrices
 from .reps import Labels, LevelAlphabet, quantum_dimension
+
+if TYPE_CHECKING:
+    from .fusion import Triples
 
 
 class Circle(NamedTuple):
@@ -177,6 +179,8 @@ class TermData(NamedTuple):
 def prepare_terms(diagram: ShadowDiagram, alphabet: LevelAlphabet) -> TermData:
     """The term tables of `diagram`; the fusion matrices of all its circle
     colours share one budget (MAX_FUSION_COEFFS), checked before any is built."""
+    from .fusion import fusion_matrices
+
     rs = alphabet.rs
     for c in diagram.circles:
         if c.color not in alphabet:

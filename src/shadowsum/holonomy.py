@@ -18,6 +18,8 @@ field average of the Wilson loop product has the closed form
 
 whose argument is t-valued, so each trace is the sum of exp over the
 module's weight phases at it (`weight_phases`, the one evaluator of beta(b)).
+A t-valued value b is passed as its coweight coordinates x (see `roots`), so
+beta(b) = sum_j label_j(beta) x_j.
 """
 
 from __future__ import annotations
@@ -74,15 +76,17 @@ def holonomy(connection: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarr
     return np.exp(phases.sum(axis=0) / n)
 
 
-def weight_phases(ws: WeightSystem, b: Sequence[float]) -> np.ndarray:
+def weight_phases(ws: WeightSystem, x: Sequence[float]) -> np.ndarray:
     """b in the weight basis of the module, as its diagonal: 2 pi i beta(b) for
     every weight beta, repeated by multiplicity, in sorted label order.
 
-    beta(b) = sum_i label_i(beta) <omega_i, b>: exact for rational b."""
-    pairings = ws.rs.weight_pairings(b)
+    beta(b) = sum_j label_j(beta) x_j for b with coweight coordinates x: exact
+    for rational x."""
+    if len(x) != ws.rs.rank:
+        raise PreconditionError(f"expected {ws.rs.rank} coweight coordinates, got {len(x)}")
     entries = []
     for labels, m in sorted(ws.multiplicities.items()):
-        beta_b = sum(c * p for c, p in zip(labels, pairings))
+        beta_b = sum(c * p for c, p in zip(labels, x))
         entries.extend([2j * math.pi * float(beta_b)] * m)
     return np.array(entries)
 
@@ -106,9 +110,9 @@ def wilson_closed_form(
 
     Each ribbon sampler maps the grid arrays (t, u) to (sigma, dsigma/dt,
     dtau/dt); the 1-form part contributes a_form(sigma, dsigma/dt) and the
-    field part B(sigma) * dtau/dt, both t-valued.  The double integral is a
-    uniform Riemann sum over T_NODES in t (exact for vertical ribbons) and
-    Gauss over U_NODES in u.
+    field part B(sigma) * dtau/dt, both t-valued and in coweight coordinates.
+    The double integral is a uniform Riemann sum over T_NODES in t (exact for
+    vertical ribbons) and Gauss over U_NODES in u.
     """
     if len(ribbons) != len(colors):
         raise PreconditionError(

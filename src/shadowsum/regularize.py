@@ -2,10 +2,11 @@
 determinant: trigonometric-polynomial cutoffs and polynomial exp/log.
 
 Fields are stepped (`SteppedField`): one exact value per face of a
-diagram.  The n-th stage works on the n-th barycentric refinement of a face
-mesh compatible with the diagram, simulated combinatorially: every face is
-subdivided fourfold per step, so stage n has N_n = max(1, #faces) * 4^n
-cells and each cell inherits its face's (exact) field value.
+diagram, in coweight coordinates x (see `roots`).  The n-th stage works on
+the n-th barycentric refinement of a face mesh compatible with the diagram,
+simulated combinatorially: every face is subdivided fourfold per step, so
+stage n has N_n = max(1, #faces) * 4^n cells and each cell inherits its
+face's (exact) field value.
 
 Indicator.  A smooth 1-periodic bump psi_n vanishes exactly on the
 integers and equals 1 outside the 1/(4n)-neighborhood of them; its
@@ -45,7 +46,7 @@ from .roots import RootSystem, format_vector, is_regular
 class SteppedField:
     """A t-valued field constant on each face of a diagram.
 
-    `values[i]` is the (rational) ambient coordinate tuple on face i, in the
+    `values[i]` is the (rational) coweight coordinate tuple x on face i, in the
     diagram's face order.  The empty diagram makes this a constant field on
     the bare sphere.
     """
@@ -61,21 +62,21 @@ class SteppedField:
         self.diagram, self.values = diagram, values
 
     @staticmethod
-    def constant(b: Sequence) -> SteppedField:
-        """The constant field b on the bare sphere."""
-        return SteppedField(diagram=build_diagram([]), values=(tuple(Fraction(x) for x in b),))
+    def constant(x: Sequence) -> SteppedField:
+        """The constant field with coweight coordinates x on the bare sphere."""
+        return SteppedField(diagram=build_diagram([]), values=(tuple(Fraction(v) for v in x),))
 
 
 def det_rig_step(rs: RootSystem, field: SteppedField) -> float:
     """prod_faces det_half(b_face)^chi(face), the limit of `det_rig_n` as n grows;
     rejects singular face values."""
     out = 1.0
-    for face, b in zip(field.diagram.faces, field.values):
-        if not is_regular(rs, b):
+    for face, x in zip(field.diagram.faces, field.values):
+        if not is_regular(rs, x):
             raise PreconditionError(
-                f"face {face.face_id!r} carries the singular value {format_vector(b)}"
+                f"face {face.face_id!r} carries the singular value x = {format_vector(x)}"
             )
-        out *= det_half(rs, b) ** face.euler
+        out *= det_half(rs, x) ** face.euler
     return out
 
 
@@ -170,7 +171,7 @@ def cutoff_accuracy_target(rs: RootSystem, cells_total: int) -> float:
     which passes 1 by n = 16 on a one-face A1 field; `regularized_indicator`
     refuses such stages.
     """
-    return 1.0 / (8.0 * cells_total ** 3 * len(rs.positive_roots))
+    return 1.0 / (8.0 * cells_total ** 3 * len(rs.positive_root_labels))
 
 
 def _require_trusted_stage(rs: RootSystem, n: int, cells_total: float, sup_error: float) -> None:
@@ -178,10 +179,10 @@ def _require_trusted_stage(rs: RootSystem, n: int, cells_total: float, sup_error
 
     Exact for any n: the integer N_n |R+| (inf: too large to form) is compared with 1/sup_error.
     """
-    if cells_total * len(rs.positive_roots) >= 1.0 / sup_error:
+    if cells_total * len(rs.positive_root_labels) >= 1.0 / sup_error:
         raise PreconditionError(
             f"regularize stage n = {n} cannot be trusted: its error bound N_n |R+| sup_error "
-            f"is at least 1 (N_n = #faces * 4^{n} cells, |R+| = {len(rs.positive_roots)}, "
+            f"is at least 1 (N_n = #faces * 4^{n} cells, |R+| = {len(rs.positive_root_labels)}, "
             f"sup_error >= {sup_error:.2e})"
         )
 
@@ -203,10 +204,10 @@ def regularized_indicator(rs: RootSystem, n: int, field: SteppedField) -> float:
     _require_trusted_stage(rs, n, cells_total, cut.sup_error)
     cells = 4 ** n  # per face
     out = 1.0
-    for b in field.values:
+    for x in field.values:
         face_factor = 1.0
-        for x in rs.root_pairings(b):
-            v = cut(x)
+        for pairing in rs.root_pairings(x):
+            v = cut(pairing)
             if v == 0.0:
                 return 0.0
             face_factor *= v

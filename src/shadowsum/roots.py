@@ -5,16 +5,21 @@ The root data are computed once, in integers, from the Cartan matrix
 10-11): the positive roots are generated as integer coordinates in the
 simple-root basis, and their labels, the highest root, the comarks and the
 dual Coxeter number follow from those coordinates.  The one rational
-computation is the exact inverse of the Cartan matrix, for the fundamental
-weights and the integer Gram data of the form on labels.
+computation is the exact inverse C^-1 of the Cartan matrix, for the integer
+Gram data of the form on labels and for `coweight_coordinates`.
 
-Ambient vectors are exact `Fraction` tuples in a fixed orthogonal basis per
-type (the standard orthonormal realizations); other modules pair a field
-value b with them only through `root_pairings` and `weight_pairings`.  The
-invariant scalar product is the Euclidean dot product rescaled so that every
-short coroot has squared length 2; equivalently, long roots have squared
-length 2.  Regularity and lattice tests are exact; floats appear only at the
-trigonometric layer in other modules.
+A field value b in the Cartan subalgebra t is held as its coweight
+coordinates x_j = <omega_j, b>, so b = sum_j x_j coroot(alpha_j): a rational
+or float tuple of length `rank`.  Every pairing the kernels need is then an
+integer-label combination of x: alpha(b) = sum_j label_j(alpha) x_j
+(`root_pairings`) and beta(b) = sum_j label_j(beta) x_j for a weight beta.
+The simple roots are kept as exact `Fraction` tuples in a fixed orthogonal
+basis per type (the standard orthonormal realizations), where the invariant
+product is `form_scale` times the dot product, rescaled so that every short
+coroot has squared length 2; equivalently, long roots have squared length
+2.  `coweight_coordinates` is the one reader of those ambient vectors: it
+turns ambient coordinates of b into x.  Regularity and lattice tests are
+exact; floats appear only at the trigonometric layer in other modules.
 """
 
 from __future__ import annotations
@@ -70,12 +75,6 @@ def _scale(c: Fraction, x: Vector) -> Vector:
     return tuple(c * a for a in x)
 
 
-def _combine(coeffs: Sequence, vectors: Sequence[Vector]) -> Vector:
-    """sum_i coeffs[i] * vectors[i], exactly."""
-    terms = [(Fraction(c), v) for c, v in zip(coeffs, vectors) if c]
-    return tuple(sum((c * v[d] for c, v in terms), Fraction(0)) for d in range(len(vectors[0])))
-
-
 def _simple_roots(type_label: str, rank: int) -> tuple[list[Vector], int, Fraction]:
     """Simple roots in the standard ambient realization.
 
@@ -129,12 +128,12 @@ def _simple_roots(type_label: str, rank: int) -> tuple[list[Vector], int, Fracti
 
 
 class RootSystem(NamedTuple):
-    """Immutable root/coroot/weight data of one simple type.
+    """Immutable root/weight data of one simple type.
 
-    Vectors are Fraction tuples in the ambient basis.  `cartan[i][j]` is
-    <alpha_i, coroot(alpha_j)>; weights are mostly handled through their
-    integer coordinates in the fundamental-weight basis ("labels"),
-    i.e. label_j(x) = <x, coroot(alpha_j)>.
+    `cartan[i][j]` is <alpha_i, coroot(alpha_j)>; weights are handled through
+    their integer coordinates in the fundamental-weight basis ("labels"),
+    i.e. label_j(x) = <x, coroot(alpha_j)>, and field values through their
+    coweight coordinates x (see the module docstring).
     """
 
     type_label: str
@@ -142,63 +141,39 @@ class RootSystem(NamedTuple):
     ambient_dim: int
     form_scale: Fraction
     simple_roots: tuple[Vector, ...]
-    positive_roots: tuple[Vector, ...]
-    roots: tuple[Vector, ...]
-    simple_coroots: tuple[Vector, ...]
-    fundamental_weights: tuple[Vector, ...]
-    weyl_vector: Vector
-    highest_root: Vector
     dual_coxeter: int
     cartan_matrix: tuple[tuple[int, ...], ...]
+    cartan_inverse: tuple[tuple[Fraction, ...], ...]
     comarks: tuple[int, ...]
-    # label_j(alpha) = <alpha, coroot(alpha_j)> of each positive root, in positive_roots
-    # order, and of the highest root
+    # label_j(alpha) of each positive root, sorted by the root's ambient coordinates,
+    # and of the highest root
     positive_root_labels: tuple[tuple[int, ...], ...]
     highest_root_labels: tuple[int, ...]
     # integer Gram data for label arithmetic: weight_form_den * <w_i, w_j>
     weight_gram_num: tuple[tuple[int, ...], ...]
     weight_form_den: int
 
-    # -- basic bilinear algebra -------------------------------------------
+    def coweight_coordinates(self, b: Sequence) -> tuple:
+        """x_j = <omega_j, b> = sum_i (C^-1)_ji alpha_i(b) of b given by ambient coordinates.
 
-    def inner(self, x: Sequence, y: Sequence):
-        """The normalized invariant product <x,y>.
-
-        Exact when both arguments are rational; float otherwise.
+        A part of b orthogonal to every root drops out.  Exact for rational b.
         """
-        if len(x) != self.ambient_dim or len(y) != self.ambient_dim:
-            raise PreconditionError(
-                f"dimension mismatch: expected ambient dimension {self.ambient_dim}, "
-                f"got {len(x)} and {len(y)}"
-            )
-        s = sum(a * b for a, b in zip(x, y))
-        if isinstance(s, Fraction):
-            return self.form_scale * s
-        return float(self.form_scale) * s
-
-    def root_pairings(self, b: Sequence) -> tuple:
-        """alpha(b) for the positive roots, in `positive_roots` order; exact for rational b."""
         b = tuple(b)
-        return tuple(self.inner(alpha, b) for alpha in self.positive_roots)
-
-    def weight_pairings(self, b: Sequence) -> tuple:
-        """<omega_j, b> per fundamental weight, so beta(b) = sum_j label_j(beta) <omega_j, b>;
-        exact for rational b."""
-        b = tuple(b)
-        return tuple(self.inner(w, b) for w in self.fundamental_weights)
-
-    def coroot(self, alpha: Vector) -> Vector:
-        n = self.inner(alpha, alpha)
-        return _scale(Fraction(2) / n, alpha)
-
-    # -- label (fundamental-weight) coordinates ---------------------------
-
-    def from_labels(self, labels: Sequence) -> Vector:
-        if len(labels) != self.rank:
+        if len(b) != self.ambient_dim:
             raise PreconditionError(
-                f"expected {self.rank} fundamental-weight coordinates, got {len(labels)}"
+                f"a field value of {self.type_label}{self.rank} needs {self.ambient_dim} "
+                f"ambient coordinates, got {len(b)}"
             )
-        return _combine(labels, self.fundamental_weights)
+        simple = [self.form_scale * sum(a * c for a, c in zip(alpha, b))
+                  for alpha in self.simple_roots]
+        return tuple(sum(c * v for c, v in zip(row, simple)) for row in self.cartan_inverse)
+
+    def root_pairings(self, x: Sequence) -> tuple:
+        """alpha(b) = sum_j label_j(alpha) x_j per positive root, in `positive_root_labels`
+        order, for the field value b with coweight coordinates x; exact for rational x."""
+        if len(x) != self.rank:
+            raise PreconditionError(f"expected {self.rank} coweight coordinates, got {len(x)}")
+        return tuple(sum(c * v for c, v in zip(lab, x) if c) for lab in self.positive_root_labels)
 
     def label_form(self, m: Sequence[int], n: Sequence[int]) -> int:
         """weight_form_den * <x,y> for x,y given by integer labels: an exact integer."""
@@ -263,12 +238,9 @@ def build_root_system(type_label: str) -> RootSystem:
         )
 
     simple, dim, scale = _simple_roots(t, rank)
-    norms = [scale * sum(a * a for a in alpha) for alpha in simple]  # |alpha_i|^2
-    simple_coroots = tuple(_scale(2 / n, alpha) for alpha, n in zip(simple, norms))
-    cartan = tuple(
-        tuple(int(scale * sum(a * b for a, b in zip(alpha, cr))) for cr in simple_coroots)
-        for alpha in simple
-    )
+    form = [[scale * sum(a * b for a, b in zip(x, y)) for y in simple] for x in simple]
+    norms = [form[i][i] for i in range(rank)]  # |alpha_i|^2
+    cartan = tuple(tuple(int(2 * v / n) for v, n in zip(row, norms)) for row in form)
 
     labels_of: dict[tuple[int, ...], tuple[int, ...]] = {}
     frontier = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
@@ -307,40 +279,39 @@ def build_root_system(type_label: str) -> RootSystem:
     comarks = tuple(int(a) for a in comarks_f)
 
     cartan_inv = _invert_rational(cartan)
-    fundamental_weights = tuple(_combine(row, simple) for row in cartan_inv)
     gram = [[cartan_inv[i][j] * norms[j] / 2 for j in range(rank)] for i in range(rank)]
     den = math.lcm(*(v.denominator for row in gram for v in row))
 
-    positive = sorted((_combine(c, simple), lab) for c, lab in labels_of.items())
+    # Positive roots in the order of their ambient coordinates, formed in integers from 2 alpha_i
+    doubled = [[int(2 * a) for a in alpha] for alpha in simple]
+    positive = sorted(
+        labels_of, key=lambda c: [sum(ci * v[d] for ci, v in zip(c, doubled)) for d in range(dim)]
+    )
     return RootSystem(
         type_label=t,
         rank=rank,
         ambient_dim=dim,
         form_scale=scale,
         simple_roots=tuple(simple),
-        positive_roots=tuple(v for v, _ in positive),
-        roots=tuple(sorted([v for v, _ in positive] + [_scale(-1, v) for v, _ in positive])),
-        simple_coroots=simple_coroots,
-        fundamental_weights=fundamental_weights,
-        weyl_vector=_combine((1,) * rank, fundamental_weights),
-        highest_root=_combine(theta, simple),
         dual_coxeter=1 + sum(comarks),
         cartan_matrix=cartan,
+        cartan_inverse=tuple(map(tuple, cartan_inv)),
         comarks=comarks,
-        positive_root_labels=tuple(lab for _, lab in positive),
+        positive_root_labels=tuple(labels_of[c] for c in positive),
         highest_root_labels=labels_of[theta],
         weight_gram_num=tuple(tuple(int(v * den) for v in row) for row in gram),
         weight_form_den=den,
     )
 
 
-def is_regular(rs: RootSystem, b: Sequence) -> bool:
-    """True iff alpha(b) is not an integer for every positive root alpha.
+def is_regular(rs: RootSystem, x: Sequence) -> bool:
+    """True iff alpha(b) is not an integer for every positive root alpha, b given by
+    its coweight coordinates x.
 
     Exact for rational coordinates; for float coordinates a value counts as
     integral only when it is exactly integral as a float.
     """
-    for v in rs.root_pairings(b):
+    for v in rs.root_pairings(x):
         if isinstance(v, Fraction):
             if v.denominator == 1:
                 return False

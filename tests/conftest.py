@@ -1,5 +1,7 @@
 import cmath
+import functools
 import math
+import operator
 import os
 import random
 from fractions import Fraction
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from shadowsum.diagrams import build_diagram
+from shadowsum.errors import PreconditionError
 from shadowsum.fusion import _s_matrix, build_fusion_table
 from shadowsum.reps import level_alphabet
 from shadowsum.roots import build_root_system
@@ -60,16 +63,100 @@ def densify(triples, n):
     return mat
 
 
+def _combine(coeffs, vectors):
+    """sum_i coeffs[i] * vectors[i], exactly."""
+    terms = [(Fraction(c), v) for c, v in zip(coeffs, vectors) if c]
+    return tuple(sum((c * v[d] for c, v in terms), Fraction(0)) for d in range(len(vectors[0])))
+
+
+class Ambient:
+    """The ambient realization of a root system: exact Fraction vectors in the
+    orthonormal basis of `rs.simple_roots`, with <x, y> = rs.form_scale * dot(x, y).
+
+    The tests' oracle for the label arithmetic the library runs on.  The roots
+    are generated here, as the orbit of the simple roots under the simple
+    reflections, with none of the library's labels; the fundamental weights
+    come from `rs.cartan_inverse`, which the duality check tests.  Any other
+    attribute (rank, cartan_matrix, positive_root_labels, ...) is the root
+    system's.
+    """
+
+    def __init__(self, rs):
+        self.rs = rs
+        self.simple_coroots = tuple(map(self.coroot, rs.simple_roots))
+        # in integers: twice a root has integer coordinates
+        doubled = [tuple(int(2 * a) for a in alpha) for alpha in rs.simple_roots]
+        roots, frontier = set(doubled), list(doubled)
+        while frontier:
+            v = frontier.pop()
+            for alpha in doubled:
+                n = 2 * sum(map(operator.mul, v, alpha)) // sum(map(operator.mul, alpha, alpha))
+                w = tuple(a - n * b for a, b in zip(v, alpha))
+                if w not in roots:
+                    roots.add(w)
+                    frontier.append(w)
+        self.roots = tuple(sorted(tuple(Fraction(a, 2) for a in v) for v in roots))
+        self.fundamental_weights = tuple(
+            _combine(row, rs.simple_roots) for row in rs.cartan_inverse)
+        self.weyl_vector = self.from_labels((1,) * rs.rank)
+        self.positive_roots = tuple(a for a in self.roots if self.inner(a, self.weyl_vector) > 0)
+        self.highest_root = self.from_labels(rs.highest_root_labels)
+
+    def __getattr__(self, name):
+        return getattr(self.rs, name)
+
+    def inner(self, x, y):
+        """The normalized invariant product <x,y>; exact when both arguments are rational."""
+        if len(x) != self.ambient_dim or len(y) != self.ambient_dim:
+            raise PreconditionError(
+                f"dimension mismatch: expected ambient dimension {self.ambient_dim}, "
+                f"got {len(x)} and {len(y)}"
+            )
+        s = sum(a * b for a, b in zip(x, y))
+        return self.form_scale * s if isinstance(s, Fraction) else float(self.form_scale) * s
+
+    def coroot(self, alpha):
+        return tuple(2 * a / self.inner(alpha, alpha) for a in alpha)
+
+    def from_labels(self, labels):
+        """The weight sum_j labels_j omega_j."""
+        if len(labels) != self.rank:
+            raise PreconditionError(
+                f"expected {self.rank} fundamental-weight coordinates, got {len(labels)}"
+            )
+        return _combine(labels, self.fundamental_weights)
+
+    def root_pairings(self, b):
+        """alpha(b) for the positive roots in ambient order: the oracle of `root_pairings`."""
+        return tuple(self.inner(alpha, tuple(b)) for alpha in self.positive_roots)
+
+    def weight_pairings(self, b):
+        """<omega_j, b>: the coweight coordinates of b, the oracle of `coweight_coordinates`."""
+        return tuple(self.inner(w, tuple(b)) for w in self.fundamental_weights)
+
+
+@functools.cache
+def ambient(rs):
+    """The ambient oracle of a root system, built once per type."""
+    return Ambient(rs)
+
+
+def from_labels(rs, labels):
+    """The field value b = sum_j labels_j omega_j in coweight coordinates x_j = <omega_j, b>."""
+    amb = ambient(rs)
+    return amb.weight_pairings(amb.from_labels(labels))
+
+
 def character_eval(ws, b):
     """Character value sum_beta m(beta) e^{2 pi i beta(b)} at b in t: the exact-rational
     oracle of `weight_phases`.
 
-    With the convention exp(b) = identity iff b lies in the coroot lattice,
-    the phases use the 2 pi i factor and the value is periodic under
-    translations of b by coroots.  Exact rational b gets its phase reduced
-    mod 1 before any float rounding.
+    b is given by ambient coordinates.  With the convention exp(b) = identity
+    iff b lies in the coroot lattice, the phases use the 2 pi i factor and the
+    value is periodic under translations of b by coroots.  Exact rational b
+    gets its phase reduced mod 1 before any float rounding.
     """
-    rs = ws.rs
+    rs = ambient(ws.rs)
     total = 0j
     for labels, m in ws.multiplicities.items():
         beta = rs.from_labels(labels)
@@ -126,6 +213,7 @@ def flat_forest(components):
 
 def simple_reflection_matrix(rs, i):
     """Matrix of the i-th simple reflection v -> v - <v, coroot_i> alpha_i in the ambient basis."""
+    rs = ambient(rs)
     alpha, coroot = rs.simple_roots[i], rs.simple_coroots[i]
     return [[int(r == c) - rs.form_scale * coroot[c] * alpha[r] for c in range(rs.ambient_dim)]
             for r in range(rs.ambient_dim)]

@@ -12,7 +12,7 @@ from fractions import Fraction as Q
 
 import numpy as np
 
-from conftest import random_forest_diagram
+from conftest import ambient, from_labels, random_forest_diagram
 from test_diagrams import all_small_diagrams, empty_link_value, naive_terms
 from test_holonomy import circling_ribbon, phase_map, ribbon_holonomy
 from shadowsum.circleop import (
@@ -125,7 +125,7 @@ def test_determinant_closed_forms():
     rs = build_root_system("A1")
     metric = round_sphere_metric(256, 512)
     for x in (Q(1, 2), Q(1, 3), Q(2, 5)):
-        b = rs.from_labels([x])
+        b = from_labels(rs, [x])
         bf = tuple(float(v) for v in b)
         got = det_rig_quadrature(rs, lambda t, p: bf, metric)
         want = det_rig_constant(rs, b, 2)
@@ -134,7 +134,7 @@ def test_determinant_closed_forms():
     rng = random.Random(7)
     for _ in range(50):
         labels = [Q(rng.randint(-20, 20), rng.randint(21, 40)) for _ in range(2)]
-        b = rs2.from_labels(labels)
+        b = from_labels(rs2, labels)
         dk = det_k(rs2, b)
         assert abs(det_half(rs2, b) ** 2 - dk) <= 1e-12 * max(1.0, abs(dk))
     print("\nACCEPTANCE PASS: det_rig_quadrature matches det_k^(chi/2) at 256x512 (1e-6); "
@@ -144,7 +144,7 @@ def test_determinant_closed_forms():
 def test_appendix_b_convergence():
     """det_rig_n within 1e-3 of the closed form by n = 12; indicator limits to n = 8."""
     rs = build_root_system("A1")
-    b = rs.from_labels([Q(1, 2)])
+    b = from_labels(rs, [Q(1, 2)])
     const = SteppedField.constant(b)
     target = det_rig_constant(rs, b, 2)
     err = abs(det_rig_n(rs, 12, const) - target)
@@ -154,10 +154,10 @@ def test_appendix_b_convergence():
         [{"id": "c", "parent": None, "winding": 1, "positive_side": "inside", "color": [0]}]
     )
     regular = SteppedField(
-        diagram=diagram, values=(rs.from_labels([Q(1, 2)]), rs.from_labels([Q(1, 3)]))
+        diagram=diagram, values=(from_labels(rs, [Q(1, 2)]), from_labels(rs, [Q(1, 3)]))
     )
     singular = SteppedField(
-        diagram=diagram, values=(rs.from_labels([Q(1, 2)]), rs.from_labels([2]))
+        diagram=diagram, values=(from_labels(rs, [Q(1, 2)]), from_labels(rs, [2]))
     )
     for n in range(1, 9):
         assert regularized_indicator(rs, n, singular) == 0.0
@@ -179,7 +179,7 @@ def test_operator_inverse_residual():
         while done < 100:
             labels = [Q(int(rng.integers(-24, 25)), 49) for _ in range(rs.rank)]
             try:
-                data = CircleOperatorData(rs=rs, b=rs.from_labels(labels), order=16)
+                data = CircleOperatorData(rs=rs, b=ambient(rs).from_labels(labels), order=16)
             except PreconditionError:
                 continue
             f = random_admissible_series(data, rng)
@@ -206,8 +206,8 @@ def test_holonomy_criteria():
 
     rs = build_root_system("A1")
     ws = weight_multiplicities(rs, (1,))
-    b = np.array([float(x) for x in rs.from_labels([Q(1, 3)])])
-    omega = np.array([float(x) for x in rs.fundamental_weights[0]])
+    b = np.array([float(x) for x in from_labels(rs, [Q(1, 3)])])
+    omega = np.array([float(x) for x in from_labels(rs, [1])])
 
     def a_form(sigma, dsigma):
         return 0.15 * dsigma[:, :1] * omega

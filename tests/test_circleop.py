@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
+from conftest import ambient
 from shadowsum.circleop import (
     CircleOperatorData,
     apply_operator,
@@ -14,23 +15,23 @@ from shadowsum.errors import PreconditionError
 
 
 def data_a1(a1, order=16):
-    return CircleOperatorData(rs=a1, b=a1.from_labels([Q(1, 3)]), order=order)
+    return CircleOperatorData(rs=a1, b=ambient(a1).from_labels([Q(1, 3)]), order=order)
 
 
 class TestConstruction:
     def test_singular_b_rejected(self, a1):
         with pytest.raises(PreconditionError):
-            CircleOperatorData(rs=a1, b=a1.from_labels([1]), order=4)
+            CircleOperatorData(rs=a1, b=ambient(a1).from_labels([1]), order=4)
 
     def test_singular_message_shows_rationals(self, a1):
         with pytest.raises(PreconditionError) as ei:
-            CircleOperatorData(rs=a1, b=a1.from_labels([1]), order=4)
+            CircleOperatorData(rs=a1, b=ambient(a1).from_labels([1]), order=4)
         assert "(1/2, -1/2)" in str(ei.value) and "Fraction(" not in str(ei.value)
 
     def test_pairings_split(self, a1):
         d = data_a1(a1)
         # Cartan coordinates first, then one pairing per root
-        assert d.dim == a1.rank + len(a1.roots)
+        assert d.dim == a1.rank + len(ambient(a1).roots)
         assert sorted(d.pairings) == pytest.approx([-1.0 / 3.0, 1.0 / 3.0])
 
 
@@ -86,7 +87,7 @@ class TestInverse:
         rng = np.random.default_rng(seed)
         for trial in range(25):
             labels = [Q(int(rng.integers(-12, 13)), 25) for _ in range(rs.rank)]
-            b = rs.from_labels(labels)
+            b = ambient(rs).from_labels(labels)
             try:
                 d = CircleOperatorData(rs=rs, b=b, order=16)
             except PreconditionError:

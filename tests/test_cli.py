@@ -399,6 +399,36 @@ def one_circle(**fields):
     return {"group": "A1", "k": 4, "circles": [dict(c, **fields)]}
 
 
+@pytest.mark.parametrize("argv", [
+    ["det", "--alpha-b", "1/3"],
+    ["qdim", "--k", "4"],
+    ["fusion", "--k", "4"],
+    ["holonomy", "--alpha-b", "1/3", "--n", "8"],
+    ["shadow", "link.json"],
+    ["regularize", "link.json", "--face-values", "1/4,-1/4;1/6,-1/6"],
+], ids=lambda argv: argv[0])
+def test_group_is_printed_as_parsed(tmp_path, capsys, argv):
+    """Every command prints the group as the parsed type label, not as spelled."""
+    path = write(tmp_path, "link.json", one_circle())
+    argv = [path if a == "link.json" else a for a in argv]
+    rc, doc = run_main(capsys, *argv, "--group", " a1")
+    assert rc == 0 and doc["group"] == "A1"
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["det", "--group", "A2", "--b", "1/3,1/5"], "needs 3 ambient coordinates, got 2"),
+    (["holonomy", "--group", "A2", "--b", "1/3,1/5,1/7,1/11"],
+     "needs 3 ambient coordinates, got 4"),
+    (["regularize", "--group", "A1", "link.json", "--face-values", "1/4,-1/4;1/6"],
+     "needs 2 ambient coordinates, got 1"),
+], ids=lambda v: v[0] if isinstance(v, list) else "")
+def test_field_value_length_exit_3(tmp_path, capsys, argv, want):
+    """An ambient field value of the wrong length is refused where it is converted."""
+    path = write(tmp_path, "link.json", one_circle())
+    rc, doc = run_main(capsys, *[path if a == "link.json" else a for a in argv])
+    assert rc == 3 and want in doc["error"]["message"]
+
+
 class TestOneLinkParser:
     """shadow and validate read link files through the same parse_link."""
 
@@ -605,15 +635,17 @@ class TestUsageErrorsAsJson:
         (["shadow", "link.json"], SHADOW_MODULES, {"determinants", "holonomy", "regularize",
                                                    "circleop", "numpy"}),
         (["shadow", "link.json", "--diagnostics"], SHADOW_MODULES, {"numpy"}),
-        (["validate", "link.json"], SHADOW_MODULES, {"numpy"}),
+        (["validate", "link.json"], SHADOW_MODULES - {"fusion"}, {"numpy"}),
         (["fusion", "--group", "A1", "--k", "5", "--dump", "--verify"],
          {"cli", "errors", "roots", "reps", "fusion", "numpy"}, {"diagrams"}),
-    ], ids=["qdim", "det", "shadow", "shadow-diagnostics", "validate", "fusion"])
+        (["regularize", "--group", "A1", "--alpha-b", "1/3", "--n", "3"], None, {"fusion"}),
+    ], ids=["qdim", "det", "shadow", "shadow-diagnostics", "validate", "fusion", "regularize"])
     def test_command_loads_only_its_modules(self, tmp_path, argv, only, never):
         """A command imports the modules it runs and no other, in a fresh interpreter:
-        `qdim` needs the root data and the alphabet alone, `shadow` and `validate`
-        the fusion triples and the diagrams, and none of them numpy; the dense
-        `fusion` export does load numpy."""
+        `qdim` needs the root data and the alphabet alone, `shadow` the fusion
+        triples and the diagrams, `validate` the diagrams alone, and none of them
+        numpy; the dense `fusion` export does load numpy, and `regularize` no
+        fusion data."""
         write(tmp_path, "link.json", TWO_CIRCLES)
         code = ("import json, sys, shadowsum.cli as cli\n"
                 f"rc = cli.main({argv!r})\n"

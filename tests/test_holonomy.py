@@ -15,7 +15,7 @@ from shadowsum.holonomy import (
     weight_phases,
     wilson_closed_form,
 )
-from conftest import character_eval
+from conftest import ambient, character_eval, from_labels
 from shadowsum.reps import weight_multiplicities, weyl_dimension
 from shadowsum.roots import build_root_system
 
@@ -38,9 +38,9 @@ def ribbon_holonomy(loop_family, connection, n, u_nodes=16):
 
 
 def phase_map(ws):
-    """The linear map b -> weight_phases(ws, b) as a matrix, so rows of ambient
-    vectors map to rows of weight phases: phases = vectors @ phase_map(ws)."""
-    return np.stack([weight_phases(ws, e) for e in np.eye(ws.rs.ambient_dim)])
+    """The linear map x -> weight_phases(ws, x) as a matrix, so rows of coweight
+    coordinates map to rows of weight phases: phases = rows @ phase_map(ws)."""
+    return np.stack([weight_phases(ws, e) for e in np.eye(ws.rs.rank)])
 
 
 def scaled_ribbon(loop_family, s):
@@ -58,7 +58,7 @@ def circling_ribbon(t, u):
 
 class TestHolonomy:
     def test_vertical_constant_is_exact_for_every_n(self, a1):
-        b = a1.from_labels([Q(1, 3)])
+        b = from_labels(a1, [Q(1, 3)])
         ws = weight_multiplicities(a1, (1,))
         phases = weight_phases(ws, b)
         want = np.exp(phases)
@@ -117,10 +117,14 @@ class TestHolonomy:
 
     def test_weight_phases_trace_is_the_character(self, a2):
         ws = weight_multiplicities(a2, (1, 1))
-        b = a2.from_labels([Q(1, 5), Q(1, 7)])
-        phases = weight_phases(ws, b)
+        b = ambient(a2).from_labels([Q(1, 5), Q(1, 7)])
+        phases = weight_phases(ws, from_labels(a2, [Q(1, 5), Q(1, 7)]))
         assert phases.shape == (8,)
         assert abs(np.exp(phases).sum() - character_eval(ws, b)) < 1e-12
+
+    def test_wrong_coordinate_count_rejected(self, a2):
+        with pytest.raises(PreconditionError, match="expected 2 coweight coordinates, got 1"):
+            weight_phases(weight_multiplicities(a2, (1, 0)), (Q(1, 3),))
 
     def test_rep_dim_budget(self, a1):
         """A1 colour (m,) has Weyl dimension m + 1; the budget admits up to MAX_REP_DIM."""
@@ -139,7 +143,7 @@ class TestHolonomy:
 
 class TestRibbonHolonomy:
     def test_vertical_ribbon_matches_loop(self, a1):
-        b = a1.from_labels([Q(2, 7)])
+        b = from_labels(a1, [Q(2, 7)])
         ws = weight_multiplicities(a1, (1,))
         phases = weight_phases(ws, b)
         got = ribbon_holonomy(lambda t, u: None, lambda _: phases, 16)
@@ -150,7 +154,7 @@ class TestRibbonHolonomy:
     def test_scaled_ribbon_limit_recovers_core(self, a1):
         """s -> 0 shrinks the ribbon onto its core loop for a smooth connection."""
         ws = weight_multiplicities(a1, (1,))
-        phases = weight_phases(ws, [float(x) for x in a1.from_labels([Q(1, 5)])])
+        phases = weight_phases(ws, [float(x) for x in from_labels(a1, [Q(1, 5)])])
 
         def family(t, u):
             return u - 0.5
@@ -170,22 +174,22 @@ class TestRibbonHolonomy:
 
 class TestWilsonClosedForm:
     def test_vertical_ribbon_constant_field(self, a1):
-        b = a1.from_labels([Q(1, 3)])
+        b = ambient(a1).from_labels([Q(1, 3)])
         ws = weight_multiplicities(a1, (1,))
-        bf = [float(x) for x in b]
+        bf = [float(x) for x in from_labels(a1, [Q(1, 3)])]
         got = wilson_closed_form([vertical_ribbon(1)], [ws], None, lambda s: bf)
         assert abs(got - character_eval(ws, b)) < 1e-9
 
     def test_trivial_color_gives_one(self, a1):
         ws = weight_multiplicities(a1, (0,))
-        got = wilson_closed_form([vertical_ribbon(3)], [ws], None, lambda s: [0.7, -0.3])
+        got = wilson_closed_form([vertical_ribbon(3)], [ws], None, lambda s: [0.5])
         assert got == pytest.approx(1.0)
 
     def test_step_field_winding_w(self, a1):
         # ribbon inside one face with wind w: the trace argument is w * b_face
         ws = weight_multiplicities(a1, (2,))
-        b = a1.from_labels([Q(1, 5)])
-        bf = [float(x) for x in b]
+        b = ambient(a1).from_labels([Q(1, 5)])
+        bf = [float(x) for x in from_labels(a1, [Q(1, 5)])]
 
         def field(sigma):
             inside = np.asarray(sigma)[..., 0] > 0.25
@@ -208,8 +212,8 @@ class TestWilsonClosedForm:
         """Closed form at wind = ±1..3 against character_eval at the exact wind * b."""
         rs = build_root_system(label)
         ws = weight_multiplicities(rs, color)
-        b = rs.from_labels(labels)
-        bf = [float(x) for x in b]
+        b = ambient(rs).from_labels(labels)
+        bf = [float(x) for x in from_labels(rs, labels)]
         dim = weyl_dimension(rs, color)
         for wind in (-3, -2, -1, 1, 2, 3):
             got = wilson_closed_form([vertical_ribbon(wind)], [ws], None, lambda s: bf)
@@ -225,11 +229,11 @@ class TestWilsonClosedForm:
 
         def a_form(sigma, dsigma):
             calls["a_form"] += 1
-            return 0.1 * dsigma
+            return 0.1 * dsigma[:, :1]
 
         def b_field(sigma):
             calls["b_field"] += 1
-            return np.array([0.2, -0.2])
+            return np.array([0.2])
 
         colors = [weight_multiplicities(a1, (1,)), weight_multiplicities(a1, (2,))]
         wilson_closed_form([ribbon, ribbon], colors, a_form, b_field)
@@ -239,8 +243,8 @@ class TestWilsonClosedForm:
         """Closed form vs a high-n ordered product in the weight representation."""
         ws1 = weight_multiplicities(a1, (1,))
         ws2 = weight_multiplicities(a1, (2,))
-        b = np.array([float(x) for x in a1.from_labels([Q(1, 3)])])
-        omega = np.array([float(x) for x in a1.fundamental_weights[0]])
+        b = np.array([float(x) for x in from_labels(a1, [Q(1, 3)])])
+        omega = np.array([float(x) for x in from_labels(a1, [1])])
 
         def a_form(sigma, dsigma):
             return 0.15 * dsigma[:, :1] * omega
@@ -263,4 +267,4 @@ class TestWilsonClosedForm:
     def test_length_mismatch_rejected(self, a1):
         ws = weight_multiplicities(a1, (1,))
         with pytest.raises(PreconditionError):
-            wilson_closed_form([], [ws], None, lambda s: [0.0, 0.0])
+            wilson_closed_form([], [ws], None, lambda s: [0.0])

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
+from conftest import from_labels
 from shadowsum.determinants import det_rig_constant
 from shadowsum.diagrams import build_diagram
 from shadowsum.errors import PreconditionError
@@ -25,7 +26,7 @@ def one_circle_field(rs, inner, outer):
     d = build_diagram(
         [{"id": "c", "parent": None, "winding": 1, "positive_side": "inside", "color": [0]}]
     )
-    return SteppedField(diagram=d, values=(rs.from_labels([outer]), rs.from_labels([inner])))
+    return SteppedField(diagram=d, values=(from_labels(rs, [outer]), from_labels(rs, [inner])))
 
 
 class TestBump:
@@ -69,11 +70,11 @@ class TestIndicator:
             assert regularized_indicator(a1, n, f) == 0.0
 
     def test_coroot_lattice_value_gives_zero(self, a1):
-        f = SteppedField.constant(a1.simple_coroots[0])
+        f = SteppedField.constant(from_labels(a1, [2]))  # b = coroot
         assert regularized_indicator(a1, 1, f) == 0.0
 
     def test_regular_constant_converges_to_one(self, a1):
-        f = SteppedField.constant(a1.from_labels([Q(1, 2)]))
+        f = SteppedField.constant(from_labels(a1, [Q(1, 2)]))
         errs = [abs(regularized_indicator(a1, n, f) - 1.0) for n in range(1, 9)]
         assert errs[-1] < 1e-6
         assert max(errs[4:]) < 1e-8  # deep stages sit at the float floor
@@ -84,14 +85,14 @@ class TestIndicator:
 
     def test_product_bound_certified_regime(self, a1):
         """|value - 1| <= 1/N_n^2 away from the singular set, small n."""
-        f = SteppedField.constant(a1.from_labels([Q(1, 2)]))
+        f = SteppedField.constant(from_labels(a1, [Q(1, 2)]))
         for n in (1, 2, 3, 4):
             nn = total_cells(f, n)
             assert abs(regularized_indicator(a1, n, f) - 1.0) <= 1.0 / nn**2
 
     def test_bad_index_rejected(self, a1):
         with pytest.raises(PreconditionError):
-            regularized_indicator(a1, 0, SteppedField.constant(a1.from_labels([Q(1, 2)])))
+            regularized_indicator(a1, 0, SteppedField.constant(from_labels(a1, [Q(1, 2)])))
 
     def test_large_stage_refused_before_building_a_cutoff(self, a1, monkeypatch):
         """From N_n |R+| >= 1/CUTOFF_FLOOR on, no cutoff is built and no 4^n float formed."""
@@ -143,8 +144,8 @@ class TestLogExpPolys:
 
 class TestDetRigN:
     def test_constant_convergence_by_n12(self, a1):
-        f = SteppedField.constant(a1.from_labels([Q(1, 2)]))
-        target = det_rig_constant(a1, a1.from_labels([Q(1, 2)]), 2)
+        f = SteppedField.constant(from_labels(a1, [Q(1, 2)]))
+        target = det_rig_constant(a1, from_labels(a1, [Q(1, 2)]), 2)
         err12 = abs(det_rig_n(a1, 12, f) - target)
         assert err12 <= 1e-3
         errs = [abs(det_rig_n(a1, n, f) - target) for n in (2, 4, 8, 12)]
@@ -156,16 +157,16 @@ class TestDetRigN:
         assert abs(det_rig_n(a1, 12, f) - target) < 1e-6
 
     def test_finite_for_singular_bounded_field(self, a1):
-        f = SteppedField.constant(a1.simple_coroots[0])  # singular value
+        f = SteppedField.constant(from_labels(a1, [2]))  # b = coroot: singular value
         v = det_rig_n(a1, 1, f)
         assert np.isfinite(v.real) and np.isfinite(v.imag)
 
     def test_bad_index_rejected(self, a1):
         with pytest.raises(PreconditionError):
-            det_rig_n(a1, 0, SteppedField.constant(a1.from_labels([Q(1, 2)])))
+            det_rig_n(a1, 0, SteppedField.constant(from_labels(a1, [Q(1, 2)])))
 
     def test_rank_two_constant(self, b2):
-        b = b2.from_labels([Q(1, 5), Q(1, 7)])
+        b = from_labels(b2, [Q(1, 5), Q(1, 7)])
         f = SteppedField.constant(b)
         target = det_rig_constant(b2, b, 2)
         assert abs(det_rig_n(b2, 12, f) - target) < 1e-2 * max(1.0, abs(target))

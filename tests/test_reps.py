@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import character_eval, simple_reflection_matrix
+from conftest import ambient, character_eval, simple_reflection_matrix
 from shadowsum.errors import PreconditionError
 from shadowsum.reps import (
     level_alphabet,
@@ -53,9 +53,10 @@ class TestLevelAlphabet:
         ]
         assert sorted(box) == list(al.elements)
         assert len(set(al.elements)) == len(al.elements)
-        theta = rs.highest_root
+        amb = ambient(rs)
+        theta = amb.highest_root
         for lam in al.elements:
-            assert rs.inner(rs.from_labels(lam), theta) <= lvl
+            assert amb.inner(amb.from_labels(lam), theta) <= lvl
 
 
 class TestMultiplicities:
@@ -71,7 +72,8 @@ class TestMultiplicities:
         ws = weight_multiplicities(a2, (1, 1))
         assert ws.dimension() == 8
         assert ws.multiplicities[(0, 0)] == 2
-        roots = [tuple(int(a2.inner(b, c)) for c in a2.simple_coroots) for b in a2.roots]
+        amb = ambient(a2)
+        roots = [tuple(int(amb.inner(b, c)) for c in amb.simple_coroots) for b in amb.roots]
         for r in roots:
             assert ws.multiplicities[r] == 1
 
@@ -119,13 +121,13 @@ class TestCharacter:
 
     def test_a1_fundamental_vanishes(self, a1):
         ws = weight_multiplicities(a1, (1,))
-        b = a1.from_labels([Q(1, 2)])  # alpha(b) = 1/2
+        b = ambient(a1).from_labels([Q(1, 2)])  # alpha(b) = 1/2
         assert abs(character_eval(ws, b)) < 1e-12
 
     def test_periodic_under_coroot_lattice(self, a1):
         ws = weight_multiplicities(a1, (3,))
-        b = a1.from_labels([Q(2, 7)])
-        gamma = a1.simple_coroots[0]
+        b = ambient(a1).from_labels([Q(2, 7)])
+        gamma = ambient(a1).simple_coroots[0]
         shifted = tuple(x + y for x, y in zip(b, gamma))
         assert character_eval(ws, shifted) == character_eval(ws, b)
 
@@ -138,17 +140,17 @@ class TestCharacter:
     def test_periodicity_property(self, num, num2, ints):
         rs = build_root_system("B2")
         ws = weight_multiplicities(rs, (1, 1))
-        b = rs.from_labels([num, num2])
+        b = ambient(rs).from_labels([num, num2])
         gamma = tuple(
             ints[0] * x + ints[1] * y
-            for x, y in zip(rs.simple_coroots[0], rs.simple_coroots[1])
+            for x, y in zip(ambient(rs).simple_coroots[0], ambient(rs).simple_coroots[1])
         )
         shifted = tuple(x + y for x, y in zip(b, gamma))
         assert character_eval(ws, shifted) == character_eval(ws, b)
 
     def test_weyl_invariance(self, a2):
         ws = weight_multiplicities(a2, (1, 2))
-        b = a2.from_labels([Q(1, 5), Q(3, 7)])
+        b = ambient(a2).from_labels([Q(1, 5), Q(3, 7)])
         s = simple_reflection_matrix(a2, 0)
         sb = tuple(
             sum(s[i][j] * b[j] for j in range(a2.ambient_dim))

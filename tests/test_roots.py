@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Q
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import simple_reflection_matrix
+from conftest import ambient, from_labels, simple_reflection_matrix
+from shadowsum.determinants import det_half, det_k
 from shadowsum.errors import PreconditionError
 from shadowsum.roots import (
     build_root_system,
@@ -33,7 +35,7 @@ KNOWN_DIM = {"A": lambda n: (n + 1) ** 2 - 1, "B": lambda n: n * (2 * n + 1),
 
 @pytest.mark.parametrize("label", ALL_TYPES)
 def test_invariants_all_types(label):
-    rs = build_root_system(label)
+    rs = ambient(build_root_system(label))
     # positive root count from the known algebra dimension
     assert 2 * len(rs.positive_roots) == KNOWN_DIM[label[0]](rs.rank) - rs.rank
     # short coroots have squared length exactly 2
@@ -49,7 +51,7 @@ def test_invariants_all_types(label):
 
 @pytest.mark.parametrize("label", ALL_TYPES)
 def test_highest_root_unique_long_dominant(label):
-    rs = build_root_system(label)
+    rs = ambient(build_root_system(label))
     long_norm = max(rs.inner(b, b) for b in rs.roots)
     in_chamber = [
         b
@@ -61,11 +63,11 @@ def test_highest_root_unique_long_dominant(label):
 
 
 def test_example_counts():
-    assert len(build_root_system("A1").positive_roots) == 1
+    assert len(build_root_system("A1").positive_root_labels) == 1
     assert build_root_system("A1").dual_coxeter == 2
-    assert len(build_root_system("A2").positive_roots) == 3
+    assert len(build_root_system("A2").positive_root_labels) == 3
     assert build_root_system("A2").dual_coxeter == 3
-    assert len(build_root_system("G2").positive_roots) == 6
+    assert len(build_root_system("G2").positive_root_labels) == 6
     assert build_root_system("G2").dual_coxeter == 4
 
 
@@ -77,6 +79,7 @@ def test_invalid_pairs_rejected(bad):
 
 
 def test_inner_examples(a1):
+    a1 = ambient(a1)
     alpha = a1.positive_roots[0]
     assert a1.inner(a1.coroot(alpha), a1.coroot(alpha)) == 2
     zero = (Q(0),) * a1.ambient_dim
@@ -85,13 +88,18 @@ def test_inner_examples(a1):
 
 
 def test_inner_dimension_mismatch(a1, a2):
+    rho2 = ambient(a2).weyl_vector
     with pytest.raises(PreconditionError):
-        a1.inner(a2.weyl_vector, a2.weyl_vector)
+        ambient(a1).inner(rho2, rho2)
+    with pytest.raises(PreconditionError, match="needs 2 ambient coordinates, got 3"):
+        a1.coweight_coordinates(rho2)
+    with pytest.raises(PreconditionError, match="expected 2 coweight coordinates, got 1"):
+        a2.root_pairings((Q(1, 3),))
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "C3"])
 def test_form_weyl_invariant_on_roots(label):
-    rs = build_root_system(label)
+    rs = ambient(build_root_system(label))
     for i in range(rs.rank):
         s = simple_reflection_matrix(rs, i)
 
@@ -131,13 +139,14 @@ def test_coxeter_relations_brute_force(label):
 
 
 def test_is_regular_examples(a1, a2):
-    b = a1.from_labels([Q(1, 2)])  # alpha(b) = 1/2
+    b = from_labels(a1, [Q(1, 2)])  # alpha(b) = 1/2
     assert is_regular(a1, b)
-    assert not is_regular(a1, (Q(0),) * a1.ambient_dim)
+    assert not is_regular(a1, (Q(0),) * a1.rank)
     # alpha1(b) = 1/3, alpha2(b) = 2/3 forces theta(b) = 1
-    b2v = a2.from_labels([Q(1, 3), Q(2, 3)])
-    assert a2.inner(a2.highest_root, b2v) == 1
-    assert not is_regular(a2, b2v)
+    amb = ambient(a2)
+    b2v = amb.from_labels([Q(1, 3), Q(2, 3)])
+    assert amb.inner(amb.highest_root, b2v) == 1
+    assert not is_regular(a2, amb.weight_pairings(b2v))
 
 
 def test_weyl_orbit_examples(a1, a2):
@@ -179,6 +188,7 @@ def test_orbit_size_divides_group_order(labels):
     )
 )
 def test_orbit_preserves_norm(coords, b2):
+    b2 = ambient(b2)
     v = b2.from_labels(coords)
     n = b2.inner(v, v)
     for w, _ in weyl_orbit(b2, coords):
@@ -196,7 +206,7 @@ def test_malformed_type_label_rejected(label):
 @pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "E6", "F4", "G2"])
 def test_positive_root_labels_match_ambient_roots(label):
     """The stored labels are <alpha, coroot(alpha_j)> of each positive root, in order."""
-    rs = build_root_system(label)
+    rs = ambient(build_root_system(label))
     derived = tuple(
         tuple(rs.inner(alpha, cr) for cr in rs.simple_coroots) for alpha in rs.positive_roots
     )
@@ -225,7 +235,7 @@ MARKS_AND_COMARKS = {
 
 @pytest.mark.parametrize("label", ALL_TYPES)
 def test_highest_root_and_comarks_match_tables(label):
-    rs = build_root_system(label)
+    rs = ambient(build_root_system(label))
     marks, comarks = MARKS_AND_COMARKS[label[0]](rs.rank)
     theta = tuple(
         sum(m * alpha[d] for m, alpha in zip(marks, rs.simple_roots)) for d in range(rs.ambient_dim)
@@ -239,7 +249,7 @@ def test_highest_root_and_comarks_match_tables(label):
 def test_label_form_is_scaled_ambient_form(label):
     """label_form is the integer weight_form_den <x, y>: on every pair of unit label
     vectors (the Gram data itself) and on a few random label vectors."""
-    rs = build_root_system(label)
+    rs = ambient(build_root_system(label))
     units = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
     rnd = random.Random(label)
     extra = [tuple(rnd.randint(-4, 4) for _ in range(rs.rank)) for _ in range(4)]
@@ -248,3 +258,47 @@ def test_label_form_is_scaled_ambient_form(label):
         value = rs.label_form(m, n)
         assert type(value) is int
         assert value == rs.weight_form_den * rs.inner(rs.from_labels(m), rs.from_labels(n))
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_coweight_coordinates_meet_the_ambient_oracle(label):
+    """An ambient b enters the library once, as x = coweight_coordinates(b): x is
+    <omega_j, b>, the root pairings of x are the ambient alpha(b) exactly and in
+    the same order, and det_k and det_half are the ambient-order float products
+    bit for bit."""
+    rs = build_root_system(label)
+    amb = ambient(rs)
+    rnd = random.Random(label)
+    for _ in range(3):
+        b = tuple(Q(rnd.randint(-40, 40), rnd.randint(1, 30)) for _ in range(rs.ambient_dim))
+        x = rs.coweight_coordinates(b)
+        assert x == amb.weight_pairings(b)
+        pairings = amb.root_pairings(b)
+        assert rs.root_pairings(x) == pairings
+        full = half = 1.0
+        for v in pairings:
+            full *= 4.0 * math.sin(math.pi * float(v)) ** 2
+            half *= 2.0 * math.sin(math.pi * float(v))
+        assert det_k(rs, x) == full and det_half(rs, x) == half
+
+
+# Ambient vectors orthogonal to every root.  In the E8 basis, E7 (alpha_1..alpha_7)
+# forces v_1 = .. = v_6 = 0 and v_7 = v_8; E6 (alpha_1..alpha_6) v_1 = .. = v_5 = 0
+# and v_8 = v_6 + v_7.
+ROOT_COMPLEMENT = [(f"A{n}", [(1,) * (n + 1)]) for n in range(1, 9)] + [
+    ("G2", [(1, 1, 1)]),
+    ("E6", [(0, 0, 0, 0, 0, 1, 0, 1), (0, 0, 0, 0, 0, 0, 1, 1)]),
+    ("E7", [(0, 0, 0, 0, 0, 0, 1, 1)]),
+]
+
+
+@pytest.mark.parametrize("label,vectors", ROOT_COMPLEMENT, ids=[t for t, _ in ROOT_COMPLEMENT])
+def test_coweight_coordinates_ignore_the_root_complement(label, vectors):
+    rs = build_root_system(label)
+    amb = ambient(rs)
+    rnd = random.Random(label)
+    b = tuple(Q(rnd.randint(-40, 40), rnd.randint(1, 30)) for _ in range(rs.ambient_dim))
+    for v in vectors:
+        assert all(amb.inner(v, alpha) == 0 for alpha in rs.simple_roots)
+        shifted = tuple(c + Q(7, 3) * vi for c, vi in zip(b, v))
+        assert rs.coweight_coordinates(shifted) == rs.coweight_coordinates(b)
