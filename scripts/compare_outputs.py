@@ -5,11 +5,13 @@
 
 OLD_SRC and NEW_SRC are directories holding the shadowsum package, such as
 the src/ of two checkouts.  The jobs are the benchmark's, built from
-bench/workloads.py: every job of each workload for each seed, the same job
-with `--diagnostics` for each shadow job, the layer probe jobs, and
-`--help` of the top-level parser and of each subcommand.  With seeds, it
-adds `det --diagnostics --b` and `holonomy --b` jobs on the types the
-benchmark never runs (FIELD_JOBS), with b drawn per seed.  Each
+bench/workloads.py: every job of each workload for each seed and the layer
+probe jobs, each shadow job's file also through `shadow --diagnostics` and
+`validate`, and `--help` of the top-level parser and of each subcommand.
+With seeds, it adds `det --diagnostics --b` and `holonomy --b` jobs on the
+types the benchmark never runs (FIELD_JOBS), with b drawn per seed, and runs
+each malformed link document of MALFORMED_LINKS through `shadow`, `validate`
+and `regularize`, so the error paths are compared too.  Each
 job runs as one `python -m shadowsum` process per tree, in a fresh
 directory holding its input files.  The exit code, stdout and the --output
 file must agree byte for byte.  Prints one line per job that differs and a
@@ -46,19 +48,63 @@ FIELD_JOBS = [("B3", 3, "1,0,0"), ("C3", 3, "1,0,0"), ("D4", 4, "1,0,0,0"),
               ("E6", 8, "1,0,0,0,0,0"), ("E7", 8, "0,0,0,0,0,0,1"), ("F4", 4, "0,0,0,1")]
 
 
+def _circle(cid="a", parent=None, **fields):
+    return {"id": cid, "parent": parent, "winding": 1, "positive_side": "inside",
+            "color": [1], **fields}
+
+
+# One A1 link document per report code of `validate`, and two that mix codes, so
+# that a change in the order of the checks shows.
+MALFORMED_LINKS = {
+    "parse": {"group": "A1", "k": 4, "circles": [{"id": "a", "winding": 1,
+                                                  "positive_side": "inside", "colour": [1]}]},
+    "group": {"group": "Q9", "k": 4, "circles": [_circle()]},
+    "level-bound": {"group": "A1", "k": 2, "circles": [_circle()]},
+    "color": {"group": "A1", "k": 4, "circles": [_circle(color=[5])]},
+    "positive-side": {"group": "A1", "k": 4, "circles": [_circle(positive_side="up"),
+                                                         _circle("b", positive_side="left")]},
+    "assumption-1": {"group": "A1", "k": 4, "circles": [_circle(parent="b"),
+                                                        _circle("b", parent="a")]},
+    "color+forest": {"group": "A1", "k": 4, "circles": [_circle(parent="b", color=[7]),
+                                                        _circle("b", parent="a", color=[8])]},
+    "no-k+circle": {"group": "A1", "circles": [_circle(id=1), _circle("b", winding="1")]},
+}
+
+
+def malformed_jobs() -> list[tuple[str, list[str], dict[str, str]]]:
+    """Each MALFORMED_LINKS document through shadow, validate and regularize; regularize
+    gets one A1 field value per face."""
+    jobs = []
+    for name, doc in MALFORMED_LINKS.items():
+        files = {"link.json": json.dumps(doc)}
+        values = ";".join(["1/11,-1/13"] * (len(doc["circles"]) + 1))
+        for argv in (["shadow", "link.json"], ["validate", "link.json"],
+                     ["regularize", "--n", "1", "link.json", "--face-values", values]):
+            jobs.append((f"malformed/{name}/{argv[0]}", argv, files))
+    return jobs
+
+
+def _with_file_jobs(name: str, argv: list[str], files: dict[str, str]) -> list:
+    """The job, and for a shadow job its link file through `shadow --diagnostics`
+    and `validate`."""
+    jobs = [(name, argv, files)]
+    if argv[0] == "shadow":
+        jobs += [(f"{name} --diagnostics", [*argv, "--diagnostics"], files),
+                 (f"{name} validate", ["validate", *argv[1:]], files)]
+    return jobs
+
+
 def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
     """(name, argv, input files) of every job to compare."""
     jobs = [("help", ["--help"], {})]
     jobs += [(f"help/{cmd}", [cmd, "--help"], {}) for cmd in COMMANDS]
-    jobs += [(f"probe/{argv[0]}", argv, wl.PROBE_FILES) for argv in wl.PROBE_JOBS]
+    for argv in wl.PROBE_JOBS:
+        jobs += _with_file_jobs(f"probe/{argv[0]}", argv, wl.PROBE_FILES)
     for workload in wl.WORKLOADS:
         for seed in seeds:
             for job in wl.make_jobs(workload, seed):
-                name = f"{workload}/{seed}/{job['slot']}"
-                jobs.append((name, job["argv"], job["files"]))
-                if job["argv"][0] == "shadow":
-                    jobs.append((f"{name} --diagnostics", [*job["argv"], "--diagnostics"],
-                                 job["files"]))
+                jobs += _with_file_jobs(f"{workload}/{seed}/{job['slot']}", job["argv"],
+                                        job["files"])
     for seed in seeds:
         for group, dim, color in FIELD_JOBS:
             b = "--b=" + ",".join(map(str, wl.generic_b(random.Random(f"{group}:{seed}"), dim)))
@@ -66,7 +112,7 @@ def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
             hol = ["holonomy", "--group", group, b, "--color", color, "--wind", "2"]
             jobs += [(f"field/{seed}/det/{group}", det, {}),
                      (f"field/{seed}/holonomy/{group}", hol, {})]
-    return jobs
+    return jobs + (malformed_jobs() if seeds else [])
 
 
 def run(src: Path, argv: list[str], files: dict[str, str]) -> tuple[int, bytes, bytes | None]:

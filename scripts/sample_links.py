@@ -2,15 +2,13 @@
 """Compute shadow invariants for a few sample link diagrams end to end.
 
 Writes the link files under ./examples_out/ and evaluates each with the
-library (the same files work with `shadowsum shadow`).
+library, read through `read_link` as `shadowsum shadow` reads the same files.
 """
 
 import json
 import pathlib
 
-from shadowsum.diagrams import build_diagram, contract_state_sum
-from shadowsum.reps import level_alphabet
-from shadowsum.roots import build_root_system
+from shadowsum.diagrams import contract_state_sum, read_link
 
 SAMPLES = {
     "empty": {"group": "A1", "k": 4, "circles": []},
@@ -50,9 +48,11 @@ def main():
     for name, doc in SAMPLES.items():
         path = outdir / f"{name}.json"
         path.write_text(json.dumps(doc, indent=2))
-        rs = build_root_system(doc["group"])
-        alphabet = level_alphabet(rs, doc["k"])
-        r = contract_state_sum(build_diagram(doc["circles"]), alphabet)
+        link, problems = read_link(doc)
+        if problems:
+            raise SystemExit(f"{name}: {problems[0]['message']}")
+        _, alphabet, diagram = link
+        r = contract_state_sum(diagram, alphabet)
         print(f"{name:<22} {doc['group']} k={doc['k']}  |L| = "
               f"{r.value.real:+.9f} {r.value.imag:+.9f}i   "
               f"({r.colorings_retained}/{r.colorings_total} colorings kept)  -> {path}")

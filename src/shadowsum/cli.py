@@ -9,12 +9,7 @@ subcommand's long flag names; each becomes `--key=value` (`true`: a bare
 imports the modules it runs when it runs, so a job loads no other
 (`qdim`, `shadow` and `validate` load no numpy).
 
-Link file schema, read by `parse_link` (`parse_stepped_link` for `regularize`,
-which needs no level) and nothing else:
-    { "group": "A1", "k": 4,
-      "circles": [ { "id": str, "parent": str | null (optional), "winding": int,
-                     "positive_side": "inside" | "outside",
-                     "color": [fundamental-weight coords] } ] }
+Link files are read by `diagrams.read_link`, which holds their schema.
 Output for `shadow`: { "value": {"re", "im"}, "abs_sum", "colorings", "retained",
 optional "terms" }.  The per-term listing of --diagnostics is refused (exit 3)
 when it would hold more than MAX_LISTED_TERMS terms.
@@ -35,134 +30,6 @@ from .errors import ORACLE_TOL, ParseError, PreconditionError, ShadowsumError
 MAX_LISTED_TERMS = 10**6  # budget of the per-term listing of `shadow --diagnostics`
 _QUAD_RES = (64, 128)  # `det --diagnostics` without --quad-res
 
-_TOP_KEYS = {"group", "k", "circles"}
-_CIRCLE_KEYS = {"id", "parent", "winding", "positive_side", "color"}
-
-
-def _is_int(x) -> bool:
-    """A JSON integer; bools are ints to Python but not to the link schema."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _raise(code: str, message: str) -> None:
-    raise (ParseError if code == "parse" else PreconditionError)(message)
-
-
-def _link_head(doc, group: str | None, problem) -> bool:
-    """The top-level keys of a link document, the level aside; False if it is no object."""
-    if not isinstance(doc, dict):
-        problem("parse", "link file must hold a JSON object")
-        return False
-    if set(doc) - _TOP_KEYS:
-        problem("parse", f"unknown top-level keys {sorted(set(doc) - _TOP_KEYS)}")
-    if "group" in doc and not isinstance(doc["group"], str):
-        problem("parse", "file key 'group' must be a string such as \"A1\"")
-    elif group is None and "group" not in doc:
-        problem("parse", "no group given (flag --group or file key 'group')")
-    if "k" in doc and not _is_int(doc["k"]):
-        problem("parse", "file key 'k' must be an integer")
-    return True
-
-
-def _link_circles(doc: dict, problem) -> list | None:
-    """The circles array and each circle's keys; None if there is no array."""
-    circles = doc.get("circles")
-    if not isinstance(circles, list):
-        problem("parse", "link file needs a 'circles' array")
-        return None
-    for i, c in enumerate(circles):
-        if not isinstance(c, dict):
-            problem("parse", f"circle #{i} must be an object")
-            continue
-        if _CIRCLE_KEYS - {"parent"} - set(c) or set(c) - _CIRCLE_KEYS:
-            problem("parse", f"circle #{i} must have the keys id, winding, positive_side, "
-                             f"color and optionally parent; it has {sorted(c)}")
-        parent = c.get("parent")
-        if not isinstance(c.get("id", ""), str) or not (parent is None or isinstance(parent, str)):
-            problem("parse", f"circle #{i}: id and parent must be strings")
-        if not _is_int(c.get("winding", 0)):
-            problem("parse", f"circle #{i}: winding must be an integer")
-        color = c.get("color", [])
-        if not isinstance(color, list) or not all(_is_int(x) for x in color):
-            problem("parse", f"circle #{i}: color must be an array of integer coordinates")
-    return circles
-
-
-def _link_diagram(circles: list, problem):
-    """Each positive_side, then the nesting forest; None after a problem."""
-    from .diagrams import build_diagram
-
-    sides_ok = True
-    for c in circles:
-        if c["positive_side"] not in ("inside", "outside"):
-            sides_ok = False
-            problem("positive-side",
-                    f"circle {c['id']}: positive_side must be 'inside' or 'outside'")
-    if sides_ok:
-        try:
-            return build_diagram(circles)
-        except PreconditionError as e:
-            problem("assumption-1", str(e))
-    return None
-
-
-def parse_link(doc, group: str | None = None, k: int | None = None, report: list | None = None):
-    """Read a link document into (RootSystem, LevelAlphabet, ShadowDiagram).
-
-    `group` and `k` are the flags; they win over the file's keys.  With
-    report=None the first problem is raised: ParseError for the schema,
-    PreconditionError for the rest.  Given a list, every problem is recorded
-    once as {"code", "message"}, checks that an earlier problem makes
-    impossible are skipped, and None is returned if anything was recorded.
-    """
-    from .reps import level_alphabet
-    from .roots import build_root_system
-
-    problem = _raise if report is None else (
-        lambda code, message: report.append({"code": code, "message": message}))
-    if not _link_head(doc, group, problem):
-        return None
-    if k is None and "k" not in doc:
-        problem("parse", "no level given (flag --k or file key 'k')")
-    circles = _link_circles(doc, problem)
-    if circles is None or report:
-        return None
-    group = doc.get("group") if group is None else group
-    k = doc.get("k") if k is None else k
-
-    rs = alphabet = None
-    try:
-        rs = build_root_system(group)
-    except PreconditionError as e:
-        problem("group", str(e))
-    if rs is not None:
-        try:
-            alphabet = level_alphabet(rs, k)
-        except PreconditionError as e:
-            problem("level-bound", str(e))
-    if alphabet is not None:
-        for c in circles:
-            if tuple(c["color"]) not in alphabet:
-                problem("color", f"circle {c['id']}: color {c['color']} is outside the level "
-                                 f"alphabet of {rs.type_label}{rs.rank} at k = {k}")
-    diagram = _link_diagram(circles, problem)
-    return None if report else (rs, alphabet, diagram)
-
-
-def parse_stepped_link(doc, group: str | None = None):
-    """Read a link document into (RootSystem, ShadowDiagram) for a stepped field.
-
-    The same schema, group, positive_side and forest checks as `parse_link`,
-    raised; a stepped field has no level, so the level and the colours go
-    unchecked.
-    """
-    from .roots import build_root_system
-
-    _link_head(doc, group, _raise)
-    circles = _link_circles(doc, _raise)
-    rs = build_root_system(doc.get("group") if group is None else group)
-    return rs, _link_diagram(circles, _raise)
-
 
 def _load_json(path: str):
     try:
@@ -174,6 +41,19 @@ def _load_json(path: str):
         raise ParseError(f"{path} is not valid JSON: {e}") from None
     except RecursionError:
         raise ParseError(f"{path} nests JSON too deeply") from None
+
+
+def _read_link(args, level: bool = True):
+    """The link file `args.input` as `diagrams.read_link` reads it; its first
+    problem raised, ParseError for the schema and PreconditionError for the rest."""
+    from .diagrams import read_link
+
+    link, problems = read_link(_load_json(args.input), args.group, args.k if level else None,
+                               level=level)
+    if problems:
+        error = ParseError if problems[0]["code"] == "parse" else PreconditionError
+        raise error(problems[0]["message"])
+    return link
 
 
 def _c2j(z: complex) -> dict:
@@ -212,7 +92,7 @@ def _field_b(args, rs) -> tuple:
 def cmd_shadow(args) -> dict:
     from .diagrams import contract_state_sum, list_terms, prepare_terms
 
-    rs, alphabet, diagram = parse_link(_load_json(args.input), args.group, args.k)
+    rs, alphabet, diagram = _read_link(args)
     data = prepare_terms(diagram, alphabet)
     result = contract_state_sum(diagram, alphabet, data)
     out = {
@@ -315,7 +195,7 @@ def cmd_regularize(args) -> dict:
     else:
         if args.b is not None or args.alpha_b is not None:
             raise ParseError("a link file takes --face-values, not --b or --alpha-b")
-        rs, diagram = parse_stepped_link(_load_json(args.input), args.group)
+        rs, _, diagram = _read_link(args, level=False)
         if args.face_values is None:
             raise PreconditionError("--face-values needed with a link file")
         values = tuple(map(rs.coweight_coordinates, args.face_values))
@@ -360,11 +240,12 @@ def cmd_holonomy(args) -> dict:
 
 
 def cmd_validate(args) -> tuple[dict, int]:
-    report: list[dict] = []
+    from .diagrams import read_link
+
     try:
-        parse_link(_load_json(args.input), args.group, args.k, report)
+        _, report = read_link(_load_json(args.input), args.group, args.k)
     except ParseError as e:  # unreadable or not JSON
-        report.append({"code": "parse", "message": str(e)})
+        report = [{"code": "parse", "message": str(e)}]
     if not report:
         return {"ok": True, "report": report}, 0
     return {"ok": False, "report": report}, 2 if report[0]["code"] == "parse" else 3
@@ -509,7 +390,7 @@ def _config_tokens(doc) -> list[str]:
     for key, value in doc.items():
         if value is True:
             tokens.append(f"--{key}")
-        elif isinstance(value, (str, float)) or _is_int(value):
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
             tokens.append(f"--{key}={value if isinstance(value, str) else json.dumps(value)}")
         else:
             raise ParseError(f"config key {key!r}: expected a string, a number or true")

@@ -125,13 +125,6 @@ def round_sphere_metric(n_theta: int, n_phi: int) -> SphereMetricSample:
     )
 
 
-def _principal_log_2sin(x: np.ndarray) -> np.ndarray:
-    """log(x) for real nonzero x: ln|x| + i pi on the negatives."""
-    out = np.log(np.abs(x)).astype(complex)
-    out += 1j * math.pi * (x < 0)
-    return out
-
-
 def det_rig_quadrature(
     rs: RootSystem,
     sampler: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -140,28 +133,37 @@ def det_rig_quadrature(
     """Quadrature evaluation of the regularized determinant of a smooth field.
 
     sampler(theta, phi) maps the node coordinate arrays to the coweight
-    coordinates x of B: an (n, rank) array, or a (rank,) one that broadcasts
-    (a constant field).  Every alpha(B) comes from one product of x with the
-    (rank, |R+|) label matrix.  Any node where some alpha(B) is within
-    SINGULAR_TOL of an integer is rejected (named in the error).  On a closed
-    surface the result is real; a non-negligible imaginary residue raises,
-    since it signals a field that is not regular across the whole grid.
+    coordinates x of B: an (n, rank) array, or a (rank,) one for a constant
+    field.  Every alpha(B) comes from one product of x with the (rank, |R+|)
+    label matrix, so a constant field has one row of |R+| pairings.  Each
+    row's logarithms are summed over the roots, and only that sum is
+    broadcast to the nodes and weighted.  A node where some alpha(B) is
+    within SINGULAR_TOL of an integer is rejected: the error names, for the
+    first such root, the node where alpha(B) lies nearest an integer.  On a
+    closed surface the result is real; a non-negligible imaginary residue
+    raises, since it signals a field that is not regular across the whole grid.
     """
     metric.validate()
+    n = metric.nodes.shape[0]
     sample = np.asarray(sampler(metric.nodes[:, 0], metric.nodes[:, 1]), dtype=float)
     labels = np.array(rs.positive_root_labels, dtype=float).T
-    pairs = np.broadcast_to(sample @ labels, (metric.nodes.shape[0], labels.shape[1]))
+    pairs = sample @ labels  # (|R+|,) for a constant field, else (n, |R+|)
+    dist = np.abs(pairs - np.round(pairs))
+    singular = dist <= SINGULAR_TOL
+    if singular.any():
+        pairs, dist, singular = (np.broadcast_to(a, (n, labels.shape[1]))
+                                 for a in (pairs, dist, singular))
+        r = int(np.argmax(singular.any(axis=0)))
+        i = int(np.argmin(dist[:, r]))
+        raise PreconditionError(
+            f"field is singular at grid node {i} "
+            f"(coords {tuple(metric.nodes[i])}, alpha(B) = {pairs[i, r]!r})"
+        )
+    # log(2 sin(pi alpha(B))) on the principal branch: ln|.|, plus i pi on the negatives
+    two_sin = 2.0 * np.sin(math.pi * pairs)
+    logs = np.log(np.abs(two_sin)).sum(axis=-1) + 1j * math.pi * (two_sin < 0).sum(axis=-1)
     rweight = metric.weights * metric.scalar_curvature / (4.0 * math.pi)
-    total = 0j
-    for pair in pairs.T:  # a root at a time: a constant field's pairs stay a broadcast view
-        dist = np.abs(pair - np.round(pair))
-        if np.any(dist <= SINGULAR_TOL):
-            i = int(np.argmin(dist))
-            raise PreconditionError(
-                f"field is singular at grid node {i} "
-                f"(coords {tuple(metric.nodes[i])}, alpha(B) = {pair[i]!r})"
-            )
-        total += rweight @ _principal_log_2sin(2.0 * np.sin(math.pi * pair))
+    total = (rweight * logs).sum()
     value = np.exp(total)
     if abs(value.imag) > 1e-8 * max(1.0, abs(value.real)):
         raise PreconditionError(

@@ -1,4 +1,10 @@
-"""Projected ribbon links on the sphere: faces, gleams, and the state sum.
+"""Link files and the projected ribbon links they describe: faces, gleams, the state sum.
+
+A link file holds one JSON object, read by `read_link` and nothing else:
+    { "group": "A1", "k": 4,
+      "circles": [ { "id": str, "parent": str | null (optional), "winding": int,
+                     "positive_side": "inside" | "outside",
+                     "color": [fundamental-weight coords] } ] }
 
 A diagram is a family of disjoint circles on S^2 organized as a nesting
 forest (no partial overlaps: that encodes the standing embedded-ribbons
@@ -44,7 +50,7 @@ import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import PreconditionError
-from .reps import Labels, LevelAlphabet, quantum_dimension
+from .reps import Labels, LevelAlphabet, level_alphabet, quantum_dimension
 
 if TYPE_CHECKING:
     from .fusion import Triples
@@ -71,6 +77,106 @@ class ShadowDiagram(NamedTuple):
     faces: tuple[Face, ...]  # region-tree preorder; outer face first
 
 
+_TOP_KEYS = {"group", "k", "circles"}
+_CIRCLE_KEYS = {"id", "parent", "winding", "positive_side", "color"}
+
+
+def _is_int(x) -> bool:
+    """A JSON integer; bools are ints to Python but not to the link schema."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _side_problems(docs: list[dict]) -> list[str]:
+    """One message per circle whose positive_side is neither 'inside' nor 'outside'."""
+    return [f"circle {c['id']}: positive_side must be 'inside' or 'outside'"
+            for c in docs if c["positive_side"] not in ("inside", "outside")]
+
+
+def read_link(doc, group: str | None = None, k: int | None = None, *,
+              level: bool = True) -> tuple[tuple | None, list[dict]]:
+    """Read a link document: ((RootSystem, LevelAlphabet | None, ShadowDiagram) | None,
+    problems).
+
+    `group` and `k` are the flags; they win over the file's keys.  Every
+    problem is recorded once as {"code", "message"}, in this order: the
+    top-level keys, a missing level and the circles' keys (code "parse"),
+    then the group ("group"), the level bound ("level-bound"), each colour
+    against the level alphabet ("color"), each positive_side
+    ("positive-side") and the nesting forest ("assumption-1").  A parse
+    problem ends the reading, and a check that an earlier problem makes
+    impossible is skipped.  The link is None if anything was recorded.
+    With level=False (a stepped field, which uses no level alphabet) the
+    level is neither required nor checked, the colours go unchecked, and
+    the alphabet is None.
+    """
+    from .roots import build_root_system
+
+    problems: list[dict] = []
+
+    def problem(code: str, message: str) -> None:
+        problems.append({"code": code, "message": message})
+
+    if not isinstance(doc, dict):
+        problem("parse", "link file must hold a JSON object")
+        return None, problems
+    if set(doc) - _TOP_KEYS:
+        problem("parse", f"unknown top-level keys {sorted(set(doc) - _TOP_KEYS)}")
+    if "group" in doc and not isinstance(doc["group"], str):
+        problem("parse", "file key 'group' must be a string such as \"A1\"")
+    elif group is None and "group" not in doc:
+        problem("parse", "no group given (flag --group or file key 'group')")
+    if "k" in doc and not _is_int(doc["k"]):
+        problem("parse", "file key 'k' must be an integer")
+    if level and k is None and "k" not in doc:
+        problem("parse", "no level given (flag --k or file key 'k')")
+    circles = doc.get("circles")
+    if not isinstance(circles, list):
+        problem("parse", "link file needs a 'circles' array")
+        return None, problems
+    for i, c in enumerate(circles):
+        if not isinstance(c, dict):
+            problem("parse", f"circle #{i} must be an object")
+            continue
+        if _CIRCLE_KEYS - {"parent"} - set(c) or set(c) - _CIRCLE_KEYS:
+            problem("parse", f"circle #{i} must have the keys id, winding, positive_side, "
+                             f"color and optionally parent; it has {sorted(c)}")
+        parent = c.get("parent")
+        if not isinstance(c.get("id", ""), str) or not (parent is None or isinstance(parent, str)):
+            problem("parse", f"circle #{i}: id and parent must be strings")
+        if not _is_int(c.get("winding", 0)):
+            problem("parse", f"circle #{i}: winding must be an integer")
+        color = c.get("color", [])
+        if not isinstance(color, list) or not all(_is_int(x) for x in color):
+            problem("parse", f"circle #{i}: color must be an array of integer coordinates")
+    if problems:
+        return None, problems
+
+    rs = alphabet = diagram = None
+    try:
+        rs = build_root_system(doc.get("group") if group is None else group)
+    except PreconditionError as e:
+        problem("group", str(e))
+    if rs is not None and level:
+        try:
+            alphabet = level_alphabet(rs, doc.get("k") if k is None else k)
+        except PreconditionError as e:
+            problem("level-bound", str(e))
+    if alphabet is not None:
+        for c in circles:
+            if tuple(c["color"]) not in alphabet:
+                problem("color", f"circle {c['id']}: color {c['color']} is outside the level "
+                                 f"alphabet of {rs.type_label}{rs.rank} at k = {alphabet.k}")
+    sides = _side_problems(circles)
+    for message in sides:
+        problem("positive-side", message)
+    if not sides:
+        try:
+            diagram = build_diagram(circles)
+        except PreconditionError as e:
+            problem("assumption-1", str(e))
+    return (None if problems else (rs, alphabet, diagram)), problems
+
+
 def build_diagram(circles: Iterable[dict]) -> ShadowDiagram:
     """Validate the nesting forest of link-file circle dicts and derive faces,
     Euler numbers, gleams.
@@ -79,23 +185,21 @@ def build_diagram(circles: Iterable[dict]) -> ShadowDiagram:
     face is 0, and each circle's inner face comes after its parent's, the
     children of a face taken by sorted circle id.  The face inside circle c
     (and outside c's children) gets chi = 1 - #children; the outer face gets
-    chi = 2 - #roots.  Rejects containment cycles (circles the walk never
-    reaches) and dangling parent references as violations of the
-    disjointness assumption.
+    chi = 2 - #roots.  Rejects a positive_side other than inside or outside,
+    and, as violations of the disjointness assumption, duplicate ids,
+    containment cycles (circles the walk never reaches) and dangling parent
+    references.  The circles' keys and types are `read_link`'s to check.
     """
     docs = list(circles)
-    ids = [str(c["id"]) for c in docs]
+    sides = _side_problems(docs)
+    if sides:
+        raise PreconditionError(sides[0])
+    ids = [c["id"] for c in docs]
     if len(set(ids)) != len(ids):
         raise PreconditionError(f"duplicate circle ids in {ids}")
-    parent = {cid: None if c.get("parent") is None else str(c["parent"])
-              for cid, c in zip(ids, docs)}
+    parent = {cid: c.get("parent") for cid, c in zip(ids, docs)}
     children: dict[str | None, list[str]] = {cid: [] for cid in [None, *ids]}
-    for cid, c in zip(ids, docs):
-        side = str(c["positive_side"])
-        if side not in ("inside", "outside"):
-            raise PreconditionError(
-                f"circle {cid}: positive_side must be 'inside' or 'outside', got {side!r}"
-            )
+    for cid in ids:
         if parent[cid] is not None and parent[cid] not in parent:
             raise PreconditionError(
                 f"circle {cid} is parented to unknown circle {parent[cid]!r}"
@@ -128,9 +232,9 @@ def build_diagram(circles: Iterable[dict]) -> ShadowDiagram:
         circle = Circle(
             circle_id=cid,
             parent=parent[cid],
-            winding=int(c["winding"]),
-            positive_side=str(c["positive_side"]),
-            color=tuple(int(x) for x in c["color"]),
+            winding=c["winding"],
+            positive_side=c["positive_side"],
+            color=tuple(c["color"]),
             inner=face_of[cid],
             outer=face_of[parent[cid]],
         )
@@ -178,16 +282,11 @@ class TermData(NamedTuple):
 
 def prepare_terms(diagram: ShadowDiagram, alphabet: LevelAlphabet) -> TermData:
     """The term tables of `diagram`; the fusion matrices of all its circle
-    colours share one budget (MAX_FUSION_COEFFS), checked before any is built."""
+    colours share one budget (MAX_FUSION_COEFFS), checked before any is built,
+    and `fusion_matrix` refuses a colour outside the alphabet before any fold."""
     from .fusion import fusion_matrices
 
     rs = alphabet.rs
-    for c in diagram.circles:
-        if c.color not in alphabet:
-            raise PreconditionError(
-                f"circle {c.circle_id}: color {c.color} is outside the level alphabet "
-                f"of {rs.type_label}{rs.rank} at k = {alphabet.k}"
-            )
     rho2 = (2,) * rs.rank
     qdims = tuple(quantum_dimension(alphabet, lam) for lam in alphabet.elements)
     phase_q = tuple(

@@ -2,8 +2,11 @@
 
 `shadow` must end every input with exit 0, 2 or 3 and exactly one JSON
 document, and `validate` must agree with it: ok for exit 0, otherwise the
-same exit code with shadow's message as the first report entry.  The budgets
-are lowered so that the test stays fast and also reaches the refusals.
+same exit code with shadow's message as the first report entry.
+`regularize` reads the same documents with one field value per face: it too
+ends with exit 0, 2 or 3 and one JSON document, and exit 0 wherever shadow
+has it, since a stepped field checks less of the file.  The budgets are
+lowered so that the test stays fast and also reaches the refusals.
 """
 
 import json
@@ -20,6 +23,7 @@ JSON = st.recursive(
     max_leaves=12,
 )
 RANKS = {"A1": 1, "A2": 2, "B2": 2, "G2": 2}
+AMBIENT_DIMS = {"A1": 2, "A2": 3, "B2": 2, "G2": 3}
 
 
 @st.composite
@@ -57,6 +61,16 @@ def mutated_link_documents(draw):
     return doc
 
 
+def face_values(doc) -> str:
+    """--face-values for `doc`: one regular field value per face when its circles
+    are a list (one value otherwise), with the ambient dimension of its group."""
+    doc = doc if isinstance(doc, dict) else {}
+    circles, group = doc.get("circles"), doc.get("group")
+    faces = len(circles) + 1 if isinstance(circles, list) else 1
+    dim = AMBIENT_DIMS.get(group, 2) if isinstance(group, str) else 2
+    return ";".join([",".join(["1/11", "-1/13", "1/17"][:dim])] * faces)
+
+
 def _reject(constant):
     raise AssertionError(f"{constant} is not JSON")
 
@@ -79,8 +93,12 @@ def test_shadow_exits_cleanly_and_validate_agrees(doc, diagnostics, tmp_path, ca
     path = tmp_path / "link.json"
     path.write_text(json.dumps(doc))
 
+    rrc, _ = run(capsys, ["regularize", "--n", "1", str(path), "--face-values", face_values(doc)])
+    assert rrc in (0, 2, 3)
+    event(f"regularize exit {rrc}")
     rc, out = run(capsys, ["shadow", str(path)] + ["--diagnostics"] * diagnostics)
     assert rc in (0, 2, 3)
+    assert rrc == 0 or rc != 0
     if rc and "budget" in out["error"]["message"]:
         event("shadow refused by a budget")
         return
