@@ -16,8 +16,9 @@ job runs as one `python -m shadowsum` process per tree, in a fresh
 directory holding its input files.  The exit code, stdout and the --output
 file must agree byte for byte.  Prints one line per job that differs and a
 summary line; exits 1 on any difference.  Where the differing outputs are
-JSON, the line also gives the largest absolute difference over the numeric
-leaves and its key path, such as `max |Δ| 3e-16 at closed_form.re`.
+JSON, the line also gives the largest absolute and the largest relative
+difference over the numeric leaves, each with its key path, such as
+`max |Δ| 3e-16 at closed_form.re; max rel 5e-17 at closed_form.re`.
 
 With no arguments it compares this checkout's src/ with itself on the probe
 and help jobs only, which checks the script itself in a few seconds.
@@ -143,15 +144,27 @@ def _numeric_leaves(doc, path: str = ""):
         yield path, doc
 
 
-def max_numeric_diff(old: bytes | None, new: bytes | None) -> tuple[float, str] | None:
-    """(largest |new - old|, its key path) over the numeric leaves both JSON
-    documents hold at the same path; None unless both parse and a leaf differs."""
+def _differing_leaves(old: bytes | None, new: bytes | None) -> list[tuple[str, float, float]]:
+    """(key path, old value, new value) of each numeric leaf both JSON documents
+    hold at the same path with different values; none unless both parse."""
     try:
         a, b = (dict(_numeric_leaves(json.loads(doc))) for doc in (old, new))
     except (TypeError, ValueError):  # no document, or not JSON
-        return None
-    diffs = [(abs(b[path] - a[path]), path) for path in a.keys() & b.keys() if a[path] != b[path]]
-    return max(diffs, default=None)
+        return []
+    return [(path, a[path], b[path]) for path in a.keys() & b.keys() if a[path] != b[path]]
+
+
+def max_numeric_diff(old: bytes | None, new: bytes | None) -> tuple[float, str] | None:
+    """(largest |new - old|, its key path) over the numeric leaves both JSON
+    documents hold at the same path; None unless both parse and a leaf differs."""
+    return max(((abs(y - x), path) for path, x, y in _differing_leaves(old, new)), default=None)
+
+
+def max_relative_diff(old: bytes | None, new: bytes | None) -> tuple[float, str] | None:
+    """(largest |new - old| / max(|old|, |new|), its key path), as max_numeric_diff;
+    it shows a move in a small value, such as a determinant of 6.6e-118."""
+    return max(((abs(y - x) / max(abs(x), abs(y)), path)
+                for path, x, y in _differing_leaves(old, new)), default=None)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -172,8 +185,10 @@ def main(argv: list[str] | None = None) -> int:
         parts = [what for what, x, y in zip(("exit code", "stdout", "--output"), a, b) if x != y]
         if parts:
             differ += 1
-            deltas = [d for d in map(max_numeric_diff, a[1:], b[1:]) if d]
-            note = "; max |Δ| {:.2g} at {}".format(*max(deltas)) if deltas else ""
+            note = ""
+            for what, measure in (("max |Δ|", max_numeric_diff), ("max rel", max_relative_diff)):
+                deltas = [d for d in map(measure, a[1:], b[1:]) if d]
+                note += "; {} {:.2g} at {}".format(what, *max(deltas)) if deltas else ""
             print(f"DIFF {name}: {', '.join(parts)}{note}")
     print(f"{len(jobs)} jobs, {differ} differ")
     return 1 if differ else 0

@@ -2,7 +2,8 @@
 
 One JSON document goes to stdout; diagnostics go to stderr.  Exit codes:
 0 ok, 2 parse failure (usage errors included), 3 precondition violation,
-4 internal-oracle failure, 141 stdout closed by its reader before the
+4 internal-oracle failure (`fusion --verify`, at the fixed tolerance
+`fusion.ORACLE_TOL`), 141 stdout closed by its reader before the
 document was written.  The keys of a --config JSON file are the
 subcommand's long flag names; each becomes `--key=value` (`true`: a bare
 `--key`) ahead of the command line, so explicit flags win.  Each command
@@ -25,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import ORACLE_TOL, ParseError, PreconditionError, ShadowsumError
+from .errors import ParseError, PreconditionError, ShadowsumError
 
 MAX_LISTED_TERMS = 10**6  # budget of the per-term listing of `shadow --diagnostics`
 _QUAD_RES = (64, 128)  # `det --diagnostics` without --quad-res
@@ -121,12 +122,10 @@ def cmd_fusion(args) -> dict | list[str]:
 
     if args.format == "text" and not args.dump:
         raise ParseError("--format text lists every triple; it needs --dump")
-    if args.oracle_tol is not None and not args.verify:
-        raise ParseError("--oracle-tol needs --verify")
     alphabet = _alphabet(args)
     table = build_fusion_table(alphabet)
     if args.verify:
-        verify_against_verlinde(alphabet, table, tol=args.oracle_tol or ORACLE_TOL)
+        verify_against_verlinde(alphabet, table)
     if args.format == "text":
         return table_lines(alphabet, table)
     entries = table.size
@@ -211,7 +210,8 @@ def cmd_regularize(args) -> dict:
 
 def cmd_holonomy(args) -> dict:
     from .holonomy import (
-        holonomy, require_rep_dim, vertical_ribbon, weight_phases, wilson_closed_form)
+        holonomy, require_rep_dim, vertical_ribbon, weight_phases, weight_trace,
+        wilson_closed_form)
     from .reps import weight_multiplicities
 
     rs = _root_system(args)
@@ -235,7 +235,7 @@ def cmd_holonomy(args) -> dict:
         "winding": args.wind,
         "n": args.n,
         "closed_form": _c2j(closed),
-        "product_trace": _c2j(complex(product.sum())),
+        "product_trace": _c2j(weight_trace(product)),
     }
 
 
@@ -292,17 +292,6 @@ def _grid(text: str) -> tuple[int, int]:
     raise argparse.ArgumentTypeError(f"expected a grid such as 64x128, got {text!r}")
 
 
-def _oracle_tol(text: str) -> float:
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = None
-    if tol is None or not 0.0 < tol < 0.5:  # nan and inf fail too
-        raise argparse.ArgumentTypeError(
-            f"expected a finite tolerance strictly between 0 and 0.5, got {text!r}")
-    return tol
-
-
 _labels = _list_of(int, "comma-joined integer labels")
 _rationals = _list_of(_rational, "comma-joined rationals")
 
@@ -346,9 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dump", action="store_true", help="list every triple")
     sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.add_argument("--verify", action="store_true", help="cross-check against the Verlinde oracle")
-    sp.add_argument("--oracle-tol", type=_oracle_tol,
-                    help="rounding tolerance of the Verlinde oracle, in (0, 0.5); "
-                         f"with --verify (default {ORACLE_TOL})")
 
     sp = command("qdim", cmd_qdim, "quantum dimensions of the level alphabet")
     sp.add_argument("--weight", type=_labels, help="one weight as comma-joined labels")

@@ -1,7 +1,9 @@
 """Exception taxonomy shared by the library and the CLI.
 
 Exit-code mapping used by the CLI: 0 ok, 2 parse, 3 precondition,
-4 internal-oracle failure.
+4 internal-oracle failure.  Only the exception classes live here: each
+tolerance is a constant of the module whose check it gates, such as
+`fusion.ORACLE_TOL`.
 """
 
 
@@ -32,8 +34,3 @@ class OracleError(ShadowsumError):
     exit_code = 4
     code = "oracle"
 
-
-# Rounding tolerance of the Verlinde oracle (`fusion.verlinde_table`); `fusion --verify`
-# without --oracle-tol.  Kept here, beside OracleError, so the CLI's help text names it
-# without importing numpy.
-ORACLE_TOL = 1e-6

@@ -91,6 +91,14 @@ def weight_phases(ws: WeightSystem, x: Sequence[float]) -> np.ndarray:
     return np.array(entries)
 
 
+def weight_trace(v: np.ndarray) -> complex:
+    """The trace of a diagonal given in `weight_phases` order, each entry added to
+    its mirror.  Negation reverses sorted label order, so the weight -beta sits at
+    the mirrored index of beta; for a self-dual module the two entries are
+    conjugate and the trace is exactly real."""
+    return complex((v + v[::-1]).sum() / 2)
+
+
 # -- closed-form Wilson values -------------------------------------------------
 
 
@@ -129,5 +137,5 @@ def wilson_closed_form(
         if a_form is not None:
             integrand = integrand + np.asarray(a_form(sigma, dsigma), dtype=float)
         integral = weights @ _rows(integrand, weights.size)
-        total *= complex(np.exp(weight_phases(color, integral)).sum())
+        total *= weight_trace(np.exp(weight_phases(color, integral)))
     return total

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import CYCLE_FORESTS, src_env
-from shadowsum import cli
+from shadowsum import cli, fusion
 
 EMPTY = {"group": "A1", "k": 4, "circles": []}
 TWO_CIRCLES = {
@@ -204,10 +204,10 @@ class TestFusion:
                            "--oracle-tol", tol)
         assert rc == 2 and "--oracle-tol" in doc["error"]["message"]
 
-    def test_oracle_failure_exit_4(self):
-        r = run_cli("fusion", "--group", "A1", "--k", "4", "--verify", "--oracle-tol", "1e-30")
-        assert r.returncode == 4
-        assert json.loads(r.stdout)["error"]["code"] == "oracle"
+    def test_oracle_failure_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(fusion, "ORACLE_TOL", 1e-30)
+        rc, doc = run_main(capsys, "fusion", "--group", "A1", "--k", "4", "--verify")
+        assert rc == 4 and doc["error"]["code"] == "oracle"
 
 
 class TestDetAndQdim:
@@ -327,6 +327,18 @@ class TestRegularizeAndHolonomy:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["closed_form"]["re"] == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("argv", [
+        ["--group", "G2", "--b=-1/13,-2/43,1/19", "--color", "1,1", "--wind", "3", "--n", "1024"],
+        ["--group", "A2", "--b=1/29,-1/23,2/53", "--color", "2,2", "--wind", "3", "--n", "2048"],
+    ], ids=["G2", "A2"])
+    def test_self_dual_traces_are_real(self, capsys, argv):
+        """Self-dual modules have real characters, and both traces come out exactly
+        real, the terms of beta and -beta added to each other (printed im 8.9e-16
+        and -1.4e-16 when summed in label order)."""
+        rc, doc = run_main(capsys, "holonomy", *argv)
+        assert rc == 0
+        assert doc["closed_form"]["im"] == 0.0 and doc["product_trace"]["im"] == 0.0
 
 
 class TestValidate:

@@ -7,16 +7,19 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CYCLE_FORESTS, densify, flat_forest, random_forest_diagram, verlinde_link_value
+from shadowsum.determinants import det_k
 from shadowsum.diagrams import build_diagram, contract_state_sum, list_terms, prepare_terms
 from shadowsum.errors import PreconditionError
 from shadowsum import cli, fusion
-from shadowsum.fusion import build_fusion_table, fusion_matrix
-from shadowsum.reps import level_alphabet, quantum_dimension
+from shadowsum.fusion import QuantumWeylGroup, build_fusion_table, fusion_matrix
+from shadowsum.holonomy import weight_phases, weight_trace
+from shadowsum.reps import level_alphabet, quantum_dimension, weight_multiplicities
 from shadowsum.roots import build_root_system
 
 
@@ -378,6 +381,80 @@ def test_flat_forests_match_verlinde(label, k):
                        rng.choice(("inside", "outside"))) for _ in range(n)]
         got = contract_state_sum(flat_forest(components), al)
         assert abs(got.value - verlinde_link_value(al, components)) <= 1e-12 * got.abs_sum
+
+
+def torus_gauge_value(alphabet, components):
+    """The state sum of a flat forest from the torus-gauge sum (Blau and Thompson,
+    Nucl. Phys. B 408, 1993) on the program's own kernels: for circles of
+    winding w_i = +-1,
+
+        prod_i theta_{lam_i}^{s_i} sum_sigma det_k(b_sigma) prod_i chi_{lam_i}(e^{w_i b_sigma})
+            / det_k(b_0),
+
+    b_sigma = (sigma + rho)/k over the level alphabet, passed as its coweight
+    coordinates x_j = <omega_j, sigma + rho>/k.  chi is the trace of the
+    `weight_phases` diagonal, theta and s_i as in `verlinde_link_value`.  It
+    shares Freudenthal with the fusion matrices, and nothing else: no fold, no
+    fusion matrix, no S-matrix.
+    """
+    rs, k = alphabet.rs, alphabet.k
+    den = rs.weight_form_den * k
+
+    def coweights(sigma):
+        shifted = [v + 1 for v in sigma]
+        return [Fraction(sum(g * v for g, v in zip(row, shifted)), den) for row in rs.weight_gram_num]
+
+    modules = {color: weight_multiplicities(rs, color) for color, _, _ in components}
+    total = 0j
+    for sigma in alphabet.elements:
+        x = coweights(sigma)
+        term = det_k(rs, x)
+        for color, winding, _ in components:
+            term *= weight_trace(np.exp(weight_phases(modules[color], [winding * v for v in x])))
+        total += term
+    twist = 1 + 0j
+    for color, winding, side in components:
+        q = rs.label_form(color, tuple(c + 2 for c in color))
+        gleam = winding if side == "inside" else -winding
+        twist *= cmath.exp(1j * math.pi * gleam * q / den)
+    return twist * total / det_k(rs, coweights((0,) * rs.rank))
+
+
+@pytest.mark.parametrize(
+    "label,k,sizes",
+    [("A1", 4, range(1, 5)), ("A1", 7, range(1, 5)), ("A2", 6, range(1, 5)),
+     ("B2", 6, range(1, 5)), ("A3", 6, range(1, 5)), ("C3", 6, range(1, 5)),
+     ("G2", 7, range(1, 5)), ("E6", 13, range(1, 5)), ("E6", 14, (4,))],
+)
+def test_flat_forests_match_torus_gauge(monkeypatch, label, k, sizes):
+    """The contraction against the torus-gauge sum on flat forests of |winding| = 1
+    circles with random colours, orientations and positive sides.  A forest of n
+    circles holds n // 2 pairs of one colour run both ways, so that even n has an
+    invariant, and one more random circle for odd n.  E6 runs here though its
+    S-matrix is over the Verlinde budget."""
+    al = level_alphabet(build_root_system(label), k)
+    rng = random.Random(f"torus:{label}:{k}")
+    sides = ("inside", "outside")
+    forests = []
+    for n in sizes:
+        components = []
+        for _ in range(n // 2):
+            color, winding = rng.choice(al.elements), rng.choice((1, -1))
+            components += [(color, winding, rng.choice(sides)), (color, -winding, rng.choice(sides))]
+        if n % 2:
+            components.append((rng.choice(al.elements), rng.choice((1, -1)), rng.choice(sides)))
+        forests.append(components)
+    results = [contract_state_sum(flat_forest(components), al) for components in forests]
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("the torus-gauge sum used fusion data")
+
+    monkeypatch.setattr(QuantumWeylGroup, "fold", disabled)
+    monkeypatch.setattr(fusion, "fusion_matrix", disabled)
+    monkeypatch.setattr(fusion, "_s_matrix", disabled)
+    for components, got in zip(forests, results):
+        want = torus_gauge_value(al, components)
+        assert abs(got.value - want) <= 1e-12 * got.abs_sum, components
 
 
 def test_contraction_deep_chain_is_iterative(a1):

@@ -47,3 +47,17 @@ def test_max_numeric_diff():
     assert diff(b'{"a": "x", "ok": true}', b'{"a": "y", "ok": false, "b": 1}') is None
     assert diff(b'lam mu nu 1', b'lam mu nu 2') is None
     assert diff(b'{"a": 1}', None) is None
+
+
+def test_max_relative_diff():
+    """A move in a small value reads as its relative size, which the absolute
+    difference hides."""
+    script = load_script("compare_outputs")
+    old, new = b'{"det": 6.6e-118, "k": 4}', b'{"det": 6.60000000012e-118, "k": 4}'
+    delta, path = script.max_numeric_diff(old, new)
+    assert path == "det" and abs(delta - 1.2e-128) < 1e-133
+    rel, path = script.max_relative_diff(old, new)
+    assert path == "det" and abs(rel - 1.82e-11) < 1e-13
+    assert script.max_relative_diff(old, old) is None
+    assert script.max_relative_diff(b'{"a": -2, "b": 1}', b'{"a": 2, "b": 1.5}') == (2.0, "a")
+    assert script.max_relative_diff(b'lam mu nu 1', b'lam mu nu 2') is None
