@@ -144,27 +144,46 @@ def _numeric_leaves(doc, path: str = ""):
         yield path, doc
 
 
-def _differing_leaves(old: bytes | None, new: bytes | None) -> list[tuple[str, float, float]]:
-    """(key path, old value, new value) of each numeric leaf both JSON documents
-    hold at the same path with different values; none unless both parse."""
+def _leaves(doc: bytes | None) -> dict[str, float] | None:
+    """{key path: value} of the numeric leaves of a JSON document; None unless it parses."""
     try:
-        a, b = (dict(_numeric_leaves(json.loads(doc))) for doc in (old, new))
+        return dict(_numeric_leaves(json.loads(doc)))
     except (TypeError, ValueError):  # no document, or not JSON
+        return None
+
+
+def _differing_leaves(a: dict | None, b: dict | None) -> list[tuple[str, float, float]]:
+    """(key path, old value, new value) of each numeric leaf both documents' leaves
+    hold at the same path with different values; none unless both parsed."""
+    if a is None or b is None:
         return []
     return [(path, a[path], b[path]) for path in a.keys() & b.keys() if a[path] != b[path]]
+
+
+def _scale(leaves: dict[str, float], path: str) -> float:
+    """|value| of a leaf, or the modulus of the {re, im} pair it belongs to."""
+    if path.rsplit(".", 1)[-1] in ("re", "im"):
+        pair = path[:-2] + "re", path[:-2] + "im"
+        if all(p in leaves for p in pair):
+            return abs(complex(*(leaves[p] for p in pair)))
+    return abs(leaves[path])
 
 
 def max_numeric_diff(old: bytes | None, new: bytes | None) -> tuple[float, str] | None:
     """(largest |new - old|, its key path) over the numeric leaves both JSON
     documents hold at the same path; None unless both parse and a leaf differs."""
-    return max(((abs(y - x), path) for path, x, y in _differing_leaves(old, new)), default=None)
+    return max(((abs(y - x), path) for path, x, y in _differing_leaves(_leaves(old), _leaves(new))),
+               default=None)
 
 
 def max_relative_diff(old: bytes | None, new: bytes | None) -> tuple[float, str] | None:
     """(largest |new - old| / max(|old|, |new|), its key path), as max_numeric_diff;
-    it shows a move in a small value, such as a determinant of 6.6e-118."""
-    return max(((abs(y - x) / max(abs(x), abs(y)), path)
-                for path, x, y in _differing_leaves(old, new)), default=None)
+    it shows a move in a small value, such as a determinant of 6.6e-118.  A leaf
+    of a {re, im} pair is scaled by the pair's modulus, so an im of 4e-16 that
+    becomes 0 beside an re of 1 reads 4e-16, not 1."""
+    a, b = _leaves(old), _leaves(new)
+    return max(((abs(y - x) / max(_scale(a, path), _scale(b, path)), path)
+                for path, x, y in _differing_leaves(a, b)), default=None)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -8,7 +8,7 @@ document was written.  The keys of a --config JSON file are the
 subcommand's long flag names; each becomes `--key=value` (`true`: a bare
 `--key`) ahead of the command line, so explicit flags win.  Each command
 imports the modules it runs when it runs, so a job loads no other
-(`qdim`, `shadow` and `validate` load no numpy).
+(`qdim`, `shadow`, `validate` and `fusion` load no numpy).
 
 Link files are read by `diagrams.read_link`, which holds their schema.
 Output for `shadow`: { "value": {"re", "im"}, "abs_sum", "colorings", "retained",
@@ -128,7 +128,7 @@ def cmd_fusion(args) -> dict | list[str]:
         verify_against_verlinde(alphabet, table)
     if args.format == "text":
         return table_lines(alphabet, table)
-    entries = table.size
+    entries = len(table)
     if args.dump:
         entries = [{"lam": l, "mu": m, "nu": n, "n": v}
                    for l, m, n, v in table_entries(alphabet, table)]

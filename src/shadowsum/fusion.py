@@ -19,28 +19,29 @@ of one call repeat across columns, weights and colours, so each is folded
 once: the fold cache maps a point's integer mixed-radix key to its alphabet
 row and sign, and is shared by every mu of `fusion_matrices`.  The key of
 nu + rho - beta is the key of nu + rho minus that of beta, one subtraction.
-The dense full table (`build_fusion_table`, which scatters the triples) and
-the Verlinde oracle are the only parts that use numpy, and they import it
-when called.  The Verlinde oracle `verlinde_table` recomputes the whole
+The full table (`build_fusion_table`, filled in from the triples) is one
+flat list of |A|^3 Python ints in (lam, mu, nu) index order, and the module
+uses no numpy.  The Verlinde oracle `verlinde_table` recomputes the whole
 table from one modular S-matrix and shares nothing with the folding path
 but the budget check.  The S-matrix phases read the invariant form on
-labels as the integer weight_form_den <x, y> and divide once, in floats.
-Its gate is the fixed ORACLE_TOL: a Verlinde value farther than that from
-an integer is an oracle failure.  The largest distance measured, on
-alphabets up to G2 k=20, is 7.2e-12.
+labels as the integer weight_form_den <x, y>, reduced modulo the period,
+and look up the root of unity; the contraction runs in Python complex,
+once per unordered triple.  Its gate is the fixed ORACLE_TOL: a Verlinde
+value farther than that from an integer is an oracle failure.  The largest
+distance measured, on alphabets up to G2 k=20, is 2.2e-12.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+import math
+from operator import mul
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import OracleError, PreconditionError
 from .reps import Labels, LevelAlphabet, weight_multiplicities
 from .roots import RootSystem, weyl_group_order, weyl_orbit
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _FOLD_LIMIT = 100_000
 # Budget of one call: the integers it computes, |A|^2 per matrix (|A|^3 for the full table).
@@ -174,106 +175,129 @@ def fusion_matrices(alphabet: LevelAlphabet, gammas: Iterable[Sequence[int]]) ->
 # -- Verlinde oracle ---------------------------------------------------------
 
 
-def _s_matrix(alphabet: LevelAlphabet) -> np.ndarray:
-    """Unnormalized S-matrix entries via the Weyl sum.
+def _s_matrix(alphabet: LevelAlphabet) -> list[list[complex]]:
+    """Unnormalized S-matrix entries via the Weyl sum, as |A| rows of |A|.
 
     s[lam][mu] = sum_{w in W} sgn(w) exp(-2 pi i <w(lam+rho), mu+rho> / k).
     On labels <x, y> = x G y / weight_form_den with the integer Gram matrix
     G, so the phases of one orbit are one integer product, reduced exactly
-    modulo k * weight_form_den before `exp`.  The overall normalization
-    constant cancels in the Verlinde ratio once divided by
-    sum_sigma |s[0][sigma]|^2 (row-0 unitarity).
+    modulo the period k * weight_form_den and read from a table of the
+    period's roots of unity.  The overall normalization constant cancels in
+    the Verlinde ratio once divided by sum_sigma |s[0][sigma]|^2 (row-0
+    unitarity).
     """
-    import numpy as np
-
     rs = alphabet.rs
     period = alphabet.k * rs.weight_form_den
+    unit = [cmath.exp(-2j * math.pi * p / period) for p in range(period)]
     shifted = [tuple(m + 1 for m in lam) for lam in alphabet.elements]
-    paired = np.array(rs.weight_gram_num, dtype=np.int64) @ np.array(shifted, dtype=np.int64).T
+    paired = [[sum(map(mul, row, y)) for row in rs.weight_gram_num] for y in shifted]
     rows = []
     for x in shifted:
-        points, signs = zip(*weyl_orbit(rs, x))
-        phases = (np.array(points, dtype=np.int64) @ paired) % period
-        rows.append(np.array(signs) @ np.exp(-2j * np.pi * phases / period))
-    return np.array(rows)
+        orbit = weyl_orbit(rs, x)
+        plus = [p for p, sign in orbit if sign > 0]
+        minus = [p for p, sign in orbit if sign < 0]
+        rows.append([sum(unit[sum(map(mul, p, y)) % period] for p in plus)
+                     - sum(unit[sum(map(mul, p, y)) % period] for p in minus) for y in paired])
+    return rows
 
 
-def verlinde_table(alphabet: LevelAlphabet) -> np.ndarray:
-    """V[l, m, n] = N^{A[l]}_{A[m] A[n]} from the Verlinde sum over one S-matrix.
+def verlinde_table(alphabet: LevelAlphabet) -> list[int]:
+    """V[l, m, n] = N^{A[l]}_{A[m] A[n]} from the Verlinde sum over one S-matrix,
+    as one flat list of |A|^3 ints in (l, m, n) index order.
 
     V = sum_sigma s[l, sigma] s[m, sigma] conj(s[n, sigma]) / s[0, sigma],
-    divided by sum_sigma |s[0, sigma]|^2.  Every value is rounded from a
-    float within ORACLE_TOL of an integer; a larger rounding residue is
-    reported as an oracle failure (a bug, not bad input).
+    divided by sum_sigma |s[0, sigma]|^2.  N_{abc} = V[a, b, c*] is symmetric
+    in a, b and c (c* the dual weight: c* + rho is minus the antidominant
+    point of the Weyl orbit of c + rho), so the sum runs once for each
+    a <= b <= c, and V[l, m, n] is read from the sorted (l, m, n*).  Every
+    value is rounded from a float within ORACLE_TOL of an integer; a larger
+    rounding residue is reported as an oracle failure (a bug, not bad
+    input), naming the first such triple in index order.
     """
-    import numpy as np
-
-    _require_budget(alphabet, len(alphabet.elements) ** 3, "the Verlinde table")
-    orbit_terms = weyl_group_order(alphabet.rs) * len(alphabet.elements) ** 2
-    _require_budget(alphabet, orbit_terms, "the Verlinde S-matrix",
+    n = len(alphabet.elements)
+    _require_budget(alphabet, n ** 3, "the Verlinde table")
+    rs = alphabet.rs
+    _require_budget(alphabet, weyl_group_order(rs) * n ** 2, "the Verlinde S-matrix",
                     "Weyl-orbit terms (|W| |A|^2)", MAX_VERLINDE_ORBIT_TERMS)
     s = _s_matrix(alphabet)
-    s0 = s[alphabet.index((0,) * alphabet.rs.rank)]
-    third = s.conj() / s0
-    vals = np.einsum("ls,ms,ns->lmn", s, s, third, optimize=True) / np.sum(np.abs(s0) ** 2)
-    rounded = np.rint(vals.real)
-    residue = np.abs(vals - rounded)
-    far = np.argwhere(residue > ORACLE_TOL)
-    if len(far):
-        l, m, n = far[0]
-        rs, elems = alphabet.rs, alphabet.elements
+    dual = []
+    for lam in alphabet.elements:
+        anti = next(p for p, _ in weyl_orbit(rs, [v + 1 for v in lam]) if max(p) < 0)
+        dual.append(alphabet.index([-v - 1 for v in anti]))
+    s0 = s[alphabet.index((0,) * rs.rank)]
+    norm = sum(abs(z) ** 2 for z in s0)
+    third = [[v.conjugate() / (z * norm) for v, z in zip(s[c], s0)] for c in dual]
+    # sym[a][b][c - b] = N_{abc} = V[a, b, c*] for a <= b <= c, rounded
+    sym = [[None] * n for _ in range(n)]
+    far = {}
+    for a in range(n):
+        for b in range(a, n):
+            ab = list(map(mul, s[a], s[b]))
+            row = sym[a][b] = []
+            for c, t in enumerate(third[b:], b):
+                v = sum(map(mul, ab, t))
+                row.append(round(v.real))
+                if abs(v - row[-1]) > ORACLE_TOL:
+                    far[a, b, c] = v
+    if far:
+        # (a, b, c*) is the first of the orderings of a far (a, b, c) in index order
+        l, m, nu = min((a, b, dual[c]) for a, b, c in far)
+        v = far[l, m, dual[nu]]
+        elems = alphabet.elements
         raise OracleError(
-            f"Verlinde sum {vals[l, m, n]} for {(elems[l], elems[m], elems[n])} at "
-            f"{rs.type_label}{rs.rank}, k={alphabet.k} is {residue[l, m, n]:.3e} from an "
+            f"Verlinde sum {v} for {(elems[l], elems[m], elems[nu])} at "
+            f"{rs.type_label}{rs.rank}, k={alphabet.k} is {abs(v - round(v.real)):.3e} from an "
             f"integer (tolerance {ORACLE_TOL:.1e})"
         )
-    return rounded.astype(np.int64)
+    table = []
+    for l, m in itertools.product(range(n), repeat=2):
+        lo, hi = sorted((l, m))
+        # row[c] = N_{lo hi c}, held in sym at the sorted (lo, hi, c)
+        row = ([sym[c][lo][hi - lo] for c in range(lo)]
+               + [sym[lo][c][hi - c] for c in range(lo, hi)] + sym[lo][hi])
+        table += [row[c] for c in dual]
+    return table
 
 
 # -- tables -------------------------------------------------------------------
 
 
-def build_fusion_table(alphabet: LevelAlphabet) -> np.ndarray:
-    """T[l, m, n] = N^{A[l]}_{A[m] A[n]}: the triples of the |A| matrices scattered
-    into one dense int64 array, |A|^3 coefficients."""
-    import numpy as np
-
+def build_fusion_table(alphabet: LevelAlphabet) -> list[int]:
+    """T[l, m, n] = N^{A[l]}_{A[m] A[n]} as one flat list of |A|^3 ints in
+    (l, m, n) index order, filled in from the triples of the |A| matrices."""
     matrices = fusion_matrices(alphabet, alphabet.elements)
     n = len(alphabet.elements)
-    table = np.zeros((n, n, n), dtype=np.int64)
+    table = [0] * n ** 3
     for m, triples in enumerate(matrices.values()):
-        t = np.array(triples, dtype=np.int64).reshape(-1, 3)
-        table[t[:, 0], m, t[:, 1]] = t[:, 2]
+        for l, nu, c in triples:
+            table[(l * n + m) * n + nu] = c
     return table
 
 
-def table_entries(alphabet: LevelAlphabet, table: np.ndarray):
+def table_entries(alphabet: LevelAlphabet, table: list[int]):
     """(lam, mu, nu, N^lam_{mu nu}) for every triple in index order, which is
     sorted label order since the alphabet is sorted.  Each weight is one list,
     shared by every entry that names it."""
     labels = [list(w) for w in alphabet.elements]
     triples = itertools.product(labels, repeat=3)
-    return ((*t, n) for t, n in zip(triples, table.ravel().tolist()))
+    return ((*t, n) for t, n in zip(triples, table))
 
 
-def verify_against_verlinde(alphabet: LevelAlphabet, table: np.ndarray) -> None:
+def verify_against_verlinde(alphabet: LevelAlphabet, table: list[int]) -> None:
     """Raise OracleError on the first triple, in index order, disagreeing with
     the Verlinde table."""
-    import numpy as np
-
     oracle = verlinde_table(alphabet)
-    wrong = np.argwhere(oracle != table)
-    if len(wrong):
-        l, m, n = wrong[0]
-        lam, mu, nu = (alphabet.elements[i] for i in (l, m, n))
-        raise OracleError(
-            f"fusion table entry N^{lam}_({mu},{nu}) = {table[l, m, n]} disagrees with "
-            f"Verlinde oracle value {oracle[l, m, n]}"
-        )
+    triples = itertools.product(alphabet.elements, repeat=3)
+    for (lam, mu, nu), got, want in zip(triples, table, oracle):
+        if got != want:
+            raise OracleError(
+                f"fusion table entry N^{lam}_({mu},{nu}) = {got} disagrees with "
+                f"Verlinde oracle value {want}"
+            )
 
 
-def table_lines(alphabet: LevelAlphabet, table: np.ndarray) -> list[str]:
+def table_lines(alphabet: LevelAlphabet, table: list[int]) -> list[str]:
     """Plain-text export, one 'lam mu nu N' per line (label coords comma-joined)."""
     labels = [",".join(map(str, w)) for w in alphabet.elements]
     triples = itertools.product(labels, repeat=3)
-    return [f"{lam} {mu} {nu} {n}" for (lam, mu, nu), n in zip(triples, table.ravel().tolist())]
+    return [f"{lam} {mu} {nu} {n}" for (lam, mu, nu), n in zip(triples, table)]

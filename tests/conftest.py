@@ -55,6 +55,14 @@ def a1k4_table(a1k4):
     return build_fusion_table(a1k4)
 
 
+def table_array(flat):
+    """The flat fusion table, |A|^3 ints in (lam, mu, nu) index order, as the
+    int64 array T[lam, mu, nu]."""
+    n = round(len(flat) ** (1 / 3))
+    assert n ** 3 == len(flat)
+    return np.array(flat, dtype=np.int64).reshape(n, n, n)
+
+
 def densify(triples, n):
     """The n x n int64 matrix whose nonzero entries are the (row, col, coeff) triples."""
     mat = np.zeros((n, n), dtype=np.int64)
@@ -187,7 +195,7 @@ def verlinde_link_value(alphabet, components):
     nothing here folds, builds a fusion matrix or runs Freudenthal.
     """
     rs, k = alphabet.rs, alphabet.k
-    s = _s_matrix(alphabet)
+    s = np.array(_s_matrix(alphabet))
     zero = alphabet.index((0,) * rs.rank)
     s0 = s[zero]
     S = s * (abs(s0[zero]) / s0[zero]) / math.sqrt(np.sum(np.abs(s0) ** 2))

@@ -649,15 +649,18 @@ class TestUsageErrorsAsJson:
         (["shadow", "link.json", "--diagnostics"], SHADOW_MODULES, {"numpy"}),
         (["validate", "link.json"], SHADOW_MODULES - {"fusion"}, {"numpy"}),
         (["fusion", "--group", "A1", "--k", "5", "--dump", "--verify"],
-         {"cli", "errors", "roots", "reps", "fusion", "numpy"}, {"diagrams"}),
+         {"cli", "errors", "roots", "reps", "fusion"}, {"diagrams", "numpy"}),
+        (["fusion", "--group", "A2", "--k", "5", "--dump", "--format", "text", "--verify"],
+         {"cli", "errors", "roots", "reps", "fusion"}, {"diagrams", "numpy"}),
         (["regularize", "--group", "A1", "--alpha-b", "1/3", "--n", "3"], None, {"fusion"}),
-    ], ids=["qdim", "det", "shadow", "shadow-diagnostics", "validate", "fusion", "regularize"])
+    ], ids=["qdim", "det", "shadow", "shadow-diagnostics", "validate", "fusion", "fusion-text",
+            "regularize"])
     def test_command_loads_only_its_modules(self, tmp_path, argv, only, never):
         """A command imports the modules it runs and no other, in a fresh interpreter:
         `qdim` needs the root data and the alphabet alone, `shadow` the fusion
-        triples and the diagrams, `validate` the diagrams alone, and none of them
-        numpy; the dense `fusion` export does load numpy, and `regularize` no
-        fusion data."""
+        triples and the diagrams, `validate` the diagrams alone, the `fusion`
+        export and its Verlinde check the fusion layer alone, and none of them
+        numpy; `regularize` loads no fusion data."""
         write(tmp_path, "link.json", TWO_CIRCLES)
         code = ("import json, sys, shadowsum.cli as cli\n"
                 f"rc = cli.main({argv!r})\n"

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CYCLE_FORESTS, densify, flat_forest, random_forest_diagram, verlinde_link_value
+from conftest import (CYCLE_FORESTS, densify, flat_forest, random_forest_diagram, table_array,
+                      verlinde_link_value)
 from shadowsum.determinants import det_k
 from shadowsum.diagrams import build_diagram, contract_state_sum, list_terms, prepare_terms
 from shadowsum.errors import PreconditionError
@@ -234,7 +235,7 @@ class TestStateSum:
         val = 0j
         for a in range(3):
             for b in range(3):
-                n = a1k4_table[b, 1, a]
+                n = table_array(a1k4_table)[b, 1, a]
                 val += (
                     n
                     * quantum_dimension(a1k4, (a,))
@@ -306,7 +307,7 @@ def test_pruned_equals_naive_exactly(a1):
     """Zero-tolerance agreement, term by term, between the pruned DFS and naive loops."""
     for k in (3, 4, 5):
         al = level_alphabet(a1, k)
-        ft = build_fusion_table(al)
+        ft = table_array(build_fusion_table(al))
         colors = list(al.elements)
         rng = random.Random(99)
         for shape in all_small_diagrams():

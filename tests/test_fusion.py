@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from conftest import (
     fold_point,
     reflect_affine,
     reflect_simple,
+    table_array,
     verlinde_link_value,
 )
 
@@ -99,7 +101,7 @@ class TestVerlindeOracle:
             val = sum(s[l][sig] * s[m][sig] * s[n][sig] / s[0][sig] for sig in range(3))
             return round(val / norm)
 
-        v = verlinde_table(a1k4)
+        v = table_array(verlinde_table(a1k4))
         for l in range(3):
             for m in range(3):
                 for n in range(3):
@@ -107,10 +109,10 @@ class TestVerlindeOracle:
 
     def test_a1_k5_example(self, a1):
         al = level_alphabet(a1, 5)
-        assert verlinde_table(al)[1, 1, 2] == 1
+        assert table_array(verlinde_table(al))[1, 1, 2] == 1
 
     def test_trivial_row_orthogonality(self, a1k4):
-        v = verlinde_table(a1k4)
+        v = table_array(verlinde_table(a1k4))
         for l, lam in enumerate(a1k4.elements):
             for n, nu in enumerate(a1k4.elements):
                 expect = 1 if lam == nu else 0
@@ -121,6 +123,23 @@ class TestVerlindeOracle:
         with pytest.raises(OracleError):
             verlinde_table(a1k4)
 
+    def test_rounding_residue_names_the_first_triple(self, monkeypatch, a2):
+        """One S-matrix column scaled by 1.1 spoils unitarity.  The message names
+        the first far triple in index order of the full contraction, (0,0) (0,0)
+        (0,1); the symmetric sum's first far value is the one it places at
+        (0,0) (0,0) (1,0)."""
+        al = level_alphabet(a2, 6)
+        s = np.array(fusion._s_matrix(al))
+        s[:, 0] *= 1.1
+        monkeypatch.setattr(fusion, "_s_matrix", lambda alphabet: s.tolist())
+        s0 = s[al.index((0, 0))]
+        full = np.einsum("ls,ms,ns->lmn", s, s, s.conj() / s0) / np.sum(np.abs(s0) ** 2)
+        l, m, n = np.argwhere(np.abs(full - np.rint(full.real)) > fusion.ORACLE_TOL)[0]
+        first = tuple(al.elements[i] for i in (l, m, n))
+        assert first == ((0, 0), (0, 0), (0, 1))
+        with pytest.raises(OracleError, match=re.escape(f"for {first} at A2, k=6")):
+            verlinde_table(al)
+
     @pytest.mark.parametrize(
         "label,k",
         [*(("A1", k) for k in range(3, 11)), *(("A2", k) for k in range(4, 7)),
@@ -129,7 +148,7 @@ class TestVerlindeOracle:
     )
     def test_margin_below_the_gate(self, monkeypatch, label, k):
         """The acceptance sweep and the export alphabets round within 1e-9, a
-        thousandth of ORACLE_TOL (measured worst 4.1e-14), so an S-matrix that
+        thousandth of ORACLE_TOL (measured worst 3.8e-14), so an S-matrix that
         loses accuracy fails here long before it meets the gate."""
         monkeypatch.setattr(fusion, "ORACLE_TOL", 1e-9)
         verlinde_table(level_alphabet(build_root_system(label), k))
@@ -172,12 +191,13 @@ class TestVerlindeOracle:
         monkeypatch.setattr(fusion, "fusion_matrix", disabled)
         monkeypatch.setattr(reps, "weight_multiplicities", disabled)
         monkeypatch.setattr(fusion, "weight_multiplicities", disabled)
-        assert (verlinde_table(al) == expected).all()
+        assert verlinde_table(al) == expected
         assert abs(verlinde_link_value(al, components) - link.value) <= 1e-12 * link.abs_sum
 
-    def test_int64_table_of_the_alphabet(self, a1k4):
-        v = verlinde_table(a1k4)
-        assert v.dtype == np.int64 and v.shape == (3, 3, 3)
+    def test_int_table_of_the_alphabet(self, a1k4, a1k4_table):
+        """Both tables are flat lists of |A|^3 Python ints."""
+        for v in (verlinde_table(a1k4), a1k4_table):
+            assert len(v) == 3 ** 3 and all(type(x) is int for x in v)
 
     @pytest.mark.parametrize(
         "label,k",
@@ -186,7 +206,7 @@ class TestVerlindeOracle:
     def test_equals_fusion_table_on_export_alphabets(self, label, k):
         """The alphabets the benchmark's `fusion --verify` exports."""
         al = level_alphabet(build_root_system(label), k)
-        assert (verlinde_table(al) == build_fusion_table(al)).all()
+        assert verlinde_table(al) == build_fusion_table(al)
 
 
 class TestQuantumWeylGroup:
@@ -270,28 +290,45 @@ class TestQuantumWeylGroup:
 class TestTableAndExport:
     def test_verify_and_symmetry(self, a1k4, a1k4_table):
         verify_against_verlinde(a1k4, a1k4_table)
-        assert a1k4_table.shape == (3, 3, 3)
-        assert (a1k4_table == a1k4_table.transpose(1, 0, 2)).all()  # lambda <-> mu exchange
+        table = table_array(a1k4_table)
+        assert table.shape == (3, 3, 3)
+        assert (table == table.transpose(1, 0, 2)).all()  # lambda <-> mu exchange
 
     def test_slices_are_the_matrices(self, a1k4, a1k4_table):
+        table = table_array(a1k4_table)
         for m, mu in enumerate(a1k4.elements):
-            assert (a1k4_table[:, m, :] == densify(fusion_matrix(a1k4, mu), 3)).all()
+            assert (table[:, m, :] == densify(fusion_matrix(a1k4, mu), 3)).all()
 
     def test_ring_property(self, a1k4, a1k4_table):
+        table = table_array(a1k4_table)
         for l, lam in enumerate(a1k4.elements):
             for m, mu in enumerate(a1k4.elements):
                 lhs = sum(
-                    a1k4_table[l, m, n] * quantum_dimension(a1k4, nu)
+                    table[l, m, n] * quantum_dimension(a1k4, nu)
                     for n, nu in enumerate(a1k4.elements)
                 )
                 rhs = quantum_dimension(a1k4, lam) * quantum_dimension(a1k4, mu)
                 assert abs(lhs - rhs) < 1e-9
 
     def test_verify_reports_a_wrong_entry(self, a1k4, a1k4_table):
-        bad = a1k4_table.copy()
+        bad = table_array(a1k4_table)
         bad[2, 1, 1] = 0
         with pytest.raises(OracleError, match="disagrees"):
-            verify_against_verlinde(a1k4, bad)
+            verify_against_verlinde(a1k4, bad.ravel().tolist())
+
+    def test_verify_names_the_first_wrong_entry(self, a2):
+        """Two corrupted entries: the message names the earlier one in index order."""
+        al = level_alphabet(a2, 6)
+        bad = table_array(build_fusion_table(al))
+        n = len(al.elements)
+        bad[n - 1, 1, 2] += 5
+        bad[1, n - 1, 0] += 7
+        lam, mu, nu = (al.elements[i] for i in (1, n - 1, 0))
+        with pytest.raises(OracleError) as err:
+            verify_against_verlinde(al, bad.ravel().tolist())
+        assert str(err.value) == (
+            f"fusion table entry N^{lam}_({mu},{nu}) = {bad[1, n - 1, 0]} disagrees with "
+            f"Verlinde oracle value {bad[1, n - 1, 0] - 7}")
 
     def test_text_export(self, a1k4, a1k4_table):
         lines = table_lines(a1k4, a1k4_table)

@@ -51,7 +51,7 @@ def test_max_numeric_diff():
 
 def test_max_relative_diff():
     """A move in a small value reads as its relative size, which the absolute
-    difference hides."""
+    difference hides; a {re, im} pair is scaled by its modulus."""
     script = load_script("compare_outputs")
     old, new = b'{"det": 6.6e-118, "k": 4}', b'{"det": 6.60000000012e-118, "k": 4}'
     delta, path = script.max_numeric_diff(old, new)
@@ -61,3 +61,13 @@ def test_max_relative_diff():
     assert script.max_relative_diff(old, old) is None
     assert script.max_relative_diff(b'{"a": -2, "b": 1}', b'{"a": 2, "b": 1.5}') == (2.0, "a")
     assert script.max_relative_diff(b'lam mu nu 1', b'lam mu nu 2') is None
+    # holonomy/E7: an im of 4.4e-16 that becomes 0.0 beside an re of about 1 is scaled
+    # by the pair's modulus; a real leaf that becomes 0 still reads 1
+    old = b'{"product_trace": {"re": 0.9999999999999998, "im": 4.440892098500626e-16}, "n": 16}'
+    new = b'{"product_trace": {"re": 0.9999999999999998, "im": 0.0}, "n": 16}'
+    rel, path = script.max_relative_diff(old, new)
+    assert path == "product_trace.im" and abs(rel - 4.44e-16) < 1e-18
+    assert script.max_relative_diff(b'{"re": 1.0, "im": 3e-16}', b'{"re": 1.0, "im": 0.0}') \
+        == (3e-16, "im")
+    assert script.max_relative_diff(b'{"x": {"im": 1e-16}}', b'{"x": {"im": 0.0}}') \
+        == (1.0, "x.im")
