@@ -2,9 +2,11 @@
 """Sweep fusion tables against the Verlinde oracle and time the runs.
 
 Covers A1 (k <= 10), A2 and B2 (k <= 6): every triple is computed twice,
-once by the quantum-Weyl-group sum and once from the modular S-matrix, and
-compared exactly.  Also reports the worst residual of the quantum-dimension
-ring identity.
+once by the fusion-ring recursion seeded by the quantum-Weyl-group folds of
+the fundamental weights (`build_fusion_table`) and once from the modular
+S-matrix, and compared exactly.  Also reports the worst residual of the
+quantum-dimension ring identity, sum_nu N^nu_{lam mu} dim_q(nu) =
+dim_q(lam) dim_q(mu).
 """
 
 import itertools
@@ -28,7 +30,7 @@ def main():
             mismatches = sum(v != t for v, t in zip(verlinde_table(alphabet), table))
             dims = [quantum_dimension(alphabet, lam) for lam in alphabet.elements]
             n = len(dims)
-            # row (l, m) of the flat table is N^lam_{mu nu} over nu
+            # row (l, m) of the flat table is N^nu_{lam mu} over nu
             worst_ring = max(abs(sum(map(mul, table[i * n:(i + 1) * n], dims)) - dims[l] * dims[m])
                              for i, (l, m) in enumerate(itertools.product(range(n), repeat=2)))
             n_triples = len(table)

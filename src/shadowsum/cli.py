@@ -8,7 +8,8 @@ document was written.  The keys of a --config JSON file are the
 subcommand's long flag names; each becomes `--key=value` (`true`: a bare
 `--key`) ahead of the command line, so explicit flags win.  Each command
 imports the modules it runs when it runs, so a job loads no other
-(`qdim`, `shadow`, `validate` and `fusion` load no numpy).
+(`qdim`, `shadow`, `validate`, `fusion` and `det` without
+`--diagnostics` load no numpy).
 
 Link files are read by `diagrams.read_link`, which holds their schema.
 Output for `shadow`: { "value": {"re", "im"}, "abs_sum", "colorings", "retained",
@@ -19,6 +20,7 @@ when it would hold more than MAX_LISTED_TERMS terms.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -117,8 +119,8 @@ def cmd_shadow(args) -> dict:
     return out
 
 
-def cmd_fusion(args) -> dict | list[str]:
-    from .fusion import build_fusion_table, table_entries, table_lines, verify_against_verlinde
+def cmd_fusion(args) -> dict | list[str] | str:
+    from .fusion import build_fusion_table, table_lines, verify_against_verlinde
 
     if args.format == "text" and not args.dump:
         raise ParseError("--format text lists every triple; it needs --dump")
@@ -128,17 +130,24 @@ def cmd_fusion(args) -> dict | list[str]:
         verify_against_verlinde(alphabet, table)
     if args.format == "text":
         return table_lines(alphabet, table)
-    entries = len(table)
-    if args.dump:
-        entries = [{"lam": l, "mu": m, "nu": n, "n": v}
-                   for l, m, n, v in table_entries(alphabet, table)]
-    return {
+    doc = {
         "group": f"{alphabet.rs.type_label}{alphabet.rs.rank}",
         "k": args.k,
         "alphabet": [list(w) for w in alphabet.elements],
-        "entries": entries,
+        "entries": len(table),
         "verified": bool(args.verify),
     }
+    if not args.dump:
+        return doc
+    # The same document with "entries" listing one {"lam", "mu", "n", "nu"} dict per
+    # triple, as json.dumps(..., sort_keys=True) writes it: each label is serialized
+    # once, and the list takes the place of the count, the only "entries" key.
+    labels = [json.dumps(w) for w in doc["alphabet"]]
+    entries = ", ".join(
+        f'{{"lam": {l}, "mu": {m}, "n": {v}, "nu": {n}}}'
+        for (l, m, n), v in zip(itertools.product(labels, repeat=3), table))
+    head, tail = json.dumps(doc, sort_keys=True).split(f'"entries": {len(table)}')
+    return f'{head}"entries": [{entries}]{tail}'
 
 
 def cmd_qdim(args) -> dict:
@@ -435,7 +444,9 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(e)
 
     doc, status = doc if isinstance(doc, tuple) else (doc, 0)
-    text = "\n".join(doc) if isinstance(doc, list) else json.dumps(doc, sort_keys=True)
+    if isinstance(doc, dict):
+        doc = json.dumps(doc, sort_keys=True)
+    text = doc if isinstance(doc, str) else "\n".join(doc)
     return _emit(text, args.output, status)
 
 

@@ -18,17 +18,22 @@ face-wise half-power determinants raised to the face Euler numbers
 (`regularize.det_rig_step`), provided the metric gives the projected
 ribbons vanishing geodesic curvature (the standing metric assumption), so
 that the curvature measure of each face is 4 pi chi(face).
+
+The closed forms run in Python floats; numpy is imported only inside the
+quadrature (`round_sphere_metric`, `det_rig_quadrature`), so a plain `det`
+job loads none.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import PreconditionError
 from .roots import RootSystem, format_vector, is_regular
+
+if TYPE_CHECKING:
+    from numpy import ndarray
 
 MAX_QUAD_NODES = 2**21  # budget of `round_sphere_metric`: n_theta * n_phi nodes
 AREA_TOL = 1e-8  # quadrature mass against the declared area
@@ -84,9 +89,9 @@ class SphereMetricSample(NamedTuple):
     4 pi chi by Gauss-Bonnet.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    scalar_curvature: np.ndarray
+    nodes: ndarray
+    weights: ndarray
+    scalar_curvature: ndarray
     area: float
     euler: int
 
@@ -111,6 +116,8 @@ def round_sphere_metric(n_theta: int, n_phi: int) -> SphereMetricSample:
             f"a {n_theta}x{n_phi} quadrature grid has {n_theta * n_phi} nodes; "
             f"the budget is {MAX_QUAD_NODES}"
         )
+    import numpy as np
+
     x, w = np.polynomial.legendre.leggauss(n_theta)  # x = cos(theta)
     theta = np.arccos(x)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
@@ -127,7 +134,7 @@ def round_sphere_metric(n_theta: int, n_phi: int) -> SphereMetricSample:
 
 def det_rig_quadrature(
     rs: RootSystem,
-    sampler: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    sampler: Callable[[ndarray, ndarray], ndarray],
     metric: SphereMetricSample,
 ) -> float:
     """Quadrature evaluation of the regularized determinant of a smooth field.
@@ -143,6 +150,8 @@ def det_rig_quadrature(
     closed surface the result is real; a non-negligible imaginary residue
     raises, since it signals a field that is not regular across the whole grid.
     """
+    import numpy as np
+
     metric.validate()
     n = metric.nodes.shape[0]
     sample = np.asarray(sampler(metric.nodes[:, 0], metric.nodes[:, 1]), dtype=float)

@@ -1,25 +1,29 @@
 """Fusion coefficients and a Verlinde cross-check.
 
-The fusion coefficient N^lam_{mu nu} is the signed sum over the quantum
-Weyl group W_k (the affine Weyl group conjugated by psi_k: b -> k b - rho)
-of weight multiplicities of the middle representation:
+The fusion coefficient N^nu_{mu lam}, the multiplicity of nu in the level-k
+fusion product of mu and lam, is the signed sum over the quantum Weyl group
+W_k (the affine Weyl group conjugated by psi_k: b -> k b - rho) of weight
+multiplicities of mu:
 
-    N^lam_{mu nu} = sum_{tau in W_k} sgn(tau) m_mu(nu - tau(lam))
+    N^nu_{mu lam} = sum_{tau in W_k} sgn(tau) m_mu(nu - tau(lam))
 
 Only finitely many tau contribute, because m_mu vanishes outside the convex
 hull of the mu-orbit; those are enumerated exactly by running over the
 (finite) support of m_mu and folding each candidate point into the
 fundamental alcove of the level-k action (Kac-Walton).  `fusion_matrix` is
-the one evaluator: all N^lam_{mu nu} for one mu, as the nonzero entries of
-an integer matrix over the level alphabet, (row, col, coeff) triples of
-Python ints sorted by (row, col).  The matrices are sparse (0.3-9% nonzero
-on small colours), so nothing dense is built for the state sum.
-`QuantumWeylGroup.fold` folds one rho-shifted point.  The candidate points
-of one call repeat across columns, weights and colours, so each is folded
-once: the fold cache maps a point's integer mixed-radix key to its alphabet
-row and sign, and is shared by every mu of `fusion_matrices`.  The key of
-nu + rho - beta is the key of nu + rho minus that of beta, one subtraction.
-The full table (`build_fusion_table`, filled in from the triples) is one
+the one evaluator of that sum: all N^nu_{mu lam} for one mu, as the nonzero
+entries of an integer matrix over the level alphabet, (row, col, coeff)
+triples of Python ints sorted by (row, col), lam the row and nu the column.
+The transpose holds N^lam_{mu nu} = N^nu_{mu* lam} instead; the two agree
+only for a self-dual mu.  The matrices are sparse (0.3-9% nonzero on small
+colours), so nothing dense is built for the state sum.
+`QuantumWeylGroup.fold` folds one rho-shifted point.  The candidate points of one call repeat
+across columns, weights and colours, so each is folded once: the fold
+cache maps a point's integer mixed-radix key to its alphabet row and sign,
+and is shared by every mu of `fusion_matrices`.  The key of nu + rho - beta
+is the key of nu + rho minus that of beta, one subtraction.  The full table
+(`build_fusion_table`) folds only the fundamental weights and builds every
+other matrix by the fusion-ring recursion, in exact integers; it is one
 flat list of |A|^3 Python ints in (lam, mu, nu) index order, and the module
 uses no numpy.  The Verlinde oracle `verlinde_table` recomputes the whole
 table from one modular S-matrix and shares nothing with the folding path
@@ -110,12 +114,13 @@ def _require_budget(alphabet: LevelAlphabet, count: int, what: str, unit: str = 
 
 def fusion_matrix(alphabet: LevelAlphabet, gamma: Sequence[int],
                   folds: dict[int, tuple[int, int]] | None = None) -> Triples:
-    """N_gamma[a, b] = N^{A[a]}_{gamma A[b]} over the level alphabet A, exactly,
-    as its nonzero entries (a, b, N_gamma[a, b]) sorted by (a, b).
+    """N_gamma[a, b] = N^{A[b]}_{gamma A[a]} over the level alphabet A, exactly,
+    as its nonzero entries (a, b, N_gamma[a, b]) sorted by (a, b): row a holds
+    the fusion product of gamma and A[a].
 
-    N^lam_{gamma nu} = sum_{tau in W_k} sgn(tau) m_gamma(nu - tau(lam)).  For
+    N^nu_{gamma lam} = sum_{tau in W_k} sgn(tau) m_gamma(nu - tau(lam)).  For
     column b (nu = A[b]) and each weight beta in the support of m_gamma, the
-    point nu + rho - beta equals tau(lam + rho) for at most one lam in A;
+    point nu + rho - beta equals tau(lam + rho) for at most one lam = A[a];
     alcove folding finds it and its sign (or a wall, where stabilized points
     contribute canceling pairs and are skipped).
 
@@ -202,7 +207,7 @@ def _s_matrix(alphabet: LevelAlphabet) -> list[list[complex]]:
 
 
 def verlinde_table(alphabet: LevelAlphabet) -> list[int]:
-    """V[l, m, n] = N^{A[l]}_{A[m] A[n]} from the Verlinde sum over one S-matrix,
+    """V[l, m, n] = N^{A[n]}_{A[l] A[m]} from the Verlinde sum over one S-matrix,
     as one flat list of |A|^3 ints in (l, m, n) index order.
 
     V = sum_sigma s[l, sigma] s[m, sigma] conj(s[n, sigma]) / s[0, sigma],
@@ -263,24 +268,66 @@ def verlinde_table(alphabet: LevelAlphabet) -> list[int]:
 
 
 def build_fusion_table(alphabet: LevelAlphabet) -> list[int]:
-    """T[l, m, n] = N^{A[l]}_{A[m] A[n]} as one flat list of |A|^3 ints in
-    (l, m, n) index order, filled in from the triples of the |A| matrices."""
-    matrices = fusion_matrices(alphabet, alphabet.elements)
-    n = len(alphabet.elements)
+    """T[l, m, n] = N^{A[n]}_{A[l] A[m]} as one flat list of |A|^3 ints in
+    (l, m, n) index order, by the fusion-ring recursion from the fundamental
+    matrices.  Row l of N_{A[m]} (the `fusion_matrix` triples) is T[l, m, :].
+
+    N_0 is the identity, and `fusion_matrix` folds each fundamental weight of
+    the alphabet, all through one fold cache.  Every other kappa, with first
+    nonzero label i and lam = kappa - omega_i, follows from the ring relation
+    N_{omega_i} N_lam = sum_nu N^nu_{omega_i lam} N_nu: the coefficients are
+    row index(lam) of N_{omega_i}, that of N_kappa is 1, and every other nu
+    lies below kappa in dominance order.  So the weights are visited by
+    increasing height (the sum of their simple-root coordinates, from
+    `cartan_inverse`), and N_kappa is N_{omega_i} N_lam less the other terms,
+    in exact sparse integer rows.  A coefficient of N_kappa other than 1, or a
+    negative entry, raises AssertionError.
+    """
+    elems = alphabet.elements
+    n = len(elems)
+    _require_budget(alphabet, n ** 3, f"{n} fusion matrices")
+    heights = [sum(row) for row in alphabet.rs.cartan_inverse]
+    folds: dict[int, tuple[int, int]] = {}
+    rows: list[list[dict[int, int]]] = [[]] * n  # rows[m][a] = {b: N_{A[m]}[a, b]}, nonzeros
+    for kappa in sorted(range(n), key=lambda c: sum(map(mul, elems[c], heights))):
+        labels = elems[kappa]
+        if not any(labels):
+            rows[kappa] = [{a: 1} for a in range(n)]
+            continue
+        if sum(labels) == 1:
+            rows[kappa] = [{} for _ in range(n)]
+            for a, b, c in fusion_matrix(alphabet, labels, folds):
+                rows[kappa][a][b] = c
+            continue
+        i = next(i for i, v in enumerate(labels) if v)
+        omega = rows[alphabet.index([int(j == i) for j in range(len(labels))])]
+        lam = alphabet.index([v - (j == i) for j, v in enumerate(labels)])
+        coeffs, lam_rows = omega[lam], rows[lam]
+        if coeffs.get(kappa) != 1:
+            raise AssertionError(f"N_{labels} has coefficient {coeffs.get(kappa, 0)} in the "
+                                 "fusion-ring relation that defines it, not 1")
+        product = []
+        for row in omega:
+            acc: dict[int, int] = {}
+            for b, c in row.items():
+                for d, e in lam_rows[b].items():
+                    acc[d] = acc.get(d, 0) + c * e
+            product.append(acc)
+        for nu, c in coeffs.items():
+            if nu != kappa:
+                for acc, row in zip(product, rows[nu]):
+                    for d, e in row.items():
+                        acc[d] = acc.get(d, 0) - c * e
+        if any(e < 0 for acc in product for e in acc.values()):
+            raise AssertionError(f"negative fusion coefficient for gamma = {labels}")
+        rows[kappa] = [{d: e for d, e in acc.items() if e} for acc in product]
     table = [0] * n ** 3
-    for m, triples in enumerate(matrices.values()):
-        for l, nu, c in triples:
-            table[(l * n + m) * n + nu] = c
+    for m, matrix in enumerate(rows):
+        for l, row in enumerate(matrix):
+            base = (l * n + m) * n
+            for nu, c in row.items():
+                table[base + nu] = c
     return table
-
-
-def table_entries(alphabet: LevelAlphabet, table: list[int]):
-    """(lam, mu, nu, N^lam_{mu nu}) for every triple in index order, which is
-    sorted label order since the alphabet is sorted.  Each weight is one list,
-    shared by every entry that names it."""
-    labels = [list(w) for w in alphabet.elements]
-    triples = itertools.product(labels, repeat=3)
-    return ((*t, n) for t, n in zip(triples, table))
 
 
 def verify_against_verlinde(alphabet: LevelAlphabet, table: list[int]) -> None:
@@ -291,13 +338,14 @@ def verify_against_verlinde(alphabet: LevelAlphabet, table: list[int]) -> None:
     for (lam, mu, nu), got, want in zip(triples, table, oracle):
         if got != want:
             raise OracleError(
-                f"fusion table entry N^{lam}_({mu},{nu}) = {got} disagrees with "
+                f"fusion table entry N^{nu}_({lam},{mu}) = {got} disagrees with "
                 f"Verlinde oracle value {want}"
             )
 
 
 def table_lines(alphabet: LevelAlphabet, table: list[int]) -> list[str]:
-    """Plain-text export, one 'lam mu nu N' per line (label coords comma-joined)."""
+    """Plain-text export, one 'lam mu nu N' per line (label coords comma-joined),
+    N = N^nu_{lam mu}."""
     labels = [",".join(map(str, w)) for w in alphabet.elements]
     triples = itertools.product(labels, repeat=3)
     return [f"{lam} {mu} {nu} {n}" for (lam, mu, nu), n in zip(triples, table)]

@@ -644,6 +644,8 @@ class TestUsageErrorsAsJson:
         (["qdim", "--group", "E6", "--k", "16"], {"cli", "errors", "roots", "reps"}, {"numpy"}),
         (["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics", "--quad-res", "8x16"],
          None, {"diagrams", "fusion", "reps", "holonomy", "regularize"}),
+        (["det", "--group", "A1", "--alpha-b", "1/3"], {"cli", "errors", "roots", "determinants"},
+         {"numpy"}),
         (["shadow", "link.json"], SHADOW_MODULES, {"determinants", "holonomy", "regularize",
                                                    "circleop", "numpy"}),
         (["shadow", "link.json", "--diagnostics"], SHADOW_MODULES, {"numpy"}),
@@ -653,14 +655,15 @@ class TestUsageErrorsAsJson:
         (["fusion", "--group", "A2", "--k", "5", "--dump", "--format", "text", "--verify"],
          {"cli", "errors", "roots", "reps", "fusion"}, {"diagrams", "numpy"}),
         (["regularize", "--group", "A1", "--alpha-b", "1/3", "--n", "3"], None, {"fusion"}),
-    ], ids=["qdim", "det", "shadow", "shadow-diagnostics", "validate", "fusion", "fusion-text",
-            "regularize"])
+    ], ids=["qdim", "det", "det-plain", "shadow", "shadow-diagnostics", "validate", "fusion",
+            "fusion-text", "regularize"])
     def test_command_loads_only_its_modules(self, tmp_path, argv, only, never):
         """A command imports the modules it runs and no other, in a fresh interpreter:
         `qdim` needs the root data and the alphabet alone, `shadow` the fusion
         triples and the diagrams, `validate` the diagrams alone, the `fusion`
-        export and its Verlinde check the fusion layer alone, and none of them
-        numpy; `regularize` loads no fusion data."""
+        export and its Verlinde check the fusion layer alone, plain `det` its
+        closed forms alone, and none of them numpy; `regularize` loads no fusion
+        data."""
         write(tmp_path, "link.json", TWO_CIRCLES)
         code = ("import json, sys, shadowsum.cli as cli\n"
                 f"rc = cli.main({argv!r})\n"

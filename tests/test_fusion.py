@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowsum import fusion, reps
+from shadowsum import cli, fusion, reps
 from shadowsum.diagrams import contract_state_sum
 from shadowsum.errors import OracleError, PreconditionError
 from shadowsum.fusion import (
@@ -15,6 +15,7 @@ from shadowsum.fusion import (
     MAX_VERLINDE_ORBIT_TERMS,
     QuantumWeylGroup,
     build_fusion_table,
+    fusion_matrices,
     fusion_matrix,
     table_lines,
     verify_against_verlinde,
@@ -52,7 +53,7 @@ class TestQuantumDimension:
 
 
 class TestFusionCoefficient:
-    """Through fusion_matrix: N_mu[a, b] = N^{A[a]}_{mu A[b]}; at A1, A[i] = (i,)."""
+    """Through fusion_matrix: N_mu[a, b] = N^{A[b]}_{mu A[a]}; at A1, A[i] = (i,)."""
 
     def test_trivial_mu_is_delta(self, a1k4):
         triples = fusion_matrix(a1k4, (0,))
@@ -327,8 +328,20 @@ class TestTableAndExport:
         with pytest.raises(OracleError) as err:
             verify_against_verlinde(al, bad.ravel().tolist())
         assert str(err.value) == (
-            f"fusion table entry N^{lam}_({mu},{nu}) = {bad[1, n - 1, 0]} disagrees with "
+            f"fusion table entry N^{nu}_({lam},{mu}) = {bad[1, n - 1, 0]} disagrees with "
             f"Verlinde oracle value {bad[1, n - 1, 0] - 7}")
+
+    def test_index_convention_on_a2(self):
+        """T[l, m, n] = N^{A[n]}_{A[l] A[m]}: (2,0) lies in (1,0) x (1,0), the 6 in
+        3 x 3, but (1,0) does not lie in (2,0) x (1,0) = 10 + 8.  The two
+        readings differ because (1,0) is not self-dual."""
+        al = level_alphabet(build_root_system("A2"), 5)
+        table = table_array(build_fusion_table(al))
+        fund, sym = al.index((1, 0)), al.index((2, 0))
+        assert table[fund, fund, sym] == 1
+        assert table[sym, fund, fund] == 0
+        lines = table_lines(al, build_fusion_table(al))
+        assert "1,0 1,0 2,0 1" in lines and "2,0 1,0 1,0 0" in lines
 
     def test_text_export(self, a1k4, a1k4_table):
         lines = table_lines(a1k4, a1k4_table)
@@ -343,3 +356,65 @@ def test_fusion_table_budget_refuses_before_building(a1):
     """|A|^3 = 199^3 coefficients at A1 k=200 exceeds the budget; nothing is built."""
     with pytest.raises(PreconditionError, match="budget"):
         build_fusion_table(level_alphabet(a1, 200))
+
+
+class TestRingRecursion:
+    """`build_fusion_table` folds the fundamental weights and builds every other
+    matrix by the fusion-ring recursion."""
+
+    @pytest.mark.parametrize("label,k", [
+        ("A2", 12), ("A3", 8), ("A4", 8), ("D5", 10), ("E6", 13), ("E6", 14), ("B3", 9),
+        ("C3", 8), ("F4", 12), ("G2", 14)])
+    def test_equals_per_colour_folding(self, label, k):
+        """The table equals the one assembled from a folded N_mu for every mu, on
+        types with weights that are not self-dual and on multiply-laced types;
+        E6 k=13 holds only the trivial and two fundamental weights."""
+        al = level_alphabet(build_root_system(label), k)
+        n = len(al.elements)
+        folded = [0] * n ** 3
+        for m, triples in enumerate(fusion_matrices(al, al.elements).values()):
+            for l, nu, c in triples:
+                folded[(l * n + m) * n + nu] = c
+        assert build_fusion_table(al) == folded
+
+    @pytest.mark.parametrize("label,k,flags,fundamentals", [
+        ("A3", 7, ["--dump", "--verify"], 3), ("G2", 10, ["--dump", "--verify"], 2),
+        ("B3", 7, ["--dump", "--format", "text"], 3), ("E6", 14, [], 5)])
+    def test_job_runs_freudenthal_on_fundamental_weights_only(
+            self, monkeypatch, capsys, label, k, flags, fundamentals):
+        """A `fusion` job computes one weight system per fundamental weight of the
+        alphabet, at most rank of them (E6 k=14: all but omega_4, of comark 3)."""
+        computed = []
+        multiplicities = fusion.weight_multiplicities
+        monkeypatch.setattr(fusion, "weight_multiplicities",
+                            lambda rs, lam: computed.append(lam) or multiplicities(rs, lam))
+        assert cli.main(["fusion", "--group", label, "--k", str(k), *flags]) == 0
+        capsys.readouterr()
+        rank = build_root_system(label).rank
+        assert len(computed) == fundamentals <= rank
+        assert all(sum(lam) == 1 for lam in computed)
+
+    def test_corrupted_coefficient_is_caught(self, monkeypatch):
+        """Doubled fundamental matrices give N_(0,2) the coefficient 2 in
+        N_(0,1) N_(0,1) = N_(0,2) + N_(1,0)."""
+        al = level_alphabet(build_root_system("A2"), 6)
+        build = fusion.fusion_matrix
+        monkeypatch.setattr(fusion, "fusion_matrix", lambda al, g, folds=None: [
+            (a, b, 2 * c) for a, b, c in build(al, g, folds)])
+        with pytest.raises(AssertionError, match=re.escape("N_(0, 2) has coefficient 2")):
+            build_fusion_table(al)
+
+    def test_corrupted_entry_is_caught(self, monkeypatch):
+        """A spurious N^(0,0)_{(1,0) (1,0)} = 1 is subtracted with N_(1,0) from
+        N_(0,1) N_(0,1), which leaves -1 in N_(0,2)."""
+        al = level_alphabet(build_root_system("A2"), 6)
+        build = fusion.fusion_matrix
+
+        def spurious(al, g, folds=None):
+            extra = [(al.index((1, 0)), al.index((0, 0)), 1)] if g == (1, 0) else []
+            return sorted(build(al, g, folds) + extra)
+
+        monkeypatch.setattr(fusion, "fusion_matrix", spurious)
+        with pytest.raises(AssertionError, match=re.escape("negative fusion coefficient for "
+                                                           "gamma = (0, 2)")):
+            build_fusion_table(al)
