@@ -3,24 +3,37 @@
 
 Prints, for a constant field with alpha(b) = 1/2 and for a two-face step
 field, the regularized indicator and determinant at n = 1..12 against their
-closed-form limits.  Field values are A1 coweight coordinates x = alpha(b)/2.
+closed-form limits, beside each stage's log^(n) degree in y = x^2, its sup
+error and the cutoff's sup error.  Field values are A1 coweight coordinates
+x = alpha(b)/2.
 """
 
 from fractions import Fraction as Q
 
 from shadowsum.determinants import det_rig_constant
 from shadowsum.diagrams import build_diagram
-from shadowsum.regularize import SteppedField, det_rig_n, det_rig_step, regularized_indicator
+from shadowsum.regularize import (
+    SteppedField,
+    det_rig_n,
+    det_rig_step,
+    log_poly,
+    regularized_indicator,
+    trig_cutoff,
+)
 from shadowsum.roots import build_root_system
 
 
 def table(rs, field, target, title):
     print(f"\n{title}  (closed form {target:.10f})")
-    print(f"{'n':>3} {'indicator':>22} {'det_rig_n':>26} {'|det err|':>12}")
+    print(f"{'n':>3} {'indicator':>22} {'det_rig_n':>26} {'|det err|':>12}"
+          f" {'log deg':>8} {'log err':>10} {'cut err':>10}")
     for n in range(1, 13):
         ind = regularized_indicator(rs, n, field)
         det = det_rig_n(rs, n, field)
-        print(f"{n:>3} {ind:>22.14f} {det.real:>14.8f}{det.imag:>+12.2e}j {abs(det - target):>12.3e}")
+        lp = log_poly(n)
+        print(f"{n:>3} {ind:>22.14f} {det.real:>14.8f}{det.imag:>+12.2e}j"
+              f" {abs(det - target):>12.3e} {len(lp.coeffs) - 1:>8} {lp.sup_error:>10.2e}"
+              f" {trig_cutoff(n).sup_error:>10.2e}")
 
 
 def main():

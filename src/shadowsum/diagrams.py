@@ -23,11 +23,15 @@ this order.
 
 The invariant of a colored diagram is
 
-    |L| = sum_{colorings phi} prod_i N^{phi(Y^-_i)}_{gamma_i phi(Y^+_i)}
+    |L| = sum_{colorings phi} prod_i N^{phi(Y^+_i)}_{gamma_i phi(Y^-_i)}
           * prod_Y dim(phi(Y))^chi(Y)
           * exp(pi i <phi(Y), phi(Y)+2 rho> / k)^{gleam(Y)}
 
-summed over all maps from faces to the level alphabet.  The phase exponent
+summed over all maps from faces to the level alphabet, where Y^+_i and
+Y^-_i are the faces on the positive and the other side of circle i.  The
+other reading, N^{phi(Y^-_i)}_{gamma_i phi(Y^+_i)}, gives the same value:
+conjugating every colour turns one into the other and leaves dim and the
+twist unchanged.  The phase exponent
 is kept as the integer weight_form_den <phi, phi+2 rho> (the root system's
 `label_form`) and reduced modulo 2k weight_form_den before its one float
 division.  Every factor is local to one circle (an edge of the region

@@ -20,11 +20,11 @@ are reduced mod 1 in exact rational arithmetic before evaluation), and
 tends to 1 on fields bounded away from the singular set.
 
 Determinant.  exp is replaced by its degree-n Taylor polynomial and log by
-a polynomial fit converging uniformly to the principal log on the compact
+a polynomial log^(n) converging uniformly to the principal log on the compact
 pieces of [-2, -1/n] u [1/n, 2]; the integral reduces to Euler-number
-weights per face under the standing metric assumption.  By parity the log
-fit is two real fits on [1/n, 2], which also measure its error on
-[-2, -1/n] (see `log_poly`).
+weights per face under the standing metric assumption.  By parity log^(n)
+is built from two real Chebyshev interpolants in y = x^2 on [1/n^2, 4],
+whose error on [1/n, 2] also bounds it on [-2, -1/n] (see `log_poly`).
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def det_rig_step(rs: RootSystem, field: SteppedField) -> float:
 
 _BUMP_C = 0.25  # transition fits inside the C/n-neighborhood of the integers
 # Accuracy floor of `trig_cutoff`: double precision does not reach below it, so
-# no cutoff is asked for, or records, a smaller sup error.
+# no cutoff records a smaller sup error.
 CUTOFF_FLOOR = 1e-12
 
 
@@ -123,36 +123,24 @@ class TrigCutoff:
         return float(self.coeffs @ np.cos(2.0 * math.pi * m * float(x)))
 
 
-def trig_cutoff(n: int, target: float) -> TrigCutoff:
-    """Build pbar_n with sup error below `target` where feasible.
+def trig_cutoff(n: int) -> TrigCutoff:
+    """Build pbar_n from the whole cosine series of one 2^13-point FFT of psi_n.
 
-    Accuracy below CUTOFF_FLOOR is not reachable in double precision; the
-    builder floors the target there and records the achieved error.
+    The error is measured once, on a grid four times as fine, and floored at
+    CUTOFF_FLOOR, which double precision does not reach below.
     """
-    target = max(target, CUTOFF_FLOOR)
     K = 1 << 13
     spectrum = np.fft.rfft(bump(n, np.arange(K) / K)) / K
+    a = 2.0 * spectrum.real  # psi is even: cosine series
+    a[0] = spectrum[0].real
+    a[0] -= a.sum()  # recentre: pbar = p - p(0) vanishes at the integers
     dense_n = 4 * K
-    psi_dense = bump(n, np.arange(dense_n) / dense_n)
-    best = None
-    M = max(8 * n, 32)
-    while True:
-        M = min(M, len(spectrum) - 1)
-        a = np.zeros(M + 1)
-        a[0] = spectrum[0].real
-        a[1:] = 2.0 * spectrum[1 : M + 1].real  # psi is even: cosine series
-        a[0] -= a.sum()  # recentre: pbar = p - p(0) vanishes at the integers
-        z = np.zeros(dense_n // 2 + 1, dtype=complex)
-        z[0] = a[0] * dense_n
-        z[1 : M + 1] = a[1:] * (dense_n / 2.0)
-        vals = np.fft.irfft(z, n=dense_n)
-        err = float(np.max(np.abs(vals - psi_dense)))
-        if best is None or err < best[1]:
-            best = (a, err)
-        if err <= target or M == len(spectrum) - 1:
-            break
-        M *= 2
-    return TrigCutoff(n, best[0], max(best[1], CUTOFF_FLOOR))
+    z = np.zeros(dense_n // 2 + 1, dtype=complex)
+    z[0] = a[0] * dense_n
+    z[1 : len(a)] = a[1:] * (dense_n / 2.0)
+    vals = np.fft.irfft(z, n=dense_n)
+    err = float(np.max(np.abs(vals - bump(n, np.arange(dense_n) / dense_n))))
+    return TrigCutoff(n, a, max(err, CUTOFF_FLOOR))
 
 
 def total_cells(field: SteppedField, n: int) -> int:
@@ -160,18 +148,6 @@ def total_cells(field: SteppedField, n: int) -> int:
     if n < 1:
         raise PreconditionError(f"regularization index must be >= 1, got {n}")
     return max(1, len(field.diagram.faces)) * 4 ** n
-
-
-def cutoff_accuracy_target(rs: RootSystem, cells_total: int) -> float:
-    """Per-factor accuracy making the whole product 1/N_n^2-close to 1.
-
-    The product has N_n * |R+| factors (N_n = `cells_total`), so the
-    per-factor budget is 1/(8 N_n^3 |R+|).  Below CUTOFF_FLOOR the builder
-    clips it, and the stage's error bound is then only N_n |R+| sup_error,
-    which passes 1 by n = 16 on a one-face A1 field; `regularized_indicator`
-    refuses such stages.
-    """
-    return 1.0 / (8.0 * cells_total ** 3 * len(rs.positive_root_labels))
 
 
 def _require_trusted_stage(rs: RootSystem, n: int, cells_total: float, sup_error: float) -> None:
@@ -200,7 +176,7 @@ def regularized_indicator(rs: RootSystem, n: int, field: SteppedField) -> float:
     e = math.frexp(1.0 / CUTOFF_FLOOR)[1]
     cells_total = total_cells(field, n) if 2 * n < e else math.inf
     _require_trusted_stage(rs, n, cells_total, CUTOFF_FLOOR)
-    cut = trig_cutoff(n, cutoff_accuracy_target(rs, cells_total))
+    cut = trig_cutoff(n)
     _require_trusted_stage(rs, n, cells_total, cut.sup_error)
     cells = 4 ** n  # per face
     out = 1.0
@@ -230,61 +206,57 @@ def exp_poly(n: int, z: complex) -> complex:
 class LogPoly:
     """One polynomial approximating the principal log on [-2,-1/n] u [1/n, 2].
 
-    Complex coefficients in the Chebyshev basis on [-2, 2]; converges
-    uniformly to ln|x| + i pi H(-x) on every compact subset of
-    [-2, 2] minus 0 as n grows.
+    log^(n)(x) = q_e(x^2) + i pi/2 - (i pi/2) x q_o(x^2), where q_e and q_o
+    interpolate (1/2) ln y and y^(-1/2) in y = x^2 on [1/n^2, 4]; `coeffs`
+    holds their Chebyshev coefficients in y, one column each.  Converges
+    uniformly to ln|x| + i pi H(-x) on every compact subset of [-2, 2]
+    minus 0 as n grows.
     """
 
-    def __init__(self, n: int, coeffs: np.ndarray, sup_error: float):
+    def __init__(self, n: int, coeffs: np.ndarray):
         self.n = n
         self.coeffs = coeffs
-        self.sup_error = sup_error
+
+    def _parts(self, x):
+        """(q_e(x^2), x q_o(x^2)), by Clenshaw in y."""
+        lo = 1.0 / (self.n * self.n)
+        t = (2.0 * x * x - 4.0 - lo) / (4.0 - lo)  # y = x^2 mapped from [1/n^2, 4] to [-1, 1]
+        even, odd = np.polynomial.chebyshev.chebval(t, self.coeffs)
+        return even, x * odd
 
     def __call__(self, x: float) -> complex:
-        return complex(np.polynomial.chebyshev.chebval(x / 2.0, self.coeffs))
+        even, odd = self._parts(x)
+        return complex(even, 0.5 * math.pi * (1.0 - odd))
+
+    @property
+    def sup_error(self) -> float:
+        """The largest error on 4000 equispaced points of [1/n, 2]; by parity the
+        error at -x has the modulus of the error at x, so it bounds [-2, -1/n] too."""
+        x = np.linspace(1.0 / self.n, 2.0, 4000)
+        even, odd = self._parts(x)
+        return float(np.max(np.hypot(even - np.log(x), 0.5 * math.pi * (1.0 - odd))))
 
 
 def log_poly(n: int) -> LogPoly:
-    """Build log^(n), fitting until sup error <= 4^-n or floor.
+    """Build log^(n) by Chebyshev interpolation in y = x^2, of a degree fixed by n.
 
-    ln|x| is even and pi H(-x) - pi/2 is odd, so on sample points symmetric
-    about 0 the least-squares fit splits into two real fits on x > 0: ln x
-    in T_{2j}(x/2) and sign x = 1 in T_{2j+1}(x/2), giving
-    log^(n) = even + i pi/2 - (i pi/2) odd.  The error at -x has the modulus
-    of the error at x, so `sup_error` is measured on [1/n, 2] alone.
+    ln|x| is even and pi H(-x) - pi/2 is odd, so log^(n) = even + i pi/2 -
+    (i pi/2) odd with even(x) = (1/2) ln x^2 and odd(x) = x (x^2)^(-1/2) =
+    sign x: two real functions of y = x^2 (the odd one times x), each
+    interpolated once on [1/n^2, 4].
 
-    Degrees run over 4n 2^j (at least 8, at most 1000).  The fit error behaves
-    like e^(-deg/2n), so the target needs about 2n ln(1/target); the search
-    starts one doubling below that, skipping fits it would discard.
+    The singularity y = 0 lies 1/n^2 below that interval, so the error falls
+    like (1 + 1/n)^-deg: degree ceil(n ln(2/target)) in y (at most 1000) meets
+    the target max(4^-n, 2e-11) on n = 1..18.  From n = 19 on rounding holds
+    the error at 2-7e-11.
     """
     target = max(4.0 ** (-n), 2e-11)
-    a = 1.0 / n
-    t = np.cos(np.pi * (np.arange(1200) + 0.5) / 1200)
-    x = (a + 2.0) / 2.0 + (2.0 - a) / 2.0 * t
-    ln_x = np.log(x)
-    xd = np.linspace(a, 2.0, 4000)
-    ln_xd = np.log(xd)
-    best = None
-    deg = max(8, 4 * n)
-    while 2 * deg < 2 * n * math.log(1.0 / target):
-        deg *= 2
-    while True:
-        deg = min(deg, 1000)
-        v = np.polynomial.chebyshev.chebvander(x / 2.0, deg)
-        even, *_ = np.linalg.lstsq(v[:, 0::2], ln_x, rcond=None)
-        odd, *_ = np.linalg.lstsq(v[:, 1::2], np.ones_like(x), rcond=None)
-        coef = np.empty(deg + 1, dtype=complex)
-        coef[0::2] = even
-        coef[1::2] = -0.5j * math.pi * odd
-        coef[0] += 0.5j * math.pi
-        vals = np.polynomial.chebyshev.chebval(xd / 2.0, coef)
-        err = float(np.max(np.abs(vals - ln_xd)))
-        if best is None or err < best[1]:
-            best = (coef, err)
-        if err <= target or deg >= 1000:
-            break
-        deg *= 2
-    return LogPoly(n, best[0], best[1])
+    deg = min(math.ceil(n * math.log(2.0 / target)), 1000)
+    lo = 1.0 / (n * n)
+    mid, half = (4.0 + lo) / 2.0, (4.0 - lo) / 2.0
+    even = np.polynomial.chebyshev.chebinterpolate(lambda t: 0.5 * np.log(mid + half * t), deg)
+    odd = np.polynomial.chebyshev.chebinterpolate(lambda t: 1.0 / np.sqrt(mid + half * t), deg)
+    return LogPoly(n, np.stack([even, odd], axis=1))
 
 
 def det_rig_n(rs: RootSystem, n: int, field: SteppedField) -> complex:

@@ -20,6 +20,7 @@ from shadowsum.regularize import (
     total_cells,
     trig_cutoff,
 )
+from shadowsum.roots import build_root_system
 
 
 def one_circle_field(rs, inner, outer):
@@ -47,18 +48,18 @@ class TestBump:
 
 class TestTrigCutoff:
     def test_exact_zero_at_integer_fractions(self):
-        cut = trig_cutoff(3, 1e-8)
+        cut = trig_cutoff(3)
         for m in (-3, -1, 0, 2, 11):
             assert cut(Q(m)) == 0.0
 
     def test_sup_error_within_target(self):
-        for n in (1, 2, 4):
-            cut = trig_cutoff(n, 1e-9)
+        for n in range(1, 15):
+            cut = trig_cutoff(n)
             assert cut.sup_error <= 1e-9
 
     def test_close_to_one_away_from_integers(self):
         n = 3
-        cut = trig_cutoff(n, 1e-10)
+        cut = trig_cutoff(n)
         for x in (Q(1, 2), Q(1, 3), Q(2, 5), Q(-1, 2)):
             assert abs(cut(x) - 1.0) < 1e-9
 
@@ -105,6 +106,22 @@ class TestIndicator:
             with pytest.raises(PreconditionError, match="cannot be trusted"):
                 regularized_indicator(a1, stage, f)
 
+    @pytest.mark.parametrize("group, one_face, five_faces",
+                             [("A1", 15, 14), ("B2", 14, 13), ("G2", 14, 13), ("E8", 13, 12)])
+    def test_largest_trusted_stage(self, group, one_face, five_faces):
+        """The last stage whose bound N_n |R+| sup_error stays below 1, with one face
+        and with five (four side-by-side circles)."""
+        rs = build_root_system(group)
+        x = tuple(Q(1, 7 + j) for j in range(rs.rank))
+        for faces, last in ((1, one_face), (5, five_faces)):
+            d = build_diagram([{"id": f"c{i}", "parent": None, "winding": 1,
+                                "positive_side": "inside", "color": [0] * rs.rank}
+                               for i in range(faces - 1)])
+            f = SteppedField(diagram=d, values=(x,) * faces)
+            regularized_indicator(rs, last, f)
+            with pytest.raises(PreconditionError, match="cannot be trusted"):
+                regularized_indicator(rs, last + 1, f)
+
 
 class TestLogExpPolys:
     def test_exp_poly_converges(self):
@@ -136,10 +153,20 @@ class TestLogExpPolys:
         assert errs[2] < errs[0]
 
     def test_chosen_degrees(self):
-        """The degree each n settles on: the first on the grid 4n 2^j (at least 8,
-        capped at 1000) whose fit meets max(4^-n, 2e-11), wherever the search starts."""
+        """The y-degree is fixed by n: ceil(n ln(2/target)), target = max(4^-n, 2e-11),
+        capped at 1000; the x-degree is twice it plus one."""
         got = [len(log_poly(n).coeffs) - 1 for n in range(1, 17)]
-        assert got == [8, 16, 48, 64, 80, 96, 224, 256, 288, 320, 352, 384, 832, 896, 960, 1000]
+        assert got == [3, 7, 15, 25, 39, 55, 73, 95, 119, 146, 176, 208, 244, 282, 323, 366]
+
+    def test_sup_error_meets_target(self):
+        for n in range(1, 19):
+            assert log_poly(n).sup_error <= max(4.0 ** (-n), 2e-11)
+
+    def test_value_at_zero_decreases(self):
+        """log^(n)(0) = q_e(0) is read 1/n^2 below the interval of interpolation in
+        y = x^2, so it follows ln(1/n) down as the gap [-1/n, 1/n] closes."""
+        re0 = [log_poly(n)(0.0).real for n in range(1, 17)]
+        assert all(b < a for a, b in zip(re0, re0[1:]))
 
 
 class TestDetRigN:
