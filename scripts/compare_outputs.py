@@ -9,9 +9,11 @@ bench/workloads.py: every job of each workload for each seed and the layer
 probe jobs, each shadow job's file also through `shadow --diagnostics` and
 `validate`, and `--help` of the top-level parser and of each subcommand.
 With seeds, it adds `det --diagnostics --b` and `holonomy --b` jobs on the
-types the benchmark never runs (FIELD_JOBS), with b drawn per seed, and runs
-each malformed link document of MALFORMED_LINKS through `shadow`, `validate`
-and `regularize`, so the error paths are compared too.  Each
+types the benchmark never runs (FIELD_JOBS), with b drawn per seed, runs
+`det`, `regularize` and `holonomy` at large exact field values on A1 and G2
+(LARGE_FIELDS), and runs each malformed link document of MALFORMED_LINKS
+through `shadow`, `validate` and `regularize`, so the error paths are
+compared too.  Each
 job runs as one `python -m shadowsum` process per tree, in a fresh
 directory holding its input files.  The exit code, stdout and the --output
 file must agree byte for byte.  Prints one line per job that differs and a
@@ -47,6 +49,12 @@ COMMANDS = ("shadow", "fusion", "qdim", "det", "regularize", "holonomy", "valida
 # of dimension at most holonomy.MAX_REP_DIM (7, 6, 8, 27, 56 and 26)
 FIELD_JOBS = [("B3", 3, "1,0,0"), ("C3", 3, "1,0,0"), ("D4", 4, "1,0,0,0"),
               ("E6", 8, "1,0,0,0,0,0"), ("E7", 8, "0,0,0,0,0,0,1"), ("F4", 4, "0,0,0,1")]
+# Large exact field values, each one field value modulo 2 in every coweight coordinate
+# with a small one: alpha(b) = 10000000000000000001/3 on A1 is 5/3 modulo 4, and the G2
+# value is b = (5/7, 1/11, -3/13) plus 2 * 10**19 times the coroot (3, -3, 0) of alpha_1.
+# Each runs through det (with and without the quadrature), regularize and holonomy.
+LARGE_FIELDS = {"A1": ("--alpha-b=10000000000000000001/3", "2"),
+                "G2": ("--b=420000000000000000005/7,-659999999999999999999/11,-3/13", "1,0")}
 
 
 def _circle(cid="a", parent=None, **fields):
@@ -113,6 +121,15 @@ def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
             hol = ["holonomy", "--group", group, b, "--color", color, "--wind", "2"]
             jobs += [(f"field/{seed}/det/{group}", det, {}),
                      (f"field/{seed}/holonomy/{group}", hol, {})]
+    if seeds:
+        for group, (field, color) in LARGE_FIELDS.items():
+            at = ["--group", group, field]
+            jobs += [(f"large/{group}/det", ["det", *at], {}),
+                     (f"large/{group}/det --diagnostics",
+                      ["det", *at, "--diagnostics", "--quad-res", "32x64"], {}),
+                     (f"large/{group}/regularize", ["regularize", *at, "--n", "6"], {}),
+                     (f"large/{group}/holonomy",
+                      ["holonomy", *at, "--color", color, "--wind", "3", "--n", "16"], {})]
     return jobs + (malformed_jobs() if seeds else [])
 
 

@@ -80,15 +80,24 @@ def _alphabet(args):
     return level_alphabet(rs, args.k)
 
 
+def _reduced(x: tuple) -> tuple:
+    """Exact coweight coordinates x reduced into [-1, 1] modulo 2, x - 2 round(x/2).
+
+    Every command reads x only through integer-label pairings, of period 2 (the
+    root sine) or 1, so no value changes, and no kernel sees a large float.
+    """
+    return tuple(v - 2 * round(v / 2) for v in x)
+
+
 def _field_b(args, rs) -> tuple:
     """The field value of --b (ambient coordinates) or --alpha-b (A1), as coweight
-    coordinates x: on A1, alpha(b) = 2 x."""
+    coordinates x (`_reduced`): on A1, alpha(b) = 2 x."""
     if args.b is not None:
-        return rs.coweight_coordinates(args.b)
+        return _reduced(rs.coweight_coordinates(args.b))
     if args.alpha_b is not None:
         if rs.rank != 1:
             raise PreconditionError("--alpha-b is a rank-1 shorthand; use --b")
-        return (args.alpha_b / 2,)
+        return _reduced((args.alpha_b / 2,))
     raise PreconditionError("need --b (ambient coords) or --alpha-b (rank 1)")
 
 
@@ -206,7 +215,7 @@ def cmd_regularize(args) -> dict:
         rs, _, diagram = _read_link(args, level=False)
         if args.face_values is None:
             raise PreconditionError("--face-values needed with a link file")
-        values = tuple(map(rs.coweight_coordinates, args.face_values))
+        values = tuple(_reduced(rs.coweight_coordinates(b)) for b in args.face_values)
         field = SteppedField(diagram=diagram, values=values)
     return {
         "group": f"{rs.type_label}{rs.rank}",

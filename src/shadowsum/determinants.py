@@ -41,21 +41,21 @@ CURVATURE_TOL = 1e-6  # curvature integral against 4 pi chi (Gauss-Bonnet)
 SINGULAR_TOL = 1e-12  # distance of alpha(B) from an integer that counts as singular
 
 
+def root_sines(rs: RootSystem, x: Sequence) -> list[float]:
+    """[2 sin(pi alpha(b))] per positive root, in `root_pairings` order, at b with coweight
+    coordinates x: the one evaluator of the root sine."""
+    return [2.0 * math.sin(math.pi * float(v)) for v in rs.root_pairings(x)]
+
+
 def det_k(rs: RootSystem, x: Sequence) -> float:
     """prod_{alpha>0} 4 sin^2(pi alpha(b)) at b with coweight coordinates x; vanishes on
     singular b."""
-    out = 1.0
-    for v in rs.root_pairings(x):
-        out *= 4.0 * math.sin(math.pi * float(v)) ** 2
-    return out
+    return math.prod(s ** 2 for s in root_sines(rs, x))
 
 
 def det_half(rs: RootSystem, x: Sequence) -> float:
     """Signed half-power prod_{alpha>0} 2 sin(pi alpha(b)); its square is det_k."""
-    out = 1.0
-    for v in rs.root_pairings(x):
-        out *= 2.0 * math.sin(math.pi * float(v))
-    return out
+    return math.prod(root_sines(rs, x))
 
 
 def det_rig_constant(rs: RootSystem, x: Sequence, chi: int) -> float:
@@ -166,7 +166,7 @@ def det_rig_quadrature(
         i = int(np.argmin(dist[:, r]))
         raise PreconditionError(
             f"field is singular at grid node {i} "
-            f"(coords {tuple(metric.nodes[i])}, alpha(B) = {pairs[i, r]!r})"
+            f"(coords {tuple(metric.nodes[i].tolist())}, alpha(B) = {float(pairs[i, r])!r})"
         )
     # log(2 sin(pi alpha(B))) on the principal branch: ln|.|, plus i pi on the negatives
     two_sin = 2.0 * np.sin(math.pi * pairs)

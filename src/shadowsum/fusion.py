@@ -22,12 +22,13 @@ across columns, weights and colours, so each is folded once: the fold
 cache maps a point's integer mixed-radix key to its alphabet row and sign,
 and is shared by every mu of `fusion_matrices`.  The key of nu + rho - beta
 is the key of nu + rho minus that of beta, one subtraction.  The full table
-(`build_fusion_table`) folds only the fundamental weights and builds every
-other matrix by the fusion-ring recursion, in exact integers; it is one
-flat list of |A|^3 Python ints in (lam, mu, nu) index order, and the module
-uses no numpy.  The Verlinde oracle `verlinde_table` recomputes the whole
-table from one modular S-matrix and shares nothing with the folding path
-but the budget check.  The S-matrix phases read the invariant form on
+(`build_fusion_table`) folds only the fundamental weights, through
+`fusion_matrices`, and builds every other matrix by the fusion-ring
+recursion, in exact integers; it is one flat list of |A|^3 Python ints
+in (lam, mu, nu) index order, and the module uses no numpy.  The Verlinde
+oracle `verlinde_table` recomputes the whole table from one modular
+S-matrix and shares nothing with the folding path but the budget check.
+The S-matrix phases read the invariant form on
 labels as the integer weight_form_den <x, y>, reduced modulo the period,
 and look up the root of unity; the contraction runs in Python complex,
 once per unordered triple.  Its gate is the fixed ORACLE_TOL: a Verlinde
@@ -272,7 +273,7 @@ def build_fusion_table(alphabet: LevelAlphabet) -> list[int]:
     (l, m, n) index order, by the fusion-ring recursion from the fundamental
     matrices.  Row l of N_{A[m]} (the `fusion_matrix` triples) is T[l, m, :].
 
-    N_0 is the identity, and `fusion_matrix` folds each fundamental weight of
+    N_0 is the identity, and `fusion_matrices` folds the fundamental weights of
     the alphabet, all through one fold cache.  Every other kappa, with first
     nonzero label i and lam = kappa - omega_i, follows from the ring relation
     N_{omega_i} N_lam = sum_nu N^nu_{omega_i lam} N_nu: the coefficients are
@@ -287,7 +288,7 @@ def build_fusion_table(alphabet: LevelAlphabet) -> list[int]:
     n = len(elems)
     _require_budget(alphabet, n ** 3, f"{n} fusion matrices")
     heights = [sum(row) for row in alphabet.rs.cartan_inverse]
-    folds: dict[int, tuple[int, int]] = {}
+    fundamentals = fusion_matrices(alphabet, (w for w in elems if sum(w) == 1))
     rows: list[list[dict[int, int]]] = [[]] * n  # rows[m][a] = {b: N_{A[m]}[a, b]}, nonzeros
     for kappa in sorted(range(n), key=lambda c: sum(map(mul, elems[c], heights))):
         labels = elems[kappa]
@@ -296,7 +297,7 @@ def build_fusion_table(alphabet: LevelAlphabet) -> list[int]:
             continue
         if sum(labels) == 1:
             rows[kappa] = [{} for _ in range(n)]
-            for a, b, c in fusion_matrix(alphabet, labels, folds):
+            for a, b, c in fundamentals[labels]:
                 rows[kappa][a][b] = c
             continue
         i = next(i for i, v in enumerate(labels) if v)

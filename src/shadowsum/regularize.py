@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .determinants import det_half
+from .determinants import det_half, root_sines
 from .diagrams import ShadowDiagram, build_diagram
 from .errors import PreconditionError
 from .roots import RootSystem, format_vector, is_regular
@@ -272,9 +272,9 @@ def det_rig_n(rs: RootSystem, n: int, field: SteppedField) -> complex:
         raise PreconditionError(f"regularization index must be >= 1, got {n}")
     lp = log_poly(n)
     total = 1.0 + 0j
-    for column in zip(*map(rs.root_pairings, field.values)):  # one root, every face
+    for column in zip(*(root_sines(rs, x) for x in field.values)):  # one root, every face
         acc = 0j
-        for face, x in zip(field.diagram.faces, column):
-            acc += lp(2.0 * math.sin(math.pi * float(x))) * face.euler
+        for face, s in zip(field.diagram.faces, column):
+            acc += lp(s) * face.euler
         total *= exp_poly(n, acc)
     return total

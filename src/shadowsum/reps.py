@@ -10,11 +10,12 @@ same integers and divides each once, in floats.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple, Sequence
 
 from .errors import PreconditionError
-from .roots import RootSystem, dominant_weights_up_to_level
+from .roots import RootSystem
 
 Labels = tuple[int, ...]
 
@@ -53,11 +54,12 @@ class LevelAlphabet:
 
 
 def level_alphabet(rs: RootSystem, k: int) -> LevelAlphabet:
-    """All dominant weights with <lambda, theta> <= k - g.
+    """All dominant weights with <lambda, theta> <= k - g, in lexicographic order.
 
     Requires k > g; at and below the dual Coxeter number the state sum
-    degenerates and is out of scope here.  The box of candidates scanned,
-    one range per comark a_i, must hold at most MAX_ALPHABET_BOX vectors.
+    degenerates and is out of scope here.  The labels are scanned over the box
+    0 <= lambda_i <= (k - g) // a_i, one range per comark a_i, which must hold
+    at most MAX_ALPHABET_BOX vectors.
     """
     g = rs.dual_coxeter
     if k <= g:
@@ -66,21 +68,22 @@ def level_alphabet(rs: RootSystem, k: int) -> LevelAlphabet:
             f"number g = {g} for {rs.type_label}{rs.rank} "
             f"(the alphabet requires <lambda, theta> <= k - g)"
         )
-    box = math.prod((k - g) // a + 1 for a in rs.comarks)
+    caps = [(k - g) // a for a in rs.comarks]
+    box = math.prod(c + 1 for c in caps)
     if box > MAX_ALPHABET_BOX:
         raise PreconditionError(
             f"the level alphabet of {rs.type_label}{rs.rank} at k = {k} scans {box} "
             f"candidate weights; the budget is {MAX_ALPHABET_BOX}"
         )
-    elems = dominant_weights_up_to_level(rs, k - g)
-    return LevelAlphabet(rs=rs, k=k, elements=tuple(elems))
+    box_labels = itertools.product(*(range(c + 1) for c in caps))
+    elems = tuple(m for m in box_labels if rs.level_of_labels(m) <= k - g)
+    return LevelAlphabet(rs=rs, k=k, elements=elems)
 
 
 class WeightSystem(NamedTuple):
     """Full multiplicity table of one irreducible highest-weight module."""
 
     rs: RootSystem
-    highest: Labels
     multiplicities: dict[Labels, int]
 
     def dimension(self) -> int:
@@ -179,7 +182,7 @@ def weight_multiplicities(rs: RootSystem, lam: Sequence[int]) -> WeightSystem:
             mult[mu] = m_mu
             frontier.append(mu)
 
-    ws = WeightSystem(rs=rs, highest=lam, multiplicities=mult)
+    ws = WeightSystem(rs=rs, multiplicities=mult)
     if ws.dimension() != weyl_dimension(rs, lam):
         raise AssertionError(
             f"Freudenthal total {ws.dimension()} != Weyl dimension "

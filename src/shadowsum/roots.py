@@ -24,7 +24,6 @@ exact; floats appear only at the trigonometric layer in other modules.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -33,25 +32,15 @@ from .errors import PreconditionError
 
 Vector = tuple[Fraction, ...]
 
-# (dim g, |W|) per type: dim g validates construction; |W| is `weyl_group_order`.
-_DIM_AND_ORDER = {
-    "A": lambda n: ((n + 1) ** 2 - 1, math.factorial(n + 1)),
-    "B": lambda n: (n * (2 * n + 1), 2**n * math.factorial(n)),
-    "C": lambda n: (n * (2 * n + 1), 2**n * math.factorial(n)),
-    "D": lambda n: (n * (2 * n - 1), 2 ** (n - 1) * math.factorial(n)),
-    "E": {6: (78, 51_840), 7: (133, 2_903_040), 8: (248, 696_729_600)}.get,
-    "F": {4: (52, 1_152)}.get,
-    "G": {2: (14, 12)}.get,
-}
-
-_VALID_RANKS = {
-    "A": range(1, 9),
-    "B": range(2, 9),
-    "C": range(2, 9),
-    "D": range(4, 9),
-    "E": (6, 7, 8),
-    "F": (4,),
-    "G": (2,),
+# {type: {supported rank: (dim g, |W|)}}: dim g validates construction; |W| is `weyl_group_order`.
+_TYPES = {
+    "A": {n: ((n + 1) ** 2 - 1, math.factorial(n + 1)) for n in range(1, 9)},
+    "B": {n: (n * (2 * n + 1), 2**n * math.factorial(n)) for n in range(2, 9)},
+    "C": {n: (n * (2 * n + 1), 2**n * math.factorial(n)) for n in range(2, 9)},
+    "D": {n: (n * (2 * n - 1), 2 ** (n - 1) * math.factorial(n)) for n in range(4, 9)},
+    "E": {6: (78, 51_840), 7: (133, 2_903_040), 8: (248, 696_729_600)},
+    "F": {4: (52, 1_152)},
+    "G": {2: (14, 12)},
 }
 
 
@@ -231,7 +220,7 @@ def build_root_system(type_label: str) -> RootSystem:
     keeping the results with non-negative coordinates; label(c) = c C.
     """
     t, rank = parse_type_label(type_label)
-    if t not in _VALID_RANKS or rank not in _VALID_RANKS[t]:
+    if rank not in _TYPES.get(t, {}):
         raise PreconditionError(
             f"invalid simple type ({t!r}, rank {rank}); supported: "
             "A1-A8, B2-B8, C2-C8, D4-D8, E6-E8, F4, G2"
@@ -255,7 +244,7 @@ def build_root_system(type_label: str) -> RootSystem:
             if li and c[i] >= li:
                 frontier.append(c[:i] + (c[i] - li,) + c[i + 1:])
 
-    expected = _DIM_AND_ORDER[t](rank)[0]
+    expected = _TYPES[t][rank][0]
     if 2 * len(labels_of) != expected - rank:
         raise AssertionError(
             f"{t}{rank}: generated {2 * len(labels_of)} roots, expected {expected - rank}"
@@ -352,17 +341,4 @@ def weyl_orbit(rs: RootSystem, labels: Sequence) -> list[tuple[tuple, int]]:
 
 def weyl_group_order(rs: RootSystem) -> int:
     """|W| in closed form (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Plates I-IX)."""
-    return _DIM_AND_ORDER[rs.type_label](rs.rank)[1]
-
-
-def dominant_weights_up_to_level(rs: RootSystem, max_level: int) -> list[tuple[int, ...]]:
-    """All dominant weights (as labels) with <lambda, theta> <= max_level."""
-    if max_level < 0:
-        return []
-    caps = [max_level // a if a > 0 else max_level for a in rs.comarks]
-    out = []
-    for combo in itertools.product(*(range(c + 1) for c in caps)):
-        if rs.level_of_labels(combo) <= max_level:
-            out.append(combo)
-    out.sort()
-    return out
+    return _TYPES[rs.type_label][rs.rank][1]

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from conftest import CYCLE_FORESTS, src_env
+from conftest import CYCLE_FORESTS, ambient, src_env
 from shadowsum import cli, fusion
+from shadowsum.roots import build_root_system
 
 EMPTY = {"group": "A1", "k": 4, "circles": []}
 TWO_CIRCLES = {
@@ -235,6 +237,14 @@ class TestDetAndQdim:
         msg = doc["error"]["message"]
         assert rc == 3 and "(1/3, 1/3, 1/3)" in msg and "Fraction(" not in msg
 
+    def test_singular_node_message_prints_plain_floats(self, capsys):
+        """The quadrature's singular-node message names the node and alpha(B) as
+        Python floats, not numpy reprs such as np.float64(0.0)."""
+        rc, doc = run_main(capsys, "det", "--group", "A1", "--alpha-b", "1/1000000000000001",
+                           "--diagnostics")
+        msg = doc["error"]["message"]
+        assert rc == 3 and "singular at grid node 0" in msg and "np." not in msg
+
     def test_det_bad_rational_exit_2(self):
         r = run_cli("det", "--group", "A1", "--alpha-b", "zebra")
         assert r.returncode == 2
@@ -339,6 +349,57 @@ class TestRegularizeAndHolonomy:
         rc, doc = run_main(capsys, "holonomy", *argv)
         assert rc == 0
         assert doc["closed_form"]["im"] == 0.0 and doc["product_trace"]["im"] == 0.0
+
+
+# 2N with N = 10**19: a shift of one coweight coordinate x_j by 2N changes every
+# integer-label pairing of x by an even integer, so no output may change.
+TWO_N = 2 * 10**19
+
+
+class TestLargeFieldValues:
+    """A large exact field value prints, byte for byte, what its residue in [-1, 1]
+    modulo 2 prints; a float of the large value would lose the residue's digits."""
+
+    def outputs(self, capsys, *argvs):
+        out = []
+        for argv in argvs:
+            cli.main([str(a) for a in argv])
+            out.append(capsys.readouterr().out)
+        return out
+
+    @pytest.mark.parametrize("argv", [
+        ["det", "--group", "A1"],
+        ["det", "--group", "A1", "--diagnostics", "--quad-res", "16x32"],
+        ["regularize", "--group", "A1", "--n", "6"],
+        ["holonomy", "--group", "A1", "--color", "2", "--wind", "3", "--n", "16"],
+    ], ids=["det", "det-diagnostics", "regularize", "holonomy"])
+    def test_alpha_b_reduced(self, capsys, argv):
+        """alpha(b) = a is x = a/2, so a and a + 2 TWO_N are one field value mod 2."""
+        big, small = self.outputs(capsys, [*argv, "--alpha-b", f"{5 + 6 * TWO_N}/3"],
+                                  [*argv, "--alpha-b", "5/3"])
+        assert small.startswith("{") and "error" not in small
+        assert big == small
+
+    def test_face_values_reduced(self, tmp_path, capsys):
+        """On A1 the coroot of alpha is (1, -1); the outer face's value moves by TWO_N of it."""
+        path = write(tmp_path, "one.json", one_circle())
+        argv = ["regularize", "--n", "5", path, "--face-values"]
+        shift = TWO_N + Fraction(1, 4)
+        big, small = self.outputs(capsys, [*argv, f"{shift},{-shift};1/6,-1/6"],
+                                  [*argv, "1/4,-1/4;1/6,-1/6"])
+        assert '"faces": 2' in small and big == small
+
+    def test_b_reduced_on_g2(self, capsys):
+        """b and b + TWO_N alpha_1^vee, in ambient coordinates, differ in x_1 by TWO_N."""
+        rs = build_root_system("G2")
+        b = (Fraction(5, 7), Fraction(1, 11), Fraction(-3, 13))
+        coroot = ambient(rs).coroot(rs.simple_roots[0])
+        big_b = tuple(v + TWO_N * c for v, c in zip(b, coroot))
+        x, big_x = rs.coweight_coordinates(b), rs.coweight_coordinates(big_b)
+        assert big_x == (x[0] + TWO_N, x[1])
+        big, small = self.outputs(
+            capsys, *(["det", "--group", "G2", "--b=" + ",".join(map(str, v))] for v in (big_b, b)))
+        assert '"det_k"' in small and big == small
 
 
 class TestValidate:

@@ -40,7 +40,9 @@ class TestLevelAlphabet:
         msg = str(ei.value)
         assert "k > g" in msg and "2" in msg
 
-    @pytest.mark.parametrize("label,k", [("A2", 5), ("B2", 6), ("G2", 6)])
+    @pytest.mark.parametrize("label,k", [
+        ("A2", 5), ("B2", 6), ("G2", 6), ("C3", 6), ("C3", 8), ("D5", 9), ("D5", 11),
+        ("E6", 13), ("E6", 15), ("E7", 19), ("E7", 22), ("F4", 10), ("F4", 13)])
     def test_exhaustive_scan(self, label, k):
         """Independent bounded box scan finds exactly the same set."""
         rs = build_root_system(label)
