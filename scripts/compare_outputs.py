@@ -11,9 +11,9 @@ probe jobs, each shadow job's file also through `shadow --diagnostics` and
 With seeds, it adds `det --diagnostics --b` and `holonomy --b` jobs on the
 types the benchmark never runs (FIELD_JOBS), with b drawn per seed, runs
 `det`, `regularize` and `holonomy` at large exact field values on A1 and G2
-(LARGE_FIELDS), and runs each malformed link document of MALFORMED_LINKS
-through `shadow`, `validate` and `regularize`, so the error paths are
-compared too.  Each
+(LARGE_FIELDS), and runs each malformed link document of MALFORMED_LINKS,
+and HUGE_K_LINK, through `shadow`, `validate` and `regularize`, so the error
+paths are compared too.  Each
 job runs as one `python -m shadowsum` process per tree, in a fresh
 directory holding its input files.  The exit code, stdout and the --output
 file must agree byte for byte.  Prints one line per job that differs and a
@@ -78,15 +78,21 @@ MALFORMED_LINKS = {
                                                         _circle("b", parent="a", color=[8])]},
     "no-k+circle": {"group": "A1", "circles": [_circle(id=1), _circle("b", winding="1")]},
 }
+# A one-circle link whose level has 5001 digits, past CPython's limit on int parsing;
+# json.dumps refuses such an int, so the document is written as text.
+HUGE_K_LINK = json.dumps({"group": "A1", "k": 0, "circles": [_circle()]}).replace(
+    '"k": 0', '"k": 1' + "0" * 5000)
 
 
 def malformed_jobs() -> list[tuple[str, list[str], dict[str, str]]]:
-    """Each MALFORMED_LINKS document through shadow, validate and regularize; regularize
-    gets one A1 field value per face."""
+    """Each MALFORMED_LINKS document and HUGE_K_LINK through shadow, validate and
+    regularize; regularize gets one A1 field value per face."""
     jobs = []
-    for name, doc in MALFORMED_LINKS.items():
-        files = {"link.json": json.dumps(doc)}
-        values = ";".join(["1/11,-1/13"] * (len(doc["circles"]) + 1))
+    links = {name: (json.dumps(doc), len(doc["circles"])) for name, doc in MALFORMED_LINKS.items()}
+    links["huge-k"] = (HUGE_K_LINK, 1)
+    for name, (text, circles) in links.items():
+        files = {"link.json": text}
+        values = ";".join(["1/11,-1/13"] * (circles + 1))
         for argv in (["shadow", "link.json"], ["validate", "link.json"],
                      ["regularize", "--n", "1", "link.json", "--face-values", values]):
             jobs.append((f"malformed/{name}/{argv[0]}", argv, files))

@@ -40,7 +40,7 @@ def _load_json(path: str):
             return json.load(f)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an int literal past CPython's digit limit
         raise ParseError(f"{path} is not valid JSON: {e}") from None
     except RecursionError:
         raise ParseError(f"{path} nests JSON too deeply") from None
@@ -281,23 +281,25 @@ def _list_of(convert, what: str, sep: str = ","):
     return parse
 
 
-def _double_sized(convert, what: str):
-    """An argparse type: a value read by `convert` that a double holds (the kernels use floats)."""
+def _exact(convert, what: str):
+    """An argparse type: one exact value read by `convert`.  Malformed text, a zero
+    denominator and more digits than CPython converts to text (4300, which int
+    parsing enforces and exponent notation such as 1e5000 would bypass) are usage
+    errors."""
 
     def parse(text: str):
         try:
             value = convert(text)
-            float(value)
+            str(value)
             return value
-        except (ValueError, ZeroDivisionError, OverflowError):
-            raise argparse.ArgumentTypeError(
-                f"expected {what} within the range of a double, got {text!r}") from None
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
 
     return parse
 
 
-_rational = _double_sized(Fraction, "a rational number")
-_winding = _double_sized(int, "an integer")
+_rational = _exact(Fraction, "a rational number")
+_winding = _exact(int, "an integer")
 
 
 def _grid(text: str) -> tuple[int, int]:
@@ -444,6 +446,20 @@ def _fail(e: ShadowsumError) -> int:
     return _emit(json.dumps(err, sort_keys=True), None, e.exit_code)
 
 
+def _dumps(doc: dict) -> str:
+    """json.dumps(doc, sort_keys=True) with CPython's limit on the digits of an int
+    lifted while it runs: `shadow`'s exact `colorings` can pass it, and input
+    parsing keeps it."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Pythons without the limit
+        return json.dumps(doc, sort_keys=True)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(doc, sort_keys=True)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -454,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
 
     doc, status = doc if isinstance(doc, tuple) else (doc, 0)
     if isinstance(doc, dict):
-        doc = json.dumps(doc, sort_keys=True)
+        doc = _dumps(doc)
     text = doc if isinstance(doc, str) else "\n".join(doc)
     return _emit(text, args.output, status)
 

@@ -37,14 +37,14 @@ is kept as the integer weight_form_den <phi, phi+2 rho> (the root system's
 division.  Every factor is local to one circle (an edge of the region
 tree) or one face (a node), so `contract_state_sum` evaluates the sum
 exactly by eliminating faces from the leaves up.  Each circle's fusion
-factor is the list of its nonzero (outer colour, inner colour, N) triples,
-so the elimination costs O(#faces * nonzeros) in Python floats, complexes
-and ints, where a dense matrix would cost O(#faces |A|^2); it is the one
-evaluator of the value, of sum |term| and of the number of terms.
-`list_terms` only lists the nonvanishing terms (for `shadow
---diagnostics`): depth-first in region-tree order, pruned on vanishing
-fusion factors, which it reads from the same triples through one dict per
-circle.  The module uses no numpy.
+factor is held by rows (`fusion.Rows`): rows[outer colour] maps each inner
+colour of a nonzero N to N, so the elimination costs O(#faces * nonzeros)
+in Python floats, complexes and ints, where a dense matrix would cost
+O(#faces |A|^2); it is the one evaluator of the value, of sum |term| and of
+the number of terms.  `list_terms` only lists the nonvanishing terms (for
+`shadow --diagnostics`): depth-first in region-tree order, pruned on
+vanishing fusion factors, which it reads from the same rows.  The module
+uses no numpy.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .errors import PreconditionError
 from .reps import Labels, LevelAlphabet, level_alphabet, quantum_dimension
 
 if TYPE_CHECKING:
-    from .fusion import Triples
+    from .fusion import Rows
 
 
 class Circle(NamedTuple):
@@ -268,7 +268,7 @@ class TermData(NamedTuple):
     """Per-diagram tables shared by the contraction and the term lister.
 
     Build it once with `prepare_terms` and pass it to both to reuse the fusion
-    triples, as `shadow --diagnostics` does.
+    matrices, as `shadow --diagnostics` does.
     """
 
     k: int
@@ -276,12 +276,11 @@ class TermData(NamedTuple):
     gleams: tuple[int, ...]
     qdims: tuple[float, ...]
     phase_q: tuple[int, ...]  # form_den <phi, phi + 2 rho> per alphabet entry
-    # circles in file order as (inner face, outer face, triples): the nonzero
-    # entries (a, b, M[a, b]) of the circle's fusion factor with colour a
-    # outside and b inside, sorted by (a, b); that is N_gamma for positive side
-    # inside and its transpose (swapped triples) otherwise.  Circles of one
-    # colour and side share one list.
-    circles: tuple[tuple[int, int, Triples], ...]
+    # circles in file order as (inner face, outer face, rows): the rows of the
+    # circle's fusion factor M with colour a outside and b inside, rows[a] =
+    # {b: M[a, b]} with b increasing; that is N_gamma for positive side inside
+    # and its transpose otherwise.  Circles of one colour and side share rows.
+    circles: tuple[tuple[int, int, Rows], ...]
 
 
 def prepare_terms(diagram: ShadowDiagram, alphabet: LevelAlphabet) -> TermData:
@@ -300,8 +299,14 @@ def prepare_terms(diagram: ShadowDiagram, alphabet: LevelAlphabet) -> TermData:
     fusion = fusion_matrices(alphabet, (c.color for c in diagram.circles))
     oriented = {}
     for g, side in dict.fromkeys((c.color, c.positive_side) for c in diagram.circles):
-        t = fusion[g]
-        oriented[g, side] = t if side == "inside" else sorted((b, a, n) for a, b, n in t)
+        rows = fusion[g]
+        if side == "outside":  # the transpose; visiting a in order keeps its keys increasing
+            transposed = [{} for _ in rows]
+            for a, row in enumerate(rows):
+                for b, n in row.items():
+                    transposed[b][a] = n
+            rows = transposed
+        oriented[g, side] = rows
     return TermData(
         k=alphabet.k,
         form_den=rs.weight_form_den,
@@ -323,10 +328,10 @@ def contract_state_sum(
     the fusion factor with a outside and b inside.  In reverse preorder
     every face is finished before its outer face, which then absorbs the
     message M m_f, so m_f = w_f * prod_children messages and the sum is
-    sum m_outer.  Each message is summed over the nonzero entries of M
-    only.  Since M >= 0, the same pass over |w_f| gives sum |term|, and
-    over the support M != 0 with exact ints the number of nonvanishing
-    colorings.
+    sum m_outer.  Each message is absorbed row by row, over the nonzero
+    entries of M only.  Since M >= 0, the same pass over |w_f| gives sum
+    |term|, and over the support M != 0 with exact ints the number of
+    nonvanishing colorings.
 
     chi_f is 1 - #children (2 - #roots for the outer face), so dim^chi_f
     underflows on faces with many children.  Face f is weighted by
@@ -348,20 +353,20 @@ def contract_state_sum(
                   for m, q in zip(mags, data.phase_q)])
         counts.append([1] * n_colors)
 
-    bounding = {inner: (outer, triples) for inner, outer, triples in data.circles}
+    bounding = {inner: (outer, rows) for inner, outer, rows in data.circles}
     for f in range(len(data.gleams) - 1, 0, -1):
-        outer, triples = bounding[f]
+        outer, rows = bounding[f]
         w_f, abs_f, count_f = w[f], abs_w[f], counts[f]
-        msg, abs_msg, count_msg = [0j] * n_colors, [0.0] * n_colors, [0] * n_colors
-        for a, b, n in triples:
-            msg[a] += n * w_f[b]
-            abs_msg[a] += n * abs_f[b]
-            count_msg[a] += count_f[b]
         w_o, abs_o, count_o = w[outer], abs_w[outer], counts[outer]
-        for a, d in enumerate(qdims):
-            w_o[a] *= msg[a] / d
-            abs_o[a] *= abs_msg[a] / d
-            count_o[a] *= count_msg[a]
+        for a, (row, d) in enumerate(zip(rows, qdims)):
+            msg, abs_msg, count_msg = 0j, 0.0, 0
+            for b, n in row.items():
+                msg += n * w_f[b]
+                abs_msg += n * abs_f[b]
+                count_msg += count_f[b]
+            w_o[a] *= msg / d
+            abs_o[a] *= abs_msg / d
+            count_o[a] *= count_msg
 
     value, abs_sum = complex(sum(w[0])), float(sum(abs_w[0]))
     if not (cmath.isfinite(value) and math.isfinite(abs_sum)):
@@ -376,20 +381,17 @@ def contract_state_sum(
     )
 
 
-def term_value(data: TermData, coeffs: Sequence[dict[tuple[int, int], int]],
-               coloring: Sequence[int]) -> complex:
+def term_value(data: TermData, coloring: Sequence[int]) -> complex:
     """Canonical per-coloring term; factors multiplied in fixed circle and face order.
 
-    coeffs[i] maps (outer colour, inner colour) to the nonzero fusion factors
-    of circle i (`data.circles[i]`'s triples).  prod_f dim^chi_f is taken as
-    dim(outer)^2 times, circle by circle, dim(inner face) / dim(outer face),
-    the scaling of the contraction: a face with many children would
-    underflow dim^chi_f.
+    prod_f dim^chi_f is taken as dim(outer)^2 times, circle by circle, dim(inner
+    face) / dim(outer face), the scaling of the contraction: a face with many
+    children would underflow dim^chi_f.
     """
     n_product = 1
     dim_product = data.qdims[coloring[0]] ** 2
-    for (inner, outer, _), coeff in zip(data.circles, coeffs):
-        n_product *= coeff.get((coloring[outer], coloring[inner]), 0)
+    for inner, outer, rows in data.circles:
+        n_product *= rows[coloring[outer]].get(coloring[inner], 0)
         if n_product == 0:
             return 0j
         dim_product *= data.qdims[coloring[inner]] / data.qdims[coloring[outer]]
@@ -415,10 +417,7 @@ def list_terms(
     data = data or prepare_terms(diagram, alphabet)
     n_faces = len(diagram.faces)
     n_colors = len(alphabet.elements)
-    # one (outer colour, inner colour) -> coefficient dict per distinct triples list
-    dicts = {id(t): {(a, b): n for a, b, n in t} for _, _, t in data.circles}
-    coeffs = [dicts[id(t)] for _, _, t in data.circles]
-    bounding = {inner: (outer, coeff) for (inner, outer, _), coeff in zip(data.circles, coeffs)}
+    bounding = {inner: (outer, rows) for inner, outer, rows in data.circles}
 
     terms: list[tuple[tuple[Labels, ...], complex]] = []
     coloring = [0] * n_faces
@@ -432,14 +431,14 @@ def list_terms(
         next_color[face] = ci + 1
         coloring[face] = ci
         if face:
-            outer, coeff = bounding[face]
-            if (coloring[outer], ci) not in coeff:
+            outer, rows = bounding[face]
+            if ci not in rows[coloring[outer]]:
                 continue
         if face + 1 < n_faces:
             face += 1
             next_color[face] = 0
             continue
         terms.append(
-            (tuple(alphabet.elements[c] for c in coloring), term_value(data, coeffs, coloring))
+            (tuple(alphabet.elements[c] for c in coloring), term_value(data, coloring))
         )
     return terms

@@ -11,12 +11,12 @@ Only finitely many tau contribute, because m_mu vanishes outside the convex
 hull of the mu-orbit; those are enumerated exactly by running over the
 (finite) support of m_mu and folding each candidate point into the
 fundamental alcove of the level-k action (Kac-Walton).  `fusion_matrix` is
-the one evaluator of that sum: all N^nu_{mu lam} for one mu, as the nonzero
-entries of an integer matrix over the level alphabet, (row, col, coeff)
-triples of Python ints sorted by (row, col), lam the row and nu the column.
-The transpose holds N^lam_{mu nu} = N^nu_{mu* lam} instead; the two agree
-only for a self-dual mu.  The matrices are sparse (0.3-9% nonzero on small
-colours), so nothing dense is built for the state sum.
+the one evaluator of that sum: all N^nu_{mu lam} for one mu, as an integer
+matrix over the level alphabet held by rows (`Rows`), lam the row and nu the
+column: rows[a] maps each column b of a nonzero entry to it, a Python int,
+with keys in increasing b.  The transpose holds N^lam_{mu nu} = N^nu_{mu* lam}
+instead; the two agree only for a self-dual mu.  The matrices are sparse
+(0.3-9% nonzero on small colours), so nothing dense is built for the state sum.
 `QuantumWeylGroup.fold` folds one rho-shifted point.  The candidate points of one call repeat
 across columns, weights and colours, so each is folded once: the fold
 cache maps a point's integer mixed-radix key to its alphabet row and sign,
@@ -56,8 +56,8 @@ MAX_VERLINDE_ORBIT_TERMS = 2 * 10**5
 # Gate of `verlinde_table`: largest distance of a Verlinde value from its integer.
 ORACLE_TOL = 1e-6
 
-# The nonzero entries of one fusion matrix: (row, col, coeff), sorted by (row, col).
-Triples = list[tuple[int, int, int]]
+# One fusion matrix M by rows: rows[a] = {b: M[a, b]} over its nonzero entries, b increasing.
+Rows = list[dict[int, int]]
 
 
 class QuantumWeylGroup(NamedTuple):
@@ -114,10 +114,10 @@ def _require_budget(alphabet: LevelAlphabet, count: int, what: str, unit: str = 
 
 
 def fusion_matrix(alphabet: LevelAlphabet, gamma: Sequence[int],
-                  folds: dict[int, tuple[int, int]] | None = None) -> Triples:
+                  folds: dict[int, tuple[int, int]] | None = None) -> Rows:
     """N_gamma[a, b] = N^{A[b]}_{gamma A[a]} over the level alphabet A, exactly,
-    as its nonzero entries (a, b, N_gamma[a, b]) sorted by (a, b): row a holds
-    the fusion product of gamma and A[a].
+    by rows: rows[a] = {b: N_gamma[a, b]} over the nonzero entries, b
+    increasing, the fusion product of gamma and A[a].
 
     N^nu_{gamma lam} = sum_{tau in W_k} sgn(tau) m_gamma(nu - tau(lam)).  For
     column b (nu = A[b]) and each weight beta in the support of m_gamma, the
@@ -137,38 +137,39 @@ def fusion_matrix(alphabet: LevelAlphabet, gamma: Sequence[int],
     """
     gamma = alphabet.require(gamma, "gamma")
     rs, k = alphabet.rs, alphabet.k
-    n = len(alphabet.elements)
-    _require_budget(alphabet, n * n, "one fusion matrix")
+    _require_budget(alphabet, len(alphabet.elements) ** 2, "one fusion matrix")
     folds = {} if folds is None else folds
     places = [(7 * k) ** p for p in range(rs.rank - 1, -1, -1)]
     shifted = [tuple(v + 1 for v in lam) for lam in alphabet.elements]
-    rows = {x: a for a, x in enumerate(shifted)}
+    index = {x: a for a, x in enumerate(shifted)}
     support = [(beta, sum(v * p for v, p in zip(beta, places)), m)
                for beta, m in weight_multiplicities(rs, gamma).multiplicities.items()]
     qwg = QuantumWeylGroup(rs=rs, k=k)
-    entries: dict[int, int] = {}  # a * n + b -> N_gamma[a, b]
+    rows: Rows = [{} for _ in shifted]
     for b, x in enumerate(shifted):
         base = sum((v + 3 * k) * p for v, p in zip(x, places))
+        column: dict[int, int] = {}  # a -> N_gamma[a, b]
         for beta, offset, m in support:
             hit = folds.get(base - offset)
             if hit is None:
                 folded, sign = qwg.fold([v - w for v, w in zip(x, beta)])
-                row = 0 if folded is None else rows.get(folded)
+                row = 0 if folded is None else index.get(folded)
                 if row is None:
                     raise AssertionError(
                         f"a folded point for gamma = {gamma} is not in the alphabet")
                 hit = folds[base - offset] = (row, sign)
             row, sign = hit
             if sign:
-                at = row * n + b
-                entries[at] = entries.get(at, 0) + sign * m
-    triples = [(*divmod(at, n), c) for at, c in sorted(entries.items()) if c]
-    if any(c < 0 for _, _, c in triples):
-        raise AssertionError(f"negative fusion coefficient for gamma = {gamma}")
-    return triples
+                column[row] = column.get(row, 0) + sign * m
+        for a, c in column.items():
+            if c < 0:
+                raise AssertionError(f"negative fusion coefficient for gamma = {gamma}")
+            if c:
+                rows[a][b] = c
+    return rows
 
 
-def fusion_matrices(alphabet: LevelAlphabet, gammas: Iterable[Sequence[int]]) -> dict[Labels, Triples]:
+def fusion_matrices(alphabet: LevelAlphabet, gammas: Iterable[Sequence[int]]) -> dict[Labels, Rows]:
     """N_gamma for each distinct gamma, in first-seen order, over one fold cache;
     refused as a whole when the |A|^2 coefficients per gamma add up to more
     than MAX_FUSION_COEFFS."""
@@ -271,7 +272,7 @@ def verlinde_table(alphabet: LevelAlphabet) -> list[int]:
 def build_fusion_table(alphabet: LevelAlphabet) -> list[int]:
     """T[l, m, n] = N^{A[n]}_{A[l] A[m]} as one flat list of |A|^3 ints in
     (l, m, n) index order, by the fusion-ring recursion from the fundamental
-    matrices.  Row l of N_{A[m]} (the `fusion_matrix` triples) is T[l, m, :].
+    matrices.  Row l of N_{A[m]} (`fusion_matrix`) is T[l, m, :].
 
     N_0 is the identity, and `fusion_matrices` folds the fundamental weights of
     the alphabet, all through one fold cache.  Every other kappa, with first
@@ -289,16 +290,14 @@ def build_fusion_table(alphabet: LevelAlphabet) -> list[int]:
     _require_budget(alphabet, n ** 3, f"{n} fusion matrices")
     heights = [sum(row) for row in alphabet.rs.cartan_inverse]
     fundamentals = fusion_matrices(alphabet, (w for w in elems if sum(w) == 1))
-    rows: list[list[dict[int, int]]] = [[]] * n  # rows[m][a] = {b: N_{A[m]}[a, b]}, nonzeros
+    rows: list[Rows] = [[]] * n  # rows[m] = N_{A[m]}; keys unsorted past the fundamentals
     for kappa in sorted(range(n), key=lambda c: sum(map(mul, elems[c], heights))):
         labels = elems[kappa]
         if not any(labels):
             rows[kappa] = [{a: 1} for a in range(n)]
             continue
         if sum(labels) == 1:
-            rows[kappa] = [{} for _ in range(n)]
-            for a, b, c in fundamentals[labels]:
-                rows[kappa][a][b] = c
+            rows[kappa] = fundamentals[labels]
             continue
         i = next(i for i, v in enumerate(labels) if v)
         omega = rows[alphabet.index([int(j == i) for j in range(len(labels))])]

@@ -63,11 +63,12 @@ def table_array(flat):
     return np.array(flat, dtype=np.int64).reshape(n, n, n)
 
 
-def densify(triples, n):
-    """The n x n int64 matrix whose nonzero entries are the (row, col, coeff) triples."""
+def densify(rows, n):
+    """The n x n int64 matrix of a fusion matrix held by rows, rows[a] = {b: M[a, b]}."""
     mat = np.zeros((n, n), dtype=np.int64)
-    for a, b, c in triples:
-        mat[a, b] = c
+    for a, row in enumerate(rows):
+        for b, c in row.items():
+            mat[a, b] = c
     return mat
 
 

@@ -165,6 +165,30 @@ class TestShadow:
         assert plain.returncode == 0
         assert json.loads(plain.stdout)["retained"] > 10**6
 
+    def test_colorings_beyond_the_int_digit_limit(self, tmp_path, capsys):
+        """4600 side-by-side circles coloured [0], winding 0, at A1 k=10: `colorings`
+        = 9^4601 has 4391 digits, past CPython's 4300, and prints exactly; the limit
+        is back in place afterwards, and the value is the empty-link sum of qdim^2."""
+        from shadowsum.reps import level_alphabet, quantum_dimension
+
+        doc = {"group": "A1", "k": 10, "circles": [
+            {"id": f"c{i}", "parent": None, "winding": 0, "positive_side": "inside",
+             "color": [0]} for i in range(4600)]}
+        limit = sys.get_int_max_str_digits()
+        assert cli.main(["shadow", write(tmp_path, "wide.json", doc)]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        out = capsys.readouterr().out
+        sys.set_int_max_str_digits(0)
+        try:
+            doc = json.loads(out)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert doc["colorings"] == 9 ** 4601 and doc["retained"] == 9
+        al = level_alphabet(build_root_system("A1"), 10)
+        empty = sum(quantum_dimension(al, lam) ** 2 for lam in al.elements)
+        assert doc["value"]["re"] == pytest.approx(empty, rel=1e-12)
+        assert doc["value"]["im"] == 0.0
+
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -389,6 +413,27 @@ class TestLargeFieldValues:
                                   [*argv, "1/4,-1/4;1/6,-1/6"])
         assert '"faces": 2' in small and big == small
 
+    @pytest.mark.parametrize("argv", [
+        ["det", "--group", "A1"],
+        ["regularize", "--group", "A1", "--n", "3"],
+        ["holonomy", "--group", "A1"],
+    ], ids=["det", "regularize", "holonomy"])
+    def test_alpha_b_beyond_a_double(self, capsys, argv):
+        """alpha(b) = 10^400/3, which no double holds, is 4/3 modulo 4."""
+        big, small = self.outputs(capsys, [*argv, "--alpha-b", f"{10**400}/3"],
+                                  [*argv, "--alpha-b", "4/3"])
+        assert small.startswith("{") and "error" not in small
+        assert big == small
+
+    def test_wind_beyond_a_double(self, capsys):
+        """A winding of 10^400 at alpha(b) = 1/3 acts as 4 (the period is 6); only the
+        echoed `winding` differs."""
+        argv = ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--wind"]
+        big, small = (json.loads(out) for out in self.outputs(capsys, [*argv, 10**400],
+                                                               [*argv, 4]))
+        assert big.pop("winding") == 10**400 and small.pop("winding") == 4
+        assert "closed_form" in small and big == small
+
     def test_b_reduced_on_g2(self, capsys):
         """b and b + TWO_N alpha_1^vee, in ambient coordinates, differ in x_1 by TWO_N."""
         rs = build_root_system("G2")
@@ -602,6 +647,22 @@ class TestOneLinkParser:
             rc, doc = run_main(capsys, cmd, tmp_path / "no_k.json")
             assert rc == 2, doc
 
+    @pytest.mark.parametrize("cmd", ["shadow", "validate", "regularize"])
+    @pytest.mark.parametrize("text", [
+        json.dumps(one_circle()).replace('"k": 4', '"k": 1' + "0" * 5000).encode(),
+        json.dumps(one_circle()).encode()[:-1] + b', "\xff": 1}',
+    ], ids=["huge-int", "not-utf8"])
+    def test_undecodable_link_file(self, tmp_path, capsys, cmd, text):
+        """A `k` of 5001 digits, past CPython's limit on int parsing, and a byte that
+        is not UTF-8 are JSON errors with exit 2, not tracebacks."""
+        p = tmp_path / "link.json"
+        p.write_bytes(text)
+        argv = [cmd, p] + (["--face-values", "1/4,-1/4;1/6,-1/6"] if cmd == "regularize" else [])
+        rc, doc = run_main(capsys, *argv)
+        assert rc == 2, doc
+        error = doc["report"][0] if cmd == "validate" else doc["error"]
+        assert error["code"] == "parse" and "is not valid JSON" in error["message"]
+
     def test_deeply_nested_link_file(self, tmp_path, capsys):
         p = tmp_path / "deep.json"
         p.write_text("[" * 100_000 + "]" * 100_000)
@@ -624,10 +685,10 @@ class TestUsageErrorsAsJson:
             ["nosuchcommand"],
             [],
             ["qdim", "--group", "A1", "--k", "4", "--output", "/dev/null/x.json"],
-            ["det", "--group", "A1", "--alpha-b", f"{10**400}/3"],
-            ["regularize", "--group", "A1", "--alpha-b", f"{10**400}/3", "--n", "3"],
-            ["holonomy", "--group", "A1", "--alpha-b", f"{10**400}/3"],
-            ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--wind", str(10**400)],
+            ["det", "--group", "A1", "--alpha-b", f"{10**400}/0"],
+            ["regularize", "--group", "A1", "--alpha-b", "1e5000", "--n", "3"],
+            ["holonomy", "--group", "A1", "--alpha-b", "1/3x"],
+            ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--wind", "1" + "0" * 5000],
             ["regularize", "--group", "A1", "--alpha-b", "1/3", "--face-values", "1/4,-1/4"],
             ["det", "--group", "A1", "--b", "1/6,-1/6", "--alpha-b", "1/3"],
             ["regularize", "--group", "A1", "--alpha-b", "1/3", "--b", "1/6,-1/6"],
@@ -836,8 +897,9 @@ class TestConfigAsFlags:
             {"group": None},
             {"group": ["A1"]},
             [],
+            '{"k": 1' + "0" * 5000 + "}",  # past CPython's 4300-digit limit on int parsing
         ],
-        ids=["retired", "underscore", "input", "false", "null", "list", "not-object"],
+        ids=["retired", "underscore", "input", "false", "null", "list", "not-object", "huge-int"],
     )
     def test_bad_keys_are_usage_errors(self, tmp_path, capsys, doc):
         rc, err = run_main(capsys, "fusion", "--group", "A1", "--k", "4",

@@ -619,7 +619,7 @@ def test_shadow_refuses_many_colours_before_building(tmp_path, capsys, monkeypat
 
 @pytest.mark.parametrize("c", [1, 500])
 def test_outside_orientation_is_the_transpose(a1, c):
-    """At A1 k=1000 a circle with positive side outside gets the swapped triples
+    """At A1 k=1000 a circle with positive side outside gets the transposed rows
     of N_c, which equal the dense transpose; positive side inside gets N_c."""
     al = level_alphabet(a1, 1000)
     n = len(al.elements)
@@ -628,4 +628,20 @@ def test_outside_orientation_is_the_transpose(a1, c):
     (_, _, inside), (_, _, outside) = prepare_terms(d, al).circles
     assert (densify(inside, n) == dense).all()
     assert (densify(outside, n) == dense.T).all()
-    assert outside == sorted(outside)
+    assert all(list(row) == sorted(row) for row in outside)
+
+
+def test_outside_orientation_on_a_non_self_dual_colour():
+    """At A2 k=6 N_(1,0) is not symmetric, so only a real transpose passes: the
+    outside rows are N_(1,0)^T = N_(0,1), the matrix of the dual colour, with keys
+    increasing, and differ from the inside rows."""
+    al = level_alphabet(build_root_system("A2"), 6)
+    n = len(al.elements)
+    dense = densify(fusion_matrix(al, (1, 0)), n)
+    d = build_diagram([circle("in", color=(1, 0)), circle("out", side="outside", color=(1, 0))])
+    (_, _, inside), (_, _, outside) = prepare_terms(d, al).circles
+    assert (densify(inside, n) == dense).all()
+    assert (densify(outside, n) == dense.T).all()
+    assert outside == fusion_matrix(al, (0, 1))
+    assert outside != inside and (dense != dense.T).any()
+    assert all(list(row) == sorted(row) for row in outside)

@@ -56,9 +56,9 @@ class TestFusionCoefficient:
     """Through fusion_matrix: N_mu[a, b] = N^{A[b]}_{mu A[a]}; at A1, A[i] = (i,)."""
 
     def test_trivial_mu_is_delta(self, a1k4):
-        triples = fusion_matrix(a1k4, (0,))
-        assert all(type(v) is int for t in triples for v in t)
-        assert (densify(triples, 3) == np.eye(3, dtype=int)).all()
+        rows = fusion_matrix(a1k4, (0,))
+        assert all(type(b) is int and type(c) is int for row in rows for b, c in row.items())
+        assert (densify(rows, 3) == np.eye(3, dtype=int)).all()
 
     def test_a1_k4_examples(self, a1k4):
         n = densify(fusion_matrix(a1k4, (1,)), 3)
@@ -75,14 +75,14 @@ class TestFusionCoefficient:
 
     @pytest.mark.parametrize("label,k", [("A1", 30), ("A2", 12), ("B2", 9), ("G2", 11), ("A3", 8)])
     def test_triples_sorted_merged_nonzero(self, label, k):
-        """One triple per nonzero entry: (row, col) strictly increasing, coefficients
-        positive Python ints."""
+        """One row per alphabet weight, one key per nonzero entry: keys strictly
+        increasing, coefficients positive Python ints."""
         al = level_alphabet(build_root_system(label), k)
         for gamma in al.elements[:: max(1, len(al.elements) // 6)]:
-            triples = fusion_matrix(al, gamma)
-            entries = [(a, b) for a, b, _ in triples]
-            assert entries == sorted(set(entries))
-            assert all(type(c) is int and c > 0 for _, _, c in triples)
+            rows = fusion_matrix(al, gamma)
+            assert len(rows) == len(al.elements)
+            assert all(list(row) == sorted(row) for row in rows)
+            assert all(type(c) is int and c > 0 for row in rows for c in row.values())
 
     def test_budget_refuses_before_building(self, a1):
         """|A|^2 = 1001^2 coefficients at A1 k=1002 exceeds the budget."""
@@ -372,9 +372,10 @@ class TestRingRecursion:
         al = level_alphabet(build_root_system(label), k)
         n = len(al.elements)
         folded = [0] * n ** 3
-        for m, triples in enumerate(fusion_matrices(al, al.elements).values()):
-            for l, nu, c in triples:
-                folded[(l * n + m) * n + nu] = c
+        for m, rows in enumerate(fusion_matrices(al, al.elements).values()):
+            for l, row in enumerate(rows):
+                for nu, c in row.items():
+                    folded[(l * n + m) * n + nu] = c
         assert build_fusion_table(al) == folded
 
     @pytest.mark.parametrize("label,k,flags,fundamentals", [
@@ -400,7 +401,7 @@ class TestRingRecursion:
         al = level_alphabet(build_root_system("A2"), 6)
         build = fusion.fusion_matrix
         monkeypatch.setattr(fusion, "fusion_matrix", lambda al, g, folds=None: [
-            (a, b, 2 * c) for a, b, c in build(al, g, folds)])
+            {b: 2 * c for b, c in row.items()} for row in build(al, g, folds)])
         with pytest.raises(AssertionError, match=re.escape("N_(0, 2) has coefficient 2")):
             build_fusion_table(al)
 
@@ -411,8 +412,11 @@ class TestRingRecursion:
         build = fusion.fusion_matrix
 
         def spurious(al, g, folds=None):
-            extra = [(al.index((1, 0)), al.index((0, 0)), 1)] if g == (1, 0) else []
-            return sorted(build(al, g, folds) + extra)
+            rows = build(al, g, folds)
+            if g == (1, 0):
+                fund = al.index((1, 0))
+                rows[fund] = {al.index((0, 0)): 1, **rows[fund]}
+            return rows
 
         monkeypatch.setattr(fusion, "fusion_matrix", spurious)
         with pytest.raises(AssertionError, match=re.escape("negative fusion coefficient for "
