@@ -8,7 +8,7 @@ document was written.  The keys of a --config JSON file are the
 subcommand's long flag names; each becomes `--key=value` (`true`: a bare
 `--key`) ahead of the command line, so explicit flags win.  Each command
 imports the modules it runs when it runs, so a job loads no other
-(`qdim`, `shadow`, `validate`, `fusion` and `det` without
+(`qdim`, `shadow`, `validate`, `fusion`, `holonomy` and `det` without
 `--diagnostics` load no numpy).
 
 Link files are read by `diagrams.read_link`, which holds their schema.
@@ -40,8 +40,11 @@ def _load_json(path: str):
             return json.load(f)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from None
-    except ValueError as e:  # JSONDecodeError, or an int literal past CPython's digit limit
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ParseError(f"{path} is not valid JSON: {e}") from None
+    except ValueError:  # an integer literal past CPython's limit on int parsing
+        raise ParseError(f"{path} holds an integer longer than the "
+                         f"{sys.get_int_max_str_digits()}-digit limit on input integers") from None
     except RecursionError:
         raise ParseError(f"{path} nests JSON too deeply") from None
 
@@ -245,7 +248,7 @@ def cmd_holonomy(args) -> dict:
     wind = args.wind - period * round(Fraction(args.wind, period))
     xf = tuple(float(v) for v in x)
     closed = wilson_closed_form([vertical_ribbon(wind)], [ws], None, lambda sigma: xf)
-    phases = weight_phases(ws, x) * wind
+    phases = [wind * p for p in weight_phases(ws, x)]
     product = holonomy(lambda t: phases, n=args.n)
     return {
         "group": f"{rs.type_label}{rs.rank}",

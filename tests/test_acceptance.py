@@ -196,7 +196,7 @@ def test_holonomy_criteria():
     c = 0.37
 
     def conn(t):
-        return (2j * math.pi * c * t)[:, None]
+        return (2j * math.pi * c * np.asarray(t))[:, None]
 
     want = cmath.exp(2j * math.pi * c * 0.5)
     ns = [16, 32, 64, 128, 256, 512]

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CYCLE_FORESTS, ambient, src_env
+from conftest import CYCLE_FORESTS, ambient, character_eval, src_env
 from shadowsum import cli, fusion
+from shadowsum.reps import weight_multiplicities, weyl_dimension
 from shadowsum.roots import build_root_system
 
 EMPTY = {"group": "A1", "k": 4, "circles": []}
@@ -374,6 +375,33 @@ class TestRegularizeAndHolonomy:
         assert rc == 0
         assert doc["closed_form"]["im"] == 0.0 and doc["product_trace"]["im"] == 0.0
 
+    @pytest.mark.parametrize("group,field,color,wind,n", [
+        ("A1", ["--alpha-b", "24/43"], (1,), 3, 4096),
+        ("B2", ["--b=-1/13,2/17"], (1, 1), -2, 2048),
+        ("G2", ["--b=-1/13,-2/43,1/19"], (1, 1), 1, 1024),
+        ("A2", ["--b=1/29,-1/23,2/53"], (2, 2), 3, 2048),
+    ], ids=["A1", "B2", "G2", "A2"])
+    def test_kernel_slots_match_the_exact_character(self, capsys, group, field, color, wind, n):
+        """The four holonomy slots of the `kernels` benchmark: both traces against the
+        exact-rational character at wind * b.  Over the 160 holonomy jobs of
+        `kernels` seeds 1-40 the worst error of either trace was 1.2e-15 * dim,
+        so 1e-14 * dim leaves a margin of 8."""
+        rs = build_root_system(group)
+        ws = weight_multiplicities(rs, color)
+        if field[0] == "--alpha-b":
+            alpha = Fraction(field[1])
+            b = (alpha / 2, -alpha / 2)
+        else:
+            b = tuple(Fraction(v) for v in field[0].split("=")[1].split(","))
+        want = character_eval(ws, tuple(wind * v for v in b))
+        dim = weyl_dimension(rs, color)
+        rc, doc = run_main(capsys, "holonomy", "--group", group, *field,
+                           "--color", ",".join(map(str, color)), "--wind", wind, "--n", n)
+        assert rc == 0
+        for key in ("closed_form", "product_trace"):
+            got = complex(doc[key]["re"], doc[key]["im"])
+            assert abs(got - want) <= 1e-14 * dim, (key, got, want)
+
 
 # 2N with N = 10**19: a shift of one coweight coordinate x_j by 2N changes every
 # integer-label pairing of x by an even integer, so no output may change.
@@ -654,14 +682,22 @@ class TestOneLinkParser:
     ], ids=["huge-int", "not-utf8"])
     def test_undecodable_link_file(self, tmp_path, capsys, cmd, text):
         """A `k` of 5001 digits, past CPython's limit on int parsing, and a byte that
-        is not UTF-8 are JSON errors with exit 2, not tracebacks."""
+        is not UTF-8 are parse errors with exit 2, not tracebacks.  The first names
+        the file and the digit limit, without CPython's advice to raise it; the
+        second is not valid JSON."""
         p = tmp_path / "link.json"
         p.write_bytes(text)
         argv = [cmd, p] + (["--face-values", "1/4,-1/4;1/6,-1/6"] if cmd == "regularize" else [])
         rc, doc = run_main(capsys, *argv)
         assert rc == 2, doc
         error = doc["report"][0] if cmd == "validate" else doc["error"]
-        assert error["code"] == "parse" and "is not valid JSON" in error["message"]
+        assert error["code"] == "parse" and str(p) in error["message"]
+        if b"\xff" in text:
+            assert "is not valid JSON" in error["message"]
+        else:
+            assert f"{sys.get_int_max_str_digits()}-digit limit" in error["message"]
+            assert "valid JSON" not in error["message"]
+            assert "set_int_max_str_digits" not in error["message"]
 
     def test_deeply_nested_link_file(self, tmp_path, capsys):
         p = tmp_path / "deep.json"
@@ -777,15 +813,17 @@ class TestUsageErrorsAsJson:
         (["fusion", "--group", "A2", "--k", "5", "--dump", "--format", "text", "--verify"],
          {"cli", "errors", "roots", "reps", "fusion"}, {"diagrams", "numpy"}),
         (["regularize", "--group", "A1", "--alpha-b", "1/3", "--n", "3"], None, {"fusion"}),
+        (["holonomy", "--group", "G2", "--b=1/7,1/5,-12/35", "--color", "1,1", "--n", "1024"],
+         {"cli", "errors", "roots", "reps", "holonomy"}, {"numpy"}),
     ], ids=["qdim", "det", "det-plain", "shadow", "shadow-diagnostics", "validate", "fusion",
-            "fusion-text", "regularize"])
+            "fusion-text", "regularize", "holonomy"])
     def test_command_loads_only_its_modules(self, tmp_path, argv, only, never):
         """A command imports the modules it runs and no other, in a fresh interpreter:
         `qdim` needs the root data and the alphabet alone, `shadow` the fusion
         triples and the diagrams, `validate` the diagrams alone, the `fusion`
         export and its Verlinde check the fusion layer alone, plain `det` its
-        closed forms alone, and none of them numpy; `regularize` loads no fusion
-        data."""
+        closed forms alone, `holonomy` its weight sums alone, and none of them
+        numpy; `regularize` loads no fusion data."""
         write(tmp_path, "link.json", TWO_CIRCLES)
         code = ("import json, sys, shadowsum.cli as cli\n"
                 f"rc = cli.main({argv!r})\n"

@@ -9,6 +9,8 @@ from shadowsum.errors import PreconditionError
 from shadowsum.holonomy import (
     MAX_HOLONOMY_FACTORS,
     MAX_REP_DIM,
+    U_NODES,
+    gauss_legendre,
     holonomy,
     require_rep_dim,
     vertical_ribbon,
@@ -50,7 +52,7 @@ def scaled_ribbon(loop_family, s):
 
 def circling_ribbon(t, u):
     """sigma moves once around the unit circle while tau winds once."""
-    ang = 2.0 * math.pi * t
+    ang = 2.0 * math.pi * np.asarray(t)
     sigma = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     dsigma = 2.0 * math.pi * np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
     return sigma, dsigma, 1.0
@@ -64,7 +66,7 @@ class TestHolonomy:
         want = np.exp(phases)
         for n in (1, 2, 7, 64):
             got = holonomy(lambda t: phases, n)
-            assert got.shape == (2,)
+            assert len(got) == 2
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_abelian_limit_and_richardson(self, a1):
@@ -72,7 +74,7 @@ class TestHolonomy:
         v = 0.4
 
         def conn(t):
-            return (2j * math.pi * (v + 0.3 * np.cos(2 * math.pi * t)))[:, None]
+            return (2j * math.pi * (v + 0.3 * np.cos(2 * math.pi * np.asarray(t))))[:, None]
 
         want = cmath.exp(2j * math.pi * v)
         e64 = abs(holonomy(conn, 64)[0] - want)
@@ -84,7 +86,7 @@ class TestHolonomy:
         c = 0.37
 
         def conn(t):
-            return (2j * math.pi * c * t)[:, None]
+            return (2j * math.pi * c * np.asarray(t))[:, None]
 
         want = cmath.exp(2j * math.pi * c * 0.5)
         ns = [16, 32, 64, 128, 256]
@@ -99,7 +101,7 @@ class TestHolonomy:
             calls.append(t.copy())
             return np.zeros((len(t), 3))
 
-        assert holonomy(conn, 8).shape == (3,)
+        assert len(holonomy(conn, 8)) == 3
         assert len(calls) == 1
         assert np.array_equal(calls[0], np.arange(1, 9) / 8)
 
@@ -112,6 +114,8 @@ class TestHolonomy:
         ws = weight_multiplicities(a1, (1,))
         with pytest.raises(PreconditionError, match="1-D"):
             holonomy(lambda t: np.zeros((2, 2)), 4)
+        with pytest.raises(PreconditionError, match="unequal lengths"):
+            holonomy(lambda t: [[0.0]] * 3 + [[0.0, 1.0]], 4)
         with pytest.raises(PreconditionError, match="1-D"):
             wilson_closed_form([vertical_ribbon(1)], [ws], None, lambda s: np.zeros((2, 2)))
 
@@ -119,7 +123,7 @@ class TestHolonomy:
         ws = weight_multiplicities(a2, (1, 1))
         b = ambient(a2).from_labels([Q(1, 5), Q(1, 7)])
         phases = weight_phases(ws, from_labels(a2, [Q(1, 5), Q(1, 7)]))
-        assert phases.shape == (8,)
+        assert len(phases) == 8
         assert abs(np.exp(phases).sum() - character_eval(ws, b)) < 1e-12
 
     def test_wrong_coordinate_count_rejected(self, a2):
@@ -148,7 +152,7 @@ class TestRibbonHolonomy:
         phases = weight_phases(ws, b)
         got = ribbon_holonomy(lambda t, u: None, lambda _: phases, 16)
         want = holonomy(lambda t: phases, 16)
-        assert got.shape == want.shape == (2,)
+        assert got.shape == (2,) and len(want) == 2
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_scaled_ribbon_limit_recovers_core(self, a1):
@@ -173,6 +177,15 @@ class TestRibbonHolonomy:
 
 
 class TestWilsonClosedForm:
+    def test_gauss_legendre_matches_numpy(self):
+        """The U_NODES-point rule from Newton's method against numpy's leggauss, used
+        here as an oracle only: nodes and weights to 1e-15, weights summing to 2."""
+        x, w = gauss_legendre(U_NODES)
+        want_x, want_w = np.polynomial.legendre.leggauss(U_NODES)
+        assert max(abs(a - b) for a, b in zip(x, want_x, strict=True)) <= 1e-15
+        assert max(abs(a - b) for a, b in zip(w, want_w, strict=True)) <= 1e-15
+        assert math.fsum(w) == pytest.approx(2.0, abs=1e-15)
+
     def test_vertical_ribbon_constant_field(self, a1):
         b = ambient(a1).from_labels([Q(1, 3)])
         ws = weight_multiplicities(a1, (1,))
