@@ -185,6 +185,9 @@ def cmd_det(args) -> dict:
 
     if args.quad_res is not None and not args.diagnostics:
         raise ParseError("--quad-res needs --diagnostics")
+    if args.diagnostics and args.chi != 2:
+        raise PreconditionError(
+            f"--diagnostics integrates over the round sphere, chi = 2, not --chi {args.chi}")
     rs = _root_system(args)
     x = _field_b(args, rs)
     if not is_regular(rs, x):
@@ -231,8 +234,7 @@ def cmd_regularize(args) -> dict:
 
 def cmd_holonomy(args) -> dict:
     from .holonomy import (
-        holonomy, require_rep_dim, vertical_ribbon, weight_phases, weight_trace,
-        wilson_closed_form)
+        holonomy, require_rep_dim, weight_phases, weight_trace, wilson_closed_form)
     from .reps import weight_multiplicities
 
     rs = _root_system(args)
@@ -246,8 +248,7 @@ def cmd_holonomy(args) -> dict:
     x = tuple(v - round(v) for v in x)
     period = math.lcm(*(v.denominator for v in x))
     wind = args.wind - period * round(Fraction(args.wind, period))
-    xf = tuple(float(v) for v in x)
-    closed = wilson_closed_form([vertical_ribbon(wind)], [ws], None, lambda sigma: xf)
+    closed = wilson_closed_form(ws, x, wind)
     phases = [wind * p for p in weight_phases(ws, x)]
     product = holonomy(lambda t: phases, n=args.n)
     return {

@@ -13,7 +13,8 @@ The regularized determinant of a t-valued field B on a closed surface is
     prod_{alpha>0} exp( int log(2 sin(pi alpha(B))) R_g/(4 pi) dmu_g )
 
 with log the principal branch restricted to the nonzero reals.  Constant
-fields reduce to det(...)^{chi/2} by Gauss-Bonnet; step fields reduce to
+fields reduce to det^{1/2}(...)^chi by Gauss-Bonnet, which is det(...)^{chi/2}
+for even chi and keeps the half-power's sign for odd chi; step fields reduce to
 face-wise half-power determinants raised to the face Euler numbers
 (`regularize.det_rig_step`), provided the metric gives the projected
 ribbons vanishing geodesic curvature (the standing metric assumption), so
@@ -59,19 +60,20 @@ def det_half(rs: RootSystem, x: Sequence) -> float:
 
 
 def det_rig_constant(rs: RootSystem, x: Sequence, chi: int) -> float:
-    """det_k(b)^(chi/2) for a constant regular field on a surface of Euler number chi.
+    """det_half(b)^chi for a constant regular field on a surface of Euler number chi,
+    computed as det_k(b)^(chi/2) for even chi; an odd power keeps the sign of det_half.
 
-    A power that is not a finite positive double (large |chi|) is refused.
+    A power that is not a finite nonzero double (large |chi|) is refused.
     """
     if not is_regular(rs, x):
         raise PreconditionError(f"constant field value x = {format_vector(x)} is singular")
     try:
-        out = det_k(rs, x) ** (chi / 2.0)
-    except OverflowError:
+        out = det_k(rs, x) ** (chi / 2.0) if chi % 2 == 0 else det_half(rs, x) ** chi
+    except (OverflowError, ZeroDivisionError):  # a root sine that rounds to 0, chi < 0
         out = math.inf
-    if not 0.0 < out < math.inf:
+    if not 0.0 < abs(out) < math.inf:
         raise PreconditionError(
-            f"det_k(b)^(chi/2) at chi = {chi} is not a finite positive double ({out})"
+            f"det_half(b)^chi at chi = {chi} is not a finite nonzero double ({out})"
         )
     return out
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from conftest import ambient, from_labels, random_forest_diagram, table_array
 from test_diagrams import all_small_diagrams, empty_link_value, naive_terms
-from test_holonomy import circling_ribbon, phase_map, ribbon_holonomy
+from test_holonomy import circling_ribbon, phase_map, ribbon_closed_form, ribbon_holonomy
 from shadowsum.circleop import (
     CircleOperatorData,
     apply_operator,
@@ -31,7 +31,7 @@ from shadowsum.determinants import (
 from shadowsum.diagrams import build_diagram, contract_state_sum, list_terms
 from shadowsum.errors import PreconditionError
 from shadowsum.fusion import build_fusion_table, verlinde_table
-from shadowsum.holonomy import holonomy, wilson_closed_form
+from shadowsum.holonomy import holonomy
 from shadowsum.regularize import SteppedField, det_rig_n, regularized_indicator
 from shadowsum.reps import level_alphabet, quantum_dimension, weight_multiplicities
 from shadowsum.roots import build_root_system
@@ -212,7 +212,7 @@ def test_holonomy_criteria():
     def a_form(sigma, dsigma):
         return 0.15 * dsigma[:, :1] * omega
 
-    closed = wilson_closed_form([circling_ribbon], [ws], a_form, lambda s: b)
+    closed = ribbon_closed_form([circling_ribbon], [ws], a_form, lambda s: b)
 
     def conn_rib(sample, m=phase_map(ws)):
         sigma, dsigma, dtau = sample

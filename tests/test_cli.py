@@ -253,6 +253,18 @@ class TestDetAndQdim:
         doc = json.loads(r.stdout)
         assert doc["det_rig_quadrature"] == pytest.approx(4.0, abs=1e-6)
 
+    def test_det_diagnostics_refuses_chi_other_than_2(self, capsys):
+        """The quadrature runs on the round sphere; at --chi 3 it would print det_half^2
+        beside det_rig_constant = det_half^3."""
+        rc, doc = run_main(capsys, "det", "--group", "A1", "--alpha-b", "1/3", "--chi", "3",
+                           "--diagnostics")
+        assert rc == 3 and "chi = 2" in doc["error"]["message"]
+
+    def test_det_odd_chi_keeps_the_sign(self, capsys):
+        rc, doc = run_main(capsys, "det", "--group", "A1", "--alpha-b", "4/3", "--chi", "1")
+        assert rc == 0 and doc["det_half"] < 0
+        assert doc["det_rig_constant"] == doc["det_half"]
+
     def test_det_singular_exit_3(self):
         r = run_cli("det", "--group", "A1", "--alpha-b", "1")
         assert r.returncode == 3
@@ -773,7 +785,13 @@ class TestUsageErrorsAsJson:
     def test_det_power_out_of_range_exit_3(self, capsys, chi):
         """det_k = 3 at alpha(b) = 1/3: 3^1000 overflows and 3^-1000 underflows to 0."""
         rc, doc = run_main(capsys, "det", "--group", "A1", "--alpha-b", "1/3", "--chi", chi)
-        assert rc == 3 and "finite positive" in doc["error"]["message"]
+        assert rc == 3 and "finite nonzero" in doc["error"]["message"]
+
+    def test_det_negative_power_of_a_vanishing_sine_exit_3(self, capsys):
+        """alpha(b) = 10^-400 is regular, but its root sine rounds to 0.0."""
+        rc, doc = run_main(capsys, "det", "--group", "A1", "--alpha-b", f"1/{10**400}",
+                           "--chi", "-2")
+        assert rc == 3 and "finite nonzero" in doc["error"]["message"]
 
     def test_import_leaves_scipy_unloaded(self):
         """Neither the import nor the holonomy and quadrature kernels load scipy,

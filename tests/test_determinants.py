@@ -113,6 +113,16 @@ class TestSteppedField:
         f = SteppedField.constant(b)
         assert det_rig_step(a1, f) == pytest.approx(det_rig_constant(a1, b, 2))
 
+    def test_odd_faces_multiply_to_det_rig_step(self, a1):
+        """Two discs (chi = 1 each) at x = 2/3 and 1/4: det_half is -sqrt 3 and 2, so the
+        step value -2 sqrt 3 is the product of the faces' constant-field values."""
+        values = (from_labels(a1, [Q(4, 3)]), from_labels(a1, [Q(1, 2)]))
+        f = SteppedField(diagram=one_circle_diagram(), values=values)
+        assert [face.euler for face in f.diagram.faces] == [1, 1]
+        faces = math.prod(det_rig_constant(a1, x, 1) for x in values)
+        assert det_rig_step(a1, f) == pytest.approx(faces, rel=1e-15)
+        assert faces == pytest.approx(-2.0 * math.sqrt(3.0), rel=1e-15)
+
     def test_singular_face_rejected(self, a1):
         d = one_circle_diagram()
         f = SteppedField(diagram=d, values=(from_labels(a1, [Q(1, 2)]), from_labels(a1, [2])))

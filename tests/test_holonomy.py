@@ -9,11 +9,8 @@ from shadowsum.errors import PreconditionError
 from shadowsum.holonomy import (
     MAX_HOLONOMY_FACTORS,
     MAX_REP_DIM,
-    U_NODES,
-    gauss_legendre,
     holonomy,
     require_rep_dim,
-    vertical_ribbon,
     weight_phases,
     wilson_closed_form,
 )
@@ -37,6 +34,29 @@ def ribbon_holonomy(loop_family, connection, n, u_nodes=16):
     phases = np.broadcast_to(phases, (n * u_nodes, phases.shape[-1])).reshape(n, u_nodes, -1)
     factors = np.exp(np.einsum("u,jud->jd", 0.5 * w, phases) / n)
     return np.prod(factors, axis=0)
+
+
+def ribbon_closed_form(ribbons, colors, a_form, b_field, t_nodes=256, u_nodes=16):
+    """prod_i Tr_{rho_i} exp( int_0^1 ( oint_{(R_i^(s))_u} (A_c + B dt) ) du ): the closed
+    form for ribbons that move across a non-constant field.
+
+    Each ribbon sampler maps the (t, u) grid to (sigma, dsigma/dt, dtau/dt), dtau/dt a
+    number or one per node; a_form(sigma, dsigma) and b_field(sigma) * dtau/dt are
+    t-valued, in coweight coordinates.  The double integral is a uniform Riemann sum
+    over t_nodes in t (exact for vertical ribbons) and Gauss-Legendre over u_nodes in u.
+    """
+    x, w = np.polynomial.legendre.leggauss(u_nodes)
+    t, u = np.meshgrid(np.arange(1, t_nodes + 1) / t_nodes, 0.5 * (x + 1.0), indexing="ij")
+    weights = np.broadcast_to(0.5 * w / t_nodes, t.shape).ravel()
+    total = 1.0 + 0j
+    for ribbon, ws in zip(ribbons, colors, strict=True):
+        sigma, dsigma, dtau = ribbon(t.ravel(), u.ravel())
+        form = np.asarray(dtau, dtype=float)[..., None] * np.asarray(b_field(sigma), dtype=float)
+        if a_form is not None:
+            form = form + a_form(sigma, dsigma)
+        integral = weights @ np.broadcast_to(form, (weights.size, ws.rs.rank))
+        total *= np.exp(integral @ phase_map(ws)).sum()
+    return total
 
 
 def phase_map(ws):
@@ -111,13 +131,10 @@ class TestHolonomy:
 
     def test_matrix_sample_rejected(self, a1):
         """Samples are weight-phase vectors, one per node; a dense matrix is not one."""
-        ws = weight_multiplicities(a1, (1,))
         with pytest.raises(PreconditionError, match="1-D"):
             holonomy(lambda t: np.zeros((2, 2)), 4)
         with pytest.raises(PreconditionError, match="unequal lengths"):
             holonomy(lambda t: [[0.0]] * 3 + [[0.0, 1.0]], 4)
-        with pytest.raises(PreconditionError, match="1-D"):
-            wilson_closed_form([vertical_ribbon(1)], [ws], None, lambda s: np.zeros((2, 2)))
 
     def test_weight_phases_trace_is_the_character(self, a2):
         ws = weight_multiplicities(a2, (1, 1))
@@ -125,6 +142,16 @@ class TestHolonomy:
         phases = weight_phases(ws, from_labels(a2, [Q(1, 5), Q(1, 7)]))
         assert len(phases) == 8
         assert abs(np.exp(phases).sum() - character_eval(ws, b)) < 1e-12
+
+    def test_exact_phases_are_reduced_residues(self, a1):
+        """An exact beta(b) enters as its residue in [-1/2, 1/2]; a float one as it is."""
+        ws = weight_multiplicities(a1, (2,))
+        x = from_labels(a1, [Q(2, 3)])  # x = 1/3: beta(b) = -2/3, 0, 2/3 in label order
+        exact = weight_phases(ws, x)
+        assert exact == [2j * math.pi * v for v in (1 / 3, 0.0, -1 / 3)]
+        assert weight_phases(ws, [float(v) for v in x]) == [
+            2j * math.pi * float(v) for v in (Q(-2, 3), 0, Q(2, 3))]
+        assert np.max(np.abs(np.exp(exact) - np.exp(weight_phases(ws, [1 / 3])))) < 1e-15
 
     def test_wrong_coordinate_count_rejected(self, a2):
         with pytest.raises(PreconditionError, match="expected 2 coweight coordinates, got 1"):
@@ -177,25 +204,15 @@ class TestRibbonHolonomy:
 
 
 class TestWilsonClosedForm:
-    def test_gauss_legendre_matches_numpy(self):
-        """The U_NODES-point rule from Newton's method against numpy's leggauss, used
-        here as an oracle only: nodes and weights to 1e-15, weights summing to 2."""
-        x, w = gauss_legendre(U_NODES)
-        want_x, want_w = np.polynomial.legendre.leggauss(U_NODES)
-        assert max(abs(a - b) for a, b in zip(x, want_x, strict=True)) <= 1e-15
-        assert max(abs(a - b) for a, b in zip(w, want_w, strict=True)) <= 1e-15
-        assert math.fsum(w) == pytest.approx(2.0, abs=1e-15)
-
     def test_vertical_ribbon_constant_field(self, a1):
         b = ambient(a1).from_labels([Q(1, 3)])
         ws = weight_multiplicities(a1, (1,))
-        bf = [float(x) for x in from_labels(a1, [Q(1, 3)])]
-        got = wilson_closed_form([vertical_ribbon(1)], [ws], None, lambda s: bf)
+        got = wilson_closed_form(ws, from_labels(a1, [Q(1, 3)]), 1)
         assert abs(got - character_eval(ws, b)) < 1e-9
 
     def test_trivial_color_gives_one(self, a1):
         ws = weight_multiplicities(a1, (0,))
-        got = wilson_closed_form([vertical_ribbon(3)], [ws], None, lambda s: [0.5])
+        got = wilson_closed_form(ws, [0.5], 3)
         assert got == pytest.approx(1.0)
 
     def test_step_field_winding_w(self, a1):
@@ -208,11 +225,9 @@ class TestWilsonClosedForm:
             inside = np.asarray(sigma)[..., 0] > 0.25
             return np.where(inside[..., None], bf, 0.0)
 
+        point = (0.5, 0.5)  # the ribbon's one sphere point
         for w in (-2, 1, 3):
-            def ribbon(t, u, w=w):
-                return (0.5, 0.5), (0.0, 0.0), float(w)
-
-            got = wilson_closed_form([ribbon], [ws], None, field)
+            got = wilson_closed_form(ws, list(field(point)), w)
             want = character_eval(ws, tuple(w * x for x in b))
             assert abs(got - want) < 1e-9
 
@@ -226,34 +241,15 @@ class TestWilsonClosedForm:
         rs = build_root_system(label)
         ws = weight_multiplicities(rs, color)
         b = ambient(rs).from_labels(labels)
-        bf = [float(x) for x in from_labels(rs, labels)]
+        x = from_labels(rs, labels)
         dim = weyl_dimension(rs, color)
         for wind in (-3, -2, -1, 1, 2, 3):
-            got = wilson_closed_form([vertical_ribbon(wind)], [ws], None, lambda s: bf)
+            got = wilson_closed_form(ws, x, wind)
             want = character_eval(ws, tuple(wind * x for x in b))
             assert abs(got - want) <= 1e-12 * dim, (label, wind)
 
-    def test_each_sampler_called_once_per_ribbon(self, a1):
-        calls = {"ribbon": 0, "a_form": 0, "b_field": 0}
-
-        def ribbon(t, u):
-            calls["ribbon"] += 1
-            return circling_ribbon(t, u)
-
-        def a_form(sigma, dsigma):
-            calls["a_form"] += 1
-            return 0.1 * dsigma[:, :1]
-
-        def b_field(sigma):
-            calls["b_field"] += 1
-            return np.array([0.2])
-
-        colors = [weight_multiplicities(a1, (1,)), weight_multiplicities(a1, (2,))]
-        wilson_closed_form([ribbon, ribbon], colors, a_form, b_field)
-        assert calls == {"ribbon": 2, "a_form": 2, "b_field": 2}
-
     def test_matches_direct_ribbon_product(self, a1):
-        """Closed form vs a high-n ordered product in the weight representation."""
+        """The ribbon closed form vs a high-n ordered product in the weight representation."""
         ws1 = weight_multiplicities(a1, (1,))
         ws2 = weight_multiplicities(a1, (2,))
         b = np.array([float(x) for x in from_labels(a1, [Q(1, 3)])])
@@ -264,7 +260,7 @@ class TestWilsonClosedForm:
 
         colors = [ws1, ws2]
         # nonvertical ribbon: sigma moves around a circle while tau winds once
-        closed = wilson_closed_form(
+        closed = ribbon_closed_form(
             [circling_ribbon, circling_ribbon], colors, a_form, lambda s: b
         )
 
@@ -276,8 +272,3 @@ class TestWilsonClosedForm:
 
             direct *= ribbon_holonomy(circling_ribbon, conn, 4096).sum()
         assert abs(closed - direct) < 1e-6
-
-    def test_length_mismatch_rejected(self, a1):
-        ws = weight_multiplicities(a1, (1,))
-        with pytest.raises(PreconditionError):
-            wilson_closed_form([], [ws], None, lambda s: [0.0])
