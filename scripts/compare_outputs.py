@@ -11,11 +11,13 @@ probe jobs, each shadow job's file also through `shadow --diagnostics` and
 With seeds, it adds `det --diagnostics --b` and `holonomy --b` jobs on the
 types the benchmark never runs (FIELD_JOBS), with b drawn per seed, runs
 `det`, `regularize` and `holonomy` at large exact field values on A1 and G2
-(LARGE_FIELDS), and runs each malformed link document of MALFORMED_LINKS,
-and HUGE_K_LINK, through `shadow`, `validate` and `regularize`, so the error
-paths are compared too.  Each
-job runs as one `python -m shadowsum` process per tree, in a fresh
-directory holding its input files.  The exit code, stdout and the --output
+(LARGE_FIELDS), runs the kernels' refusals (REFUSAL_JOBS: a float-singular
+field and an over-budget grid through `det --diagnostics`, and `holonomy` at
+n = 0 and at n past its factor budget), and runs each malformed link document
+of MALFORMED_LINKS, and HUGE_K_LINK, through `shadow`, `validate` and
+`regularize`, so the error paths are compared too.  Each job runs as one
+`python -m shadowsum` process per tree, in a fresh directory holding its
+input files.  The exit code, stdout and the --output
 file must agree byte for byte.  Prints one line per job that differs and a
 summary line; exits 1 on any difference.  Where the differing outputs are
 JSON, the line also gives the largest absolute and the largest relative
@@ -55,6 +57,18 @@ FIELD_JOBS = [("B3", 3, "1,0,0"), ("C3", 3, "1,0,0"), ("D4", 4, "1,0,0,0"),
 # Each runs through det (with and without the quadrature), regularize and holonomy.
 LARGE_FIELDS = {"A1": ("--alpha-b=10000000000000000001/3", "2"),
                 "G2": ("--b=420000000000000000005/7,-659999999999999999999/11,-3/13", "1,0")}
+
+# The refusals of the det quadrature and of the holonomy product: alpha(b) within
+# determinants.SINGULAR_TOL of 0, a grid past determinants.MAX_QUAD_NODES, and n below 1
+# and past holonomy.MAX_HOLONOMY_FACTORS.
+REFUSAL_JOBS = {
+    "det/float-singular": ["det", "--group", "A1", "--alpha-b", "1/1000000000000001",
+                           "--diagnostics"],
+    "det/grid-budget": ["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics",
+                        "--quad-res", "2048x2048"],
+    "holonomy/n=0": ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--n", "0"],
+    "holonomy/n=65537": ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--n", "65537"],
+}
 
 
 def _circle(cid="a", parent=None, **fields):
@@ -136,6 +150,7 @@ def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
                      (f"large/{group}/regularize", ["regularize", *at, "--n", "6"], {}),
                      (f"large/{group}/holonomy",
                       ["holonomy", *at, "--color", color, "--wind", "3", "--n", "16"], {})]
+        jobs += [(f"refusal/{name}", argv, {}) for name, argv in REFUSAL_JOBS.items()]
     return jobs + (malformed_jobs() if seeds else [])
 
 

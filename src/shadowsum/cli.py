@@ -179,8 +179,7 @@ def cmd_qdim(args) -> dict:
 
 
 def cmd_det(args) -> dict:
-    from .determinants import (
-        det_half, det_k, det_rig_constant, det_rig_quadrature, round_sphere_metric)
+    from .determinants import det_half, det_k, det_rig_constant, det_rig_quadrature
     from .roots import format_vector, is_regular
 
     if args.quad_res is not None and not args.diagnostics:
@@ -201,9 +200,7 @@ def cmd_det(args) -> dict:
         "det_rig_constant": det_rig_constant(rs, x, args.chi),
     }
     if args.diagnostics:
-        metric = round_sphere_metric(*(args.quad_res or _QUAD_RES))
-        xf = tuple(float(v) for v in x)
-        out["det_rig_quadrature"] = det_rig_quadrature(rs, lambda theta, phi: xf, metric)
+        out["det_rig_quadrature"] = det_rig_quadrature(rs, x, *(args.quad_res or _QUAD_RES))
     return out
 
 
@@ -250,7 +247,7 @@ def cmd_holonomy(args) -> dict:
     wind = args.wind - period * round(Fraction(args.wind, period))
     closed = wilson_closed_form(ws, x, wind)
     phases = [wind * p for p in weight_phases(ws, x)]
-    product = holonomy(lambda t: phases, n=args.n)
+    product = holonomy(phases, n=args.n)
     return {
         "group": f"{rs.type_label}{rs.rank}",
         "color": list(args.color),

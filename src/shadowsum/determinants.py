@@ -20,25 +20,22 @@ face-wise half-power determinants raised to the face Euler numbers
 ribbons vanishing geodesic curvature (the standing metric assumption), so
 that the curvature measure of each face is 4 pi chi(face).
 
-The closed forms run in Python floats; numpy is imported only inside the
-quadrature (`round_sphere_metric`, `det_rig_quadrature`), so a plain `det`
-job loads none.
+The closed forms run in Python floats.  `det_rig_quadrature` evaluates the
+integral for the one field a command gives it, a constant one on the round
+sphere, and imports numpy only when it runs, so a plain `det` job loads none.
+The general rule, for fields that vary over the surface, is the test-side
+oracle `sphere_rule` in `tests/test_determinants.py`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import PreconditionError
 from .roots import RootSystem, format_vector, is_regular
 
-if TYPE_CHECKING:
-    from numpy import ndarray
-
-MAX_QUAD_NODES = 2**21  # budget of `round_sphere_metric`: n_theta * n_phi nodes
-AREA_TOL = 1e-8  # quadrature mass against the declared area
-CURVATURE_TOL = 1e-6  # curvature integral against 4 pi chi (Gauss-Bonnet)
+MAX_QUAD_NODES = 2**21  # budget of `det_rig_quadrature`: n_theta * n_phi nodes
 SINGULAR_TOL = 1e-12  # distance of alpha(B) from an integer that counts as singular
 
 
@@ -78,41 +75,20 @@ def det_rig_constant(rs: RootSystem, x: Sequence, chi: int) -> float:
     return out
 
 
-# -- quadrature on surfaces ---------------------------------------------------
+# -- quadrature on the round sphere ------------------------------------------
 
 
-class SphereMetricSample(NamedTuple):
-    """Quadrature data for a closed surface: nodes, weights, curvature samples.
+def det_rig_quadrature(rs: RootSystem, x: Sequence, n_theta: int, n_phi: int) -> float:
+    """Quadrature of the regularized determinant of the constant field x on the unit
+    round sphere (R_g = 2), by the Gauss-Legendre x uniform product rule on an
+    n_theta x n_phi grid.
 
-    `nodes` is an (n, 2) array of (theta, phi)-style coordinates handed to
-    field samplers; `weights` integrates smooth functions against the area
-    measure; `scalar_curvature` holds R_g at the nodes.  The weights must
-    reproduce the total area, and the curvature integral must equal
-    4 pi chi by Gauss-Bonnet.
+    The field is the same at every node, so the root logarithms are summed once and
+    that sum is weighted by w_i R_g/(4 pi) at the nodes: by Gauss-Bonnet the value is
+    det_half(b)^2, up to the rounding of the weights.  A field with some alpha(B)
+    within SINGULAR_TOL of an integer is rejected at grid node 0.  A non-negligible
+    imaginary residue raises, since the value on a closed surface is real.
     """
-
-    nodes: ndarray
-    weights: ndarray
-    scalar_curvature: ndarray
-    area: float
-    euler: int
-
-    def validate(self) -> None:
-        mass = float(self.weights.sum())
-        if abs(mass - self.area) > AREA_TOL:
-            raise PreconditionError(
-                f"quadrature mass {mass!r} differs from declared area {self.area!r}"
-            )
-        total_curv = float(self.weights @ self.scalar_curvature)
-        if abs(total_curv - 4.0 * math.pi * self.euler) > CURVATURE_TOL:
-            raise PreconditionError(
-                f"curvature integral {total_curv!r} != 4 pi chi = "
-                f"{4.0 * math.pi * self.euler!r}"
-            )
-
-
-def round_sphere_metric(n_theta: int, n_phi: int) -> SphereMetricSample:
-    """Gauss-Legendre x uniform product rule on the unit round sphere (R_g = 2)."""
     if n_theta * n_phi > MAX_QUAD_NODES:
         raise PreconditionError(
             f"a {n_theta}x{n_phi} quadrature grid has {n_theta * n_phi} nodes; "
@@ -120,62 +96,20 @@ def round_sphere_metric(n_theta: int, n_phi: int) -> SphereMetricSample:
         )
     import numpy as np
 
-    x, w = np.polynomial.legendre.leggauss(n_theta)  # x = cos(theta)
-    theta = np.arccos(x)
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    ww = np.repeat(w[:, None], n_phi, axis=1) * (2.0 * math.pi / n_phi)
-    nodes = np.stack([tt.ravel(), pp.ravel()], axis=1)
-    weights = ww.ravel()
-    curv = np.full(nodes.shape[0], 2.0)
-    return SphereMetricSample(
-        nodes=nodes, weights=weights, scalar_curvature=curv,
-        area=4.0 * math.pi, euler=2,
-    )
-
-
-def det_rig_quadrature(
-    rs: RootSystem,
-    sampler: Callable[[ndarray, ndarray], ndarray],
-    metric: SphereMetricSample,
-) -> float:
-    """Quadrature evaluation of the regularized determinant of a smooth field.
-
-    sampler(theta, phi) maps the node coordinate arrays to the coweight
-    coordinates x of B: an (n, rank) array, or a (rank,) one for a constant
-    field.  Every alpha(B) comes from one product of x with the (rank, |R+|)
-    label matrix, so a constant field has one row of |R+| pairings.  Each
-    row's logarithms are summed over the roots, and only that sum is
-    broadcast to the nodes and weighted.  A node where some alpha(B) is
-    within SINGULAR_TOL of an integer is rejected: the error names, for the
-    first such root, the node where alpha(B) lies nearest an integer.  On a
-    closed surface the result is real; a non-negligible imaginary residue
-    raises, since it signals a field that is not regular across the whole grid.
-    """
-    import numpy as np
-
-    metric.validate()
-    n = metric.nodes.shape[0]
-    sample = np.asarray(sampler(metric.nodes[:, 0], metric.nodes[:, 1]), dtype=float)
-    labels = np.array(rs.positive_root_labels, dtype=float).T
-    pairs = sample @ labels  # (|R+|,) for a constant field, else (n, |R+|)
-    dist = np.abs(pairs - np.round(pairs))
-    singular = dist <= SINGULAR_TOL
+    cos_theta, w = np.polynomial.legendre.leggauss(n_theta)
+    pairs = np.array([float(v) for v in x]) @ np.array(rs.positive_root_labels, dtype=float).T
+    singular = np.abs(pairs - np.round(pairs)) <= SINGULAR_TOL
     if singular.any():
-        pairs, dist, singular = (np.broadcast_to(a, (n, labels.shape[1]))
-                                 for a in (pairs, dist, singular))
-        r = int(np.argmax(singular.any(axis=0)))
-        i = int(np.argmin(dist[:, r]))
+        r = int(np.argmax(singular))  # the first singular root
         raise PreconditionError(
-            f"field is singular at grid node {i} "
-            f"(coords {tuple(metric.nodes[i].tolist())}, alpha(B) = {float(pairs[i, r])!r})"
+            f"field is singular at grid node 0 (coords {(float(np.arccos(cos_theta[0])), 0.0)}, "
+            f"alpha(B) = {float(pairs[r])!r})"
         )
     # log(2 sin(pi alpha(B))) on the principal branch: ln|.|, plus i pi on the negatives
     two_sin = 2.0 * np.sin(math.pi * pairs)
-    logs = np.log(np.abs(two_sin)).sum(axis=-1) + 1j * math.pi * (two_sin < 0).sum(axis=-1)
-    rweight = metric.weights * metric.scalar_curvature / (4.0 * math.pi)
-    total = (rweight * logs).sum()
-    value = np.exp(total)
+    logs = np.log(np.abs(two_sin)).sum() + 1j * math.pi * (two_sin < 0).sum()
+    weights = (np.repeat(w[:, None], n_phi, axis=1) * (2.0 * math.pi / n_phi)).ravel()
+    value = np.exp((weights * 2.0 / (4.0 * math.pi) * logs).sum())
     if abs(value.imag) > 1e-8 * max(1.0, abs(value.real)):
         raise PreconditionError(
             f"determinant came out non-real ({value!r}); the field crosses the "

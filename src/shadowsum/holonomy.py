@@ -1,26 +1,21 @@
-"""Holonomy of t-valued connections, and the closed-form Wilson value.
+"""Holonomy of constant t-valued connections, and the closed-form Wilson value.
 
-A t-valued (abelian) connection is sampled as its weight-phase vector: the
-diagonal of A in a weight basis of the module (`weight_phases`).  Its
-factors commute, so the n-point ordered product
-prod_{j=1..n} exp((1/n) A(l'(j/n))) is, entry by entry, exp of the Riemann
-sum (1/n) sum_j A(l'(j/n)), and the limit is exp of the loop integral.
-Non-abelian (matrix-valued) connections are not handled.
-
-The module is plain Python (`math`, `cmath`) and loads no numpy.  Samplers
-take node lists: each is called once with every node and returns n rows,
-one per node, or one row (a 1-D vector) for a sample that is the same at
-every node, which is used as it is and never copied n times.  Any sequence
-or array of these shapes is accepted; results are lists of floats or
-complex numbers.
+A t-valued (abelian) connection is given as its weight-phase vector: the
+diagonal of A in a weight basis of the module (`weight_phases`).  The one
+connection a command evaluates is constant along the loop, so the n-point
+ordered product prod_{j=1..n} exp((1/n) A) has n equal commuting factors and
+is exp(A) entry by entry (`holonomy`).  Non-abelian (matrix-valued)
+connections are not handled.  The module is plain Python (`math`, `cmath`)
+and loads no numpy; results are lists of complex numbers.
 
 The one ribbon a command evaluates is vertical: it winds w times around the
 S^1 factor over a sphere point where the field is constant at b.  Its
 torus-gauge Wilson value is the character of the colour at exp(w b)
 (`wilson_closed_form`), one weight sum over the exact residues of w beta(b).
-The general ribbon formula, for ribbons that move across a non-constant
-field, lives in the tests as the oracle of the ordered product, until a
-command feeds it such a field.  A t-valued value b is passed as its coweight
+The ordered product of a connection that varies along the loop, and the
+general ribbon formula for ribbons that move across a non-constant field,
+live in the tests (`tests/test_holonomy.py`) as oracles, until a command
+feeds such a field.  A t-valued value b is passed as its coweight
 coordinates x (see `roots`), so beta(b) = sum_j label_j(beta) x_j.
 """
 
@@ -29,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from numbers import Rational
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import PreconditionError
 from .reps import WeightSystem, weyl_dimension
@@ -50,41 +45,11 @@ def require_rep_dim(rs: RootSystem, color: Sequence[int]) -> None:
         )
 
 
-def _shape(sample) -> tuple[int, ...]:
-    """The lengths of `sample`, of its first entry, of that entry's first entry, ...:
-    numpy's shape for a regular nested sequence, () for a number."""
-    shape = []
-    while True:
-        try:
-            size = len(sample)
-        except TypeError:  # a number, or a 0-d array
-            return tuple(shape)
-        shape.append(size)
-        if not size:
-            return tuple(shape)
-        sample = sample[0]
+def holonomy(phases: Sequence[complex], n: int) -> list[complex]:
+    """Weight phases of prod_{j=1..n} exp((1/n) A) for the constant connection A with
+    weight phases `phases` (see `weight_phases`), as a list.
 
-
-def _rows(sample, n: int) -> list:
-    """A sampler's return as its rows: [sample] for a 1-D sample, else its n rows."""
-    shape = _shape(sample)
-    if len(shape) == 1:
-        return [sample]
-    if len(shape) == 2 and shape[0] == n:
-        if all(len(row) == shape[1] for row in sample):
-            return list(sample)
-        shape = "rows of unequal lengths"
-    raise PreconditionError(
-        f"a sample must be a 1-D vector or an ({n}, dim) array, not {shape}"
-    )
-
-
-def holonomy(connection: Callable[[list[float]], Sequence], n: int) -> list[complex]:
-    """Weight phases of prod_{j=1..n} exp((1/n) A(l'(j/n))), as a list.
-
-    `connection(t)` gets the n parameters t = j/n at once, as a list, and
-    returns A(l'(t)) as weight-phase vectors (see `weight_phases`), one row per
-    parameter, or one row for all.  Column means are taken by `math.fsum`.
+    The n factors are equal and commute, so the product is exp(A) entry by entry.
     """
     if n < 1:
         raise PreconditionError(f"holonomy needs n >= 1, got {n}")
@@ -92,13 +57,7 @@ def holonomy(connection: Callable[[list[float]], Sequence], n: int) -> list[comp
         raise PreconditionError(
             f"holonomy with n = {n} factors; the budget is {MAX_HOLONOMY_FACTORS}"
         )
-    rows = _rows(connection([j / n for j in range(1, n + 1)]), n)
-    if len(rows) == 1:
-        means = rows[0]
-    else:
-        means = [complex(math.fsum(z.real for z in col), math.fsum(z.imag for z in col)) / n
-                 for col in zip(*rows)]
-    return [cmath.exp(z) for z in means]
+    return [cmath.exp(z) for z in phases]
 
 
 def weight_phases(ws: WeightSystem, x: Sequence) -> list[complex]:

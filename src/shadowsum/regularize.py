@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .determinants import det_half, root_sines
+from .determinants import det_rig_constant, root_sines
 from .diagrams import ShadowDiagram, build_diagram
 from .errors import PreconditionError
 from .roots import RootSystem, format_vector, is_regular
@@ -68,15 +68,16 @@ class SteppedField:
 
 
 def det_rig_step(rs: RootSystem, field: SteppedField) -> float:
-    """prod_faces det_half(b_face)^chi(face), the limit of `det_rig_n` as n grows;
-    rejects singular face values."""
+    """prod_faces det_half(b_face)^chi(face), the limit of `det_rig_n` as n grows: the
+    product of the faces' constant-field values (`det_rig_constant`), which refuses a
+    power that is not a finite nonzero double; rejects singular face values."""
     out = 1.0
     for face, x in zip(field.diagram.faces, field.values):
         if not is_regular(rs, x):
             raise PreconditionError(
                 f"face {face.face_id!r} carries the singular value x = {format_vector(x)}"
             )
-        out *= det_half(rs, x) ** face.euler
+        out *= det_rig_constant(rs, x, face.euler)
     return out
 
 

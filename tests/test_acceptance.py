@@ -14,7 +14,13 @@ import numpy as np
 
 from conftest import ambient, from_labels, random_forest_diagram, table_array
 from test_diagrams import all_small_diagrams, empty_link_value, naive_terms
-from test_holonomy import circling_ribbon, phase_map, ribbon_closed_form, ribbon_holonomy
+from test_holonomy import (
+    circling_ribbon,
+    loop_holonomy,
+    phase_map,
+    ribbon_closed_form,
+    ribbon_holonomy,
+)
 from shadowsum.circleop import (
     CircleOperatorData,
     apply_operator,
@@ -26,12 +32,10 @@ from shadowsum.determinants import (
     det_k,
     det_rig_constant,
     det_rig_quadrature,
-    round_sphere_metric,
 )
 from shadowsum.diagrams import build_diagram, contract_state_sum, list_terms
 from shadowsum.errors import PreconditionError
 from shadowsum.fusion import build_fusion_table, verlinde_table
-from shadowsum.holonomy import holonomy
 from shadowsum.regularize import SteppedField, det_rig_n, regularized_indicator
 from shadowsum.reps import level_alphabet, quantum_dimension, weight_multiplicities
 from shadowsum.roots import build_root_system
@@ -123,11 +127,9 @@ def test_state_sum_oracle_equivalence():
 def test_determinant_closed_forms():
     """Gauss-Bonnet quadrature check at 256x512 within 1e-6; half-squares to 1e-12."""
     rs = build_root_system("A1")
-    metric = round_sphere_metric(256, 512)
     for x in (Q(1, 2), Q(1, 3), Q(2, 5)):
         b = from_labels(rs, [x])
-        bf = tuple(float(v) for v in b)
-        got = det_rig_quadrature(rs, lambda t, p: bf, metric)
+        got = det_rig_quadrature(rs, b, 256, 512)
         want = det_rig_constant(rs, b, 2)
         assert abs(got - want) < 1e-6, x
     rs2 = build_root_system("B2")
@@ -200,7 +202,7 @@ def test_holonomy_criteria():
 
     want = cmath.exp(2j * math.pi * c * 0.5)
     ns = [16, 32, 64, 128, 256, 512]
-    errs = [abs(holonomy(conn, n)[0] - want) for n in ns]
+    errs = [abs(loop_holonomy(conn, n)[0] - want) for n in ns]
     slope = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert 0.8 <= slope <= 1.2
 

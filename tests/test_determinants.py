@@ -10,27 +10,43 @@ from scipy.integrate import quad
 
 from conftest import ambient, from_labels
 from shadowsum.determinants import (
-    SphereMetricSample,
+    SINGULAR_TOL,
     det_half,
     det_k,
     det_rig_constant,
     det_rig_quadrature,
-    round_sphere_metric,
 )
 from shadowsum.diagrams import build_diagram
 from shadowsum.errors import PreconditionError
 from shadowsum.regularize import SteppedField, det_rig_step
+from shadowsum.roots import build_root_system
 
 
-def flat_torus_metric(n: int = 32) -> SphereMetricSample:
-    """Zero-curvature diagnostics grid (chi = 0); kills the determinant integrand."""
-    u = (np.arange(n) + 0.5) / n
-    uu, vv = np.meshgrid(u, u, indexing="ij")
-    nodes = np.stack([uu.ravel(), vv.ravel()], axis=1)
-    weights = np.full(nodes.shape[0], 1.0 / (n * n))
-    curv = np.zeros(nodes.shape[0])
-    return SphereMetricSample(nodes=nodes, weights=weights, scalar_curvature=curv,
-                              area=1.0, euler=0)
+def sphere_grid(n_theta: int, n_phi: int):
+    """Gauss-Legendre x uniform product rule on the unit round sphere: the node
+    coordinates theta and phi and the area weights, each one flat array."""
+    x, w = np.polynomial.legendre.leggauss(n_theta)  # x = cos(theta)
+    theta = np.arccos(x)
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    weights = np.repeat(w[:, None], n_phi, axis=1) * (2.0 * math.pi / n_phi)
+    return tt.ravel(), pp.ravel(), weights.ravel()
+
+
+def sphere_rule(rs, sampler, n_theta: int, n_phi: int) -> float:
+    """The regularized determinant of a field that varies over the unit round sphere
+    (R_g = 2), by the rule of `sphere_grid`: the oracle of `det_rig_quadrature` and of
+    `det_rig_step`.  sampler(theta, phi) maps the node arrays to the coweight
+    coordinates x of B, an (n, rank) array, or a (rank,) one for a constant field."""
+    theta, phi, weights = sphere_grid(n_theta, n_phi)
+    pairs = np.asarray(sampler(theta, phi), dtype=float) @ np.array(
+        rs.positive_root_labels, dtype=float).T
+    assert (np.abs(pairs - np.round(pairs)) > SINGULAR_TOL).all(), "singular node"
+    two_sin = 2.0 * np.sin(math.pi * pairs)
+    logs = np.log(np.abs(two_sin)).sum(axis=-1) + 1j * math.pi * (two_sin < 0).sum(axis=-1)
+    value = np.exp((weights * 2.0 / (4.0 * math.pi) * logs).sum())
+    assert abs(value.imag) <= 1e-8 * max(1.0, abs(value.real)), value
+    return float(value.real)
 
 
 def one_circle_diagram():
@@ -123,6 +139,18 @@ class TestSteppedField:
         assert det_rig_step(a1, f) == pytest.approx(faces, rel=1e-15)
         assert faces == pytest.approx(-2.0 * math.sqrt(3.0), rel=1e-15)
 
+    def test_vanishing_root_sine_under_negative_chi_refused(self, a1):
+        """Three flat circles leave the outer face chi = -1; an outer value x = 10^-400
+        is regular but its root sine rounds to 0, and 0^-1 is no double."""
+        circles = [{"id": c, "parent": None, "winding": 1, "positive_side": "inside",
+                    "color": [0]} for c in "abc"]
+        d = build_diagram(circles)
+        values = tuple((Q(1, 10**400),) if face.euler == -1 else (Q(1, 3),)
+                       for face in d.faces)
+        assert sorted(face.euler for face in d.faces) == [-1, 1, 1, 1]
+        with pytest.raises(PreconditionError, match="not a finite nonzero double"):
+            det_rig_step(a1, SteppedField(diagram=d, values=values))
+
     def test_singular_face_rejected(self, a1):
         d = one_circle_diagram()
         f = SteppedField(diagram=d, values=(from_labels(a1, [Q(1, 2)]), from_labels(a1, [2])))
@@ -139,33 +167,55 @@ class TestSteppedField:
 
 class TestMetricSamples:
     def test_round_sphere_invariants(self):
-        m = round_sphere_metric(64, 128)
-        assert abs(float(m.weights.sum()) - 4.0 * math.pi) < 1e-8
-        assert abs(float(m.weights @ m.scalar_curvature) - 8.0 * math.pi) < 1e-6
-        m.validate()
-
-    def test_flat_patch_is_curvature_free(self):
-        m = flat_torus_metric()
-        m.validate()
-        assert float(np.abs(m.scalar_curvature).max()) == 0.0
+        """The oracle's weights give the sphere's area, and its curvature integral is
+        4 pi chi = 8 pi (Gauss-Bonnet)."""
+        _, _, weights = sphere_grid(64, 128)
+        assert abs(float(weights.sum()) - 4.0 * math.pi) < 1e-8
+        assert abs(float(weights.sum() * 2.0) - 8.0 * math.pi) < 1e-6
 
 
 class TestQuadrature:
     def test_constant_matches_closed_form(self, a1):
-        b = tuple(float(x) for x in from_labels(a1, [Q(1, 2)]))
-        m = round_sphere_metric(64, 128)
-        v = det_rig_quadrature(a1, lambda t, p: b, m)
+        v = det_rig_quadrature(a1, from_labels(a1, [Q(1, 2)]), 64, 128)
         assert abs(v - 4.0) < 1e-6
 
     def test_negative_branch_constant(self, a1):
         # alpha(b) = 3/2: the half-determinant is negative but chi = 2 squares it
-        b = tuple(float(x) for x in from_labels(a1, [Q(3, 2)]))
-        v = det_rig_quadrature(a1, lambda t, p: b, round_sphere_metric(64, 128))
+        v = det_rig_quadrature(a1, from_labels(a1, [Q(3, 2)]), 64, 128)
         assert abs(v - 4.0) < 1e-6
 
-    def test_flat_patch_gives_one(self, a1):
-        b = tuple(float(x) for x in from_labels(a1, [Q(1, 2)]))
-        assert det_rig_quadrature(a1, lambda t, p: b, flat_torus_metric()) == pytest.approx(1.0)
+    @pytest.mark.parametrize("label, labels", [
+        ("A1", [Q(2, 7)]), ("B2", [Q(1, 13), Q(-2, 17)]), ("G2", [Q(1, 29), Q(2, 31)]),
+        ("E8", [Q(1, p) for p in (31, 37, 41, 43, 47, 53, 59, 61)])])
+    def test_constant_field_matches_the_sphere_rule(self, label, labels):
+        """The production rule against the test-side general rule fed a constant
+        sampler, on two grids."""
+        rs = build_root_system(label)
+        x = from_labels(rs, labels)
+        xf = tuple(float(v) for v in x)
+        for grid in ((8, 16), (64, 128)):
+            want = sphere_rule(rs, lambda t, p: xf, *grid)
+            assert det_rig_quadrature(rs, x, *grid) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("label, inside, outside", [
+        ("A1", [Q(4, 3)], [Q(1, 2)]),
+        ("G2", [Q(1, 7), Q(2, 11)], [Q(3, 13), Q(-1, 17)])])
+    def test_hemispheres_match_det_rig_step(self, label, inside, outside):
+        """A one-circle stepped field whose circle is the equator: each hemisphere has
+        chi = 1 and the great circle no geodesic curvature, so the general rule with a
+        hemisphere sampler is det_rig_step, sign included."""
+        rs = build_root_system(label)
+        x_in, x_out = from_labels(rs, inside), from_labels(rs, outside)
+        field = SteppedField(diagram=one_circle_diagram(), values=(x_out, x_in))
+        assert [(f.face_id, f.euler) for f in field.diagram.faces] == [("outer", 1), ("in:c", 1)]
+        want = det_rig_step(rs, field)
+
+        def sampler(theta, phi):
+            north = (theta < math.pi / 2)[:, None]
+            return np.where(north, [float(v) for v in x_in], [float(v) for v in x_out])
+
+        for grid in ((8, 16), (64, 128)):
+            assert sphere_rule(rs, sampler, *grid) == pytest.approx(want, rel=1e-12)
 
     def test_smooth_field_against_1d_oracle(self, a1):
         w = [float(c) for c in from_labels(a1, [1])]  # b = omega, alpha(b) = 1
@@ -181,7 +231,7 @@ class TestQuadrature:
                 math.pi,
             )[0]
         )
-        v = det_rig_quadrature(a1, sampler, round_sphere_metric(64, 128))
+        v = sphere_rule(a1, sampler, 64, 128)
         assert abs(v - oracle) < 1e-6
 
     def test_grid_refinement_order_at_least_two(self, a1):
@@ -190,18 +240,20 @@ class TestQuadrature:
         def sampler(theta, phi):
             return np.outer(0.5 + 0.2 * np.cos(theta) * np.cos(theta), w)
 
-        ref = det_rig_quadrature(a1, sampler, round_sphere_metric(128, 256))
-        e_coarse = abs(det_rig_quadrature(a1, sampler, round_sphere_metric(4, 8)) - ref)
-        e_fine = abs(det_rig_quadrature(a1, sampler, round_sphere_metric(8, 16)) - ref)
+        ref = sphere_rule(a1, sampler, 128, 256)
+        e_coarse = abs(sphere_rule(a1, sampler, 4, 8) - ref)
+        e_fine = abs(sphere_rule(a1, sampler, 8, 16) - ref)
         assert e_fine <= e_coarse / 4.0 + 1e-12
 
     def test_singular_node_rejected(self, a1):
-        b = tuple(float(x) for x in from_labels(a1, [2]))  # b = coroot, alpha(b) = 2
+        b = from_labels(a1, [2])  # b = coroot, alpha(b) = 2
         with pytest.raises(PreconditionError) as ei:
-            det_rig_quadrature(a1, lambda t, p: b, round_sphere_metric(8, 16))
-        assert "node" in str(ei.value)
+            det_rig_quadrature(a1, b, 8, 16)
+        theta0 = float(np.arccos(np.polynomial.legendre.leggauss(8)[0][0]))
+        assert str(ei.value) == (
+            f"field is singular at grid node 0 (coords ({theta0!r}, 0.0), alpha(B) = 2.0)")
 
 
-def test_quadrature_grid_budget_refuses_before_allocating():
+def test_quadrature_grid_budget_refuses_before_allocating(a1):
     with pytest.raises(PreconditionError, match="budget"):
-        round_sphere_metric(10**6, 10**6)
+        det_rig_quadrature(a1, from_labels(a1, [Q(1, 2)]), 10**6, 10**6)
