@@ -12,8 +12,9 @@ With seeds, it adds `det --diagnostics --b` and `holonomy --b` jobs on the
 types the benchmark never runs (FIELD_JOBS), with b drawn per seed, runs
 `det`, `regularize` and `holonomy` at large exact field values on A1 and G2
 (LARGE_FIELDS), runs the kernels' refusals (REFUSAL_JOBS: a float-singular
-field and an over-budget grid through `det --diagnostics`, and `holonomy` at
-n = 0 and at n past its factor budget), and runs each malformed link document
+field, an over-budget grid and an over-budget rule order through `det
+--diagnostics`, and `holonomy` at n = 0 and at n past its factor budget),
+and runs each malformed link document
 of MALFORMED_LINKS, and HUGE_K_LINK, through `shadow`, `validate` and
 `regularize`, so the error paths are compared too.  Each job runs as one
 `python -m shadowsum` process per tree, in a fresh directory holding its
@@ -59,13 +60,16 @@ LARGE_FIELDS = {"A1": ("--alpha-b=10000000000000000001/3", "2"),
                 "G2": ("--b=420000000000000000005/7,-659999999999999999999/11,-3/13", "1,0")}
 
 # The refusals of the det quadrature and of the holonomy product: alpha(b) within
-# determinants.SINGULAR_TOL of 0, a grid past determinants.MAX_QUAD_NODES, and n below 1
-# and past holonomy.MAX_HOLONOMY_FACTORS.
+# determinants.SINGULAR_TOL of 0, a grid past determinants.MAX_QUAD_NODES, a grid within
+# it whose n_theta is past determinants.MAX_QUAD_THETA, and n below 1 and past
+# holonomy.MAX_HOLONOMY_FACTORS.
 REFUSAL_JOBS = {
     "det/float-singular": ["det", "--group", "A1", "--alpha-b", "1/1000000000000001",
                            "--diagnostics"],
     "det/grid-budget": ["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics",
                         "--quad-res", "2048x2048"],
+    "det/order-budget": ["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics",
+                         "--quad-res", "65536x32"],
     "holonomy/n=0": ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--n", "0"],
     "holonomy/n=65537": ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--n", "65537"],
 }

@@ -8,8 +8,10 @@ document was written.  The keys of a --config JSON file are the
 subcommand's long flag names; each becomes `--key=value` (`true`: a bare
 `--key`) ahead of the command line, so explicit flags win.  Each command
 imports the modules it runs when it runs, so a job loads no other
-(`qdim`, `shadow`, `validate`, `fusion`, `holonomy` and `det` without
-`--diagnostics` load no numpy).
+(`qdim`, `shadow`, `validate`, `fusion`, `holonomy` and `det`, with or
+without `--diagnostics`, load no numpy; `det --diagnostics` is refused
+(exit 3) past the `determinants.MAX_QUAD_NODES` grid and
+`determinants.MAX_QUAD_THETA` order budgets).
 
 Link files are read by `diagrams.read_link`, which holds their schema.
 Output for `shadow`: { "value": {"re", "im"}, "abs_sum", "colorings", "retained",

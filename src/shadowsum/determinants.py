@@ -20,15 +20,18 @@ face-wise half-power determinants raised to the face Euler numbers
 ribbons vanishing geodesic curvature (the standing metric assumption), so
 that the curvature measure of each face is 4 pi chi(face).
 
-The closed forms run in Python floats.  `det_rig_quadrature` evaluates the
-integral for the one field a command gives it, a constant one on the round
-sphere, and imports numpy only when it runs, so a plain `det` job loads none.
-The general rule, for fields that vary over the surface, is the test-side
-oracle `sphere_rule` in `tests/test_determinants.py`.
+The closed forms and the quadrature run in Python floats (`math`, `cmath`), so
+no `det` job loads numpy.  `det_rig_quadrature` evaluates the integral for the
+one field a command gives it, a constant one on the round sphere, on the
+Gauss-Legendre rule of `gauss_legendre`.  The general rule, for fields that
+vary over the surface, is the test-side oracle `sphere_rule` in
+`tests/test_determinants.py`, which also checks `gauss_legendre` against
+numpy's `leggauss`.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Sequence
 
@@ -36,6 +39,7 @@ from .errors import PreconditionError
 from .roots import RootSystem, format_vector, is_regular
 
 MAX_QUAD_NODES = 2**21  # budget of `det_rig_quadrature`: n_theta * n_phi nodes
+MAX_QUAD_THETA = 2048  # budget of its Gauss-Legendre order, O(n^2) time: 0.25-0.4 s on 2 vCPUs
 SINGULAR_TOL = 1e-12  # distance of alpha(B) from an integer that counts as singular
 
 
@@ -78,41 +82,72 @@ def det_rig_constant(rs: RootSystem, x: Sequence, chi: int) -> float:
 # -- quadrature on the round sphere ------------------------------------------
 
 
+def gauss_legendre(n: int) -> tuple[list[float], list[float]]:
+    """The n-point Gauss-Legendre rule on [-1, 1], nodes increasing: each positive
+    node by Newton's method on P_n from the three-term recurrence
+    j P_j = (2j - 1) z P_{j-1} - (j - 1) P_{j-2}, started at cos(pi (i + 3/4) / (n + 1/2)),
+    its weight 2 / ((1 - z^2) P_n'(z)^2), and the negative half by symmetry.
+    O(n^2) time and O(n) memory."""
+    coeffs = [((2 * j - 1) / j, (j - 1) / j) for j in range(1, n + 1)]
+    nodes, weights = [0.0] * n, [0.0] * n
+    for i in range((n + 1) // 2):
+        z = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(100):
+            p, q = 1.0, 0.0  # P_j(z), P_{j-1}(z)
+            for a, c in coeffs:
+                p, q = a * z * p - c * q, p
+            dp = n * (z * p - q) / (z * z - 1.0)  # P_n'(z)
+            step = p / dp
+            z -= step
+            if abs(step) <= 1e-16:
+                break
+        nodes[i], nodes[n - 1 - i] = -z, z
+        weights[i] = weights[n - 1 - i] = 2.0 / ((1.0 - z * z) * dp * dp)
+    return nodes, weights
+
+
 def det_rig_quadrature(rs: RootSystem, x: Sequence, n_theta: int, n_phi: int) -> float:
     """Quadrature of the regularized determinant of the constant field x on the unit
     round sphere (R_g = 2), by the Gauss-Legendre x uniform product rule on an
     n_theta x n_phi grid.
 
     The field is the same at every node, so the root logarithms are summed once and
-    that sum is weighted by w_i R_g/(4 pi) at the nodes: by Gauss-Bonnet the value is
-    det_half(b)^2, up to the rounding of the weights.  A field with some alpha(B)
-    within SINGULAR_TOL of an integer is rejected at grid node 0.  A non-negligible
-    imaginary residue raises, since the value on a closed surface is real.
+    that sum is weighted by R_g/(4 pi) times the total weight of the rule: the n_phi
+    equal weights of the uniform rule sum to 2 pi and the Gauss-Legendre weights to
+    2, so by Gauss-Bonnet the value is det_half(b)^2, up to the rounding of the
+    weights.  The grid is never built.  A grid past MAX_QUAD_NODES nodes, an empty
+    one or an order past MAX_QUAD_THETA is refused before any node is computed.  A field with some
+    alpha(B) within SINGULAR_TOL of an integer is rejected at grid node 0.  A
+    non-negligible imaginary residue raises, since the value on a closed surface is
+    real.
     """
     if n_theta * n_phi > MAX_QUAD_NODES:
         raise PreconditionError(
             f"a {n_theta}x{n_phi} quadrature grid has {n_theta * n_phi} nodes; "
             f"the budget is {MAX_QUAD_NODES}"
         )
-    import numpy as np
-
-    cos_theta, w = np.polynomial.legendre.leggauss(n_theta)
-    pairs = np.array([float(v) for v in x]) @ np.array(rs.positive_root_labels, dtype=float).T
-    singular = np.abs(pairs - np.round(pairs)) <= SINGULAR_TOL
-    if singular.any():
-        r = int(np.argmax(singular))  # the first singular root
+    if n_theta < 1 or n_phi < 1:
+        raise PreconditionError(f"a {n_theta}x{n_phi} quadrature grid has no nodes")
+    if n_theta > MAX_QUAD_THETA:
         raise PreconditionError(
-            f"field is singular at grid node 0 (coords {(float(np.arccos(cos_theta[0])), 0.0)}, "
-            f"alpha(B) = {float(pairs[r])!r})"
+            f"a Gauss-Legendre rule of order n_theta = {n_theta} takes O(n_theta^2) time; "
+            f"the budget is {MAX_QUAD_THETA}"
         )
+    cos_theta, w = gauss_legendre(n_theta)
+    for pair in map(float, rs.root_pairings(x)):
+        if abs(pair - round(pair)) <= SINGULAR_TOL:  # the first singular root
+            raise PreconditionError(
+                f"field is singular at grid node 0 (coords {(math.acos(cos_theta[0]), 0.0)}, "
+                f"alpha(B) = {pair!r})"
+            )
     # log(2 sin(pi alpha(B))) on the principal branch: ln|.|, plus i pi on the negatives
-    two_sin = 2.0 * np.sin(math.pi * pairs)
-    logs = np.log(np.abs(two_sin)).sum() + 1j * math.pi * (two_sin < 0).sum()
-    weights = (np.repeat(w[:, None], n_phi, axis=1) * (2.0 * math.pi / n_phi)).ravel()
-    value = np.exp((weights * 2.0 / (4.0 * math.pi) * logs).sum())
+    two_sin = root_sines(rs, x)
+    logs = complex(math.fsum(math.log(abs(s)) for s in two_sin),
+                   math.pi * sum(s < 0 for s in two_sin))
+    value = cmath.exp(2.0 / (4.0 * math.pi) * (2.0 * math.pi) * math.fsum(w) * logs)
     if abs(value.imag) > 1e-8 * max(1.0, abs(value.real)):
         raise PreconditionError(
             f"determinant came out non-real ({value!r}); the field crosses the "
             "singular set between grid nodes"
         )
-    return float(value.real)
+    return value.real

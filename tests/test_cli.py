@@ -772,6 +772,7 @@ class TestUsageErrorsAsJson:
             ["fusion", "--group", "A1", "--k", "200"],
             ["det", "--group", "A1", "--alpha-b", "1/2", "--diagnostics",
              "--quad-res", "100000x100000"],
+            ["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics", "--quad-res", "65536x32"],
             ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--n", "10000000"],
             ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--color", "100000", "--n", "8"],
             ["fusion", "--group", "E6", "--k", "13", "--verify"],
@@ -819,7 +820,7 @@ class TestUsageErrorsAsJson:
     @pytest.mark.parametrize("argv,only,never", [
         (["qdim", "--group", "E6", "--k", "16"], {"cli", "errors", "roots", "reps"}, {"numpy"}),
         (["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics", "--quad-res", "8x16"],
-         None, {"diagrams", "fusion", "reps", "holonomy", "regularize"}),
+         {"cli", "errors", "roots", "determinants"}, {"numpy"}),
         (["det", "--group", "A1", "--alpha-b", "1/3"], {"cli", "errors", "roots", "determinants"},
          {"numpy"}),
         (["shadow", "link.json"], SHADOW_MODULES, {"determinants", "holonomy", "regularize",
@@ -839,9 +840,9 @@ class TestUsageErrorsAsJson:
         """A command imports the modules it runs and no other, in a fresh interpreter:
         `qdim` needs the root data and the alphabet alone, `shadow` the fusion
         triples and the diagrams, `validate` the diagrams alone, the `fusion`
-        export and its Verlinde check the fusion layer alone, plain `det` its
-        closed forms alone, `holonomy` its weight sums alone, and none of them
-        numpy; `regularize` loads no fusion data."""
+        export and its Verlinde check the fusion layer alone, `det` its closed
+        forms and, with --diagnostics, its quadrature alone, `holonomy` its weight
+        sums alone, and none of them numpy; `regularize` loads no fusion data."""
         write(tmp_path, "link.json", TWO_CIRCLES)
         code = ("import json, sys, shadowsum.cli as cli\n"
                 f"rc = cli.main({argv!r})\n"
