@@ -13,7 +13,8 @@ types the benchmark never runs (FIELD_JOBS), with b drawn per seed, runs
 `det`, `regularize` and `holonomy` at large exact field values on A1 and G2
 (LARGE_FIELDS), runs the kernels' refusals (REFUSAL_JOBS: a float-singular
 field, an over-budget grid and an over-budget rule order through `det
---diagnostics`, and `holonomy` at n = 0 and at n past its factor budget),
+--diagnostics`, `holonomy` at n = 0 and at n past its factor budget, and
+`regularize` on each side of its trust boundary on A1 and E8),
 and runs each malformed link document
 of MALFORMED_LINKS, and HUGE_K_LINK, through `shadow`, `validate` and
 `regularize`, so the error paths are compared too.  Each job runs as one
@@ -62,7 +63,9 @@ LARGE_FIELDS = {"A1": ("--alpha-b=10000000000000000001/3", "2"),
 # The refusals of the det quadrature and of the holonomy product: alpha(b) within
 # determinants.SINGULAR_TOL of 0, a grid past determinants.MAX_QUAD_NODES, a grid within
 # it whose n_theta is past determinants.MAX_QUAD_THETA, and n below 1 and past
-# holonomy.MAX_HOLONOMY_FACTORS.
+# holonomy.MAX_HOLONOMY_FACTORS.  Then the trust boundary of `regularize` on one face: the
+# last admitted stage and the first refused one on A1 (|R+| = 1) and on E8 (|R+| = 120),
+# where N_n |R+| sup_error first reaches 1.
 REFUSAL_JOBS = {
     "det/float-singular": ["det", "--group", "A1", "--alpha-b", "1/1000000000000001",
                            "--diagnostics"],
@@ -72,6 +75,11 @@ REFUSAL_JOBS = {
                          "--quad-res", "65536x32"],
     "holonomy/n=0": ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--n", "0"],
     "holonomy/n=65537": ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--n", "65537"],
+    **{f"regularize/{group}-n={n}": ["regularize", "--group", group, field, "--n", str(n)]
+       for group, field, stages in (
+           ("A1", "--alpha-b=2/7", (15, 16)),
+           ("E8", "--b=-27/61,-24/61,0,-48/61,39/61,-58/61,46/61,-9/61", (13, 14)))
+       for n in stages},
 }
 
 

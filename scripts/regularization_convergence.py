@@ -3,11 +3,13 @@
 
 Prints, for a constant field with alpha(b) = 1/2 and for a two-face step
 field, the regularized indicator and determinant at n = 1..12 against their
-closed-form limits, beside each stage's log^(n) degree in y = x^2, its sup
-error and the cutoff's sup error.  Field values are A1 coweight coordinates
+closed-form limits, beside the determinant's error bound, each stage's log^(n)
+degree in y = x^2, its largest error on 4000 equispaced points of [1/n, 2] and
+the cutoff's tabulated sup error.  Field values are A1 coweight coordinates
 x = alpha(b)/2.
 """
 
+import math
 from fractions import Fraction as Q
 
 from shadowsum.determinants import det_rig_constant
@@ -15,6 +17,7 @@ from shadowsum.diagrams import build_diagram
 from shadowsum.regularize import (
     SteppedField,
     det_rig_n,
+    det_rig_n_bound,
     det_rig_step,
     log_poly,
     regularized_indicator,
@@ -23,17 +26,24 @@ from shadowsum.regularize import (
 from shadowsum.roots import build_root_system
 
 
+def log_error(lp):
+    """The largest |log^(n)(x) - ln x| on 4000 equispaced points of [1/n, 2]."""
+    lo = 1.0 / lp.n
+    return max(abs(lp(x) - math.log(x)) for x in (lo + (2.0 - lo) * i / 3999 for i in range(4000)))
+
+
 def table(rs, field, target, title):
     print(f"\n{title}  (closed form {target:.10f})")
-    print(f"{'n':>3} {'indicator':>22} {'det_rig_n':>26} {'|det err|':>12}"
+    print(f"{'n':>3} {'indicator':>22} {'det_rig_n':>26} {'|det err|':>12} {'rel bound':>10}"
           f" {'log deg':>8} {'log err':>10} {'cut err':>10}")
     for n in range(1, 13):
         ind = regularized_indicator(rs, n, field)
         det = det_rig_n(rs, n, field)
+        bound = det_rig_n_bound(rs, n, field)
         lp = log_poly(n)
         print(f"{n:>3} {ind:>22.14f} {det.real:>14.8f}{det.imag:>+12.2e}j"
-              f" {abs(det - target):>12.3e} {len(lp.coeffs) - 1:>8} {lp.sup_error:>10.2e}"
-              f" {trig_cutoff(n).sup_error:>10.2e}")
+              f" {abs(det - target):>12.3e} {'null' if bound is None else f'{bound:.2e}':>10}"
+              f" {lp.degree:>8} {log_error(lp):>10.2e} {trig_cutoff(n).sup_error:>10.2e}")
 
 
 def main():

@@ -4,9 +4,10 @@ __version__ = "0.1.0"
 
 import os
 
-# One BLAS thread unless the caller chose otherwise: a job is one process on small
-# arrays, and a default pool of one OpenBLAS thread per core slows numpy's import,
-# burns the other cores and makes the last digits of float results depend on the
-# machine's core count.  It must be set before numpy is first imported.
+# One BLAS thread unless the caller chose otherwise.  No command loads numpy; only
+# `circleop` (library API) uses it, on small arrays, where a default pool of one
+# OpenBLAS thread per core slows numpy's import, burns the other cores and makes the
+# last digits of float results depend on the machine's core count.  It must be set
+# before numpy is first imported.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")

@@ -7,16 +7,18 @@ One JSON document goes to stdout; diagnostics go to stderr.  Exit codes:
 document was written.  The keys of a --config JSON file are the
 subcommand's long flag names; each becomes `--key=value` (`true`: a bare
 `--key`) ahead of the command line, so explicit flags win.  Each command
-imports the modules it runs when it runs, so a job loads no other
-(`qdim`, `shadow`, `validate`, `fusion`, `holonomy` and `det`, with or
-without `--diagnostics`, load no numpy; `det --diagnostics` is refused
-(exit 3) past the `determinants.MAX_QUAD_NODES` grid and
-`determinants.MAX_QUAD_THETA` order budgets).
+imports the modules it runs when it runs, so a job loads no other, and
+no command loads numpy (`det --diagnostics` is refused (exit 3) past the
+`determinants.MAX_QUAD_NODES` grid and `determinants.MAX_QUAD_THETA` order
+budgets).
 
 Link files are read by `diagrams.read_link`, which holds their schema.
 Output for `shadow`: { "value": {"re", "im"}, "abs_sum", "colorings", "retained",
 optional "terms" }.  The per-term listing of --diagnostics is refused (exit 3)
-when it would hold more than MAX_LISTED_TERMS terms.
+when it would hold more than MAX_LISTED_TERMS terms.  Output for `regularize`:
+{ "indicator", "det_rig_n": {"re", "im"}, "det_rig_n_bound", ... }, where
+"det_rig_n_bound" (`regularize.det_rig_n_bound`) bounds |det_rig_n - limit| /
+|limit| and is null where log^(n) has no stated accuracy.
 """
 
 from __future__ import annotations
@@ -207,7 +209,7 @@ def cmd_det(args) -> dict:
 
 
 def cmd_regularize(args) -> dict:
-    from .regularize import SteppedField, det_rig_n, regularized_indicator
+    from .regularize import SteppedField, det_rig_n, det_rig_n_bound, regularized_indicator
 
     if args.input is None:
         rs = _root_system(args)
@@ -227,6 +229,7 @@ def cmd_regularize(args) -> dict:
         "n": args.n,
         "indicator": regularized_indicator(rs, args.n, field),
         "det_rig_n": _c2j(det_rig_n(rs, args.n, field)),
+        "det_rig_n_bound": det_rig_n_bound(rs, args.n, field),
         "faces": len(field.diagram.faces),
     }
 

@@ -86,12 +86,14 @@ def gauss_legendre(n: int) -> tuple[list[float], list[float]]:
     """The n-point Gauss-Legendre rule on [-1, 1], nodes increasing: each positive
     node by Newton's method on P_n from the three-term recurrence
     j P_j = (2j - 1) z P_{j-1} - (j - 1) P_{j-2}, started at cos(pi (i + 3/4) / (n + 1/2)),
-    its weight 2 / ((1 - z^2) P_n'(z)^2), and the negative half by symmetry.
-    O(n^2) time and O(n) memory."""
+    its weight 2 / ((1 - z^2) P_n'(z)^2), and the negative half by symmetry.  Newton
+    stops at a step of at most 1e-16 or when z returns to a value it held before (it
+    can cycle between adjacent doubles).  O(n^2) time and O(n) memory."""
     coeffs = [((2 * j - 1) / j, (j - 1) / j) for j in range(1, n + 1)]
     nodes, weights = [0.0] * n, [0.0] * n
     for i in range((n + 1) // 2):
         z = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        seen = {z}
         for _ in range(100):
             p, q = 1.0, 0.0  # P_j(z), P_{j-1}(z)
             for a, c in coeffs:
@@ -99,8 +101,9 @@ def gauss_legendre(n: int) -> tuple[list[float], list[float]]:
             dp = n * (z * p - q) / (z * z - 1.0)  # P_n'(z)
             step = p / dp
             z -= step
-            if abs(step) <= 1e-16:
+            if abs(step) <= 1e-16 or z in seen:
                 break
+            seen.add(z)
         nodes[i], nodes[n - 1 - i] = -z, z
         weights[i] = weights[n - 1 - i] = 2.0 / ((1.0 - z * z) * dp * dp)
     return nodes, weights

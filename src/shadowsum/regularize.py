@@ -24,7 +24,14 @@ a polynomial log^(n) converging uniformly to the principal log on the compact
 pieces of [-2, -1/n] u [1/n, 2]; the integral reduces to Euler-number
 weights per face under the standing metric assumption.  By parity log^(n)
 is built from two real Chebyshev interpolants in y = x^2 on [1/n^2, 4],
-whose error on [1/n, 2] also bounds it on [-2, -1/n] (see `log_poly`).
+whose error on [1/n, 2] also bounds it on [-2, -1/n] (see `log_poly`);
+`det_rig_n_bound` bounds the stage's relative distance to its limit.
+
+Both sequences run in Python floats (`math`, exact `fractions` for the
+residues), evaluated only at the points a stage reads, so no `regularize` job
+loads numpy.  The cutoff's sup error is a function of n alone and is
+tabulated (`CUTOFF_SUP_ERRORS`); its measurement on a dense grid, and the
+log^(n) error measurement, are oracles in `tests/test_regularize.py`.
 """
 
 from __future__ import annotations
@@ -32,8 +39,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .determinants import det_rig_constant, root_sines
 from .diagrams import ShadowDiagram, build_diagram
@@ -84,64 +89,105 @@ def det_rig_step(rs: RootSystem, field: SteppedField) -> float:
 # -- smooth periodic bump and its trig-polynomial approximation ---------------
 
 _BUMP_C = 0.25  # transition fits inside the C/n-neighborhood of the integers
+_K = 1 << 13  # samples of the bump per period
 # Accuracy floor of `trig_cutoff`: double precision does not reach below it, so
 # no cutoff records a smaller sup error.
 CUTOFF_FLOOR = 1e-12
+# max(sup |pbar_n - psi_n|, CUTOFF_FLOOR) for the stages n = 1..19 that the
+# CUTOFF_FLOOR check admits, measured once on the 4K-point grid, i.e. a function of
+# n alone: the measurement is the oracle of `tests/test_regularize.py`.
+CUTOFF_SUP_ERRORS = {
+    **dict.fromkeys(range(1, 9), CUTOFF_FLOOR),
+    9: 1.7988943668001411e-12,
+    10: 6.932121543457015e-12,
+    11: 1.5457191082646204e-11,
+    12: 4.978017997814277e-11,
+    13: 1.0460965427228075e-10,
+    14: 2.449602742871093e-10,
+    15: 9.079661467126243e-10,
+    16: 1.407845506840033e-09,
+    17: 2.332414927863624e-09,
+    18: 5.444493300643671e-09,
+    19: 9.710241832827649e-09,
+}
 
 
-def _smooth_step(t: np.ndarray) -> np.ndarray:
-    """C^infinity step: 0 at t <= 0, 1 at t >= 1."""
-    t = np.clip(t, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        f = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        g = np.where(t < 1, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
+def _bump(n: int, x: float) -> float:
+    """psi_n: 1-periodic, 0 exactly on Z, 1 at distance >= 1/(4n) from Z; a C^infinity
+    step of t = sin^2(pi x) / sin^2(pi C/n), 0 at t <= 0 and 1 at t >= 1."""
+    s = math.sin(math.pi * x)
+    t = s * s / math.sin(math.pi * _BUMP_C / n) ** 2
+    if t <= 0.0:
+        return 0.0
+    if t >= 1.0:
+        return 1.0
+    f, g = math.exp(-1.0 / t), math.exp(-1.0 / (1.0 - t))
     return f / (f + g)
-
-
-def bump(n: int, x: np.ndarray) -> np.ndarray:
-    """psi_n: 1-periodic, 0 exactly on Z, 1 at distance >= 1/(4n) from Z."""
-    s0 = math.sin(math.pi * _BUMP_C / n) ** 2
-    return _smooth_step(np.sin(math.pi * x) ** 2 / s0)
 
 
 class TrigCutoff:
     """Recentred truncated Fourier series of the bump, pbar_n = p_n - p_n(0).
 
-    Guarantees pbar_n(m) = 0 exactly for integer m; `sup_error` is the
-    measured uniform distance to psi_n on a dense grid, at least CUTOFF_FLOOR.
+    p_n is the cosine series of degree K/2 of the K = 2^13 samples psi_j = psi_n(j/K),
+    Nyquist term at full weight, so p_n(x) = (1/K) sum_j psi_j D(x - j/K) with the
+    Dirichlet kernel D(t) = sin((K+1) pi t) / sin(pi t).  Since sum_j D(x - j/K) = K and
+    D(-j/K) = (-1)^j for j != 0, only the pairs (j, w_j = 1 - psi_j) with psi_j < 1
+    enter:
+
+        pbar_n(x) = 1 - (1/K) sum_j w_j [D(x - j/K) - (-1)^j].
+
+    Guarantees pbar_n(m) = 0 exactly for integer m; `sup_error` is the tabulated
+    uniform distance to psi_n (CUTOFF_SUP_ERRORS), at least CUTOFF_FLOOR.
     """
 
-    def __init__(self, n: int, coeffs: np.ndarray, sup_error: float):
+    def __init__(self, n: int, pairs: list[tuple[int, float]], sup_error: float):
         self.n = n
-        self.coeffs = coeffs  # cosine coefficients, constant recentred
+        self.pairs = pairs  # (j, (-1)^j w_j) for |j| <= K/2 with w_j > 0
+        self.alternating_sum = math.fsum(v for _, v in pairs)  # sum_j (-1)^j w_j
         self.sup_error = sup_error
 
     def __call__(self, x: Fraction | float) -> float:
-        x = x - math.floor(x)  # exact for Fraction and float alike
+        """pbar_n at x, read from the exact residue of x: with x - round(x) = (m + r)/K,
+        m an integer and |r| <= 1/2 exact, x - j/K = (e + r)/K and
+        (K+1)(x - j/K) = e + (e/K + r (K+1)/K) for e = m - j, so
+        D(x - j/K) = (-1)^e sin(pi (e/K + r (K+1)/K)) / sin(pi (e + r)/K) with small
+        float arguments only."""
+        x = Fraction(x)
+        x -= round(x)
         if x == 0:
             return 0.0
-        m = np.arange(len(self.coeffs))
-        return float(self.coeffs @ np.cos(2.0 * math.pi * m * float(x)))
+        m = round(x * _K)
+        r = x * _K - m
+        r_f, rho = float(r), float(r * (_K + 1) / _K)
+        terms = []
+        for j, v in self.pairs:
+            e = m - j
+            den = math.sin(math.pi * (e + r_f) / _K)  # 0 only at x = j/K, where D = K + 1
+            terms.append(v * (math.sin(math.pi * (e / _K + rho)) / den if den else _K + 1.0))
+        # (-1)^e = (-1)^m (-1)^j, and (-1)^j is in the pair's weight
+        s = math.fsum(terms)
+        return 1.0 - ((s if m % 2 == 0 else -s) - self.alternating_sum) / _K
 
 
 def trig_cutoff(n: int) -> TrigCutoff:
-    """Build pbar_n from the whole cosine series of one 2^13-point FFT of psi_n.
+    """Build pbar_n from the K = 2^13 samples of psi_n.  Those below 1 lie within
+    K/(4n) + 1 of the integers, so only about K/(2n) pairs are kept.
 
-    The error is measured once, on a grid four times as fine, and floored at
-    CUTOFF_FLOOR, which double precision does not reach below.
+    Its sup error is read from CUTOFF_SUP_ERRORS; a stage that table does not hold is
+    refused.
     """
-    K = 1 << 13
-    spectrum = np.fft.rfft(bump(n, np.arange(K) / K)) / K
-    a = 2.0 * spectrum.real  # psi is even: cosine series
-    a[0] = spectrum[0].real
-    a[0] -= a.sum()  # recentre: pbar = p - p(0) vanishes at the integers
-    dense_n = 4 * K
-    z = np.zeros(dense_n // 2 + 1, dtype=complex)
-    z[0] = a[0] * dense_n
-    z[1 : len(a)] = a[1:] * (dense_n / 2.0)
-    vals = np.fft.irfft(z, n=dense_n)
-    err = float(np.max(np.abs(vals - bump(n, np.arange(dense_n) / dense_n))))
-    return TrigCutoff(n, a, max(err, CUTOFF_FLOOR))
+    if n not in CUTOFF_SUP_ERRORS:
+        raise PreconditionError(
+            f"no cutoff of stage n = {n}: sup errors are tabulated for n = 1.."
+            f"{max(CUTOFF_SUP_ERRORS)}, the stages the CUTOFF_FLOOR check admits"
+        )
+    span = _K // (4 * n) + 1
+    pairs = []
+    for j in range(-span, span + 1):
+        w = 1.0 - _bump(n, j / _K)
+        if w > 0.0:
+            pairs.append((j, -w if j % 2 else w))
+    return TrigCutoff(n, pairs, CUTOFF_SUP_ERRORS[n])
 
 
 def total_cells(field: SteppedField, n: int) -> int:
@@ -208,34 +254,39 @@ class LogPoly:
     """One polynomial approximating the principal log on [-2,-1/n] u [1/n, 2].
 
     log^(n)(x) = q_e(x^2) + i pi/2 - (i pi/2) x q_o(x^2), where q_e and q_o
-    interpolate (1/2) ln y and y^(-1/2) in y = x^2 on [1/n^2, 4]; `coeffs`
-    holds their Chebyshev coefficients in y, one column each.  Converges
-    uniformly to ln|x| + i pi H(-x) on every compact subset of [-2, 2]
-    minus 0 as n grows.
+    interpolate (1/2) ln y and y^(-1/2) in y = x^2 on [1/n^2, 4] at the `degree` + 1
+    first-kind Chebyshev points; `nodes` holds (t_k, weight_k, q_e, q_o) per point, t
+    the image of y in [-1, 1].  Converges uniformly to ln|x| + i pi H(-x) on every
+    compact subset of [-2, 2] minus 0 as n grows.
     """
 
-    def __init__(self, n: int, coeffs: np.ndarray):
+    def __init__(self, n: int, degree: int, nodes: list[tuple[float, float, float, float]]):
         self.n = n
-        self.coeffs = coeffs
+        self.degree = degree
+        self.nodes = nodes
 
-    def _parts(self, x):
-        """(q_e(x^2), x q_o(x^2)), by Clenshaw in y."""
+    def _parts(self, x: float) -> tuple[float, float]:
+        """(q_e(x^2), x q_o(x^2)), by the second barycentric formula in y, O(degree)."""
         lo = 1.0 / (self.n * self.n)
         t = (2.0 * x * x - 4.0 - lo) / (4.0 - lo)  # y = x^2 mapped from [1/n^2, 4] to [-1, 1]
-        even, odd = np.polynomial.chebyshev.chebval(t, self.coeffs)
-        return even, x * odd
+        even = odd = den = 0.0
+        for t_k, w_k, e_k, o_k in self.nodes:
+            if t == t_k:
+                return e_k, x * o_k
+            c = w_k / (t - t_k)
+            even += c * e_k
+            odd += c * o_k
+            den += c
+        return even / den, x * (odd / den)
 
     def __call__(self, x: float) -> complex:
         even, odd = self._parts(x)
         return complex(even, 0.5 * math.pi * (1.0 - odd))
 
-    @property
-    def sup_error(self) -> float:
-        """The largest error on 4000 equispaced points of [1/n, 2]; by parity the
-        error at -x has the modulus of the error at x, so it bounds [-2, -1/n] too."""
-        x = np.linspace(1.0 / self.n, 2.0, 4000)
-        even, odd = self._parts(x)
-        return float(np.max(np.hypot(even - np.log(x), 0.5 * math.pi * (1.0 - odd))))
+
+def _log_target(n: int) -> float:
+    """The uniform error max(4^-n, 2e-11) that log^(n) meets on [1/n, 2], n = 1..18."""
+    return max(4.0 ** (-n), 2e-11)
 
 
 def log_poly(n: int) -> LogPoly:
@@ -244,20 +295,27 @@ def log_poly(n: int) -> LogPoly:
     ln|x| is even and pi H(-x) - pi/2 is odd, so log^(n) = even + i pi/2 -
     (i pi/2) odd with even(x) = (1/2) ln x^2 and odd(x) = x (x^2)^(-1/2) =
     sign x: two real functions of y = x^2 (the odd one times x), each
-    interpolated once on [1/n^2, 4].
+    sampled once on [1/n^2, 4] at the first-kind Chebyshev points
+    t_k = sin(pi (2k - deg) / (2 deg + 2)), whose barycentric weights are
+    (-1)^k cos(pi (2k - deg) / (2 deg + 2)) (Berrut and Trefethen, SIAM Rev. 46, 2004):
+    no coefficients are computed.
 
     The singularity y = 0 lies 1/n^2 below that interval, so the error falls
     like (1 + 1/n)^-deg: degree ceil(n ln(2/target)) in y (at most 1000) meets
     the target max(4^-n, 2e-11) on n = 1..18.  From n = 19 on rounding holds
     the error at 2-7e-11.
     """
-    target = max(4.0 ** (-n), 2e-11)
-    deg = min(math.ceil(n * math.log(2.0 / target)), 1000)
+    deg = min(math.ceil(n * math.log(2.0 / _log_target(n))), 1000)
     lo = 1.0 / (n * n)
     mid, half = (4.0 + lo) / 2.0, (4.0 - lo) / 2.0
-    even = np.polynomial.chebyshev.chebinterpolate(lambda t: 0.5 * np.log(mid + half * t), deg)
-    odd = np.polynomial.chebyshev.chebinterpolate(lambda t: 1.0 / np.sqrt(mid + half * t), deg)
-    return LogPoly(n, np.stack([even, odd], axis=1))
+    nodes = []
+    for k in range(deg + 1):
+        phi = 0.5 * math.pi / (deg + 1) * (2 * k - deg)
+        t = math.sin(phi)
+        y = mid + half * t
+        nodes.append((t, -math.cos(phi) if k % 2 else math.cos(phi),
+                      0.5 * math.log(y), 1.0 / math.sqrt(y)))
+    return LogPoly(n, deg, nodes)
 
 
 def det_rig_n(rs: RootSystem, n: int, field: SteppedField) -> complex:
@@ -279,3 +337,39 @@ def det_rig_n(rs: RootSystem, n: int, field: SteppedField) -> complex:
             acc += lp(s) * face.euler
         total *= exp_poly(n, acc)
     return total
+
+
+def det_rig_n_bound(rs: RootSystem, n: int, field: SteppedField) -> float | None:
+    """Relative error bound of `det_rig_n` against its limit `det_rig_step`,
+    prod_{alpha>0} (1 + r_alpha) - 1.
+
+    Per root, z = sum_faces chi(face) log(2 sin(pi alpha(b_face))) (principal branch)
+    and the stage reads exp^(n)(z + d) with |d| <= eps = target * sum_faces |chi(face)|,
+    target the log^(n) error `_log_target`.  With w = |z| + eps,
+
+        r_alpha = (w^(n+1)/(n+1)! e^w + |e^z| expm1(eps)) / |e^z|
+
+    bounds the Taylor remainder at z + d plus |e^(z+d) - e^z|, relative to |e^z|.
+    None where log^(n) has no stated accuracy: a root sine below 1/n in modulus on
+    some face (singular values included) or a stage past n = 18; None too for a bound
+    that is not a finite double.
+    """
+    if n < 1:
+        raise PreconditionError(f"regularization index must be >= 1, got {n}")
+    if n > 18:
+        return None
+    faces = field.diagram.faces
+    eps = _log_target(n) * sum(abs(face.euler) for face in faces)
+    out = 1.0
+    for column in zip(*(root_sines(rs, x) for x in field.values)):  # one root, every face
+        if any(abs(s) < 1.0 / n for s in column):
+            return None
+        z = complex(math.fsum(face.euler * math.log(abs(s)) for face, s in zip(faces, column)),
+                    math.pi * sum(face.euler for face, s in zip(faces, column) if s < 0))
+        w = abs(z) + eps
+        try:  # w^(n+1)/(n+1)! e^(w - Re z), in logarithms
+            r = math.exp((n + 1) * math.log(w) - math.lgamma(n + 2) + w - z.real)
+        except OverflowError:
+            return None
+        out *= 1.0 + r + math.expm1(eps)
+    return out - 1.0 if math.isfinite(out) else None

@@ -337,11 +337,24 @@ class TestRegularizeAndHolonomy:
         assert rc == 3 and "cannot be trusted" in doc["error"]["message"]
 
     def test_regularize_n14_unchanged(self, capsys):
-        """n = 14, the largest stage the benchmark runs (bound 0.066), still runs."""
+        """n = 14, the largest stage the benchmark runs (bound 0.066), still runs.  The
+        indicator is pbar_14(1/3)^(4^14), so one ulp of pbar near 1 (2^-53) moves it by
+        4^14 2^-53 relative: it is checked against the stage's exact value (samples of
+        psi_14 and the kernel in 50-digit arithmetic) to two such ulps."""
         rc, doc = run_main(capsys, "regularize", "--group", "A1", "--alpha-b", "1/3", "--n", "14")
         assert rc == 0
-        assert doc["indicator"] == pytest.approx(0.9996959731302164, rel=1e-12)
+        assert doc["indicator"] == pytest.approx(0.99969586236992620, rel=4**14 * 2**-52, abs=0)
         assert doc["det_rig_n"]["re"] == pytest.approx(2.999999999996653, rel=1e-12)
+        assert doc["det_rig_n_bound"] < 1e-8
+
+    @pytest.mark.parametrize("alpha", ["1/1000", "999/1000", "1"])
+    def test_regularize_bound_null_below_one_over_n(self, alpha):
+        """|2 sin(pi alpha(b))| < 1/n lies outside the interval where log^(n) has a
+        stated accuracy: the bound prints null, never Infinity, and the job succeeds."""
+        r = run_cli("regularize", "--group", "A1", "--alpha-b", alpha, "--n", "6")
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["det_rig_n_bound"] is None
+        assert "Infinity" not in r.stdout and "NaN" not in r.stdout
 
     def test_holonomy_vertical(self):
         r = run_cli("holonomy", "--group", "A1", "--alpha-b", "1/3",
@@ -831,7 +844,9 @@ class TestUsageErrorsAsJson:
          {"cli", "errors", "roots", "reps", "fusion"}, {"diagrams", "numpy"}),
         (["fusion", "--group", "A2", "--k", "5", "--dump", "--format", "text", "--verify"],
          {"cli", "errors", "roots", "reps", "fusion"}, {"diagrams", "numpy"}),
-        (["regularize", "--group", "A1", "--alpha-b", "1/3", "--n", "3"], None, {"fusion"}),
+        (["regularize", "--group", "A1", "--alpha-b", "1/3", "--n", "3"],
+         {"cli", "errors", "roots", "reps", "diagrams", "determinants", "regularize"},
+         {"fusion", "numpy"}),
         (["holonomy", "--group", "G2", "--b=1/7,1/5,-12/35", "--color", "1,1", "--n", "1024"],
          {"cli", "errors", "roots", "reps", "holonomy"}, {"numpy"}),
     ], ids=["qdim", "det", "det-plain", "shadow", "shadow-diagnostics", "validate", "fusion",
@@ -842,7 +857,8 @@ class TestUsageErrorsAsJson:
         triples and the diagrams, `validate` the diagrams alone, the `fusion`
         export and its Verlinde check the fusion layer alone, `det` its closed
         forms and, with --diagnostics, its quadrature alone, `holonomy` its weight
-        sums alone, and none of them numpy; `regularize` loads no fusion data."""
+        sums alone, `regularize` its two sequences and the diagrams without fusion
+        data, and none of them numpy."""
         write(tmp_path, "link.json", TWO_CIRCLES)
         code = ("import json, sys, shadowsum.cli as cli\n"
                 f"rc = cli.main({argv!r})\n"
@@ -853,7 +869,7 @@ class TestUsageErrorsAsJson:
                            text=True, check=True, env=src_env())
         rc, loaded = json.loads(r.stderr)
         assert rc == 0
-        assert only is None or set(loaded) == only
+        assert set(loaded) == only
         assert not never & set(loaded)
 
     @pytest.mark.parametrize("preset,expected", [(None, "1 1"), ("2", "2 1")])

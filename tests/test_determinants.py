@@ -199,6 +199,31 @@ class TestQuadrature:
         assert abs(math.fsum(weights) - 2.0) <= sum_tol
         assert nodes == [-z for z in reversed(nodes)] and nodes == sorted(nodes)
 
+    def test_gauss_legendre_stops_where_the_capped_loop_ends(self):
+        """Stopping Newton when z repeats changes no node and no weight: against the
+        loop that stops only at a step of at most 1e-16 or after 100 iterations, which
+        at n = 8 node 0 cycles between two adjacent doubles up to the cap."""
+        def capped(n):
+            coeffs = [((2 * j - 1) / j, (j - 1) / j) for j in range(1, n + 1)]
+            nodes, weights = [0.0] * n, [0.0] * n
+            for i in range((n + 1) // 2):
+                z = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+                for _ in range(100):
+                    p, q = 1.0, 0.0
+                    for a, c in coeffs:
+                        p, q = a * z * p - c * q, p
+                    dp = n * (z * p - q) / (z * z - 1.0)
+                    step = p / dp
+                    z -= step
+                    if abs(step) <= 1e-16:
+                        break
+                nodes[i], nodes[n - 1 - i] = -z, z
+                weights[i] = weights[n - 1 - i] = 2.0 / ((1.0 - z * z) * dp * dp)
+            return nodes, weights
+
+        for n in range(1, 301):
+            assert gauss_legendre(n) == capped(n), n
+
     def test_constant_matches_closed_form(self, a1):
         v = det_rig_quadrature(a1, from_labels(a1, [Q(1, 2)]), 64, 128)
         assert abs(v - 4.0) < 1e-6

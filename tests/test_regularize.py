@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction as Q
 
@@ -10,9 +11,12 @@ from shadowsum.diagrams import build_diagram
 from shadowsum.errors import PreconditionError
 from shadowsum.regularize import (
     CUTOFF_FLOOR,
+    CUTOFF_SUP_ERRORS,
     SteppedField,
-    bump,
+    _bump,
+    _require_trusted_stage,
     det_rig_n,
+    det_rig_n_bound,
     det_rig_step,
     exp_poly,
     log_poly,
@@ -21,6 +25,49 @@ from shadowsum.regularize import (
     trig_cutoff,
 )
 from shadowsum.roots import build_root_system
+
+K = 1 << 13  # bump samples per period of the cutoff
+
+
+def np_bump(n, x):
+    """psi_n on an array: the C^infinity step of sin^2(pi x) / sin^2(pi/(4n))."""
+    t = np.clip(np.sin(np.pi * x) ** 2 / math.sin(math.pi * 0.25 / n) ** 2, 0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        f = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
+        g = np.where(t < 1, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
+    return f / (f + g)
+
+
+@functools.lru_cache(maxsize=None)
+def fft_cutoff(n):
+    """The oracle of `trig_cutoff`: the cosine coefficients of pbar_n from one K-point
+    rfft of psi_n (Nyquist term at full weight, constant recentred so that pbar_n(0) =
+    0), and max(sup |pbar_n - psi_n|, CUTOFF_FLOOR) over the 4K-point grid."""
+    spectrum = np.fft.rfft(np_bump(n, np.arange(K) / K)) / K
+    a = 2.0 * spectrum.real  # psi is even: cosine series
+    a[0] = spectrum[0].real
+    a[0] -= a.sum()
+    dense_n = 4 * K
+    z = np.zeros(dense_n // 2 + 1, dtype=complex)
+    z[0] = a[0] * dense_n
+    z[1 : len(a)] = a[1:] * (dense_n / 2.0)
+    vals = np.fft.irfft(z, n=dense_n)
+    err = float(np.max(np.abs(vals - np_bump(n, np.arange(dense_n) / dense_n))))
+    return a, max(err, CUTOFF_FLOOR)
+
+
+def fft_series(a, x):
+    """sum_m a_m cos(2 pi m x) at a rational x, each m x reduced mod 1 exactly."""
+    m = np.arange(len(a))
+    return float(a @ np.cos(2.0 * np.pi * (m * x.numerator % x.denominator) / x.denominator))
+
+
+@functools.lru_cache(maxsize=None)
+def log_sup_error(n):
+    """The largest |log^(n)(x) - ln x| on 4000 equispaced points of [1/n, 2]; by parity
+    the error at -x has the modulus of the error at x, so it bounds [-2, -1/n] too."""
+    lp = log_poly(n)
+    return max(abs(lp(float(x)) - math.log(x)) for x in np.linspace(1.0 / n, 2.0, 4000))
 
 
 def one_circle_field(rs, inner, outer):
@@ -32,18 +79,22 @@ def one_circle_field(rs, inner, outer):
 
 class TestBump:
     def test_vanishes_on_integers(self):
-        x = np.array([-2.0, -1.0, 0.0, 1.0, 5.0])
-        assert np.all(bump(3, x) == 0.0)
+        assert all(_bump(3, x) == 0.0 for x in (-2.0, -1.0, 0.0, 1.0, 5.0))
 
     def test_one_away_from_integers(self):
         n = 4
-        x = np.array([0.3, 0.5, 1.0 / (4 * n) + 1e-9, 1 - 1.0 / (4 * n) - 1e-9])
-        assert np.all(bump(n, x) == 1.0)
+        x = [0.3, 0.5, 1.0 / (4 * n) + 1e-9, 1 - 1.0 / (4 * n) - 1e-9]
+        assert all(_bump(n, v) == 1.0 for v in x)
 
     def test_monotone_window(self):
-        x = np.linspace(0.0, 0.25, 200)
-        v = bump(2, x)
-        assert np.all(np.diff(v) >= -1e-12)
+        v = [_bump(2, x) for x in np.linspace(0.0, 0.25, 200)]
+        assert all(b - a >= -1e-12 for a, b in zip(v, v[1:]))
+
+    def test_matches_the_array_bump(self):
+        """The scalar samples are the oracle's, to rounding of sin and exp."""
+        for n in (1, 8, 14):
+            x = np.arange(-K // (4 * n) - 1, K // (4 * n) + 2) / K
+            assert max(abs(_bump(n, v) - w) for v, w in zip(x, np_bump(n, x))) <= 1e-15
 
 
 class TestTrigCutoff:
@@ -56,6 +107,44 @@ class TestTrigCutoff:
         for n in range(1, 15):
             cut = trig_cutoff(n)
             assert cut.sup_error <= 1e-9
+
+    def test_sup_error_table_is_the_grid_measurement(self):
+        """Each tabulated sup error is the oracle's measurement on the 4K-point grid, to
+        2 ulp of 1."""
+        for n, err in CUTOFF_SUP_ERRORS.items():
+            assert abs(err - fft_cutoff(n)[1]) <= 4.4e-16, n
+
+    def test_table_holds_exactly_the_admitted_stages(self, a1):
+        """The table covers every stage the CUTOFF_FLOOR check admits for the smallest
+        N_n |R+| there is (A1, one face: 4^n), and no other."""
+        f = SteppedField.constant(from_labels(a1, [Q(1, 2)]))
+        admitted = set()
+        for n in range(1, 40):
+            try:
+                _require_trusted_stage(a1, n, total_cells(f, n), CUTOFF_FLOOR)
+            except PreconditionError:
+                continue
+            admitted.add(n)
+        assert set(CUTOFF_SUP_ERRORS) == admitted
+        with pytest.raises(PreconditionError, match="tabulated"):
+            trig_cutoff(max(admitted) + 1)
+
+    # Rational points on the plateau |x - round(x)| >= 1/(4n) and in the transition
+    # below it.  Measured gaps to the FFT series: <= 1.3e-15 on the plateau and <= 9.7e-15
+    # in the transition, where a 40-digit evaluation of the same trigonometric polynomial
+    # puts the production value within 2.3e-16 (at 1/40, -487/27520 and 3/16384): the gap
+    # there is the rounding of the FFT coefficients.
+    CUTOFF_POINTS = [Q(1, 3), Q(-1, 2), Q(2, 7), Q(5, 11), Q(7, 9), Q(1, 40), Q(-1, 57),
+                     Q(1, 1000), Q(999, 1000), Q(-487, 27520), Q(3, 16384), Q(1, 8192),
+                     Q(13, 1024), Q(-7, 3)]
+
+    def test_matches_the_fft_series(self):
+        for n in range(1, 20):
+            a, _ = fft_cutoff(n)
+            cut = trig_cutoff(n)
+            for x in self.CUTOFF_POINTS:
+                plateau = abs(x - round(x)) >= Q(1, 4 * n)
+                assert abs(cut(x) - fft_series(a, x)) <= (2e-15 if plateau else 2e-14), (n, x)
 
     def test_close_to_one_away_from_integers(self):
         n = 3
@@ -149,18 +238,37 @@ class TestLogExpPolys:
             assert abs(p.imag + q.imag - math.pi) <= 1e-12
 
     def test_uniform_error_decreases(self):
-        errs = [log_poly(n).sup_error for n in (2, 4, 8)]
+        errs = [log_sup_error(n) for n in (2, 4, 8)]
         assert errs[2] < errs[0]
 
     def test_chosen_degrees(self):
         """The y-degree is fixed by n: ceil(n ln(2/target)), target = max(4^-n, 2e-11),
         capped at 1000; the x-degree is twice it plus one."""
-        got = [len(log_poly(n).coeffs) - 1 for n in range(1, 17)]
+        got = [log_poly(n).degree for n in range(1, 17)]
         assert got == [3, 7, 15, 25, 39, 55, 73, 95, 119, 146, 176, 208, 244, 282, 323, 366]
 
     def test_sup_error_meets_target(self):
         for n in range(1, 19):
-            assert log_poly(n).sup_error <= max(4.0 ** (-n), 2e-11)
+            assert log_sup_error(n) <= max(4.0 ** (-n), 2e-11)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 12, 14, 16, 18])
+    def test_matches_chebval(self, n):
+        """The barycentric interpolant against numpy's Chebyshev coefficients of the same
+        interpolant, evaluated by Clenshaw, on [1/n, 2]: within eps * degree^2, of which
+        the measured gaps take 0.11-0.52 (the most at n = 1 and 18), mostly numpy's: at
+        x = 2, n = 14, chebval is 9.9e-13 from a 50-digit value of the interpolant."""
+        lp = log_poly(n)
+        lo = 1.0 / (n * n)
+        mid, half = (4.0 + lo) / 2.0, (4.0 - lo) / 2.0
+        cheb = np.polynomial.chebyshev
+        coeffs = np.stack([cheb.chebinterpolate(lambda t: 0.5 * np.log(mid + half * t), lp.degree),
+                           cheb.chebinterpolate(lambda t: 1.0 / np.sqrt(mid + half * t), lp.degree)],
+                          axis=1)
+        x = np.linspace(1.0 / n, 2.0, 400)
+        even, odd = cheb.chebval((2.0 * x * x - 4.0 - lo) / (4.0 - lo), coeffs)
+        want = even + 0.5j * math.pi * (1.0 - x * odd)
+        gap = max(abs(lp(float(v)) - w) for v, w in zip(x, want))
+        assert gap <= 2.0 ** -52 * lp.degree ** 2
 
     def test_value_at_zero_decreases(self):
         """log^(n)(0) = q_e(0) is read 1/n^2 below the interval of interpolation in
@@ -197,3 +305,39 @@ class TestDetRigN:
         f = SteppedField.constant(b)
         target = det_rig_constant(b2, b, 2)
         assert abs(det_rig_n(b2, 12, f) - target) < 1e-2 * max(1.0, abs(target))
+
+
+class TestDetRigNBound:
+    @pytest.mark.parametrize("n", [6, 8, 12, 14])
+    @pytest.mark.parametrize("group, b", [
+        ("A1", [Q(1, 3)]), ("A1", [Q(5, 3)]), ("G2", [Q(5, 7), Q(1, 11), Q(-3, 13)])],
+        ids=["A1-1/3", "A1-5/3", "G2"])
+    def test_bounds_the_distance_to_the_limit(self, group, b, n):
+        """|det_rig_n - det_rig_step| <= bound |det_rig_step|; A1 values are alpha(b), G2's
+        ambient coordinates.  At n = 6 the G2 stage is 1.8e6 times its limit away."""
+        rs = build_root_system(group)
+        x = from_labels(rs, b) if group == "A1" else rs.coweight_coordinates(b)
+        f = SteppedField.constant(x)
+        limit = det_rig_step(rs, f)
+        bound = det_rig_n_bound(rs, n, f)
+        assert abs(det_rig_n(rs, n, f) - limit) <= bound * abs(limit)
+        if group == "G2" and n == 6:
+            assert bound >= 1.0
+
+    def test_bounds_a_step_field(self, a1):
+        f = one_circle_field(a1, inner=Q(1, 2), outer=Q(1, 3))
+        limit = det_rig_step(a1, f)
+        for n in (4, 8, 12):
+            bound = det_rig_n_bound(a1, n, f)
+            assert abs(det_rig_n(a1, n, f) - limit) <= bound * abs(limit)
+
+    def test_none_where_log_has_no_stated_accuracy(self, a1):
+        """A root sine below 1/n in modulus (singular values included), or a stage past
+        n = 18, where log^(n) no longer meets its target."""
+        near = SteppedField.constant(from_labels(a1, [Q(1, 1000)]))  # |2 sin(pi/1000)| = 0.0063
+        assert det_rig_n_bound(a1, 6, near) is None
+        assert det_rig_n_bound(a1, 1, near) is None
+        assert det_rig_n_bound(a1, 6, SteppedField.constant(from_labels(a1, [2]))) is None
+        assert det_rig_n_bound(a1, 19, SteppedField.constant(from_labels(a1, [Q(1, 3)]))) is None
+        with pytest.raises(PreconditionError):
+            det_rig_n_bound(a1, 0, near)
