@@ -10,6 +10,8 @@ probe jobs, each shadow job's file also through `shadow --diagnostics` and
 `validate`, and `--help` of the top-level parser and of each subcommand.
 With seeds, it adds `det --diagnostics --b` and `holonomy --b` jobs on the
 types the benchmark never runs (FIELD_JOBS), with b drawn per seed, runs
+`qdim --k g+2` on each of the 32 supported types (QDIM_JOBS; the benchmark
+runs `qdim` on E6 and F4 only), runs
 `det`, `regularize` and `holonomy` at large exact field values on A1 and G2
 (LARGE_FIELDS), runs the kernels' refusals (REFUSAL_JOBS: a float-singular
 field, an over-budget grid and an over-budget rule order through `det
@@ -53,6 +55,12 @@ COMMANDS = ("shadow", "fusion", "qdim", "det", "regularize", "holonomy", "valida
 # of dimension at most holonomy.MAX_REP_DIM (7, 6, 8, 27, 56 and 26)
 FIELD_JOBS = [("B3", 3, "1,0,0"), ("C3", 3, "1,0,0"), ("D4", 4, "1,0,0,0"),
               ("E6", 8, "1,0,0,0,0,0"), ("E7", 8, "0,0,0,0,0,0,1"), ("F4", 4, "0,0,0,1")]
+# `qdim` at level 2, k = g + 2, on every supported type, with its dual Coxeter number g
+QDIM_JOBS = [["qdim", "--group", f"{t}{n}", "--k", str(g(n) + 2)] for t, ranks, g in (
+    ("A", range(1, 9), lambda n: n + 1), ("B", range(2, 9), lambda n: 2 * n - 1),
+    ("C", range(2, 9), lambda n: n + 1), ("D", range(4, 9), lambda n: 2 * n - 2),
+    ("E", (6, 7, 8), {6: 12, 7: 18, 8: 30}.get), ("F", (4,), {4: 9}.get),
+    ("G", (2,), {2: 4}.get)) for n in ranks]
 # Large exact field values, each one field value modulo 2 in every coweight coordinate
 # with a small one: alpha(b) = 10000000000000000001/3 on A1 is 5/3 modulo 4, and the G2
 # value is b = (5/7, 1/11, -3/13) plus 2 * 10**19 times the coroot (3, -3, 0) of alpha_1.
@@ -154,6 +162,7 @@ def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
             jobs += [(f"field/{seed}/det/{group}", det, {}),
                      (f"field/{seed}/holonomy/{group}", hol, {})]
     if seeds:
+        jobs += [(f"qdim/{argv[2]}", argv, {}) for argv in QDIM_JOBS]
         for group, (field, color) in LARGE_FIELDS.items():
             at = ["--group", group, field]
             jobs += [(f"large/{group}/det", ["det", *at], {}),

@@ -245,9 +245,8 @@ def cmd_holonomy(args) -> dict:
     ws = weight_multiplicities(rs, args.color)
     # Weights have integer labels, so both values are unchanged by a coroot-lattice vector
     # in b, an integer vector in x, and depend on the winding only modulo the lcm D of the
-    # denominators of x.  Take the least-absolute residues before floats: x - round(x),
-    # in [-1/2, 1/2], and the winding modulo D.
-    x = tuple(v - round(v) for v in x)
+    # denominators of x.  weight_phases reduces each exact beta(b) before its float, so only
+    # the winding, by which the product path multiplies float phases, is reduced here, mod D.
     period = math.lcm(*(v.denominator for v in x))
     wind = args.wind - period * round(Fraction(args.wind, period))
     closed = wilson_closed_form(ws, x, wind)

@@ -198,7 +198,7 @@ def total_cells(field: SteppedField, n: int) -> int:
 
 
 def _require_trusted_stage(rs: RootSystem, n: int, cells_total: float, sup_error: float) -> None:
-    """Refuse stage n when its error bound N_n |R+| sup_error is not below 1.
+    """Refuse stage n when its cutoff's error bound N_n |R+| sup_error is not below 1.
 
     Exact for any n: the integer N_n |R+| (inf: too large to form) is compared with 1/sup_error.
     """
@@ -215,16 +215,15 @@ def regularized_indicator(rs: RootSystem, n: int, field: SteppedField) -> float:
 
     Exactly 0 whenever some alpha(value) is an integer (exact rational
     test); close to 1 when every value keeps all alpha-pairings at least
-    1/n away from the integers.  Refused (PreconditionError) when the error
-    bound N_n |R+| sup_error is not below 1: first against CUTOFF_FLOOR,
-    before the cutoff is built, then against the cutoff's own sup error.
+    1/n away from the integers.  Refused (PreconditionError) before the cutoff
+    is built when the error bound N_n |R+| sup_error is not below 1, sup_error
+    from CUTOFF_SUP_ERRORS, or CUTOFF_FLOOR for a stage it lacks (which fails).
     """
-    # From 2n >= e on, 4^n >= 2^e > 1/CUTOFF_FLOOR fails the first check alone: no huge N_n
+    # From 2n >= e on, 4^n >= 2^e > 1/CUTOFF_FLOOR fails the check alone: no huge N_n
     e = math.frexp(1.0 / CUTOFF_FLOOR)[1]
     cells_total = total_cells(field, n) if 2 * n < e else math.inf
-    _require_trusted_stage(rs, n, cells_total, CUTOFF_FLOOR)
+    _require_trusted_stage(rs, n, cells_total, CUTOFF_SUP_ERRORS.get(n, CUTOFF_FLOOR))
     cut = trig_cutoff(n)
-    _require_trusted_stage(rs, n, cells_total, cut.sup_error)
     cells = 4 ** n  # per face
     out = 1.0
     for x in field.values:

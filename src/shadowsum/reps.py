@@ -2,16 +2,18 @@
 
 Weights are handled by their integer coordinates in the fundamental-weight
 basis ("labels").  The Freudenthal recursion (Humphreys, Introduction to Lie
-Algebras, 22.3) and the Weyl dimension run in integers on `label_form`, which
-is weight_form_den times the invariant form; the factor cancels in each ratio.
-The quantum dimension, the Weyl dimension's q-analogue at level k, reads the
-same integers and divides each once, in floats.
+Algebras, 22.3) and the Weyl dimension run in integers on `label_form`, which is
+weight_form_den times the invariant form, and on `root_forms`, its values on the
+positive roots; the factor cancels in each ratio.  The quantum dimension, the
+Weyl dimension's q-analogue at level k, reads the same integers and divides each
+once, in floats.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import PreconditionError
@@ -92,11 +94,10 @@ class WeightSystem(NamedTuple):
 
 def weyl_dimension(rs: RootSystem, lam: Sequence[int]) -> int:
     """dim = prod_{alpha>0} <lam+rho, alpha> / <rho, alpha>, an exact integer."""
-    lam = _check_dominant(rs, lam)
-    rho = (1,) * rs.rank
-    lam_rho = tuple(a + b for a, b in zip(lam, rho))
-    num = math.prod(rs.label_form(lam_rho, al) for al in rs.positive_root_labels)
-    dim, rem = divmod(num, math.prod(rs.label_form(rho, al) for al in rs.positive_root_labels))
+    lam_rho = [a + 1 for a in _check_dominant(rs, lam)]
+    # rho has every label 1, so sum(r) is weight_form_den <rho, alpha>
+    dim, rem = divmod(math.prod(sum(map(mul, lam_rho, r)) for r in rs.root_forms),
+                      math.prod(map(sum, rs.root_forms)))
     assert rem == 0
     return dim
 
@@ -108,14 +109,12 @@ def quantum_dimension(alphabet: LevelAlphabet, lam: Sequence[int]) -> float:
     <lam+rho, alpha> lies strictly between 0 and k.
     """
     rs = alphabet.rs
-    lam = alphabet.require(lam, "lambda")
+    lam_rho = [a + 1 for a in alphabet.require(lam, "lambda")]
     k = alphabet.k
-    rho = (1,) * rs.rank
-    lam_rho = tuple(a + b for a, b in zip(lam, rho))
     out = 1.0
-    for al in rs.positive_root_labels:  # label_form is weight_form_den <., .>
-        num = rs.label_form(lam_rho, al) / rs.weight_form_den
-        den = rs.label_form(rho, al) / rs.weight_form_den
+    for r in rs.root_forms:  # weight_form_den <lam+rho, alpha>, and <rho, alpha> by sum(r)
+        num = sum(map(mul, lam_rho, r)) / rs.weight_form_den
+        den = sum(r) / rs.weight_form_den
         out *= math.sin(math.pi * num / k) / math.sin(math.pi * den / k)
     return out
 
@@ -144,12 +143,10 @@ def weight_multiplicities(rs: RootSystem, lam: Sequence[int]) -> WeightSystem:
         v = tuple(a + b for a, b in zip(mu, rho))
         return rs.label_form(v, v)
 
-    # per positive root alpha: alpha, the row G alpha that pairs labels with it,
+    # per positive root alpha: alpha, its row r of root_forms (label_form(mu, alpha) = mu . r)
     # and label_form(alpha, alpha), the step of label_form(mu + j alpha, alpha) in j
-    roots = []
-    for al in rs.positive_root_labels:
-        g_al = tuple(sum(g * a for g, a in zip(row, al)) for row in rs.weight_gram_num)
-        roots.append((al, g_al, sum(a * g for a, g in zip(al, g_al))))
+    roots = [(al, r, sum(map(mul, al, r)))
+             for al, r in zip(rs.positive_root_labels, rs.root_forms)]
     lam_norm = norm_shifted(lam)
     mult: dict[Labels, int] = {lam: 1}
     frontier = [lam]
@@ -166,8 +163,8 @@ def weight_multiplicities(rs: RootSystem, lam: Sequence[int]) -> WeightSystem:
             if denom <= 0:
                 continue
             acc = 0
-            for al, g_al, al_norm in roots:
-                up, form = mu, sum(a * g for a, g in zip(mu, g_al))
+            for al, r, al_norm in roots:
+                up, form = mu, sum(map(mul, mu, r))
                 while True:  # up = mu + j alpha, form = label_form(up, alpha), j = 1, 2, ...
                     up = tuple(a + b for a, b in zip(up, al))
                     form += al_norm

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import PreconditionError
@@ -141,6 +142,8 @@ class RootSystem(NamedTuple):
     # integer Gram data for label arithmetic: weight_form_den * <w_i, w_j>
     weight_gram_num: tuple[tuple[int, ...], ...]
     weight_form_den: int
+    # the row G labels(alpha) of each positive root, in that order: label_form(m, alpha) = m . row
+    root_forms: tuple[tuple[int, ...], ...]
 
     def coweight_coordinates(self, b: Sequence) -> tuple:
         """x_j = <omega_j, b> = sum_i (C^-1)_ji alpha_i(b) of b given by ambient coordinates.
@@ -273,9 +276,10 @@ def build_root_system(type_label: str) -> RootSystem:
 
     # Positive roots in the order of their ambient coordinates, formed in integers from 2 alpha_i
     doubled = [[int(2 * a) for a in alpha] for alpha in simple]
-    positive = sorted(
+    positive = tuple(labels_of[c] for c in sorted(
         labels_of, key=lambda c: [sum(ci * v[d] for ci, v in zip(c, doubled)) for d in range(dim)]
-    )
+    ))
+    gram_num = tuple(tuple(int(v * den) for v in row) for row in gram)
     return RootSystem(
         type_label=t,
         rank=rank,
@@ -286,10 +290,11 @@ def build_root_system(type_label: str) -> RootSystem:
         cartan_matrix=cartan,
         cartan_inverse=tuple(map(tuple, cartan_inv)),
         comarks=comarks,
-        positive_root_labels=tuple(labels_of[c] for c in positive),
+        positive_root_labels=positive,
         highest_root_labels=labels_of[theta],
-        weight_gram_num=tuple(tuple(int(v * den) for v in row) for row in gram),
+        weight_gram_num=gram_num,
         weight_form_den=den,
+        root_forms=tuple(tuple(sum(map(mul, row, al)) for row in gram_num) for al in positive),
     )
 
 

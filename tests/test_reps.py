@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -9,10 +10,12 @@ from conftest import ambient, character_eval, simple_reflection_matrix
 from shadowsum.errors import PreconditionError
 from shadowsum.reps import (
     level_alphabet,
+    quantum_dimension,
     weight_multiplicities,
     weyl_dimension,
 )
 from shadowsum.roots import build_root_system
+from test_roots import ALL_TYPES
 
 
 class TestLevelAlphabet:
@@ -113,6 +116,28 @@ class TestWeylDimension:
     def test_non_dominant_rejected(self, a2):
         with pytest.raises(PreconditionError):
             weyl_dimension(a2, (1, -1))
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_dimensions_equal_the_label_form_products(label):
+    """weyl_dimension and quantum_dimension, which read root_forms, equal exactly the
+    same products formed through label_form on each positive root, on every weight
+    of the level-3 alphabet."""
+    rs = build_root_system(label)
+    k = rs.dual_coxeter + 3
+    alphabet = level_alphabet(rs, k)
+    rho = (1,) * rs.rank
+    for lam in alphabet.elements:
+        lam_rho = tuple(a + 1 for a in lam)
+        forms = [(rs.label_form(lam_rho, al), rs.label_form(rho, al))
+                 for al in rs.positive_root_labels]
+        dim, rem = divmod(math.prod(n for n, _ in forms), math.prod(d for _, d in forms))
+        assert rem == 0 and weyl_dimension(rs, lam) == dim
+        qdim = 1.0
+        for n, d in forms:
+            qdim *= (math.sin(math.pi * (n / rs.weight_form_den) / k)
+                     / math.sin(math.pi * (d / rs.weight_form_den) / k))
+        assert quantum_dimension(alphabet, lam) == qdim
 
 
 class TestCharacter:

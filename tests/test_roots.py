@@ -261,6 +261,20 @@ def test_label_form_is_scaled_ambient_form(label):
 
 
 @pytest.mark.parametrize("label", ALL_TYPES)
+def test_root_forms_tabulate_label_form(label):
+    """root_forms holds one int row per positive root, in positive_root_labels order,
+    and m . row is label_form(m, alpha) for every unit label vector m and for rho."""
+    rs = build_root_system(label)
+    assert len(rs.root_forms) == len(rs.positive_root_labels)
+    probes = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    probes.append((1,) * rs.rank)
+    for alpha, row in zip(rs.positive_root_labels, rs.root_forms):
+        assert len(row) == rs.rank and all(type(v) is int for v in row)
+        for m in probes:
+            assert sum(a * r for a, r in zip(m, row)) == rs.label_form(m, alpha)
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
 def test_coweight_coordinates_meet_the_ambient_oracle(label):
     """An ambient b enters the library once, as x = coweight_coordinates(b): x is
     <omega_j, b>, the root pairings of x are the ambient alpha(b) exactly and in
