@@ -9,12 +9,14 @@ bench/workloads.py: every job of each workload for each seed and the layer
 probe jobs, each shadow job's file also through `shadow --diagnostics` and
 `validate`, and `--help` of the top-level parser and of each subcommand.
 With seeds, it adds `det --diagnostics --b` and `holonomy --b` jobs on the
-types the benchmark never runs (FIELD_JOBS), with b drawn per seed, runs
-`qdim --k g+2` on each of the 32 supported types (QDIM_JOBS; the benchmark
-runs `qdim` on E6 and F4 only), runs
-`det`, `regularize` and `holonomy` at large exact field values on A1 and G2
-(LARGE_FIELDS), runs the kernels' refusals (REFUSAL_JOBS: a float-singular
-field, an over-budget grid and an over-budget rule order through `det
+types the benchmark never runs (FIELD_JOBS), and plain `det --b` on each of
+the 32 supported types (DET_TYPES), so every type's ambient realization is
+read, each with b drawn per seed; runs `qdim --k g+2` on each of the 32
+supported types (QDIM_JOBS; the benchmark runs `qdim` on E6 and F4 only),
+runs `det`, `regularize` and `holonomy` at large exact field values on A1
+and G2 (LARGE_FIELDS), runs `det --diagnostics` at a field within 1e-15 of
+the singular set (NEAR_SINGULAR), runs the kernels' refusals (REFUSAL_JOBS:
+an over-budget grid and an over-budget rule order through `det
 --diagnostics`, `holonomy` at n = 0 and at n past its factor budget, and
 `regularize` on each side of its trust boundary on A1 and E8),
 and runs each malformed link document
@@ -61,6 +63,12 @@ QDIM_JOBS = [["qdim", "--group", f"{t}{n}", "--k", str(g(n) + 2)] for t, ranks, 
     ("C", range(2, 9), lambda n: n + 1), ("D", range(4, 9), lambda n: 2 * n - 2),
     ("E", (6, 7, 8), {6: 12, 7: 18, 8: 30}.get), ("F", (4,), {4: 9}.get),
     ("G", (2,), {2: 4}.get)) for n in ranks]
+# Every supported type with its ambient dimension, for `det --b`
+DET_TYPES = [(f"{t}{n}", dim(n)) for t, ranks, dim in (
+    ("A", range(1, 9), lambda n: n + 1), ("B", range(2, 9), lambda n: n),
+    ("C", range(2, 9), lambda n: n), ("D", range(4, 9), lambda n: n),
+    ("E", (6, 7, 8), lambda n: 8), ("F", (4,), lambda n: 4), ("G", (2,), lambda n: 3))
+    for n in ranks]
 # Large exact field values, each one field value modulo 2 in every coweight coordinate
 # with a small one: alpha(b) = 10000000000000000001/3 on A1 is 5/3 modulo 4, and the G2
 # value is b = (5/7, 1/11, -3/13) plus 2 * 10**19 times the coroot (3, -3, 0) of alpha_1.
@@ -68,15 +76,16 @@ QDIM_JOBS = [["qdim", "--group", f"{t}{n}", "--k", str(g(n) + 2)] for t, ranks, 
 LARGE_FIELDS = {"A1": ("--alpha-b=10000000000000000001/3", "2"),
                 "G2": ("--b=420000000000000000005/7,-659999999999999999999/11,-3/13", "1,0")}
 
-# The refusals of the det quadrature and of the holonomy product: alpha(b) within
-# determinants.SINGULAR_TOL of 0, a grid past determinants.MAX_QUAD_NODES, a grid within
-# it whose n_theta is past determinants.MAX_QUAD_THETA, and n below 1 and past
-# holonomy.MAX_HOLONOMY_FACTORS.  Then the trust boundary of `regularize` on one face: the
-# last admitted stage and the first refused one on A1 (|R+| = 1) and on E8 (|R+| = 120),
-# where N_n |R+| sup_error first reaches 1.
+# alpha(b) = 1/(10^15 + 1): exactly regular, so the quadrature runs, within 1e-15 of 0
+NEAR_SINGULAR = ["det", "--group", "A1", "--alpha-b", "1/1000000000000001", "--diagnostics"]
+
+# The refusals of the det quadrature and of the holonomy product: a grid past
+# determinants.MAX_QUAD_NODES, a grid within it whose n_theta is past
+# determinants.MAX_QUAD_THETA, and n below 1 and past holonomy.MAX_HOLONOMY_FACTORS.
+# Then the trust boundary of `regularize` on one face: the last admitted stage and the
+# first refused one on A1 (|R+| = 1) and on E8 (|R+| = 120), where N_n |R+| sup_error
+# first reaches 1.
 REFUSAL_JOBS = {
-    "det/float-singular": ["det", "--group", "A1", "--alpha-b", "1/1000000000000001",
-                           "--diagnostics"],
     "det/grid-budget": ["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics",
                         "--quad-res", "2048x2048"],
     "det/order-budget": ["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics",
@@ -143,6 +152,11 @@ def _with_file_jobs(name: str, argv: list[str], files: dict[str, str]) -> list:
     return jobs
 
 
+def _field_b(group: str, dim: int, seed: int) -> str:
+    """The --b flag of a regular field value on `group`, drawn per group and seed."""
+    return "--b=" + ",".join(map(str, wl.generic_b(random.Random(f"{group}:{seed}"), dim)))
+
+
 def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
     """(name, argv, input files) of every job to compare."""
     jobs = [("help", ["--help"], {})]
@@ -156,11 +170,13 @@ def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
                                         job["files"])
     for seed in seeds:
         for group, dim, color in FIELD_JOBS:
-            b = "--b=" + ",".join(map(str, wl.generic_b(random.Random(f"{group}:{seed}"), dim)))
+            b = _field_b(group, dim, seed)
             det = ["det", "--group", group, b, "--diagnostics", "--quad-res", "32x64"]
             hol = ["holonomy", "--group", group, b, "--color", color, "--wind", "2"]
             jobs += [(f"field/{seed}/det/{group}", det, {}),
                      (f"field/{seed}/holonomy/{group}", hol, {})]
+        jobs += [(f"det/{seed}/{group}", ["det", "--group", group, _field_b(group, dim, seed)], {})
+                 for group, dim in DET_TYPES]
     if seeds:
         jobs += [(f"qdim/{argv[2]}", argv, {}) for argv in QDIM_JOBS]
         for group, (field, color) in LARGE_FIELDS.items():
@@ -171,6 +187,7 @@ def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
                      (f"large/{group}/regularize", ["regularize", *at, "--n", "6"], {}),
                      (f"large/{group}/holonomy",
                       ["holonomy", *at, "--color", color, "--wind", "3", "--n", "16"], {})]
+        jobs.append(("near-singular/A1/det --diagnostics", NEAR_SINGULAR, {}))
         jobs += [(f"refusal/{name}", argv, {}) for name, argv in REFUSAL_JOBS.items()]
     return jobs + (malformed_jobs() if seeds else [])
 

@@ -115,7 +115,7 @@ def cmd_shadow(args) -> dict:
     data = prepare_terms(diagram, alphabet)
     result = contract_state_sum(diagram, alphabet, data)
     out = {
-        "group": f"{rs.type_label}{rs.rank}",
+        "group": rs.name,
         "k": alphabet.k,
         "value": _c2j(result.value),
         "abs_sum": result.abs_sum,
@@ -147,7 +147,7 @@ def cmd_fusion(args) -> dict | list[str] | str:
     if args.format == "text":
         return table_lines(alphabet, table)
     doc = {
-        "group": f"{alphabet.rs.type_label}{alphabet.rs.rank}",
+        "group": alphabet.rs.name,
         "k": args.k,
         "alphabet": [list(w) for w in alphabet.elements],
         "entries": len(table),
@@ -173,7 +173,7 @@ def cmd_qdim(args) -> dict:
     if args.weight is not None:
         return {"weight": list(args.weight), "qdim": quantum_dimension(alphabet, args.weight)}
     return {
-        "group": f"{alphabet.rs.type_label}{alphabet.rs.rank}",
+        "group": alphabet.rs.name,
         "k": args.k,
         "qdims": [
             {"weight": list(w), "qdim": quantum_dimension(alphabet, w)}
@@ -197,7 +197,7 @@ def cmd_det(args) -> dict:
         typed = format_vector(args.b) if args.b is not None else f"alpha(b) = {args.alpha_b}"
         raise PreconditionError(f"constant field value {typed} is singular")
     out = {
-        "group": f"{rs.type_label}{rs.rank}",
+        "group": rs.name,
         "det_k": det_k(rs, x),
         "det_half": det_half(rs, x),
         "chi": args.chi,
@@ -225,7 +225,7 @@ def cmd_regularize(args) -> dict:
         values = tuple(_reduced(rs.coweight_coordinates(b)) for b in args.face_values)
         field = SteppedField(diagram=diagram, values=values)
     return {
-        "group": f"{rs.type_label}{rs.rank}",
+        "group": rs.name,
         "n": args.n,
         "indicator": regularized_indicator(rs, args.n, field),
         "det_rig_n": _c2j(det_rig_n(rs, args.n, field)),
@@ -253,7 +253,7 @@ def cmd_holonomy(args) -> dict:
     phases = [wind * p for p in weight_phases(ws, x)]
     product = holonomy(phases, n=args.n)
     return {
-        "group": f"{rs.type_label}{rs.rank}",
+        "group": rs.name,
         "color": list(args.color),
         "winding": args.wind,
         "n": args.n,

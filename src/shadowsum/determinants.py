@@ -23,7 +23,8 @@ that the curvature measure of each face is 4 pi chi(face).
 The closed forms and the quadrature run in Python floats (`math`, `cmath`), so
 no `det` job loads numpy.  `det_rig_quadrature` evaluates the integral for the
 one field a command gives it, a constant one on the round sphere, on the
-Gauss-Legendre rule of `gauss_legendre`.  The general rule, for fields that
+Gauss-Legendre rule of `gauss_legendre`; like `det_rig_constant`, it decides
+regularity exactly (`roots.is_regular`).  The general rule, for fields that
 vary over the surface, is the test-side oracle `sphere_rule` in
 `tests/test_determinants.py`, which also checks `gauss_legendre` against
 numpy's `leggauss`.
@@ -40,7 +41,6 @@ from .roots import RootSystem, format_vector, is_regular
 
 MAX_QUAD_NODES = 2**21  # budget of `det_rig_quadrature`: n_theta * n_phi nodes
 MAX_QUAD_THETA = 2048  # budget of its Gauss-Legendre order, O(n^2) time: 0.25-0.4 s on 2 vCPUs
-SINGULAR_TOL = 1e-12  # distance of alpha(B) from an integer that counts as singular
 
 
 def root_sines(rs: RootSystem, x: Sequence) -> list[float]:
@@ -118,11 +118,10 @@ def det_rig_quadrature(rs: RootSystem, x: Sequence, n_theta: int, n_phi: int) ->
     that sum is weighted by R_g/(4 pi) times the total weight of the rule: the n_phi
     equal weights of the uniform rule sum to 2 pi and the Gauss-Legendre weights to
     2, so by Gauss-Bonnet the value is det_half(b)^2, up to the rounding of the
-    weights.  The grid is never built.  A grid past MAX_QUAD_NODES nodes, an empty
-    one or an order past MAX_QUAD_THETA is refused before any node is computed.  A field with some
-    alpha(B) within SINGULAR_TOL of an integer is rejected at grid node 0.  A
-    non-negligible imaginary residue raises, since the value on a closed surface is
-    real.
+    weights.  The grid is never built.  A grid past MAX_QUAD_NODES nodes, an empty one
+    or an order past MAX_QUAD_THETA is refused before any node is computed.  A singular
+    field is refused exactly, as `det_rig_constant` refuses it, and so is a root sine
+    that rounds to 0.0, whose log is undefined.
     """
     if n_theta * n_phi > MAX_QUAD_NODES:
         raise PreconditionError(
@@ -136,21 +135,15 @@ def det_rig_quadrature(rs: RootSystem, x: Sequence, n_theta: int, n_phi: int) ->
             f"a Gauss-Legendre rule of order n_theta = {n_theta} takes O(n_theta^2) time; "
             f"the budget is {MAX_QUAD_THETA}"
         )
-    cos_theta, w = gauss_legendre(n_theta)
-    for pair in map(float, rs.root_pairings(x)):
-        if abs(pair - round(pair)) <= SINGULAR_TOL:  # the first singular root
-            raise PreconditionError(
-                f"field is singular at grid node 0 (coords {(math.acos(cos_theta[0]), 0.0)}, "
-                f"alpha(B) = {pair!r})"
-            )
-    # log(2 sin(pi alpha(B))) on the principal branch: ln|.|, plus i pi on the negatives
+    if not is_regular(rs, x):
+        raise PreconditionError(f"constant field value x = {format_vector(x)} is singular")
     two_sin = root_sines(rs, x)
+    if 0.0 in two_sin:
+        raise PreconditionError(
+            "a root sine 2 sin(pi alpha(B)) rounds to 0.0; its log is undefined")
+    # log(2 sin(pi alpha(B))) on the principal branch: ln|.|, plus i pi on the negatives
     logs = complex(math.fsum(math.log(abs(s)) for s in two_sin),
                    math.pi * sum(s < 0 for s in two_sin))
-    value = cmath.exp(2.0 / (4.0 * math.pi) * (2.0 * math.pi) * math.fsum(w) * logs)
-    if abs(value.imag) > 1e-8 * max(1.0, abs(value.real)):
-        raise PreconditionError(
-            f"determinant came out non-real ({value!r}); the field crosses the "
-            "singular set between grid nodes"
-        )
-    return value.real
+    w = gauss_legendre(n_theta)[1]
+    # sum(w) is 2 up to rounding, so the phase e^{2 pi i m} leaves a rounding residue in .imag
+    return cmath.exp(2.0 / (4.0 * math.pi) * (2.0 * math.pi) * math.fsum(w) * logs).real

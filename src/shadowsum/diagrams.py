@@ -90,12 +90,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _side_problems(docs: list[dict]) -> list[str]:
-    """One message per circle whose positive_side is neither 'inside' nor 'outside'."""
-    return [f"circle {c['id']}: positive_side must be 'inside' or 'outside'"
-            for c in docs if c["positive_side"] not in ("inside", "outside")]
-
-
 def read_link(doc, group: str | None = None, k: int | None = None, *,
               level: bool = True) -> tuple[tuple | None, list[dict]]:
     """Read a link document: ((RootSystem, LevelAlphabet | None, ShadowDiagram) | None,
@@ -169,10 +163,10 @@ def read_link(doc, group: str | None = None, k: int | None = None, *,
         for c in circles:
             if tuple(c["color"]) not in alphabet:
                 problem("color", f"circle {c['id']}: color {c['color']} is outside the level "
-                                 f"alphabet of {rs.type_label}{rs.rank} at k = {alphabet.k}")
-    sides = _side_problems(circles)
-    for message in sides:
-        problem("positive-side", message)
+                                 f"alphabet of {rs.name} at k = {alphabet.k}")
+    sides = [c for c in circles if c["positive_side"] not in ("inside", "outside")]
+    for c in sides:
+        problem("positive-side", f"circle {c['id']}: positive_side must be 'inside' or 'outside'")
     if not sides:
         try:
             diagram = build_diagram(circles)
@@ -189,15 +183,12 @@ def build_diagram(circles: Iterable[dict]) -> ShadowDiagram:
     face is 0, and each circle's inner face comes after its parent's, the
     children of a face taken by sorted circle id.  The face inside circle c
     (and outside c's children) gets chi = 1 - #children; the outer face gets
-    chi = 2 - #roots.  Rejects a positive_side other than inside or outside,
-    and, as violations of the disjointness assumption, duplicate ids,
-    containment cycles (circles the walk never reaches) and dangling parent
-    references.  The circles' keys and types are `read_link`'s to check.
+    chi = 2 - #roots.  Rejects, as violations of the disjointness assumption,
+    duplicate ids, containment cycles (circles the walk never reaches) and
+    dangling parent references.  The circles' keys, types and positive_side
+    values are `read_link`'s to check.
     """
     docs = list(circles)
-    sides = _side_problems(docs)
-    if sides:
-        raise PreconditionError(sides[0])
     ids = [c["id"] for c in docs]
     if len(set(ids)) != len(ids):
         raise PreconditionError(f"duplicate circle ids in {ids}")

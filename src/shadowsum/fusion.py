@@ -106,9 +106,8 @@ class QuantumWeylGroup(NamedTuple):
 def _require_budget(alphabet: LevelAlphabet, count: int, what: str, unit: str = "coefficients",
                     budget: int = MAX_FUSION_COEFFS) -> None:
     if count > budget:
-        rs = alphabet.rs
         raise PreconditionError(
-            f"{what} of {rs.type_label}{rs.rank} at k = {alphabet.k}: "
+            f"{what} of {alphabet.rs.name} at k = {alphabet.k}: "
             f"{count} {unit}; the budget is {budget}"
         )
 
@@ -253,7 +252,7 @@ def verlinde_table(alphabet: LevelAlphabet) -> list[int]:
         elems = alphabet.elements
         raise OracleError(
             f"Verlinde sum {v} for {(elems[l], elems[m], elems[nu])} at "
-            f"{rs.type_label}{rs.rank}, k={alphabet.k} is {abs(v - round(v.real)):.3e} from an "
+            f"{rs.name}, k={alphabet.k} is {abs(v - round(v.real)):.3e} from an "
             f"integer (tolerance {ORACLE_TOL:.1e})"
         )
     table = []

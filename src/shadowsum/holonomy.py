@@ -40,7 +40,7 @@ def require_rep_dim(rs: RootSystem, color: Sequence[int]) -> None:
     dim = weyl_dimension(rs, color)
     if dim > MAX_REP_DIM:
         raise PreconditionError(
-            f"the module of highest weight {tuple(color)} of {rs.type_label}{rs.rank} has "
+            f"the module of highest weight {tuple(color)} of {rs.name} has "
             f"dimension {dim}; the budget is {MAX_REP_DIM}"
         )
 

@@ -50,7 +50,7 @@ class LevelAlphabet:
         if t not in self:
             raise PreconditionError(
                 f"{name} = {t} is not integrable at level {self.k - self.rs.dual_coxeter} "
-                f"for {self.rs.type_label}{self.rs.rank} at k = {self.k}"
+                f"for {self.rs.name} at k = {self.k}"
             )
         return t
 
@@ -67,14 +67,13 @@ def level_alphabet(rs: RootSystem, k: int) -> LevelAlphabet:
     if k <= g:
         raise PreconditionError(
             f"level bound violated: need k > g, got k = {k} with dual Coxeter "
-            f"number g = {g} for {rs.type_label}{rs.rank} "
-            f"(the alphabet requires <lambda, theta> <= k - g)"
+            f"number g = {g} for {rs.name} (the alphabet requires <lambda, theta> <= k - g)"
         )
     caps = [(k - g) // a for a in rs.comarks]
     box = math.prod(c + 1 for c in caps)
     if box > MAX_ALPHABET_BOX:
         raise PreconditionError(
-            f"the level alphabet of {rs.type_label}{rs.rank} at k = {k} scans {box} "
+            f"the level alphabet of {rs.name} at k = {k} scans {box} "
             f"candidate weights; the budget is {MAX_ALPHABET_BOX}"
         )
     box_labels = itertools.product(*(range(c + 1) for c in caps))
@@ -123,7 +122,7 @@ def _check_dominant(rs: RootSystem, lam: Sequence[int]) -> Labels:
     t = tuple(int(v) for v in lam)
     if len(t) != rs.rank or any(ti != v for ti, v in zip(t, lam)) or any(v < 0 for v in t):
         raise PreconditionError(
-            f"weight {tuple(lam)} is not dominant for {rs.type_label}{rs.rank}: "
+            f"weight {tuple(lam)} is not dominant for {rs.name}: "
             "expected nonnegative integer fundamental-weight coordinates"
         )
     return t
@@ -183,6 +182,6 @@ def weight_multiplicities(rs: RootSystem, lam: Sequence[int]) -> WeightSystem:
     if ws.dimension() != weyl_dimension(rs, lam):
         raise AssertionError(
             f"Freudenthal total {ws.dimension()} != Weyl dimension "
-            f"{weyl_dimension(rs, lam)} for {rs.type_label}{rs.rank} weight {lam}"
+            f"{weyl_dimension(rs, lam)} for {rs.name} weight {lam}"
         )
     return ws

@@ -13,13 +13,16 @@ coordinates x_j = <omega_j, b>, so b = sum_j x_j coroot(alpha_j): a rational
 or float tuple of length `rank`.  Every pairing the kernels need is then an
 integer-label combination of x: alpha(b) = sum_j label_j(alpha) x_j
 (`root_pairings`) and beta(b) = sum_j label_j(beta) x_j for a weight beta.
-The simple roots are kept as exact `Fraction` tuples in a fixed orthogonal
-basis per type (the standard orthonormal realizations), where the invariant
-product is `form_scale` times the dot product, rescaled so that every short
-coroot has squared length 2; equivalently, long roots have squared length
-2.  `coweight_coordinates` is the one reader of those ambient vectors: it
-turns ambient coordinates of b into x.  Regularity and lattice tests are
-exact; floats appear only at the trigonometric layer in other modules.
+The simple roots come from one integer table, twice each simple root in a
+fixed orthogonal basis per type (the standard orthonormal realizations of
+Bourbaki's Plates I-IX), where the invariant product is `form_scale` times
+the dot product, rescaled so that every short coroot has squared length 2;
+equivalently, long roots have squared length 2.  The table gives the Cartan
+matrix and the order of the positive roots, and `simple_roots` holds its
+rows halved as exact `Fraction` tuples.  `coweight_coordinates` is the one
+reader of those ambient vectors: it turns ambient coordinates of b into x.
+Regularity and lattice tests are exact; floats appear only at the
+trigonometric layer in other modules.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import PreconditionError
-
-Vector = tuple[Fraction, ...]
 
 # {type: {supported rank: (dim g, |W|)}}: dim g validates construction; |W| is `weyl_group_order`.
 _TYPES = {
@@ -45,76 +46,33 @@ _TYPES = {
 }
 
 
-def _vec(*xs) -> Vector:
-    return tuple(Fraction(x) for x in xs)
-
-
-def _e(i: int, dim: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(dim))
-
-
-def _add(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def _sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def _scale(c: Fraction, x: Vector) -> Vector:
-    return tuple(c * a for a in x)
-
-
-def _simple_roots(type_label: str, rank: int) -> tuple[list[Vector], int, Fraction]:
-    """Simple roots in the standard ambient realization.
-
-    Returns (simple roots, ambient dimension, form scale c) where the
-    invariant product is <x,y> = c * dot(x,y).
+def _doubled_simple_roots(t: str, rank: int) -> tuple[list[tuple[int, ...]], int, Fraction]:
+    """(2 alpha_i per simple root as an integer tuple, ambient dimension, form scale c) in
+    the standard realization (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Plates I-IX),
+    where the invariant product is <x,y> = c * dot(x,y).  Every coordinate of a simple
+    root is a multiple of 1/2, so the table is exact.
     """
-    t = type_label
+    dim = {"A": rank + 1, "E": 8, "F": 4, "G": 3}.get(t, rank)
+
+    def e(*signed: int) -> tuple[int, ...]:
+        """2 sum_i +-eps_|i| over signed 1-based indices: e(1, -2) is 2(eps_1 - eps_2)."""
+        v = [0] * dim
+        for i in signed:
+            v[abs(i) - 1] += 2 if i > 0 else -2
+        return tuple(v)
+
+    chain = [e(i, -i - 1) for i in range(1, dim)]  # eps_i - eps_{i+1}
     if t == "A":
-        dim = rank + 1
-        roots = [_sub(_e(i, dim), _e(i + 1, dim)) for i in range(rank)]
-        return roots, dim, Fraction(1)
-    if t in ("B", "C", "D"):
-        dim = rank
-        roots = [_sub(_e(i, dim), _e(i + 1, dim)) for i in range(rank - 1)]
-        if t == "B":
-            roots.append(_e(rank - 1, dim))
-            return roots, dim, Fraction(1)
-        if t == "C":
-            roots.append(_scale(Fraction(2), _e(rank - 1, dim)))
-            return roots, dim, Fraction(1, 2)
-        roots.append(_add(_e(rank - 2, dim), _e(rank - 1, dim)))
-        return roots, dim, Fraction(1)
-    if t == "E":
-        dim = 8
-        half = Fraction(1, 2)
-        a1 = tuple(
-            half if i in (0, 7) else -half for i in range(8)
-        )  # (e1+e8)/2 - (e2+...+e7)/2
-        a2 = _add(_e(0, 8), _e(1, 8))
-        rest = [_sub(_e(i + 1, 8), _e(i, 8)) for i in range(6)]  # e_{i+1}-e_i
-        roots = [a1, a2] + rest
+        return chain, dim, Fraction(1)
+    if t in "BCD":
+        last = {"B": e(rank), "C": e(rank, rank), "D": e(rank - 1, rank)}[t]
+        return chain + [last], dim, Fraction(1, 2) if t == "C" else Fraction(1)
+    if t == "E":  # (e1+e8)/2 - (e2+...+e7)/2, e1+e2, then e_{i+1}-e_i
+        roots = [(1, -1, -1, -1, -1, -1, -1, 1), e(1, 2)] + [e(i + 1, -i) for i in range(1, 7)]
         return roots[:rank], dim, Fraction(1)
-    if t == "F":
-        dim = 4
-        half = Fraction(1, 2)
-        roots = [
-            _sub(_e(1, 4), _e(2, 4)),
-            _sub(_e(2, 4), _e(3, 4)),
-            _e(3, 4),
-            (half, -half, -half, -half),
-        ]
-        return roots, dim, Fraction(1)
-    if t == "G":
-        dim = 3
-        roots = [
-            _sub(_e(0, 3), _e(1, 3)),
-            _vec(-2, 1, 1),
-        ]
-        return roots, dim, Fraction(1, 3)
-    raise AssertionError(t)
+    if t == "F":  # e2-e3, e3-e4, e4, (e1-e2-e3-e4)/2
+        return chain[1:] + [e(4), (1, -1, -1, -1)], dim, Fraction(1)
+    return [e(1, -2), e(-1, -1, 2, 3)], dim, Fraction(1, 3)  # G2: e1-e2, -2e1+e2+e3
 
 
 class RootSystem(NamedTuple):
@@ -130,7 +88,7 @@ class RootSystem(NamedTuple):
     rank: int
     ambient_dim: int
     form_scale: Fraction
-    simple_roots: tuple[Vector, ...]
+    simple_roots: tuple[tuple[Fraction, ...], ...]
     dual_coxeter: int
     cartan_matrix: tuple[tuple[int, ...], ...]
     cartan_inverse: tuple[tuple[Fraction, ...], ...]
@@ -145,6 +103,11 @@ class RootSystem(NamedTuple):
     # the row G labels(alpha) of each positive root, in that order: label_form(m, alpha) = m . row
     root_forms: tuple[tuple[int, ...], ...]
 
+    @property
+    def name(self) -> str:
+        """The type label, e.g. "G2": `parse_type_label` read backwards."""
+        return f"{self.type_label}{self.rank}"
+
     def coweight_coordinates(self, b: Sequence) -> tuple:
         """x_j = <omega_j, b> = sum_i (C^-1)_ji alpha_i(b) of b given by ambient coordinates.
 
@@ -153,7 +116,7 @@ class RootSystem(NamedTuple):
         b = tuple(b)
         if len(b) != self.ambient_dim:
             raise PreconditionError(
-                f"a field value of {self.type_label}{self.rank} needs {self.ambient_dim} "
+                f"a field value of {self.name} needs {self.ambient_dim} "
                 f"ambient coordinates, got {len(b)}"
             )
         simple = [self.form_scale * sum(a * c for a, c in zip(alpha, b))
@@ -229,8 +192,8 @@ def build_root_system(type_label: str) -> RootSystem:
             "A1-A8, B2-B8, C2-C8, D4-D8, E6-E8, F4, G2"
         )
 
-    simple, dim, scale = _simple_roots(t, rank)
-    form = [[scale * sum(a * b for a, b in zip(x, y)) for y in simple] for x in simple]
+    doubled, dim, scale = _doubled_simple_roots(t, rank)
+    form = [[scale * Fraction(sum(map(mul, x, y)), 4) for y in doubled] for x in doubled]
     norms = [form[i][i] for i in range(rank)]  # |alpha_i|^2
     cartan = tuple(tuple(int(2 * v / n) for v, n in zip(row, norms)) for row in form)
 
@@ -275,7 +238,6 @@ def build_root_system(type_label: str) -> RootSystem:
     den = math.lcm(*(v.denominator for row in gram for v in row))
 
     # Positive roots in the order of their ambient coordinates, formed in integers from 2 alpha_i
-    doubled = [[int(2 * a) for a in alpha] for alpha in simple]
     positive = tuple(labels_of[c] for c in sorted(
         labels_of, key=lambda c: [sum(ci * v[d] for ci, v in zip(c, doubled)) for d in range(dim)]
     ))
@@ -285,7 +247,7 @@ def build_root_system(type_label: str) -> RootSystem:
         rank=rank,
         ambient_dim=dim,
         form_scale=scale,
-        simple_roots=tuple(simple),
+        simple_roots=tuple(tuple(Fraction(a, 2) for a in v) for v in doubled),
         dual_coxeter=1 + sum(comarks),
         cartan_matrix=cartan,
         cartan_inverse=tuple(map(tuple, cartan_inv)),

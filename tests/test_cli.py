@@ -274,13 +274,13 @@ class TestDetAndQdim:
         msg = doc["error"]["message"]
         assert rc == 3 and "(1/3, 1/3, 1/3)" in msg and "Fraction(" not in msg
 
-    def test_singular_node_message_prints_plain_floats(self, capsys):
-        """The quadrature's singular-node message names the node and alpha(B) as
-        Python floats, not numpy reprs such as np.float64(0.0)."""
+    def test_near_singular_field_passes_the_quadrature(self, capsys):
+        """alpha(b) = 1/(10^15 + 1) is exactly regular: the quadrature decides regularity
+        as det_rig_constant does, not by a float distance from an integer."""
         rc, doc = run_main(capsys, "det", "--group", "A1", "--alpha-b", "1/1000000000000001",
                            "--diagnostics")
-        msg = doc["error"]["message"]
-        assert rc == 3 and "singular at grid node 0" in msg and "np." not in msg
+        assert rc == 0
+        assert doc["det_rig_quadrature"] == pytest.approx(doc["det_rig_constant"], rel=1e-9)
 
     def test_det_bad_rational_exit_2(self):
         r = run_cli("det", "--group", "A1", "--alpha-b", "zebra")

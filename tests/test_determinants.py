@@ -12,7 +12,6 @@ from scipy.integrate import quad
 from conftest import ambient, from_labels
 from shadowsum.determinants import (
     MAX_QUAD_THETA,
-    SINGULAR_TOL,
     det_half,
     det_k,
     det_rig_constant,
@@ -24,6 +23,8 @@ from shadowsum.diagrams import build_diagram
 from shadowsum.errors import PreconditionError
 from shadowsum.regularize import SteppedField, det_rig_step
 from shadowsum.roots import build_root_system
+
+SINGULAR_TOL = 1e-12  # distance of alpha(B) from an integer that `sphere_rule` counts as singular
 
 
 def sphere_grid(n_theta: int, n_phi: int):
@@ -303,9 +304,12 @@ class TestQuadrature:
         b = from_labels(a1, [2])  # b = coroot, alpha(b) = 2
         with pytest.raises(PreconditionError) as ei:
             det_rig_quadrature(a1, b, 8, 16)
-        theta0 = math.acos(gauss_legendre(8)[0][0])
-        assert str(ei.value) == (
-            f"field is singular at grid node 0 (coords ({theta0!r}, 0.0), alpha(B) = 2.0)")
+        assert str(ei.value) == "constant field value x = (1) is singular"
+
+    def test_root_sine_rounding_to_zero_refused(self, a1):
+        """alpha(B) = 1/10^400 is regular, but its sine rounds to 0.0, whose log is undefined."""
+        with pytest.raises(PreconditionError, match="rounds to 0.0"):
+            det_rig_quadrature(a1, (Q(1, 10**400),), 8, 16)
 
 
 def test_quadrature_grid_budget_refuses_before_allocating(a1):

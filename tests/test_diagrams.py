@@ -143,10 +143,6 @@ class TestBuildDiagram:
         with pytest.raises(PreconditionError):
             build_diagram([circle("a", parent="ghost")])
 
-    def test_bad_side_rejected(self):
-        with pytest.raises(PreconditionError):
-            build_diagram([circle("a", side="left")])
-
     def test_duplicate_ids_rejected(self):
         with pytest.raises(PreconditionError):
             build_diagram([circle("a"), circle("a")])

@@ -12,6 +12,7 @@ from shadowsum.errors import PreconditionError
 from shadowsum.roots import (
     build_root_system,
     is_regular,
+    parse_type_label,
     weyl_group_order,
     weyl_orbit,
 )
@@ -243,6 +244,51 @@ def test_highest_root_and_comarks_match_tables(label):
     assert rs.highest_root == theta
     assert rs.comarks == comarks
     assert rs.dual_coxeter == 1 + sum(comarks)
+
+
+def _twice(dim, coeffs):
+    """2 sum_i c_i eps_i in R^dim, for coefficients {i: c_i} with 1-indexed i."""
+    return tuple(int(2 * coeffs.get(i, 0)) for i in range(1, dim + 1))
+
+
+def _chain(dim, n):
+    """eps_i - eps_{i+1} for i = 1..n, doubled."""
+    return [_twice(dim, {i: 1, i + 1: -1}) for i in range(1, n + 1)]
+
+
+# Twice the simple roots alpha_1..alpha_n in Bourbaki's realizations (Lie Groups
+# and Lie Algebras, ch. VI, Plates I-IX), and the form scale c of <x,y> = c dot(x,y).
+# E6 and E7 take the first simple roots of E8.
+_E8 = [(1, -1, -1, -1, -1, -1, -1, 1), _twice(8, {1: 1, 2: 1})] + [
+    _twice(8, {i + 1: 1, i: -1}) for i in range(1, 7)]
+PLATES = {
+    **{f"A{n}": (_chain(n + 1, n), 1) for n in range(1, 9)},
+    **{f"B{n}": (_chain(n, n - 1) + [_twice(n, {n: 1})], 1) for n in range(2, 9)},
+    **{f"C{n}": (_chain(n, n - 1) + [_twice(n, {n: 2})], Q(1, 2)) for n in range(2, 9)},
+    **{f"D{n}": (_chain(n, n - 1) + [_twice(n, {n - 1: 1, n: 1})], 1) for n in range(4, 9)},
+    **{f"E{n}": (_E8[:n], 1) for n in (6, 7, 8)},
+    "F4": ([(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)], 1),
+    "G2": ([(2, -2, 0), (-4, 2, 2)], Q(1, 3)),
+}
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_realization_is_bourbakis(label):
+    """The simple roots and the form scale are the plates' literally: the ambient
+    oracle is built from them, so only this test sees a change of realization
+    (reversed C_n coordinates flip the sign of det_half on C2)."""
+    rs = build_root_system(label)
+    doubled, scale = PLATES[label]
+    assert rs.form_scale == scale and rs.ambient_dim == len(doubled[0])
+    assert [tuple(2 * a for a in alpha) for alpha in rs.simple_roots] == doubled
+    assert all(type(a) is Q for alpha in rs.simple_roots for a in alpha)
+
+
+def test_name_reads_back():
+    """`name` is the label `parse_type_label` reads, for every type."""
+    for label in ALL_TYPES:
+        rs = build_root_system(label.lower())
+        assert rs.name == label and parse_type_label(rs.name) == (rs.type_label, rs.rank)
 
 
 @pytest.mark.parametrize("label", ALL_TYPES)
