@@ -8,9 +8,8 @@ document was written.  The keys of a --config JSON file are the
 subcommand's long flag names; each becomes `--key=value` (`true`: a bare
 `--key`) ahead of the command line, so explicit flags win.  Each command
 imports the modules it runs when it runs, so a job loads no other, and
-no command loads numpy (`det --diagnostics` is refused (exit 3) past the
-`determinants.MAX_QUAD_NODES` grid and `determinants.MAX_QUAD_THETA` order
-budgets).
+no command loads numpy.  Every resource budget is refused (exit 3) through
+`errors.require_budget`, before the work it counts.
 
 Link files are read by `diagrams.read_link`, which holds their schema.
 Output for `shadow`: { "value": {"re", "im"}, "abs_sum", "colorings", "retained",
@@ -32,7 +31,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import ParseError, PreconditionError, ShadowsumError
+from .errors import ParseError, PreconditionError, ShadowsumError, require_budget
 
 MAX_LISTED_TERMS = 10**6  # budget of the per-term listing of `shadow --diagnostics`
 _QUAD_RES = (64, 128)  # `det --diagnostics` without --quad-res
@@ -123,11 +122,8 @@ def cmd_shadow(args) -> dict:
         "retained": result.colorings_retained,
     }
     if args.diagnostics:
-        if result.colorings_retained > MAX_LISTED_TERMS:
-            raise PreconditionError(
-                f"--diagnostics would list {result.colorings_retained} terms; "
-                f"the budget is {MAX_LISTED_TERMS}"
-            )
+        require_budget(result.colorings_retained, MAX_LISTED_TERMS,
+                       "the listing of --diagnostics", "terms")
         out["terms"] = [
             {"coloring": [list(c) for c in col], "term": _c2j(t)}
             for col, t in list_terms(diagram, alphabet, data)
@@ -384,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
                  with_k=False)
     field(sp)
     sp.add_argument("--color", type=_labels, default=(1,),
-                    help="highest weight labels, comma-joined (default 1)")
+                    help="highest weight labels, comma-joined (default 1, a rank-1 colour)")
     sp.add_argument("--wind", type=_winding, default=1)
     sp.add_argument("--n", type=int, default=64)
 

@@ -36,11 +36,10 @@ import cmath
 import math
 from typing import Sequence
 
-from .errors import PreconditionError
+from .errors import PreconditionError, require_budget
 from .roots import RootSystem, format_vector, is_regular
 
-MAX_QUAD_NODES = 2**21  # budget of `det_rig_quadrature`: n_theta * n_phi nodes
-MAX_QUAD_THETA = 2048  # budget of its Gauss-Legendre order, O(n^2) time: 0.25-0.4 s on 2 vCPUs
+MAX_QUAD_THETA = 2048  # budget of `det_rig_quadrature`'s O(n^2) order: 0.25-0.4 s on 2 vCPUs
 
 
 def root_sines(rs: RootSystem, x: Sequence) -> list[float]:
@@ -118,23 +117,15 @@ def det_rig_quadrature(rs: RootSystem, x: Sequence, n_theta: int, n_phi: int) ->
     that sum is weighted by R_g/(4 pi) times the total weight of the rule: the n_phi
     equal weights of the uniform rule sum to 2 pi and the Gauss-Legendre weights to
     2, so by Gauss-Bonnet the value is det_half(b)^2, up to the rounding of the
-    weights.  The grid is never built.  A grid past MAX_QUAD_NODES nodes, an empty one
-    or an order past MAX_QUAD_THETA is refused before any node is computed.  A singular
-    field is refused exactly, as `det_rig_constant` refuses it, and so is a root sine
-    that rounds to 0.0, whose log is undefined.
+    weights.  The grid is never built, so n_phi costs nothing: an empty grid and an
+    order n_theta past MAX_QUAD_THETA are refused before any node is computed.  A
+    singular field is refused exactly, as `det_rig_constant` refuses it, and so is a
+    root sine that rounds to 0.0, whose log is undefined.
     """
-    if n_theta * n_phi > MAX_QUAD_NODES:
-        raise PreconditionError(
-            f"a {n_theta}x{n_phi} quadrature grid has {n_theta * n_phi} nodes; "
-            f"the budget is {MAX_QUAD_NODES}"
-        )
     if n_theta < 1 or n_phi < 1:
         raise PreconditionError(f"a {n_theta}x{n_phi} quadrature grid has no nodes")
-    if n_theta > MAX_QUAD_THETA:
-        raise PreconditionError(
-            f"a Gauss-Legendre rule of order n_theta = {n_theta} takes O(n_theta^2) time; "
-            f"the budget is {MAX_QUAD_THETA}"
-        )
+    require_budget(n_theta, MAX_QUAD_THETA, "the Gauss-Legendre rule, O(n_theta^2) time",
+                   "nodes in theta")
     if not is_regular(rs, x):
         raise PreconditionError(f"constant field value x = {format_vector(x)} is singular")
     two_sin = root_sines(rs, x)

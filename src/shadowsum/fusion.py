@@ -44,7 +44,7 @@ import math
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import OracleError, PreconditionError
+from .errors import OracleError, require_budget
 from .reps import Labels, LevelAlphabet, weight_multiplicities
 from .roots import RootSystem, weyl_group_order, weyl_orbit
 
@@ -103,15 +103,6 @@ class QuantumWeylGroup(NamedTuple):
         raise AssertionError(f"alcove folding did not terminate for {tuple(point)}")
 
 
-def _require_budget(alphabet: LevelAlphabet, count: int, what: str, unit: str = "coefficients",
-                    budget: int = MAX_FUSION_COEFFS) -> None:
-    if count > budget:
-        raise PreconditionError(
-            f"{what} of {alphabet.rs.name} at k = {alphabet.k}: "
-            f"{count} {unit}; the budget is {budget}"
-        )
-
-
 def fusion_matrix(alphabet: LevelAlphabet, gamma: Sequence[int],
                   folds: dict[int, tuple[int, int]] | None = None) -> Rows:
     """N_gamma[a, b] = N^{A[b]}_{gamma A[a]} over the level alphabet A, exactly,
@@ -136,7 +127,8 @@ def fusion_matrix(alphabet: LevelAlphabet, gamma: Sequence[int],
     """
     gamma = alphabet.require(gamma, "gamma")
     rs, k = alphabet.rs, alphabet.k
-    _require_budget(alphabet, len(alphabet.elements) ** 2, "one fusion matrix")
+    require_budget(len(alphabet.elements) ** 2, MAX_FUSION_COEFFS,
+                   f"one fusion matrix of {rs.name} at k = {k}", "coefficients")
     folds = {} if folds is None else folds
     places = [(7 * k) ** p for p in range(rs.rank - 1, -1, -1)]
     shifted = [tuple(v + 1 for v in lam) for lam in alphabet.elements]
@@ -173,7 +165,9 @@ def fusion_matrices(alphabet: LevelAlphabet, gammas: Iterable[Sequence[int]]) ->
     refused as a whole when the |A|^2 coefficients per gamma add up to more
     than MAX_FUSION_COEFFS."""
     distinct = list(dict.fromkeys(tuple(int(v) for v in g) for g in gammas))
-    _require_budget(alphabet, len(alphabet.elements) ** 2 * len(distinct), f"{len(distinct)} fusion matrices")
+    require_budget(len(alphabet.elements) ** 2 * len(distinct), MAX_FUSION_COEFFS,
+                   f"{len(distinct)} fusion matrices of {alphabet.rs.name} at k = {alphabet.k}",
+                   "coefficients")
     folds: dict[int, tuple[int, int]] = {}
     return {g: fusion_matrix(alphabet, g, folds) for g in distinct}
 
@@ -220,11 +214,11 @@ def verlinde_table(alphabet: LevelAlphabet) -> list[int]:
     rounding residue is reported as an oracle failure (a bug, not bad
     input), naming the first such triple in index order.
     """
-    n = len(alphabet.elements)
-    _require_budget(alphabet, n ** 3, "the Verlinde table")
-    rs = alphabet.rs
-    _require_budget(alphabet, weyl_group_order(rs) * n ** 2, "the Verlinde S-matrix",
-                    "Weyl-orbit terms (|W| |A|^2)", MAX_VERLINDE_ORBIT_TERMS)
+    n, rs = len(alphabet.elements), alphabet.rs
+    at = f"of {rs.name} at k = {alphabet.k}"
+    require_budget(n ** 3, MAX_FUSION_COEFFS, f"the Verlinde table {at}", "coefficients")
+    require_budget(weyl_group_order(rs) * n ** 2, MAX_VERLINDE_ORBIT_TERMS,
+                   f"the Verlinde S-matrix {at}", "Weyl-orbit terms (|W| |A|^2)")
     s = _s_matrix(alphabet)
     dual = []
     for lam in alphabet.elements:
@@ -286,7 +280,8 @@ def build_fusion_table(alphabet: LevelAlphabet) -> list[int]:
     """
     elems = alphabet.elements
     n = len(elems)
-    _require_budget(alphabet, n ** 3, f"{n} fusion matrices")
+    require_budget(n ** 3, MAX_FUSION_COEFFS,
+                   f"{n} fusion matrices of {alphabet.rs.name} at k = {alphabet.k}", "coefficients")
     heights = [sum(row) for row in alphabet.rs.cartan_inverse]
     fundamentals = fusion_matrices(alphabet, (w for w in elems if sum(w) == 1))
     rows: list[Rows] = [[]] * n  # rows[m] = N_{A[m]}; keys unsorted past the fundamentals

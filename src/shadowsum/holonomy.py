@@ -4,7 +4,8 @@ A t-valued (abelian) connection is given as its weight-phase vector: the
 diagonal of A in a weight basis of the module (`weight_phases`).  The one
 connection a command evaluates is constant along the loop, so the n-point
 ordered product prod_{j=1..n} exp((1/n) A) has n equal commuting factors and
-is exp(A) entry by entry (`holonomy`).  Non-abelian (matrix-valued)
+is exp(A) entry by entry (`holonomy`): one exponential per weight whatever n
+is, so n is checked (n >= 1) but has no budget.  Non-abelian (matrix-valued)
 connections are not handled.  The module is plain Python (`math`, `cmath`)
 and loads no numpy; results are lists of complex numbers.
 
@@ -26,23 +27,18 @@ import math
 from numbers import Rational
 from typing import Sequence
 
-from .errors import PreconditionError
+from .errors import PreconditionError, require_budget
 from .reps import WeightSystem, weyl_dimension
 from .roots import RootSystem
 
-MAX_HOLONOMY_FACTORS = 2**16  # budget of `holonomy`: n factors
 MAX_REP_DIM = 256  # budget of the `holonomy` command: dimension of the coloured module
 
 
 def require_rep_dim(rs: RootSystem, color: Sequence[int]) -> None:
     """Refuse a colour whose module is larger than MAX_REP_DIM, by its exact
     Weyl dimension, before any multiplicity is computed."""
-    dim = weyl_dimension(rs, color)
-    if dim > MAX_REP_DIM:
-        raise PreconditionError(
-            f"the module of highest weight {tuple(color)} of {rs.name} has "
-            f"dimension {dim}; the budget is {MAX_REP_DIM}"
-        )
+    require_budget(weyl_dimension(rs, color), MAX_REP_DIM,
+                   f"the module of highest weight {tuple(color)} of {rs.name}", "dimensions")
 
 
 def holonomy(phases: Sequence[complex], n: int) -> list[complex]:
@@ -53,10 +49,6 @@ def holonomy(phases: Sequence[complex], n: int) -> list[complex]:
     """
     if n < 1:
         raise PreconditionError(f"holonomy needs n >= 1, got {n}")
-    if n > MAX_HOLONOMY_FACTORS:
-        raise PreconditionError(
-            f"holonomy with n = {n} factors; the budget is {MAX_HOLONOMY_FACTORS}"
-        )
     return [cmath.exp(z) for z in phases]
 
 

@@ -16,7 +16,7 @@ import math
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .errors import PreconditionError
+from .errors import PreconditionError, require_budget
 from .roots import RootSystem
 
 Labels = tuple[int, ...]
@@ -46,7 +46,7 @@ class LevelAlphabet:
     def require(self, labels: Sequence[int], name: str) -> Labels:
         """`labels` as an int tuple; PreconditionError, naming it `name`, unless it is
         in the alphabet."""
-        t = tuple(int(v) for v in labels)
+        t = _of_rank(self.rs, tuple(int(v) for v in labels))
         if t not in self:
             raise PreconditionError(
                 f"{name} = {t} is not integrable at level {self.k - self.rs.dual_coxeter} "
@@ -70,12 +70,8 @@ def level_alphabet(rs: RootSystem, k: int) -> LevelAlphabet:
             f"number g = {g} for {rs.name} (the alphabet requires <lambda, theta> <= k - g)"
         )
     caps = [(k - g) // a for a in rs.comarks]
-    box = math.prod(c + 1 for c in caps)
-    if box > MAX_ALPHABET_BOX:
-        raise PreconditionError(
-            f"the level alphabet of {rs.name} at k = {k} scans {box} "
-            f"candidate weights; the budget is {MAX_ALPHABET_BOX}"
-        )
+    require_budget(math.prod(c + 1 for c in caps), MAX_ALPHABET_BOX,
+                   f"the level alphabet of {rs.name} at k = {k}", "candidate weights")
     box_labels = itertools.product(*(range(c + 1) for c in caps))
     elems = tuple(m for m in box_labels if rs.level_of_labels(m) <= k - g)
     return LevelAlphabet(rs=rs, k=k, elements=elems)
@@ -118,9 +114,16 @@ def quantum_dimension(alphabet: LevelAlphabet, lam: Sequence[int]) -> float:
     return out
 
 
+def _of_rank(rs: RootSystem, t: tuple) -> tuple:
+    if len(t) != rs.rank:
+        raise PreconditionError(
+            f"{t} has {len(t)} label{'s' * (len(t) != 1)}; {rs.name} needs {rs.rank}")
+    return t
+
+
 def _check_dominant(rs: RootSystem, lam: Sequence[int]) -> Labels:
-    t = tuple(int(v) for v in lam)
-    if len(t) != rs.rank or any(ti != v for ti, v in zip(t, lam)) or any(v < 0 for v in t):
+    t = _of_rank(rs, tuple(int(v) for v in lam))
+    if any(ti != v for ti, v in zip(t, lam)) or any(v < 0 for v in t):
         raise PreconditionError(
             f"weight {tuple(lam)} is not dominant for {rs.name}: "
             "expected nonnegative integer fundamental-weight coordinates"

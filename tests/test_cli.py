@@ -600,6 +600,17 @@ def test_field_value_length_exit_3(tmp_path, capsys, argv, want):
     assert rc == 3 and want in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["holonomy", "--group", "A2", "--b=1/3,1/5,0"],  # the default colour 1 is a rank-1 one
+    ["qdim", "--group", "A2", "--k", "5", "--weight", "1"],
+], ids=lambda argv: argv[0])
+def test_label_vector_length_exit_3(capsys, argv):
+    """A weight with the wrong number of labels is refused by its length, not as
+    a weight that is not dominant or not integrable."""
+    rc, doc = run_main(capsys, *argv)
+    assert rc == 3 and doc["error"]["message"] == "(1,) has 1 label; A2 needs 2"
+
+
 class TestOneLinkParser:
     """shadow and validate read link files through the same parse_link."""
 
@@ -786,14 +797,25 @@ class TestUsageErrorsAsJson:
             ["det", "--group", "A1", "--alpha-b", "1/2", "--diagnostics",
              "--quad-res", "100000x100000"],
             ["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics", "--quad-res", "65536x32"],
-            ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--n", "10000000"],
             ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--color", "100000", "--n", "8"],
             ["fusion", "--group", "E6", "--k", "13", "--verify"],
+            # refusals whose numbers pass CPython's 4300-digit limit on int-to-str
+            # conversion: an E8 alphabet box of about 10^4796, a Weyl dimension of about
+            # 10^4500, a 10^2200 x 10^2200 grid, and an A2 alphabet box of about 10^4400
+            # read from a file
+            ["qdim", "--group", "E8", "--k", str(10**600)],
+            ["holonomy", "--group", "A2", "--b=1/3,1/5,0", "--color", f"{10**1500},{10**1500}"],
+            ["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics",
+             "--quad-res", f"{10**2200}x{10**2200}"],
+            ["validate", "link.json"],
+            ["shadow", "link.json"],
         ],
     )
-    def test_budgets_exit_3(self, capsys, argv):
-        rc, doc = run_main(capsys, *argv)
-        assert rc == 3 and "budget" in doc["error"]["message"]
+    def test_budgets_exit_3(self, tmp_path, capsys, argv):
+        path = write(tmp_path, "link.json", {"group": "A2", "k": 10**2200, "circles": []})
+        rc, doc = run_main(capsys, *[path if a == "link.json" else a for a in argv])
+        error = doc["report"][0] if argv[0] == "validate" else doc["error"]
+        assert rc == 3 and "budget" in error["message"]
 
     @pytest.mark.parametrize("chi", ["2000", "-2000"])
     def test_det_power_out_of_range_exit_3(self, capsys, chi):

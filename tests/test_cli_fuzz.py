@@ -28,7 +28,8 @@ AMBIENT_DIMS = {"A1": 2, "A2": 3, "B2": 2, "G2": 3}
 
 @st.composite
 def link_documents(draw):
-    """A well-formed link file; k is any int, small ones more often."""
+    """A well-formed link file; k is any int, small ones more often, and ones of
+    2200-4000 digits, whose rank-2 alphabet box has more digits than `str` converts."""
     group = draw(st.sampled_from(sorted(RANKS)))
     rank = RANKS[group]
     circles = []
@@ -40,7 +41,8 @@ def link_documents(draw):
             "positive_side": draw(st.sampled_from(["inside", "outside"])),
             "color": draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank)),
         })
-    return {"group": group, "k": draw(st.integers(5, 9) | st.integers()), "circles": circles}
+    k = draw(st.integers(5, 9) | st.integers() | st.integers(10**2199, 10**4000 - 1))
+    return {"group": group, "k": k, "circles": circles}
 
 
 @st.composite

@@ -7,7 +7,6 @@ import pytest
 
 from shadowsum.errors import PreconditionError
 from shadowsum.holonomy import (
-    MAX_HOLONOMY_FACTORS,
     MAX_REP_DIM,
     holonomy,
     require_rep_dim,
@@ -152,14 +151,6 @@ class TestHolonomy:
         for color in ((MAX_REP_DIM,), (100000,)):
             with pytest.raises(PreconditionError, match="budget"):
                 require_rep_dim(a1, color)
-
-    def test_factor_budget_refuses_before_the_first_factor(self):
-        class Never:
-            def __iter__(self):
-                raise AssertionError("read a phase")
-
-        with pytest.raises(PreconditionError, match="budget"):
-            holonomy(Never(), MAX_HOLONOMY_FACTORS + 1)
 
 
 class TestRibbonHolonomy:
