@@ -15,12 +15,12 @@ read, each with b drawn per seed; runs `qdim --k g+2` on each of the 32
 supported types (QDIM_JOBS; the benchmark runs `qdim` on E6 and F4 only),
 runs `det`, `regularize` and `holonomy` at large exact field values on A1
 and G2 (LARGE_FIELDS), runs `det --diagnostics` at a field within 1e-15 of
-the singular set (NEAR_SINGULAR), runs a large grid and a large `holonomy
---n`, which cost nothing (FREE_SIZES), runs the refusals (REFUSAL_JOBS: an
-over-budget rule order through `det --diagnostics`, `holonomy` at n = 0,
-`regularize` on each side of its trust boundary on A1 and E8, budgets whose
-counts have more digits than `str` converts, and weights with the wrong
-number of labels), and runs each malformed link document of
+the singular set (NEAR_SINGULAR), runs large grids, up to 10^2200 x 10^2200,
+and a large `holonomy --n`, which cost nothing (FREE_SIZES), runs the
+refusals (REFUSAL_JOBS: `holonomy` at n = 0, `regularize` on each side of its
+trust boundary on A1 and E8 and past its cutoff budget on five E8 faces,
+budgets whose counts have more digits than `str` converts, and weights with
+the wrong number of labels), and runs each malformed link document of
 MALFORMED_LINKS, HUGE_K_LINK and BIG_K_LINK through `shadow`, `validate`
 and `regularize`, so the error paths are compared too.  Each job runs as one
 `python -m shadowsum` process per tree, in a fresh directory holding its
@@ -80,35 +80,43 @@ LARGE_FIELDS = {"A1": ("--alpha-b=10000000000000000001/3", "2"),
 # alpha(b) = 1/(10^15 + 1): exactly regular, so the quadrature runs, within 1e-15 of 0
 NEAR_SINGULAR = ["det", "--group", "A1", "--alpha-b", "1/1000000000000001", "--diagnostics"]
 
-# The phi half of a det quadrature grid and the n of `holonomy` are checked and echoed,
-# but no work grows with them: the grid is never built, and the product is exp(A).
+# A det quadrature grid and the n of `holonomy` are checked and echoed, but no work
+# grows with them: the rule's total weight is that of every grid, and the product is
+# exp(A).
 FREE_SIZES = {
     "det/2048x2048": ["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics",
                       "--quad-res", "2048x2048"],
+    "det/order-budget": ["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics",
+                         "--quad-res", "65536x32"],
+    "det/order-digits": ["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics",
+                         "--quad-res", f"{10**2200}x{10**2200}"],
     "holonomy/n=65537": ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--n", "65537"],
 }
 
-# The refusals of the det quadrature and of the holonomy product: an n_theta past
-# determinants.MAX_QUAD_THETA, and n below 1.  Then the trust boundary of `regularize`
-# on one face: the last admitted stage and the first refused one on A1 (|R+| = 1) and
-# on E8 (|R+| = 120), where N_n |R+| sup_error first reaches 1.  Then three budgets
-# whose counts have more digits than `str` converts (4300): an E8 alphabet box of about
-# 10^4796, an A2 Weyl dimension of about 10^4500 and an n_theta of 10^2200.  Then a
-# weight with one label on A2, through the default `holonomy` colour and `qdim --weight`.
+# The refusal of the holonomy product at n below 1.  Then the trust boundary of
+# `regularize` on one face: the last admitted stage and the first refused one on A1
+# (|R+| = 1) and on E8 (|R+| = 120), where N_n |R+| sup_error first reaches 1; and its
+# cutoff budget, regularize.MAX_CUTOFF_TERMS, on the five faces of REFUSAL_FILES'
+# four-circle E8 link at n = 1 (2,459,400 terms).  Then two budgets whose counts have
+# more digits than `str` converts (4300): an E8 alphabet box of about 10^4796 and an
+# A2 Weyl dimension of about 10^4500.  Then a weight with one label on A2, through the
+# default `holonomy` colour and `qdim --weight`.
+E8_FACE = "-27/61,-24/61,0,-48/61,39/61,-58/61,46/61,-9/61"
+REFUSAL_FILES = {"e8.json": json.dumps({"group": "E8", "circles": [
+    {"id": f"c{i}", "parent": None, "winding": 1, "positive_side": "inside",
+     "color": [0] * 8} for i in range(4)]})}
 REFUSAL_JOBS = {
-    "det/order-budget": ["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics",
-                         "--quad-res", "65536x32"],
     "holonomy/n=0": ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--n", "0"],
     **{f"regularize/{group}-n={n}": ["regularize", "--group", group, field, "--n", str(n)]
        for group, field, stages in (
            ("A1", "--alpha-b=2/7", (15, 16)),
-           ("E8", "--b=-27/61,-24/61,0,-48/61,39/61,-58/61,46/61,-9/61", (13, 14)))
+           ("E8", f"--b={E8_FACE}", (13, 14)))
        for n in stages},
+    "regularize/E8-cutoff-budget": ["regularize", "--n", "1", "e8.json",
+                                    "--face-values=" + ";".join([E8_FACE] * 5)],
     "qdim/E8-box-digits": ["qdim", "--group", "E8", "--k", str(10**600)],
     "holonomy/A2-dim-digits": ["holonomy", "--group", "A2", "--b=1/3,1/5,0",
                                "--color", f"{10**1500},{10**1500}"],
-    "det/order-digits": ["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics",
-                         "--quad-res", f"{10**2200}x{10**2200}"],
     "holonomy/A2-one-label": ["holonomy", "--group", "A2", "--b=1/3,1/5,0"],
     "qdim/A2-one-label": ["qdim", "--group", "A2", "--k", "5", "--weight", "1"],
 }
@@ -207,7 +215,7 @@ def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
                       ["holonomy", *at, "--color", color, "--wind", "3", "--n", "16"], {})]
         jobs.append(("near-singular/A1/det --diagnostics", NEAR_SINGULAR, {}))
         jobs += [(f"free/{name}", argv, {}) for name, argv in FREE_SIZES.items()]
-        jobs += [(f"refusal/{name}", argv, {}) for name, argv in REFUSAL_JOBS.items()]
+        jobs += [(f"refusal/{name}", argv, REFUSAL_FILES) for name, argv in REFUSAL_JOBS.items()]
     return jobs + (malformed_jobs() if seeds else [])
 
 

@@ -40,9 +40,9 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .determinants import det_rig_constant, root_sines
+from .determinants import det_rig_constant, principal_log_sum, root_sines
 from .diagrams import ShadowDiagram, build_diagram
-from .errors import PreconditionError
+from .errors import PreconditionError, require_budget
 from .roots import RootSystem, format_vector, is_regular
 
 # -- stepped fields -----------------------------------------------------------
@@ -110,6 +110,17 @@ CUTOFF_SUP_ERRORS = {
     18: 5.444493300643671e-09,
     19: 9.710241832827649e-09,
 }
+
+
+# Budget of `regularized_indicator`: Dirichlet terms, one per sample of the cutoff's
+# window at every face and positive root, about 0.5 us each on a 2-core VM (E8 at
+# n = 1: 491,880 terms on one face took 0.25 s, 2,459,400 on five faces 1.12 s)
+MAX_CUTOFF_TERMS = 10**6
+
+
+def _cutoff_span(n: int) -> int:
+    """The samples psi_n(j/K) below 1 have |j| <= span."""
+    return _K // (4 * n) + 1
 
 
 def _bump(n: int, x: float) -> float:
@@ -181,7 +192,7 @@ def trig_cutoff(n: int) -> TrigCutoff:
             f"no cutoff of stage n = {n}: sup errors are tabulated for n = 1.."
             f"{max(CUTOFF_SUP_ERRORS)}, the stages the CUTOFF_FLOOR check admits"
         )
-    span = _K // (4 * n) + 1
+    span = _cutoff_span(n)
     pairs = []
     for j in range(-span, span + 1):
         w = 1.0 - _bump(n, j / _K)
@@ -217,12 +228,18 @@ def regularized_indicator(rs: RootSystem, n: int, field: SteppedField) -> float:
     test); close to 1 when every value keeps all alpha-pairings at least
     1/n away from the integers.  Refused (PreconditionError) before the cutoff
     is built when the error bound N_n |R+| sup_error is not below 1, sup_error
-    from CUTOFF_SUP_ERRORS, or CUTOFF_FLOOR for a stage it lacks (which fails).
+    from CUTOFF_SUP_ERRORS, or CUTOFF_FLOOR for a stage it lacks (which fails),
+    and then when its max(1, #faces) |R+| (2 span + 1) Dirichlet terms pass
+    MAX_CUTOFF_TERMS.
     """
     # From 2n >= e on, 4^n >= 2^e > 1/CUTOFF_FLOOR fails the check alone: no huge N_n
     e = math.frexp(1.0 / CUTOFF_FLOOR)[1]
     cells_total = total_cells(field, n) if 2 * n < e else math.inf
     _require_trusted_stage(rs, n, cells_total, CUTOFF_SUP_ERRORS.get(n, CUTOFF_FLOOR))
+    faces, roots = max(1, len(field.diagram.faces)), len(rs.positive_root_labels)
+    require_budget(faces * roots * (2 * _cutoff_span(n) + 1), MAX_CUTOFF_TERMS,
+                   f"the stage-{n} cutoff at {faces} faces x {roots} positive roots",
+                   "Dirichlet terms")
     cut = trig_cutoff(n)
     cells = 4 ** n  # per face
     out = 1.0
@@ -357,14 +374,13 @@ def det_rig_n_bound(rs: RootSystem, n: int, field: SteppedField) -> float | None
         raise PreconditionError(f"regularization index must be >= 1, got {n}")
     if n > 18:
         return None
-    faces = field.diagram.faces
-    eps = _log_target(n) * sum(abs(face.euler) for face in faces)
+    chis = [face.euler for face in field.diagram.faces]
+    eps = _log_target(n) * sum(map(abs, chis))
     out = 1.0
     for column in zip(*(root_sines(rs, x) for x in field.values)):  # one root, every face
         if any(abs(s) < 1.0 / n for s in column):
             return None
-        z = complex(math.fsum(face.euler * math.log(abs(s)) for face, s in zip(faces, column)),
-                    math.pi * sum(face.euler for face, s in zip(faces, column) if s < 0))
+        z = principal_log_sum(column, chis)
         w = abs(z) + eps
         try:  # w^(n+1)/(n+1)! e^(w - Re z), in logarithms
             r = math.exp((n + 1) * math.log(w) - math.lgamma(n + 2) + w - z.real)

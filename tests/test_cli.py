@@ -253,6 +253,17 @@ class TestDetAndQdim:
         doc = json.loads(r.stdout)
         assert doc["det_rig_quadrature"] == pytest.approx(4.0, abs=1e-6)
 
+    def test_det_diagnostics_is_the_same_on_every_grid(self, capsys):
+        """The rule integrates the constant field exactly, so --quad-res changes no byte
+        and no grid size is refused: the 1x1 grid, the default one, 65536x32 and
+        10^2200 x 10^2200 print one document."""
+        outs = []
+        for grid in (["--quad-res", "1x1"], [], ["--quad-res", "65536x32"],
+                     ["--quad-res", f"{10**2200}x{10**2200}"]):
+            rc = cli.main(["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics", *grid])
+            outs.append((rc, capsys.readouterr().out))
+        assert outs[0][0] == 0 and outs == [outs[0]] * 4
+
     def test_det_diagnostics_refuses_chi_other_than_2(self, capsys):
         """The quadrature runs on the round sphere; at --chi 3 it would print det_half^2
         beside det_rig_constant = det_half^3."""
@@ -794,26 +805,30 @@ class TestUsageErrorsAsJson:
         [
             ["qdim", "--group", "A1", "--k", str(10**12)],
             ["fusion", "--group", "A1", "--k", "200"],
-            ["det", "--group", "A1", "--alpha-b", "1/2", "--diagnostics",
-             "--quad-res", "100000x100000"],
-            ["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics", "--quad-res", "65536x32"],
             ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--color", "100000", "--n", "8"],
             ["fusion", "--group", "E6", "--k", "13", "--verify"],
             # refusals whose numbers pass CPython's 4300-digit limit on int-to-str
             # conversion: an E8 alphabet box of about 10^4796, a Weyl dimension of about
-            # 10^4500, a 10^2200 x 10^2200 grid, and an A2 alphabet box of about 10^4400
-            # read from a file
+            # 10^4500, and an A2 alphabet box of about 10^4400 read from a file
             ["qdim", "--group", "E8", "--k", str(10**600)],
             ["holonomy", "--group", "A2", "--b=1/3,1/5,0", "--color", f"{10**1500},{10**1500}"],
-            ["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics",
-             "--quad-res", f"{10**2200}x{10**2200}"],
+            # a G2 module of 4096 dimensions and a G2 table of 196^3 coefficients
+            ["holonomy", "--group", "G2", "--b", "1/7,1/5,-12/35", "--color", "3,3", "--n", "16"],
+            ["fusion", "--group", "G2", "--k", "30"],
+            # the stage-1 cutoff on five E8 faces: 2,459,400 Dirichlet terms
+            ["regularize", "--n", "1", "e8.json", "--face-values=" + ";".join(
+                ["-27/61,-24/61,0,-48/61,39/61,-58/61,46/61,-9/61"] * 5)],
             ["validate", "link.json"],
             ["shadow", "link.json"],
         ],
     )
     def test_budgets_exit_3(self, tmp_path, capsys, argv):
-        path = write(tmp_path, "link.json", {"group": "A2", "k": 10**2200, "circles": []})
-        rc, doc = run_main(capsys, *[path if a == "link.json" else a for a in argv])
+        files = {"link.json": write(tmp_path, "link.json",
+                                    {"group": "A2", "k": 10**2200, "circles": []}),
+                 "e8.json": write(tmp_path, "e8.json", {"group": "E8", "circles": [
+                     {"id": f"c{i}", "parent": None, "winding": 1, "positive_side": "inside",
+                      "color": [0] * 8} for i in range(4)]})}
+        rc, doc = run_main(capsys, *[files.get(a, a) for a in argv])
         error = doc["report"][0] if argv[0] == "validate" else doc["error"]
         assert rc == 3 and "budget" in error["message"]
 

@@ -195,6 +195,19 @@ class TestIndicator:
             with pytest.raises(PreconditionError, match="cannot be trusted"):
                 regularized_indicator(a1, stage, f)
 
+    def test_cutoff_budget_refuses_many_faces_before_building_a_cutoff(self, monkeypatch):
+        """Five E8 faces at n = 1 pass the trust check but hold 5 * 120 * (2 (K/4 + 1) + 1)
+        = 2,459,400 Dirichlet terms, past MAX_CUTOFF_TERMS: refused, no cutoff built."""
+        import shadowsum.regularize as reg
+
+        monkeypatch.setattr(reg, "trig_cutoff", None)
+        rs = build_root_system("E8")
+        d = build_diagram([{"id": f"c{i}", "parent": None, "winding": 1,
+                            "positive_side": "inside", "color": [0] * 8} for i in range(4)])
+        f = SteppedField(diagram=d, values=(tuple(Q(1, 7 + j) for j in range(8)),) * 5)
+        with pytest.raises(PreconditionError, match="2459400 Dirichlet terms; the budget is"):
+            regularized_indicator(rs, 1, f)
+
     @pytest.mark.parametrize("group, one_face, five_faces",
                              [("A1", 15, 14), ("B2", 14, 13), ("G2", 14, 13), ("E8", 13, 12)])
     def test_largest_trusted_stage(self, group, one_face, five_faces):
