@@ -18,9 +18,10 @@ and G2 (LARGE_FIELDS), runs `det --diagnostics` at a field within 1e-15 of
 the singular set (NEAR_SINGULAR), runs large grids, up to 10^2200 x 10^2200,
 and a large `holonomy --n`, which cost nothing (FREE_SIZES), runs the
 refusals (REFUSAL_JOBS: `holonomy` at n = 0, `regularize` on each side of its
-trust boundary on A1 and E8 and past its cutoff budget on five E8 faces,
-budgets whose counts have more digits than `str` converts, and weights with
-the wrong number of labels), and runs each malformed link document of
+trust boundary on A1 and E8 and past its cutoff budget on five E8 faces and on
+2,001, budgets whose counts have more digits than `str` converts, labels shown
+by their order of magnitude, and weights with the wrong number of labels), and
+runs each malformed link document of
 MALFORMED_LINKS, HUGE_K_LINK and BIG_K_LINK through `shadow`, `validate`
 and `regularize`, so the error paths are compared too.  Each job runs as one
 `python -m shadowsum` process per tree, in a fresh directory holding its
@@ -80,9 +81,9 @@ LARGE_FIELDS = {"A1": ("--alpha-b=10000000000000000001/3", "2"),
 # alpha(b) = 1/(10^15 + 1): exactly regular, so the quadrature runs, within 1e-15 of 0
 NEAR_SINGULAR = ["det", "--group", "A1", "--alpha-b", "1/1000000000000001", "--diagnostics"]
 
-# A det quadrature grid and the n of `holonomy` are checked and echoed, but no work
-# grows with them: the rule's total weight is that of every grid, and the product is
-# exp(A).
+# A det quadrature grid is checked, and the n of `holonomy` checked and echoed, but
+# neither changes a value or the work: the constant field is integrated exactly, and
+# the product is exp(A).
 FREE_SIZES = {
     "det/2048x2048": ["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics",
                       "--quad-res", "2048x2048"],
@@ -97,14 +98,17 @@ FREE_SIZES = {
 # `regularize` on one face: the last admitted stage and the first refused one on A1
 # (|R+| = 1) and on E8 (|R+| = 120), where N_n |R+| sup_error first reaches 1; and its
 # cutoff budget, regularize.MAX_CUTOFF_TERMS, on the five faces of REFUSAL_FILES'
-# four-circle E8 link at n = 1 (2,459,400 terms).  Then two budgets whose counts have
-# more digits than `str` converts (4300): an E8 alphabet box of about 10^4796 and an
-# A2 Weyl dimension of about 10^4500.  Then a weight with one label on A2, through the
-# default `holonomy` colour and `qdim --weight`.
+# four-circle E8 link at n = 1 (2,459,400 terms), and on the 2,001 faces of its
+# 2,000-circle one (984,251,880 terms), refused before any face value is converted.
+# Then two budgets whose counts have more digits than `str` converts (4300): an E8
+# alphabet box of about 10^4796 and an A2 Weyl dimension of about 10^4500, whose
+# labels of 10^1500 are shown by their order of magnitude, as are the eight E8
+# labels of 10^4000.  Then a weight with one label on A2, through the default
+# `holonomy` colour and `qdim --weight`.
 E8_FACE = "-27/61,-24/61,0,-48/61,39/61,-58/61,46/61,-9/61"
-REFUSAL_FILES = {"e8.json": json.dumps({"group": "E8", "circles": [
+REFUSAL_FILES = {f"e8-{n}.json": json.dumps({"group": "E8", "circles": [
     {"id": f"c{i}", "parent": None, "winding": 1, "positive_side": "inside",
-     "color": [0] * 8} for i in range(4)]})}
+     "color": [0] * 8} for i in range(n)]}) for n in (4, 2000)}
 REFUSAL_JOBS = {
     "holonomy/n=0": ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--n", "0"],
     **{f"regularize/{group}-n={n}": ["regularize", "--group", group, field, "--n", str(n)]
@@ -112,11 +116,16 @@ REFUSAL_JOBS = {
            ("A1", "--alpha-b=2/7", (15, 16)),
            ("E8", f"--b={E8_FACE}", (13, 14)))
        for n in stages},
-    "regularize/E8-cutoff-budget": ["regularize", "--n", "1", "e8.json",
+    "regularize/E8-cutoff-budget": ["regularize", "--n", "1", "e8-4.json",
                                     "--face-values=" + ";".join([E8_FACE] * 5)],
+    "regularize/E8-2000-circles": ["regularize", "--n", "1", "e8-2000.json",
+                                   "--face-values=" + ";".join([E8_FACE] * 2001)],
     "qdim/E8-box-digits": ["qdim", "--group", "E8", "--k", str(10**600)],
     "holonomy/A2-dim-digits": ["holonomy", "--group", "A2", "--b=1/3,1/5,0",
                                "--color", f"{10**1500},{10**1500}"],
+    "holonomy/E8-label-digits": ["holonomy", "--group", "E8",
+                                 "--b=1/3,1/5,1/7,1/11,1/13,1/17,1/19,1/23",
+                                 "--color", ",".join([str(10**4000)] * 8)],
     "holonomy/A2-one-label": ["holonomy", "--group", "A2", "--b=1/3,1/5,0"],
     "qdim/A2-one-label": ["qdim", "--group", "A2", "--k", "5", "--weight", "1"],
 }

@@ -9,7 +9,8 @@ subcommand's long flag names; each becomes `--key=value` (`true`: a bare
 `--key`) ahead of the command line, so explicit flags win.  Each command
 imports the modules it runs when it runs, so a job loads no other, and
 no command loads numpy.  Every resource budget is refused (exit 3) through
-`errors.require_budget`, before the work it counts.
+`errors.require_budget`, before the work it counts.  `det --quad-res` is
+checked but, like `holonomy --n`, changes no output.
 
 Link files are read by `diagrams.read_link`, which holds their schema.
 Output for `shadow`: { "value": {"re", "im"}, "abs_sum", "colorings", "retained",
@@ -34,7 +35,6 @@ from . import __version__
 from .errors import ParseError, PreconditionError, ShadowsumError, require_budget
 
 MAX_LISTED_TERMS = 10**6  # budget of the per-term listing of `shadow --diagnostics`
-_QUAD_RES = (64, 128)  # `det --diagnostics` without --quad-res
 
 
 def _load_json(path: str):
@@ -200,12 +200,13 @@ def cmd_det(args) -> dict:
         "det_rig_constant": det_rig_constant(rs, x, args.chi),
     }
     if args.diagnostics:
-        out["det_rig_quadrature"] = det_rig_quadrature(rs, x, *(args.quad_res or _QUAD_RES))
+        out["det_rig_quadrature"] = det_rig_quadrature(rs, x)
     return out
 
 
 def cmd_regularize(args) -> dict:
-    from .regularize import SteppedField, det_rig_n, det_rig_n_bound, regularized_indicator
+    from .regularize import (
+        SteppedField, det_rig_n, det_rig_n_bound, regularized_indicator, require_stage)
 
     if args.input is None:
         rs = _root_system(args)
@@ -218,6 +219,8 @@ def cmd_regularize(args) -> dict:
         rs, _, diagram = _read_link(args, level=False)
         if args.face_values is None:
             raise PreconditionError("--face-values needed with a link file")
+        SteppedField(diagram, args.face_values)  # refuses a wrong count before converting
+        require_stage(rs, args.n, len(diagram.faces))
         values = tuple(_reduced(rs.coweight_coordinates(b)) for b in args.face_values)
         field = SteppedField(diagram=diagram, values=values)
     return {
@@ -366,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--diagnostics", action="store_true", help="add the surface quadrature")
     sp.add_argument("--quad-res", type=_grid,
                     help="quadrature grid, e.g. 512x1024; with --diagnostics "
-                         f"(default {_QUAD_RES[0]}x{_QUAD_RES[1]})")
+                         "(every grid gives the same value)")
 
     sp = command("regularize", cmd_regularize, "regularized indicator and determinant stage n",
                  with_k=False)

@@ -21,14 +21,10 @@ ribbons vanishing geodesic curvature (the standing metric assumption), so
 that the curvature measure of each face is 4 pi chi(face).
 
 The closed forms and the quadrature run in Python floats (`math`, `cmath`), so
-no `det` job loads numpy.  `det_rig_quadrature` evaluates the integral for the
-one field a command gives it, a constant one on the round sphere: the
-Gauss-Legendre x uniform product rule integrates a constant exactly, with total
-weight 2 * 2 pi on every grid, so no node is computed.  Like `det_rig_constant`,
-it decides regularity exactly (`roots.is_regular`).  Both it and
-`regularize.det_rig_n_bound` read the root logarithms through
-`principal_log_sum`.  The general rule, for fields that vary over the surface,
-is the test-side oracle `sphere_rule` in `tests/test_determinants.py`.
+no `det` job loads numpy.  `det_rig_quadrature` integrates the one field a
+command gives it, a constant one on the round sphere, exactly and without a
+grid.  The general rule, for fields that vary over the surface, is the
+test-side oracle `sphere_rule` in `tests/test_determinants.py`.
 """
 
 from __future__ import annotations
@@ -87,21 +83,13 @@ def principal_log_sum(sines: Sequence[float], coeffs: Sequence[int]) -> complex:
                    math.pi * sum(c for c, s in zip(coeffs, sines) if s < 0))
 
 
-def det_rig_quadrature(rs: RootSystem, x: Sequence, n_theta: int, n_phi: int) -> float:
-    """Quadrature of the regularized determinant of the constant field x on the unit
-    round sphere (R_g = 2), by the Gauss-Legendre x uniform product rule on an
-    n_theta x n_phi grid.
-
-    The field is the same at every node, so the rule integrates it exactly: the root
-    logarithms are summed once (`principal_log_sum`, L) and weighted by R_g/(4 pi)
-    times the rule's total weight, 2 * 2 pi on every grid, so the value is
-    exp(2 L) = det_half(b)^2 (Gauss-Bonnet).  No node is computed, so the cost does
-    not grow with the grid; an empty grid is refused.  A singular field is refused
-    exactly, as `det_rig_constant` refuses it, and so is a root sine that rounds to
-    0.0, whose log is undefined.
-    """
-    if n_theta < 1 or n_phi < 1:
-        raise PreconditionError(f"a {n_theta}x{n_phi} quadrature grid has no nodes")
+def det_rig_quadrature(rs: RootSystem, x: Sequence) -> float:
+    """The regularized determinant of the constant field x integrated over the unit
+    round sphere (R_g = 2): the root-log sum L (`principal_log_sum`) weighted by
+    R_g/(4 pi) times the area 4 pi, exp(2 L) = det_half(b)^2 (Gauss-Bonnet), which
+    every product rule gives exactly.  A singular field is refused exactly, as
+    `det_rig_constant` refuses it, and so is a root sine that rounds to 0.0, whose
+    log is undefined."""
     if not is_regular(rs, x):
         raise PreconditionError(f"constant field value x = {format_vector(x)} is singular")
     two_sin = root_sines(rs, x)

@@ -44,7 +44,7 @@ O(#faces |A|^2); it is the one evaluator of the value, of sum |term| and of
 the number of terms.  `list_terms` only lists the nonvanishing terms (for
 `shadow --diagnostics`): depth-first in region-tree order, pruned on
 vanishing fusion factors, which it reads from the same rows.  The module
-uses no numpy.
+uses no numpy, and loads `reps` and `fusion` only where it runs them.
 """
 
 from __future__ import annotations
@@ -54,10 +54,10 @@ import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import PreconditionError
-from .reps import Labels, LevelAlphabet, level_alphabet, quantum_dimension
 
 if TYPE_CHECKING:
     from .fusion import Rows
+    from .reps import Labels, LevelAlphabet
 
 
 class Circle(NamedTuple):
@@ -155,6 +155,8 @@ def read_link(doc, group: str | None = None, k: int | None = None, *,
     except PreconditionError as e:
         problem("group", str(e))
     if rs is not None and level:
+        from .reps import level_alphabet
+
         try:
             alphabet = level_alphabet(rs, doc.get("k") if k is None else k)
         except PreconditionError as e:
@@ -279,6 +281,7 @@ def prepare_terms(diagram: ShadowDiagram, alphabet: LevelAlphabet) -> TermData:
     colours share one budget (MAX_FUSION_COEFFS), checked before any is built,
     and `fusion_matrix` refuses a colour outside the alphabet before any fold."""
     from .fusion import fusion_matrices
+    from .reps import quantum_dimension
 
     rs = alphabet.rs
     rho2 = (2,) * rs.rank

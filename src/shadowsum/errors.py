@@ -1,10 +1,10 @@
 """Exception taxonomy shared by the library and the CLI.
 
 Exit-code mapping used by the CLI: 0 ok, 2 parse, 3 precondition,
-4 internal-oracle failure.  The exception classes live here, and the one
-refusal of a resource budget (`require_budget`); each budget and each
-tolerance is a constant of the module whose check it gates, such as
-`fusion.MAX_FUSION_COEFFS` or `fusion.ORACLE_TOL`.
+4 internal-oracle failure.  The exception classes live here, the one refusal
+of a resource budget (`require_budget`) and the one way a refusal shows a
+number (`shown`); each budget and each tolerance is a constant of the module
+whose check it gates, such as `fusion.MAX_FUSION_COEFFS` or `fusion.ORACLE_TOL`.
 """
 
 import math
@@ -38,14 +38,18 @@ class OracleError(ShadowsumError):
     code = "oracle"
 
 
-def require_budget(count: int, budget: int, what: str, unit: str) -> None:
-    """Refuse `count` units of work past `budget`, before the work is done.
+def shown(value) -> str:
+    """`repr(value)`, but an int of more than 20 digits, alone or in a tuple, is named by
+    its order of magnitude, `about 10^N` (N = log10|value| rounded, sign kept), so a
+    refusal's echo stays short and cannot raise at CPython's limit on int digits."""
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(shown, value)) + "," * (len(value) == 1) + ")"
+    if isinstance(value, int) and abs(value) >= 10**20:
+        return f"{'-' * (value < 0)}about 10^{math.log10(abs(value)):.0f}"
+    return repr(value)
 
-    A count too long for `str` (CPython's limit on the digits of an int) is
-    named by its order of magnitude, so the refusal cannot itself raise."""
+
+def require_budget(count: int, budget: int, what: str, unit: str) -> None:
+    """Refuse `count` units of work past `budget`, before the work is done."""
     if count > budget:
-        try:
-            shown = str(count)
-        except ValueError:
-            shown = f"about 10^{math.log10(count):.0f}"
-        raise PreconditionError(f"{what}: {shown} {unit}; the budget is {budget}")
+        raise PreconditionError(f"{what}: {shown(count)} {unit}; the budget is {budget}")

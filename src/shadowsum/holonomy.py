@@ -27,7 +27,7 @@ import math
 from numbers import Rational
 from typing import Sequence
 
-from .errors import PreconditionError, require_budget
+from .errors import PreconditionError, require_budget, shown
 from .reps import WeightSystem, weyl_dimension
 from .roots import RootSystem
 
@@ -38,7 +38,7 @@ def require_rep_dim(rs: RootSystem, color: Sequence[int]) -> None:
     """Refuse a colour whose module is larger than MAX_REP_DIM, by its exact
     Weyl dimension, before any multiplicity is computed."""
     require_budget(weyl_dimension(rs, color), MAX_REP_DIM,
-                   f"the module of highest weight {tuple(color)} of {rs.name}", "dimensions")
+                   f"the module of highest weight {shown(tuple(color))} of {rs.name}", "dimensions")
 
 
 def holonomy(phases: Sequence[complex], n: int) -> list[complex]:

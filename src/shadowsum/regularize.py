@@ -201,24 +201,33 @@ def trig_cutoff(n: int) -> TrigCutoff:
     return TrigCutoff(n, pairs, CUTOFF_SUP_ERRORS[n])
 
 
-def total_cells(field: SteppedField, n: int) -> int:
-    """N_n: cells of the n-th fourfold refinement of the field's faces."""
+def total_cells(faces: int, n: int) -> int:
+    """N_n: cells of the n-th fourfold refinement of `faces` faces (at least one)."""
     if n < 1:
         raise PreconditionError(f"regularization index must be >= 1, got {n}")
-    return max(1, len(field.diagram.faces)) * 4 ** n
+    return max(1, faces) * 4 ** n
 
 
-def _require_trusted_stage(rs: RootSystem, n: int, cells_total: float, sup_error: float) -> None:
-    """Refuse stage n when its cutoff's error bound N_n |R+| sup_error is not below 1.
-
-    Exact for any n: the integer N_n |R+| (inf: too large to form) is compared with 1/sup_error.
-    """
-    if cells_total * len(rs.positive_root_labels) >= 1.0 / sup_error:
+def require_stage(rs: RootSystem, n: int, faces: int) -> None:
+    """Refuse stage n of the indicator on `faces` faces, reading no field value: first
+    when its error bound N_n |R+| sup_error is not below 1, sup_error from
+    CUTOFF_SUP_ERRORS, or CUTOFF_FLOOR for a stage it lacks (which fails), the integer
+    N_n |R+| compared exactly with 1/sup_error; then when its max(1, #faces) |R+|
+    (2 span + 1) Dirichlet terms pass MAX_CUTOFF_TERMS."""
+    roots = len(rs.positive_root_labels)
+    sup_error = CUTOFF_SUP_ERRORS.get(n, CUTOFF_FLOOR)
+    # From 2n >= e on, 4^n >= 2^e > 1/CUTOFF_FLOOR fails the check alone: no huge N_n
+    e = math.frexp(1.0 / CUTOFF_FLOOR)[1]
+    if (total_cells(faces, n) if 2 * n < e else math.inf) * roots >= 1.0 / sup_error:
         raise PreconditionError(
             f"regularize stage n = {n} cannot be trusted: its error bound N_n |R+| sup_error "
-            f"is at least 1 (N_n = #faces * 4^{n} cells, |R+| = {len(rs.positive_root_labels)}, "
+            f"is at least 1 (N_n = #faces * 4^{n} cells, |R+| = {roots}, "
             f"sup_error >= {sup_error:.2e})"
         )
+    faces = max(1, faces)
+    require_budget(faces * roots * (2 * _cutoff_span(n) + 1), MAX_CUTOFF_TERMS,
+                   f"the stage-{n} cutoff at {faces} faces x {roots} positive roots",
+                   "Dirichlet terms")
 
 
 def regularized_indicator(rs: RootSystem, n: int, field: SteppedField) -> float:
@@ -226,20 +235,9 @@ def regularized_indicator(rs: RootSystem, n: int, field: SteppedField) -> float:
 
     Exactly 0 whenever some alpha(value) is an integer (exact rational
     test); close to 1 when every value keeps all alpha-pairings at least
-    1/n away from the integers.  Refused (PreconditionError) before the cutoff
-    is built when the error bound N_n |R+| sup_error is not below 1, sup_error
-    from CUTOFF_SUP_ERRORS, or CUTOFF_FLOOR for a stage it lacks (which fails),
-    and then when its max(1, #faces) |R+| (2 span + 1) Dirichlet terms pass
-    MAX_CUTOFF_TERMS.
+    1/n away from the integers.  `require_stage` refuses a stage first.
     """
-    # From 2n >= e on, 4^n >= 2^e > 1/CUTOFF_FLOOR fails the check alone: no huge N_n
-    e = math.frexp(1.0 / CUTOFF_FLOOR)[1]
-    cells_total = total_cells(field, n) if 2 * n < e else math.inf
-    _require_trusted_stage(rs, n, cells_total, CUTOFF_SUP_ERRORS.get(n, CUTOFF_FLOOR))
-    faces, roots = max(1, len(field.diagram.faces)), len(rs.positive_root_labels)
-    require_budget(faces * roots * (2 * _cutoff_span(n) + 1), MAX_CUTOFF_TERMS,
-                   f"the stage-{n} cutoff at {faces} faces x {roots} positive roots",
-                   "Dirichlet terms")
+    require_stage(rs, n, len(field.diagram.faces))
     cut = trig_cutoff(n)
     cells = 4 ** n  # per face
     out = 1.0

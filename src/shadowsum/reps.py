@@ -16,7 +16,7 @@ import math
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .errors import PreconditionError, require_budget
+from .errors import PreconditionError, require_budget, shown
 from .roots import RootSystem
 
 Labels = tuple[int, ...]
@@ -49,7 +49,7 @@ class LevelAlphabet:
         t = _of_rank(self.rs, tuple(int(v) for v in labels))
         if t not in self:
             raise PreconditionError(
-                f"{name} = {t} is not integrable at level {self.k - self.rs.dual_coxeter} "
+                f"{name} = {shown(t)} is not integrable at level {self.k - self.rs.dual_coxeter} "
                 f"for {self.rs.name} at k = {self.k}"
             )
         return t
@@ -117,7 +117,7 @@ def quantum_dimension(alphabet: LevelAlphabet, lam: Sequence[int]) -> float:
 def _of_rank(rs: RootSystem, t: tuple) -> tuple:
     if len(t) != rs.rank:
         raise PreconditionError(
-            f"{t} has {len(t)} label{'s' * (len(t) != 1)}; {rs.name} needs {rs.rank}")
+            f"{shown(t)} has {len(t)} label{'s' * (len(t) != 1)}; {rs.name} needs {rs.rank}")
     return t
 
 
@@ -125,7 +125,7 @@ def _check_dominant(rs: RootSystem, lam: Sequence[int]) -> Labels:
     t = _of_rank(rs, tuple(int(v) for v in lam))
     if any(ti != v for ti, v in zip(t, lam)) or any(v < 0 for v in t):
         raise PreconditionError(
-            f"weight {tuple(lam)} is not dominant for {rs.name}: "
+            f"weight {shown(tuple(lam))} is not dominant for {rs.name}: "
             "expected nonnegative integer fundamental-weight coordinates"
         )
     return t

@@ -125,11 +125,11 @@ def test_state_sum_oracle_equivalence():
 
 
 def test_determinant_closed_forms():
-    """Gauss-Bonnet quadrature check at 256x512 within 1e-6; half-squares to 1e-12."""
+    """Gauss-Bonnet quadrature check within 1e-6; half-squares to 1e-12."""
     rs = build_root_system("A1")
     for x in (Q(1, 2), Q(1, 3), Q(2, 5)):
         b = from_labels(rs, [x])
-        got = det_rig_quadrature(rs, b, 256, 512)
+        got = det_rig_quadrature(rs, b)
         want = det_rig_constant(rs, b, 2)
         assert abs(got - want) < 1e-6, x
     rs2 = build_root_system("B2")
@@ -139,7 +139,7 @@ def test_determinant_closed_forms():
         b = from_labels(rs2, labels)
         dk = det_k(rs2, b)
         assert abs(det_half(rs2, b) ** 2 - dk) <= 1e-12 * max(1.0, abs(dk))
-    print("\nACCEPTANCE PASS: det_rig_quadrature matches det_k^(chi/2) at 256x512 (1e-6); "
+    print("\nACCEPTANCE PASS: det_rig_quadrature matches det_k^(chi/2) (1e-6); "
           "det_half^2 = det_k (1e-12)")
 
 

@@ -367,6 +367,47 @@ class TestRegularizeAndHolonomy:
         assert json.loads(r.stdout)["det_rig_n_bound"] is None
         assert "Infinity" not in r.stdout and "NaN" not in r.stdout
 
+    def test_regularize_refuses_the_stage_before_converting_values(
+            self, tmp_path, capsys, monkeypatch):
+        """2,000 flat E8 circles at n = 1 pass the trust check, but their 2,001 faces hold
+        984,251,880 Dirichlet terms: refused by the face count alone, with the cutoff
+        budget's text, before any --face-values entry is converted.  A wrong number of
+        values is refused first, also before any conversion."""
+        from shadowsum.roots import RootSystem
+
+        def unreachable(*_):
+            raise AssertionError("a face value was converted")
+
+        monkeypatch.setattr(RootSystem, "coweight_coordinates", unreachable)
+        path = write(tmp_path, "e8.json", {"group": "E8", "circles": [
+            {"id": f"c{i}", "parent": None, "winding": 1, "positive_side": "inside",
+             "color": [0] * 8} for i in range(2000)]})
+        value = "-27/61,-24/61,0,-48/61,39/61,-58/61,46/61,-9/61"
+        rc, doc = run_main(capsys, "regularize", "--n", "1", path,
+                           "--face-values=" + ";".join([value] * 2001))
+        assert rc == 3
+        assert doc["error"]["message"] == (
+            "the stage-1 cutoff at 2001 faces x 120 positive roots: 984251880 Dirichlet "
+            "terms; the budget is 1000000")
+        rc, doc = run_main(capsys, "regularize", "--n", "1", path,
+                           "--face-values=" + ";".join([value] * 2000))
+        assert rc == 3
+        assert doc["error"]["message"] == (
+            "stepped field needs one value per face: got 2000 values for 2001 faces")
+
+    def test_holonomy_long_labels_shown_by_magnitude(self, capsys):
+        """Eight E8 labels of 10^4000 make a module of about 10^480000 dimensions: the
+        refusal names each label and the count by its order of magnitude, in a JSON
+        error under 1 KB, where echoing every digit took 32 KB."""
+        big = ",".join([str(10**4000)] * 8)
+        rc = cli.main(["holonomy", "--group", "E8", "--b=1/3,1/5,1/7,1/11,1/13,1/17,1/19,1/23",
+                       "--color", big])
+        out = capsys.readouterr().out
+        assert rc == 3 and len(out.encode()) < 1024
+        assert json.loads(out)["error"]["message"] == (
+            "the module of highest weight (" + ", ".join(["about 10^4000"] * 8) + ") of E8: "
+            "about 10^480000 dimensions; the budget is 256")
+
     def test_holonomy_vertical(self):
         r = run_cli("holonomy", "--group", "A1", "--alpha-b", "1/3",
                     "--color", "1", "--wind", "1", "--n", "64")
@@ -779,6 +820,7 @@ class TestUsageErrorsAsJson:
             ["fusion", "--group", "A1", "--k", "4", "--format", "text"],
             ["fusion", "--group", "A1", "--k", "4", "--oracle-tol", "1e-3"],
             ["det", "--group", "A1", "--alpha-b", "1/2", "--quad-res", "16x32"],
+            ["det", "--group", "A1", "--alpha-b", "1/2", "--diagnostics", "--quad-res", "8x0"],
         ],
     )
     def test_usage_error_exit_2(self, capsys, argv):
@@ -882,32 +924,39 @@ class TestUsageErrorsAsJson:
         (["fusion", "--group", "A2", "--k", "5", "--dump", "--format", "text", "--verify"],
          {"cli", "errors", "roots", "reps", "fusion"}, {"diagrams", "numpy"}),
         (["regularize", "--group", "A1", "--alpha-b", "1/3", "--n", "3"],
-         {"cli", "errors", "roots", "reps", "diagrams", "determinants", "regularize"},
-         {"fusion", "numpy"}),
+         {"cli", "errors", "roots", "diagrams", "determinants", "regularize"},
+         {"fusion", "reps", "numpy"}),
+        (["regularize", "--n", "3", "link.json", "--face-values", "1/4,-1/4;1/6,-1/6;1/5,-1/5"],
+         {"cli", "errors", "roots", "diagrams", "determinants", "regularize"},
+         {"fusion", "reps", "numpy"}),
         (["holonomy", "--group", "G2", "--b=1/7,1/5,-12/35", "--color", "1,1", "--n", "1024"],
          {"cli", "errors", "roots", "reps", "holonomy"}, {"numpy"}),
     ], ids=["qdim", "det", "det-plain", "shadow", "shadow-diagnostics", "validate", "fusion",
-            "fusion-text", "regularize", "holonomy"])
+            "fusion-text", "regularize", "regularize-stepped", "holonomy"])
     def test_command_loads_only_its_modules(self, tmp_path, argv, only, never):
         """A command imports the modules it runs and no other, in a fresh interpreter:
         `qdim` needs the root data and the alphabet alone, `shadow` the fusion
         triples and the diagrams, `validate` the diagrams alone, the `fusion`
         export and its Verlinde check the fusion layer alone, `det` its closed
         forms and, with --diagnostics, its quadrature alone, `holonomy` its weight
-        sums alone, `regularize` its two sequences and the diagrams without fusion
-        data, and none of them numpy."""
+        sums alone, `regularize` its two sequences and the diagrams without the
+        level alphabet or fusion data, on a constant and on a stepped field, and
+        none of them numpy.  Each also runs, and exits 0, in an interpreter where
+        numpy cannot be imported."""
         write(tmp_path, "link.json", TWO_CIRCLES)
-        code = ("import json, sys, shadowsum.cli as cli\n"
-                f"rc = cli.main({argv!r})\n"
-                "loaded = [m.split('.', 1)[1] for m in sys.modules if m.startswith('shadowsum.')]\n"
-                "loaded += ['numpy'] if 'numpy' in sys.modules else []\n"
-                "print(json.dumps([rc, loaded]), file=sys.stderr)\n")
-        r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
-                           text=True, check=True, env=src_env())
-        rc, loaded = json.loads(r.stderr)
-        assert rc == 0
-        assert set(loaded) == only
-        assert not never & set(loaded)
+        for block_numpy in ("", "sys.modules['numpy'] = None\n"):
+            code = ("import json, sys\n" + block_numpy + "import shadowsum.cli as cli\n"
+                    f"rc = cli.main({argv!r})\n"
+                    "loaded = [m.split('.', 1)[1] for m in sys.modules\n"
+                    "          if m.startswith('shadowsum.')]\n"
+                    "loaded += ['numpy'] if sys.modules.get('numpy') else []\n"
+                    "print(json.dumps([rc, loaded]), file=sys.stderr)\n")
+            r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                               text=True, check=True, env=src_env())
+            rc, loaded = json.loads(r.stderr)
+            assert rc == 0, block_numpy
+            assert set(loaded) == only
+            assert not never & set(loaded)
 
     @pytest.mark.parametrize("preset,expected", [(None, "1 1"), ("2", "2 1")])
     def test_import_defaults_blas_threads_to_one(self, preset, expected):

@@ -1,6 +1,6 @@
 import pytest
 
-from shadowsum.errors import PreconditionError, require_budget
+from shadowsum.errors import PreconditionError, require_budget, shown
 
 
 def test_require_budget_admits_the_budget_and_refuses_past_it():
@@ -16,3 +16,13 @@ def test_require_budget_names_a_count_past_the_digit_limit_by_its_magnitude():
     with pytest.raises(PreconditionError) as ei:
         require_budget(10**5000, 10, "a huge grid", "cells")
     assert str(ei.value) == "a huge grid: about 10^5000 cells; the budget is 10"
+
+
+def test_shown_names_numbers_past_twenty_digits_by_their_magnitude():
+    """Up to 20 digits a number, and a tuple of them, is shown as repr shows it; past
+    that by its order of magnitude, sign kept, even past CPython's digit limit."""
+    assert shown(10**20 - 1) == "99999999999999999999"
+    assert shown((1,)) == "(1,)" and shown((2, -1, 0.5)) == "(2, -1, 0.5)"
+    assert shown(10**20) == "about 10^20"
+    assert shown((-3 * 10**4000, 7)) == "(-about 10^4000, 7)"
+    assert shown(10**5000) == "about 10^5000"

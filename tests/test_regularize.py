@@ -14,13 +14,13 @@ from shadowsum.regularize import (
     CUTOFF_SUP_ERRORS,
     SteppedField,
     _bump,
-    _require_trusted_stage,
     det_rig_n,
     det_rig_n_bound,
     det_rig_step,
     exp_poly,
     log_poly,
     regularized_indicator,
+    require_stage,
     total_cells,
     trig_cutoff,
 )
@@ -114,17 +114,10 @@ class TestTrigCutoff:
         for n, err in CUTOFF_SUP_ERRORS.items():
             assert abs(err - fft_cutoff(n)[1]) <= 4.4e-16, n
 
-    def test_table_holds_exactly_the_admitted_stages(self, a1):
+    def test_table_holds_exactly_the_admitted_stages(self):
         """The table covers every stage the CUTOFF_FLOOR check admits for the smallest
         N_n |R+| there is (A1, one face: 4^n), and no other."""
-        f = SteppedField.constant(from_labels(a1, [Q(1, 2)]))
-        admitted = set()
-        for n in range(1, 40):
-            try:
-                _require_trusted_stage(a1, n, total_cells(f, n), CUTOFF_FLOOR)
-            except PreconditionError:
-                continue
-            admitted.add(n)
+        admitted = {n for n in range(1, 40) if total_cells(1, n) * CUTOFF_FLOOR < 1}
         assert set(CUTOFF_SUP_ERRORS) == admitted
         with pytest.raises(PreconditionError, match="tabulated"):
             trig_cutoff(max(admitted) + 1)
@@ -177,7 +170,7 @@ class TestIndicator:
         """|value - 1| <= 1/N_n^2 away from the singular set, small n."""
         f = SteppedField.constant(from_labels(a1, [Q(1, 2)]))
         for n in (1, 2, 3, 4):
-            nn = total_cells(f, n)
+            nn = total_cells(len(f.diagram.faces), n)
             assert abs(regularized_indicator(a1, n, f) - 1.0) <= 1.0 / nn**2
 
     def test_bad_index_rejected(self, a1):
@@ -190,7 +183,7 @@ class TestIndicator:
 
         monkeypatch.setattr(reg, "trig_cutoff", None)
         f = one_circle_field(a1, inner=Q(1, 2), outer=Q(1, 3))  # two faces
-        n = next(n for n in range(1, 40) if total_cells(f, n) >= 1 / CUTOFF_FLOOR)
+        n = next(n for n in range(1, 40) if total_cells(2, n) >= 1 / CUTOFF_FLOOR)
         for stage in (n, 600):
             with pytest.raises(PreconditionError, match="cannot be trusted"):
                 regularized_indicator(a1, stage, f)
@@ -207,6 +200,17 @@ class TestIndicator:
         f = SteppedField(diagram=d, values=(tuple(Q(1, 7 + j) for j in range(8)),) * 5)
         with pytest.raises(PreconditionError, match="2459400 Dirichlet terms; the budget is"):
             regularized_indicator(rs, 1, f)
+
+    def test_stage_is_refused_by_its_face_count_alone(self):
+        """`require_stage` reads no field value: the face count decides the trust check
+        and the cutoff budget, so two faces of E8 at n = 1 are admitted and five are
+        refused with the indicator's own message."""
+        rs = build_root_system("E8")
+        require_stage(rs, 1, 2)
+        with pytest.raises(PreconditionError, match="2459400 Dirichlet terms; the budget is"):
+            require_stage(rs, 1, 5)
+        with pytest.raises(PreconditionError, match="cannot be trusted"):
+            require_stage(rs, 14, 1)
 
     @pytest.mark.parametrize("group, one_face, five_faces",
                              [("A1", 15, 14), ("B2", 14, 13), ("G2", 14, 13), ("E8", 13, 12)])
