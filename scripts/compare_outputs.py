@@ -20,7 +20,8 @@ and a large `holonomy --n`, which cost nothing (FREE_SIZES), runs the
 refusals (REFUSAL_JOBS: `holonomy` at n = 0, `regularize` on each side of its
 trust boundary on A1 and E8 and past its cutoff budget on five E8 faces and on
 2,001, budgets whose counts have more digits than `str` converts, labels shown
-by their order of magnitude, and weights with the wrong number of labels), and
+by their order of magnitude, and weights with the wrong number of labels), runs
+the CLI's other error paths and its --config reading (ERROR_JOBS), and
 runs each malformed link document of
 MALFORMED_LINKS, HUGE_K_LINK and BIG_K_LINK through `shadow`, `validate`
 and `regularize`, so the error paths are compared too.  Each job runs as one
@@ -31,6 +32,11 @@ summary line; exits 1 on any difference.  Where the differing outputs are
 JSON, the line also gives the largest absolute and the largest relative
 difference over the numeric leaves, each with its key path, such as
 `max |Δ| 3e-16 at closed_form.re; max rel 5e-17 at closed_form.re`.
+
+Refusals name an integer of more than 20 digits by its order of magnitude, so
+against a tree whose refusals echo every digit of a long level, stage index, n
+or chi, the `error/long/` jobs, `refusal/qdim/E8-box-digits` and
+`malformed/big-k/shadow` and `/validate` differ by design.
 
 With no arguments it compares this checkout's src/ with itself on the probe
 and help jobs only, which checks the script itself in a few seconds.
@@ -130,6 +136,64 @@ REFUSAL_JOBS = {
     "qdim/A2-one-label": ["qdim", "--group", "A2", "--k", "5", "--weight", "1"],
 }
 
+# The CLI's other error paths, and its --config reading, which no job above reaches:
+# argparse usage errors, flags that exclude or need each other, a singular field, a
+# missing group, level or field value, input files that cannot be read, are not JSON or
+# nest too deeply, an --output path that cannot be written, and a level, stage index,
+# n or chi of 4,001 digits (the `error/long/` jobs).
+BIG = str(10**4000)
+ERROR_FILES = {
+    "link.json": json.dumps({"group": "A1", "k": 4, "circles": [
+        {"id": "a", "parent": None, "winding": 1, "positive_side": "inside", "color": [1]}]}),
+    "big-k.json": json.dumps({"group": "A2", "k": 10**4000, "circles": []}),
+    "not-json.json": "{",
+    "deep.json": "[" * 100_000 + "]" * 100_000,
+    "config.json": json.dumps({"group": "A1", "alpha-b": "1/3", "diagnostics": True}),
+    "config-list.json": "[]",
+    "config-null.json": json.dumps({"group": None}),
+}
+A1_FIELD = ["--group", "A1", "--alpha-b", "1/3"]
+ERROR_JOBS = {
+    "config/det": ["det", "--config", "config.json", "--quad-res", "8x16"],
+    "config/not-an-object": ["det", "--config", "config-list.json"],
+    "config/null-value": ["det", "--config", "config-null.json"],
+    "config/unreadable": ["det", "--config", "missing.json"],
+    "usage/unknown-flag": ["det", *A1_FIELD, "--bogus"],
+    "usage/bad-int": ["qdim", "--group", "A1", "--k", "four"],
+    "usage/bad-rational": ["det", "--group", "A1", "--alpha-b", "1/0"],
+    "usage/bad-grid": ["det", *A1_FIELD, "--diagnostics", "--quad-res", "8by16"],
+    "usage/bad-labels": ["qdim", "--group", "A2", "--k", "5", "--weight", "1,x"],
+    "usage/b-and-alpha-b": ["det", *A1_FIELD, "--b=1/3,0"],
+    "det/singular-alpha-b": ["det", "--group", "A1", "--alpha-b", "1"],
+    "det/singular-b": ["det", "--group", "A2", "--b=1/3,1/3,-2/3"],
+    "det/quad-res-alone": ["det", *A1_FIELD, "--quad-res", "8x16"],
+    "det/diagnostics-chi-3": ["det", *A1_FIELD, "--diagnostics", "--chi", "3"],
+    "det/alpha-b-on-A2": ["det", "--group", "A2", "--alpha-b", "1/3"],
+    "det/no-group": ["det", "--alpha-b", "1/3"],
+    "det/no-field": ["det", "--group", "A1"],
+    "qdim/no-k": ["qdim", "--group", "A1"],
+    "regularize/face-values-without-link": ["regularize", *A1_FIELD, "--face-values", "1/3"],
+    "regularize/link-with-b": ["regularize", "link.json", "--b=1/3,0", "--face-values",
+                               "1/3,0;1/5,0"],
+    "regularize/link-without-face-values": ["regularize", "link.json"],
+    "fusion/no-dump": ["fusion", "--group", "A1", "--k", "4"],
+    "fusion/text-without-dump": ["fusion", "--group", "A1", "--k", "4", "--format", "text"],
+    "input/unreadable": ["shadow", "missing.json"],
+    "input/not-json": ["shadow", "not-json.json"],
+    "input/too-deep": ["validate", "deep.json"],
+    "output/unwritable": ["qdim", "--group", "A1", "--k", "4", "--output", "no-dir/out.json"],
+    "long/qdim-k": ["qdim", "--group", "E8", "--k", BIG],
+    "long/qdim-negative-k": ["qdim", "--group", "E8", "--k", "-" + BIG],
+    "long/fusion-k": ["fusion", "--group", "A2", "--k", BIG],
+    "long/shadow-k": ["shadow", "big-k.json"],
+    "long/validate-k": ["validate", "big-k.json"],
+    "long/regularize-n": ["regularize", *A1_FIELD, "--n", BIG],
+    "long/regularize-negative-n": ["regularize", *A1_FIELD, "--n", "-" + BIG],
+    "long/det-chi": ["det", *A1_FIELD, "--chi", BIG],
+    "long/det-diagnostics-chi": ["det", *A1_FIELD, "--diagnostics", "--chi", BIG],
+    "long/holonomy-negative-n": ["holonomy", *A1_FIELD, "--n", "-" + BIG],
+}
+
 
 def _circle(cid="a", parent=None, **fields):
     return {"id": cid, "parent": parent, "winding": 1, "positive_side": "inside",
@@ -225,6 +289,7 @@ def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
         jobs.append(("near-singular/A1/det --diagnostics", NEAR_SINGULAR, {}))
         jobs += [(f"free/{name}", argv, {}) for name, argv in FREE_SIZES.items()]
         jobs += [(f"refusal/{name}", argv, REFUSAL_FILES) for name, argv in REFUSAL_JOBS.items()]
+        jobs += [(f"error/{name}", argv, ERROR_FILES) for name, argv in ERROR_JOBS.items()]
     return jobs + (malformed_jobs() if seeds else [])
 
 

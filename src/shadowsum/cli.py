@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import ParseError, PreconditionError, ShadowsumError, require_budget
+from .errors import ParseError, PreconditionError, ShadowsumError, require_budget, shown
 
 MAX_LISTED_TERMS = 10**6  # budget of the per-term listing of `shadow --diagnostics`
 
@@ -185,8 +185,8 @@ def cmd_det(args) -> dict:
     if args.quad_res is not None and not args.diagnostics:
         raise ParseError("--quad-res needs --diagnostics")
     if args.diagnostics and args.chi != 2:
-        raise PreconditionError(
-            f"--diagnostics integrates over the round sphere, chi = 2, not --chi {args.chi}")
+        raise PreconditionError("--diagnostics integrates over the round sphere, chi = 2, "
+                                f"not --chi {shown(args.chi)}")
     rs = _root_system(args)
     x = _field_b(args, rs)
     if not is_regular(rs, x):

@@ -33,7 +33,7 @@ import cmath
 import math
 from typing import Sequence
 
-from .errors import PreconditionError
+from .errors import PreconditionError, shown
 from .roots import RootSystem, format_vector, is_regular
 
 
@@ -68,7 +68,7 @@ def det_rig_constant(rs: RootSystem, x: Sequence, chi: int) -> float:
         out = math.inf
     if not 0.0 < abs(out) < math.inf:
         raise PreconditionError(
-            f"det_half(b)^chi at chi = {chi} is not a finite nonzero double ({out})"
+            f"det_half(b)^chi at chi = {shown(chi)} is not a finite nonzero double ({out})"
         )
     return out
 

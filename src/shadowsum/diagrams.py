@@ -42,8 +42,8 @@ colour of a nonzero N to N, so the elimination costs O(#faces * nonzeros)
 in Python floats, complexes and ints, where a dense matrix would cost
 O(#faces |A|^2); it is the one evaluator of the value, of sum |term| and of
 the number of terms.  `list_terms` only lists the nonvanishing terms (for
-`shadow --diagnostics`): depth-first in region-tree order, pruned on
-vanishing fusion factors, which it reads from the same rows.  The module
+`shadow --diagnostics`): depth-first in region-tree order, each face
+coloured only by the nonzero entries of the same rows.  The module
 uses no numpy, and loads `reps` and `fusion` only where it runs them.
 """
 
@@ -376,7 +376,8 @@ def contract_state_sum(
 
 
 def term_value(data: TermData, coloring: Sequence[int]) -> complex:
-    """Canonical per-coloring term; factors multiplied in fixed circle and face order.
+    """Canonical term of a coloring that `list_terms` reaches (every fusion factor
+    nonzero); factors multiplied in fixed circle and face order.
 
     prod_f dim^chi_f is taken as dim(outer)^2 times, circle by circle, dim(inner
     face) / dim(outer face), the scaling of the contraction: a face with many
@@ -385,9 +386,7 @@ def term_value(data: TermData, coloring: Sequence[int]) -> complex:
     n_product = 1
     dim_product = data.qdims[coloring[0]] ** 2
     for inner, outer, rows in data.circles:
-        n_product *= rows[coloring[outer]].get(coloring[inner], 0)
-        if n_product == 0:
-            return 0j
+        n_product *= rows[coloring[outer]][coloring[inner]]
         dim_product *= data.qdims[coloring[inner]] / data.qdims[coloring[outer]]
     exponent = sum(g * data.phase_q[ci] for g, ci in zip(data.gleams, coloring))
     # exp(i pi q / k) has period 2k in q: reduce the integer d q, then divide once
@@ -404,33 +403,27 @@ def list_terms(
     """Every nonvanishing term as (face colours in face order, term), lexicographically.
 
     Colorings are enumerated depth-first over faces in region-tree order with
-    an explicit stack; a branch is cut as soon as the fusion factor of the
-    circle bounding the face just coloured vanishes (its outer face comes
-    earlier in preorder).  Exponential: `contract_state_sum` evaluates the sum.
+    a stack of iterators: face 0 runs over the alphabet, every later face over
+    the increasing keys of its bounding circle's row at its outer face's colour
+    (coloured earlier).  Exponential: `contract_state_sum` evaluates the sum.
     """
     data = data or prepare_terms(diagram, alphabet)
     n_faces = len(diagram.faces)
-    n_colors = len(alphabet.elements)
     bounding = {inner: (outer, rows) for inner, outer, rows in data.circles}
 
     terms: list[tuple[tuple[Labels, ...], complex]] = []
     coloring = [0] * n_faces
-    next_color = [0] * n_faces  # next color to try at each face on the stack
-    face = 0
-    while face >= 0:
-        ci = next_color[face]
-        if ci == n_colors:
-            face -= 1
+    stack = [iter(range(len(alphabet.elements)))]  # stack[f]: the colours left at face f
+    while stack:
+        face = len(stack) - 1
+        ci = next(stack[face], None)
+        if ci is None:
+            stack.pop()
             continue
-        next_color[face] = ci + 1
         coloring[face] = ci
-        if face:
-            outer, rows = bounding[face]
-            if ci not in rows[coloring[outer]]:
-                continue
         if face + 1 < n_faces:
-            face += 1
-            next_color[face] = 0
+            outer, rows = bounding[face + 1]
+            stack.append(iter(rows[coloring[outer]]))
             continue
         terms.append(
             (tuple(alphabet.elements[c] for c in coloring), term_value(data, coloring))

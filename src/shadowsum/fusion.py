@@ -175,8 +175,9 @@ def fusion_matrices(alphabet: LevelAlphabet, gammas: Iterable[Sequence[int]]) ->
 # -- Verlinde oracle ---------------------------------------------------------
 
 
-def _s_matrix(alphabet: LevelAlphabet) -> list[list[complex]]:
-    """Unnormalized S-matrix entries via the Weyl sum, as |A| rows of |A|.
+def _s_matrix(alphabet: LevelAlphabet) -> tuple[list[list[complex]], list[int]]:
+    """Unnormalized S-matrix entries via the Weyl sum, as |A| rows of |A|, and
+    the alphabet index of each weight's dual.
 
     s[lam][mu] = sum_{w in W} sgn(w) exp(-2 pi i <w(lam+rho), mu+rho> / k).
     On labels <x, y> = x G y / weight_form_den with the integer Gram matrix
@@ -184,21 +185,24 @@ def _s_matrix(alphabet: LevelAlphabet) -> list[list[complex]]:
     modulo the period k * weight_form_den and read from a table of the
     period's roots of unity.  The overall normalization constant cancels in
     the Verlinde ratio once divided by sum_sigma |s[0][sigma]|^2 (row-0
-    unitarity).
+    unitarity).  The orbit of lam + rho that builds row lam holds one
+    antidominant point, -(lam* + rho), which gives the dual lam*.
     """
     rs = alphabet.rs
     period = alphabet.k * rs.weight_form_den
     unit = [cmath.exp(-2j * math.pi * p / period) for p in range(period)]
     shifted = [tuple(m + 1 for m in lam) for lam in alphabet.elements]
     paired = [[sum(map(mul, row, y)) for row in rs.weight_gram_num] for y in shifted]
-    rows = []
+    rows, dual = [], []
     for x in shifted:
         orbit = weyl_orbit(rs, x)
         plus = [p for p, sign in orbit if sign > 0]
         minus = [p for p, sign in orbit if sign < 0]
         rows.append([sum(unit[sum(map(mul, p, y)) % period] for p in plus)
                      - sum(unit[sum(map(mul, p, y)) % period] for p in minus) for y in paired])
-    return rows
+        anti = next(p for p, _ in orbit if max(p) < 0)
+        dual.append(alphabet.index([-v - 1 for v in anti]))
+    return rows, dual
 
 
 def verlinde_table(alphabet: LevelAlphabet) -> list[int]:
@@ -207,9 +211,9 @@ def verlinde_table(alphabet: LevelAlphabet) -> list[int]:
 
     V = sum_sigma s[l, sigma] s[m, sigma] conj(s[n, sigma]) / s[0, sigma],
     divided by sum_sigma |s[0, sigma]|^2.  N_{abc} = V[a, b, c*] is symmetric
-    in a, b and c (c* the dual weight: c* + rho is minus the antidominant
-    point of the Weyl orbit of c + rho), so the sum runs once for each
-    a <= b <= c, and V[l, m, n] is read from the sorted (l, m, n*).  Every
+    in a, b and c (c* the dual weight, read from the orbit pass of the S row
+    of c: c* + rho is minus its antidominant point), so the sum runs once for
+    each a <= b <= c, and V[l, m, n] is read from the sorted (l, m, n*).  Every
     value is rounded from a float within ORACLE_TOL of an integer; a larger
     rounding residue is reported as an oracle failure (a bug, not bad
     input), naming the first such triple in index order.
@@ -219,11 +223,7 @@ def verlinde_table(alphabet: LevelAlphabet) -> list[int]:
     require_budget(n ** 3, MAX_FUSION_COEFFS, f"the Verlinde table {at}", "coefficients")
     require_budget(weyl_group_order(rs) * n ** 2, MAX_VERLINDE_ORBIT_TERMS,
                    f"the Verlinde S-matrix {at}", "Weyl-orbit terms (|W| |A|^2)")
-    s = _s_matrix(alphabet)
-    dual = []
-    for lam in alphabet.elements:
-        anti = next(p for p, _ in weyl_orbit(rs, [v + 1 for v in lam]) if max(p) < 0)
-        dual.append(alphabet.index([-v - 1 for v in anti]))
+    s, dual = _s_matrix(alphabet)
     s0 = s[alphabet.index((0,) * rs.rank)]
     norm = sum(abs(z) ** 2 for z in s0)
     third = [[v.conjugate() / (z * norm) for v, z in zip(s[c], s0)] for c in dual]

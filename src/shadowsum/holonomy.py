@@ -48,7 +48,7 @@ def holonomy(phases: Sequence[complex], n: int) -> list[complex]:
     The n factors are equal and commute, so the product is exp(A) entry by entry.
     """
     if n < 1:
-        raise PreconditionError(f"holonomy needs n >= 1, got {n}")
+        raise PreconditionError(f"holonomy needs n >= 1, got {shown(n)}")
     return [cmath.exp(z) for z in phases]
 
 

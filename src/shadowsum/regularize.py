@@ -42,7 +42,7 @@ from typing import Sequence
 
 from .determinants import det_rig_constant, principal_log_sum, root_sines
 from .diagrams import ShadowDiagram, build_diagram
-from .errors import PreconditionError, require_budget
+from .errors import PreconditionError, require_budget, shown
 from .roots import RootSystem, format_vector, is_regular
 
 # -- stepped fields -----------------------------------------------------------
@@ -189,7 +189,7 @@ def trig_cutoff(n: int) -> TrigCutoff:
     """
     if n not in CUTOFF_SUP_ERRORS:
         raise PreconditionError(
-            f"no cutoff of stage n = {n}: sup errors are tabulated for n = 1.."
+            f"no cutoff of stage n = {shown(n)}: sup errors are tabulated for n = 1.."
             f"{max(CUTOFF_SUP_ERRORS)}, the stages the CUTOFF_FLOOR check admits"
         )
     span = _cutoff_span(n)
@@ -204,7 +204,7 @@ def trig_cutoff(n: int) -> TrigCutoff:
 def total_cells(faces: int, n: int) -> int:
     """N_n: cells of the n-th fourfold refinement of `faces` faces (at least one)."""
     if n < 1:
-        raise PreconditionError(f"regularization index must be >= 1, got {n}")
+        raise PreconditionError(f"regularization index must be >= 1, got {shown(n)}")
     return max(1, faces) * 4 ** n
 
 
@@ -220,8 +220,8 @@ def require_stage(rs: RootSystem, n: int, faces: int) -> None:
     e = math.frexp(1.0 / CUTOFF_FLOOR)[1]
     if (total_cells(faces, n) if 2 * n < e else math.inf) * roots >= 1.0 / sup_error:
         raise PreconditionError(
-            f"regularize stage n = {n} cannot be trusted: its error bound N_n |R+| sup_error "
-            f"is at least 1 (N_n = #faces * 4^{n} cells, |R+| = {roots}, "
+            f"regularize stage n = {shown(n)} cannot be trusted: its error bound N_n |R+| "
+            f"sup_error is at least 1 (N_n = #faces * 4^{shown(n)} cells, |R+| = {roots}, "
             f"sup_error >= {sup_error:.2e})"
         )
     faces = max(1, faces)
@@ -342,7 +342,7 @@ def det_rig_n(rs: RootSystem, n: int, field: SteppedField) -> complex:
     bounded field, singular values included.
     """
     if n < 1:
-        raise PreconditionError(f"regularization index must be >= 1, got {n}")
+        raise PreconditionError(f"regularization index must be >= 1, got {shown(n)}")
     lp = log_poly(n)
     total = 1.0 + 0j
     for column in zip(*(root_sines(rs, x) for x in field.values)):  # one root, every face
@@ -369,7 +369,7 @@ def det_rig_n_bound(rs: RootSystem, n: int, field: SteppedField) -> float | None
     that is not a finite double.
     """
     if n < 1:
-        raise PreconditionError(f"regularization index must be >= 1, got {n}")
+        raise PreconditionError(f"regularization index must be >= 1, got {shown(n)}")
     if n > 18:
         return None
     chis = [face.euler for face in field.diagram.faces]

@@ -66,12 +66,12 @@ def level_alphabet(rs: RootSystem, k: int) -> LevelAlphabet:
     g = rs.dual_coxeter
     if k <= g:
         raise PreconditionError(
-            f"level bound violated: need k > g, got k = {k} with dual Coxeter "
+            f"level bound violated: need k > g, got k = {shown(k)} with dual Coxeter "
             f"number g = {g} for {rs.name} (the alphabet requires <lambda, theta> <= k - g)"
         )
     caps = [(k - g) // a for a in rs.comarks]
     require_budget(math.prod(c + 1 for c in caps), MAX_ALPHABET_BOX,
-                   f"the level alphabet of {rs.name} at k = {k}", "candidate weights")
+                   f"the level alphabet of {rs.name} at k = {shown(k)}", "candidate weights")
     box_labels = itertools.product(*(range(c + 1) for c in caps))
     elems = tuple(m for m in box_labels if rs.level_of_labels(m) <= k - g)
     return LevelAlphabet(rs=rs, k=k, elements=elems)

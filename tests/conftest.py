@@ -196,7 +196,7 @@ def verlinde_link_value(alphabet, components):
     nothing here folds, builds a fusion matrix or runs Freudenthal.
     """
     rs, k = alphabet.rs, alphabet.k
-    s = np.array(_s_matrix(alphabet))
+    s = np.array(_s_matrix(alphabet)[0])
     zero = alphabet.index((0,) * rs.rank)
     s0 = s[zero]
     S = s * (abs(s0[zero]) / s0[zero]) / math.sqrt(np.sum(np.abs(s0) ** 2))

@@ -408,6 +408,31 @@ class TestRegularizeAndHolonomy:
             "the module of highest weight (" + ", ".join(["about 10^4000"] * 8) + ") of E8: "
             "about 10^480000 dimensions; the budget is 256")
 
+    @pytest.mark.parametrize("argv", [
+        ["qdim", "--group", "E8", "--k", "BIG"],
+        ["qdim", "--group", "E8", "--k", "-BIG"],
+        ["fusion", "--group", "A2", "--k", "BIG"],
+        ["shadow", "LINK"],
+        ["validate", "LINK"],
+        ["regularize", "--group", "A1", "--alpha-b", "2/7", "--n", "BIG"],
+        ["regularize", "--group", "A1", "--alpha-b", "2/7", "--n", "-BIG"],
+        ["det", "--group", "A1", "--alpha-b", "1/3", "--chi", "BIG"],
+        ["det", "--group", "A1", "--alpha-b", "1/3", "--chi", "BIG", "--diagnostics"],
+        ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--n", "-BIG"],
+    ], ids=" ".join)
+    def test_long_numbers_shown_by_magnitude(self, tmp_path, capsys, argv):
+        """A level, stage index, n or chi of 4,001 digits is refused with exit 3 and
+        named by its order of magnitude, in a document under 1 KB; echoing every
+        digit took about 4 KB, and 8 KB where a stage index is named twice."""
+        big = 10**4000
+        link = tmp_path / "link.json"
+        link.write_text(json.dumps({"group": "A2", "k": big, "circles": []}))
+        argv = [{"BIG": str(big), "-BIG": str(-big), "LINK": str(link)}.get(a, a) for a in argv]
+        rc = cli.main(argv)
+        out = capsys.readouterr().out
+        assert rc == 3 and len(out.encode()) < 1024
+        assert "about 10^4000" in out
+
     def test_holonomy_vertical(self):
         r = run_cli("holonomy", "--group", "A1", "--alpha-b", "1/3",
                     "--color", "1", "--wind", "1", "--n", "64")

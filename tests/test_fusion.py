@@ -22,7 +22,7 @@ from shadowsum.fusion import (
     verlinde_table,
 )
 from shadowsum.reps import level_alphabet, quantum_dimension
-from shadowsum.roots import build_root_system
+from shadowsum.roots import build_root_system, weyl_orbit
 
 from conftest import (
     densify,
@@ -130,9 +130,10 @@ class TestVerlindeOracle:
         (0,1); the symmetric sum's first far value is the one it places at
         (0,0) (0,0) (1,0)."""
         al = level_alphabet(a2, 6)
-        s = np.array(fusion._s_matrix(al))
+        rows, dual = fusion._s_matrix(al)
+        s = np.array(rows)
         s[:, 0] *= 1.1
-        monkeypatch.setattr(fusion, "_s_matrix", lambda alphabet: s.tolist())
+        monkeypatch.setattr(fusion, "_s_matrix", lambda alphabet: (s.tolist(), dual))
         s0 = s[al.index((0, 0))]
         full = np.einsum("ls,ms,ns->lmn", s, s, s.conj() / s0) / np.sum(np.abs(s0) ** 2)
         l, m, n = np.argwhere(np.abs(full - np.rint(full.real)) > fusion.ORACLE_TOL)[0]
@@ -174,6 +175,21 @@ class TestVerlindeOracle:
         with pytest.raises(AssertionError if terms <= MAX_VERLINDE_ORBIT_TERMS
                            else PreconditionError, match=f"{terms} Weyl-orbit|built"):
             verlinde_table(level_alphabet(build_root_system(label), k))
+
+    @pytest.mark.parametrize("label,k", [("A2", 6), ("G2", 10)])
+    def test_one_orbit_per_weight(self, monkeypatch, label, k):
+        """The S row of each weight and its dual come from one Weyl-orbit pass."""
+        al = level_alphabet(build_root_system(label), k)
+        expected = build_fusion_table(al)
+        calls = []
+
+        def counted(rs, labels):
+            calls.append(tuple(labels))
+            return weyl_orbit(rs, labels)
+
+        monkeypatch.setattr(fusion, "weyl_orbit", counted)
+        assert verlinde_table(al) == expected
+        assert sorted(calls) == sorted(tuple(v + 1 for v in lam) for lam in al.elements)
 
     @pytest.mark.parametrize("label,k", [("B2", 8), ("A3", 7)])
     def test_shares_nothing_with_folding(self, monkeypatch, label, k):
