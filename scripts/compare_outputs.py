@@ -21,6 +21,8 @@ refusals (REFUSAL_JOBS: `holonomy` at n = 0, `regularize` on each side of its
 trust boundary on A1 and E8 and past its cutoff budget on five E8 faces and on
 2,001, budgets whose counts have more digits than `str` converts, labels shown
 by their order of magnitude, and weights with the wrong number of labels), runs
+`regularize` on admitted stepped fields of rank > 1 (STEPPED_JOBS: five E8 faces
+at n = 4, and three nested G2 faces at n = 6, one of them singular), runs
 the CLI's other error paths and its --config reading (ERROR_JOBS), and
 runs each malformed link document of
 MALFORMED_LINKS, HUGE_K_LINK and BIG_K_LINK through `shadow`, `validate`
@@ -134,6 +136,22 @@ REFUSAL_JOBS = {
                                  "--color", ",".join([str(10**4000)] * 8)],
     "holonomy/A2-one-label": ["holonomy", "--group", "A2", "--b=1/3,1/5,0"],
     "qdim/A2-one-label": ["qdim", "--group", "A2", "--k", "5", "--weight", "1"],
+}
+
+# Stepped fields that `regularize` admits, on rank > 1: the five faces of REFUSAL_FILES'
+# four-circle E8 link at n = 4, inside the trust bound and the cutoff budget (E8_FACE
+# is regular, but a root pairing within 3/122 of an integer takes the indicator to 0.0
+# and the bound to null), and the three faces of a G2 circle nested in another at
+# n = 6, the middle face at the singular value 0.
+STEPPED_FILES = {"e8-4.json": REFUSAL_FILES["e8-4.json"],
+                 "g2-nested.json": json.dumps({"group": "G2", "circles": [
+                     {"id": cid, "parent": parent, "winding": 1, "positive_side": "inside",
+                      "color": [0, 0]} for cid, parent in (("a", None), ("b", "a"))]})}
+STEPPED_JOBS = {
+    "E8-5-faces-n=4": ["regularize", "--n", "4", "e8-4.json",
+                       "--face-values=" + ";".join([E8_FACE] * 5)],
+    "G2-nested-n=6": ["regularize", "--n", "6", "g2-nested.json",
+                      "--face-values=5/7,1/11,-3/13;0,0,0;1/3,-1/5,2/9"],
 }
 
 # The CLI's other error paths, and its --config reading, which no job above reaches:
@@ -289,6 +307,7 @@ def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
         jobs.append(("near-singular/A1/det --diagnostics", NEAR_SINGULAR, {}))
         jobs += [(f"free/{name}", argv, {}) for name, argv in FREE_SIZES.items()]
         jobs += [(f"refusal/{name}", argv, REFUSAL_FILES) for name, argv in REFUSAL_JOBS.items()]
+        jobs += [(f"stepped/{name}", argv, STEPPED_FILES) for name, argv in STEPPED_JOBS.items()]
         jobs += [(f"error/{name}", argv, ERROR_FILES) for name, argv in ERROR_JOBS.items()]
     return jobs + (malformed_jobs() if seeds else [])
 

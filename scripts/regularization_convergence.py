@@ -5,8 +5,8 @@ Prints, for a constant field with alpha(b) = 1/2 and for a two-face step
 field, the regularized indicator and determinant at n = 1..12 against their
 closed-form limits, beside the determinant's error bound, each stage's log^(n)
 degree in y = x^2, its largest error on 4000 equispaced points of [1/n, 2] and
-the cutoff's tabulated sup error.  Field values are A1 coweight coordinates
-x = alpha(b)/2.
+the cutoff's tabulated sup error.  Field values are given as their A1 root
+pairings alpha(b).
 """
 
 import math
@@ -23,7 +23,6 @@ from shadowsum.regularize import (
     regularized_indicator,
     trig_cutoff,
 )
-from shadowsum.roots import build_root_system
 
 
 def log_error(lp):
@@ -32,14 +31,14 @@ def log_error(lp):
     return max(abs(lp(x) - math.log(x)) for x in (lo + (2.0 - lo) * i / 3999 for i in range(4000)))
 
 
-def table(rs, field, target, title):
+def table(field, target, title):
     print(f"\n{title}  (closed form {target:.10f})")
     print(f"{'n':>3} {'indicator':>22} {'det_rig_n':>26} {'|det err|':>12} {'rel bound':>10}"
           f" {'log deg':>8} {'log err':>10} {'cut err':>10}")
     for n in range(1, 13):
-        ind = regularized_indicator(rs, n, field)
-        det = det_rig_n(rs, n, field)
-        bound = det_rig_n_bound(rs, n, field)
+        ind = regularized_indicator(n, field)
+        det = det_rig_n(n, field)
+        bound = det_rig_n_bound(n, field)
         lp = log_poly(n)
         print(f"{n:>3} {ind:>22.14f} {det.real:>14.8f}{det.imag:>+12.2e}j"
               f" {abs(det - target):>12.3e} {'null' if bound is None else f'{bound:.2e}':>10}"
@@ -47,25 +46,24 @@ def table(rs, field, target, title):
 
 
 def main():
-    rs = build_root_system("A1")
-    b = (Q(1, 4),)
-    const = SteppedField.constant(b)
-    table(rs, const, det_rig_constant(rs, b, 2), "constant field, alpha(b) = 1/2")
+    a = (Q(1, 2),)
+    const = SteppedField.constant(a)
+    table(const, det_rig_constant(a, 2), "constant field, alpha(b) = 1/2")
 
     diagram = build_diagram(
         [{"id": "c", "parent": None, "winding": 1, "positive_side": "inside", "color": [0]}]
     )
     step = SteppedField(
         diagram=diagram,
-        values=((Q(1, 4),), (Q(1, 6),)),
+        values=((Q(1, 2),), (Q(1, 3),)),
     )
-    table(rs, step, det_rig_step(rs, step), "step field, faces alpha(b) = 1/2 and 1/3")
+    table(step, det_rig_step(step), "step field, faces alpha(b) = 1/2 and 1/3")
 
     singular = SteppedField(
-        diagram=diagram, values=((Q(1, 4),), (Q(1),))
+        diagram=diagram, values=((Q(1, 2),), (Q(2),))
     )
     print("\nsingular step field: indicator =",
-          [regularized_indicator(rs, n, singular) for n in range(1, 9)])
+          [regularized_indicator(n, singular) for n in range(1, 9)])
 
 
 if __name__ == "__main__":

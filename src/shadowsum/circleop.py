@@ -39,12 +39,12 @@ class CircleOperatorData:
 
     def __init__(self, rs: RootSystem, b: tuple, order: int):
         b = tuple(b)
-        x = rs.coweight_coordinates(b)
-        if not is_regular(rs, x):
+        exact = rs.root_pairings(rs.coweight_coordinates(b))
+        if not is_regular(exact):
             raise PreconditionError(f"b = {format_vector(b)} is singular; T(b) is undefined")
         if order < 0:
             raise PreconditionError("truncation order must be >= 0")
-        pair = tuple(float(v) for v in rs.root_pairings(x))
+        pair = tuple(map(float, exact))
         self.rs, self.b, self.order = rs, b, order
         self.pairings = pair + tuple(-x for x in pair)  # alpha(b), then -alpha(b), alpha > 0
 

@@ -188,19 +188,19 @@ def cmd_det(args) -> dict:
         raise PreconditionError("--diagnostics integrates over the round sphere, chi = 2, "
                                 f"not --chi {shown(args.chi)}")
     rs = _root_system(args)
-    x = _field_b(args, rs)
-    if not is_regular(rs, x):
+    a = rs.root_pairings(_field_b(args, rs))
+    if not is_regular(a):
         typed = format_vector(args.b) if args.b is not None else f"alpha(b) = {args.alpha_b}"
         raise PreconditionError(f"constant field value {typed} is singular")
     out = {
         "group": rs.name,
-        "det_k": det_k(rs, x),
-        "det_half": det_half(rs, x),
+        "det_k": det_k(a),
+        "det_half": det_half(a),
         "chi": args.chi,
-        "det_rig_constant": det_rig_constant(rs, x, args.chi),
+        "det_rig_constant": det_rig_constant(a, args.chi),
     }
     if args.diagnostics:
-        out["det_rig_quadrature"] = det_rig_quadrature(rs, x)
+        out["det_rig_quadrature"] = det_rig_quadrature(a)
     return out
 
 
@@ -212,7 +212,7 @@ def cmd_regularize(args) -> dict:
         rs = _root_system(args)
         if args.face_values is not None:
             raise ParseError("--face-values needs a link file")
-        field = SteppedField.constant(_field_b(args, rs))
+        field = SteppedField.constant(rs.root_pairings(_field_b(args, rs)))
     else:
         if args.b is not None or args.alpha_b is not None:
             raise ParseError("a link file takes --face-values, not --b or --alpha-b")
@@ -220,15 +220,16 @@ def cmd_regularize(args) -> dict:
         if args.face_values is None:
             raise PreconditionError("--face-values needed with a link file")
         SteppedField(diagram, args.face_values)  # refuses a wrong count before converting
-        require_stage(rs, args.n, len(diagram.faces))
-        values = tuple(_reduced(rs.coweight_coordinates(b)) for b in args.face_values)
+        require_stage(len(rs.positive_root_labels), args.n, len(diagram.faces))
+        values = tuple(rs.root_pairings(_reduced(rs.coweight_coordinates(b)))
+                       for b in args.face_values)
         field = SteppedField(diagram=diagram, values=values)
     return {
         "group": rs.name,
         "n": args.n,
-        "indicator": regularized_indicator(rs, args.n, field),
-        "det_rig_n": _c2j(det_rig_n(rs, args.n, field)),
-        "det_rig_n_bound": det_rig_n_bound(rs, args.n, field),
+        "indicator": regularized_indicator(args.n, field),
+        "det_rig_n": _c2j(det_rig_n(args.n, field)),
+        "det_rig_n_bound": det_rig_n_bound(args.n, field),
         "faces": len(field.diagram.faces),
     }
 

@@ -1,8 +1,8 @@
 """Closed forms and quadrature for the torus-gauge determinant kernels.
 
-A field value b in the Cartan subalgebra is passed as its coweight
-coordinates x (`roots.RootSystem.coweight_coordinates`), so every alpha(b)
-is a label combination of x.  For such b,
+A field value b in the Cartan subalgebra enters every kernel as its root
+pairings alpha(b), one per positive root (`roots.RootSystem.root_pairings`),
+formed once where the value enters the program.  For such b,
 
     det(id_k - e^{ad b}|_k)        = prod_{alpha>0} 4 sin^2(pi alpha(b))
     det^{1/2}(id_k - e^{ad b}|_k)  = prod_{alpha>0} 2 sin(pi alpha(b))
@@ -34,36 +34,36 @@ import math
 from typing import Sequence
 
 from .errors import PreconditionError, shown
-from .roots import RootSystem, format_vector, is_regular
+from .roots import format_vector, is_regular
 
 
-def root_sines(rs: RootSystem, x: Sequence) -> list[float]:
-    """[2 sin(pi alpha(b))] per positive root, in `root_pairings` order, at b with coweight
-    coordinates x: the one evaluator of the root sine."""
-    return [2.0 * math.sin(math.pi * float(v)) for v in rs.root_pairings(x)]
+def root_sines(pairings: Sequence) -> list[float]:
+    """[2 sin(pi alpha(b))] per root pairing alpha(b), in the order given: the one
+    evaluator of the root sine."""
+    return [2.0 * math.sin(math.pi * float(v)) for v in pairings]
 
 
-def det_k(rs: RootSystem, x: Sequence) -> float:
-    """prod_{alpha>0} 4 sin^2(pi alpha(b)) at b with coweight coordinates x; vanishes on
+def det_k(pairings: Sequence) -> float:
+    """prod_{alpha>0} 4 sin^2(pi alpha(b)) over the root pairings alpha(b); vanishes on
     singular b."""
-    return math.prod(s ** 2 for s in root_sines(rs, x))
+    return math.prod(s ** 2 for s in root_sines(pairings))
 
 
-def det_half(rs: RootSystem, x: Sequence) -> float:
+def det_half(pairings: Sequence) -> float:
     """Signed half-power prod_{alpha>0} 2 sin(pi alpha(b)); its square is det_k."""
-    return math.prod(root_sines(rs, x))
+    return math.prod(root_sines(pairings))
 
 
-def det_rig_constant(rs: RootSystem, x: Sequence, chi: int) -> float:
+def det_rig_constant(pairings: Sequence, chi: int) -> float:
     """det_half(b)^chi for a constant regular field on a surface of Euler number chi,
     computed as det_k(b)^(chi/2) for even chi; an odd power keeps the sign of det_half.
 
     A power that is not a finite nonzero double (large |chi|) is refused.
     """
-    if not is_regular(rs, x):
-        raise PreconditionError(f"constant field value x = {format_vector(x)} is singular")
+    if not is_regular(pairings):
+        raise PreconditionError(f"singular constant field alpha(b) = {format_vector(pairings)}")
     try:
-        out = det_k(rs, x) ** (chi / 2.0) if chi % 2 == 0 else det_half(rs, x) ** chi
+        out = det_k(pairings) ** (chi / 2.0) if chi % 2 == 0 else det_half(pairings) ** chi
     except (OverflowError, ZeroDivisionError):  # a root sine that rounds to 0, chi < 0
         out = math.inf
     if not 0.0 < abs(out) < math.inf:
@@ -83,16 +83,16 @@ def principal_log_sum(sines: Sequence[float], coeffs: Sequence[int]) -> complex:
                    math.pi * sum(c for c, s in zip(coeffs, sines) if s < 0))
 
 
-def det_rig_quadrature(rs: RootSystem, x: Sequence) -> float:
-    """The regularized determinant of the constant field x integrated over the unit
+def det_rig_quadrature(pairings: Sequence) -> float:
+    """The regularized determinant of the constant field alpha(b) integrated over the unit
     round sphere (R_g = 2): the root-log sum L (`principal_log_sum`) weighted by
     R_g/(4 pi) times the area 4 pi, exp(2 L) = det_half(b)^2 (Gauss-Bonnet), which
     every product rule gives exactly.  A singular field is refused exactly, as
     `det_rig_constant` refuses it, and so is a root sine that rounds to 0.0, whose
     log is undefined."""
-    if not is_regular(rs, x):
-        raise PreconditionError(f"constant field value x = {format_vector(x)} is singular")
-    two_sin = root_sines(rs, x)
+    if not is_regular(pairings):
+        raise PreconditionError(f"singular constant field alpha(b) = {format_vector(pairings)}")
+    two_sin = root_sines(pairings)
     if 0.0 in two_sin:
         raise PreconditionError(
             "a root sine 2 sin(pi alpha(B)) rounds to 0.0; its log is undefined")

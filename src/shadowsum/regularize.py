@@ -1,9 +1,9 @@
 """Regularization sequences for the indicator of the regular set and the
 determinant: trigonometric-polynomial cutoffs and polynomial exp/log.
 
-Fields are stepped (`SteppedField`): one exact value per face of a
-diagram, in coweight coordinates x (see `roots`).  The n-th stage works on
-the n-th barycentric refinement of a face mesh compatible with the diagram,
+Fields are stepped (`SteppedField`): one exact value per face of a diagram,
+held as its root pairings alpha(b) (see `roots`).  The n-th stage works on the
+n-th barycentric refinement of a face mesh compatible with the diagram,
 simulated combinatorially: every face is subdivided fourfold per step, so
 stage n has N_n = max(1, #faces) * 4^n cells and each cell inherits its
 face's (exact) field value.
@@ -43,7 +43,7 @@ from typing import Sequence
 from .determinants import det_rig_constant, principal_log_sum, root_sines
 from .diagrams import ShadowDiagram, build_diagram
 from .errors import PreconditionError, require_budget, shown
-from .roots import RootSystem, format_vector, is_regular
+from .roots import format_vector, is_regular
 
 # -- stepped fields -----------------------------------------------------------
 
@@ -51,7 +51,7 @@ from .roots import RootSystem, format_vector, is_regular
 class SteppedField:
     """A t-valued field constant on each face of a diagram.
 
-    `values[i]` is the (rational) coweight coordinate tuple x on face i, in the
+    `values[i]` is the (rational) tuple of root pairings alpha(b) on face i, in the
     diagram's face order.  The empty diagram makes this a constant field on
     the bare sphere.
     """
@@ -67,22 +67,21 @@ class SteppedField:
         self.diagram, self.values = diagram, values
 
     @staticmethod
-    def constant(x: Sequence) -> SteppedField:
-        """The constant field with coweight coordinates x on the bare sphere."""
-        return SteppedField(diagram=build_diagram([]), values=(tuple(Fraction(v) for v in x),))
+    def constant(pairings: Sequence) -> SteppedField:
+        """The constant field with root pairings alpha(b) on the bare sphere."""
+        return SteppedField(diagram=build_diagram([]), values=(tuple(map(Fraction, pairings)),))
 
 
-def det_rig_step(rs: RootSystem, field: SteppedField) -> float:
+def det_rig_step(field: SteppedField) -> float:
     """prod_faces det_half(b_face)^chi(face), the limit of `det_rig_n` as n grows: the
     product of the faces' constant-field values (`det_rig_constant`), which refuses a
     power that is not a finite nonzero double; rejects singular face values."""
     out = 1.0
-    for face, x in zip(field.diagram.faces, field.values):
-        if not is_regular(rs, x):
-            raise PreconditionError(
-                f"face {face.face_id!r} carries the singular value x = {format_vector(x)}"
-            )
-        out *= det_rig_constant(rs, x, face.euler)
+    for face, a in zip(field.diagram.faces, field.values):
+        if not is_regular(a):
+            raise PreconditionError(f"face {face.face_id!r} carries the singular value "
+                                    f"alpha(b) = {format_vector(a)}")
+        out *= det_rig_constant(a, face.euler)
     return out
 
 
@@ -208,13 +207,12 @@ def total_cells(faces: int, n: int) -> int:
     return max(1, faces) * 4 ** n
 
 
-def require_stage(rs: RootSystem, n: int, faces: int) -> None:
-    """Refuse stage n of the indicator on `faces` faces, reading no field value: first
-    when its error bound N_n |R+| sup_error is not below 1, sup_error from
-    CUTOFF_SUP_ERRORS, or CUTOFF_FLOOR for a stage it lacks (which fails), the integer
-    N_n |R+| compared exactly with 1/sup_error; then when its max(1, #faces) |R+|
-    (2 span + 1) Dirichlet terms pass MAX_CUTOFF_TERMS."""
-    roots = len(rs.positive_root_labels)
+def require_stage(roots: int, n: int, faces: int) -> None:
+    """Refuse stage n of the indicator on `faces` faces of a group with |R+| = `roots`,
+    reading no field value: first when its error bound N_n |R+| sup_error is not below 1,
+    sup_error from CUTOFF_SUP_ERRORS, or CUTOFF_FLOOR for a stage it lacks (which fails),
+    the integer N_n |R+| compared exactly with 1/sup_error; then when its max(1, #faces)
+    |R+| (2 span + 1) Dirichlet terms pass MAX_CUTOFF_TERMS."""
     sup_error = CUTOFF_SUP_ERRORS.get(n, CUTOFF_FLOOR)
     # From 2n >= e on, 4^n >= 2^e > 1/CUTOFF_FLOOR fails the check alone: no huge N_n
     e = math.frexp(1.0 / CUTOFF_FLOOR)[1]
@@ -230,20 +228,21 @@ def require_stage(rs: RootSystem, n: int, faces: int) -> None:
                    "Dirichlet terms")
 
 
-def regularized_indicator(rs: RootSystem, n: int, field: SteppedField) -> float:
+def regularized_indicator(n: int, field: SteppedField) -> float:
     """Stage-n regularized indicator of "the field is everywhere regular".
 
     Exactly 0 whenever some alpha(value) is an integer (exact rational
     test); close to 1 when every value keeps all alpha-pairings at least
-    1/n away from the integers.  `require_stage` refuses a stage first.
+    1/n away from the integers.  `require_stage` refuses a stage first, with |R+|
+    the length of a face's pairing tuple.
     """
-    require_stage(rs, n, len(field.diagram.faces))
+    require_stage(len(field.values[0]), n, len(field.diagram.faces))
     cut = trig_cutoff(n)
     cells = 4 ** n  # per face
     out = 1.0
-    for x in field.values:
+    for pairings in field.values:
         face_factor = 1.0
-        for pairing in rs.root_pairings(x):
+        for pairing in pairings:
             v = cut(pairing)
             if v == 0.0:
                 return 0.0
@@ -332,7 +331,7 @@ def log_poly(n: int) -> LogPoly:
     return LogPoly(n, deg, nodes)
 
 
-def det_rig_n(rs: RootSystem, n: int, field: SteppedField) -> complex:
+def det_rig_n(n: int, field: SteppedField) -> complex:
     """Stage-n regularized determinant of a stepped (or constant) field.
 
     prod_{alpha>0} exp^(n)( sum_faces log^(n)(2 sin(pi alpha(b_face))) * chi(face) ),
@@ -345,7 +344,7 @@ def det_rig_n(rs: RootSystem, n: int, field: SteppedField) -> complex:
         raise PreconditionError(f"regularization index must be >= 1, got {shown(n)}")
     lp = log_poly(n)
     total = 1.0 + 0j
-    for column in zip(*(root_sines(rs, x) for x in field.values)):  # one root, every face
+    for column in zip(*map(root_sines, field.values)):  # one root, every face
         acc = 0j
         for face, s in zip(field.diagram.faces, column):
             acc += lp(s) * face.euler
@@ -353,7 +352,7 @@ def det_rig_n(rs: RootSystem, n: int, field: SteppedField) -> complex:
     return total
 
 
-def det_rig_n_bound(rs: RootSystem, n: int, field: SteppedField) -> float | None:
+def det_rig_n_bound(n: int, field: SteppedField) -> float | None:
     """Relative error bound of `det_rig_n` against its limit `det_rig_step`,
     prod_{alpha>0} (1 + r_alpha) - 1.
 
@@ -375,7 +374,7 @@ def det_rig_n_bound(rs: RootSystem, n: int, field: SteppedField) -> float | None
     chis = [face.euler for face in field.diagram.faces]
     eps = _log_target(n) * sum(map(abs, chis))
     out = 1.0
-    for column in zip(*(root_sines(rs, x) for x in field.values)):  # one root, every face
+    for column in zip(*map(root_sines, field.values)):  # one root, every face
         if any(abs(s) < 1.0 / n for s in column):
             return None
         z = principal_log_sum(column, chis)

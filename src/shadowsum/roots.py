@@ -8,11 +8,11 @@ dual Coxeter number follow from those coordinates.  The one rational
 computation is the exact inverse C^-1 of the Cartan matrix, for the integer
 Gram data of the form on labels and for `coweight_coordinates`.
 
-A field value b in the Cartan subalgebra t is held as its coweight
-coordinates x_j = <omega_j, b>, so b = sum_j x_j coroot(alpha_j): a rational
-or float tuple of length `rank`.  Every pairing the kernels need is then an
-integer-label combination of x: alpha(b) = sum_j label_j(alpha) x_j
-(`root_pairings`) and beta(b) = sum_j label_j(beta) x_j for a weight beta.
+A field value b in the Cartan subalgebra t is held as its coweight coordinates
+x_j = <omega_j, b>, so b = sum_j x_j coroot(alpha_j): a rational or float tuple of
+length `rank`.  A pairing is then an integer-label combination of x: beta(b) =
+sum_j label_j(beta) x_j for a weight beta, and alpha(b) = sum_j label_j(alpha) x_j
+(`root_pairings`), the tuple the kernels read, formed once where b enters the program.
 The simple roots come from one integer table, twice each simple root in a
 fixed orthogonal basis per type (the standard orthonormal realizations of
 Bourbaki's Plates I-IX), where the invariant product is `form_scale` times
@@ -260,14 +260,13 @@ def build_root_system(type_label: str) -> RootSystem:
     )
 
 
-def is_regular(rs: RootSystem, x: Sequence) -> bool:
-    """True iff alpha(b) is not an integer for every positive root alpha, b given by
-    its coweight coordinates x.
+def is_regular(pairings: Sequence) -> bool:
+    """True iff no root pairing alpha(b) (`RootSystem.root_pairings`) is an integer.
 
-    Exact for rational coordinates; for float coordinates a value counts as
-    integral only when it is exactly integral as a float.
+    Exact for rational pairings; a float pairing counts as integral only when it is
+    exactly integral as a float.
     """
-    for v in rs.root_pairings(x):
+    for v in pairings:
         if isinstance(v, Fraction):
             if v.denominator == 1:
                 return False

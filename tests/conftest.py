@@ -156,6 +156,13 @@ def from_labels(rs, labels):
     return amb.weight_pairings(amb.from_labels(labels))
 
 
+def alphas(rs, labels):
+    """The root pairings alpha(b) at b = sum_j labels_j omega_j, in ambient order: the
+    kernels' input, formed by the ambient oracle rather than by `root_pairings`."""
+    amb = ambient(rs)
+    return amb.root_pairings(amb.from_labels(labels))
+
+
 def character_eval(ws, b):
     """Character value sum_beta m(beta) e^{2 pi i beta(b)} at b in t: the exact-rational
     oracle of `weight_phases`.

@@ -12,7 +12,7 @@ from fractions import Fraction as Q
 
 import numpy as np
 
-from conftest import ambient, from_labels, random_forest_diagram, table_array
+from conftest import alphas, ambient, from_labels, random_forest_diagram, table_array
 from test_diagrams import all_small_diagrams, empty_link_value, naive_terms
 from test_holonomy import (
     circling_ribbon,
@@ -128,17 +128,17 @@ def test_determinant_closed_forms():
     """Gauss-Bonnet quadrature check within 1e-6; half-squares to 1e-12."""
     rs = build_root_system("A1")
     for x in (Q(1, 2), Q(1, 3), Q(2, 5)):
-        b = from_labels(rs, [x])
-        got = det_rig_quadrature(rs, b)
-        want = det_rig_constant(rs, b, 2)
+        a = alphas(rs, [x])
+        got = det_rig_quadrature(a)
+        want = det_rig_constant(a, 2)
         assert abs(got - want) < 1e-6, x
     rs2 = build_root_system("B2")
     rng = random.Random(7)
     for _ in range(50):
         labels = [Q(rng.randint(-20, 20), rng.randint(21, 40)) for _ in range(2)]
-        b = from_labels(rs2, labels)
-        dk = det_k(rs2, b)
-        assert abs(det_half(rs2, b) ** 2 - dk) <= 1e-12 * max(1.0, abs(dk))
+        a = alphas(rs2, labels)
+        dk = det_k(a)
+        assert abs(det_half(a) ** 2 - dk) <= 1e-12 * max(1.0, abs(dk))
     print("\nACCEPTANCE PASS: det_rig_quadrature matches det_k^(chi/2) (1e-6); "
           "det_half^2 = det_k (1e-12)")
 
@@ -146,26 +146,26 @@ def test_determinant_closed_forms():
 def test_appendix_b_convergence():
     """det_rig_n within 1e-3 of the closed form by n = 12; indicator limits to n = 8."""
     rs = build_root_system("A1")
-    b = from_labels(rs, [Q(1, 2)])
-    const = SteppedField.constant(b)
-    target = det_rig_constant(rs, b, 2)
-    err = abs(det_rig_n(rs, 12, const) - target)
+    a = alphas(rs, [Q(1, 2)])
+    const = SteppedField.constant(a)
+    target = det_rig_constant(a, 2)
+    err = abs(det_rig_n(12, const) - target)
     assert err <= 1e-3
 
     diagram = build_diagram(
         [{"id": "c", "parent": None, "winding": 1, "positive_side": "inside", "color": [0]}]
     )
     regular = SteppedField(
-        diagram=diagram, values=(from_labels(rs, [Q(1, 2)]), from_labels(rs, [Q(1, 3)]))
+        diagram=diagram, values=(alphas(rs, [Q(1, 2)]), alphas(rs, [Q(1, 3)]))
     )
     singular = SteppedField(
-        diagram=diagram, values=(from_labels(rs, [Q(1, 2)]), from_labels(rs, [2]))
+        diagram=diagram, values=(alphas(rs, [Q(1, 2)]), alphas(rs, [2]))
     )
     for n in range(1, 9):
-        assert regularized_indicator(rs, n, singular) == 0.0
-    reg_errs = [abs(regularized_indicator(rs, n, regular) - 1.0) for n in range(1, 9)]
+        assert regularized_indicator(n, singular) == 0.0
+    reg_errs = [abs(regularized_indicator(n, regular) - 1.0) for n in range(1, 9)]
     assert reg_errs[-1] < 1e-3
-    const_errs = [abs(regularized_indicator(rs, n, const) - 1.0) for n in range(1, 9)]
+    const_errs = [abs(regularized_indicator(n, const) - 1.0) for n in range(1, 9)]
     assert const_errs[-1] < 1e-3
     print(f"\nACCEPTANCE PASS: |det_rig_12 - closed form| = {err:.2e} <= 1e-3; "
           f"indicator -> 1 on regular fields (final gap {reg_errs[-1]:.2e}), 0 on singular, n <= 8")

@@ -677,6 +677,32 @@ def test_field_value_length_exit_3(tmp_path, capsys, argv, want):
     assert rc == 3 and want in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("argv,calls", [
+    (["det", "--group", "E8", "--b=-27/61,-24/61,0,-48/61,39/61,-58/61,46/61,-9/61",
+      "--diagnostics"], 1),
+    (["regularize", "--n", "2", "link.json", "--face-values", ";".join(["1/4,-1/4"] * 5)], 5),
+], ids=lambda v: v[0] if isinstance(v, list) else "")
+def test_field_value_becomes_root_pairings_once(tmp_path, capsys, monkeypatch, argv, calls):
+    """A field value becomes its root pairings alpha(b) once, where it enters: one
+    `root_pairings` call for `det --diagnostics`, one per face of a five-face link for
+    `regularize`, and none in the kernels."""
+    from shadowsum.roots import RootSystem
+
+    seen = []
+    pairings = RootSystem.root_pairings
+
+    def counted(rs, x):
+        seen.append(tuple(x))
+        return pairings(rs, x)
+
+    monkeypatch.setattr(RootSystem, "root_pairings", counted)
+    four = one_circle()
+    four["circles"] = [dict(four["circles"][0], id=f"c{i}") for i in range(4)]
+    path = write(tmp_path, "link.json", four)
+    rc, _ = run_main(capsys, *[path if a == "link.json" else a for a in argv])
+    assert rc == 0 and len(seen) == calls
+
+
 @pytest.mark.parametrize("argv", [
     ["holonomy", "--group", "A2", "--b=1/3,1/5,0"],  # the default colour 1 is a rank-1 one
     ["qdim", "--group", "A2", "--k", "5", "--weight", "1"],

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import ambient, from_labels
+from conftest import alphas, ambient, from_labels
 from shadowsum.determinants import (
     det_half,
     det_k,
@@ -60,10 +60,9 @@ def one_circle_diagram():
 
 class TestClosedForms:
     def test_det_k_examples(self, a1, a2):
-        assert det_k(a1, from_labels(a1, [Q(1, 2)])) == pytest.approx(4.0)
-        assert det_k(a1, from_labels(a1, [2])) == pytest.approx(0.0, abs=1e-12)  # b = coroot
-        b = from_labels(a2, [Q(1, 3), Q(1, 3)])
-        assert det_k(a2, b) == pytest.approx(27.0)
+        assert det_k(alphas(a1, [Q(1, 2)])) == pytest.approx(4.0)
+        assert det_k(alphas(a1, [2])) == pytest.approx(0.0, abs=1e-12)  # b = coroot
+        assert det_k(alphas(a2, [Q(1, 3), Q(1, 3)])) == pytest.approx(27.0)
 
     def test_det_k_matrix_oracle_a1(self, a1):
         """e^{ad b} on the root plane is a rotation by 2 pi alpha(b)."""
@@ -74,7 +73,7 @@ class TestClosedForms:
             gen = np.array([[0.0, -angle], [angle, 0.0]])
             e = scipy.linalg.expm(gen)
             assert np.linalg.det(np.eye(2) - e) == pytest.approx(
-                det_k(a1, amb.weight_pairings(b)), rel=1e-10)
+                det_k(amb.root_pairings(b)), rel=1e-10)
 
     def test_det_k_matrix_oracle_a2(self, a2):
         amb = ambient(a2)
@@ -85,13 +84,13 @@ class TestClosedForms:
             blocks.append(scipy.linalg.expm(np.array([[0.0, -angle], [angle, 0.0]])))
         e = scipy.linalg.block_diag(*blocks)
         assert np.linalg.det(np.eye(6) - e) == pytest.approx(
-            det_k(a2, amb.weight_pairings(b)), rel=1e-10)
+            det_k(amb.root_pairings(b)), rel=1e-10)
 
     def test_det_half_examples(self, a1):
-        assert det_half(a1, from_labels(a1, [Q(1, 2)])) == pytest.approx(2.0)
-        assert det_half(a1, from_labels(a1, [2])) == pytest.approx(0.0, abs=1e-12)
+        assert det_half(alphas(a1, [Q(1, 2)])) == pytest.approx(2.0)
+        assert det_half(alphas(a1, [2])) == pytest.approx(0.0, abs=1e-12)
         # sign retained, not absolute value
-        assert det_half(a1, from_labels(a1, [Q(3, 2)])) == pytest.approx(-2.0)
+        assert det_half(alphas(a1, [Q(3, 2)])) == pytest.approx(-2.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -99,19 +98,17 @@ class TestClosedForms:
         y=st.fractions(min_value=-3, max_value=3, max_denominator=40),
     )
     def test_half_square_is_det_k(self, x, y, b2):
-        b = from_labels(b2, [x, y])
-        assert abs(det_half(b2, b) ** 2 - det_k(b2, b)) <= 1e-12 * max(
-            1.0, abs(det_k(b2, b))
-        )
+        a = alphas(b2, [x, y])
+        assert abs(det_half(a) ** 2 - det_k(a)) <= 1e-12 * max(1.0, abs(det_k(a)))
 
     def test_det_rig_constant(self, a1):
-        assert det_rig_constant(a1, from_labels(a1, [Q(1, 2)]), 2) == pytest.approx(4.0)
-        assert det_rig_constant(a1, from_labels(a1, [Q(1, 5)]), 0) == pytest.approx(1.0)
-        assert det_rig_constant(a1, from_labels(a1, [Q(1, 4)]), 2) == pytest.approx(2.0)
+        assert det_rig_constant(alphas(a1, [Q(1, 2)]), 2) == pytest.approx(4.0)
+        assert det_rig_constant(alphas(a1, [Q(1, 5)]), 0) == pytest.approx(1.0)
+        assert det_rig_constant(alphas(a1, [Q(1, 4)]), 2) == pytest.approx(2.0)
 
     def test_det_rig_constant_singular_rejected(self, a1):
         with pytest.raises(PreconditionError):
-            det_rig_constant(a1, from_labels(a1, [1]), 2)
+            det_rig_constant(alphas(a1, [1]), 2)
 
 
 class TestSteppedField:
@@ -121,51 +118,52 @@ class TestSteppedField:
 
     def test_det_rig_step_examples(self, a1):
         d = one_circle_diagram()
-        b_half = from_labels(a1, [Q(1, 2)])
+        b_half = alphas(a1, [Q(1, 2)])
         f = SteppedField(diagram=d, values=(b_half, b_half))
-        assert det_rig_step(a1, f) == pytest.approx(4.0)
-        mixed = SteppedField(diagram=d, values=(b_half, from_labels(a1, [Q(1, 6)])))
-        assert det_rig_step(a1, mixed) == pytest.approx(2.0)
+        assert det_rig_step(f) == pytest.approx(4.0)
+        mixed = SteppedField(diagram=d, values=(b_half, alphas(a1, [Q(1, 6)])))
+        assert det_rig_step(mixed) == pytest.approx(2.0)
 
     def test_constant_field_matches_chi2_closed_form(self, a1):
-        b = from_labels(a1, [Q(2, 7)])
+        b = alphas(a1, [Q(2, 7)])
         f = SteppedField.constant(b)
-        assert det_rig_step(a1, f) == pytest.approx(det_rig_constant(a1, b, 2))
+        assert det_rig_step(f) == pytest.approx(det_rig_constant(b, 2))
 
     def test_odd_faces_multiply_to_det_rig_step(self, a1):
         """Two discs (chi = 1 each) at x = 2/3 and 1/4: det_half is -sqrt 3 and 2, so the
         step value -2 sqrt 3 is the product of the faces' constant-field values."""
-        values = (from_labels(a1, [Q(4, 3)]), from_labels(a1, [Q(1, 2)]))
+        values = (alphas(a1, [Q(4, 3)]), alphas(a1, [Q(1, 2)]))
         f = SteppedField(diagram=one_circle_diagram(), values=values)
         assert [face.euler for face in f.diagram.faces] == [1, 1]
-        faces = math.prod(det_rig_constant(a1, x, 1) for x in values)
-        assert det_rig_step(a1, f) == pytest.approx(faces, rel=1e-15)
+        faces = math.prod(det_rig_constant(a, 1) for a in values)
+        assert det_rig_step(f) == pytest.approx(faces, rel=1e-15)
         assert faces == pytest.approx(-2.0 * math.sqrt(3.0), rel=1e-15)
 
     def test_vanishing_root_sine_under_negative_chi_refused(self, a1):
-        """Three flat circles leave the outer face chi = -1; an outer value x = 10^-400
-        is regular but its root sine rounds to 0, and 0^-1 is no double."""
+        """Three flat circles leave the outer face chi = -1; an outer value alpha(b) =
+        2 10^-400 is regular but its root sine rounds to 0, and 0^-1 is no double."""
         circles = [{"id": c, "parent": None, "winding": 1, "positive_side": "inside",
                     "color": [0]} for c in "abc"]
         d = build_diagram(circles)
-        values = tuple((Q(1, 10**400),) if face.euler == -1 else (Q(1, 3),)
+        values = tuple(alphas(a1, [Q(2, 10**400)] if face.euler == -1 else [Q(2, 3)])
                        for face in d.faces)
         assert sorted(face.euler for face in d.faces) == [-1, 1, 1, 1]
         with pytest.raises(PreconditionError, match="not a finite nonzero double"):
-            det_rig_step(a1, SteppedField(diagram=d, values=values))
+            det_rig_step(SteppedField(diagram=d, values=values))
 
     def test_singular_face_rejected(self, a1):
         d = one_circle_diagram()
-        f = SteppedField(diagram=d, values=(from_labels(a1, [Q(1, 2)]), from_labels(a1, [2])))
+        f = SteppedField(diagram=d, values=(alphas(a1, [Q(1, 2)]), alphas(a1, [2])))
         with pytest.raises(PreconditionError) as ei:
-            det_rig_step(a1, f)
+            det_rig_step(f)
         assert "in:c" in str(ei.value)
 
-    def test_singular_face_message_shows_rationals(self, a1):
-        values = (from_labels(a1, [Q(1, 3)]), from_labels(a1, [1]))
+    def test_singular_face_message_shows_rationals(self, a2):
+        """alpha_1(b) = 2/3 and alpha_2(b) = 1/3 force theta(b) = 1 on the inner face."""
+        values = (alphas(a2, [Q(1, 5), Q(1, 7)]), alphas(a2, [Q(1, 3), Q(2, 3)]))
         with pytest.raises(PreconditionError) as ei:
-            det_rig_step(a1, SteppedField(diagram=one_circle_diagram(), values=values))
-        assert "x = (1/2)" in str(ei.value) and "Fraction(" not in str(ei.value)
+            det_rig_step(SteppedField(diagram=one_circle_diagram(), values=values))
+        assert "alpha(b) = (2/3, 1/3, 1)" in str(ei.value) and "Fraction(" not in str(ei.value)
 
 
 class TestMetricSamples:
@@ -179,12 +177,12 @@ class TestMetricSamples:
 
 class TestQuadrature:
     def test_constant_matches_closed_form(self, a1):
-        v = det_rig_quadrature(a1, from_labels(a1, [Q(1, 2)]))
+        v = det_rig_quadrature(alphas(a1, [Q(1, 2)]))
         assert abs(v - 4.0) < 1e-6
 
     def test_negative_branch_constant(self, a1):
         # alpha(b) = 3/2: the half-determinant is negative but chi = 2 squares it
-        v = det_rig_quadrature(a1, from_labels(a1, [Q(3, 2)]))
+        v = det_rig_quadrature(alphas(a1, [Q(3, 2)]))
         assert abs(v - 4.0) < 1e-6
 
     @pytest.mark.parametrize("label, labels", [
@@ -197,13 +195,13 @@ class TestQuadrature:
         value.  Measured: 0, 1.8e-15, 1.7e-15 and 7.6e-14 against bounds of
         1.3e-14, 8.2e-14, 8.4e-14 and 1.0e-12 on A1, B2, G2 and E8."""
         rs = build_root_system(label)
-        x = from_labels(rs, labels)
-        xf = tuple(float(v) for v in x)
-        logs = math.fsum(abs(math.log(abs(s))) for s in root_sines(rs, x))
+        a = alphas(rs, labels)
+        xf = tuple(float(v) for v in from_labels(rs, labels))
+        logs = math.fsum(abs(math.log(abs(s))) for s in root_sines(a))
         rel = 32 * sys.float_info.epsilon * (1 + 2 * logs)
         for grid in ((8, 16), (64, 128)):
             want = sphere_rule(rs, lambda t, p: xf, *grid)
-            assert det_rig_quadrature(rs, x) == pytest.approx(want, rel=rel, abs=0)
+            assert det_rig_quadrature(a) == pytest.approx(want, rel=rel, abs=0)
 
     @pytest.mark.parametrize("label, inside, outside", [
         ("A1", [Q(4, 3)], [Q(1, 2)]),
@@ -214,9 +212,10 @@ class TestQuadrature:
         hemisphere sampler is det_rig_step, sign included."""
         rs = build_root_system(label)
         x_in, x_out = from_labels(rs, inside), from_labels(rs, outside)
-        field = SteppedField(diagram=one_circle_diagram(), values=(x_out, x_in))
+        field = SteppedField(diagram=one_circle_diagram(),
+                             values=(alphas(rs, outside), alphas(rs, inside)))
         assert [(f.face_id, f.euler) for f in field.diagram.faces] == [("outer", 1), ("in:c", 1)]
-        want = det_rig_step(rs, field)
+        want = det_rig_step(field)
 
         def sampler(theta, phi):
             north = (theta < math.pi / 2)[:, None]
@@ -254,12 +253,11 @@ class TestQuadrature:
         assert e_fine <= e_coarse / 4.0 + 1e-12
 
     def test_singular_node_rejected(self, a1):
-        b = from_labels(a1, [2])  # b = coroot, alpha(b) = 2
         with pytest.raises(PreconditionError) as ei:
-            det_rig_quadrature(a1, b)
-        assert str(ei.value) == "constant field value x = (1) is singular"
+            det_rig_quadrature(alphas(a1, [2]))  # b = coroot, alpha(b) = 2
+        assert str(ei.value) == "singular constant field alpha(b) = (2)"
 
     def test_root_sine_rounding_to_zero_refused(self, a1):
-        """alpha(B) = 1/10^400 is regular, but its sine rounds to 0.0, whose log is undefined."""
+        """alpha(B) = 2/10^400 is regular, but its sine rounds to 0.0, whose log is undefined."""
         with pytest.raises(PreconditionError, match="rounds to 0.0"):
-            det_rig_quadrature(a1, (Q(1, 10**400),))
+            det_rig_quadrature(alphas(a1, [Q(2, 10**400)]))

@@ -405,7 +405,7 @@ def torus_gauge_value(alphabet, components):
     total = 0j
     for sigma in alphabet.elements:
         x = coweights(sigma)
-        term = det_k(rs, x)
+        term = det_k(rs.root_pairings(x))
         for color, winding, _ in components:
             term *= weight_trace(np.exp(weight_phases(modules[color], [winding * v for v in x])))
         total += term
@@ -414,7 +414,7 @@ def torus_gauge_value(alphabet, components):
         q = rs.label_form(color, tuple(c + 2 for c in color))
         gleam = winding if side == "inside" else -winding
         twist *= cmath.exp(1j * math.pi * gleam * q / den)
-    return twist * total / det_k(rs, coweights((0,) * rs.rank))
+    return twist * total / det_k(rs.root_pairings(coweights((0,) * rs.rank)))
 
 
 @pytest.mark.parametrize(

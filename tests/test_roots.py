@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ambient, from_labels, simple_reflection_matrix
+from conftest import alphas, ambient, simple_reflection_matrix
 from shadowsum.determinants import det_half, det_k
 from shadowsum.errors import PreconditionError
 from shadowsum.roots import (
@@ -140,14 +140,13 @@ def test_coxeter_relations_brute_force(label):
 
 
 def test_is_regular_examples(a1, a2):
-    b = from_labels(a1, [Q(1, 2)])  # alpha(b) = 1/2
-    assert is_regular(a1, b)
-    assert not is_regular(a1, (Q(0),) * a1.rank)
+    assert is_regular(alphas(a1, [Q(1, 2)]))  # alpha(b) = 1/2
+    assert not is_regular(alphas(a1, [0]))
     # alpha1(b) = 1/3, alpha2(b) = 2/3 forces theta(b) = 1
     amb = ambient(a2)
     b2v = amb.from_labels([Q(1, 3), Q(2, 3)])
     assert amb.inner(amb.highest_root, b2v) == 1
-    assert not is_regular(a2, amb.weight_pairings(b2v))
+    assert not is_regular(amb.root_pairings(b2v))
 
 
 def test_weyl_orbit_examples(a1, a2):
@@ -339,7 +338,7 @@ def test_coweight_coordinates_meet_the_ambient_oracle(label):
         for v in pairings:
             full *= 4.0 * math.sin(math.pi * float(v)) ** 2
             half *= 2.0 * math.sin(math.pi * float(v))
-        assert det_k(rs, x) == full and det_half(rs, x) == half
+        assert det_k(pairings) == full and det_half(pairings) == half
 
 
 # Ambient vectors orthogonal to every root.  In the E8 basis, E7 (alpha_1..alpha_7)
