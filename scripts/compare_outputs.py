@@ -23,8 +23,10 @@ trust boundary on A1 and E8 and past its cutoff budget on five E8 faces and on
 by their order of magnitude, and weights with the wrong number of labels), runs
 `regularize` on admitted stepped fields of rank > 1 (STEPPED_JOBS: five E8 faces
 at n = 4, and three nested G2 faces at n = 6, one of them singular), runs
-the CLI's other error paths and its --config reading (ERROR_JOBS), and
-runs each malformed link document of
+the CLI's other error paths and its --config reading (ERROR_JOBS: among them
+`regularize --n 0` on a constant A1 field, and `--n 0` and `--n 20` on a link
+file with valid face values, so each refusal of a stage is compared on both
+paths), and runs each malformed link document of
 MALFORMED_LINKS, HUGE_K_LINK and BIG_K_LINK through `shadow`, `validate`
 and `regularize`, so the error paths are compared too.  Each job runs as one
 `python -m shadowsum` process per tree, in a fresh directory holding its
@@ -156,9 +158,11 @@ STEPPED_JOBS = {
 
 # The CLI's other error paths, and its --config reading, which no job above reaches:
 # argparse usage errors, flags that exclude or need each other, a singular field, a
-# missing group, level or field value, input files that cannot be read, are not JSON or
-# nest too deeply, an --output path that cannot be written, and a level, stage index,
-# n or chi of 4,001 digits (the `error/long/` jobs).
+# missing group, level or field value, the `regularize` stage index 0 on a constant
+# field and 0 and 20 (past CUTOFF_SUP_ERRORS) on a link file with valid face values,
+# input files that cannot be read, are not JSON or nest too deeply, an --output path
+# that cannot be written, and a level, stage index, n or chi of 4,001 digits (the
+# `error/long/` jobs).
 BIG = str(10**4000)
 ERROR_FILES = {
     "link.json": json.dumps({"group": "A1", "k": 4, "circles": [
@@ -194,6 +198,9 @@ ERROR_JOBS = {
     "regularize/link-with-b": ["regularize", "link.json", "--b=1/3,0", "--face-values",
                                "1/3,0;1/5,0"],
     "regularize/link-without-face-values": ["regularize", "link.json"],
+    "regularize/n=0": ["regularize", *A1_FIELD, "--n", "0"],
+    **{f"regularize/link-n={n}": ["regularize", "link.json", "--face-values",
+                                  "1/4,-1/4;1/6,-1/6", "--n", str(n)] for n in (0, 20)},
     "fusion/no-dump": ["fusion", "--group", "A1", "--k", "4"],
     "fusion/text-without-dump": ["fusion", "--group", "A1", "--k", "4", "--format", "text"],
     "input/unreadable": ["shadow", "missing.json"],

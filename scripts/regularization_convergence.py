@@ -17,11 +17,10 @@ from shadowsum.diagrams import build_diagram
 from shadowsum.regularize import (
     SteppedField,
     det_rig_n,
-    det_rig_n_bound,
     det_rig_step,
     log_poly,
     regularized_indicator,
-    trig_cutoff,
+    require_stage,
 )
 
 
@@ -36,13 +35,13 @@ def table(field, target, title):
     print(f"{'n':>3} {'indicator':>22} {'det_rig_n':>26} {'|det err|':>12} {'rel bound':>10}"
           f" {'log deg':>8} {'log err':>10} {'cut err':>10}")
     for n in range(1, 13):
-        ind = regularized_indicator(n, field)
-        det = det_rig_n(n, field)
-        bound = det_rig_n_bound(n, field)
+        cut = require_stage(1, n, len(field.diagram.faces))  # |R+| = 1 on A1
+        ind = regularized_indicator(cut, field)
+        det, bound = det_rig_n(n, field)
         lp = log_poly(n)
         print(f"{n:>3} {ind:>22.14f} {det.real:>14.8f}{det.imag:>+12.2e}j"
               f" {abs(det - target):>12.3e} {'null' if bound is None else f'{bound:.2e}':>10}"
-              f" {lp.degree:>8} {log_error(lp):>10.2e} {trig_cutoff(n).sup_error:>10.2e}")
+              f" {lp.degree:>8} {log_error(lp):>10.2e} {cut.sup_error:>10.2e}")
 
 
 def main():
@@ -63,7 +62,7 @@ def main():
         diagram=diagram, values=((Q(1, 2),), (Q(2),))
     )
     print("\nsingular step field: indicator =",
-          [regularized_indicator(n, singular) for n in range(1, 9)])
+          [regularized_indicator(require_stage(1, n, 2), singular) for n in range(1, 9)])
 
 
 if __name__ == "__main__":

@@ -16,9 +16,9 @@ Link files are read by `diagrams.read_link`, which holds their schema.
 Output for `shadow`: { "value": {"re", "im"}, "abs_sum", "colorings", "retained",
 optional "terms" }.  The per-term listing of --diagnostics is refused (exit 3)
 when it would hold more than MAX_LISTED_TERMS terms.  Output for `regularize`:
-{ "indicator", "det_rig_n": {"re", "im"}, "det_rig_n_bound", ... }, where
-"det_rig_n_bound" (`regularize.det_rig_n_bound`) bounds |det_rig_n - limit| /
-|limit| and is null where log^(n) has no stated accuracy.
+{ "indicator", "det_rig_n": {"re", "im"}, "det_rig_n_bound", ... } at a stage n
+admitted once (`regularize.require_stage`); "det_rig_n_bound" bounds |det_rig_n -
+limit| / |limit| and is null where log^(n) has no stated accuracy.
 """
 
 from __future__ import annotations
@@ -205,14 +205,14 @@ def cmd_det(args) -> dict:
 
 
 def cmd_regularize(args) -> dict:
-    from .regularize import (
-        SteppedField, det_rig_n, det_rig_n_bound, regularized_indicator, require_stage)
+    from .regularize import SteppedField, det_rig_n, regularized_indicator, require_stage
 
     if args.input is None:
         rs = _root_system(args)
         if args.face_values is not None:
             raise ParseError("--face-values needs a link file")
         field = SteppedField.constant(rs.root_pairings(_field_b(args, rs)))
+        cut = require_stage(len(rs.positive_root_labels), args.n, len(field.diagram.faces))
     else:
         if args.b is not None or args.alpha_b is not None:
             raise ParseError("a link file takes --face-values, not --b or --alpha-b")
@@ -220,16 +220,17 @@ def cmd_regularize(args) -> dict:
         if args.face_values is None:
             raise PreconditionError("--face-values needed with a link file")
         SteppedField(diagram, args.face_values)  # refuses a wrong count before converting
-        require_stage(len(rs.positive_root_labels), args.n, len(diagram.faces))
+        cut = require_stage(len(rs.positive_root_labels), args.n, len(diagram.faces))
         values = tuple(rs.root_pairings(_reduced(rs.coweight_coordinates(b)))
                        for b in args.face_values)
         field = SteppedField(diagram=diagram, values=values)
+    det, bound = det_rig_n(args.n, field)
     return {
         "group": rs.name,
         "n": args.n,
-        "indicator": regularized_indicator(args.n, field),
-        "det_rig_n": _c2j(det_rig_n(args.n, field)),
-        "det_rig_n_bound": det_rig_n_bound(args.n, field),
+        "indicator": regularized_indicator(cut, field),
+        "det_rig_n": _c2j(det),
+        "det_rig_n_bound": bound,
         "faces": len(field.diagram.faces),
     }
 

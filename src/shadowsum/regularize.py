@@ -17,7 +17,8 @@ cell-wise cutoff.  The stage value is
 
 which is exactly zero as soon as some alpha(B(F)) is an integer (arguments
 are reduced mod 1 in exact rational arithmetic before evaluation), and
-tends to 1 on fields bounded away from the singular set.
+tends to 1 on fields bounded away from the singular set.  `require_stage`
+admits a stage once, from |R+| and the face count alone, and hands out its cutoff.
 
 Determinant.  exp is replaced by its degree-n Taylor polynomial and log by
 a polynomial log^(n) converging uniformly to the principal log on the compact
@@ -25,7 +26,8 @@ pieces of [-2, -1/n] u [1/n, 2]; the integral reduces to Euler-number
 weights per face under the standing metric assumption.  By parity log^(n)
 is built from two real Chebyshev interpolants in y = x^2 on [1/n^2, 4],
 whose error on [1/n, 2] also bounds it on [-2, -1/n] (see `log_poly`);
-`det_rig_n_bound` bounds the stage's relative distance to its limit.
+`det_rig_n` returns the stage with a bound on its relative distance to its limit,
+both from one pass over the root sines.
 
 Both sequences run in Python floats (`math`, exact `fractions` for the
 residues), evaluated only at the points a stage reads, so no `regularize` job
@@ -43,7 +45,6 @@ from typing import Sequence
 from .determinants import det_rig_constant, principal_log_sum, root_sines
 from .diagrams import ShadowDiagram, build_diagram
 from .errors import PreconditionError, require_budget, shown
-from .roots import format_vector, is_regular
 
 # -- stepped fields -----------------------------------------------------------
 
@@ -74,14 +75,15 @@ class SteppedField:
 
 def det_rig_step(field: SteppedField) -> float:
     """prod_faces det_half(b_face)^chi(face), the limit of `det_rig_n` as n grows: the
-    product of the faces' constant-field values (`det_rig_constant`), which refuses a
-    power that is not a finite nonzero double; rejects singular face values."""
+    product of the faces' constant-field values (`det_rig_constant`), whose refusal of
+    a singular value or of a power that is not a finite nonzero double is raised with
+    the face's id in front."""
     out = 1.0
     for face, a in zip(field.diagram.faces, field.values):
-        if not is_regular(a):
-            raise PreconditionError(f"face {face.face_id!r} carries the singular value "
-                                    f"alpha(b) = {format_vector(a)}")
-        out *= det_rig_constant(a, face.euler)
+        try:
+            out *= det_rig_constant(a, face.euler)
+        except PreconditionError as e:
+            raise PreconditionError(f"face {face.face_id!r}: {e}") from None
     return out
 
 
@@ -183,14 +185,9 @@ def trig_cutoff(n: int) -> TrigCutoff:
     """Build pbar_n from the K = 2^13 samples of psi_n.  Those below 1 lie within
     K/(4n) + 1 of the integers, so only about K/(2n) pairs are kept.
 
-    Its sup error is read from CUTOFF_SUP_ERRORS; a stage that table does not hold is
-    refused.
+    Its sup error is read from CUTOFF_SUP_ERRORS, so n is a stage that table holds,
+    as every stage `require_stage` admits is.
     """
-    if n not in CUTOFF_SUP_ERRORS:
-        raise PreconditionError(
-            f"no cutoff of stage n = {shown(n)}: sup errors are tabulated for n = 1.."
-            f"{max(CUTOFF_SUP_ERRORS)}, the stages the CUTOFF_FLOOR check admits"
-        )
     span = _cutoff_span(n)
     pairs = []
     for j in range(-span, span + 1):
@@ -207,16 +204,16 @@ def total_cells(faces: int, n: int) -> int:
     return max(1, faces) * 4 ** n
 
 
-def require_stage(roots: int, n: int, faces: int) -> None:
-    """Refuse stage n of the indicator on `faces` faces of a group with |R+| = `roots`,
-    reading no field value: first when its error bound N_n |R+| sup_error is not below 1,
-    sup_error from CUTOFF_SUP_ERRORS, or CUTOFF_FLOOR for a stage it lacks (which fails),
-    the integer N_n |R+| compared exactly with 1/sup_error; then when its max(1, #faces)
-    |R+| (2 span + 1) Dirichlet terms pass MAX_CUTOFF_TERMS."""
+def require_stage(roots: int, n: int, faces: int) -> TrigCutoff:
+    """Admit stage n on `faces` faces of a group with |R+| = `roots`, reading no field
+    value, and return its cutoff.  Refused, in this order: n < 1 (`total_cells`); an
+    error bound N_n |R+| sup_error not below 1 (sup_error from CUTOFF_SUP_ERRORS, the
+    integer N_n |R+| compared exactly with 1/sup_error); max(1, #faces) |R+| (2 span + 1)
+    Dirichlet terms past MAX_CUTOFF_TERMS.  The table ends where A1 on one face, the
+    least N_n |R+|, fails at CUTOFF_FLOOR, so a later stage is checked as the first one
+    past it, at CUTOFF_FLOOR: it fails for every group, and no huge N_n is formed."""
     sup_error = CUTOFF_SUP_ERRORS.get(n, CUTOFF_FLOOR)
-    # From 2n >= e on, 4^n >= 2^e > 1/CUTOFF_FLOOR fails the check alone: no huge N_n
-    e = math.frexp(1.0 / CUTOFF_FLOOR)[1]
-    if (total_cells(faces, n) if 2 * n < e else math.inf) * roots >= 1.0 / sup_error:
+    if total_cells(faces, min(n, max(CUTOFF_SUP_ERRORS) + 1)) * roots >= 1.0 / sup_error:
         raise PreconditionError(
             f"regularize stage n = {shown(n)} cannot be trusted: its error bound N_n |R+| "
             f"sup_error is at least 1 (N_n = #faces * 4^{shown(n)} cells, |R+| = {roots}, "
@@ -226,19 +223,19 @@ def require_stage(roots: int, n: int, faces: int) -> None:
     require_budget(faces * roots * (2 * _cutoff_span(n) + 1), MAX_CUTOFF_TERMS,
                    f"the stage-{n} cutoff at {faces} faces x {roots} positive roots",
                    "Dirichlet terms")
+    return trig_cutoff(n)
 
 
-def regularized_indicator(n: int, field: SteppedField) -> float:
-    """Stage-n regularized indicator of "the field is everywhere regular".
+def regularized_indicator(cut: TrigCutoff, field: SteppedField) -> float:
+    """Regularized indicator of "the field is everywhere regular" at the stage n =
+    `cut.n` of the cutoff `require_stage` admitted.
 
     Exactly 0 whenever some alpha(value) is an integer (exact rational
     test); close to 1 when every value keeps all alpha-pairings at least
-    1/n away from the integers.  `require_stage` refuses a stage first, with |R+|
-    the length of a face's pairing tuple.
+    1/n away from the integers.  A regular field whose stage value underflows
+    also gives 0.0: each face factor is raised to the power 4^n.
     """
-    require_stage(len(field.values[0]), n, len(field.diagram.faces))
-    cut = trig_cutoff(n)
-    cells = 4 ** n  # per face
+    cells = 4 ** cut.n  # per face
     out = 1.0
     for pairings in field.values:
         face_factor = 1.0
@@ -331,33 +328,19 @@ def log_poly(n: int) -> LogPoly:
     return LogPoly(n, deg, nodes)
 
 
-def det_rig_n(n: int, field: SteppedField) -> complex:
-    """Stage-n regularized determinant of a stepped (or constant) field.
+def det_rig_n(n: int, field: SteppedField) -> tuple[complex, float | None]:
+    """Stage-n regularized determinant of a stepped (or constant) field and its
+    relative error bound against the limit `det_rig_step`, from one pass over the roots.
 
-    prod_{alpha>0} exp^(n)( sum_faces log^(n)(2 sin(pi alpha(b_face))) * chi(face) ),
+    The value is prod_{alpha>0} exp^(n)(sum_faces log^(n)(2 sin(pi alpha(b_face))) chi(face)),
     using that the curvature measure of each face is 4 pi chi(face) under
     the standing metric assumption and that the mesh refines the faces, so
     cell means reproduce the face values exactly.  Defined (finite) for any
     bounded field, singular values included.
-    """
-    if n < 1:
-        raise PreconditionError(f"regularization index must be >= 1, got {shown(n)}")
-    lp = log_poly(n)
-    total = 1.0 + 0j
-    for column in zip(*map(root_sines, field.values)):  # one root, every face
-        acc = 0j
-        for face, s in zip(field.diagram.faces, column):
-            acc += lp(s) * face.euler
-        total *= exp_poly(n, acc)
-    return total
 
-
-def det_rig_n_bound(n: int, field: SteppedField) -> float | None:
-    """Relative error bound of `det_rig_n` against its limit `det_rig_step`,
-    prod_{alpha>0} (1 + r_alpha) - 1.
-
-    Per root, z = sum_faces chi(face) log(2 sin(pi alpha(b_face))) (principal branch)
-    and the stage reads exp^(n)(z + d) with |d| <= eps = target * sum_faces |chi(face)|,
+    The bound is prod_{alpha>0} (1 + r_alpha) - 1.  Per root,
+    z = sum_faces chi(face) log(2 sin(pi alpha(b_face))) (principal branch) and the
+    stage reads exp^(n)(z + d) with |d| <= eps = target * sum_faces |chi(face)|,
     target the log^(n) error `_log_target`.  With w = |z| + eps,
 
         r_alpha = (w^(n+1)/(n+1)! e^w + |e^z| expm1(eps)) / |e^z|
@@ -369,19 +352,24 @@ def det_rig_n_bound(n: int, field: SteppedField) -> float | None:
     """
     if n < 1:
         raise PreconditionError(f"regularization index must be >= 1, got {shown(n)}")
-    if n > 18:
-        return None
+    lp = log_poly(n)
     chis = [face.euler for face in field.diagram.faces]
     eps = _log_target(n) * sum(map(abs, chis))
-    out = 1.0
+    total = 1.0 + 0j
+    bound = 1.0 if n <= 18 else None
     for column in zip(*map(root_sines, field.values)):  # one root, every face
-        if any(abs(s) < 1.0 / n for s in column):
-            return None
+        acc = 0j
+        for chi, s in zip(chis, column):
+            acc += lp(s) * chi
+        total *= exp_poly(n, acc)
+        if bound is None or any(abs(s) < 1.0 / n for s in column):
+            bound = None
+            continue
         z = principal_log_sum(column, chis)
         w = abs(z) + eps
         try:  # w^(n+1)/(n+1)! e^(w - Re z), in logarithms
             r = math.exp((n + 1) * math.log(w) - math.lgamma(n + 2) + w - z.real)
-        except OverflowError:
-            return None
-        out *= 1.0 + r + math.expm1(eps)
-    return out - 1.0 if math.isfinite(out) else None
+        except OverflowError:  # the product, and so the bound, is no finite double
+            r = math.inf
+        bound *= 1.0 + r + math.expm1(eps)
+    return total, (bound - 1.0 if bound is not None and math.isfinite(bound) else None)

@@ -13,6 +13,7 @@ import pytest
 from shadowsum.diagrams import build_diagram
 from shadowsum.errors import PreconditionError
 from shadowsum.fusion import _s_matrix, build_fusion_table
+from shadowsum.regularize import regularized_indicator, require_stage
 from shadowsum.reps import level_alphabet
 from shadowsum.roots import build_root_system
 
@@ -161,6 +162,13 @@ def alphas(rs, labels):
     kernels' input, formed by the ambient oracle rather than by `root_pairings`."""
     amb = ambient(rs)
     return amb.root_pairings(amb.from_labels(labels))
+
+
+def stage_indicator(n, field):
+    """The stage-n regularized indicator of `field`, its stage admitted as `regularize`
+    admits it, with |R+| the length of a face's pairing tuple."""
+    cut = require_stage(len(field.values[0]), n, len(field.diagram.faces))
+    return regularized_indicator(cut, field)
 
 
 def character_eval(ws, b):

@@ -703,6 +703,31 @@ def test_field_value_becomes_root_pairings_once(tmp_path, capsys, monkeypatch, a
     assert rc == 0 and len(seen) == calls
 
 
+@pytest.mark.parametrize("argv,cells,sines", [
+    (["regularize", "--n", "12", "link.json", "--face-values", ";".join(["1/4,-1/4"] * 5)],
+     1, 5),
+    (["regularize", "--group", "A1", "--alpha-b", "1/3", "--n", "12"], 1, 1),
+], ids=["link", "constant"])
+def test_stage_admitted_once(tmp_path, capsys, monkeypatch, argv, cells, sines):
+    """A `regularize` job admits its stage once, forming N_n once (`total_cells`), and
+    its determinant and bound read each face's root sines once (`root_sines`)."""
+    import shadowsum.regularize as reg
+
+    seen = []
+    for name in ("total_cells", "root_sines"):
+        def counted(*args, _name=name, _fn=getattr(reg, name)):
+            seen.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(reg, name, counted)
+    four = one_circle()
+    four["circles"] = [dict(four["circles"][0], id=f"c{i}") for i in range(4)]
+    path = write(tmp_path, "link.json", four)
+    rc, _ = run_main(capsys, *[path if a == "link.json" else a for a in argv])
+    assert rc == 0
+    assert (seen.count("total_cells"), seen.count("root_sines")) == (cells, sines)
+
+
 @pytest.mark.parametrize("argv", [
     ["holonomy", "--group", "A2", "--b=1/3,1/5,0"],  # the default colour 1 is a rank-1 one
     ["qdim", "--group", "A2", "--k", "5", "--weight", "1"],

@@ -148,7 +148,7 @@ class TestSteppedField:
         values = tuple(alphas(a1, [Q(2, 10**400)] if face.euler == -1 else [Q(2, 3)])
                        for face in d.faces)
         assert sorted(face.euler for face in d.faces) == [-1, 1, 1, 1]
-        with pytest.raises(PreconditionError, match="not a finite nonzero double"):
+        with pytest.raises(PreconditionError, match="^face 'outer': .*not a finite nonzero double"):
             det_rig_step(SteppedField(diagram=d, values=values))
 
     def test_singular_face_rejected(self, a1):

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from conftest import alphas, ambient
+from conftest import alphas, ambient, stage_indicator
 from shadowsum.determinants import det_rig_constant
 from shadowsum.diagrams import build_diagram
 from shadowsum.errors import PreconditionError
@@ -15,11 +15,9 @@ from shadowsum.regularize import (
     SteppedField,
     _bump,
     det_rig_n,
-    det_rig_n_bound,
     det_rig_step,
     exp_poly,
     log_poly,
-    regularized_indicator,
     require_stage,
     total_cells,
     trig_cutoff,
@@ -119,8 +117,9 @@ class TestTrigCutoff:
         N_n |R+| there is (A1, one face: 4^n), and no other."""
         admitted = {n for n in range(1, 40) if total_cells(1, n) * CUTOFF_FLOOR < 1}
         assert set(CUTOFF_SUP_ERRORS) == admitted
-        with pytest.raises(PreconditionError, match="tabulated"):
-            trig_cutoff(max(admitted) + 1)
+        for n in range(max(admitted) + 1, 601):
+            with pytest.raises(PreconditionError, match="cannot be trusted"):
+                require_stage(1, n, 1)
 
     # Rational points on the plateau |x - round(x)| >= 1/(4n) and in the transition
     # below it.  Measured gaps to the FFT series: <= 1.3e-15 on the plateau and <= 9.7e-15
@@ -150,32 +149,32 @@ class TestIndicator:
     def test_singular_face_gives_exact_zero(self, a1):
         f = one_circle_field(a1, inner=Q(1, 2), outer=Q(2))
         for n in range(1, 9):
-            assert regularized_indicator(n, f) == 0.0
+            assert stage_indicator(n, f) == 0.0
 
     def test_coroot_lattice_value_gives_zero(self, a1):
         f = SteppedField.constant(alphas(a1, [2]))  # b = coroot
-        assert regularized_indicator(1, f) == 0.0
+        assert stage_indicator(1, f) == 0.0
 
     def test_regular_constant_converges_to_one(self, a1):
         f = SteppedField.constant(alphas(a1, [Q(1, 2)]))
-        errs = [abs(regularized_indicator(n, f) - 1.0) for n in range(1, 9)]
+        errs = [abs(stage_indicator(n, f) - 1.0) for n in range(1, 9)]
         assert errs[-1] < 1e-6
         assert max(errs[4:]) < 1e-8  # deep stages sit at the float floor
 
     def test_regular_step_converges_to_one(self, a1):
         f = one_circle_field(a1, inner=Q(1, 2), outer=Q(1, 3))
-        assert abs(regularized_indicator(8, f) - 1.0) < 1e-6
+        assert abs(stage_indicator(8, f) - 1.0) < 1e-6
 
     def test_product_bound_certified_regime(self, a1):
         """|value - 1| <= 1/N_n^2 away from the singular set, small n."""
         f = SteppedField.constant(alphas(a1, [Q(1, 2)]))
         for n in (1, 2, 3, 4):
             nn = total_cells(len(f.diagram.faces), n)
-            assert abs(regularized_indicator(n, f) - 1.0) <= 1.0 / nn**2
+            assert abs(stage_indicator(n, f) - 1.0) <= 1.0 / nn**2
 
     def test_bad_index_rejected(self, a1):
         with pytest.raises(PreconditionError):
-            regularized_indicator(0, SteppedField.constant(alphas(a1, [Q(1, 2)])))
+            stage_indicator(0, SteppedField.constant(alphas(a1, [Q(1, 2)])))
 
     def test_large_stage_refused_before_building_a_cutoff(self, a1, monkeypatch):
         """From N_n |R+| >= 1/CUTOFF_FLOOR on, no cutoff is built and no 4^n float formed."""
@@ -186,7 +185,7 @@ class TestIndicator:
         n = next(n for n in range(1, 40) if total_cells(2, n) >= 1 / CUTOFF_FLOOR)
         for stage in (n, 600):
             with pytest.raises(PreconditionError, match="cannot be trusted"):
-                regularized_indicator(stage, f)
+                stage_indicator(stage, f)
 
     def test_cutoff_budget_refuses_many_faces_before_building_a_cutoff(self, monkeypatch):
         """Five E8 faces at n = 1 pass the trust check but hold 5 * 120 * (2 (K/4 + 1) + 1)
@@ -199,7 +198,7 @@ class TestIndicator:
                             "positive_side": "inside", "color": [0] * 8} for i in range(4)])
         f = SteppedField(diagram=d, values=(alphas(rs, [Q(1, 7 + j) for j in range(8)]),) * 5)
         with pytest.raises(PreconditionError, match="2459400 Dirichlet terms; the budget is"):
-            regularized_indicator(1, f)
+            stage_indicator(1, f)
 
     def test_stage_is_refused_by_its_face_count_alone(self):
         """`require_stage` reads no field value: the face count decides the trust check
@@ -225,9 +224,9 @@ class TestIndicator:
                                 "positive_side": "inside", "color": [0] * rs.rank}
                                for i in range(faces - 1)])
             f = SteppedField(diagram=d, values=(a,) * faces)
-            regularized_indicator(last, f)
+            stage_indicator(last, f)
             with pytest.raises(PreconditionError, match="cannot be trusted"):
-                regularized_indicator(last + 1, f)
+                stage_indicator(last + 1, f)
 
 
 class TestLogExpPolys:
@@ -299,19 +298,19 @@ class TestDetRigN:
     def test_constant_convergence_by_n12(self, a1):
         f = SteppedField.constant(alphas(a1, [Q(1, 2)]))
         target = det_rig_constant(alphas(a1, [Q(1, 2)]), 2)
-        err12 = abs(det_rig_n(12, f) - target)
+        err12 = abs(det_rig_n(12, f)[0] - target)
         assert err12 <= 1e-3
-        errs = [abs(det_rig_n(n, f) - target) for n in (2, 4, 8, 12)]
+        errs = [abs(det_rig_n(n, f)[0] - target) for n in (2, 4, 8, 12)]
         assert errs[-1] < errs[0]
 
     def test_step_field_converges_to_det_rig_step(self, a1):
         f = one_circle_field(a1, inner=Q(1, 2), outer=Q(1, 3))
         target = det_rig_step(f)
-        assert abs(det_rig_n(12, f) - target) < 1e-6
+        assert abs(det_rig_n(12, f)[0] - target) < 1e-6
 
     def test_finite_for_singular_bounded_field(self, a1):
         f = SteppedField.constant(alphas(a1, [2]))  # b = coroot: singular value
-        v = det_rig_n(1, f)
+        v = det_rig_n(1, f)[0]
         assert np.isfinite(v.real) and np.isfinite(v.imag)
 
     def test_bad_index_rejected(self, a1):
@@ -322,7 +321,7 @@ class TestDetRigN:
         b = alphas(b2, [Q(1, 5), Q(1, 7)])
         f = SteppedField.constant(b)
         target = det_rig_constant(b, 2)
-        assert abs(det_rig_n(12, f) - target) < 1e-2 * max(1.0, abs(target))
+        assert abs(det_rig_n(12, f)[0] - target) < 1e-2 * max(1.0, abs(target))
 
 
 class TestDetRigNBound:
@@ -336,8 +335,8 @@ class TestDetRigNBound:
         rs = build_root_system(group)
         f = SteppedField.constant(alphas(rs, b) if group == "A1" else ambient(rs).root_pairings(b))
         limit = det_rig_step(f)
-        bound = det_rig_n_bound(n, f)
-        assert abs(det_rig_n(n, f) - limit) <= bound * abs(limit)
+        value, bound = det_rig_n(n, f)
+        assert abs(value - limit) <= bound * abs(limit)
         if group == "G2" and n == 6:
             assert bound >= 1.0
 
@@ -345,16 +344,16 @@ class TestDetRigNBound:
         f = one_circle_field(a1, inner=Q(1, 2), outer=Q(1, 3))
         limit = det_rig_step(f)
         for n in (4, 8, 12):
-            bound = det_rig_n_bound(n, f)
-            assert abs(det_rig_n(n, f) - limit) <= bound * abs(limit)
+            value, bound = det_rig_n(n, f)
+            assert abs(value - limit) <= bound * abs(limit)
 
     def test_none_where_log_has_no_stated_accuracy(self, a1):
         """A root sine below 1/n in modulus (singular values included), or a stage past
         n = 18, where log^(n) no longer meets its target."""
         near = SteppedField.constant(alphas(a1, [Q(1, 1000)]))  # |2 sin(pi/1000)| = 0.0063
-        assert det_rig_n_bound(6, near) is None
-        assert det_rig_n_bound(1, near) is None
-        assert det_rig_n_bound(6, SteppedField.constant(alphas(a1, [2]))) is None
-        assert det_rig_n_bound(19, SteppedField.constant(alphas(a1, [Q(1, 3)]))) is None
+        assert det_rig_n(6, near)[1] is None
+        assert det_rig_n(1, near)[1] is None
+        assert det_rig_n(6, SteppedField.constant(alphas(a1, [2])))[1] is None
+        assert det_rig_n(19, SteppedField.constant(alphas(a1, [Q(1, 3)])))[1] is None
         with pytest.raises(PreconditionError):
-            det_rig_n_bound(0, near)
+            det_rig_n(0, near)
