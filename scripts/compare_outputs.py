@@ -26,7 +26,9 @@ at n = 4, and three nested G2 faces at n = 6, one of them singular), runs
 the CLI's other error paths and its --config reading (ERROR_JOBS: among them
 `regularize --n 0` on a constant A1 field, and `--n 0` and `--n 20` on a link
 file with valid face values, so each refusal of a stage is compared on both
-paths), and runs each malformed link document of
+paths, and one and three face values on that two-face link,
+`regularize/link-too-few-face-values` and `regularize/link-too-many-face-values`,
+so the refusal of a wrong count is compared), and runs each malformed link document of
 MALFORMED_LINKS, HUGE_K_LINK and BIG_K_LINK through `shadow`, `validate`
 and `regularize`, so the error paths are compared too.  Each job runs as one
 `python -m shadowsum` process per tree, in a fresh directory holding its
@@ -201,6 +203,10 @@ ERROR_JOBS = {
     "regularize/n=0": ["regularize", *A1_FIELD, "--n", "0"],
     **{f"regularize/link-n={n}": ["regularize", "link.json", "--face-values",
                                   "1/4,-1/4;1/6,-1/6", "--n", str(n)] for n in (0, 20)},
+    "regularize/link-too-few-face-values": ["regularize", "link.json", "--face-values",
+                                            "1/4,-1/4"],
+    "regularize/link-too-many-face-values": ["regularize", "link.json", "--face-values",
+                                             "1/4,-1/4;1/6,-1/6;1/5,-1/5"],
     "fusion/no-dump": ["fusion", "--group", "A1", "--k", "4"],
     "fusion/text-without-dump": ["fusion", "--group", "A1", "--k", "4", "--format", "text"],
     "input/unreadable": ["shadow", "missing.json"],

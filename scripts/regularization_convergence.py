@@ -15,12 +15,13 @@ from fractions import Fraction as Q
 from shadowsum.determinants import det_rig_constant
 from shadowsum.diagrams import build_diagram
 from shadowsum.regularize import (
-    SteppedField,
+    constant_field,
     det_rig_n,
     det_rig_step,
     log_poly,
     regularized_indicator,
     require_stage,
+    stepped_field,
 )
 
 
@@ -35,7 +36,7 @@ def table(field, target, title):
     print(f"{'n':>3} {'indicator':>22} {'det_rig_n':>26} {'|det err|':>12} {'rel bound':>10}"
           f" {'log deg':>8} {'log err':>10} {'cut err':>10}")
     for n in range(1, 13):
-        cut = require_stage(1, n, len(field.diagram.faces))  # |R+| = 1 on A1
+        cut = require_stage(1, n, len(field))  # |R+| = 1 on A1
         ind = regularized_indicator(cut, field)
         det, bound = det_rig_n(n, field)
         lp = log_poly(n)
@@ -46,21 +47,16 @@ def table(field, target, title):
 
 def main():
     a = (Q(1, 2),)
-    const = SteppedField.constant(a)
+    const = constant_field(a)
     table(const, det_rig_constant(a, 2), "constant field, alpha(b) = 1/2")
 
     diagram = build_diagram(
         [{"id": "c", "parent": None, "winding": 1, "positive_side": "inside", "color": [0]}]
     )
-    step = SteppedField(
-        diagram=diagram,
-        values=((Q(1, 2),), (Q(1, 3),)),
-    )
+    step = stepped_field(diagram.faces, ((Q(1, 2),), (Q(1, 3),)))
     table(step, det_rig_step(step), "step field, faces alpha(b) = 1/2 and 1/3")
 
-    singular = SteppedField(
-        diagram=diagram, values=((Q(1, 2),), (Q(2),))
-    )
+    singular = stepped_field(diagram.faces, ((Q(1, 2),), (Q(2),)))
     print("\nsingular step field: indicator =",
           [regularized_indicator(require_stage(1, n, 2), singular) for n in range(1, 9)])
 

@@ -8,7 +8,7 @@ library, read through `read_link` as `shadowsum shadow` reads the same files.
 import json
 import pathlib
 
-from shadowsum.diagrams import contract_state_sum, read_link
+from shadowsum.diagrams import contract_state_sum, prepare_terms, read_link
 
 SAMPLES = {
     "empty": {"group": "A1", "k": 4, "circles": []},
@@ -52,7 +52,7 @@ def main():
         if problems:
             raise SystemExit(f"{name}: {problems[0]['message']}")
         _, alphabet, diagram = link
-        r = contract_state_sum(diagram, alphabet)
+        r = contract_state_sum(prepare_terms(diagram, alphabet))
         print(f"{name:<22} {doc['group']} k={doc['k']}  |L| = "
               f"{r.value.real:+.9f} {r.value.imag:+.9f}i   "
               f"({r.colorings_retained}/{r.colorings_total} colorings kept)  -> {path}")

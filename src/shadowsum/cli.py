@@ -112,7 +112,7 @@ def cmd_shadow(args) -> dict:
 
     rs, alphabet, diagram = _read_link(args)
     data = prepare_terms(diagram, alphabet)
-    result = contract_state_sum(diagram, alphabet, data)
+    result = contract_state_sum(data)
     out = {
         "group": rs.name,
         "k": alphabet.k,
@@ -126,7 +126,7 @@ def cmd_shadow(args) -> dict:
                        "the listing of --diagnostics", "terms")
         out["terms"] = [
             {"coloring": [list(c) for c in col], "term": _c2j(t)}
-            for col, t in list_terms(diagram, alphabet, data)
+            for col, t in list_terms(data)
         ]
     return out
 
@@ -205,25 +205,25 @@ def cmd_det(args) -> dict:
 
 
 def cmd_regularize(args) -> dict:
-    from .regularize import SteppedField, det_rig_n, regularized_indicator, require_stage
+    from .regularize import (
+        constant_field, det_rig_n, regularized_indicator, require_stage, stepped_field)
 
     if args.input is None:
         rs = _root_system(args)
         if args.face_values is not None:
             raise ParseError("--face-values needs a link file")
-        field = SteppedField.constant(rs.root_pairings(_field_b(args, rs)))
-        cut = require_stage(len(rs.positive_root_labels), args.n, len(field.diagram.faces))
+        field = constant_field(rs.root_pairings(_field_b(args, rs)))
+        cut = require_stage(len(rs.positive_root_labels), args.n, len(field))
     else:
         if args.b is not None or args.alpha_b is not None:
             raise ParseError("a link file takes --face-values, not --b or --alpha-b")
         rs, _, diagram = _read_link(args, level=False)
         if args.face_values is None:
             raise PreconditionError("--face-values needed with a link file")
-        SteppedField(diagram, args.face_values)  # refuses a wrong count before converting
-        cut = require_stage(len(rs.positive_root_labels), args.n, len(diagram.faces))
-        values = tuple(rs.root_pairings(_reduced(rs.coweight_coordinates(b)))
-                       for b in args.face_values)
-        field = SteppedField(diagram=diagram, values=values)
+        field = stepped_field(diagram.faces, args.face_values)  # refuses a wrong count
+        cut = require_stage(len(rs.positive_root_labels), args.n, len(field))
+        field = tuple((face_id, euler, rs.root_pairings(_reduced(rs.coweight_coordinates(b))))
+                      for face_id, euler, b in field)
     det, bound = det_rig_n(args.n, field)
     return {
         "group": rs.name,
@@ -231,7 +231,7 @@ def cmd_regularize(args) -> dict:
         "indicator": regularized_indicator(cut, field),
         "det_rig_n": _c2j(det),
         "det_rig_n_bound": bound,
-        "faces": len(field.diagram.faces),
+        "faces": len(field),
     }
 
 

@@ -31,7 +31,10 @@ summed over all maps from faces to the level alphabet, where Y^+_i and
 Y^-_i are the faces on the positive and the other side of circle i.  The
 other reading, N^{phi(Y^-_i)}_{gamma_i phi(Y^+_i)}, gives the same value:
 conjugating every colour turns one into the other and leaves dim and the
-twist unchanged.  The phase exponent
+twist unchanged.  A diagram and its alphabet become numbers once, in
+`prepare_terms` (`TermData`: the alphabet's labels, gleams, quantum
+dimensions, phase exponents and each circle's fusion rows), and the state sum
+reads only those tables.  The phase exponent
 is kept as the integer weight_form_den <phi, phi+2 rho> (the root system's
 `label_form`) and reduced modulo 2k weight_form_den before its one float
 division.  Every factor is local to one circle (an edge of the region
@@ -258,12 +261,14 @@ class StateSumResult(NamedTuple):
 
 
 class TermData(NamedTuple):
-    """Per-diagram tables shared by the contraction and the term lister.
+    """The numbers of a coloured diagram that the state sum reads: the one input of
+    `contract_state_sum` and `list_terms`, which see no diagram and no alphabet.
 
-    Build it once with `prepare_terms` and pass it to both to reuse the fusion
-    matrices, as `shadow --diagnostics` does.
+    Build it once with `prepare_terms` and pass it to both, as `shadow
+    --diagnostics` does, so the fusion matrices are built once.
     """
 
+    elements: tuple[Labels, ...]  # the level alphabet's labels; colours index them
     k: int
     form_den: int  # the root system's weight_form_den
     gleams: tuple[int, ...]
@@ -302,6 +307,7 @@ def prepare_terms(diagram: ShadowDiagram, alphabet: LevelAlphabet) -> TermData:
             rows = transposed
         oriented[g, side] = rows
     return TermData(
+        elements=alphabet.elements,
         k=alphabet.k,
         form_den=rs.weight_form_den,
         gleams=tuple(f.gleam for f in diagram.faces),
@@ -312,9 +318,7 @@ def prepare_terms(diagram: ShadowDiagram, alphabet: LevelAlphabet) -> TermData:
     )
 
 
-def contract_state_sum(
-    diagram: ShadowDiagram, alphabet: LevelAlphabet, data: TermData | None = None
-) -> StateSumResult:
+def contract_state_sum(data: TermData) -> StateSumResult:
     """Sum the invariant over all area colorings by elimination on the region tree.
 
     Face f carries the weight w_f(a) = dim(a)^chi_f exp(i pi gleam_f <a, a+2rho>/k)
@@ -333,8 +337,7 @@ def contract_state_sum(
     absorbs is divided by dim of its color.  A value or abs_sum that is not
     a finite double is refused.
     """
-    data = data or prepare_terms(diagram, alphabet)
-    n_colors = len(alphabet.elements)
+    n_colors = len(data.elements)
     qdims = data.qdims
     turn = 1j * math.pi / data.k
     period = 2 * data.k * data.form_den  # exp(i pi q / k) has period 2k in q: reduce, then divide
@@ -397,9 +400,7 @@ def term_value(data: TermData, coloring: Sequence[int]) -> complex:
     )
 
 
-def list_terms(
-    diagram: ShadowDiagram, alphabet: LevelAlphabet, data: TermData | None = None
-) -> list[tuple[tuple[Labels, ...], complex]]:
+def list_terms(data: TermData) -> list[tuple[tuple[Labels, ...], complex]]:
     """Every nonvanishing term as (face colours in face order, term), lexicographically.
 
     Colorings are enumerated depth-first over faces in region-tree order with
@@ -407,13 +408,12 @@ def list_terms(
     the increasing keys of its bounding circle's row at its outer face's colour
     (coloured earlier).  Exponential: `contract_state_sum` evaluates the sum.
     """
-    data = data or prepare_terms(diagram, alphabet)
-    n_faces = len(diagram.faces)
+    n_faces = len(data.gleams)
     bounding = {inner: (outer, rows) for inner, outer, rows in data.circles}
 
     terms: list[tuple[tuple[Labels, ...], complex]] = []
     coloring = [0] * n_faces
-    stack = [iter(range(len(alphabet.elements)))]  # stack[f]: the colours left at face f
+    stack = [iter(range(len(data.elements)))]  # stack[f]: the colours left at face f
     while stack:
         face = len(stack) - 1
         ci = next(stack[face], None)
@@ -426,6 +426,6 @@ def list_terms(
             stack.append(iter(rows[coloring[outer]]))
             continue
         terms.append(
-            (tuple(alphabet.elements[c] for c in coloring), term_value(data, coloring))
+            (tuple(data.elements[c] for c in coloring), term_value(data, coloring))
         )
     return terms

@@ -1,12 +1,13 @@
 """Regularization sequences for the indicator of the regular set and the
 determinant: trigonometric-polynomial cutoffs and polynomial exp/log.
 
-Fields are stepped (`SteppedField`): one exact value per face of a diagram,
-held as its root pairings alpha(b) (see `roots`).  The n-th stage works on the
-n-th barycentric refinement of a face mesh compatible with the diagram,
-simulated combinatorially: every face is subdivided fourfold per step, so
-stage n has N_n = max(1, #faces) * 4^n cells and each cell inherits its
-face's (exact) field value.
+Fields are stepped: one (face_id, euler, alpha(b)) triple per face of a diagram,
+in face order, the value held as its exact root pairings (see `roots`); a field
+is read through each face's value and Euler number alone, so no function here
+takes a diagram.  The n-th stage works on the n-th barycentric refinement of a
+face mesh compatible with the diagram, simulated combinatorially: every face
+is subdivided fourfold per step, so stage n has N_n = max(1, #faces) * 4^n
+cells and each cell inherits its face's (exact) field value.
 
 Indicator.  A smooth 1-periodic bump psi_n vanishes exactly on the
 integers and equals 1 outside the 1/(4n)-neighborhood of them; its
@@ -43,47 +44,40 @@ from fractions import Fraction
 from typing import Sequence
 
 from .determinants import det_rig_constant, principal_log_sum, root_sines
-from .diagrams import ShadowDiagram, build_diagram
 from .errors import PreconditionError, require_budget, shown
 
 # -- stepped fields -----------------------------------------------------------
 
 
-class SteppedField:
-    """A t-valued field constant on each face of a diagram.
-
-    `values[i]` is the (rational) tuple of root pairings alpha(b) on face i, in the
-    diagram's face order.  The empty diagram makes this a constant field on
-    the bare sphere.
-    """
-
-    __slots__ = ("diagram", "values")
-
-    def __init__(self, diagram: ShadowDiagram, values: tuple[tuple[Fraction, ...], ...]):
-        if len(values) != len(diagram.faces):
-            raise PreconditionError(
-                f"stepped field needs one value per face: got {len(values)} "
-                f"values for {len(diagram.faces)} faces"
-            )
-        self.diagram, self.values = diagram, values
-
-    @staticmethod
-    def constant(pairings: Sequence) -> SteppedField:
-        """The constant field with root pairings alpha(b) on the bare sphere."""
-        return SteppedField(diagram=build_diagram([]), values=(tuple(map(Fraction, pairings)),))
+def stepped_field(faces: Sequence, values: Sequence) -> tuple[tuple, ...]:
+    """The field with `values[i]` on face i of a diagram (`diagrams.Face`): one
+    (face_id, euler, value) triple per face, in face order.  The kernels read each
+    value as its root pairings alpha(b) (see `roots`)."""
+    if len(values) != len(faces):
+        raise PreconditionError(
+            f"stepped field needs one value per face: got {len(values)} "
+            f"values for {len(faces)} faces"
+        )
+    return tuple((face.face_id, face.euler, v) for face, v in zip(faces, values))
 
 
-def det_rig_step(field: SteppedField) -> float:
+def constant_field(pairings: Sequence) -> tuple[tuple, ...]:
+    """The constant field with root pairings alpha(b): the bare sphere's one face,
+    "outer", with chi = 2, as `diagrams.build_diagram([])` makes it."""
+    return (("outer", 2, tuple(map(Fraction, pairings))),)
+
+
+def det_rig_step(field: Sequence[tuple]) -> float:
     """prod_faces det_half(b_face)^chi(face), the limit of `det_rig_n` as n grows: the
     product of the faces' constant-field values (`det_rig_constant`), whose refusal of
     a singular value or of a power that is not a finite nonzero double is raised with
     the face's id in front."""
     out = 1.0
-    for face, a in zip(field.diagram.faces, field.values):
+    for face_id, euler, a in field:
         try:
-            out *= det_rig_constant(a, face.euler)
+            out *= det_rig_constant(a, euler)
         except PreconditionError as e:
-            raise PreconditionError(f"face {face.face_id!r}: {e}") from None
+            raise PreconditionError(f"face {face_id!r}: {e}") from None
     return out
 
 
@@ -226,7 +220,7 @@ def require_stage(roots: int, n: int, faces: int) -> TrigCutoff:
     return trig_cutoff(n)
 
 
-def regularized_indicator(cut: TrigCutoff, field: SteppedField) -> float:
+def regularized_indicator(cut: TrigCutoff, field: Sequence[tuple]) -> float:
     """Regularized indicator of "the field is everywhere regular" at the stage n =
     `cut.n` of the cutoff `require_stage` admitted.
 
@@ -237,7 +231,7 @@ def regularized_indicator(cut: TrigCutoff, field: SteppedField) -> float:
     """
     cells = 4 ** cut.n  # per face
     out = 1.0
-    for pairings in field.values:
+    for _, _, pairings in field:
         face_factor = 1.0
         for pairing in pairings:
             v = cut(pairing)
@@ -328,7 +322,7 @@ def log_poly(n: int) -> LogPoly:
     return LogPoly(n, deg, nodes)
 
 
-def det_rig_n(n: int, field: SteppedField) -> tuple[complex, float | None]:
+def det_rig_n(n: int, field: Sequence[tuple]) -> tuple[complex, float | None]:
     """Stage-n regularized determinant of a stepped (or constant) field and its
     relative error bound against the limit `det_rig_step`, from one pass over the roots.
 
@@ -353,11 +347,11 @@ def det_rig_n(n: int, field: SteppedField) -> tuple[complex, float | None]:
     if n < 1:
         raise PreconditionError(f"regularization index must be >= 1, got {shown(n)}")
     lp = log_poly(n)
-    chis = [face.euler for face in field.diagram.faces]
+    chis = [euler for _, euler, _ in field]
     eps = _log_target(n) * sum(map(abs, chis))
     total = 1.0 + 0j
     bound = 1.0 if n <= 18 else None
-    for column in zip(*map(root_sines, field.values)):  # one root, every face
+    for column in zip(*(root_sines(a) for _, _, a in field)):  # one root, every face
         acc = 0j
         for chi, s in zip(chis, column):
             acc += lp(s) * chi

@@ -167,7 +167,7 @@ def alphas(rs, labels):
 def stage_indicator(n, field):
     """The stage-n regularized indicator of `field`, its stage admitted as `regularize`
     admits it, with |R+| the length of a face's pairing tuple."""
-    cut = require_stage(len(field.values[0]), n, len(field.diagram.faces))
+    cut = require_stage(len(field[0][2]), n, len(field))
     return regularized_indicator(cut, field)
 
 

@@ -34,10 +34,10 @@ from shadowsum.determinants import (
     det_rig_constant,
     det_rig_quadrature,
 )
-from shadowsum.diagrams import build_diagram, contract_state_sum, list_terms
+from shadowsum.diagrams import build_diagram, contract_state_sum, list_terms, prepare_terms
 from shadowsum.errors import PreconditionError
 from shadowsum.fusion import build_fusion_table, verlinde_table
-from shadowsum.regularize import SteppedField, det_rig_n
+from shadowsum.regularize import constant_field, det_rig_n, stepped_field
 from shadowsum.reps import level_alphabet, quantum_dimension, weight_multiplicities
 from shadowsum.roots import build_root_system
 
@@ -84,13 +84,13 @@ def test_empty_link_values():
     """A1 k=4 gives 4; general (G,k) matches sum of squared quantum dimensions."""
     rs = build_root_system("A1")
     alphabet = level_alphabet(rs, 4)
-    v = contract_state_sum(build_diagram([]), alphabet).value
+    v = contract_state_sum(prepare_terms(build_diagram([]), alphabet)).value
     assert abs(v - 4.0) < 1e-9
     cases = [("A2", 5), ("B2", 6), ("C3", 6), ("G2", 6), ("D4", 7)]
     for label, k in cases:
         rs = build_root_system(label)
         alphabet = level_alphabet(rs, k)
-        got = contract_state_sum(build_diagram([]), alphabet).value
+        got = contract_state_sum(prepare_terms(build_diagram([]), alphabet)).value
         want = empty_link_value(alphabet)
         assert abs(got - want) < 1e-9, (label, k)
     print(f"\nACCEPTANCE PASS: empty-link values (A1 k=4 -> 4; {cases} both ways)")
@@ -120,7 +120,8 @@ def test_state_sum_oracle_equivalence():
         for shape in all_small_diagrams():
             cs = [dict(c, color=list(rng.choice(alphabet.elements))) for c in shape]
             d = build_diagram(cs)
-            assert list_terms(d, alphabet) == naive_terms(d, alphabet, table)  # zero tolerance
+            got = list_terms(prepare_terms(d, alphabet))
+            assert got == naive_terms(d, alphabet, table)  # zero tolerance
             count += 1
     print(f"\nACCEPTANCE PASS: pruned == naive term by term on {count} diagrams with <= 3 faces (A1, k <= 5)")
 
@@ -148,7 +149,7 @@ def test_appendix_b_convergence():
     """det_rig_n within 1e-3 of the closed form by n = 12; indicator limits to n = 8."""
     rs = build_root_system("A1")
     a = alphas(rs, [Q(1, 2)])
-    const = SteppedField.constant(a)
+    const = constant_field(a)
     target = det_rig_constant(a, 2)
     err = abs(det_rig_n(12, const)[0] - target)
     assert err <= 1e-3
@@ -156,12 +157,8 @@ def test_appendix_b_convergence():
     diagram = build_diagram(
         [{"id": "c", "parent": None, "winding": 1, "positive_side": "inside", "color": [0]}]
     )
-    regular = SteppedField(
-        diagram=diagram, values=(alphas(rs, [Q(1, 2)]), alphas(rs, [Q(1, 3)]))
-    )
-    singular = SteppedField(
-        diagram=diagram, values=(alphas(rs, [Q(1, 2)]), alphas(rs, [2]))
-    )
+    regular = stepped_field(diagram.faces, (alphas(rs, [Q(1, 2)]), alphas(rs, [Q(1, 3)])))
+    singular = stepped_field(diagram.faces, (alphas(rs, [Q(1, 2)]), alphas(rs, [2])))
     for n in range(1, 9):
         assert stage_indicator(n, singular) == 0.0
     reg_errs = [abs(stage_indicator(n, regular) - 1.0) for n in range(1, 9)]

@@ -395,6 +395,24 @@ class TestRegularizeAndHolonomy:
         assert doc["error"]["message"] == (
             "stepped field needs one value per face: got 2000 values for 2001 faces")
 
+    def test_regularize_refuses_too_many_face_values(self, tmp_path, capsys, monkeypatch):
+        """Three --face-values for the two faces of one circle: refused with the count's
+        message before any value is converted, as too few are."""
+        from shadowsum.roots import RootSystem
+
+        def unreachable(*_):
+            raise AssertionError("a face value was converted")
+
+        monkeypatch.setattr(RootSystem, "coweight_coordinates", unreachable)
+        path = write(tmp_path, "link.json", {"group": "A1", "circles": [
+            {"id": "c", "parent": None, "winding": 1, "positive_side": "inside",
+             "color": [0]}]})
+        rc, doc = run_main(capsys, "regularize", path,
+                           "--face-values", "1/4,-1/4;1/6,-1/6;1/5,-1/5")
+        assert rc == 3
+        assert doc["error"]["message"] == (
+            "stepped field needs one value per face: got 3 values for 2 faces")
+
     def test_holonomy_long_labels_shown_by_magnitude(self, capsys):
         """Eight E8 labels of 10^4000 make a module of about 10^480000 dimensions: the
         refusal names each label and the count by its order of magnitude, in a JSON
@@ -1000,8 +1018,8 @@ class TestUsageErrorsAsJson:
         (["fusion", "--group", "A2", "--k", "5", "--dump", "--format", "text", "--verify"],
          {"cli", "errors", "roots", "reps", "fusion"}, {"diagrams", "numpy"}),
         (["regularize", "--group", "A1", "--alpha-b", "1/3", "--n", "3"],
-         {"cli", "errors", "roots", "diagrams", "determinants", "regularize"},
-         {"fusion", "reps", "numpy"}),
+         {"cli", "errors", "roots", "determinants", "regularize"},
+         {"diagrams", "fusion", "reps", "numpy"}),
         (["regularize", "--n", "3", "link.json", "--face-values", "1/4,-1/4;1/6,-1/6;1/5,-1/5"],
          {"cli", "errors", "roots", "diagrams", "determinants", "regularize"},
          {"fusion", "reps", "numpy"}),
@@ -1015,9 +1033,9 @@ class TestUsageErrorsAsJson:
         triples and the diagrams, `validate` the diagrams alone, the `fusion`
         export and its Verlinde check the fusion layer alone, `det` its closed
         forms and, with --diagnostics, its quadrature alone, `holonomy` its weight
-        sums alone, `regularize` its two sequences and the diagrams without the
-        level alphabet or fusion data, on a constant and on a stepped field, and
-        none of them numpy.  Each also runs, and exits 0, in an interpreter where
+        sums alone, `regularize` its two sequences without the level alphabet or
+        fusion data, on a constant field without the diagrams and on a stepped
+        field with them, and none of them numpy.  Each also runs, and exits 0, in an interpreter where
         numpy cannot be imported."""
         write(tmp_path, "link.json", TWO_CIRCLES)
         for block_numpy in ("", "sys.modules['numpy'] = None\n"):

@@ -19,7 +19,7 @@ from shadowsum.determinants import (
 )
 from shadowsum.diagrams import build_diagram
 from shadowsum.errors import PreconditionError
-from shadowsum.regularize import SteppedField, det_rig_step
+from shadowsum.regularize import constant_field, det_rig_step, stepped_field
 from shadowsum.roots import build_root_system
 
 SINGULAR_TOL = 1e-12  # distance of alpha(B) from an integer that `sphere_rule` counts as singular
@@ -113,28 +113,39 @@ class TestClosedForms:
 
 class TestSteppedField:
     def test_wrong_value_count(self, a1):
-        with pytest.raises(PreconditionError):
-            SteppedField(diagram=one_circle_diagram(), values=((Q(0),),))
+        """One value per face, refused with the count's own message before any
+        field is built."""
+        with pytest.raises(PreconditionError, match="^stepped field needs one value per "
+                                                    "face: got 1 values for 2 faces$"):
+            stepped_field(one_circle_diagram().faces, ((Q(0),),))
+
+    def test_constant_field_is_the_bare_sphere(self, a1):
+        """`constant_field` is `stepped_field` on the faces of the empty diagram: one
+        face, "outer", with chi = 2, its value held as Fractions."""
+        a = (1, 0.5, Q(1, 3))
+        assert constant_field(a) == stepped_field(build_diagram([]).faces,
+                                                  [tuple(map(Q, a))])
+        assert constant_field(a) == (("outer", 2, (Q(1), Q(1, 2), Q(1, 3))),)
 
     def test_det_rig_step_examples(self, a1):
         d = one_circle_diagram()
         b_half = alphas(a1, [Q(1, 2)])
-        f = SteppedField(diagram=d, values=(b_half, b_half))
+        f = stepped_field(d.faces, (b_half, b_half))
         assert det_rig_step(f) == pytest.approx(4.0)
-        mixed = SteppedField(diagram=d, values=(b_half, alphas(a1, [Q(1, 6)])))
+        mixed = stepped_field(d.faces, (b_half, alphas(a1, [Q(1, 6)])))
         assert det_rig_step(mixed) == pytest.approx(2.0)
 
     def test_constant_field_matches_chi2_closed_form(self, a1):
         b = alphas(a1, [Q(2, 7)])
-        f = SteppedField.constant(b)
+        f = constant_field(b)
         assert det_rig_step(f) == pytest.approx(det_rig_constant(b, 2))
 
     def test_odd_faces_multiply_to_det_rig_step(self, a1):
         """Two discs (chi = 1 each) at x = 2/3 and 1/4: det_half is -sqrt 3 and 2, so the
         step value -2 sqrt 3 is the product of the faces' constant-field values."""
         values = (alphas(a1, [Q(4, 3)]), alphas(a1, [Q(1, 2)]))
-        f = SteppedField(diagram=one_circle_diagram(), values=values)
-        assert [face.euler for face in f.diagram.faces] == [1, 1]
+        f = stepped_field(one_circle_diagram().faces, values)
+        assert [euler for _, euler, _ in f] == [1, 1]
         faces = math.prod(det_rig_constant(a, 1) for a in values)
         assert det_rig_step(f) == pytest.approx(faces, rel=1e-15)
         assert faces == pytest.approx(-2.0 * math.sqrt(3.0), rel=1e-15)
@@ -149,11 +160,11 @@ class TestSteppedField:
                        for face in d.faces)
         assert sorted(face.euler for face in d.faces) == [-1, 1, 1, 1]
         with pytest.raises(PreconditionError, match="^face 'outer': .*not a finite nonzero double"):
-            det_rig_step(SteppedField(diagram=d, values=values))
+            det_rig_step(stepped_field(d.faces, values))
 
     def test_singular_face_rejected(self, a1):
         d = one_circle_diagram()
-        f = SteppedField(diagram=d, values=(alphas(a1, [Q(1, 2)]), alphas(a1, [2])))
+        f = stepped_field(d.faces, (alphas(a1, [Q(1, 2)]), alphas(a1, [2])))
         with pytest.raises(PreconditionError) as ei:
             det_rig_step(f)
         assert "in:c" in str(ei.value)
@@ -162,7 +173,7 @@ class TestSteppedField:
         """alpha_1(b) = 2/3 and alpha_2(b) = 1/3 force theta(b) = 1 on the inner face."""
         values = (alphas(a2, [Q(1, 5), Q(1, 7)]), alphas(a2, [Q(1, 3), Q(2, 3)]))
         with pytest.raises(PreconditionError) as ei:
-            det_rig_step(SteppedField(diagram=one_circle_diagram(), values=values))
+            det_rig_step(stepped_field(one_circle_diagram().faces, values))
         assert "alpha(b) = (2/3, 1/3, 1)" in str(ei.value) and "Fraction(" not in str(ei.value)
 
 
@@ -212,9 +223,9 @@ class TestQuadrature:
         hemisphere sampler is det_rig_step, sign included."""
         rs = build_root_system(label)
         x_in, x_out = from_labels(rs, inside), from_labels(rs, outside)
-        field = SteppedField(diagram=one_circle_diagram(),
-                             values=(alphas(rs, outside), alphas(rs, inside)))
-        assert [(f.face_id, f.euler) for f in field.diagram.faces] == [("outer", 1), ("in:c", 1)]
+        field = stepped_field(one_circle_diagram().faces,
+                              (alphas(rs, outside), alphas(rs, inside)))
+        assert [(face_id, euler) for face_id, euler, _ in field] == [("outer", 1), ("in:c", 1)]
         want = det_rig_step(field)
 
         def sampler(theta, phi):

@@ -216,18 +216,18 @@ def test_forest_invariants_property(seed, a1k4):
 class TestStateSum:
     def test_empty_link_a1_k4(self, a1k4):
         d = build_diagram([])
-        r = contract_state_sum(d, a1k4)
+        r = contract_state_sum(prepare_terms(d, a1k4))
         assert abs(r.value - 4.0) < 1e-9
         assert abs(empty_link_value(a1k4) - 4.0) < 1e-9
 
     def test_wind0_trivial_color(self, a1k4):
         d = build_diagram([circle("c", winding=0, color=(0,))])
-        r = contract_state_sum(d, a1k4)
+        r = contract_state_sum(prepare_terms(d, a1k4))
         assert abs(r.value - 4.0) < 1e-9
 
     def test_single_circle_brute_force(self, a1k4, a1k4_table):
-        d = build_diagram([circle("c", winding=1, color=(1,))])
-        r = contract_state_sum(d, a1k4)
+        data = prepare_terms(build_diagram([circle("c", winding=1, color=(1,))]), a1k4)
+        r = contract_state_sum(data)
         val = 0j
         for a in range(3):
             for b in range(3):
@@ -240,27 +240,25 @@ class TestStateSum:
                     * cmath.exp(-1j * math.pi * b * (b + 2) / 8)
                 )
         assert abs(r.value - val) < 1e-12
-        assert abs(r.value - sum(t for _, t in list_terms(d, a1k4))) < 1e-12  # diagnostics consistency
+        assert abs(r.value - sum(t for _, t in list_terms(data))) < 1e-12  # diagnostics consistency
 
     def test_trivially_colored_wind0_circles_match_empty(self, a1):
         for k in (4, 5):
             al = level_alphabet(a1, k)
-            expect = contract_state_sum(build_diagram([]), al).value
+            expect = contract_state_sum(prepare_terms(build_diagram([]), al)).value
             for n in (1, 2, 3):
                 circles = [
                     circle(str(i), parent=str(i - 1) if i and i % 2 else None,
                            winding=0, color=(0,))
                     for i in range(n)
                 ]
-                got = contract_state_sum(build_diagram(circles), al).value
+                got = contract_state_sum(prepare_terms(build_diagram(circles), al)).value
                 assert abs(got - expect) < 1e-9
 
     def test_color_outside_alphabet_rejected(self, a1k4):
         d = build_diagram([circle("c", color=(3,))])
         with pytest.raises(PreconditionError):
-            list_terms(d, a1k4)
-        with pytest.raises(PreconditionError):
-            contract_state_sum(d, a1k4)
+            prepare_terms(d, a1k4)
 
     @pytest.mark.parametrize("label,k", [("A1", 5), ("A2", 5), ("B2", 5)])
     def test_double_reversal_invariance(self, label, k):
@@ -279,8 +277,8 @@ class TestStateSum:
                 )
                 for c in d.circles
             ]
-            v1 = contract_state_sum(d, al).value
-            v2 = contract_state_sum(build_diagram(flipped), al).value
+            v1 = contract_state_sum(prepare_terms(d, al)).value
+            v2 = contract_state_sum(prepare_terms(build_diagram(flipped), al)).value
             assert abs(v1 - v2) < 1e-9
 
 
@@ -309,7 +307,7 @@ def test_pruned_equals_naive_exactly(a1):
         for shape in all_small_diagrams():
             cs = [dict(c, color=list(rng.choice(colors))) for c in shape]
             d = build_diagram(cs)
-            assert list_terms(d, al) == naive_terms(d, al, ft)
+            assert list_terms(prepare_terms(d, al)) == naive_terms(d, al, ft)
 
 
 UNKNOT_A1K4 = [circle("c", winding=1, color=(1,))]  # four terms cancelling to exactly 0
@@ -331,8 +329,9 @@ def test_contraction_matches_enumerator(label, k):
     if (label, k) == ("A1", 4):
         diagrams.append(build_diagram(UNKNOT_A1K4))
     for d in diagrams:
-        got = contract_state_sum(d, al)
-        terms = [t for _, t in list_terms(d, al)]
+        data = prepare_terms(d, al)
+        got = contract_state_sum(data)
+        terms = [t for _, t in list_terms(data)]
         want = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
         abs_sum = math.fsum(abs(t) for t in terms)
         assert abs(got.value - want) <= 1e-12 * abs_sum
@@ -342,7 +341,7 @@ def test_contraction_matches_enumerator(label, k):
 
 
 def test_unknot_a1k4_cancels(a1k4):
-    r = contract_state_sum(build_diagram(UNKNOT_A1K4), a1k4)
+    r = contract_state_sum(prepare_terms(build_diagram(UNKNOT_A1K4), a1k4))
     assert r.colorings_retained == 4
     assert abs(r.value) <= 1e-15 * r.abs_sum
 
@@ -361,7 +360,8 @@ def test_verlinde_oracle_known_values(a1k4):
     ]
     for components, want in cases:
         assert abs(verlinde_link_value(a1k4, components) - want) < 1e-12, components
-        assert abs(contract_state_sum(flat_forest(components), a1k4).value - want) < 1e-12
+        got = contract_state_sum(prepare_terms(flat_forest(components), a1k4)).value
+        assert abs(got - want) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -376,7 +376,7 @@ def test_flat_forests_match_verlinde(label, k):
     for n in [*range(7), 10, 16]:
         components = [(rng.choice(al.elements), rng.choice((1, -1)),
                        rng.choice(("inside", "outside"))) for _ in range(n)]
-        got = contract_state_sum(flat_forest(components), al)
+        got = contract_state_sum(prepare_terms(flat_forest(components), al))
         assert abs(got.value - verlinde_link_value(al, components)) <= 1e-12 * got.abs_sum
 
 
@@ -441,7 +441,8 @@ def test_flat_forests_match_torus_gauge(monkeypatch, label, k, sizes):
         if n % 2:
             components.append((rng.choice(al.elements), rng.choice((1, -1)), rng.choice(sides)))
         forests.append(components)
-    results = [contract_state_sum(flat_forest(components), al) for components in forests]
+    results = [contract_state_sum(prepare_terms(flat_forest(components), al))
+               for components in forests]
 
     def disabled(*args, **kwargs):
         raise AssertionError("the torus-gauge sum used fusion data")
@@ -461,7 +462,7 @@ def test_contraction_deep_chain_is_iterative(a1):
     d = build_diagram(
         [circle(str(i), parent=str(i - 1) if i else None, winding=1, color=(1,)) for i in range(n)]
     )
-    r = contract_state_sum(d, al)
+    r = contract_state_sum(prepare_terms(d, al))
     # at level 1, fusing with (1,) swaps the two colors: adjacent faces alternate
     assert r.colorings_retained == 2
     assert r.colorings_total == 2 ** (n + 1)
@@ -495,7 +496,7 @@ def test_abs_sum_matches_bench_references():
     checked = 0
     for doc, ref in _bench_reference_links():
         al = level_alphabet(build_root_system(doc["group"]), doc["k"])
-        r = contract_state_sum(build_diagram(doc["circles"]), al)
+        r = contract_state_sum(prepare_terms(build_diagram(doc["circles"]), al))
         want = complex(ref["re"], ref["im"])
         assert abs(r.value - want) <= 1e-9 * ref["abs_sum"]
         assert abs(r.abs_sum - ref["abs_sum"]) <= r.colorings_retained * 2.0**-52 * ref["abs_sum"]
@@ -544,7 +545,7 @@ def test_contraction_side_by_side_closed_form(label, k, n, gamma, winding):
     """Many children on one face: the contraction keeps its scale."""
     al = level_alphabet(build_root_system(label), k)
     d = build_diagram([circle(f"c{i}", winding=winding, color=gamma) for i in range(n)])
-    r = contract_state_sum(d, al)
+    r = contract_state_sum(prepare_terms(d, al))
     value, abs_sum = side_by_side_closed_form(al, n, gamma, winding)
     assert abs(r.value - value) <= 1e-9 * abs_sum
     assert r.abs_sum == pytest.approx(abs_sum, rel=1e-9)
@@ -557,7 +558,7 @@ def test_contraction_refuses_non_finite(a1):
     al = level_alphabet(a1, 10)
     d = build_diagram([circle(f"c{i}", winding=1, color=(1,)) for i in range(2000)])
     with pytest.raises(PreconditionError, match="not a finite double"):
-        contract_state_sum(d, al)
+        contract_state_sum(prepare_terms(d, al))
 
 
 def _shadow_cli(tmp_path, capsys, doc, *flags):

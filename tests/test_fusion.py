@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowsum import cli, fusion, reps
-from shadowsum.diagrams import contract_state_sum
+from shadowsum.diagrams import contract_state_sum, prepare_terms
 from shadowsum.errors import OracleError, PreconditionError
 from shadowsum.fusion import (
     MAX_FUSION_COEFFS,
@@ -199,7 +199,7 @@ class TestVerlindeOracle:
         expected = build_fusion_table(al)
         lam, mu = al.elements[1], al.elements[-1]  # lam lam* mu mu* holds an invariant
         components = [(lam, 1, "inside"), (lam, -1, "outside"), (mu, 1, "inside"), (mu, -1, "inside")]
-        link = contract_state_sum(flat_forest(components), al)
+        link = contract_state_sum(prepare_terms(flat_forest(components), al))
 
         def disabled(*args, **kwargs):
             raise AssertionError("the Verlinde oracle used the folding path")

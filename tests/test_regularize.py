@@ -12,13 +12,14 @@ from shadowsum.errors import PreconditionError
 from shadowsum.regularize import (
     CUTOFF_FLOOR,
     CUTOFF_SUP_ERRORS,
-    SteppedField,
     _bump,
+    constant_field,
     det_rig_n,
     det_rig_step,
     exp_poly,
     log_poly,
     require_stage,
+    stepped_field,
     total_cells,
     trig_cutoff,
 )
@@ -72,7 +73,7 @@ def one_circle_field(rs, inner, outer):
     d = build_diagram(
         [{"id": "c", "parent": None, "winding": 1, "positive_side": "inside", "color": [0]}]
     )
-    return SteppedField(diagram=d, values=(alphas(rs, [outer]), alphas(rs, [inner])))
+    return stepped_field(d.faces, (alphas(rs, [outer]), alphas(rs, [inner])))
 
 
 class TestBump:
@@ -152,11 +153,11 @@ class TestIndicator:
             assert stage_indicator(n, f) == 0.0
 
     def test_coroot_lattice_value_gives_zero(self, a1):
-        f = SteppedField.constant(alphas(a1, [2]))  # b = coroot
+        f = constant_field(alphas(a1, [2]))  # b = coroot
         assert stage_indicator(1, f) == 0.0
 
     def test_regular_constant_converges_to_one(self, a1):
-        f = SteppedField.constant(alphas(a1, [Q(1, 2)]))
+        f = constant_field(alphas(a1, [Q(1, 2)]))
         errs = [abs(stage_indicator(n, f) - 1.0) for n in range(1, 9)]
         assert errs[-1] < 1e-6
         assert max(errs[4:]) < 1e-8  # deep stages sit at the float floor
@@ -167,14 +168,14 @@ class TestIndicator:
 
     def test_product_bound_certified_regime(self, a1):
         """|value - 1| <= 1/N_n^2 away from the singular set, small n."""
-        f = SteppedField.constant(alphas(a1, [Q(1, 2)]))
+        f = constant_field(alphas(a1, [Q(1, 2)]))
         for n in (1, 2, 3, 4):
-            nn = total_cells(len(f.diagram.faces), n)
+            nn = total_cells(len(f), n)
             assert abs(stage_indicator(n, f) - 1.0) <= 1.0 / nn**2
 
     def test_bad_index_rejected(self, a1):
         with pytest.raises(PreconditionError):
-            stage_indicator(0, SteppedField.constant(alphas(a1, [Q(1, 2)])))
+            stage_indicator(0, constant_field(alphas(a1, [Q(1, 2)])))
 
     def test_large_stage_refused_before_building_a_cutoff(self, a1, monkeypatch):
         """From N_n |R+| >= 1/CUTOFF_FLOOR on, no cutoff is built and no 4^n float formed."""
@@ -196,7 +197,7 @@ class TestIndicator:
         rs = build_root_system("E8")
         d = build_diagram([{"id": f"c{i}", "parent": None, "winding": 1,
                             "positive_side": "inside", "color": [0] * 8} for i in range(4)])
-        f = SteppedField(diagram=d, values=(alphas(rs, [Q(1, 7 + j) for j in range(8)]),) * 5)
+        f = stepped_field(d.faces, (alphas(rs, [Q(1, 7 + j) for j in range(8)]),) * 5)
         with pytest.raises(PreconditionError, match="2459400 Dirichlet terms; the budget is"):
             stage_indicator(1, f)
 
@@ -223,7 +224,7 @@ class TestIndicator:
             d = build_diagram([{"id": f"c{i}", "parent": None, "winding": 1,
                                 "positive_side": "inside", "color": [0] * rs.rank}
                                for i in range(faces - 1)])
-            f = SteppedField(diagram=d, values=(a,) * faces)
+            f = stepped_field(d.faces, (a,) * faces)
             stage_indicator(last, f)
             with pytest.raises(PreconditionError, match="cannot be trusted"):
                 stage_indicator(last + 1, f)
@@ -296,7 +297,7 @@ class TestLogExpPolys:
 
 class TestDetRigN:
     def test_constant_convergence_by_n12(self, a1):
-        f = SteppedField.constant(alphas(a1, [Q(1, 2)]))
+        f = constant_field(alphas(a1, [Q(1, 2)]))
         target = det_rig_constant(alphas(a1, [Q(1, 2)]), 2)
         err12 = abs(det_rig_n(12, f)[0] - target)
         assert err12 <= 1e-3
@@ -309,17 +310,17 @@ class TestDetRigN:
         assert abs(det_rig_n(12, f)[0] - target) < 1e-6
 
     def test_finite_for_singular_bounded_field(self, a1):
-        f = SteppedField.constant(alphas(a1, [2]))  # b = coroot: singular value
+        f = constant_field(alphas(a1, [2]))  # b = coroot: singular value
         v = det_rig_n(1, f)[0]
         assert np.isfinite(v.real) and np.isfinite(v.imag)
 
     def test_bad_index_rejected(self, a1):
         with pytest.raises(PreconditionError):
-            det_rig_n(0, SteppedField.constant(alphas(a1, [Q(1, 2)])))
+            det_rig_n(0, constant_field(alphas(a1, [Q(1, 2)])))
 
     def test_rank_two_constant(self, b2):
         b = alphas(b2, [Q(1, 5), Q(1, 7)])
-        f = SteppedField.constant(b)
+        f = constant_field(b)
         target = det_rig_constant(b, 2)
         assert abs(det_rig_n(12, f)[0] - target) < 1e-2 * max(1.0, abs(target))
 
@@ -333,7 +334,7 @@ class TestDetRigNBound:
         """|det_rig_n - det_rig_step| <= bound |det_rig_step|; A1 values are alpha(b), G2's
         ambient coordinates.  At n = 6 the G2 stage is 1.8e6 times its limit away."""
         rs = build_root_system(group)
-        f = SteppedField.constant(alphas(rs, b) if group == "A1" else ambient(rs).root_pairings(b))
+        f = constant_field(alphas(rs, b) if group == "A1" else ambient(rs).root_pairings(b))
         limit = det_rig_step(f)
         value, bound = det_rig_n(n, f)
         assert abs(value - limit) <= bound * abs(limit)
@@ -350,10 +351,10 @@ class TestDetRigNBound:
     def test_none_where_log_has_no_stated_accuracy(self, a1):
         """A root sine below 1/n in modulus (singular values included), or a stage past
         n = 18, where log^(n) no longer meets its target."""
-        near = SteppedField.constant(alphas(a1, [Q(1, 1000)]))  # |2 sin(pi/1000)| = 0.0063
+        near = constant_field(alphas(a1, [Q(1, 1000)]))  # |2 sin(pi/1000)| = 0.0063
         assert det_rig_n(6, near)[1] is None
         assert det_rig_n(1, near)[1] is None
-        assert det_rig_n(6, SteppedField.constant(alphas(a1, [2])))[1] is None
-        assert det_rig_n(19, SteppedField.constant(alphas(a1, [Q(1, 3)])))[1] is None
+        assert det_rig_n(6, constant_field(alphas(a1, [2])))[1] is None
+        assert det_rig_n(19, constant_field(alphas(a1, [Q(1, 3)])))[1] is None
         with pytest.raises(PreconditionError):
             det_rig_n(0, near)
