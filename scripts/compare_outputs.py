@@ -24,7 +24,10 @@ by their order of magnitude, and weights with the wrong number of labels), runs
 `regularize` on admitted stepped fields of rank > 1 (STEPPED_JOBS: five E8 faces
 at n = 4, and three nested G2 faces at n = 6, one of them singular), runs
 the CLI's other error paths and its --config reading (ERROR_JOBS: among them
-`regularize --n 0` on a constant A1 field, and `--n 0` and `--n 20` on a link
+`usage/no-command`, `usage/unknown-command`, `usage/version` and
+`usage/option-before-command`, whose first word names no subcommand, so the
+CLI builds every subcommand's parser, and `usage/shadow-without-input`, which
+builds one; `regularize --n 0` on a constant A1 field, and `--n 0` and `--n 20` on a link
 file with valid face values, so each refusal of a stage is compared on both
 paths, and one and three face values on that two-face link,
 `regularize/link-too-few-face-values` and `regularize/link-too-many-face-values`,
@@ -188,6 +191,12 @@ ERROR_JOBS = {
     "usage/bad-grid": ["det", *A1_FIELD, "--diagnostics", "--quad-res", "8by16"],
     "usage/bad-labels": ["qdim", "--group", "A2", "--k", "5", "--weight", "1,x"],
     "usage/b-and-alpha-b": ["det", *A1_FIELD, "--b=1/3,0"],
+    "usage/shadow-without-input": ["shadow"],
+    # a first word that names no command, so the CLI builds every subcommand's parser
+    "usage/no-command": [],
+    "usage/unknown-command": ["shadw", "link.json"],
+    "usage/version": ["--version"],
+    "usage/option-before-command": ["--group", "A1", "qdim"],
     "det/singular-alpha-b": ["det", "--group", "A1", "--alpha-b", "1"],
     "det/singular-b": ["det", "--group", "A2", "--b=1/3,1/3,-2/3"],
     "det/quad-res-alone": ["det", *A1_FIELD, "--quad-res", "8x16"],

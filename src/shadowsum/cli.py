@@ -10,7 +10,9 @@ subcommand's long flag names; each becomes `--key=value` (`true`: a bare
 imports the modules it runs when it runs, so a job loads no other, and
 no command loads numpy.  Every resource budget is refused (exit 3) through
 `errors.require_budget`, before the work it counts.  `det --quad-res` is
-checked but, like `holonomy --n`, changes no output.
+checked but, like `holonomy --n`, changes no output.  A job process ends
+through `run`, which skips the shutdown collection, and parses with the one
+subcommand its first word names (`build_parser`).
 
 Link files are read by `diagrams.read_link`, which holds their schema.
 Output for `shadow`: { "value": {"re", "im"}, "abs_sum", "colorings", "retained",
@@ -24,12 +26,14 @@ limit| / |limit| and is null where log^(n) has no stated accuracy.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import math
 import os
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 from . import __version__
 from .errors import ParseError, PreconditionError, ShadowsumError, require_budget, shown
@@ -329,68 +333,95 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = _ArgumentParser(
-        prog="shadowsum",
-        description="Shadow state sums in S^2 x S^1 and torus-gauge determinant kernels",
-    )
-    p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True)
+def _field(sp):
+    one_of = sp.add_mutually_exclusive_group()
+    one_of.add_argument("--b", type=_rationals, help="ambient coordinates of b, comma-joined")
+    one_of.add_argument("--alpha-b", type=_rational,
+                        help="rank-1 shorthand: the value alpha(b); excludes --b")
 
-    def command(name, run, help, with_k=True):
-        sp = sub.add_parser(name, help=help)
-        sp.set_defaults(run=run)
-        sp.add_argument("--group", help="simple type label, e.g. A1, B3, G2")
-        if with_k:
-            sp.add_argument("--k", type=int, help="level parameter k (requires k > g)")
-        sp.add_argument("--config", help="JSON file of flag values, keyed by long flag name")
-        sp.add_argument("--output", help="write the JSON document here instead of stdout")
-        return sp
 
-    def field(sp):
-        one_of = sp.add_mutually_exclusive_group()
-        one_of.add_argument("--b", type=_rationals, help="ambient coordinates of b, comma-joined")
-        one_of.add_argument("--alpha-b", type=_rational,
-                            help="rank-1 shorthand: the value alpha(b); excludes --b")
-
-    sp = command("shadow", cmd_shadow, "state-sum invariant of a link file")
+def _shadow_flags(sp):
     sp.add_argument("--diagnostics", action="store_true", help="list every nonvanishing term")
     sp.add_argument("input", help="link JSON file")
 
-    sp = command("fusion", cmd_fusion, "fusion coefficient table")
+
+def _fusion_flags(sp):
     sp.add_argument("--dump", action="store_true", help="list every triple")
     sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.add_argument("--verify", action="store_true", help="cross-check against the Verlinde oracle")
 
-    sp = command("qdim", cmd_qdim, "quantum dimensions of the level alphabet")
+
+def _qdim_flags(sp):
     sp.add_argument("--weight", type=_labels, help="one weight as comma-joined labels")
 
-    sp = command("det", cmd_det, "determinant closed forms at a constant field", with_k=False)
-    field(sp)
+
+def _det_flags(sp):
+    _field(sp)
     sp.add_argument("--chi", type=int, default=2, help="Euler number of the surface")
     sp.add_argument("--diagnostics", action="store_true", help="add the surface quadrature")
     sp.add_argument("--quad-res", type=_grid,
                     help="quadrature grid, e.g. 512x1024; with --diagnostics "
                          "(every grid gives the same value)")
 
-    sp = command("regularize", cmd_regularize, "regularized indicator and determinant stage n",
-                 with_k=False)
+
+def _regularize_flags(sp):
     sp.add_argument("input", nargs="?", help="link JSON file for a stepped field")
     sp.add_argument("--n", type=int, default=4, help="regularization index")
-    field(sp)
+    _field(sp)
     sp.add_argument("--face-values", type=_list_of(_rationals, "';'-separated rational lists", ";"),
                     help="per-face ambient coords, ';'-separated")
 
-    sp = command("holonomy", cmd_holonomy, "vertical-ribbon holonomy and its closed form",
-                 with_k=False)
-    field(sp)
+
+def _holonomy_flags(sp):
+    _field(sp)
     sp.add_argument("--color", type=_labels, default=(1,),
                     help="highest weight labels, comma-joined (default 1, a rank-1 colour)")
     sp.add_argument("--wind", type=_winding, default=1)
     sp.add_argument("--n", type=int, default=64)
 
-    sp = command("validate", cmd_validate, "report schema and assumption violations")
+
+def _validate_flags(sp):
     sp.add_argument("input", help="link JSON file")
+
+
+# (name, run, help, takes --k, adds the command's own flags), in the order of --help
+COMMANDS = (
+    ("shadow", cmd_shadow, "state-sum invariant of a link file", True, _shadow_flags),
+    ("fusion", cmd_fusion, "fusion coefficient table", True, _fusion_flags),
+    ("qdim", cmd_qdim, "quantum dimensions of the level alphabet", True, _qdim_flags),
+    ("det", cmd_det, "determinant closed forms at a constant field", False, _det_flags),
+    ("regularize", cmd_regularize, "regularized indicator and determinant stage n", False,
+     _regularize_flags),
+    ("holonomy", cmd_holonomy, "vertical-ribbon holonomy and its closed form", False,
+     _holonomy_flags),
+    ("validate", cmd_validate, "report schema and assumption violations", True,
+     _validate_flags),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with the subparser of `command` alone when it names one of
+    COMMANDS, else with all of them (no command, --help, --version, a typo).
+
+    A job's argv parses the same either way, and its subcommand's help and usage
+    errors read the same: the top-level usage, which lists every command, shows
+    only where the full table is built."""
+    p = _ArgumentParser(
+        prog="shadowsum",
+        description="Shadow state sums in S^2 x S^1 and torus-gauge determinant kernels",
+    )
+    p.add_argument("--version", action="version", version=__version__)
+    sub = p.add_subparsers(dest="command", required=True)
+    rows = [c for c in COMMANDS if c[0] == command] or COMMANDS
+    for name, func, help_text, with_k, flags in rows:
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(run=func)
+        sp.add_argument("--group", help="simple type label, e.g. A1, B3, G2")
+        if with_k:
+            sp.add_argument("--k", type=int, help="level parameter k (requires k > g)")
+        sp.add_argument("--config", help="JSON file of flag values, keyed by long flag name")
+        sp.add_argument("--output", help="write the JSON document here instead of stdout")
+        flags(sp)
     return p
 
 
@@ -410,7 +441,7 @@ def _config_tokens(doc) -> list[str]:
 
 
 def _parse_argv(argv: list[str]) -> argparse.Namespace:
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if args.config is None:
         return args
@@ -481,5 +512,20 @@ def main(argv: list[str] | None = None) -> int:
     return _emit(text, args.output, status)
 
 
+def run() -> NoReturn:
+    """The process entry of `python -m shadowsum` and the `shadowsum` script: `main()`,
+    then exit with its status, skipping the shutdown collection.
+
+    gc.freeze() moves every live object into the permanent generation, which the
+    collections of interpreter shutdown do not walk; atexit handlers and the
+    flush of stdout and stderr still run.  Cyclic garbage still alive at exit is
+    then never collected, so a `__del__` on it would not run: this package defines
+    no `__del__` and no atexit handler, and opens every file object with `with`.
+    `main()` itself never freezes, so in-process callers keep a normal collector."""
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

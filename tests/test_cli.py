@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import CYCLE_FORESTS, ambient, character_eval, src_env
 from shadowsum import cli, fusion
+from shadowsum.errors import ParseError
 from shadowsum.reps import weight_multiplicities, weyl_dimension
 from shadowsum.roots import build_root_system
 
@@ -1163,3 +1165,74 @@ class TestConfigAsFlags:
         cfg = self.config(tmp_path, "[" * 100_000 + "]" * 100_000)
         rc, err = run_main(capsys, "qdim", "--group", "A1", "--k", "4", "--config", cfg)
         assert rc == 2 and err["error"]["code"] == "parse"
+
+
+class TestProcessEntry:
+    """`cli.run` ends a job process without a shutdown collection; `cli.main` and the
+    one-command parser change no job's exit code or bytes."""
+
+    def test_main_never_freezes(self, capsys):
+        before = gc.get_freeze_count()
+        rc, doc = run_main(capsys, "qdim", "--group", "A1", "--k", "4")
+        assert rc == 0 and len(doc["qdims"]) == 3
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv,rc", [
+        (["qdim", "--group", "A2", "--k", "5"], 0),
+        (["qdim", "--group", "A1", "--k", "four"], 2),
+        (["det", "--group", "A1", "--alpha-b", "1"], 3),
+        (["fusion", "--group", "A1", "--k", "30", "--dump", "--format", "text",
+          "--output", "table.txt"], 0),
+    ], ids=["exit-0", "exit-2", "exit-3", "output-file"])
+    def test_module_and_run_exit_alike(self, tmp_path, argv, rc):
+        """`python -m shadowsum` and a bare `run()` give the same exit code, stdout,
+        stderr and --output file."""
+        seen = []
+        for how, entry in (("module", ["-m", "shadowsum"]),
+                           ("run", ["-c", "from shadowsum.cli import run; run()"])):
+            cwd = tmp_path / how
+            cwd.mkdir()
+            r = subprocess.run([sys.executable, *entry, *argv], cwd=cwd, capture_output=True,
+                               env=src_env())
+            out = cwd / "table.txt"
+            seen.append((r.returncode, r.stdout, r.stderr,
+                         out.read_bytes() if out.exists() else None))
+        assert seen[0] == seen[1]
+        assert seen[0][0] == rc
+        if "--output" in argv:  # every triple of the 29-weight alphabet, then a newline
+            text = seen[0][3]
+            assert text.endswith(b"\n") and len(text.splitlines()) == 29**3
+
+    ARGVS = {
+        "shadow": ["shadow", "--diagnostics", "link.json", "--group", "A1", "--k", "4"],
+        "fusion": ["fusion", "--group", "A1", "--k", "4", "--dump", "--format", "text",
+                   "--verify"],
+        "qdim": ["qdim", "--group", "A2", "--k", "5", "--weight", "1,0"],
+        "det": ["det", "--group", "A1", "--alpha-b", "1/3", "--chi", "3", "--diagnostics",
+                "--quad-res", "8x16"],
+        "regularize": ["regularize", "link.json", "--n", "6", "--face-values",
+                       "1/4,-1/4;1/6,-1/6"],
+        "holonomy": ["holonomy", "--group", "G2", "--b=1/7,1/5,-12/35", "--color", "1,1",
+                     "--wind", "2", "--n", "8"],
+        "validate": ["validate", "link.json", "--config", "cfg.json", "--output", "out.json"],
+    }
+
+    @pytest.mark.parametrize("command", [c[0] for c in cli.COMMANDS])
+    def test_one_command_parser_matches_the_full_table(self, capsys, command):
+        """build_parser(cmd) parses cmd's argv to the Namespace and prints the help
+        that build_parser() does, and refuses every other command."""
+        argv = self.ARGVS[command]
+        one, full = cli.build_parser(command), cli.build_parser()
+        assert one.parse_args(argv) == full.parse_args(argv)
+        helps = []
+        for parser in (one, full):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--help"])
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1] and helps[0].startswith(f"usage: shadowsum {command} ")
+        for other in self.ARGVS.keys() - {command}:
+            with pytest.raises(ParseError, match="invalid choice"):
+                one.parse_args(self.ARGVS[other])
+
+    def test_every_command_has_an_argv(self):
+        assert self.ARGVS.keys() == {c[0] for c in cli.COMMANDS}
