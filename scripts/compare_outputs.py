@@ -12,15 +12,19 @@ With seeds, it adds `det --diagnostics --b` and `holonomy --b` jobs on the
 types the benchmark never runs (FIELD_JOBS), and plain `det --b` on each of
 the 32 supported types (DET_TYPES), so every type's ambient realization is
 read, each with b drawn per seed; runs `qdim --k g+2` on each of the 32
-supported types (QDIM_JOBS; the benchmark runs `qdim` on E6 and F4 only),
-runs `det`, `regularize` and `holonomy` at large exact field values on A1
-and G2 (LARGE_FIELDS), runs `det --diagnostics` at a field within 1e-15 of
-the singular set (NEAR_SINGULAR), runs large grids, up to 10^2200 x 10^2200,
-and a large `holonomy --n`, which cost nothing (FREE_SIZES), runs the
-refusals (REFUSAL_JOBS: `holonomy` at n = 0, `regularize` on each side of its
-trust boundary on A1 and E8 and past its cutoff budget on five E8 faces and on
-2,001, budgets whose counts have more digits than `str` converts, labels shown
-by their order of magnitude, and weights with the wrong number of labels), runs
+supported types (QDIM_JOBS; the benchmark runs `qdim` on E6 and F4 only) and
+on the high-rank alphabets of A8 at k = 13 (495 weights) and E6 at k = 22 (861
+weights) (HIGH_RANK_QDIM_JOBS), runs `det`, `regularize` and `holonomy` at large
+exact field values on A1 and G2 (LARGE_FIELDS), runs `det --diagnostics` at a
+field within 1e-15 of the singular set (NEAR_SINGULAR), runs large grids, up to
+10^2200 x 10^2200, and a large `holonomy --n`, which cost nothing
+(FREE_SIZES), runs the refusals (REFUSAL_JOBS: `holonomy` at n = 0,
+`regularize` on each side of its trust boundary on A1 and E8 and past its
+cutoff budget on five E8 faces and on 2,001, long numbers shown by their
+order of magnitude: an E8 level of 601 digits, a Weyl dimension with more
+digits than `str` converts, labels of 1,501 and 4,001 digits and a type label
+whose rank has 5,000 (`qdim/long-rank` and `validate/long-rank`), and weights
+with the wrong number of labels), runs
 `regularize` on admitted stepped fields of rank > 1 (STEPPED_JOBS: five E8 faces
 at n = 4, and three nested G2 faces at n = 6, one of them singular), runs
 the CLI's other error paths and its --config reading (ERROR_JOBS: among them
@@ -44,8 +48,11 @@ difference over the numeric leaves, each with its key path, such as
 
 Refusals name an integer of more than 20 digits by its order of magnitude, so
 against a tree whose refusals echo every digit of a long level, stage index, n
-or chi, the `error/long/` jobs, `refusal/qdim/E8-box-digits` and
-`malformed/big-k/shadow` and `/validate` differ by design.
+or chi, the `error/long/` jobs, `refusal/qdim/E8-level-digits` and
+`malformed/big-k/shadow` and `/validate` differ by design.  The level alphabet
+is refused by a lower bound on its weight-root pairs, so against a tree that
+budgets the box of its labels, every alphabet refusal differs by design, and the
+jobs that box refused (`qdim/A8-k=13`, `qdim/E6-k=22`) differ too.
 
 With no arguments it compares this checkout's src/ with itself on the probe
 and help jobs only, which checks the script itself in a few seconds.
@@ -80,6 +87,9 @@ QDIM_JOBS = [["qdim", "--group", f"{t}{n}", "--k", str(g(n) + 2)] for t, ranks, 
     ("C", range(2, 9), lambda n: n + 1), ("D", range(4, 9), lambda n: 2 * n - 2),
     ("E", (6, 7, 8), {6: 12, 7: 18, 8: 30}.get), ("F", (4,), {4: 9}.get),
     ("G", (2,), {2: 4}.get)) for n in ranks]
+# `qdim` on high-rank alphabets, each too large for a full fusion table
+HIGH_RANK_QDIM_JOBS = {f"qdim/{group}-k={k}": ["qdim", "--group", group, "--k", str(k)]
+                       for group, k in (("A8", 13), ("E6", 22))}
 # Every supported type with its ambient dimension, for `det --b`
 DET_TYPES = [(f"{t}{n}", dim(n)) for t, ranks, dim in (
     ("A", range(1, 9), lambda n: n + 1), ("B", range(2, 9), lambda n: n),
@@ -115,15 +125,18 @@ FREE_SIZES = {
 # cutoff budget, regularize.MAX_CUTOFF_TERMS, on the five faces of REFUSAL_FILES'
 # four-circle E8 link at n = 1 (2,459,400 terms), and on the 2,001 faces of its
 # 2,000-circle one (984,251,880 terms), refused before any face value is converted.
-# Then two budgets whose counts have more digits than `str` converts (4300): an E8
-# alphabet box of about 10^4796 and an A2 Weyl dimension of about 10^4500, whose
-# labels of 10^1500 are shown by their order of magnitude, as are the eight E8
-# labels of 10^4000.  Then a weight with one label on A2, through the default
-# `holonomy` colour and `qdim --weight`.
+# Then long numbers, each shown by its order of magnitude: an E8 level of 601 digits,
+# whose alphabet enumeration stops at its budget, an A2 Weyl dimension of about
+# 10^4500, more digits than `str` converts (4300), with its labels of 10^1500, the
+# eight E8 labels of 10^4000, and a rank of 5,000 digits, past CPython's limit on
+# int parsing, from a flag and from a link file.  Then a weight with one label on
+# A2, through the default `holonomy` colour and `qdim --weight`.
+LONG_RANK = "A" + "9" * 5000
 E8_FACE = "-27/61,-24/61,0,-48/61,39/61,-58/61,46/61,-9/61"
 REFUSAL_FILES = {f"e8-{n}.json": json.dumps({"group": "E8", "circles": [
     {"id": f"c{i}", "parent": None, "winding": 1, "positive_side": "inside",
      "color": [0] * 8} for i in range(n)]}) for n in (4, 2000)}
+REFUSAL_FILES["long-rank.json"] = json.dumps({"group": LONG_RANK, "k": 5, "circles": []})
 REFUSAL_JOBS = {
     "holonomy/n=0": ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--n", "0"],
     **{f"regularize/{group}-n={n}": ["regularize", "--group", group, field, "--n", str(n)]
@@ -135,12 +148,14 @@ REFUSAL_JOBS = {
                                     "--face-values=" + ";".join([E8_FACE] * 5)],
     "regularize/E8-2000-circles": ["regularize", "--n", "1", "e8-2000.json",
                                    "--face-values=" + ";".join([E8_FACE] * 2001)],
-    "qdim/E8-box-digits": ["qdim", "--group", "E8", "--k", str(10**600)],
+    "qdim/E8-level-digits": ["qdim", "--group", "E8", "--k", str(10**600)],
     "holonomy/A2-dim-digits": ["holonomy", "--group", "A2", "--b=1/3,1/5,0",
                                "--color", f"{10**1500},{10**1500}"],
     "holonomy/E8-label-digits": ["holonomy", "--group", "E8",
                                  "--b=1/3,1/5,1/7,1/11,1/13,1/17,1/19,1/23",
                                  "--color", ",".join([str(10**4000)] * 8)],
+    "qdim/long-rank": ["qdim", "--group", LONG_RANK, "--k", "5"],
+    "validate/long-rank": ["validate", "long-rank.json"],
     "holonomy/A2-one-label": ["holonomy", "--group", "A2", "--b=1/3,1/5,0"],
     "qdim/A2-one-label": ["qdim", "--group", "A2", "--k", "5", "--weight", "1"],
 }
@@ -260,8 +275,8 @@ MALFORMED_LINKS = {
 # json.dumps refuses such an int, so the document is written as text.
 HUGE_K_LINK = json.dumps({"group": "A1", "k": 0, "circles": [_circle()]}).replace(
     '"k": 0', '"k": 1' + "0" * 5000)
-# An A2 link whose level has 2201 digits: it parses, but its alphabet box, about
-# 10^4400, has more digits than `str` converts.
+# An A2 link whose level has 2201 digits: it parses, and its alphabet refusal names
+# the level by its order of magnitude.
 BIG_K_LINK = json.dumps({"group": "A2", "k": 10**2200, "circles": []})
 
 
@@ -318,6 +333,7 @@ def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
                  for group, dim in DET_TYPES]
     if seeds:
         jobs += [(f"qdim/{argv[2]}", argv, {}) for argv in QDIM_JOBS]
+        jobs += [(name, argv, {}) for name, argv in HIGH_RANK_QDIM_JOBS.items()]
         for group, (field, color) in LARGE_FIELDS.items():
             at = ["--group", group, field]
             jobs += [(f"large/{group}/det", ["det", *at], {}),

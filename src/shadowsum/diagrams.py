@@ -283,11 +283,12 @@ class TermData(NamedTuple):
 
 def prepare_terms(diagram: ShadowDiagram, alphabet: LevelAlphabet) -> TermData:
     """The term tables of `diagram`; the fusion matrices of all its circle
-    colours share one budget (MAX_FUSION_COEFFS), checked before any is built,
-    and `fusion_matrix` refuses a colour outside the alphabet before any fold."""
+    colours share one budget (MAX_FUSION_COEFFS), checked before anything is
+    built, and `fusion_matrix` refuses a colour outside the alphabet before any fold."""
     from .fusion import fusion_matrices
     from .reps import quantum_dimension
 
+    fusion = fusion_matrices(alphabet, (c.color for c in diagram.circles))
     rs = alphabet.rs
     rho2 = (2,) * rs.rank
     qdims = tuple(quantum_dimension(alphabet, lam) for lam in alphabet.elements)
@@ -295,7 +296,6 @@ def prepare_terms(diagram: ShadowDiagram, alphabet: LevelAlphabet) -> TermData:
         rs.label_form(lam, tuple(a + b for a, b in zip(lam, rho2)))
         for lam in alphabet.elements
     )
-    fusion = fusion_matrices(alphabet, (c.color for c in diagram.circles))
     oriented = {}
     for g, side in dict.fromkeys((c.color, c.positive_side) for c in diagram.circles):
         rows = fusion[g]

@@ -6,7 +6,8 @@ Algebras, 22.3) and the Weyl dimension run in integers on `label_form`, which is
 weight_form_den times the invariant form, and on `root_forms`, its values on the
 positive roots; the factor cancels in each ratio.  The quantum dimension, the
 Weyl dimension's q-analogue at level k, reads the same integers and divides each
-once, in floats.
+once, in floats.  The level alphabet is enumerated label by label and budgeted by
+its weight-root pairs |A| |R+|, the work of the sine products `qdim` spends on it.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .roots import RootSystem
 
 Labels = tuple[int, ...]
 
-# Budget of `level_alphabet`: candidate label vectors scanned, prod_i (floor((k-g)/a_i) + 1).
-MAX_ALPHABET_BOX = 10**5
+# Budget of `level_alphabet`: weight-root pairs |A| |R+|, one sine ratio each in `qdim`.
+MAX_ALPHABET_PAIRS = 3 * 10**5
 
 
 class LevelAlphabet:
@@ -59,9 +60,13 @@ def level_alphabet(rs: RootSystem, k: int) -> LevelAlphabet:
     """All dominant weights with <lambda, theta> <= k - g, in lexicographic order.
 
     Requires k > g; at and below the dual Coxeter number the state sum
-    degenerates and is out of scope here.  The labels are scanned over the box
-    0 <= lambda_i <= (k - g) // a_i, one range per comark a_i, which must hold
-    at most MAX_ALPHABET_BOX vectors.
+    degenerates and is out of scope here.  The labels are chosen in order:
+    label i runs from 0 to rem // a_i, where a_i is its comark and rem the level
+    the labels before it leave unused.  Every prefix extends to a weight, so the
+    prefixes of each length are at most |A|, and the enumeration stops once
+    they pass the budget of MAX_ALPHABET_PAIRS weight-root pairs: a refused
+    level costs at most rank (MAX_ALPHABET_PAIRS // |R+| + 1) prefixes, and its
+    refusal gives the lower bound on |A| |R+| reached.
     """
     g = rs.dual_coxeter
     if k <= g:
@@ -69,12 +74,17 @@ def level_alphabet(rs: RootSystem, k: int) -> LevelAlphabet:
             f"level bound violated: need k > g, got k = {shown(k)} with dual Coxeter "
             f"number g = {g} for {rs.name} (the alphabet requires <lambda, theta> <= k - g)"
         )
-    caps = [(k - g) // a for a in rs.comarks]
-    require_budget(math.prod(c + 1 for c in caps), MAX_ALPHABET_BOX,
-                   f"the level alphabet of {rs.name} at k = {shown(k)}", "candidate weights")
-    box_labels = itertools.product(*(range(c + 1) for c in caps))
-    elems = tuple(m for m in box_labels if rs.level_of_labels(m) <= k - g)
-    return LevelAlphabet(rs=rs, k=k, elements=elems)
+    roots = len(rs.root_forms)
+    most = MAX_ALPHABET_PAIRS // roots  # the largest alphabet admitted
+    prefixes = [((), k - g)]  # (labels chosen, level left), in lexicographic order
+    for a in rs.comarks:
+        prefixes = list(itertools.islice(
+            ((p + (v,), rem - a * v) for p, rem in prefixes for v in range(rem // a + 1)),
+            most + 1))
+        require_budget(len(prefixes) * roots, MAX_ALPHABET_PAIRS,
+                       f"the level alphabet of {rs.name} at k = {shown(k)}",
+                       "weight-root pairs or more")
+    return LevelAlphabet(rs=rs, k=k, elements=tuple(p for p, _ in prefixes))
 
 
 class WeightSystem(NamedTuple):

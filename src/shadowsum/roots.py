@@ -32,7 +32,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .errors import PreconditionError
+from .errors import PreconditionError, shown
 
 # {type: {supported rank: (dim g, |W|)}}: dim g validates construction; |W| is `weyl_group_order`.
 _TYPES = {
@@ -170,12 +170,18 @@ def _invert_rational(mat: Sequence[Sequence[int]]) -> list[list[Fraction]]:
 
 
 def parse_type_label(label: str) -> tuple[str, int]:
-    """Split a label like "B3" into ("B", 3); raises on malformed labels."""
+    """Split a label like "B3" into ("B", 3); raises on malformed labels.
+
+    A rank of more than 20 digits is read as its first 20 digits times a power of
+    ten, so a rank past CPython's limit on int parsing reaches the refusal of an
+    unsupported rank, where `shown` names it by its order of magnitude.
+    """
     label = label.strip()
     kind, rank = label[:1].upper(), label[1:]
     if kind not in set("ABCDEFG") or not (rank.isascii() and rank.isdigit()):
         raise PreconditionError(f"invalid type label {label!r}; expected e.g. A1 .. G2")
-    return kind, int(rank)
+    digits = rank.lstrip("0") or "0"
+    return kind, int(digits[:20]) * 10 ** max(0, len(digits) - 20)
 
 
 def build_root_system(type_label: str) -> RootSystem:
@@ -188,7 +194,7 @@ def build_root_system(type_label: str) -> RootSystem:
     t, rank = parse_type_label(type_label)
     if rank not in _TYPES.get(t, {}):
         raise PreconditionError(
-            f"invalid simple type ({t!r}, rank {rank}); supported: "
+            f"invalid simple type ({t!r}, rank {shown(rank)}); supported: "
             "A1-A8, B2-B8, C2-C8, D4-D8, E6-E8, F4, G2"
         )
 

@@ -271,6 +271,17 @@ def fold_point(rs, k, shifted):
             return m, sign
 
 
+def level_rank_dual(labels, level):
+    """The SU(level) weight level-rank dual to the SU(N) weight `labels` of level at
+    most `level` (Naculich and Schnitzer, Nucl. Phys. B 347, 1990): its Young diagram,
+    with row j of length labels_j + ... + labels_{N-1}, transposed, with the full
+    columns (of height `level`) removed, read back as level - 1 labels."""
+    rows = [sum(labels[j:]) for j in range(len(labels))]
+    transposed = [sum(r >= c for r in rows) for c in range(1, level + 1)]
+    kept = [t - transposed[-1] for t in transposed]
+    return tuple(kept[c] - kept[c + 1] for c in range(level - 1))
+
+
 def random_forest_diagram(rng: random.Random, alphabet, max_circles=6, max_wind=3):
     """Random nesting forest with colors drawn from the alphabet."""
     n = rng.randint(0, max_circles)

@@ -938,6 +938,28 @@ class TestUsageErrorsAsJson:
         rc, doc = run_main(capsys, "shadow", "--group", "A²", write(tmp_path, "e.json", EMPTY))
         assert rc == 3 and doc["error"]["code"] == "precondition"
 
+    def test_long_rank_is_shown_by_magnitude(self, tmp_path, capsys):
+        """A rank of 5000 digits, past CPython's limit on int parsing, is refused with
+        exit 3 and named by its order of magnitude, from a flag and from a link file."""
+        label = "A" + "9" * 5000
+        want = "invalid simple type ('A', rank about 10^5000); supported: A1-A8,"
+        rc, doc = run_main(capsys, "qdim", "--group", label, "--k", "5")
+        assert rc == 3 and doc["error"]["message"].startswith(want)
+        rc, doc = run_main(capsys, "validate", write(tmp_path, "l.json", dict(EMPTY, group=label)))
+        assert rc == 3 and doc["report"][0]["message"].startswith(want)
+
+    @pytest.mark.parametrize("group,k,rc,weights", [
+        ("A8", 13, 0, 495), ("E6", 22, 0, 861), ("A9", 12, 3, None)])
+    def test_high_rank_alphabets(self, capsys, group, k, rc, weights):
+        """The alphabets of A8 at k = 13 and E6 at k = 22 are within budget; rank 9
+        is refused, and its rank shown as given."""
+        got, doc = run_main(capsys, "qdim", "--group", group, "--k", k)
+        assert got == rc
+        if weights is None:
+            assert doc["error"]["message"].startswith("invalid simple type ('A', rank 9);")
+        else:
+            assert len(doc["qdims"]) == weights
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -945,9 +967,10 @@ class TestUsageErrorsAsJson:
             ["fusion", "--group", "A1", "--k", "200"],
             ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--color", "100000", "--n", "8"],
             ["fusion", "--group", "E6", "--k", "13", "--verify"],
-            # refusals whose numbers pass CPython's 4300-digit limit on int-to-str
-            # conversion: an E8 alphabet box of about 10^4796, a Weyl dimension of about
-            # 10^4500, and an A2 alphabet box of about 10^4400 read from a file
+            # refusals of long numbers, each shown by its order of magnitude: an E8
+            # level of 601 digits, whose enumeration stops at the budget, a Weyl
+            # dimension of about 10^4500, past CPython's 4300-digit limit on int-to-str
+            # conversion, and an A2 level of 2201 digits read from a file
             ["qdim", "--group", "E8", "--k", str(10**600)],
             ["holonomy", "--group", "A2", "--b=1/3,1/5,0", "--color", f"{10**1500},{10**1500}"],
             # a G2 module of 4096 dimensions and a G2 table of 196^3 coefficients

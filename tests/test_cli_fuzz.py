@@ -29,7 +29,7 @@ AMBIENT_DIMS = {"A1": 2, "A2": 3, "B2": 2, "G2": 3}
 @st.composite
 def link_documents(draw):
     """A well-formed link file; k is any int, small ones more often, and ones of
-    2200-4000 digits, whose rank-2 alphabet box has more digits than `str` converts."""
+    2200-4000 digits, which a refusal names by their order of magnitude."""
     group = draw(st.sampled_from(sorted(RANKS)))
     rank = RANKS[group]
     circles = []
@@ -89,7 +89,9 @@ def run(capsys, argv):
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(doc=JSON | link_documents() | mutated_link_documents(), diagnostics=st.booleans())
 def test_shadow_exits_cleanly_and_validate_agrees(doc, diagnostics, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(reps, "MAX_ALPHABET_BOX", 40)
+    # the least budget that admits every alphabet a box of 40 label vectors did:
+    # G2 at k = 11, 20 weights of 6 positive roots
+    monkeypatch.setattr(reps, "MAX_ALPHABET_PAIRS", 120)
     monkeypatch.setattr(fusion, "MAX_FUSION_COEFFS", 200)  # |A|^2 per colour: |A| <= 14 for one colour
     monkeypatch.setattr(cli, "MAX_LISTED_TERMS", 2000)
     path = tmp_path / "link.json"

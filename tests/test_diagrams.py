@@ -17,7 +17,7 @@ from conftest import (CYCLE_FORESTS, densify, flat_forest, random_forest_diagram
 from shadowsum.determinants import det_k
 from shadowsum.diagrams import build_diagram, contract_state_sum, list_terms, prepare_terms
 from shadowsum.errors import PreconditionError
-from shadowsum import cli, fusion
+from shadowsum import cli, fusion, reps
 from shadowsum.fusion import QuantumWeylGroup, build_fusion_table, fusion_matrix
 from shadowsum.holonomy import weight_phases, weight_trace
 from shadowsum.reps import level_alphabet, quantum_dimension, weight_multiplicities
@@ -612,6 +612,19 @@ def test_shadow_refuses_many_colours_before_building(tmp_path, capsys, monkeypat
     assert rc == 3
     assert "26 fusion matrices" in out["error"]["message"]
     assert "1029626 coefficients; the budget is 1000000" in out["error"]["message"]
+
+
+def test_shadow_refuses_before_any_quantum_dimension(tmp_path, capsys, monkeypatch):
+    """At A1 k=100001 one colour needs 100000^2 > 10^6 coefficients: exit 3 before
+    a quantum dimension of the 100,000 weights is computed."""
+    def uncomputed(alphabet, lam):
+        raise AssertionError("a quantum dimension was computed before the budget check")
+
+    monkeypatch.setattr(reps, "quantum_dimension", uncomputed)
+    doc = {"group": "A1", "k": 100001, "circles": [circle("a", color=(1,))]}
+    rc, out = _shadow_cli(tmp_path, capsys, doc)
+    assert rc == 3
+    assert "10000000000 coefficients; the budget is 1000000" in out["error"]["message"]
 
 
 @pytest.mark.parametrize("c", [1, 500])

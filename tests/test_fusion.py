@@ -303,6 +303,21 @@ class TestQuantumWeylGroup:
                 & ((a + b + c) % 2 == 0))
         assert (mat == rule).all()
 
+    @pytest.mark.parametrize("label,k,size", [("A8", 13, 495), ("E6", 22, 861), ("D8", 20, 444)])
+    def test_ring_identity_on_one_fundamental(self, label, k, size):
+        """sum_b N_omega[a, b] dim_q(b) = dim_q(omega) dim_q(a) for every a, to 1e-12
+        relative, with omega the first fundamental weight, on high-rank alphabets too
+        large for the full table; one fusion matrix stays within MAX_FUSION_COEFFS."""
+        rs = build_root_system(label)
+        al = level_alphabet(rs, k)
+        assert len(al.elements) == size
+        omega = (1,) + (0,) * (rs.rank - 1)
+        dims = [quantum_dimension(al, lam) for lam in al.elements]
+        d = quantum_dimension(al, omega)
+        for a, row in enumerate(fusion_matrix(al, omega)):
+            lhs = sum(n * dims[b] for b, n in row.items())
+            assert lhs == pytest.approx(d * dims[a], rel=1e-12), al.elements[a]
+
 
 class TestTableAndExport:
     def test_verify_and_symmetry(self, a1k4, a1k4_table):

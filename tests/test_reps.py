@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ambient, character_eval, simple_reflection_matrix
+from conftest import ambient, character_eval, level_rank_dual, simple_reflection_matrix
 from shadowsum.errors import PreconditionError
 from shadowsum.reps import (
+    MAX_ALPHABET_PAIRS,
     level_alphabet,
     quantum_dimension,
     weight_multiplicities,
@@ -186,9 +187,53 @@ class TestCharacter:
         assert abs(character_eval(ws, sb) - character_eval(ws, b)) < 1e-12
 
 
-@pytest.mark.parametrize("label,k", [("A1", 10**12), ("E8", 10**6), ("A8", 10**40)])
+@pytest.mark.parametrize("label,k", [("A1", 10**12), ("E8", 10**6), ("A8", 10**40),
+                                     pytest.param("E8", 10**600, id="E8-10^600")])
 def test_alphabet_budget_refuses_before_scanning(label, k):
-    """The candidate box is counted from the comarks before any weight is scanned."""
+    """The enumeration stops at the first label whose prefixes pass the budget: it
+    refuses with the lower bound (MAX_ALPHABET_PAIRS // |R+| + 1) |R+| it reached,
+    having built at most that many prefixes per label."""
     rs = build_root_system(label)
-    with pytest.raises(PreconditionError, match="budget"):
+    roots = len(rs.positive_root_labels)
+    reached = (MAX_ALPHABET_PAIRS // roots + 1) * roots
+    with pytest.raises(PreconditionError, match=f": {reached} weight-root pairs or more; "
+                                                 f"the budget is {MAX_ALPHABET_PAIRS}$"):
         level_alphabet(rs, k)
+
+
+def test_alphabet_budget_edge():
+    """The budget admits |A| |R+| up to MAX_ALPHABET_PAIRS: A1 at k = 300001 holds
+    300,000 weights, and k = 300002 is refused; G2 at k = 449 (49,952 weights, the
+    most weight-root pairs, 299,712, of any level a box of 10^5 label vectors
+    admitted) is admitted, as is E8 at k = 49 (1,976 weights), the last E8 level."""
+    assert MAX_ALPHABET_PAIRS == 300_000
+    a1, g2, e8 = (build_root_system(label) for label in ("A1", "G2", "E8"))
+    assert len(level_alphabet(a1, 300_001).elements) == 300_000
+    with pytest.raises(PreconditionError, match="budget"):
+        level_alphabet(a1, 300_002)
+    assert len(level_alphabet(g2, 449).elements) == 49_952
+    assert len(level_alphabet(e8, 49).elements) == 1_976
+    with pytest.raises(PreconditionError, match="budget"):
+        level_alphabet(e8, 50)
+
+
+def test_level_rank_duality_of_quantum_dimensions():
+    """dim_q of SU(N) at level K on lambda equals dim_q of SU(K) at level N on its
+    level-rank dual (`level_rank_dual`), both at k = N + K, to 1e-12 relative, for
+    every weight of every (N, K) in 2..9 but (8, 9), (9, 8) and (9, 9), where both
+    alphabets (A7 at level 9, A8 at levels 8 and 9) pass MAX_ALPHABET_PAIRS."""
+    checked = 0
+    for n, level in itertools.product(range(2, 10), repeat=2):
+        su_n, su_k = (build_root_system(f"A{m - 1}") for m in (n, level))
+        if (n, level) in ((8, 9), (9, 8), (9, 9)):
+            for rs in (su_n, su_k):
+                with pytest.raises(PreconditionError, match="budget"):
+                    level_alphabet(rs, n + level)
+            continue
+        at_n, at_k = level_alphabet(su_n, n + level), level_alphabet(su_k, n + level)
+        for lam in at_n.elements:
+            dual = level_rank_dual(lam, level)
+            assert math.isclose(quantum_dimension(at_k, dual), quantum_dimension(at_n, lam),
+                                rel_tol=1e-12), (n, level, lam)
+        checked += 1
+    assert checked == 61
