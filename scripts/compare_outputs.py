@@ -14,17 +14,20 @@ the 32 supported types (DET_TYPES), so every type's ambient realization is
 read, each with b drawn per seed; runs `qdim --k g+2` on each of the 32
 supported types (QDIM_JOBS; the benchmark runs `qdim` on E6 and F4 only) and
 on the high-rank alphabets of A8 at k = 13 (495 weights) and E6 at k = 22 (861
-weights) (HIGH_RANK_QDIM_JOBS), runs `det`, `regularize` and `holonomy` at large
-exact field values on A1 and G2 (LARGE_FIELDS), runs `det --diagnostics` at a
-field within 1e-15 of the singular set (NEAR_SINGULAR), runs large grids, up to
-10^2200 x 10^2200, and a large `holonomy --n`, which cost nothing
-(FREE_SIZES), runs the refusals (REFUSAL_JOBS: `holonomy` at n = 0,
-`regularize` on each side of its trust boundary on A1 and E8 and past its
-cutoff budget on five E8 faces and on 2,001, long numbers shown by their
-order of magnitude: an E8 level of 601 digits, a Weyl dimension with more
-digits than `str` converts, labels of 1,501 and 4,001 digits and a type label
-whose rank has 5,000 (`qdim/long-rank` and `validate/long-rank`), and weights
-with the wrong number of labels), runs
+weights) (HIGH_RANK_QDIM_JOBS), runs `fusion --dump --verify` on alphabets no
+benchmark job exports, C3 k=7, C4 k=7 (as text), A4 k=8, B4 k=10, D4 k=8, F4
+k=12 and G2 k=14, each inside both oracle budgets, and on E6 k=13, which the
+Verlinde orbit budget refuses (VERIFY_JOBS), runs `det`, `regularize` and
+`holonomy` at large exact field values on A1 and G2 (LARGE_FIELDS), runs
+`det --diagnostics` at a field within 1e-15 of the singular set
+(NEAR_SINGULAR), runs large grids, up to 10^2200 x 10^2200, and a large
+`holonomy --n`, which cost nothing (FREE_SIZES), runs the refusals
+(REFUSAL_JOBS: `holonomy` at n = 0, `regularize` on each side of its trust
+boundary on A1 and E8 and past its cutoff budget on five E8 faces and on
+2,001, long numbers shown by their order of magnitude: an E8 level of 601
+digits, a Weyl dimension with more digits than `str` converts, labels of 1,501
+and 4,001 digits and a type label whose rank has 5,000 (`qdim/long-rank` and
+`validate/long-rank`), and weights with the wrong number of labels), runs
 `regularize` on admitted stepped fields of rank > 1 (STEPPED_JOBS: five E8 faces
 at n = 4, and three nested G2 faces at n = 6, one of them singular), runs
 the CLI's other error paths and its --config reading (ERROR_JOBS: among them
@@ -52,7 +55,10 @@ or chi, the `error/long/` jobs, `refusal/qdim/E8-level-digits` and
 `malformed/big-k/shadow` and `/validate` differ by design.  The level alphabet
 is refused by a lower bound on its weight-root pairs, so against a tree that
 budgets the box of its labels, every alphabet refusal differs by design, and the
-jobs that box refused (`qdim/A8-k=13`, `qdim/E6-k=22`) differ too.
+jobs that box refused (`qdim/A8-k=13`, `qdim/E6-k=22`) differ too.  A link's
+alphabet refused by its budget is reported under the code `budget`, so against a
+tree that files it under `level-bound`, `malformed/big-k/validate` and
+`error/long/validate-k` differ by design.
 
 With no arguments it compares this checkout's src/ with itself on the probe
 and help jobs only, which checks the script itself in a few seconds.
@@ -90,6 +96,21 @@ QDIM_JOBS = [["qdim", "--group", f"{t}{n}", "--k", str(g(n) + 2)] for t, ranks, 
 # `qdim` on high-rank alphabets, each too large for a full fusion table
 HIGH_RANK_QDIM_JOBS = {f"qdim/{group}-k={k}": ["qdim", "--group", group, "--k", str(k)]
                        for group, k in (("A8", 13), ("E6", 22))}
+# `fusion --dump --verify` on alphabets no benchmark job exports, each inside
+# fusion.MAX_FUSION_COEFFS (|A|^3 <= 10^6) and fusion.MAX_VERLINDE_ORBIT_TERMS
+# (|W| |A|^2 <= 2 * 10^5), and on E6 k=13, which the orbit budget refuses; the
+# comment on each gives |A| and |W| |A|^2
+VERIFY_JOBS = {f"verify/{group}-k={k}": ["fusion", "--group", group, "--k", str(k), "--dump",
+                                         *tail, "--verify"]
+               for group, k, tail in (
+                   ("C3", 7, []),  # 20, 19,200
+                   ("C4", 7, ["--format", "text"]),  # 15, 86,400
+                   ("A4", 8, []),  # 35, 147,000
+                   ("B4", 10, []),  # 16, 98,304
+                   ("D4", 8, []),  # 11, 23,232
+                   ("F4", 12, []),  # 9, 93,312
+                   ("G2", 14, []),  # 36, 15,552
+                   ("E6", 13, []))}  # 3, 466,560: refused
 # Every supported type with its ambient dimension, for `det --b`
 DET_TYPES = [(f"{t}{n}", dim(n)) for t, ranks, dim in (
     ("A", range(1, 9), lambda n: n + 1), ("B", range(2, 9), lambda n: n),
@@ -334,6 +355,7 @@ def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
     if seeds:
         jobs += [(f"qdim/{argv[2]}", argv, {}) for argv in QDIM_JOBS]
         jobs += [(name, argv, {}) for name, argv in HIGH_RANK_QDIM_JOBS.items()]
+        jobs += [(name, argv, {}) for name, argv in VERIFY_JOBS.items()]
         for group, (field, color) in LARGE_FIELDS.items():
             at = ["--group", group, field]
             jobs += [(f"large/{group}/det", ["det", *at], {}),

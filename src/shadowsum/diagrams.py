@@ -56,7 +56,7 @@ import cmath
 import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .errors import PreconditionError
+from .errors import BudgetError, PreconditionError
 
 if TYPE_CHECKING:
     from .fusion import Rows
@@ -101,11 +101,11 @@ def read_link(doc, group: str | None = None, k: int | None = None, *,
     `group` and `k` are the flags; they win over the file's keys.  Every
     problem is recorded once as {"code", "message"}, in this order: the
     top-level keys, a missing level and the circles' keys (code "parse"),
-    then the group ("group"), the level bound ("level-bound"), each colour
-    against the level alphabet ("color"), each positive_side
-    ("positive-side") and the nesting forest ("assumption-1").  A parse
-    problem ends the reading, and a check that an earlier problem makes
-    impossible is skipped.  The link is None if anything was recorded.
+    then the group ("group"), the level bound ("level-bound"), the alphabet's
+    budget ("budget"), each colour against the level alphabet ("color"), each
+    positive_side ("positive-side") and the nesting forest ("assumption-1").
+    A parse problem ends the reading, and a check that an earlier problem
+    makes impossible is skipped.  The link is None if anything was recorded.
     With level=False (a stepped field, which uses no level alphabet) the
     level is neither required nor checked, the colours go unchecked, and
     the alphabet is None.
@@ -163,7 +163,7 @@ def read_link(doc, group: str | None = None, k: int | None = None, *,
         try:
             alphabet = level_alphabet(rs, doc.get("k") if k is None else k)
         except PreconditionError as e:
-            problem("level-bound", str(e))
+            problem("budget" if isinstance(e, BudgetError) else "level-bound", str(e))
     if alphabet is not None:
         for c in circles:
             if tuple(c["color"]) not in alphabet:

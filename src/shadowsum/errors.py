@@ -31,6 +31,10 @@ class PreconditionError(ShadowsumError):
     code = "precondition"
 
 
+class BudgetError(PreconditionError):
+    """A resource budget refused the work before it was done; exit 3 like any precondition."""
+
+
 class OracleError(ShadowsumError):
     """An internal consistency oracle failed; signals a bug, not bad input."""
 
@@ -52,4 +56,4 @@ def shown(value) -> str:
 def require_budget(count: int, budget: int, what: str, unit: str) -> None:
     """Refuse `count` units of work past `budget`, before the work is done."""
     if count > budget:
-        raise PreconditionError(f"{what}: {shown(count)} {unit}; the budget is {budget}")
+        raise BudgetError(f"{what}: {shown(count)} {unit}; the budget is {budget}")

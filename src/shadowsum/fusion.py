@@ -28,12 +28,12 @@ recursion, in exact integers; it is one flat list of |A|^3 Python ints
 in (lam, mu, nu) index order, and the module uses no numpy.  The Verlinde
 oracle `verlinde_table` recomputes the whole table from one modular
 S-matrix and shares nothing with the folding path but the budget check.
-The S-matrix phases read the invariant form on
-labels as the integer weight_form_den <x, y>, reduced modulo the period,
-and look up the root of unity; the contraction runs in Python complex,
-once per unordered triple.  Its gate is the fixed ORACLE_TOL: a Verlinde
-value farther than that from an integer is an oracle failure.  The largest
-distance measured, on alphabets up to G2 k=20, is 2.2e-12.
+S is symmetric, so each entry is formed once per unordered pair, its phase
+read from a table of roots of unity by an exact integer form; the
+contraction runs in Python complex once per unordered triple and writes its
+rounded value to each ordering of the triple.  Its gate is the fixed
+ORACLE_TOL: a Verlinde value farther than that from an integer is an oracle
+failure (at most 2.2e-12 measured, on alphabets up to G2 k=20).
 """
 
 from __future__ import annotations
@@ -179,7 +179,9 @@ def _s_matrix(alphabet: LevelAlphabet) -> tuple[list[list[complex]], list[int]]:
     """Unnormalized S-matrix entries via the Weyl sum, as |A| rows of |A|, and
     the alphabet index of each weight's dual.
 
-    s[lam][mu] = sum_{w in W} sgn(w) exp(-2 pi i <w(lam+rho), mu+rho> / k).
+    s[lam][mu] = sum_{w in W} sgn(w) exp(-2 pi i <w(lam+rho), mu+rho> / k) = s[mu][lam],
+    as <w(x), y> = <x, w^-1(y)> and sgn(w^-1) = sgn(w): the orbit of lam + rho
+    gives s[lam][mu] for mu >= lam, copied into s[mu][lam].
     On labels <x, y> = x G y / weight_form_den with the integer Gram matrix
     G, so the phases of one orbit are one integer product, reduced exactly
     modulo the period k * weight_form_den and read from a table of the
@@ -193,13 +195,14 @@ def _s_matrix(alphabet: LevelAlphabet) -> tuple[list[list[complex]], list[int]]:
     unit = [cmath.exp(-2j * math.pi * p / period) for p in range(period)]
     shifted = [tuple(m + 1 for m in lam) for lam in alphabet.elements]
     paired = [[sum(map(mul, row, y)) for row in rs.weight_gram_num] for y in shifted]
-    rows, dual = [], []
-    for x in shifted:
+    rows, dual = [[0j] * len(shifted) for _ in shifted], []
+    for a, x in enumerate(shifted):
         orbit = weyl_orbit(rs, x)
         plus = [p for p, sign in orbit if sign > 0]
         minus = [p for p, sign in orbit if sign < 0]
-        rows.append([sum(unit[sum(map(mul, p, y)) % period] for p in plus)
-                     - sum(unit[sum(map(mul, p, y)) % period] for p in minus) for y in paired])
+        for b, y in enumerate(paired[a:], a):
+            rows[a][b] = rows[b][a] = (sum(unit[sum(map(mul, p, y)) % period] for p in plus)
+                                       - sum(unit[sum(map(mul, p, y)) % period] for p in minus))
         anti = next(p for p, _ in orbit if max(p) < 0)
         dual.append(alphabet.index([-v - 1 for v in anti]))
     return rows, dual
@@ -213,10 +216,10 @@ def verlinde_table(alphabet: LevelAlphabet) -> list[int]:
     divided by sum_sigma |s[0, sigma]|^2.  N_{abc} = V[a, b, c*] is symmetric
     in a, b and c (c* the dual weight, read from the orbit pass of the S row
     of c: c* + rho is minus its antidominant point), so the sum runs once for
-    each a <= b <= c, and V[l, m, n] is read from the sorted (l, m, n*).  Every
-    value is rounded from a float within ORACLE_TOL of an integer; a larger
-    rounding residue is reported as an oracle failure (a bug, not bad
-    input), naming the first such triple in index order.
+    each a <= b <= c and its value is written to V[l, m, x*] for every
+    ordering (l, m, x) of (a, b, c).  Every value is rounded from a float
+    within ORACLE_TOL of an integer; a larger residue is an oracle failure (a
+    bug, not bad input), naming the first such triple in index order.
     """
     n, rs = len(alphabet.elements), alphabet.rs
     at = f"of {rs.name} at k = {alphabet.k}"
@@ -227,18 +230,17 @@ def verlinde_table(alphabet: LevelAlphabet) -> list[int]:
     s0 = s[alphabet.index((0,) * rs.rank)]
     norm = sum(abs(z) ** 2 for z in s0)
     third = [[v.conjugate() / (z * norm) for v, z in zip(s[c], s0)] for c in dual]
-    # sym[a][b][c - b] = N_{abc} = V[a, b, c*] for a <= b <= c, rounded
-    sym = [[None] * n for _ in range(n)]
-    far = {}
+    table, far = [0] * n ** 3, {}
     for a in range(n):
         for b in range(a, n):
             ab = list(map(mul, s[a], s[b]))
-            row = sym[a][b] = []
             for c, t in enumerate(third[b:], b):
                 v = sum(map(mul, ab, t))
-                row.append(round(v.real))
-                if abs(v - row[-1]) > ORACLE_TOL:
+                value = round(v.real)
+                if abs(v - value) > ORACLE_TOL:
                     far[a, b, c] = v
+                for l, m, x in itertools.permutations((a, b, c)):
+                    table[(l * n + m) * n + dual[x]] = value
     if far:
         # (a, b, c*) is the first of the orderings of a far (a, b, c) in index order
         l, m, nu = min((a, b, dual[c]) for a, b, c in far)
@@ -249,13 +251,6 @@ def verlinde_table(alphabet: LevelAlphabet) -> list[int]:
             f"{rs.name}, k={alphabet.k} is {abs(v - round(v.real)):.3e} from an "
             f"integer (tolerance {ORACLE_TOL:.1e})"
         )
-    table = []
-    for l, m in itertools.product(range(n), repeat=2):
-        lo, hi = sorted((l, m))
-        # row[c] = N_{lo hi c}, held in sym at the sorted (lo, hi, c)
-        row = ([sym[c][lo][hi - lo] for c in range(lo)]
-               + [sym[lo][c][hi - c] for c in range(lo, hi)] + sym[lo][hi])
-        table += [row[c] for c in dual]
     return table
 
 

@@ -619,6 +619,22 @@ class TestValidate:
         msgs = [e["message"] for e in json.loads(r.stdout)["report"] if e["code"] == "level-bound"]
         assert msgs and "k = 2" in msgs[0] and "g = 2" in msgs[0]
 
+    def test_alphabet_past_its_budget_is_reported_as_budget(self, tmp_path):
+        """An A2 level of 2201 digits passes the level bound, and its alphabet is
+        refused by its budget: report code `budget`, exit 3.  `shadow` stops on the
+        same file with the JSON error of any precondition."""
+        path = write(tmp_path, "big-k.json", {"group": "A2", "k": 10**2200, "circles": []})
+        message = ("the level alphabet of A2 at k = about 10^2200: 300003 weight-root pairs "
+                   "or more; the budget is 300000")
+        r = run_cli("validate", path)
+        assert r.returncode == 3
+        assert json.loads(r.stdout) == {"ok": False,
+                                        "report": [{"code": "budget", "message": message}]}
+        r = run_cli("shadow", path)
+        assert r.returncode == 3
+        assert json.loads(r.stdout) == {"error": {"code": "precondition", "exit": 3,
+                                                  "message": message}}
+
     def test_unreadable_exit_2(self):
         r = run_cli("validate", "/nonexistent/file.json")
         assert r.returncode == 2

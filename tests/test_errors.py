@@ -1,6 +1,6 @@
 import pytest
 
-from shadowsum.errors import PreconditionError, require_budget, shown
+from shadowsum.errors import BudgetError, PreconditionError, require_budget, shown
 
 
 def test_require_budget_admits_the_budget_and_refuses_past_it():
@@ -8,6 +8,15 @@ def test_require_budget_admits_the_budget_and_refuses_past_it():
     with pytest.raises(PreconditionError) as ei:
         require_budget(11, 10, "eleven cells", "cells")
     assert str(ei.value) == "eleven cells: 11 cells; the budget is 10"
+
+
+def test_a_budget_refusal_is_a_precondition_to_the_cli():
+    """A refusal is a BudgetError, so a link's report can file it apart; the CLI shows
+    it as any precondition, code `precondition` and exit 3."""
+    with pytest.raises(BudgetError) as ei:
+        require_budget(11, 10, "eleven cells", "cells")
+    assert isinstance(ei.value, PreconditionError)
+    assert (ei.value.code, ei.value.exit_code) == ("precondition", 3)
 
 
 def test_require_budget_names_a_count_past_the_digit_limit_by_its_magnitude():

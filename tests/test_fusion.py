@@ -1,5 +1,7 @@
+import cmath
 import itertools
 import math
+import operator
 import re
 
 import numpy as np
@@ -90,6 +92,21 @@ class TestFusionCoefficient:
         assert len(al.elements) ** 2 > MAX_FUSION_COEFFS
         with pytest.raises(PreconditionError, match="budget"):
             fusion_matrix(al, (1,))
+
+
+def weyl_sum_row(al, b):
+    """s[b][a] for every a, from the Weyl orbit of A[b] + rho alone, by the phase
+    rule of `fusion._s_matrix`: sgn(w) exp(-2 pi i <w(x), y> / k), with
+    weight_form_den <w(x), y> the integer w(x) G y reduced modulo k weight_form_den."""
+    rs = al.rs
+    period = al.k * rs.weight_form_den
+    unit = [cmath.exp(-2j * math.pi * p / period) for p in range(period)]
+    orbit = weyl_orbit(rs, [v + 1 for v in al.elements[b]])
+    row = []
+    for lam in al.elements:
+        gy = [sum(g * (v + 1) for g, v in zip(gram, lam)) for gram in rs.weight_gram_num]
+        row.append(sum(sign * unit[sum(map(operator.mul, p, gy)) % period] for p, sign in orbit))
+    return row
 
 
 class TestVerlindeOracle:
@@ -190,6 +207,20 @@ class TestVerlindeOracle:
         monkeypatch.setattr(fusion, "weyl_orbit", counted)
         assert verlinde_table(al) == expected
         assert sorted(calls) == sorted(tuple(v + 1 for v in lam) for lam in al.elements)
+
+    @pytest.mark.parametrize("label,k", [
+        ("A1", 10), ("A2", 7), ("A3", 7), ("A4", 7), ("B2", 7), ("B3", 8), ("B4", 9),
+        ("C3", 7), ("C4", 7), ("D4", 8), ("D5", 10), ("F4", 12), ("G2", 9), ("E6", 13)])
+    def test_s_matrix_is_symmetric(self, label, k):
+        """`_s_matrix` forms s[a][b] for b >= a from the orbit of A[a] + rho and copies
+        it into s[b][a]; the Weyl sum over the orbit of A[b] + rho gives the same
+        value, to 1e-12 max|s[0]|."""
+        al = level_alphabet(build_root_system(label), k)
+        s, _ = fusion._s_matrix(al)
+        tol = 1e-12 * max(map(abs, s[al.index((0,) * al.rs.rank)]))
+        for b in range(1, len(s)):
+            own = weyl_sum_row(al, b)
+            assert all(abs(s[b][a] - own[a]) <= tol for a in range(b))
 
     @pytest.mark.parametrize("label,k", [("B2", 8), ("A3", 7)])
     def test_shares_nothing_with_folding(self, monkeypatch, label, k):
