@@ -19,6 +19,10 @@ benchmark job exports, C3 k=7, C4 k=7 (as text), A4 k=8, B4 k=10, D4 k=8, F4
 k=12 and G2 k=14, each inside both oracle budgets, and on E6 k=13, which the
 Verlinde orbit budget refuses (VERIFY_JOBS), runs `det`, `regularize` and
 `holonomy` at large exact field values on A1 and G2 (LARGE_FIELDS), runs
+`shadow` (with `--diagnostics` and `validate`) on one nested three-circle link
+of each type whose fold path no benchmark `shadow` job takes, A4 k=8, C4 k=7,
+D4 k=8, D5 k=10, E6 k=14 and F4 k=12, coloured by omega_1 and the last
+fundamental weight (SHADOW_TYPE_JOBS), runs
 `det --diagnostics` at a field within 1e-15 of the singular set
 (NEAR_SINGULAR), runs large grids, up to 10^2200 x 10^2200, and a large
 `holonomy --n`, which cost nothing (FREE_SIZES), runs the refusals
@@ -117,6 +121,24 @@ DET_TYPES = [(f"{t}{n}", dim(n)) for t, ranks, dim in (
     ("C", range(2, 9), lambda n: n), ("D", range(4, 9), lambda n: n),
     ("E", (6, 7, 8), lambda n: 8), ("F", (4,), lambda n: 4), ("G", (2,), lambda n: 3))
     for n in ranks]
+# A circle b in a and c in b, windings 2, -1 and 3, coloured omega_1, omega_rank and
+# omega_1, on each type no benchmark `shadow` job folds; each link's 2 |A|^2 fusion
+# coefficients lie far inside fusion.MAX_FUSION_COEFFS (A4 k=8 has the most, |A| = 35).
+SHADOW_TYPES = (("A4", 8), ("C4", 7), ("D4", 8), ("D5", 10), ("E6", 14), ("F4", 12))
+
+
+def _nested_link(group: str, k: int, rank: int) -> str:
+    first, last = [1] + [0] * (rank - 1), [0] * (rank - 1) + [1]
+    return json.dumps({"group": group, "k": k, "circles": [
+        {"id": cid, "parent": parent, "winding": winding, "positive_side": "inside",
+         "color": color}
+        for cid, parent, winding, color in (("a", None, 2, first), ("b", "a", -1, last),
+                                            ("c", "b", 3, first))]})
+
+
+SHADOW_TYPE_JOBS = {f"shadow-type/{group}-k={k}": (["shadow", "link.json"], {
+    "link.json": _nested_link(group, k, int(group[1:]))}) for group, k in SHADOW_TYPES}
+
 # Large exact field values, each one field value modulo 2 in every coweight coordinate
 # with a small one: alpha(b) = 10000000000000000001/3 on A1 is 5/3 modulo 4, and the G2
 # value is b = (5/7, 1/11, -3/13) plus 2 * 10**19 times the coroot (3, -3, 0) of alpha_1.
@@ -364,6 +386,8 @@ def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
                      (f"large/{group}/regularize", ["regularize", *at, "--n", "6"], {}),
                      (f"large/{group}/holonomy",
                       ["holonomy", *at, "--color", color, "--wind", "3", "--n", "16"], {})]
+        for name, (argv, files) in SHADOW_TYPE_JOBS.items():
+            jobs += _with_file_jobs(name, argv, files)
         jobs.append(("near-singular/A1/det --diagnostics", NEAR_SINGULAR, {}))
         jobs += [(f"free/{name}", argv, {}) for name, argv in FREE_SIZES.items()]
         jobs += [(f"refusal/{name}", argv, REFUSAL_FILES) for name, argv in REFUSAL_JOBS.items()]

@@ -18,9 +18,10 @@ Link files are read by `diagrams.read_link`, which holds their schema.
 Output for `shadow`: { "value": {"re", "im"}, "abs_sum", "colorings", "retained",
 optional "terms" }.  The per-term listing of --diagnostics is refused (exit 3)
 when it would hold more than MAX_LISTED_TERMS terms.  Output for `regularize`:
-{ "indicator", "det_rig_n": {"re", "im"}, "det_rig_n_bound", ... } at a stage n
-admitted once (`regularize.require_stage`); "det_rig_n_bound" bounds |det_rig_n -
-limit| / |limit| and is null where log^(n) has no stated accuracy.
+{ "indicator", "singular", "det_rig_n": {"re", "im"}, "det_rig_n_bound", ... } at a
+stage n admitted once (`regularize.require_stage`); "singular" is true iff some face
+has an integer root pairing; "det_rig_n_bound" bounds |det_rig_n - limit| / |limit|
+and is null where log^(n) has no stated accuracy.
 """
 
 from __future__ import annotations
@@ -211,6 +212,7 @@ def cmd_det(args) -> dict:
 def cmd_regularize(args) -> dict:
     from .regularize import (
         constant_field, det_rig_n, regularized_indicator, require_stage, stepped_field)
+    from .roots import is_regular
 
     if args.input is None:
         rs = _root_system(args)
@@ -233,6 +235,7 @@ def cmd_regularize(args) -> dict:
         "group": rs.name,
         "n": args.n,
         "indicator": regularized_indicator(cut, field),
+        "singular": not all(is_regular(pairings) for _, _, pairings in field),
         "det_rig_n": _c2j(det),
         "det_rig_n_bound": bound,
         "faces": len(field),

@@ -282,9 +282,9 @@ class TermData(NamedTuple):
 
 
 def prepare_terms(diagram: ShadowDiagram, alphabet: LevelAlphabet) -> TermData:
-    """The term tables of `diagram`; the fusion matrices of all its circle
-    colours share one budget (MAX_FUSION_COEFFS), checked before anything is
-    built, and `fusion_matrix` refuses a colour outside the alphabet before any fold."""
+    """The term tables of `diagram`; `fusion_matrices` builds the matrices of all
+    its circle colours under one budget (MAX_FUSION_COEFFS), checked before
+    anything is built, and refuses a colour outside the alphabet before its folds."""
     from .fusion import fusion_matrices
     from .reps import quantum_dimension
 

@@ -10,17 +10,17 @@ multiplicities of mu:
 Only finitely many tau contribute, because m_mu vanishes outside the convex
 hull of the mu-orbit; those are enumerated exactly by running over the
 (finite) support of m_mu and folding each candidate point into the
-fundamental alcove of the level-k action (Kac-Walton).  `fusion_matrix` is
-the one evaluator of that sum: all N^nu_{mu lam} for one mu, as an integer
-matrix over the level alphabet held by rows (`Rows`), lam the row and nu the
-column: rows[a] maps each column b of a nonzero entry to it, a Python int,
-with keys in increasing b.  The transpose holds N^lam_{mu nu} = N^nu_{mu* lam}
+fundamental alcove of the level-k action (Kac-Walton).  `fusion_matrices` is
+the one evaluator of that sum: for each distinct mu, all N^nu_{mu lam} as an
+integer matrix over the level alphabet held by rows (`Rows`), lam the row and
+nu the column: rows[a] maps each column b of a nonzero entry to it, a Python
+int, with keys in increasing b.  The transpose holds N^lam_{mu nu} = N^nu_{mu* lam}
 instead; the two agree only for a self-dual mu.  The matrices are sparse
 (0.3-9% nonzero on small colours), so nothing dense is built for the state sum.
 `QuantumWeylGroup.fold` folds one rho-shifted point.  The candidate points of one call repeat
-across columns, weights and colours, so each is folded once: the fold
-cache maps a point's integer mixed-radix key to its alphabet row and sign,
-and is shared by every mu of `fusion_matrices`.  The key of nu + rho - beta
+across columns, weights and colours, so each is folded once: the one fold
+cache of a call maps a point's integer mixed-radix key to its alphabet row
+and sign, for every mu.  The key of nu + rho - beta
 is the key of nu + rho minus that of beta, one subtraction.  The full table
 (`build_fusion_table`) folds only the fundamental weights, through
 `fusion_matrices`, and builds every other matrix by the fusion-ring
@@ -103,11 +103,13 @@ class QuantumWeylGroup(NamedTuple):
         raise AssertionError(f"alcove folding did not terminate for {tuple(point)}")
 
 
-def fusion_matrix(alphabet: LevelAlphabet, gamma: Sequence[int],
-                  folds: dict[int, tuple[int, int]] | None = None) -> Rows:
+def fusion_matrices(alphabet: LevelAlphabet, gammas: Iterable[Sequence[int]]) -> dict[Labels, Rows]:
     """N_gamma[a, b] = N^{A[b]}_{gamma A[a]} over the level alphabet A, exactly,
-    by rows: rows[a] = {b: N_gamma[a, b]} over the nonzero entries, b
-    increasing, the fusion product of gamma and A[a].
+    for each distinct gamma in first-seen order, by rows: rows[a] = {b:
+    N_gamma[a, b]} over the nonzero entries, b increasing, the fusion product
+    of gamma and A[a].  Refused as a whole, before any fold, when the |A|^2
+    coefficients per gamma add up to more than MAX_FUSION_COEFFS; a gamma
+    outside the alphabet is refused before its own folds.
 
     N^nu_{gamma lam} = sum_{tau in W_k} sgn(tau) m_gamma(nu - tau(lam)).  For
     column b (nu = A[b]) and each weight beta in the support of m_gamma, the
@@ -115,61 +117,52 @@ def fusion_matrix(alphabet: LevelAlphabet, gamma: Sequence[int],
     alcove folding finds it and its sign (or a wall, where stabilized points
     contribute canceling pairs and are skipped).
 
-    `folds` is the fold cache: it maps the key of every point folded so far
-    to (row of the folded point in A, sign), sign 0 on a wall.
-    `fusion_matrices` passes one cache to all its colours.  The key of a
-    point x is sum_i (x_i + 3k) (7k)^(rank-1-i).  A weight beta of V(gamma) has
-    |beta_i| < 3k: beta_i = <beta, alpha_i^vee> is at most the pairing of
-    gamma with the highest coroot, which is at most the lacing number (at
-    most 3) times the level of gamma (below k).  So every digit of nu + rho -
-    beta lies in 0..7k-1, and its key is the key of nu + rho minus
+    The fold cache, one for all the colours, maps the key of every point
+    folded so far to (row of the folded point in A, sign), sign 0 on a wall.
+    The key of a point x is sum_i (x_i + 3k) (7k)^(rank-1-i).  A weight beta
+    of V(gamma) has |beta_i| < 3k: beta_i = <beta, alpha_i^vee> is at most the
+    pairing of gamma with the highest coroot, which is at most the lacing
+    number (at most 3) times the level of gamma (below k).  So every digit of
+    nu + rho - beta lies in 0..7k-1, and its key is the key of nu + rho minus
     sum_i beta_i (7k)^(rank-1-i).
     """
-    gamma = alphabet.require(gamma, "gamma")
+    distinct = list(dict.fromkeys(tuple(int(v) for v in g) for g in gammas))
     rs, k = alphabet.rs, alphabet.k
-    require_budget(len(alphabet.elements) ** 2, MAX_FUSION_COEFFS,
-                   f"one fusion matrix of {rs.name} at k = {k}", "coefficients")
-    folds = {} if folds is None else folds
+    require_budget(len(alphabet.elements) ** 2 * len(distinct), MAX_FUSION_COEFFS,
+                   f"{len(distinct)} fusion matrices of {rs.name} at k = {k}", "coefficients")
     places = [(7 * k) ** p for p in range(rs.rank - 1, -1, -1)]
     shifted = [tuple(v + 1 for v in lam) for lam in alphabet.elements]
     index = {x: a for a, x in enumerate(shifted)}
-    support = [(beta, sum(v * p for v, p in zip(beta, places)), m)
-               for beta, m in weight_multiplicities(rs, gamma).multiplicities.items()]
+    bases = [sum((v + 3 * k) * p for v, p in zip(x, places)) for x in shifted]
     qwg = QuantumWeylGroup(rs=rs, k=k)
-    rows: Rows = [{} for _ in shifted]
-    for b, x in enumerate(shifted):
-        base = sum((v + 3 * k) * p for v, p in zip(x, places))
-        column: dict[int, int] = {}  # a -> N_gamma[a, b]
-        for beta, offset, m in support:
-            hit = folds.get(base - offset)
-            if hit is None:
-                folded, sign = qwg.fold([v - w for v, w in zip(x, beta)])
-                row = 0 if folded is None else index.get(folded)
-                if row is None:
-                    raise AssertionError(
-                        f"a folded point for gamma = {gamma} is not in the alphabet")
-                hit = folds[base - offset] = (row, sign)
-            row, sign = hit
-            if sign:
-                column[row] = column.get(row, 0) + sign * m
-        for a, c in column.items():
-            if c < 0:
-                raise AssertionError(f"negative fusion coefficient for gamma = {gamma}")
-            if c:
-                rows[a][b] = c
-    return rows
-
-
-def fusion_matrices(alphabet: LevelAlphabet, gammas: Iterable[Sequence[int]]) -> dict[Labels, Rows]:
-    """N_gamma for each distinct gamma, in first-seen order, over one fold cache;
-    refused as a whole when the |A|^2 coefficients per gamma add up to more
-    than MAX_FUSION_COEFFS."""
-    distinct = list(dict.fromkeys(tuple(int(v) for v in g) for g in gammas))
-    require_budget(len(alphabet.elements) ** 2 * len(distinct), MAX_FUSION_COEFFS,
-                   f"{len(distinct)} fusion matrices of {alphabet.rs.name} at k = {alphabet.k}",
-                   "coefficients")
     folds: dict[int, tuple[int, int]] = {}
-    return {g: fusion_matrix(alphabet, g, folds) for g in distinct}
+    matrices: dict[Labels, Rows] = {}
+    for g in distinct:
+        gamma = alphabet.require(g, "gamma")
+        support = [(beta, sum(v * p for v, p in zip(beta, places)), m)
+                   for beta, m in weight_multiplicities(rs, gamma).multiplicities.items()]
+        rows: Rows = [{} for _ in shifted]
+        for b, (x, base) in enumerate(zip(shifted, bases)):
+            column: dict[int, int] = {}  # a -> N_gamma[a, b]
+            for beta, offset, m in support:
+                hit = folds.get(base - offset)
+                if hit is None:
+                    folded, sign = qwg.fold([v - w for v, w in zip(x, beta)])
+                    row = 0 if folded is None else index.get(folded)
+                    if row is None:
+                        raise AssertionError(
+                            f"a folded point for gamma = {gamma} is not in the alphabet")
+                    hit = folds[base - offset] = (row, sign)
+                row, sign = hit
+                if sign:
+                    column[row] = column.get(row, 0) + sign * m
+            for a, c in column.items():
+                if c < 0:
+                    raise AssertionError(f"negative fusion coefficient for gamma = {gamma}")
+                if c:
+                    rows[a][b] = c
+        matrices[gamma] = rows
+    return matrices
 
 
 # -- Verlinde oracle ---------------------------------------------------------
@@ -260,7 +253,7 @@ def verlinde_table(alphabet: LevelAlphabet) -> list[int]:
 def build_fusion_table(alphabet: LevelAlphabet) -> list[int]:
     """T[l, m, n] = N^{A[n]}_{A[l] A[m]} as one flat list of |A|^3 ints in
     (l, m, n) index order, by the fusion-ring recursion from the fundamental
-    matrices.  Row l of N_{A[m]} (`fusion_matrix`) is T[l, m, :].
+    matrices.  Row l of N_{A[m]} (`fusion_matrices`) is T[l, m, :].
 
     N_0 is the identity, and `fusion_matrices` folds the fundamental weights of
     the alphabet, all through one fold cache.  Every other kappa, with first

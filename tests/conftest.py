@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shadowsum.diagrams import build_diagram
+from shadowsum.diagrams import build_diagram, contract_state_sum, prepare_terms, read_link
 from shadowsum.errors import PreconditionError
-from shadowsum.fusion import _s_matrix, build_fusion_table
+from shadowsum.fusion import _s_matrix, build_fusion_table, fusion_matrices
 from shadowsum.regularize import regularized_indicator, require_stage
 from shadowsum.reps import level_alphabet
-from shadowsum.roots import build_root_system
+from shadowsum.roots import build_root_system, weyl_orbit
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -71,6 +71,11 @@ def densify(rows, n):
         for b, c in row.items():
             mat[a, b] = c
     return mat
+
+
+def fusion_rows(alphabet, gamma):
+    """N_gamma by rows, as `fusion_matrices` builds it for the one colour gamma."""
+    return fusion_matrices(alphabet, [gamma])[tuple(gamma)]
 
 
 def _combine(coeffs, vectors):
@@ -300,6 +305,43 @@ def random_forest_diagram(rng: random.Random, alphabet, max_circles=6, max_wind=
             }
         )
     return build_diagram(circles)
+
+
+def random_link(rng: random.Random, group, k, colours, max_circles=5):
+    """A link document of 1..max_circles circles in a random nesting forest, each
+    coloured from `colours`, with a winding in +-1..+-3 and either positive side."""
+    circles = []
+    for i in range(rng.randint(1, max_circles)):
+        circles.append({"id": str(i),
+                        "parent": str(rng.randrange(i)) if i and rng.random() < 0.6 else None,
+                        "winding": rng.choice((1, -1)) * rng.randint(1, 3),
+                        "positive_side": rng.choice(("inside", "outside")),
+                        "color": list(rng.choice(colours))})
+    return {"group": group, "k": k, "circles": circles}
+
+
+def link_value(doc):
+    """The state sum of a link document, read and contracted as `shadow` does it."""
+    link, problems = read_link(doc)
+    assert link is not None, problems
+    _, alphabet, diagram = link
+    return contract_state_sum(prepare_terms(diagram, alphabet))
+
+
+def mirror_link(doc):
+    """The link with every winding negated; its value is the conjugate."""
+    return dict(doc, circles=[dict(c, winding=-c["winding"]) for c in doc["circles"]])
+
+
+def dual_link(doc):
+    """The link with every circle coloured by its dual -w0 gamma, the dominant point of
+    the Weyl orbit of -gamma; its value is unchanged."""
+    (rs, _, _), _ = read_link(doc)
+
+    def dual(gamma):
+        return next(list(p) for p, _ in weyl_orbit(rs, [-v for v in gamma]) if min(p) >= 0)
+
+    return dict(doc, circles=[dict(c, color=dual(c["color"])) for c in doc["circles"]])
 
 
 def _parented(**parents):

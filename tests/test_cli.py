@@ -369,6 +369,32 @@ class TestRegularizeAndHolonomy:
         assert json.loads(r.stdout)["det_rig_n_bound"] is None
         assert "Infinity" not in r.stdout and "NaN" not in r.stdout
 
+    E8_FACE = "-27/61,-24/61,0,-48/61,39/61,-58/61,46/61,-9/61"
+
+    @pytest.mark.parametrize("argv,circles,singular", [
+        (["--group", "A1", "--alpha-b", "1", "--n", "4"], None, True),
+        (["--group", "A1", "--alpha-b", "1/1000", "--n", "4"], None, False),
+        (["--n", "4", "--face-values=" + ";".join([E8_FACE] * 5)],
+         ("E8", [(f"c{i}", None) for i in range(4)]), False),
+        (["--n", "6", "--face-values=5/7,1/11,-3/13;0,0,0;1/3,-1/5,2/9"],
+         ("G2", [("a", None), ("b", "a")]), True),
+    ], ids=["A1-singular", "A1-underflow", "E8-5-faces-underflow", "G2-nested-zero-face"])
+    def test_regularize_says_whether_its_zero_is_exact(self, tmp_path, capsys, argv, circles,
+                                                       singular):
+        """Each indicator is 0.0, by construction where some root pairing on some face
+        is an integer, and by underflow of a regular field's stage value elsewhere;
+        only "singular" tells the two apart."""
+        if circles is not None:
+            group, ids = circles
+            rank = build_root_system(group).rank
+            argv = [write(tmp_path, "link.json", {"group": group, "circles": [
+                {"id": cid, "parent": parent, "winding": 1, "positive_side": "inside",
+                 "color": [0] * rank} for cid, parent in ids]}), *argv]
+        rc, doc = run_main(capsys, "regularize", *argv)
+        assert rc == 0
+        assert doc["indicator"] == 0.0
+        assert doc["singular"] is singular
+
     def test_regularize_refuses_the_stage_before_converting_values(
             self, tmp_path, capsys, monkeypatch):
         """2,000 flat E8 circles at n = 1 pass the trust check, but their 2,001 faces hold

@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (CYCLE_FORESTS, densify, flat_forest, random_forest_diagram, table_array,
+from conftest import (CYCLE_FORESTS, densify, dual_link, flat_forest, fusion_rows, link_value,
+                      mirror_link, random_forest_diagram, random_link, table_array,
                       verlinde_link_value)
 from shadowsum.determinants import det_k
 from shadowsum.diagrams import build_diagram, contract_state_sum, list_terms, prepare_terms
 from shadowsum.errors import PreconditionError
 from shadowsum import cli, fusion, reps
-from shadowsum.fusion import QuantumWeylGroup, build_fusion_table, fusion_matrix
+from shadowsum.fusion import QuantumWeylGroup, build_fusion_table
 from shadowsum.holonomy import weight_phases, weight_trace
 from shadowsum.reps import level_alphabet, quantum_dimension, weight_multiplicities
 from shadowsum.roots import build_root_system
@@ -448,11 +449,54 @@ def test_flat_forests_match_torus_gauge(monkeypatch, label, k, sizes):
         raise AssertionError("the torus-gauge sum used fusion data")
 
     monkeypatch.setattr(QuantumWeylGroup, "fold", disabled)
-    monkeypatch.setattr(fusion, "fusion_matrix", disabled)
+    monkeypatch.setattr(fusion, "fusion_matrices", disabled)
     monkeypatch.setattr(fusion, "_s_matrix", disabled)
     for components, got in zip(forests, results):
         want = torus_gauge_value(al, components)
         assert abs(got.value - want) <= 1e-12 * got.abs_sum, components
+
+
+# (group, k) of the symmetry draws; E6 at k = 13 is coloured by its two fundamentals
+# in the alphabet, omega_1 and omega_6, which are each other's dual.
+SYMMETRY_LEVELS = [("A1", 6), ("A2", 6), ("A3", 6), ("B2", 6), ("G2", 7), ("E6", 13)]
+
+
+def _symmetry_colours(label, k):
+    elements = level_alphabet(build_root_system(label), k).elements
+    return [e for e in elements if any(e)] if label == "E6" else elements
+
+
+@pytest.mark.parametrize("label,k", SYMMETRY_LEVELS)
+def test_mirror_conjugates_and_duals_keep_the_value(label, k):
+    """On 20 random nesting forests, windings in +-1..+-3: negating every winding
+    conjugates the value, and colouring every circle by its dual leaves it."""
+    colours = _symmetry_colours(label, k)
+    rng = random.Random(f"symmetry:{label}")
+    for _ in range(20):
+        doc = random_link(rng, label, k, colours)
+        got = link_value(doc)
+        mirrored, dual = link_value(mirror_link(doc)), link_value(dual_link(doc))
+        assert abs(mirrored.value - got.value.conjugate()) <= 1e-12 * got.abs_sum, doc
+        assert abs(dual.value - got.value) <= 1e-12 * got.abs_sum, doc
+
+
+@pytest.mark.parametrize("label,k", SYMMETRY_LEVELS)
+def test_rerooting_the_sphere(label, k):
+    """Circle b nested in a, seen from a point of the sphere inside a, is the flat
+    pair with a's inside and outside exchanged: the two values agree with a's
+    positive side flipped, on 20 random draws of colours, windings in +-1..+-3
+    and sides."""
+    colours = _symmetry_colours(label, k)
+    rng = random.Random(f"reroot:{label}")
+    flip = {"inside": "outside", "outside": "inside"}
+    for _ in range(20):
+        a, b = ({"id": cid, "parent": None, "winding": rng.choice((1, -1)) * rng.randint(1, 3),
+                 "positive_side": rng.choice(("inside", "outside")),
+                 "color": list(rng.choice(colours))} for cid in "ab")
+        nested = link_value({"group": label, "k": k, "circles": [a, dict(b, parent="a")]})
+        flat = link_value({"group": label, "k": k, "circles": [
+            dict(a, positive_side=flip[a["positive_side"]]), b]})
+        assert abs(nested.value - flat.value) <= 1e-12 * nested.abs_sum, (a, b)
 
 
 def test_contraction_deep_chain_is_iterative(a1):
@@ -521,7 +565,7 @@ def side_by_side_closed_form(alphabet, n, gamma, winding):
 
     els = alphabet.elements
     dims = [quantum_dimension(alphabet, lam) for lam in els]
-    fusion = densify(fusion_matrix(alphabet, gamma), len(els))
+    fusion = densify(fusion_rows(alphabet, gamma), len(els))
     value = abs_sum = 0
     for a, lam in enumerate(els):
         m = sum(fusion[a, b] * dims[b] * phase(nu, winding) for b, nu in enumerate(els))
@@ -572,9 +616,14 @@ def test_diagnostics_terms_sum_to_value(tmp_path, capsys, monkeypatch):
     """700 side-by-side [0] circles at A1 k=10: the listed terms keep their scale,
     and the contraction and the listing share the one matrix of colour [0]."""
     built = []
-    build = fusion.fusion_matrix
-    monkeypatch.setattr(fusion, "fusion_matrix",
-                        lambda al, g, folds=None: built.append(g) or build(al, g, folds))
+    build = fusion.fusion_matrices
+
+    def recorded(al, gammas):
+        matrices = build(al, gammas)
+        built.extend(matrices)
+        return matrices
+
+    monkeypatch.setattr(fusion, "fusion_matrices", recorded)
     doc = {"group": "A1", "k": 10,
            "circles": [circle(f"c{i}", winding=0, color=(0,)) for i in range(700)]}
     rc, out = _shadow_cli(tmp_path, capsys, doc, "--diagnostics")
@@ -603,10 +652,11 @@ def test_shadow_beyond_the_full_table_budget(tmp_path, capsys):
 
 def test_shadow_refuses_many_colours_before_building(tmp_path, capsys, monkeypatch):
     """26 distinct colours at A1 k=200 need 26 * 199^2 > 10^6 coefficients: exit 3, no matrix built."""
-    def unbuilt(alphabet, gamma, folds=None):
+    def unbuilt(*args):
         raise AssertionError("a fusion matrix was built before the budget check")
 
-    monkeypatch.setattr(fusion, "fusion_matrix", unbuilt)
+    monkeypatch.setattr(fusion, "weight_multiplicities", unbuilt)
+    monkeypatch.setattr(QuantumWeylGroup, "fold", unbuilt)
     doc = {"group": "A1", "k": 200, "circles": [circle(f"c{i}", color=(i,)) for i in range(26)]}
     rc, out = _shadow_cli(tmp_path, capsys, doc)
     assert rc == 3
@@ -633,7 +683,7 @@ def test_outside_orientation_is_the_transpose(a1, c):
     of N_c, which equal the dense transpose; positive side inside gets N_c."""
     al = level_alphabet(a1, 1000)
     n = len(al.elements)
-    dense = densify(fusion_matrix(al, (c,)), n)
+    dense = densify(fusion_rows(al, (c,)), n)
     d = build_diagram([circle("in", color=(c,)), circle("out", side="outside", color=(c,))])
     (_, _, inside), (_, _, outside) = prepare_terms(d, al).circles
     assert (densify(inside, n) == dense).all()
@@ -647,11 +697,11 @@ def test_outside_orientation_on_a_non_self_dual_colour():
     increasing, and differ from the inside rows."""
     al = level_alphabet(build_root_system("A2"), 6)
     n = len(al.elements)
-    dense = densify(fusion_matrix(al, (1, 0)), n)
+    dense = densify(fusion_rows(al, (1, 0)), n)
     d = build_diagram([circle("in", color=(1, 0)), circle("out", side="outside", color=(1, 0))])
     (_, _, inside), (_, _, outside) = prepare_terms(d, al).circles
     assert (densify(inside, n) == dense).all()
     assert (densify(outside, n) == dense.T).all()
-    assert outside == fusion_matrix(al, (0, 1))
+    assert outside == fusion_rows(al, (0, 1))
     assert outside != inside and (dense != dense.T).any()
     assert all(list(row) == sorted(row) for row in outside)

@@ -18,7 +18,6 @@ from shadowsum.fusion import (
     QuantumWeylGroup,
     build_fusion_table,
     fusion_matrices,
-    fusion_matrix,
     table_lines,
     verify_against_verlinde,
     verlinde_table,
@@ -30,6 +29,7 @@ from conftest import (
     densify,
     flat_forest,
     fold_point,
+    fusion_rows,
     reflect_affine,
     reflect_simple,
     table_array,
@@ -55,25 +55,25 @@ class TestQuantumDimension:
 
 
 class TestFusionCoefficient:
-    """Through fusion_matrix: N_mu[a, b] = N^{A[b]}_{mu A[a]}; at A1, A[i] = (i,)."""
+    """Through fusion_matrices: N_mu[a, b] = N^{A[b]}_{mu A[a]}; at A1, A[i] = (i,)."""
 
     def test_trivial_mu_is_delta(self, a1k4):
-        rows = fusion_matrix(a1k4, (0,))
+        rows = fusion_rows(a1k4, (0,))
         assert all(type(b) is int and type(c) is int for row in rows for b, c in row.items())
         assert (densify(rows, 3) == np.eye(3, dtype=int)).all()
 
     def test_a1_k4_examples(self, a1k4):
-        n = densify(fusion_matrix(a1k4, (1,)), 3)
+        n = densify(fusion_rows(a1k4, (1,)), 3)
         assert n[0, 1] == 1
         assert n[1, 1] == 0
         assert n[2, 1] == 1
 
     def test_a1_k5_example(self, a1):
-        assert densify(fusion_matrix(level_alphabet(a1, 5), (1,)), 4)[1, 2] == 1
+        assert densify(fusion_rows(level_alphabet(a1, 5), (1,)), 4)[1, 2] == 1
 
     def test_outside_alphabet_rejected(self, a1k4):
         with pytest.raises(PreconditionError):
-            fusion_matrix(a1k4, (3,))
+            fusion_rows(a1k4, (3,))
 
     @pytest.mark.parametrize("label,k", [("A1", 30), ("A2", 12), ("B2", 9), ("G2", 11), ("A3", 8)])
     def test_triples_sorted_merged_nonzero(self, label, k):
@@ -81,17 +81,36 @@ class TestFusionCoefficient:
         increasing, coefficients positive Python ints."""
         al = level_alphabet(build_root_system(label), k)
         for gamma in al.elements[:: max(1, len(al.elements) // 6)]:
-            rows = fusion_matrix(al, gamma)
+            rows = fusion_rows(al, gamma)
             assert len(rows) == len(al.elements)
             assert all(list(row) == sorted(row) for row in rows)
             assert all(type(c) is int and c > 0 for row in rows for c in row.values())
+
+    @pytest.mark.parametrize("label,k", [
+        *((label, build_root_system(label).dual_coxeter + d)
+          for label in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4",
+                        "G2")
+          for d in (1, 2)),
+        ("E6", 13)])
+    def test_fold_key_digits_in_range(self, label, k):
+        """The fold cache's key is exact: every weight beta of V(gamma), for every
+        colour gamma of the alphabet, has |beta_i| < 3k, so every digit
+        x_i - beta_i + 3k of a keyed point x - beta (x = nu + rho) lies in 0..7k-1."""
+        al = level_alphabet(build_root_system(label), k)
+        shifted = [[v + 1 for v in nu] for nu in al.elements]
+        for gamma in al.elements:
+            weights = reps.weight_multiplicities(al.rs, gamma).multiplicities
+            assert all(abs(v) < 3 * k for beta in weights for v in beta), gamma
+            digits = {x_i - b_i + 3 * k for x in shifted for beta in weights
+                      for x_i, b_i in zip(x, beta)}
+            assert 0 <= min(digits) and max(digits) < 7 * k, gamma
 
     def test_budget_refuses_before_building(self, a1):
         """|A|^2 = 1001^2 coefficients at A1 k=1002 exceeds the budget."""
         al = level_alphabet(a1, 1002)
         assert len(al.elements) ** 2 > MAX_FUSION_COEFFS
         with pytest.raises(PreconditionError, match="budget"):
-            fusion_matrix(al, (1,))
+            fusion_rows(al, (1,))
 
 
 def weyl_sum_row(al, b):
@@ -224,7 +243,7 @@ class TestVerlindeOracle:
 
     @pytest.mark.parametrize("label,k", [("B2", 8), ("A3", 7)])
     def test_shares_nothing_with_folding(self, monkeypatch, label, k):
-        """With fold, fusion_matrix and Freudenthal disabled, the oracle still
+        """With fold, fusion_matrices and Freudenthal disabled, the oracle still
         gives the folded table, and the whole-link oracle the state sum."""
         al = level_alphabet(build_root_system(label), k)
         expected = build_fusion_table(al)
@@ -236,7 +255,7 @@ class TestVerlindeOracle:
             raise AssertionError("the Verlinde oracle used the folding path")
 
         monkeypatch.setattr(QuantumWeylGroup, "fold", disabled)
-        monkeypatch.setattr(fusion, "fusion_matrix", disabled)
+        monkeypatch.setattr(fusion, "fusion_matrices", disabled)
         monkeypatch.setattr(reps, "weight_multiplicities", disabled)
         monkeypatch.setattr(fusion, "weight_multiplicities", disabled)
         assert verlinde_table(al) == expected
@@ -320,7 +339,7 @@ class TestQuantumWeylGroup:
 
         monkeypatch.setattr(QuantumWeylGroup, "fold", outside)
         with pytest.raises(AssertionError, match="not in the alphabet"):
-            fusion_matrix(a1k4, (1,))
+            fusion_rows(a1k4, (1,))
 
     @pytest.mark.parametrize("c", [1, 500, 998])
     def test_a1_k1000_truncated_clebsch_gordan(self, a1, c):
@@ -328,7 +347,7 @@ class TestQuantumWeylGroup:
         is even.  At c = 998 about 10^6 candidate points go through the fold cache;
         the Verlinde oracle is over budget here."""
         k = 1000
-        mat = densify(fusion_matrix(level_alphabet(a1, k), (c,)), k - 1)
+        mat = densify(fusion_rows(level_alphabet(a1, k), (c,)), k - 1)
         a, b = np.ogrid[: k - 1, : k - 1]
         rule = ((abs(a - b) <= c) & (c <= np.minimum(a + b, 2 * (k - 2) - a - b))
                 & ((a + b + c) % 2 == 0))
@@ -345,7 +364,7 @@ class TestQuantumWeylGroup:
         omega = (1,) + (0,) * (rs.rank - 1)
         dims = [quantum_dimension(al, lam) for lam in al.elements]
         d = quantum_dimension(al, omega)
-        for a, row in enumerate(fusion_matrix(al, omega)):
+        for a, row in enumerate(fusion_rows(al, omega)):
             lhs = sum(n * dims[b] for b, n in row.items())
             assert lhs == pytest.approx(d * dims[a], rel=1e-12), al.elements[a]
 
@@ -360,7 +379,7 @@ class TestTableAndExport:
     def test_slices_are_the_matrices(self, a1k4, a1k4_table):
         table = table_array(a1k4_table)
         for m, mu in enumerate(a1k4.elements):
-            assert (table[:, m, :] == densify(fusion_matrix(a1k4, mu), 3)).all()
+            assert (table[:, m, :] == densify(fusion_rows(a1k4, mu), 3)).all()
 
     def test_ring_property(self, a1k4, a1k4_table):
         table = table_array(a1k4_table)
@@ -461,9 +480,10 @@ class TestRingRecursion:
         """Doubled fundamental matrices give N_(0,2) the coefficient 2 in
         N_(0,1) N_(0,1) = N_(0,2) + N_(1,0)."""
         al = level_alphabet(build_root_system("A2"), 6)
-        build = fusion.fusion_matrix
-        monkeypatch.setattr(fusion, "fusion_matrix", lambda al, g, folds=None: [
-            {b: 2 * c for b, c in row.items()} for row in build(al, g, folds)])
+        build = fusion.fusion_matrices
+        monkeypatch.setattr(fusion, "fusion_matrices", lambda al, gs: {
+            g: [{b: 2 * c for b, c in row.items()} for row in rows]
+            for g, rows in build(al, gs).items()})
         with pytest.raises(AssertionError, match=re.escape("N_(0, 2) has coefficient 2")):
             build_fusion_table(al)
 
@@ -471,16 +491,15 @@ class TestRingRecursion:
         """A spurious N^(0,0)_{(1,0) (1,0)} = 1 is subtracted with N_(1,0) from
         N_(0,1) N_(0,1), which leaves -1 in N_(0,2)."""
         al = level_alphabet(build_root_system("A2"), 6)
-        build = fusion.fusion_matrix
+        build = fusion.fusion_matrices
 
-        def spurious(al, g, folds=None):
-            rows = build(al, g, folds)
-            if g == (1, 0):
-                fund = al.index((1, 0))
-                rows[fund] = {al.index((0, 0)): 1, **rows[fund]}
-            return rows
+        def spurious(al, gs):
+            matrices = build(al, gs)
+            rows, fund = matrices[1, 0], al.index((1, 0))
+            rows[fund] = {al.index((0, 0)): 1, **rows[fund]}
+            return matrices
 
-        monkeypatch.setattr(fusion, "fusion_matrix", spurious)
+        monkeypatch.setattr(fusion, "fusion_matrices", spurious)
         with pytest.raises(AssertionError, match=re.escape("negative fusion coefficient for "
                                                            "gamma = (0, 2)")):
             build_fusion_table(al)
