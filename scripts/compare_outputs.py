@@ -17,7 +17,9 @@ on the high-rank alphabets of A8 at k = 13 (495 weights) and E6 at k = 22 (861
 weights) (HIGH_RANK_QDIM_JOBS), runs `fusion --dump --verify` on alphabets no
 benchmark job exports, C3 k=7, C4 k=7 (as text), A4 k=8, B4 k=10, D4 k=8, F4
 k=12 and G2 k=14, each inside both oracle budgets, and on E6 k=13, which the
-Verlinde orbit budget refuses (VERIFY_JOBS), runs `det`, `regularize` and
+Verlinde orbit budget refuses (VERIFY_JOBS), runs `fusion --dump` without
+`--verify` on E6 k=14 and E7 k=20, the only E-type tables it exports
+(E_DUMP_JOBS), runs `det`, `regularize` and
 `holonomy` at large exact field values on A1 and G2 (LARGE_FIELDS), runs
 `shadow` (with `--diagnostics` and `validate`) on one nested three-circle link
 of each type whose fold path no benchmark `shadow` job takes, A4 k=8, C4 k=7,
@@ -115,6 +117,11 @@ VERIFY_JOBS = {f"verify/{group}-k={k}": ["fusion", "--group", group, "--k", str(
                    ("F4", 12, []),  # 9, 93,312
                    ("G2", 14, []),  # 36, 15,552
                    ("E6", 13, []))}  # 3, 466,560: refused
+# `fusion --dump` without --verify, which the orbit budget refuses on every E type, on
+# E6 k=14 and E7 k=20 (9 and 6 weights): the only jobs that export an E-type table, so
+# the height order of `build_fusion_table`'s recursion is compared on E types
+E_DUMP_JOBS = {f"dump/{group}-k={k}": ["fusion", "--group", group, "--k", str(k), "--dump"]
+               for group, k in (("E6", 14), ("E7", 20))}
 # Every supported type with its ambient dimension, for `det --b`
 DET_TYPES = [(f"{t}{n}", dim(n)) for t, ranks, dim in (
     ("A", range(1, 9), lambda n: n + 1), ("B", range(2, 9), lambda n: n),
@@ -378,6 +385,7 @@ def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
         jobs += [(f"qdim/{argv[2]}", argv, {}) for argv in QDIM_JOBS]
         jobs += [(name, argv, {}) for name, argv in HIGH_RANK_QDIM_JOBS.items()]
         jobs += [(name, argv, {}) for name, argv in VERIFY_JOBS.items()]
+        jobs += [(name, argv, {}) for name, argv in E_DUMP_JOBS.items()]
         for group, (field, color) in LARGE_FIELDS.items():
             at = ["--group", group, field]
             jobs += [(f"large/{group}/det", ["det", *at], {}),

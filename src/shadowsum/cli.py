@@ -9,35 +9,32 @@ subcommand's long flag names; each becomes `--key=value` (`true`: a bare
 `--key`) ahead of the command line, so explicit flags win.  Each command
 imports the modules it runs when it runs, so a job loads no other, and
 no command loads numpy.  Every resource budget is refused (exit 3) through
-`errors.require_budget`, before the work it counts.  `det --quad-res` is
-checked but, like `holonomy --n`, changes no output.  A job process ends
-through `run`, which skips the shutdown collection, and parses with the one
-subcommand its first word names (`build_parser`).
+`errors.require_budget`, before the work it counts.  A job process parses
+with the one subcommand its first word names (`build_parser`), and ends
+through `run`, which exits without tearing the interpreter down.  The kernel
+commands `det`, `regularize` and `holonomy` live in `kernel_cli`, which
+`build_parser` imports only when it adds one of them, so a lattice job
+(`shadow`, `fusion`, `qdim`, `validate`) compiles none of their code and
+loads no `fractions`.
 
 Link files are read by `diagrams.read_link`, which holds their schema.
 Output for `shadow`: { "value": {"re", "im"}, "abs_sum", "colorings", "retained",
 optional "terms" }.  The per-term listing of --diagnostics is refused (exit 3)
-when it would hold more than MAX_LISTED_TERMS terms.  Output for `regularize`:
-{ "indicator", "singular", "det_rig_n": {"re", "im"}, "det_rig_n_bound", ... } at a
-stage n admitted once (`regularize.require_stage`); "singular" is true iff some face
-has an integer root pairing; "det_rig_n_bound" bounds |det_rig_n - limit| / |limit|
-and is null where log^(n) has no stated accuracy.
+when it would hold more than MAX_LISTED_TERMS terms.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
+import atexit
 import itertools
 import json
-import math
 import os
 import sys
-from fractions import Fraction
 from typing import NoReturn
 
 from . import __version__
-from .errors import ParseError, PreconditionError, ShadowsumError, require_budget, shown
+from .errors import ParseError, PreconditionError, ShadowsumError, require_budget
 
 MAX_LISTED_TERMS = 10**6  # budget of the per-term listing of `shadow --diagnostics`
 
@@ -89,27 +86,6 @@ def _alphabet(args):
     if args.k is None:
         raise PreconditionError("missing --k")
     return level_alphabet(rs, args.k)
-
-
-def _reduced(x: tuple) -> tuple:
-    """Exact coweight coordinates x reduced into [-1, 1] modulo 2, x - 2 round(x/2).
-
-    Every command reads x only through integer-label pairings, of period 2 (the
-    root sine) or 1, so no value changes, and no kernel sees a large float.
-    """
-    return tuple(v - 2 * round(v / 2) for v in x)
-
-
-def _field_b(args, rs) -> tuple:
-    """The field value of --b (ambient coordinates) or --alpha-b (A1), as coweight
-    coordinates x (`_reduced`): on A1, alpha(b) = 2 x."""
-    if args.b is not None:
-        return _reduced(rs.coweight_coordinates(args.b))
-    if args.alpha_b is not None:
-        if rs.rank != 1:
-            raise PreconditionError("--alpha-b is a rank-1 shorthand; use --b")
-        return _reduced((args.alpha_b / 2,))
-    raise PreconditionError("need --b (ambient coords) or --alpha-b (rank 1)")
 
 
 def cmd_shadow(args) -> dict:
@@ -183,93 +159,6 @@ def cmd_qdim(args) -> dict:
     }
 
 
-def cmd_det(args) -> dict:
-    from .determinants import det_half, det_k, det_rig_constant, det_rig_quadrature
-    from .roots import format_vector, is_regular
-
-    if args.quad_res is not None and not args.diagnostics:
-        raise ParseError("--quad-res needs --diagnostics")
-    if args.diagnostics and args.chi != 2:
-        raise PreconditionError("--diagnostics integrates over the round sphere, chi = 2, "
-                                f"not --chi {shown(args.chi)}")
-    rs = _root_system(args)
-    a = rs.root_pairings(_field_b(args, rs))
-    if not is_regular(a):
-        typed = format_vector(args.b) if args.b is not None else f"alpha(b) = {args.alpha_b}"
-        raise PreconditionError(f"constant field value {typed} is singular")
-    out = {
-        "group": rs.name,
-        "det_k": det_k(a),
-        "det_half": det_half(a),
-        "chi": args.chi,
-        "det_rig_constant": det_rig_constant(a, args.chi),
-    }
-    if args.diagnostics:
-        out["det_rig_quadrature"] = det_rig_quadrature(a)
-    return out
-
-
-def cmd_regularize(args) -> dict:
-    from .regularize import (
-        constant_field, det_rig_n, regularized_indicator, require_stage, stepped_field)
-    from .roots import is_regular
-
-    if args.input is None:
-        rs = _root_system(args)
-        if args.face_values is not None:
-            raise ParseError("--face-values needs a link file")
-        field = constant_field(rs.root_pairings(_field_b(args, rs)))
-        cut = require_stage(len(rs.positive_root_labels), args.n, len(field))
-    else:
-        if args.b is not None or args.alpha_b is not None:
-            raise ParseError("a link file takes --face-values, not --b or --alpha-b")
-        rs, _, diagram = _read_link(args, level=False)
-        if args.face_values is None:
-            raise PreconditionError("--face-values needed with a link file")
-        field = stepped_field(diagram.faces, args.face_values)  # refuses a wrong count
-        cut = require_stage(len(rs.positive_root_labels), args.n, len(field))
-        field = tuple((face_id, euler, rs.root_pairings(_reduced(rs.coweight_coordinates(b))))
-                      for face_id, euler, b in field)
-    det, bound = det_rig_n(args.n, field)
-    return {
-        "group": rs.name,
-        "n": args.n,
-        "indicator": regularized_indicator(cut, field),
-        "singular": not all(is_regular(pairings) for _, _, pairings in field),
-        "det_rig_n": _c2j(det),
-        "det_rig_n_bound": bound,
-        "faces": len(field),
-    }
-
-
-def cmd_holonomy(args) -> dict:
-    from .holonomy import (
-        holonomy, require_rep_dim, weight_phases, weight_trace, wilson_closed_form)
-    from .reps import weight_multiplicities
-
-    rs = _root_system(args)
-    x = _field_b(args, rs)
-    require_rep_dim(rs, args.color)
-    ws = weight_multiplicities(rs, args.color)
-    # Weights have integer labels, so both values are unchanged by a coroot-lattice vector
-    # in b, an integer vector in x, and depend on the winding only modulo the lcm D of the
-    # denominators of x.  weight_phases reduces each exact beta(b) before its float, so only
-    # the winding, by which the product path multiplies float phases, is reduced here, mod D.
-    period = math.lcm(*(v.denominator for v in x))
-    wind = args.wind - period * round(Fraction(args.wind, period))
-    closed = wilson_closed_form(ws, x, wind)
-    phases = [wind * p for p in weight_phases(ws, x)]
-    product = holonomy(phases, n=args.n)
-    return {
-        "group": rs.name,
-        "color": list(args.color),
-        "winding": args.wind,
-        "n": args.n,
-        "closed_form": _c2j(closed),
-        "product_trace": _c2j(weight_trace(product)),
-    }
-
-
 def cmd_validate(args) -> tuple[dict, int]:
     from .diagrams import read_link
 
@@ -294,39 +183,7 @@ def _list_of(convert, what: str, sep: str = ","):
     return parse
 
 
-def _exact(convert, what: str):
-    """An argparse type: one exact value read by `convert`.  Malformed text, a zero
-    denominator and more digits than CPython converts to text (4300, which int
-    parsing enforces and exponent notation such as 1e5000 would bypass) are usage
-    errors."""
-
-    def parse(text: str):
-        try:
-            value = convert(text)
-            str(value)
-            return value
-        except (ValueError, ZeroDivisionError):
-            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
-
-    return parse
-
-
-_rational = _exact(Fraction, "a rational number")
-_winding = _exact(int, "an integer")
-
-
-def _grid(text: str) -> tuple[int, int]:
-    try:
-        n_theta, n_phi = (int(x) for x in text.split("x"))
-        if n_theta > 0 and n_phi > 0:
-            return n_theta, n_phi
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a grid such as 64x128, got {text!r}")
-
-
 _labels = _list_of(int, "comma-joined integer labels")
-_rationals = _list_of(_rational, "comma-joined rationals")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -334,13 +191,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ParseError(f"{self.prog}: {message}")
-
-
-def _field(sp):
-    one_of = sp.add_mutually_exclusive_group()
-    one_of.add_argument("--b", type=_rationals, help="ambient coordinates of b, comma-joined")
-    one_of.add_argument("--alpha-b", type=_rational,
-                        help="rank-1 shorthand: the value alpha(b); excludes --b")
 
 
 def _shadow_flags(sp):
@@ -358,47 +208,22 @@ def _qdim_flags(sp):
     sp.add_argument("--weight", type=_labels, help="one weight as comma-joined labels")
 
 
-def _det_flags(sp):
-    _field(sp)
-    sp.add_argument("--chi", type=int, default=2, help="Euler number of the surface")
-    sp.add_argument("--diagnostics", action="store_true", help="add the surface quadrature")
-    sp.add_argument("--quad-res", type=_grid,
-                    help="quadrature grid, e.g. 512x1024; with --diagnostics "
-                         "(every grid gives the same value)")
-
-
-def _regularize_flags(sp):
-    sp.add_argument("input", nargs="?", help="link JSON file for a stepped field")
-    sp.add_argument("--n", type=int, default=4, help="regularization index")
-    _field(sp)
-    sp.add_argument("--face-values", type=_list_of(_rationals, "';'-separated rational lists", ";"),
-                    help="per-face ambient coords, ';'-separated")
-
-
-def _holonomy_flags(sp):
-    _field(sp)
-    sp.add_argument("--color", type=_labels, default=(1,),
-                    help="highest weight labels, comma-joined (default 1, a rank-1 colour)")
-    sp.add_argument("--wind", type=_winding, default=1)
-    sp.add_argument("--n", type=int, default=64)
-
-
 def _validate_flags(sp):
     sp.add_argument("input", help="link JSON file")
 
 
-# (name, run, help, takes --k, adds the command's own flags), in the order of --help
+# (name, help, takes --k, (run, adds the command's own flags)), in the order of --help;
+# a kernel command's pair is None here: it is `kernel_cli.HANDLERS[name]`, which a job
+# loads only when `build_parser` adds that command
 COMMANDS = (
-    ("shadow", cmd_shadow, "state-sum invariant of a link file", True, _shadow_flags),
-    ("fusion", cmd_fusion, "fusion coefficient table", True, _fusion_flags),
-    ("qdim", cmd_qdim, "quantum dimensions of the level alphabet", True, _qdim_flags),
-    ("det", cmd_det, "determinant closed forms at a constant field", False, _det_flags),
-    ("regularize", cmd_regularize, "regularized indicator and determinant stage n", False,
-     _regularize_flags),
-    ("holonomy", cmd_holonomy, "vertical-ribbon holonomy and its closed form", False,
-     _holonomy_flags),
-    ("validate", cmd_validate, "report schema and assumption violations", True,
-     _validate_flags),
+    ("shadow", "state-sum invariant of a link file", True, (cmd_shadow, _shadow_flags)),
+    ("fusion", "fusion coefficient table", True, (cmd_fusion, _fusion_flags)),
+    ("qdim", "quantum dimensions of the level alphabet", True, (cmd_qdim, _qdim_flags)),
+    ("det", "determinant closed forms at a constant field", False, None),
+    ("regularize", "regularized indicator and determinant stage n", False, None),
+    ("holonomy", "vertical-ribbon holonomy and its closed form", False, None),
+    ("validate", "report schema and assumption violations", True,
+     (cmd_validate, _validate_flags)),
 )
 
 
@@ -416,7 +241,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
     rows = [c for c in COMMANDS if c[0] == command] or COMMANDS
-    for name, func, help_text, with_k, flags in rows:
+    for name, help_text, with_k, handlers in rows:
+        if handlers is None:
+            from .kernel_cli import HANDLERS
+
+            handlers = HANDLERS[name]
+        func, flags = handlers
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(run=func)
         sp.add_argument("--group", help="simple type label, e.g. A1, B3, G2")
@@ -517,17 +347,19 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> NoReturn:
     """The process entry of `python -m shadowsum` and the `shadowsum` script: `main()`,
-    then exit with its status, skipping the shutdown collection.
+    then exit with its status without tearing the interpreter down.
 
-    gc.freeze() moves every live object into the permanent generation, which the
-    collections of interpreter shutdown do not walk; atexit handlers and the
-    flush of stdout and stderr still run.  Cyclic garbage still alive at exit is
-    then never collected, so a `__del__` on it would not run: this package defines
-    no `__del__` and no atexit handler, and opens every file object with `with`.
-    `main()` itself never freezes, so in-process callers keep a normal collector."""
+    The registered atexit handlers run and stdout and stderr are flushed, which is
+    all of interpreter shutdown that a job's output and exit code depend on; then
+    os._exit ends the process, so no module is cleared and no object is collected
+    or finalized.  So a `__del__` would not run: this package defines no `__del__`
+    and no atexit handler, and opens every file object with `with`.  `main()` itself
+    never exits, so in-process callers keep their interpreter."""
     status = main()
-    gc.freeze()
-    sys.exit(status)
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":

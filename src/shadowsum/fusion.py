@@ -261,16 +261,16 @@ def build_fusion_table(alphabet: LevelAlphabet) -> list[int]:
     N_{omega_i} N_lam = sum_nu N^nu_{omega_i lam} N_nu: the coefficients are
     row index(lam) of N_{omega_i}, that of N_kappa is 1, and every other nu
     lies below kappa in dominance order.  So the weights are visited by
-    increasing height (the sum of their simple-root coordinates, from
-    `cartan_inverse`), and N_kappa is N_{omega_i} N_lam less the other terms,
-    in exact sparse integer rows.  A coefficient of N_kappa other than 1, or a
-    negative entry, raises AssertionError.
+    increasing height, the sum of their simple-root coordinates (ordered by
+    det(C) > 0 times it, from the row sums of `cartan_adjugate`), and N_kappa is
+    N_{omega_i} N_lam less the other terms, in exact sparse integer rows.  A
+    coefficient of N_kappa other than 1, or a negative entry, raises AssertionError.
     """
     elems = alphabet.elements
     n = len(elems)
     require_budget(n ** 3, MAX_FUSION_COEFFS,
                    f"{n} fusion matrices of {alphabet.rs.name} at k = {alphabet.k}", "coefficients")
-    heights = [sum(row) for row in alphabet.rs.cartan_inverse]
+    heights = [sum(row) for row in alphabet.rs.cartan_adjugate]
     fundamentals = fusion_matrices(alphabet, (w for w in elems if sum(w) == 1))
     rows: list[Rows] = [[]] * n  # rows[m] = N_{A[m]}; keys unsorted past the fundamentals
     for kappa in sorted(range(n), key=lambda c: sum(map(mul, elems[c], heights))):

@@ -4,9 +4,11 @@ The root data are computed once, in integers, from the Cartan matrix
 (Humphreys, Introduction to Lie Algebras and Representation Theory,
 10-11): the positive roots are generated as integer coordinates in the
 simple-root basis, and their labels, the highest root, the comarks and the
-dual Coxeter number follow from those coordinates.  The one rational
-computation is the exact inverse C^-1 of the Cartan matrix, for the integer
-Gram data of the form on labels and for `coweight_coordinates`.
+dual Coxeter number follow from those coordinates.  The inverse of the
+Cartan matrix is held as adj(C) and det(C) > 0, from fraction-free elimination,
+so the Gram data of the form on labels are integers too.  `fractions` is
+loaded only where rationals enter or leave: the `Fraction` views `form_scale`,
+`simple_roots` and `cartan_inverse`, `coweight_coordinates` and `is_regular`.
 
 A field value b in the Cartan subalgebra t is held as its coweight coordinates
 x_j = <omega_j, b>, so b = sum_j x_j coroot(alpha_j): a rational or float tuple of
@@ -18,7 +20,7 @@ fixed orthogonal basis per type (the standard orthonormal realizations of
 Bourbaki's Plates I-IX), where the invariant product is `form_scale` times
 the dot product, rescaled so that every short coroot has squared length 2;
 equivalently, long roots have squared length 2.  The table gives the Cartan
-matrix and the order of the positive roots, and `simple_roots` holds its
+matrix and the order of the positive roots, and `simple_roots` reads its
 rows halved as exact `Fraction` tuples.  `coweight_coordinates` is the one
 reader of those ambient vectors: it turns ambient coordinates of b into x.
 Regularity and lattice tests are exact; floats appear only at the
@@ -28,11 +30,13 @@ trigonometric layer in other modules.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import PreconditionError, shown
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # {type: {supported rank: (dim g, |W|)}}: dim g validates construction; |W| is `weyl_group_order`.
 _TYPES = {
@@ -46,11 +50,12 @@ _TYPES = {
 }
 
 
-def _doubled_simple_roots(t: str, rank: int) -> tuple[list[tuple[int, ...]], int, Fraction]:
-    """(2 alpha_i per simple root as an integer tuple, ambient dimension, form scale c) in
-    the standard realization (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Plates I-IX),
-    where the invariant product is <x,y> = c * dot(x,y).  Every coordinate of a simple
-    root is a multiple of 1/2, so the table is exact.
+def _doubled_simple_roots(
+        t: str, rank: int) -> tuple[list[tuple[int, ...]], int, tuple[int, int]]:
+    """(2 alpha_i per simple root as an integer tuple, ambient dimension, form scale c as
+    (numerator, denominator)) in the standard realization (Bourbaki, Lie Groups and Lie
+    Algebras, Ch. VI, Plates I-IX), where the invariant product is <x,y> = c * dot(x,y).
+    Every coordinate of a simple root is a multiple of 1/2, so the table is exact.
     """
     dim = {"A": rank + 1, "E": 8, "F": 4, "G": 3}.get(t, rank)
 
@@ -63,16 +68,16 @@ def _doubled_simple_roots(t: str, rank: int) -> tuple[list[tuple[int, ...]], int
 
     chain = [e(i, -i - 1) for i in range(1, dim)]  # eps_i - eps_{i+1}
     if t == "A":
-        return chain, dim, Fraction(1)
+        return chain, dim, (1, 1)
     if t in "BCD":
         last = {"B": e(rank), "C": e(rank, rank), "D": e(rank - 1, rank)}[t]
-        return chain + [last], dim, Fraction(1, 2) if t == "C" else Fraction(1)
+        return chain + [last], dim, (1, 2) if t == "C" else (1, 1)
     if t == "E":  # (e1+e8)/2 - (e2+...+e7)/2, e1+e2, then e_{i+1}-e_i
         roots = [(1, -1, -1, -1, -1, -1, -1, 1), e(1, 2)] + [e(i + 1, -i) for i in range(1, 7)]
-        return roots[:rank], dim, Fraction(1)
+        return roots[:rank], dim, (1, 1)
     if t == "F":  # e2-e3, e3-e4, e4, (e1-e2-e3-e4)/2
-        return chain[1:] + [e(4), (1, -1, -1, -1)], dim, Fraction(1)
-    return [e(1, -2), e(-1, -1, 2, 3)], dim, Fraction(1, 3)  # G2: e1-e2, -2e1+e2+e3
+        return chain[1:] + [e(4), (1, -1, -1, -1)], dim, (1, 1)
+    return [e(1, -2), e(-1, -1, 2, 3)], dim, (1, 3)  # G2: e1-e2, -2e1+e2+e3
 
 
 class RootSystem(NamedTuple):
@@ -81,17 +86,20 @@ class RootSystem(NamedTuple):
     `cartan[i][j]` is <alpha_i, coroot(alpha_j)>; weights are handled through
     their integer coordinates in the fundamental-weight basis ("labels"),
     i.e. label_j(x) = <x, coroot(alpha_j)>, and field values through their
-    coweight coordinates x (see the module docstring).
+    coweight coordinates x (see the module docstring).  Every field is an int or
+    a tuple of ints; `form_scale`, `simple_roots` and `cartan_inverse` build their
+    `Fraction` values from them when read.
     """
 
     type_label: str
     rank: int
     ambient_dim: int
-    form_scale: Fraction
-    simple_roots: tuple[tuple[Fraction, ...], ...]
+    form_scale_ratio: tuple[int, int]  # the form scale c as (numerator, denominator)
+    doubled_simple_roots: tuple[tuple[int, ...], ...]  # 2 alpha_i in ambient coordinates
     dual_coxeter: int
     cartan_matrix: tuple[tuple[int, ...], ...]
-    cartan_inverse: tuple[tuple[Fraction, ...], ...]
+    cartan_adjugate: tuple[tuple[int, ...], ...]  # adj(C) = det(C) C^-1
+    cartan_det: int  # det(C) > 0
     comarks: tuple[int, ...]
     # label_j(alpha) of each positive root, sorted by the root's ambient coordinates,
     # and of the highest root
@@ -108,6 +116,28 @@ class RootSystem(NamedTuple):
         """The type label, e.g. "G2": `parse_type_label` read backwards."""
         return f"{self.type_label}{self.rank}"
 
+    @property
+    def form_scale(self) -> Fraction:
+        """c, where the invariant product is <x,y> = c * dot(x,y) on ambient vectors."""
+        from fractions import Fraction
+
+        return Fraction(*self.form_scale_ratio)
+
+    @property
+    def simple_roots(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The simple roots alpha_i in ambient coordinates, exact."""
+        from fractions import Fraction
+
+        return tuple(tuple(Fraction(a, 2) for a in v) for v in self.doubled_simple_roots)
+
+    @property
+    def cartan_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
+        """C^-1 = adj(C) / det(C), exact."""
+        from fractions import Fraction
+
+        return tuple(tuple(Fraction(a, self.cartan_det) for a in row)
+                     for row in self.cartan_adjugate)
+
     def coweight_coordinates(self, b: Sequence) -> tuple:
         """x_j = <omega_j, b> = sum_i (C^-1)_ji alpha_i(b) of b given by ambient coordinates.
 
@@ -119,8 +149,8 @@ class RootSystem(NamedTuple):
                 f"a field value of {self.name} needs {self.ambient_dim} "
                 f"ambient coordinates, got {len(b)}"
             )
-        simple = [self.form_scale * sum(a * c for a, c in zip(alpha, b))
-                  for alpha in self.simple_roots]
+        scale = self.form_scale
+        simple = [scale * sum(a * c for a, c in zip(alpha, b)) for alpha in self.simple_roots]
         return tuple(sum(c * v for c, v in zip(row, simple)) for row in self.cartan_inverse)
 
     def root_pairings(self, x: Sequence) -> tuple:
@@ -150,23 +180,26 @@ def format_vector(x: Sequence) -> str:
     return "(" + ", ".join(map(str, x)) + ")"
 
 
-def _invert_rational(mat: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination over Fractions."""
+def _adjugate(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(adj(M), det(M)) of an integer matrix whose leading principal minors are all
+    positive, as a Cartan matrix's are, by fraction-free Gauss-Jordan elimination
+    (Bareiss, Math. Comp. 22, 1968) on [M | I]: step `col` takes row `col` as pivot
+    and sets every other row to (p * row - f * pivot row) / (previous pivot), a
+    division that is exact.  So no row is swapped, the pivots are the leading minors,
+    and [M | I] ends as [det(M) I | adj(M)]."""
     n = len(mat)
-    a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    prev = 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise AssertionError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
+        p, pivot = a[col][col], a[col]
+        if p <= 0:
+            raise AssertionError(f"leading minor {col + 1} of {mat} is {p}, not positive")
         for r in range(n):
-            if r != col and a[r][col] != 0:
+            if r != col:
                 f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+                a[r] = [(p * v - f * w) // prev for v, w in zip(a[r], pivot)]
+        prev = p
+    return [row[n:] for row in a], prev
 
 
 def parse_type_label(label: str) -> tuple[str, int]:
@@ -198,10 +231,11 @@ def build_root_system(type_label: str) -> RootSystem:
             "A1-A8, B2-B8, C2-C8, D4-D8, E6-E8, F4, G2"
         )
 
-    doubled, dim, scale = _doubled_simple_roots(t, rank)
-    form = [[scale * Fraction(sum(map(mul, x, y)), 4) for y in doubled] for x in doubled]
-    norms = [form[i][i] for i in range(rank)]  # |alpha_i|^2
-    cartan = tuple(tuple(int(2 * v / n) for v, n in zip(row, norms)) for row in form)
+    doubled, dim, (scale_num, scale_den) = _doubled_simple_roots(t, rank)
+    dots = [[sum(map(mul, x, y)) for y in doubled] for x in doubled]  # 4 dot(alpha_i, alpha_j)
+    cartan = tuple(tuple(2 * v // dots[j][j] for j, v in enumerate(row)) for row in dots)
+    # |alpha_i|^2 = norms[i] / (4 scale_den), as c = scale_num / scale_den
+    norms = [scale_num * dots[i][i] for i in range(rank)]
 
     labels_of: dict[tuple[int, ...], tuple[int, ...]] = {}
     frontier = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
@@ -223,40 +257,39 @@ def build_root_system(type_label: str) -> RootSystem:
         )
     if [sum(col) for col in zip(*labels_of.values())] != [2] * rank:
         raise AssertionError(f"{t}{rank}: rho != sum of fundamental weights")
-    root_norms = [
-        sum(ci * li * n for ci, li, n in zip(c, lab, norms)) / 2 for c, lab in labels_of.items()
-    ]
-    long_norm, short_coroot_norm = max(root_norms), min(4 / n for n in root_norms)
-    if long_norm != 2 or short_coroot_norm != 2:
-        raise AssertionError(
-            f"{t}{rank}: long roots have norm {long_norm} and short coroots "
-            f"{short_coroot_norm}, expected 2"
-        )
+    # |beta|^2 = sum_i c_i label_i(beta) |alpha_i|^2 / 2, so a long root has squared length
+    # long_norm / (8 scale_den); when that is 2, so is 4 / 2, that of a short coroot
+    long_norm = max(sum(map(mul, c, map(mul, lab, norms))) for c, lab in labels_of.items())
+    if long_norm != 16 * scale_den:
+        raise AssertionError(f"{t}{rank}: long roots have norm {long_norm}/{8 * scale_den}, "
+                             "expected 2")
 
     theta = max(labels_of, key=sum)  # the root of greatest height
-    comarks_f = [c * n / 2 for c, n in zip(theta, norms)]
-    if any(a.denominator != 1 for a in comarks_f):
-        raise AssertionError(f"{t}{rank}: bad comarks {comarks_f}")
-    comarks = tuple(int(a) for a in comarks_f)
+    comarks, rest = zip(*(divmod(c * n, 8 * scale_den) for c, n in zip(theta, norms)))
+    if any(rest):
+        raise AssertionError(f"{t}{rank}: bad comarks, theta = {theta}")
 
-    cartan_inv = _invert_rational(cartan)
-    gram = [[cartan_inv[i][j] * norms[j] / 2 for j in range(rank)] for i in range(rank)]
-    den = math.lcm(*(v.denominator for row in gram for v in row))
+    # <omega_i, omega_j> = adj_ij |alpha_j|^2 / (2 det) = gram[i][j] / q, reduced over den
+    adj, det = _adjugate(cartan)
+    q = 8 * scale_den * det
+    gram = [[a * n for a, n in zip(row, norms)] for row in adj]
+    den = math.lcm(*(q // math.gcd(v, q) for row in gram for v in row))
 
     # Positive roots in the order of their ambient coordinates, formed in integers from 2 alpha_i
     positive = tuple(labels_of[c] for c in sorted(
         labels_of, key=lambda c: [sum(ci * v[d] for ci, v in zip(c, doubled)) for d in range(dim)]
     ))
-    gram_num = tuple(tuple(int(v * den) for v in row) for row in gram)
+    gram_num = tuple(tuple(v * den // q for v in row) for row in gram)
     return RootSystem(
         type_label=t,
         rank=rank,
         ambient_dim=dim,
-        form_scale=scale,
-        simple_roots=tuple(tuple(Fraction(a, 2) for a in v) for v in doubled),
+        form_scale_ratio=(scale_num, scale_den),
+        doubled_simple_roots=tuple(doubled),
         dual_coxeter=1 + sum(comarks),
         cartan_matrix=cartan,
-        cartan_inverse=tuple(map(tuple, cartan_inv)),
+        cartan_adjugate=tuple(map(tuple, adj)),
+        cartan_det=det,
         comarks=comarks,
         positive_root_labels=positive,
         highest_root_labels=labels_of[theta],
@@ -272,6 +305,8 @@ def is_regular(pairings: Sequence) -> bool:
     Exact for rational pairings; a float pairing counts as integral only when it is
     exactly integral as a float.
     """
+    from fractions import Fraction
+
     for v in pairings:
         if isinstance(v, Fraction):
             if v.denominator == 1:

@@ -1069,13 +1069,14 @@ class TestUsageErrorsAsJson:
         assert det["det_rig_quadrature"] == pytest.approx(3.0, rel=1e-6)
 
     SHADOW_MODULES = {"cli", "errors", "roots", "reps", "fusion", "diagrams"}
+    LATTICE_COMMANDS = {"qdim", "shadow", "validate", "fusion"}
 
     @pytest.mark.parametrize("argv,only,never", [
         (["qdim", "--group", "E6", "--k", "16"], {"cli", "errors", "roots", "reps"}, {"numpy"}),
         (["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics", "--quad-res", "8x16"],
-         {"cli", "errors", "roots", "determinants"}, {"numpy"}),
-        (["det", "--group", "A1", "--alpha-b", "1/3"], {"cli", "errors", "roots", "determinants"},
-         {"numpy"}),
+         {"cli", "kernel_cli", "errors", "roots", "determinants"}, {"numpy"}),
+        (["det", "--group", "A1", "--alpha-b", "1/3"],
+         {"cli", "kernel_cli", "errors", "roots", "determinants"}, {"numpy"}),
         (["shadow", "link.json"], SHADOW_MODULES, {"determinants", "holonomy", "regularize",
                                                    "circleop", "numpy"}),
         (["shadow", "link.json", "--diagnostics"], SHADOW_MODULES, {"numpy"}),
@@ -1085,13 +1086,13 @@ class TestUsageErrorsAsJson:
         (["fusion", "--group", "A2", "--k", "5", "--dump", "--format", "text", "--verify"],
          {"cli", "errors", "roots", "reps", "fusion"}, {"diagrams", "numpy"}),
         (["regularize", "--group", "A1", "--alpha-b", "1/3", "--n", "3"],
-         {"cli", "errors", "roots", "determinants", "regularize"},
+         {"cli", "kernel_cli", "errors", "roots", "determinants", "regularize"},
          {"diagrams", "fusion", "reps", "numpy"}),
         (["regularize", "--n", "3", "link.json", "--face-values", "1/4,-1/4;1/6,-1/6;1/5,-1/5"],
-         {"cli", "errors", "roots", "diagrams", "determinants", "regularize"},
+         {"cli", "kernel_cli", "errors", "roots", "diagrams", "determinants", "regularize"},
          {"fusion", "reps", "numpy"}),
         (["holonomy", "--group", "G2", "--b=1/7,1/5,-12/35", "--color", "1,1", "--n", "1024"],
-         {"cli", "errors", "roots", "reps", "holonomy"}, {"numpy"}),
+         {"cli", "kernel_cli", "errors", "roots", "reps", "holonomy"}, {"numpy"}),
     ], ids=["qdim", "det", "det-plain", "shadow", "shadow-diagnostics", "validate", "fusion",
             "fusion-text", "regularize", "regularize-stepped", "holonomy"])
     def test_command_loads_only_its_modules(self, tmp_path, argv, only, never):
@@ -1102,7 +1103,9 @@ class TestUsageErrorsAsJson:
         forms and, with --diagnostics, its quadrature alone, `holonomy` its weight
         sums alone, `regularize` its two sequences without the level alphabet or
         fusion data, on a constant field without the diagrams and on a stepped
-        field with them, and none of them numpy.  Each also runs, and exits 0, in an interpreter where
+        field with them, and none of them numpy.  The kernel commands alone load
+        `kernel_cli`, and a lattice command loads none of `fractions`, `decimal`
+        and `numbers`.  Each also runs, and exits 0, in an interpreter where
         numpy cannot be imported."""
         write(tmp_path, "link.json", TWO_CIRCLES)
         for block_numpy in ("", "sys.modules['numpy'] = None\n"):
@@ -1111,13 +1114,17 @@ class TestUsageErrorsAsJson:
                     "loaded = [m.split('.', 1)[1] for m in sys.modules\n"
                     "          if m.startswith('shadowsum.')]\n"
                     "loaded += ['numpy'] if sys.modules.get('numpy') else []\n"
-                    "print(json.dumps([rc, loaded]), file=sys.stderr)\n")
+                    "rational = [m for m in ('fractions', 'decimal', 'numbers')\n"
+                    "            if m in sys.modules]\n"
+                    "print(json.dumps([rc, loaded, rational]), file=sys.stderr)\n")
             r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
                                text=True, check=True, env=src_env())
-            rc, loaded = json.loads(r.stderr)
+            rc, loaded, rational = json.loads(r.stderr)
             assert rc == 0, block_numpy
             assert set(loaded) == only
             assert not never & set(loaded)
+            if argv[0] in self.LATTICE_COMMANDS:
+                assert rational == []
 
     @pytest.mark.parametrize("preset,expected", [(None, "1 1"), ("2", "2 1")])
     def test_import_defaults_blas_threads_to_one(self, preset, expected):
@@ -1248,10 +1255,12 @@ class TestProcessEntry:
         (["det", "--group", "A1", "--alpha-b", "1"], 3),
         (["fusion", "--group", "A1", "--k", "30", "--dump", "--format", "text",
           "--output", "table.txt"], 0),
-    ], ids=["exit-0", "exit-2", "exit-3", "output-file"])
-    def test_module_and_run_exit_alike(self, tmp_path, argv, rc):
+        (["fusion", "--group", "A1", "--k", "30", "--dump", "--format", "text"], 0),
+    ], ids=["exit-0", "exit-2", "exit-3", "output-file", "large-stdout"])
+    def test_module_and_run_exit_alike(self, tmp_path, capsys, argv, rc):
         """`python -m shadowsum` and a bare `run()` give the same exit code, stdout,
-        stderr and --output file."""
+        stderr and --output file, and the stdout of in-process `cli.main`, which the
+        exit without teardown must not cut short (about 240 KB for the large one)."""
         seen = []
         for how, entry in (("module", ["-m", "shadowsum"]),
                            ("run", ["-c", "from shadowsum.cli import run; run()"])):
@@ -1267,6 +1276,28 @@ class TestProcessEntry:
         if "--output" in argv:  # every triple of the 29-weight alphabet, then a newline
             text = seen[0][3]
             assert text.endswith(b"\n") and len(text.splitlines()) == 29**3
+        else:
+            capsys.readouterr()
+            assert cli.main(argv) == rc
+            assert seen[0][1] == capsys.readouterr().out.encode()
+
+    @pytest.mark.parametrize("argv,rc", [
+        (["qdim", "--group", "A1", "--k", "4"], 0),
+        (["det", "--group", "A1", "--alpha-b", "1"], 3),
+    ], ids=["exit-0", "exit-3"])
+    def test_run_calls_atexit_handlers(self, tmp_path, argv, rc):
+        """`run()` runs a registered atexit handler before it exits, and keeps the
+        job's exit code."""
+        code = ("import atexit, sys\n"
+                "atexit.register(lambda: print('atexit ran', file=sys.stderr))\n"
+                "from shadowsum.cli import run\n"
+                f"sys.argv[1:] = {argv!r}\n"
+                "run()\n")
+        r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                           text=True, env=src_env())
+        assert r.returncode == rc
+        assert r.stderr.splitlines()[-1] == "atexit ran"
+        assert json.loads(r.stdout)
 
     ARGVS = {
         "shadow": ["shadow", "--diagnostics", "link.json", "--group", "A1", "--k", "4"],

@@ -283,6 +283,25 @@ def test_realization_is_bourbakis(label):
     assert all(type(a) is Q for alpha in rs.simple_roots for a in alpha)
 
 
+# det(C) in closed form (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Plates I-IX)
+CARTAN_DET = {"A": lambda n: n + 1, "B": lambda n: 2, "C": lambda n: 2, "D": lambda n: 4,
+              "E": {6: 3, 7: 2, 8: 1}.get, "F": lambda n: 1, "G": lambda n: 1}
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_cartan_adjugate_is_exact(label):
+    """C adj(C) = det(C) I in integers, det(C) is its closed form, and
+    `cartan_inverse` reads adj(C) / det(C) as Fractions."""
+    rs = build_root_system(label)
+    c, adj, det = rs.cartan_matrix, rs.cartan_adjugate, rs.cartan_det
+    assert det > 0 and det == CARTAN_DET[label[0]](rs.rank)
+    assert all(type(v) is int for row in adj for v in row)
+    assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*adj)] for row in c] == [
+        [det * (i == j) for j in range(rs.rank)] for i in range(rs.rank)]
+    assert rs.cartan_inverse == tuple(tuple(Q(a, det) for a in row) for row in adj)
+    assert all(type(v) is Q for row in rs.cartan_inverse for v in row)
+
+
 def test_name_reads_back():
     """`name` is the label `parse_type_label` reads, for every type."""
     for label in ALL_TYPES:
