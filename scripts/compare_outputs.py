@@ -103,7 +103,7 @@ QDIM_JOBS = [["qdim", "--group", f"{t}{n}", "--k", str(g(n) + 2)] for t, ranks, 
 HIGH_RANK_QDIM_JOBS = {f"qdim/{group}-k={k}": ["qdim", "--group", group, "--k", str(k)]
                        for group, k in (("A8", 13), ("E6", 22))}
 # `fusion --dump --verify` on alphabets no benchmark job exports, each inside
-# fusion.MAX_FUSION_COEFFS (|A|^3 <= 10^6) and fusion.MAX_VERLINDE_ORBIT_TERMS
+# fusion.MAX_FUSION_COEFFS (|A|^3 <= 10^6) and fusion_table.MAX_VERLINDE_ORBIT_TERMS
 # (|W| |A|^2 <= 2 * 10^5), and on E6 k=13, which the orbit budget refuses; the
 # comment on each gives |A| and |W| |A|^2
 VERIFY_JOBS = {f"verify/{group}-k={k}": ["fusion", "--group", group, "--k", str(k), "--dump",

@@ -1,7 +1,7 @@
 """Inverse of d/dt + ad(b) on g-valued Fourier series over the circle.
 
 b is given by its ambient coordinates and converted once to coweight
-coordinates (`roots.RootSystem.coweight_coordinates`) for its root pairings.
+coordinates (`field.coweight_coordinates`) for its root pairings.
 
 Series live in the complexified root-space basis [H_1..H_r, X_alpha for
 the positive roots alpha in `root_pairings` order, then X_-alpha in the
@@ -26,7 +26,8 @@ import math
 import numpy as np
 
 from .errors import PreconditionError
-from .roots import RootSystem, format_vector, is_regular
+from .field import coweight_coordinates, format_vector, is_regular, root_pairings
+from .roots import RootSystem
 
 CONSTRAINT_TOL = 0.0  # largest Cartan component an admissible series' mean may have
 
@@ -39,7 +40,7 @@ class CircleOperatorData:
 
     def __init__(self, rs: RootSystem, b: tuple, order: int):
         b = tuple(b)
-        exact = rs.root_pairings(rs.coweight_coordinates(b))
+        exact = root_pairings(rs, coweight_coordinates(rs, b))
         if not is_regular(exact):
             raise PreconditionError(f"b = {format_vector(b)} is singular; T(b) is undefined")
         if order < 0:

@@ -3,7 +3,7 @@
 One JSON document goes to stdout; diagnostics go to stderr.  Exit codes:
 0 ok, 2 parse failure (usage errors included), 3 precondition violation,
 4 internal-oracle failure (`fusion --verify`, at the fixed tolerance
-`fusion.ORACLE_TOL`), 141 stdout closed by its reader before the
+`fusion_table.ORACLE_TOL`), 141 stdout closed by its reader before the
 document was written.  The keys of a --config JSON file are the
 subcommand's long flag names; each becomes `--key=value` (`true`: a bare
 `--key`) ahead of the command line, so explicit flags win.  Each command
@@ -15,7 +15,8 @@ through `run`, which exits without tearing the interpreter down.  The kernel
 commands `det`, `regularize` and `holonomy` live in `kernel_cli`, which
 `build_parser` imports only when it adds one of them, so a lattice job
 (`shadow`, `fusion`, `qdim`, `validate`) compiles none of their code and
-loads no `fractions`.
+loads no `fractions`.  Likewise only `fusion` loads `fusion_table`, so a
+`shadow` job compiles the folding evaluator of `fusion` alone.
 
 Link files are read by `diagrams.read_link`, which holds their schema.
 Output for `shadow`: { "value": {"re", "im"}, "abs_sum", "colorings", "retained",
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import itertools
 import json
 import os
 import sys
@@ -113,7 +113,7 @@ def cmd_shadow(args) -> dict:
 
 
 def cmd_fusion(args) -> dict | list[str] | str:
-    from .fusion import build_fusion_table, table_lines, verify_against_verlinde
+    from .fusion_table import build_fusion_table, table_json, table_lines, verify_against_verlinde
 
     if args.format == "text" and not args.dump:
         raise ParseError("--format text lists every triple; it needs --dump")
@@ -130,17 +130,7 @@ def cmd_fusion(args) -> dict | list[str] | str:
         "entries": len(table),
         "verified": bool(args.verify),
     }
-    if not args.dump:
-        return doc
-    # The same document with "entries" listing one {"lam", "mu", "n", "nu"} dict per
-    # triple, as json.dumps(..., sort_keys=True) writes it: each label is serialized
-    # once, and the list takes the place of the count, the only "entries" key.
-    labels = [json.dumps(w) for w in doc["alphabet"]]
-    entries = ", ".join(
-        f'{{"lam": {l}, "mu": {m}, "n": {v}, "nu": {n}}}'
-        for (l, m, n), v in zip(itertools.product(labels, repeat=3), table))
-    head, tail = json.dumps(doc, sort_keys=True).split(f'"entries": {len(table)}')
-    return f'{head}"entries": [{entries}]{tail}'
+    return table_json(doc, table) if args.dump else doc
 
 
 def cmd_qdim(args) -> dict:
@@ -360,7 +350,3 @@ def run() -> NoReturn:
     sys.stdout.flush()
     sys.stderr.flush()
     os._exit(status)
-
-
-if __name__ == "__main__":
-    run()

@@ -1,7 +1,7 @@
 """Closed forms and quadrature for the torus-gauge determinant kernels.
 
 A field value b in the Cartan subalgebra enters every kernel as its root
-pairings alpha(b), one per positive root (`roots.RootSystem.root_pairings`),
+pairings alpha(b), one per positive root (`field.root_pairings`),
 formed once where the value enters the program.  For such b,
 
     det(id_k - e^{ad b}|_k)        = prod_{alpha>0} 4 sin^2(pi alpha(b))
@@ -34,7 +34,7 @@ import math
 from typing import Sequence
 
 from .errors import PreconditionError, shown
-from .roots import format_vector, is_regular
+from .field import format_vector, is_regular
 
 
 def root_sines(pairings: Sequence) -> list[float]:

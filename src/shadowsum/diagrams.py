@@ -47,12 +47,12 @@ O(#faces |A|^2); it is the one evaluator of the value, of sum |term| and of
 the number of terms.  `list_terms` only lists the nonvanishing terms (for
 `shadow --diagnostics`): depth-first in region-tree order, each face
 coloured only by the nonzero entries of the same rows.  The module
-uses no numpy, and loads `reps` and `fusion` only where it runs them.
+uses neither numpy nor `cmath` (a phase is complex(cos t, sin t)), and loads
+`reps` and `fusion` only where it runs them.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -339,15 +339,15 @@ def contract_state_sum(data: TermData) -> StateSumResult:
     """
     n_colors = len(data.elements)
     qdims = data.qdims
-    turn = 1j * math.pi / data.k
+    turn = math.pi / data.k
     period = 2 * data.k * data.form_den  # exp(i pi q / k) has period 2k in q: reduce, then divide
     # w[f], abs_w[f] and counts[f] become the messages m_f as children are absorbed
     w, abs_w, counts = [], [], []
     for f, gleam in enumerate(data.gleams):
         mags = list(qdims) if f else [d * d for d in qdims]  # dim^(chi_f + #children_f)
         abs_w.append(mags)
-        w.append([m * cmath.exp(turn * ((gleam * q) % period / data.form_den))
-                  for m, q in zip(mags, data.phase_q)])
+        phases = [turn * ((gleam * q) % period / data.form_den) for q in data.phase_q]
+        w.append([m * complex(math.cos(t), math.sin(t)) for m, t in zip(mags, phases)])
         counts.append([1] * n_colors)
 
     bounding = {inner: (outer, rows) for inner, outer, rows in data.circles}
@@ -366,7 +366,7 @@ def contract_state_sum(data: TermData) -> StateSumResult:
             count_o[a] *= count_msg
 
     value, abs_sum = complex(sum(w[0])), float(sum(abs_w[0]))
-    if not (cmath.isfinite(value) and math.isfinite(abs_sum)):
+    if not (math.isfinite(value.real) and math.isfinite(value.imag) and math.isfinite(abs_sum)):
         raise PreconditionError(
             f"the state sum is not a finite double (value {value}, sum |term| {abs_sum})"
         )

@@ -2,7 +2,7 @@
 
 Each reads a field value b, given exactly, and runs a determinant,
 regularization or holonomy kernel on it; their flags read rationals, so this
-module loads `fractions`.  `cli.build_parser` imports it only when it adds one
+module loads `fractions`, and it converts them through `field`.  `cli.build_parser` imports it only when it adds one
 of these commands (`HANDLERS`), so a lattice job (`shadow`, `fusion`, `qdim`,
 `validate`) neither compiles this code nor loads `fractions`.  Each command
 imports the modules it runs when it runs, as in `cli`.  `det --quad-res` is
@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .cli import _c2j, _labels, _list_of, _read_link, _root_system
 from .errors import ParseError, PreconditionError, shown
+from .field import coweight_coordinates, format_vector, is_regular, root_pairings
 
 
 def _reduced(x: tuple) -> tuple:
@@ -38,7 +39,7 @@ def _field_b(args, rs) -> tuple:
     """The field value of --b (ambient coordinates) or --alpha-b (A1), as coweight
     coordinates x (`_reduced`): on A1, alpha(b) = 2 x."""
     if args.b is not None:
-        return _reduced(rs.coweight_coordinates(args.b))
+        return _reduced(coweight_coordinates(rs, args.b))
     if args.alpha_b is not None:
         if rs.rank != 1:
             raise PreconditionError("--alpha-b is a rank-1 shorthand; use --b")
@@ -48,7 +49,6 @@ def _field_b(args, rs) -> tuple:
 
 def cmd_det(args) -> dict:
     from .determinants import det_half, det_k, det_rig_constant, det_rig_quadrature
-    from .roots import format_vector, is_regular
 
     if args.quad_res is not None and not args.diagnostics:
         raise ParseError("--quad-res needs --diagnostics")
@@ -56,7 +56,7 @@ def cmd_det(args) -> dict:
         raise PreconditionError("--diagnostics integrates over the round sphere, chi = 2, "
                                 f"not --chi {shown(args.chi)}")
     rs = _root_system(args)
-    a = rs.root_pairings(_field_b(args, rs))
+    a = root_pairings(rs, _field_b(args, rs))
     if not is_regular(a):
         typed = format_vector(args.b) if args.b is not None else f"alpha(b) = {args.alpha_b}"
         raise PreconditionError(f"constant field value {typed} is singular")
@@ -75,13 +75,12 @@ def cmd_det(args) -> dict:
 def cmd_regularize(args) -> dict:
     from .regularize import (
         constant_field, det_rig_n, regularized_indicator, require_stage, stepped_field)
-    from .roots import is_regular
 
     if args.input is None:
         rs = _root_system(args)
         if args.face_values is not None:
             raise ParseError("--face-values needs a link file")
-        field = constant_field(rs.root_pairings(_field_b(args, rs)))
+        field = constant_field(root_pairings(rs, _field_b(args, rs)))
         cut = require_stage(len(rs.positive_root_labels), args.n, len(field))
     else:
         if args.b is not None or args.alpha_b is not None:
@@ -91,7 +90,7 @@ def cmd_regularize(args) -> dict:
             raise PreconditionError("--face-values needed with a link file")
         field = stepped_field(diagram.faces, args.face_values)  # refuses a wrong count
         cut = require_stage(len(rs.positive_root_labels), args.n, len(field))
-        field = tuple((face_id, euler, rs.root_pairings(_reduced(rs.coweight_coordinates(b))))
+        field = tuple((face_id, euler, root_pairings(rs, _reduced(coweight_coordinates(rs, b))))
                       for face_id, euler, b in field)
     det, bound = det_rig_n(args.n, field)
     return {

@@ -228,7 +228,7 @@ def regularized_indicator(cut: TrigCutoff, field: Sequence[tuple]) -> float:
     test); close to 1 when every value keeps all alpha-pairings at least
     1/n away from the integers.  A regular field whose stage value underflows
     also gives 0.0 (each face factor is raised to the power 4^n), which the
-    `regularize` document's "singular" (`roots.is_regular`) tells apart.
+    `regularize` document's "singular" (`field.is_regular`) tells apart.
     """
     cells = 4 ** cut.n  # per face
     out = 1.0

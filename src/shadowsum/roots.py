@@ -6,37 +6,24 @@ The root data are computed once, in integers, from the Cartan matrix
 simple-root basis, and their labels, the highest root, the comarks and the
 dual Coxeter number follow from those coordinates.  The inverse of the
 Cartan matrix is held as adj(C) and det(C) > 0, from fraction-free elimination,
-so the Gram data of the form on labels are integers too.  `fractions` is
-loaded only where rationals enter or leave: the `Fraction` views `form_scale`,
-`simple_roots` and `cartan_inverse`, `coweight_coordinates` and `is_regular`.
-
-A field value b in the Cartan subalgebra t is held as its coweight coordinates
-x_j = <omega_j, b>, so b = sum_j x_j coroot(alpha_j): a rational or float tuple of
-length `rank`.  A pairing is then an integer-label combination of x: beta(b) =
-sum_j label_j(beta) x_j for a weight beta, and alpha(b) = sum_j label_j(alpha) x_j
-(`root_pairings`), the tuple the kernels read, formed once where b enters the program.
-The simple roots come from one integer table, twice each simple root in a
-fixed orthogonal basis per type (the standard orthonormal realizations of
-Bourbaki's Plates I-IX), where the invariant product is `form_scale` times
-the dot product, rescaled so that every short coroot has squared length 2;
-equivalently, long roots have squared length 2.  The table gives the Cartan
-matrix and the order of the positive roots, and `simple_roots` reads its
-rows halved as exact `Fraction` tuples.  `coweight_coordinates` is the one
-reader of those ambient vectors: it turns ambient coordinates of b into x.
-Regularity and lattice tests are exact; floats appear only at the
-trigonometric layer in other modules.
+so the Gram data of the form on labels are integers too.  The simple roots
+come from one integer table, twice each simple root in a fixed orthogonal
+basis per type (the standard orthonormal realizations of Bourbaki's Plates
+I-IX), where the invariant product is the form scale times the dot product,
+rescaled so that every short coroot has squared length 2; equivalently, long
+roots have squared length 2.  The table gives the Cartan matrix and the order
+of the positive roots.  Every field of a root system is an integer, so this
+module loads no `fractions`: the rational views of the data and the field
+values b that are read through them are `field`'s.
 """
 
 from __future__ import annotations
 
 import math
 from operator import mul
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import PreconditionError, shown
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # {type: {supported rank: (dim g, |W|)}}: dim g validates construction; |W| is `weyl_group_order`.
 _TYPES = {
@@ -86,9 +73,9 @@ class RootSystem(NamedTuple):
     `cartan[i][j]` is <alpha_i, coroot(alpha_j)>; weights are handled through
     their integer coordinates in the fundamental-weight basis ("labels"),
     i.e. label_j(x) = <x, coroot(alpha_j)>, and field values through their
-    coweight coordinates x (see the module docstring).  Every field is an int or
-    a tuple of ints; `form_scale`, `simple_roots` and `cartan_inverse` build their
-    `Fraction` values from them when read.
+    coweight coordinates x (`field`).  Every field is an int or a tuple of ints;
+    `field.form_scale`, `field.simple_roots` and `field.cartan_inverse` build
+    their `Fraction` values from them.
     """
 
     type_label: str
@@ -116,50 +103,6 @@ class RootSystem(NamedTuple):
         """The type label, e.g. "G2": `parse_type_label` read backwards."""
         return f"{self.type_label}{self.rank}"
 
-    @property
-    def form_scale(self) -> Fraction:
-        """c, where the invariant product is <x,y> = c * dot(x,y) on ambient vectors."""
-        from fractions import Fraction
-
-        return Fraction(*self.form_scale_ratio)
-
-    @property
-    def simple_roots(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The simple roots alpha_i in ambient coordinates, exact."""
-        from fractions import Fraction
-
-        return tuple(tuple(Fraction(a, 2) for a in v) for v in self.doubled_simple_roots)
-
-    @property
-    def cartan_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        """C^-1 = adj(C) / det(C), exact."""
-        from fractions import Fraction
-
-        return tuple(tuple(Fraction(a, self.cartan_det) for a in row)
-                     for row in self.cartan_adjugate)
-
-    def coweight_coordinates(self, b: Sequence) -> tuple:
-        """x_j = <omega_j, b> = sum_i (C^-1)_ji alpha_i(b) of b given by ambient coordinates.
-
-        A part of b orthogonal to every root drops out.  Exact for rational b.
-        """
-        b = tuple(b)
-        if len(b) != self.ambient_dim:
-            raise PreconditionError(
-                f"a field value of {self.name} needs {self.ambient_dim} "
-                f"ambient coordinates, got {len(b)}"
-            )
-        scale = self.form_scale
-        simple = [scale * sum(a * c for a, c in zip(alpha, b)) for alpha in self.simple_roots]
-        return tuple(sum(c * v for c, v in zip(row, simple)) for row in self.cartan_inverse)
-
-    def root_pairings(self, x: Sequence) -> tuple:
-        """alpha(b) = sum_j label_j(alpha) x_j per positive root, in `positive_root_labels`
-        order, for the field value b with coweight coordinates x; exact for rational x."""
-        if len(x) != self.rank:
-            raise PreconditionError(f"expected {self.rank} coweight coordinates, got {len(x)}")
-        return tuple(sum(c * v for c, v in zip(lab, x) if c) for lab in self.positive_root_labels)
-
     def label_form(self, m: Sequence[int], n: Sequence[int]) -> int:
         """weight_form_den * <x,y> for x,y given by integer labels: an exact integer."""
         num = 0
@@ -173,11 +116,6 @@ class RootSystem(NamedTuple):
     def level_of_labels(self, m: Sequence[int]) -> int:
         """<x, theta> for x given by integer labels: the comark-weighted sum."""
         return sum(a * mi for a, mi in zip(self.comarks, m))
-
-
-def format_vector(x: Sequence) -> str:
-    """A point for messages: rationals as p/q, e.g. (1/3, -1/3), not Fraction(1, 3)."""
-    return "(" + ", ".join(map(str, x)) + ")"
 
 
 def _adjugate(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
@@ -297,23 +235,6 @@ def build_root_system(type_label: str) -> RootSystem:
         weight_form_den=den,
         root_forms=tuple(tuple(sum(map(mul, row, al)) for row in gram_num) for al in positive),
     )
-
-
-def is_regular(pairings: Sequence) -> bool:
-    """True iff no root pairing alpha(b) (`RootSystem.root_pairings`) is an integer.
-
-    Exact for rational pairings; a float pairing counts as integral only when it is
-    exactly integral as a float.
-    """
-    from fractions import Fraction
-
-    for v in pairings:
-        if isinstance(v, Fraction):
-            if v.denominator == 1:
-                return False
-        elif float(v).is_integer():
-            return False
-    return True
 
 
 def weyl_orbit(rs: RootSystem, labels: Sequence) -> list[tuple[tuple, int]]:

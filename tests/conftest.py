@@ -12,7 +12,9 @@ import pytest
 
 from shadowsum.diagrams import build_diagram, contract_state_sum, prepare_terms, read_link
 from shadowsum.errors import PreconditionError
-from shadowsum.fusion import _s_matrix, build_fusion_table, fusion_matrices
+from shadowsum.field import cartan_inverse, form_scale, simple_roots
+from shadowsum.fusion import fusion_matrices
+from shadowsum.fusion_table import _s_matrix, build_fusion_table
 from shadowsum.regularize import regularized_indicator, require_stage
 from shadowsum.reps import level_alphabet
 from shadowsum.roots import build_root_system, weyl_orbit
@@ -86,21 +88,22 @@ def _combine(coeffs, vectors):
 
 class Ambient:
     """The ambient realization of a root system: exact Fraction vectors in the
-    orthonormal basis of `rs.simple_roots`, with <x, y> = rs.form_scale * dot(x, y).
+    orthonormal basis of `simple_roots(rs)`, with <x, y> = form_scale(rs) * dot(x, y).
 
     The tests' oracle for the label arithmetic the library runs on.  The roots
     are generated here, as the orbit of the simple roots under the simple
     reflections, with none of the library's labels; the fundamental weights
-    come from `rs.cartan_inverse`, which the duality check tests.  Any other
+    come from `cartan_inverse(rs)`, which the duality check tests.  Any other
     attribute (rank, cartan_matrix, positive_root_labels, ...) is the root
     system's.
     """
 
     def __init__(self, rs):
         self.rs = rs
-        self.simple_coroots = tuple(map(self.coroot, rs.simple_roots))
+        self.form_scale, self.simple_roots = form_scale(rs), simple_roots(rs)
+        self.simple_coroots = tuple(map(self.coroot, self.simple_roots))
         # in integers: twice a root has integer coordinates
-        doubled = [tuple(int(2 * a) for a in alpha) for alpha in rs.simple_roots]
+        doubled = [tuple(int(2 * a) for a in alpha) for alpha in self.simple_roots]
         roots, frontier = set(doubled), list(doubled)
         while frontier:
             v = frontier.pop()
@@ -112,7 +115,7 @@ class Ambient:
                     frontier.append(w)
         self.roots = tuple(sorted(tuple(Fraction(a, 2) for a in v) for v in roots))
         self.fundamental_weights = tuple(
-            _combine(row, rs.simple_roots) for row in rs.cartan_inverse)
+            _combine(row, self.simple_roots) for row in cartan_inverse(rs))
         self.weyl_vector = self.from_labels((1,) * rs.rank)
         self.positive_roots = tuple(a for a in self.roots if self.inner(a, self.weyl_vector) > 0)
         self.highest_root = self.from_labels(rs.highest_root_labels)
@@ -212,7 +215,7 @@ def verlinde_link_value(alphabet, components):
     runs down the S^1, which is its dual colour running up: S_{lam* sigma} is
     conj(S_{lam sigma}).  s_i is the gleam the circle gives its inner face:
     the winding, negated when the positive side is outside.  S is
-    `fusion._s_matrix` scaled so that S_00 > 0 and the row of 0 has unit norm;
+    `fusion_table._s_matrix` scaled so that S_00 > 0 and the row of 0 has unit norm;
     nothing here folds, builds a fusion matrix or runs Freudenthal.
     """
     rs, k = alphabet.rs, alphabet.k

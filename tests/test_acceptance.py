@@ -36,7 +36,7 @@ from shadowsum.determinants import (
 )
 from shadowsum.diagrams import build_diagram, contract_state_sum, list_terms, prepare_terms
 from shadowsum.errors import PreconditionError
-from shadowsum.fusion import build_fusion_table, verlinde_table
+from shadowsum.fusion_table import build_fusion_table, verlinde_table
 from shadowsum.regularize import constant_field, det_rig_n, stepped_field
 from shadowsum.reps import level_alphabet, quantum_dimension, weight_multiplicities
 from shadowsum.roots import build_root_system

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import CYCLE_FORESTS, ambient, character_eval, src_env
-from shadowsum import cli, fusion
+from shadowsum import cli, fusion_table
 from shadowsum.errors import ParseError
+from shadowsum.field import coweight_coordinates, simple_roots
 from shadowsum.reps import weight_multiplicities, weyl_dimension
 from shadowsum.roots import build_root_system
 
@@ -234,7 +235,7 @@ class TestFusion:
         assert rc == 2 and "--oracle-tol" in doc["error"]["message"]
 
     def test_oracle_failure_exit_4(self, capsys, monkeypatch):
-        monkeypatch.setattr(fusion, "ORACLE_TOL", 1e-30)
+        monkeypatch.setattr(fusion_table, "ORACLE_TOL", 1e-30)
         rc, doc = run_main(capsys, "fusion", "--group", "A1", "--k", "4", "--verify")
         assert rc == 4 and doc["error"]["code"] == "oracle"
 
@@ -401,12 +402,12 @@ class TestRegularizeAndHolonomy:
         984,251,880 Dirichlet terms: refused by the face count alone, with the cutoff
         budget's text, before any --face-values entry is converted.  A wrong number of
         values is refused first, also before any conversion."""
-        from shadowsum.roots import RootSystem
+        from shadowsum import kernel_cli
 
         def unreachable(*_):
             raise AssertionError("a face value was converted")
 
-        monkeypatch.setattr(RootSystem, "coweight_coordinates", unreachable)
+        monkeypatch.setattr(kernel_cli, "coweight_coordinates", unreachable)
         path = write(tmp_path, "e8.json", {"group": "E8", "circles": [
             {"id": f"c{i}", "parent": None, "winding": 1, "positive_side": "inside",
              "color": [0] * 8} for i in range(2000)]})
@@ -426,12 +427,12 @@ class TestRegularizeAndHolonomy:
     def test_regularize_refuses_too_many_face_values(self, tmp_path, capsys, monkeypatch):
         """Three --face-values for the two faces of one circle: refused with the count's
         message before any value is converted, as too few are."""
-        from shadowsum.roots import RootSystem
+        from shadowsum import kernel_cli
 
         def unreachable(*_):
             raise AssertionError("a face value was converted")
 
-        monkeypatch.setattr(RootSystem, "coweight_coordinates", unreachable)
+        monkeypatch.setattr(kernel_cli, "coweight_coordinates", unreachable)
         path = write(tmp_path, "link.json", {"group": "A1", "circles": [
             {"id": "c", "parent": None, "winding": 1, "positive_side": "inside",
              "color": [0]}]})
@@ -614,9 +615,9 @@ class TestLargeFieldValues:
         """b and b + TWO_N alpha_1^vee, in ambient coordinates, differ in x_1 by TWO_N."""
         rs = build_root_system("G2")
         b = (Fraction(5, 7), Fraction(1, 11), Fraction(-3, 13))
-        coroot = ambient(rs).coroot(rs.simple_roots[0])
+        coroot = ambient(rs).coroot(simple_roots(rs)[0])
         big_b = tuple(v + TWO_N * c for v, c in zip(b, coroot))
-        x, big_x = rs.coweight_coordinates(b), rs.coweight_coordinates(big_b)
+        x, big_x = coweight_coordinates(rs, b), coweight_coordinates(rs, big_b)
         assert big_x == (x[0] + TWO_N, x[1])
         big, small = self.outputs(
             capsys, *(["det", "--group", "G2", "--b=" + ",".join(map(str, v))] for v in (big_b, b)))
@@ -748,16 +749,16 @@ def test_field_value_becomes_root_pairings_once(tmp_path, capsys, monkeypatch, a
     """A field value becomes its root pairings alpha(b) once, where it enters: one
     `root_pairings` call for `det --diagnostics`, one per face of a five-face link for
     `regularize`, and none in the kernels."""
-    from shadowsum.roots import RootSystem
+    from shadowsum import kernel_cli
 
     seen = []
-    pairings = RootSystem.root_pairings
+    pairings = kernel_cli.root_pairings
 
     def counted(rs, x):
         seen.append(tuple(x))
         return pairings(rs, x)
 
-    monkeypatch.setattr(RootSystem, "root_pairings", counted)
+    monkeypatch.setattr(kernel_cli, "root_pairings", counted)
     four = one_circle()
     four["circles"] = [dict(four["circles"][0], id=f"c{i}") for i in range(4)]
     path = write(tmp_path, "link.json", four)
@@ -1070,29 +1071,33 @@ class TestUsageErrorsAsJson:
 
     SHADOW_MODULES = {"cli", "errors", "roots", "reps", "fusion", "diagrams"}
     LATTICE_COMMANDS = {"qdim", "shadow", "validate", "fusion"}
+    STATE_SUM_COMMANDS = {"shadow", "validate"}
+    TABLE_AND_FIELD = {"fusion_table", "field"}
 
     @pytest.mark.parametrize("argv,only,never", [
-        (["qdim", "--group", "E6", "--k", "16"], {"cli", "errors", "roots", "reps"}, {"numpy"}),
+        (["qdim", "--group", "E6", "--k", "16"], {"cli", "errors", "roots", "reps"},
+         {"numpy", *TABLE_AND_FIELD}),
         (["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics", "--quad-res", "8x16"],
-         {"cli", "kernel_cli", "errors", "roots", "determinants"}, {"numpy"}),
+         {"cli", "kernel_cli", "errors", "roots", "field", "determinants"}, {"numpy"}),
         (["det", "--group", "A1", "--alpha-b", "1/3"],
-         {"cli", "kernel_cli", "errors", "roots", "determinants"}, {"numpy"}),
+         {"cli", "kernel_cli", "errors", "roots", "field", "determinants"}, {"numpy"}),
         (["shadow", "link.json"], SHADOW_MODULES, {"determinants", "holonomy", "regularize",
-                                                   "circleop", "numpy"}),
-        (["shadow", "link.json", "--diagnostics"], SHADOW_MODULES, {"numpy"}),
-        (["validate", "link.json"], SHADOW_MODULES - {"fusion"}, {"numpy"}),
+                                                   "circleop", "numpy", *TABLE_AND_FIELD}),
+        (["shadow", "link.json", "--diagnostics"], SHADOW_MODULES, {"numpy", *TABLE_AND_FIELD}),
+        (["validate", "link.json"], SHADOW_MODULES - {"fusion"}, {"numpy", *TABLE_AND_FIELD}),
         (["fusion", "--group", "A1", "--k", "5", "--dump", "--verify"],
-         {"cli", "errors", "roots", "reps", "fusion"}, {"diagrams", "numpy"}),
+         {"cli", "errors", "roots", "reps", "fusion", "fusion_table"}, {"diagrams", "numpy"}),
         (["fusion", "--group", "A2", "--k", "5", "--dump", "--format", "text", "--verify"],
-         {"cli", "errors", "roots", "reps", "fusion"}, {"diagrams", "numpy"}),
+         {"cli", "errors", "roots", "reps", "fusion", "fusion_table"}, {"diagrams", "numpy"}),
         (["regularize", "--group", "A1", "--alpha-b", "1/3", "--n", "3"],
-         {"cli", "kernel_cli", "errors", "roots", "determinants", "regularize"},
+         {"cli", "kernel_cli", "errors", "roots", "field", "determinants", "regularize"},
          {"diagrams", "fusion", "reps", "numpy"}),
         (["regularize", "--n", "3", "link.json", "--face-values", "1/4,-1/4;1/6,-1/6;1/5,-1/5"],
-         {"cli", "kernel_cli", "errors", "roots", "diagrams", "determinants", "regularize"},
+         {"cli", "kernel_cli", "errors", "roots", "field", "diagrams", "determinants",
+          "regularize"},
          {"fusion", "reps", "numpy"}),
         (["holonomy", "--group", "G2", "--b=1/7,1/5,-12/35", "--color", "1,1", "--n", "1024"],
-         {"cli", "kernel_cli", "errors", "roots", "reps", "holonomy"}, {"numpy"}),
+         {"cli", "kernel_cli", "errors", "roots", "field", "reps", "holonomy"}, {"numpy"}),
     ], ids=["qdim", "det", "det-plain", "shadow", "shadow-diagnostics", "validate", "fusion",
             "fusion-text", "regularize", "regularize-stepped", "holonomy"])
     def test_command_loads_only_its_modules(self, tmp_path, argv, only, never):
@@ -1104,9 +1109,10 @@ class TestUsageErrorsAsJson:
         sums alone, `regularize` its two sequences without the level alphabet or
         fusion data, on a constant field without the diagrams and on a stepped
         field with them, and none of them numpy.  The kernel commands alone load
-        `kernel_cli`, and a lattice command loads none of `fractions`, `decimal`
-        and `numbers`.  Each also runs, and exits 0, in an interpreter where
-        numpy cannot be imported."""
+        `kernel_cli` and `field`, only `fusion` loads `fusion_table`, a lattice
+        command loads none of `fractions`, `decimal` and `numbers`, and `shadow`
+        and `validate` load no `cmath`.  Each also runs, and exits 0, in an
+        interpreter where numpy cannot be imported."""
         write(tmp_path, "link.json", TWO_CIRCLES)
         for block_numpy in ("", "sys.modules['numpy'] = None\n"):
             code = ("import json, sys\n" + block_numpy + "import shadowsum.cli as cli\n"
@@ -1116,15 +1122,18 @@ class TestUsageErrorsAsJson:
                     "loaded += ['numpy'] if sys.modules.get('numpy') else []\n"
                     "rational = [m for m in ('fractions', 'decimal', 'numbers')\n"
                     "            if m in sys.modules]\n"
-                    "print(json.dumps([rc, loaded, rational]), file=sys.stderr)\n")
+                    "print(json.dumps([rc, loaded, rational, 'cmath' in sys.modules]),\n"
+                    "      file=sys.stderr)\n")
             r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
                                text=True, check=True, env=src_env())
-            rc, loaded, rational = json.loads(r.stderr)
+            rc, loaded, rational, cmath = json.loads(r.stderr)
             assert rc == 0, block_numpy
             assert set(loaded) == only
             assert not never & set(loaded)
             if argv[0] in self.LATTICE_COMMANDS:
                 assert rational == []
+            if argv[0] in self.STATE_SUM_COMMANDS:
+                assert not cmath
 
     @pytest.mark.parametrize("preset,expected", [(None, "1 1"), ("2", "2 1")])
     def test_import_defaults_blas_threads_to_one(self, preset, expected):

@@ -18,8 +18,10 @@ from conftest import (CYCLE_FORESTS, densify, dual_link, flat_forest, fusion_row
 from shadowsum.determinants import det_k
 from shadowsum.diagrams import build_diagram, contract_state_sum, list_terms, prepare_terms
 from shadowsum.errors import PreconditionError
-from shadowsum import cli, fusion, reps
-from shadowsum.fusion import QuantumWeylGroup, build_fusion_table
+from shadowsum.field import root_pairings
+from shadowsum import cli, fusion, fusion_table, reps
+from shadowsum.fusion import QuantumWeylGroup
+from shadowsum.fusion_table import build_fusion_table
 from shadowsum.holonomy import weight_phases, weight_trace
 from shadowsum.reps import level_alphabet, quantum_dimension, weight_multiplicities
 from shadowsum.roots import build_root_system
@@ -406,7 +408,7 @@ def torus_gauge_value(alphabet, components):
     total = 0j
     for sigma in alphabet.elements:
         x = coweights(sigma)
-        term = det_k(rs.root_pairings(x))
+        term = det_k(root_pairings(rs, x))
         for color, winding, _ in components:
             term *= weight_trace(np.exp(weight_phases(modules[color], [winding * v for v in x])))
         total += term
@@ -415,7 +417,7 @@ def torus_gauge_value(alphabet, components):
         q = rs.label_form(color, tuple(c + 2 for c in color))
         gleam = winding if side == "inside" else -winding
         twist *= cmath.exp(1j * math.pi * gleam * q / den)
-    return twist * total / det_k(rs.root_pairings(coweights((0,) * rs.rank)))
+    return twist * total / det_k(root_pairings(rs, coweights((0,) * rs.rank)))
 
 
 @pytest.mark.parametrize(
@@ -450,7 +452,7 @@ def test_flat_forests_match_torus_gauge(monkeypatch, label, k, sizes):
 
     monkeypatch.setattr(QuantumWeylGroup, "fold", disabled)
     monkeypatch.setattr(fusion, "fusion_matrices", disabled)
-    monkeypatch.setattr(fusion, "_s_matrix", disabled)
+    monkeypatch.setattr(fusion_table, "_s_matrix", disabled)
     for components, got in zip(forests, results):
         want = torus_gauge_value(al, components)
         assert abs(got.value - want) <= 1e-12 * got.abs_sum, components

@@ -9,15 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowsum import cli, fusion, reps
+from shadowsum import cli, fusion, fusion_table, reps
 from shadowsum.diagrams import contract_state_sum, prepare_terms
 from shadowsum.errors import OracleError, PreconditionError
-from shadowsum.fusion import (
-    MAX_FUSION_COEFFS,
+from shadowsum.fusion import MAX_FUSION_COEFFS, QuantumWeylGroup, fusion_matrices
+from shadowsum.fusion_table import (
     MAX_VERLINDE_ORBIT_TERMS,
-    QuantumWeylGroup,
     build_fusion_table,
-    fusion_matrices,
     table_lines,
     verify_against_verlinde,
     verlinde_table,
@@ -115,7 +113,7 @@ class TestFusionCoefficient:
 
 def weyl_sum_row(al, b):
     """s[b][a] for every a, from the Weyl orbit of A[b] + rho alone, by the phase
-    rule of `fusion._s_matrix`: sgn(w) exp(-2 pi i <w(x), y> / k), with
+    rule of `fusion_table._s_matrix`: sgn(w) exp(-2 pi i <w(x), y> / k), with
     weight_form_den <w(x), y> the integer w(x) G y reduced modulo k weight_form_den."""
     rs = al.rs
     period = al.k * rs.weight_form_den
@@ -156,7 +154,7 @@ class TestVerlindeOracle:
                 assert v[l, a1k4.index((0,)), n] == expect
 
     def test_rounding_residue_reported(self, monkeypatch, a1k4):
-        monkeypatch.setattr(fusion, "ORACLE_TOL", 1e-30)
+        monkeypatch.setattr(fusion_table, "ORACLE_TOL", 1e-30)
         with pytest.raises(OracleError):
             verlinde_table(a1k4)
 
@@ -166,13 +164,13 @@ class TestVerlindeOracle:
         (0,1); the symmetric sum's first far value is the one it places at
         (0,0) (0,0) (1,0)."""
         al = level_alphabet(a2, 6)
-        rows, dual = fusion._s_matrix(al)
+        rows, dual = fusion_table._s_matrix(al)
         s = np.array(rows)
         s[:, 0] *= 1.1
-        monkeypatch.setattr(fusion, "_s_matrix", lambda alphabet: (s.tolist(), dual))
+        monkeypatch.setattr(fusion_table, "_s_matrix", lambda alphabet: (s.tolist(), dual))
         s0 = s[al.index((0, 0))]
         full = np.einsum("ls,ms,ns->lmn", s, s, s.conj() / s0) / np.sum(np.abs(s0) ** 2)
-        l, m, n = np.argwhere(np.abs(full - np.rint(full.real)) > fusion.ORACLE_TOL)[0]
+        l, m, n = np.argwhere(np.abs(full - np.rint(full.real)) > fusion_table.ORACLE_TOL)[0]
         first = tuple(al.elements[i] for i in (l, m, n))
         assert first == ((0, 0), (0, 0), (0, 1))
         with pytest.raises(OracleError, match=re.escape(f"for {first} at A2, k=6")):
@@ -188,7 +186,7 @@ class TestVerlindeOracle:
         """The acceptance sweep and the export alphabets round within 1e-9, a
         thousandth of ORACLE_TOL (measured worst 3.8e-14), so an S-matrix that
         loses accuracy fails here long before it meets the gate."""
-        monkeypatch.setattr(fusion, "ORACLE_TOL", 1e-9)
+        monkeypatch.setattr(fusion_table, "ORACLE_TOL", 1e-9)
         verlinde_table(level_alphabet(build_root_system(label), k))
 
     def test_budget_refuses_before_building(self, a1):
@@ -207,7 +205,7 @@ class TestVerlindeOracle:
         def built(alphabet):
             raise AssertionError("S-matrix built")
 
-        monkeypatch.setattr(fusion, "_s_matrix", built)
+        monkeypatch.setattr(fusion_table, "_s_matrix", built)
         with pytest.raises(AssertionError if terms <= MAX_VERLINDE_ORBIT_TERMS
                            else PreconditionError, match=f"{terms} Weyl-orbit|built"):
             verlinde_table(level_alphabet(build_root_system(label), k))
@@ -223,7 +221,7 @@ class TestVerlindeOracle:
             calls.append(tuple(labels))
             return weyl_orbit(rs, labels)
 
-        monkeypatch.setattr(fusion, "weyl_orbit", counted)
+        monkeypatch.setattr(fusion_table, "weyl_orbit", counted)
         assert verlinde_table(al) == expected
         assert sorted(calls) == sorted(tuple(v + 1 for v in lam) for lam in al.elements)
 
@@ -235,7 +233,7 @@ class TestVerlindeOracle:
         it into s[b][a]; the Weyl sum over the orbit of A[b] + rho gives the same
         value, to 1e-12 max|s[0]|."""
         al = level_alphabet(build_root_system(label), k)
-        s, _ = fusion._s_matrix(al)
+        s, _ = fusion_table._s_matrix(al)
         tol = 1e-12 * max(map(abs, s[al.index((0,) * al.rs.rank)]))
         for b in range(1, len(s)):
             own = weyl_sum_row(al, b)
@@ -255,7 +253,7 @@ class TestVerlindeOracle:
             raise AssertionError("the Verlinde oracle used the folding path")
 
         monkeypatch.setattr(QuantumWeylGroup, "fold", disabled)
-        monkeypatch.setattr(fusion, "fusion_matrices", disabled)
+        monkeypatch.setattr(fusion_table, "fusion_matrices", disabled)
         monkeypatch.setattr(reps, "weight_multiplicities", disabled)
         monkeypatch.setattr(fusion, "weight_multiplicities", disabled)
         assert verlinde_table(al) == expected
@@ -480,8 +478,8 @@ class TestRingRecursion:
         """Doubled fundamental matrices give N_(0,2) the coefficient 2 in
         N_(0,1) N_(0,1) = N_(0,2) + N_(1,0)."""
         al = level_alphabet(build_root_system("A2"), 6)
-        build = fusion.fusion_matrices
-        monkeypatch.setattr(fusion, "fusion_matrices", lambda al, gs: {
+        build = fusion_table.fusion_matrices
+        monkeypatch.setattr(fusion_table, "fusion_matrices", lambda al, gs: {
             g: [{b: 2 * c for b, c in row.items()} for row in rows]
             for g, rows in build(al, gs).items()})
         with pytest.raises(AssertionError, match=re.escape("N_(0, 2) has coefficient 2")):
@@ -491,7 +489,7 @@ class TestRingRecursion:
         """A spurious N^(0,0)_{(1,0) (1,0)} = 1 is subtracted with N_(1,0) from
         N_(0,1) N_(0,1), which leaves -1 in N_(0,2)."""
         al = level_alphabet(build_root_system("A2"), 6)
-        build = fusion.fusion_matrices
+        build = fusion_table.fusion_matrices
 
         def spurious(al, gs):
             matrices = build(al, gs)
@@ -499,7 +497,7 @@ class TestRingRecursion:
             rows[fund] = {al.index((0, 0)): 1, **rows[fund]}
             return matrices
 
-        monkeypatch.setattr(fusion, "fusion_matrices", spurious)
+        monkeypatch.setattr(fusion_table, "fusion_matrices", spurious)
         with pytest.raises(AssertionError, match=re.escape("negative fusion coefficient for "
                                                            "gamma = (0, 2)")):
             build_fusion_table(al)
