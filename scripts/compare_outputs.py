@@ -33,7 +33,9 @@ boundary on A1 and E8 and past its cutoff budget on five E8 faces and on
 2,001, long numbers shown by their order of magnitude: an E8 level of 601
 digits, a Weyl dimension with more digits than `str` converts, labels of 1,501
 and 4,001 digits and a type label whose rank has 5,000 (`qdim/long-rank` and
-`validate/long-rank`), and weights with the wrong number of labels), runs
+`validate/long-rank`), weights with the wrong number of labels, and Freudenthal's
+work past its budget, `fusion` on E7 k=22 and a one-circle E8 k=33 `shadow` coloured
+omega_7), runs
 `regularize` on admitted stepped fields of rank > 1 (STEPPED_JOBS: five E8 faces
 at n = 4, and three nested G2 faces at n = 6, one of them singular), runs
 the CLI's other error paths and its --config reading (ERROR_JOBS: among them
@@ -64,7 +66,10 @@ budgets the box of its labels, every alphabet refusal differs by design, and the
 jobs that box refused (`qdim/A8-k=13`, `qdim/E6-k=22`) differ too.  A link's
 alphabet refused by its budget is reported under the code `budget`, so against a
 tree that files it under `level-bound`, `malformed/big-k/validate` and
-`error/long/validate-k` differ by design.
+`error/long/validate-k` differ by design.  Freudenthal's work is budgeted, so
+against a tree without that budget `refusal/fusion/E7-k=22` and
+`refusal/shadow/E8-k=33-omega7` differ by design: that tree runs them, for tens of
+seconds each.
 
 With no arguments it compares this checkout's src/ with itself on the probe
 and help jobs only, which checks the script itself in a few seconds.
@@ -180,13 +185,19 @@ FREE_SIZES = {
 # 10^4500, more digits than `str` converts (4300), with its labels of 10^1500, the
 # eight E8 labels of 10^4000, and a rank of 5,000 digits, past CPython's limit on
 # int parsing, from a flag and from a link file.  Then a weight with one label on
-# A2, through the default `holonomy` colour and `qdim --weight`.
+# A2, through the default `holonomy` colour and `qdim --weight`.  Then the budget of
+# Freudenthal's work, fusion.MAX_MULTIPLICITY_PAIRS: the fundamentals of the E7 k=22
+# table (25,496,037 dimension-root pairs) and one E8 k=33 circle coloured omega_7
+# (dim 30,380: 3,645,600 pairs).
 LONG_RANK = "A" + "9" * 5000
 E8_FACE = "-27/61,-24/61,0,-48/61,39/61,-58/61,46/61,-9/61"
 REFUSAL_FILES = {f"e8-{n}.json": json.dumps({"group": "E8", "circles": [
     {"id": f"c{i}", "parent": None, "winding": 1, "positive_side": "inside",
      "color": [0] * 8} for i in range(n)]}) for n in (4, 2000)}
 REFUSAL_FILES["long-rank.json"] = json.dumps({"group": LONG_RANK, "k": 5, "circles": []})
+REFUSAL_FILES["e8-omega7.json"] = json.dumps({"group": "E8", "k": 33, "circles": [
+    {"id": "a", "parent": None, "winding": 1, "positive_side": "inside",
+     "color": [0, 0, 0, 0, 0, 0, 1, 0]}]})
 REFUSAL_JOBS = {
     "holonomy/n=0": ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--n", "0"],
     **{f"regularize/{group}-n={n}": ["regularize", "--group", group, field, "--n", str(n)]
@@ -208,6 +219,8 @@ REFUSAL_JOBS = {
     "validate/long-rank": ["validate", "long-rank.json"],
     "holonomy/A2-one-label": ["holonomy", "--group", "A2", "--b=1/3,1/5,0"],
     "qdim/A2-one-label": ["qdim", "--group", "A2", "--k", "5", "--weight", "1"],
+    "fusion/E7-k=22": ["fusion", "--group", "E7", "--k", "22"],
+    "shadow/E8-k=33-omega7": ["shadow", "e8-omega7.json"],
 }
 
 # Stepped fields that `regularize` admits, on rank > 1: the five faces of REFUSAL_FILES'

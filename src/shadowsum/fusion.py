@@ -31,12 +31,14 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import require_budget
-from .reps import Labels, LevelAlphabet, weight_multiplicities
-from .roots import RootSystem
+from .reps import Labels, LevelAlphabet, weight_multiplicities, weyl_dimension
+from .roots import RootSystem, to_dominant
 
 _FOLD_LIMIT = 100_000
 # Budget of one call: the integers it computes, |A|^2 per matrix (|A|^3 for the full table).
 MAX_FUSION_COEFFS = 10**6
+# Budget of one call's Freudenthal recursions: sum over its colours of dim V(gamma) |R+|.
+MAX_MULTIPLICITY_PAIRS = 10**6
 
 # One fusion matrix M by rows: rows[a] = {b: M[a, b]} over its nonzero entries, b increasing.
 Rows = list[dict[int, int]]
@@ -60,28 +62,24 @@ class QuantumWeylGroup(NamedTuple):
 
         Returns (folded, sign): the folded point and the sign
         (-1)^(reflections applied) of an alcove-interior point, or (None, 0)
-        for a point on a wall (vanishing signed-orbit sum).  Each step
-        reflects the point in the simple wall of its first negative label,
-        else in the affine wall <x, theta> = k while its level is above k.
-        A point with no negative label stops on a wall (a zero label, or
-        level k) or inside.  A point still moving after _FOLD_LIMIT steps
-        raises AssertionError.
+        for a point on a wall (vanishing signed-orbit sum).  Each alcove step
+        takes the point to its dominant W-conjugate (`roots.to_dominant`),
+        stops it on a wall (a zero label, or level k) or inside (level below
+        k), and else reflects it in the affine wall <x, theta> = k.  The
+        finite walk always ends; a point still moving after _FOLD_LIMIT alcove
+        steps raises AssertionError.
         """
         rs, k = self.rs, self.k
-        m, sign = list(point), 1
+        m, sign = point, 1
         for _ in range(_FOLD_LIMIT):
-            i = next((i for i, v in enumerate(m) if v < 0), None)
-            if i is not None:
-                mi = m[i]
-                m = [v - mi * c for v, c in zip(m, rs.cartan_matrix[i])]
-            else:
-                level = rs.level_of_labels(m)
-                if 0 in m or level == k:
-                    return None, 0
-                if level < k:
-                    return tuple(m), sign
-                m = [v - (level - k) * t for v, t in zip(m, rs.highest_root_labels)]
-            sign = -sign
+            m, s = to_dominant(rs, m)
+            level = rs.level_of_labels(m)
+            if 0 in m or level == k:
+                return None, 0
+            if level < k:
+                return m, sign * s
+            m = [v - (level - k) * t for v, t in zip(m, rs.highest_root_labels)]
+            sign = -sign * s
         raise AssertionError(f"alcove folding did not terminate for {tuple(point)}")
 
 
@@ -90,8 +88,11 @@ def fusion_matrices(alphabet: LevelAlphabet, gammas: Iterable[Sequence[int]]) ->
     for each distinct gamma in first-seen order, by rows: rows[a] = {b:
     N_gamma[a, b]} over the nonzero entries, b increasing, the fusion product
     of gamma and A[a].  Refused as a whole, before any fold, when the |A|^2
-    coefficients per gamma add up to more than MAX_FUSION_COEFFS; a gamma
-    outside the alphabet is refused before its own folds.
+    coefficients per gamma add up to more than MAX_FUSION_COEFFS; then when a
+    gamma lies outside the alphabet; then, before any Freudenthal recursion,
+    when the sum of dim V(gamma) |R+| over the gammas, a count of the
+    recursions' work (dim V is at least V's number of weights), passes
+    MAX_MULTIPLICITY_PAIRS.
 
     N^nu_{gamma lam} = sum_{tau in W_k} sgn(tau) m_gamma(nu - tau(lam)).  For
     column b (nu = A[b]) and each weight beta in the support of m_gamma, the
@@ -112,6 +113,12 @@ def fusion_matrices(alphabet: LevelAlphabet, gammas: Iterable[Sequence[int]]) ->
     rs, k = alphabet.rs, alphabet.k
     require_budget(len(alphabet.elements) ** 2 * len(distinct), MAX_FUSION_COEFFS,
                    f"{len(distinct)} fusion matrices of {rs.name} at k = {k}", "coefficients")
+    colours = [alphabet.require(g, "gamma") for g in distinct]
+    require_budget(sum(weyl_dimension(rs, g) for g in colours) * len(rs.root_forms),
+                   MAX_MULTIPLICITY_PAIRS,
+                   f"the weight multiplicities of {len(colours)} colour{'s' * (len(colours) != 1)} "
+                   f"of {rs.name} at k = {k}",
+                   "dimension-root pairs (dim V |R+|)")
     places = [(7 * k) ** p for p in range(rs.rank - 1, -1, -1)]
     shifted = [tuple(v + 1 for v in lam) for lam in alphabet.elements]
     index = {x: a for a, x in enumerate(shifted)}
@@ -119,8 +126,7 @@ def fusion_matrices(alphabet: LevelAlphabet, gammas: Iterable[Sequence[int]]) ->
     qwg = QuantumWeylGroup(rs=rs, k=k)
     folds: dict[int, tuple[int, int]] = {}
     matrices: dict[Labels, Rows] = {}
-    for g in distinct:
-        gamma = alphabet.require(g, "gamma")
+    for gamma in colours:
         support = [(beta, sum(v * p for v, p in zip(beta, places)), m)
                    for beta, m in weight_multiplicities(rs, gamma).multiplicities.items()]
         rows: Rows = [{} for _ in shifted]

@@ -27,7 +27,7 @@ from operator import mul
 from .errors import OracleError, require_budget
 from .fusion import MAX_FUSION_COEFFS, Rows, fusion_matrices
 from .reps import LevelAlphabet
-from .roots import weyl_group_order, weyl_orbit
+from .roots import to_dominant, weyl_group_order, weyl_orbit
 
 # Budget of `verlinde_table`: Weyl-orbit phases of the S-matrix, |W| * |A|^2.
 MAX_VERLINDE_ORBIT_TERMS = 2 * 10**5
@@ -50,8 +50,8 @@ def _s_matrix(alphabet: LevelAlphabet) -> tuple[list[list[complex]], list[int]]:
     modulo the period k * weight_form_den and read from a table of the
     period's roots of unity.  The overall normalization constant cancels in
     the Verlinde ratio once divided by sum_sigma |s[0][sigma]|^2 (row-0
-    unitarity).  The orbit of lam + rho that builds row lam holds one
-    antidominant point, -(lam* + rho), which gives the dual lam*.
+    unitarity).  The dual lam* is to_dominant(-(lam + rho)) - rho, as -w_0 maps
+    lam + rho to lam* + rho.
     """
     rs = alphabet.rs
     period = alphabet.k * rs.weight_form_den
@@ -66,8 +66,7 @@ def _s_matrix(alphabet: LevelAlphabet) -> tuple[list[list[complex]], list[int]]:
         for b, y in enumerate(paired[a:], a):
             rows[a][b] = rows[b][a] = (sum(unit[sum(map(mul, p, y)) % period] for p in plus)
                                        - sum(unit[sum(map(mul, p, y)) % period] for p in minus))
-        anti = next(p for p, _ in orbit if max(p) < 0)
-        dual.append(alphabet.index([-v - 1 for v in anti]))
+        dual.append(alphabet.index([v - 1 for v in to_dominant(rs, [-v for v in x])[0]]))
     return rows, dual
 
 
@@ -77,12 +76,12 @@ def verlinde_table(alphabet: LevelAlphabet) -> list[int]:
 
     V = sum_sigma s[l, sigma] s[m, sigma] conj(s[n, sigma]) / s[0, sigma],
     divided by sum_sigma |s[0, sigma]|^2.  N_{abc} = V[a, b, c*] is symmetric
-    in a, b and c (c* the dual weight, read from the orbit pass of the S row
-    of c: c* + rho is minus its antidominant point), so the sum runs once for
-    each a <= b <= c and its value is written to V[l, m, x*] for every
-    ordering (l, m, x) of (a, b, c).  Every value is rounded from a float
-    within ORACLE_TOL of an integer; a larger residue is an oracle failure (a
-    bug, not bad input), naming the first such triple in index order.
+    in a, b and c (c* the dual weight, c* + rho the dominant W-conjugate of
+    -(c + rho)), so the sum runs once for each a <= b <= c and its value is
+    written to V[l, m, x*] for every ordering (l, m, x) of (a, b, c).  Every
+    value is rounded from a float within ORACLE_TOL of an integer; a larger
+    residue is an oracle failure (a bug, not bad input), naming the first such
+    triple in index order.
     """
     n, rs = len(alphabet.elements), alphabet.rs
     at = f"of {rs.name} at k = {alphabet.k}"

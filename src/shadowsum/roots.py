@@ -15,6 +15,11 @@ roots have squared length 2.  The table gives the Cartan matrix and the order
 of the positive roots.  Every field of a root system is an integer, so this
 module loads no `fractions`: the rational views of the data and the field
 values b that are read through them are `field`'s.
+
+The Weyl group acts on labels by the simple reflections.  `weyl_orbit` lists
+an orbit with signs; `to_dominant`, the one walk to the dominant chamber,
+serves the alcove fold of `fusion` and the Verlinde dual of `fusion_table`;
+`weyl_group_order` reads |W| from the root heights.
 """
 
 from __future__ import annotations
@@ -25,15 +30,15 @@ from typing import NamedTuple, Sequence
 
 from .errors import PreconditionError, shown
 
-# {type: {supported rank: (dim g, |W|)}}: dim g validates construction; |W| is `weyl_group_order`.
+# {type: {supported rank: dim g}}: dim g validates construction.
 _TYPES = {
-    "A": {n: ((n + 1) ** 2 - 1, math.factorial(n + 1)) for n in range(1, 9)},
-    "B": {n: (n * (2 * n + 1), 2**n * math.factorial(n)) for n in range(2, 9)},
-    "C": {n: (n * (2 * n + 1), 2**n * math.factorial(n)) for n in range(2, 9)},
-    "D": {n: (n * (2 * n - 1), 2 ** (n - 1) * math.factorial(n)) for n in range(4, 9)},
-    "E": {6: (78, 51_840), 7: (133, 2_903_040), 8: (248, 696_729_600)},
-    "F": {4: (52, 1_152)},
-    "G": {2: (14, 12)},
+    "A": {n: (n + 1) ** 2 - 1 for n in range(1, 9)},
+    "B": {n: n * (2 * n + 1) for n in range(2, 9)},
+    "C": {n: n * (2 * n + 1) for n in range(2, 9)},
+    "D": {n: n * (2 * n - 1) for n in range(4, 9)},
+    "E": {6: 78, 7: 133, 8: 248},
+    "F": {4: 52},
+    "G": {2: 14},
 }
 
 
@@ -166,7 +171,7 @@ def build_root_system(type_label: str) -> RootSystem:
     if rank not in _TYPES.get(t, {}):
         raise PreconditionError(
             f"invalid simple type ({t!r}, rank {shown(rank)}); supported: "
-            "A1-A8, B2-B8, C2-C8, D4-D8, E6-E8, F4, G2"
+            + ", ".join(f"{u}{min(r)}" + f"-{u}{max(r)}" * (len(r) > 1) for u, r in _TYPES.items())
         )
 
     doubled, dim, (scale_num, scale_den) = _doubled_simple_roots(t, rank)
@@ -188,7 +193,7 @@ def build_root_system(type_label: str) -> RootSystem:
             if li and c[i] >= li:
                 frontier.append(c[:i] + (c[i] - li,) + c[i + 1:])
 
-    expected = _TYPES[t][rank][0]
+    expected = _TYPES[t][rank]
     if 2 * len(labels_of) != expected - rank:
         raise AssertionError(
             f"{t}{rank}: generated {2 * len(labels_of)} roots, expected {expected - rank}"
@@ -267,6 +272,30 @@ def weyl_orbit(rs: RootSystem, labels: Sequence) -> list[tuple[tuple, int]]:
     return sorted(seen.items())
 
 
+def to_dominant(rs: RootSystem, labels: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """(the dominant W-conjugate of a weight given by its labels, (-1)^(reflections)).
+
+    Each step reflects in the simple root of the first negative label,
+    s_i(m) = m - m_i C[i], until no label is negative.  s_i permutes the positive
+    roots other than alpha_i, so each step lowers by one the number of positive
+    roots the weight pairs negatively with, and the walk ends at the one dominant
+    W-conjugate of the weight (Humphreys, 10.3).
+    """
+    m, sign = list(labels), 1
+    while True:
+        i = next((i for i, v in enumerate(m) if v < 0), None)
+        if i is None:
+            return tuple(m), sign
+        mi = m[i]
+        m, sign = [v - mi * c for v, c in zip(m, rs.cartan_matrix[i])], -sign
+
+
 def weyl_group_order(rs: RootSystem) -> int:
-    """|W| in closed form (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Plates I-IX)."""
-    return _TYPES[rs.type_label][rs.rank][1]
+    """|W| = prod_{alpha>0} (ht alpha + 1) / ht alpha (Macdonald, Math. Ann. 199, 1972).
+
+    labels(alpha) . (row sums of adj(C)) is det(C) ht alpha, so the product is read in
+    integers from those heights h: prod(h + det(C)) // prod(h).
+    """
+    det, heights = rs.cartan_det, [sum(row) for row in rs.cartan_adjugate]
+    h = [sum(map(mul, al, heights)) for al in rs.positive_root_labels]
+    return math.prod(v + det for v in h) // math.prod(h)

@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import json
 import math
 import operator
 import re
@@ -11,8 +12,13 @@ from hypothesis import strategies as st
 
 from shadowsum import cli, fusion, fusion_table, reps
 from shadowsum.diagrams import contract_state_sum, prepare_terms
-from shadowsum.errors import OracleError, PreconditionError
-from shadowsum.fusion import MAX_FUSION_COEFFS, QuantumWeylGroup, fusion_matrices
+from shadowsum.errors import BudgetError, OracleError, PreconditionError
+from shadowsum.fusion import (
+    MAX_FUSION_COEFFS,
+    MAX_MULTIPLICITY_PAIRS,
+    QuantumWeylGroup,
+    fusion_matrices,
+)
 from shadowsum.fusion_table import (
     MAX_VERLINDE_ORBIT_TERMS,
     build_fusion_table,
@@ -109,6 +115,50 @@ class TestFusionCoefficient:
         assert len(al.elements) ** 2 > MAX_FUSION_COEFFS
         with pytest.raises(PreconditionError, match="budget"):
             fusion_rows(al, (1,))
+
+    @pytest.mark.parametrize("label,k,pairs", [
+        ("E7", 20, 166_320), ("E6", 16, 135_324),
+        ("E7", 21, 2_453_787), ("E7", 22, 25_496_037), ("E8", 33, 21_810_360)])
+    def test_multiplicity_budget_counts_the_fundamentals(self, monkeypatch, label, k, pairs):
+        """A full table's fundamentals count sum dim V |R+| against
+        MAX_MULTIPLICITY_PAIRS: the E7 k=20 and E6 k=16 dumps are admitted, and the
+        others are refused before the first Freudenthal recursion."""
+        al = level_alphabet(build_root_system(label), k)
+        fundamentals = [w for w in al.elements if sum(w) == 1]
+        assert len(al.elements) ** 2 * len(fundamentals) <= MAX_FUSION_COEFFS
+        assert sum(reps.weyl_dimension(al.rs, w) for w in fundamentals) \
+            * len(al.rs.root_forms) == pairs
+        if pairs <= MAX_MULTIPLICITY_PAIRS:
+            return
+        monkeypatch.setattr(fusion, "weight_multiplicities", _no_freudenthal)
+        with pytest.raises(BudgetError, match=f"{pairs} dimension-root pairs"):
+            fusion_matrices(al, fundamentals)
+
+    def test_colours_are_checked_before_the_multiplicity_budget(self, monkeypatch, a1k4):
+        """A colour outside the alphabet is refused by name, before any Freudenthal."""
+        monkeypatch.setattr(fusion, "weight_multiplicities", _no_freudenthal)
+        with pytest.raises(PreconditionError, match=re.escape("gamma = (3,) is not integrable")):
+            fusion_matrices(a1k4, [(1,), (3,)])
+
+    @pytest.mark.parametrize("argv,files", [
+        (["fusion", "--group", "E8", "--k", "33"], {}),
+        (["shadow", "link.json"], {"link.json": {"group": "E8", "k": 33, "circles": [
+            {"id": "a", "parent": None, "winding": 1, "positive_side": "inside",
+             "color": [0, 0, 0, 0, 0, 0, 1, 0]}]}})])
+    def test_multiplicity_budget_exits_3(self, monkeypatch, capsys, tmp_path, argv, files):
+        """E8 k=33: its table's fundamentals (21,810,360 pairs) and one circle coloured
+        omega_7 (dim 30,380: 3,645,600 pairs) are refused before any Freudenthal."""
+        monkeypatch.setattr(fusion, "weight_multiplicities", _no_freudenthal)
+        for name, doc in files.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        rc = cli.main([str(tmp_path / a) if a in files else a for a in argv])
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert rc == 3 and error["message"].endswith(
+            f"dimension-root pairs (dim V |R+|); the budget is {MAX_MULTIPLICITY_PAIRS}")
+
+
+def _no_freudenthal(rs, lam):
+    raise AssertionError(f"Freudenthal ran on {lam}")
 
 
 def weyl_sum_row(al, b):
@@ -321,15 +371,21 @@ class TestQuantumWeylGroup:
         qwg = QuantumWeylGroup(rs=rs, k=k)
         assert len(walls) > 3 * k and all(qwg.fold(m) == (None, 0) for m in walls)
 
-    def test_fold_limit_stops_a_long_fold(self, monkeypatch, a1):
-        """A step reflects the point once or stops it: -7 -> 7 -> 3 takes three
-        steps, -13 -> 13 -> -3 -> 3 four."""
-        monkeypatch.setattr(fusion, "_FOLD_LIMIT", 3)
+    def test_fold_limit_stops_a_long_fold(self, monkeypatch, a1, a2):
+        """An alphabet step walks the point to the dominant chamber, then stops it or
+        reflects it in the affine wall once.  On A1 at k = 5 that wall is 5:
+        -7 -> 7 -> 3 and -13 -> 13 -> -3 -> 3 take two steps, 23 -> -13 -> 13 ->
+        -3 -> 3 three.  On A2 the chamber walk (-1, -2) -> (2, 1) of three
+        reflections is one step."""
+        monkeypatch.setattr(fusion, "_FOLD_LIMIT", 2)
         qwg = QuantumWeylGroup(rs=a1, k=5)
         assert qwg.fold((-7,)) == ((3,), 1)
+        assert qwg.fold((-13,)) == ((3,), -1)
         assert qwg.fold((2,)) == ((2,), 1)
-        with pytest.raises(AssertionError, match=r"not terminate for \(-13,\)"):
-            qwg.fold((-13,))
+        with pytest.raises(AssertionError, match=r"not terminate for \(23,\)"):
+            qwg.fold((23,))
+        monkeypatch.setattr(fusion, "_FOLD_LIMIT", 1)
+        assert QuantumWeylGroup(rs=a2, k=10).fold((-1, -2)) == ((2, 1), -1)
 
     def test_folded_point_outside_the_alphabet_is_a_bug(self, monkeypatch, a1k4):
         def outside(self, point):

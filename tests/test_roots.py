@@ -20,6 +20,7 @@ from shadowsum.field import (
 from shadowsum.roots import (
     build_root_system,
     parse_type_label,
+    to_dominant,
     weyl_group_order,
     weyl_orbit,
 )
@@ -169,14 +170,73 @@ def test_weyl_orbit_examples(a1, a2):
     assert sum(s for _, s in orb2) == 0
 
 
+# |W| in closed form (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Plates I-IX)
+WEYL_ORDER = {"A": lambda n: math.factorial(n + 1), "B": lambda n: 2**n * math.factorial(n),
+              "C": lambda n: 2**n * math.factorial(n),
+              "D": lambda n: 2 ** (n - 1) * math.factorial(n),
+              "E": {6: 51_840, 7: 2_903_040, 8: 696_729_600}.get, "F": {4: 1_152}.get,
+              "G": {2: 12}.get}
+
+
 def test_weyl_group_orders():
-    for label, order in [("A1", 2), ("A2", 6), ("A3", 24), ("B2", 8), ("G2", 12), ("F4", 1152),
-                         ("E6", 51_840), ("E7", 2_903_040), ("E8", 696_729_600)]:
-        assert weyl_group_order(build_root_system(label)) == order
+    """Macdonald's product over the root heights is the closed form on every type."""
+    for label in ALL_TYPES:
+        rs = build_root_system(label)
+        assert weyl_group_order(rs) == WEYL_ORDER[rs.type_label](rs.rank)
     # orbit counting stays the oracle of the closed form
     for label in ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "E6"):
         rs = build_root_system(label)
         assert len(weyl_orbit(rs, (1,) * rs.rank)) == weyl_group_order(rs)
+
+
+def _reflected(rs, start, rng, steps):
+    """`start` reflected in `steps` simple roots drawn by rng."""
+    m = start
+    for _ in range(steps):
+        i = rng.randrange(rs.rank)
+        m = tuple(v - m[i] * c for v, c in zip(m, rs.cartan_matrix[i]))
+    return m
+
+
+# The fundamental weights (label, index from 0) whose orbits hold more than 2 * 10**4
+# points, |W| / |W_lambda|: E8's omega_3..omega_6, of 69,120, 483,840, 241,920 and
+# 60,480 points.  Their orbits are sampled by random words in the simple reflections.
+LARGE_ORBITS = {("E8", 2), ("E8", 3), ("E8", 4), ("E8", 5)}
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_to_dominant_maps_each_orbit_to_its_dominant_point(label):
+    """Every point of the orbit of a fundamental weight walks back to that weight.
+    On types with |W| <= 2 * 10**4 every point of rho's orbit walks to rho with the
+    sign `weyl_orbit` gives it, which is canonical as rho is regular; on every type
+    rho reflected by a random word of simple reflections walks back with the
+    word's parity."""
+    rs = build_root_system(label)
+    rng = random.Random(label)
+    for i in range(rs.rank):
+        omega = tuple(int(i == j) for j in range(rs.rank))
+        if (label, i) in LARGE_ORBITS:
+            points = [_reflected(rs, omega, rng, 300) for _ in range(200)]
+        else:
+            points = [p for p, _ in weyl_orbit(rs, omega)]
+        assert all(to_dominant(rs, p)[0] == omega for p in points)
+    rho = (1,) * rs.rank
+    if weyl_group_order(rs) <= 2 * 10**4:
+        orbit = weyl_orbit(rs, rho)
+        assert len(orbit) == weyl_group_order(rs)
+        assert all(to_dominant(rs, p) == (rho, sign) for p, sign in orbit)
+    for length in rng.sample(range(200), 50):
+        assert to_dominant(rs, _reflected(rs, rho, rng, length)) == (rho, (-1) ** length)
+
+
+def test_to_dominant_walks_in_the_first_negative_label():
+    """The walk reflects in the first negative label and counts the reflections:
+    on A2, (-1, -2) -> (1, -3) -> (-2, 3) -> (2, 1), and 0 is its own point."""
+    a2 = build_root_system("A2")
+    assert to_dominant(a2, (-1, -2)) == ((2, 1), -1)
+    assert to_dominant(a2, [1, -3]) == ((2, 1), 1)
+    assert to_dominant(a2, (0, 0)) == ((0, 0), 1)
+    assert type(to_dominant(a2, [3, -1])[0]) is tuple
 
 
 @settings(max_examples=40, deadline=None)
