@@ -18,8 +18,10 @@ weights) (HIGH_RANK_QDIM_JOBS), runs `fusion --dump --verify` on alphabets no
 benchmark job exports, C3 k=7, C4 k=7 (as text), A4 k=8, B4 k=10, D4 k=8, F4
 k=12 and G2 k=14, each inside both oracle budgets, and on E6 k=13, which the
 Verlinde orbit budget refuses (VERIFY_JOBS), runs `fusion --dump` without
-`--verify` on E6 k=14 and E7 k=20, the only E-type tables it exports
-(E_DUMP_JOBS), runs `det`, `regularize` and
+`--verify` on E6 k=14, E7 k=20 and E8 k=32, the only E-type tables it exports,
+E8 k=32 the largest E8 table Freudenthal's budget admits (E_DUMP_JOBS), runs
+`holonomy` on the E8 adjoint omega_8, the largest E8 colour its dimension
+budget admits (E8_ADJOINT_HOLONOMY), runs `det`, `regularize` and
 `holonomy` at large exact field values on A1 and G2 (LARGE_FIELDS), runs
 `shadow` (with `--diagnostics` and `validate`) on one nested three-circle link
 of each type whose fold path no benchmark `shadow` job takes, A4 k=8, C4 k=7,
@@ -123,10 +125,12 @@ VERIFY_JOBS = {f"verify/{group}-k={k}": ["fusion", "--group", group, "--k", str(
                    ("G2", 14, []),  # 36, 15,552
                    ("E6", 13, []))}  # 3, 466,560: refused
 # `fusion --dump` without --verify, which the orbit budget refuses on every E type, on
-# E6 k=14 and E7 k=20 (9 and 6 weights): the only jobs that export an E-type table, so
-# the height order of `build_fusion_table`'s recursion is compared on E types
+# E6 k=14, E7 k=20 and E8 k=32 (9, 6 and 3 weights): the only jobs that export an E-type
+# table, so the height order of `build_fusion_table`'s recursion is compared on E types.
+# The fundamentals of E8 k=32, omega_1 and omega_8, come to 494,760 dimension-root
+# pairs: the largest E8 table fusion.MAX_MULTIPLICITY_PAIRS admits.
 E_DUMP_JOBS = {f"dump/{group}-k={k}": ["fusion", "--group", group, "--k", str(k), "--dump"]
-               for group, k in (("E6", 14), ("E7", 20))}
+               for group, k in (("E6", 14), ("E7", 20), ("E8", 32))}
 # Every supported type with its ambient dimension, for `det --b`
 DET_TYPES = [(f"{t}{n}", dim(n)) for t, ranks, dim in (
     ("A", range(1, 9), lambda n: n + 1), ("B", range(2, 9), lambda n: n),
@@ -222,6 +226,10 @@ REFUSAL_JOBS = {
     "fusion/E7-k=22": ["fusion", "--group", "E7", "--k", "22"],
     "shadow/E8-k=33-omega7": ["shadow", "e8-omega7.json"],
 }
+# `holonomy` on the E8 adjoint omega_8 (dim 248), the largest E8 colour that
+# holonomy.MAX_REP_DIM admits
+E8_ADJOINT_HOLONOMY = ["holonomy", "--group", "E8", f"--b={E8_FACE}",
+                       "--color", "0,0,0,0,0,0,0,1", "--wind", "2"]
 
 # Stepped fields that `regularize` admits, on rank > 1: the five faces of REFUSAL_FILES'
 # four-circle E8 link at n = 4, inside the trust bound and the cutoff budget (E8_FACE
@@ -399,6 +407,7 @@ def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
         jobs += [(name, argv, {}) for name, argv in HIGH_RANK_QDIM_JOBS.items()]
         jobs += [(name, argv, {}) for name, argv in VERIFY_JOBS.items()]
         jobs += [(name, argv, {}) for name, argv in E_DUMP_JOBS.items()]
+        jobs.append(("holonomy/E8-adjoint", E8_ADJOINT_HOLONOMY, {}))
         for group, (field, color) in LARGE_FIELDS.items():
             at = ["--group", group, field]
             jobs += [(f"large/{group}/det", ["det", *at], {}),

@@ -4,10 +4,13 @@ Weights are handled by their integer coordinates in the fundamental-weight
 basis ("labels").  The Freudenthal recursion (Humphreys, Introduction to Lie
 Algebras, 22.3) and the Weyl dimension run in integers on `label_form`, which is
 weight_form_den times the invariant form, and on `root_forms`, its values on the
-positive roots; the factor cancels in each ratio.  The quantum dimension, the
-Weyl dimension's q-analogue at level k, reads the same integers and divides each
-once, in floats.  The level alphabet is enumerated label by label and budgeted by
-its weight-root pairs |A| |R+|, the work of the sine products `qdim` spends on it.
+positive roots; the factor cancels in each ratio.  Multiplicities are W-invariant,
+so the recursion runs on dominant weights (Stembridge, Adv. Math. 136, 1998), reads
+each m through `roots.to_dominant` and expands orbits with `roots.weyl_orbit`.  The
+quantum dimension, the Weyl dimension's q-analogue at level k, reads the same
+integers and divides each once, in floats.  The level alphabet is enumerated
+label by label and budgeted by its weight-root pairs |A| |R+|, the work of the
+sine products `qdim` spends on it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import PreconditionError, require_budget, shown
-from .roots import RootSystem
+from .roots import RootSystem, to_dominant, weyl_orbit
 
 Labels = tuple[int, ...]
 
@@ -144,15 +147,27 @@ def _check_dominant(rs: RootSystem, lam: Sequence[int]) -> Labels:
 def weight_multiplicities(rs: RootSystem, lam: Sequence[int]) -> WeightSystem:
     """Weight multiplicity table by the Freudenthal recursion (exact).
 
-    Weights of the module are found breadth-first from the highest weight by
-    subtracting simple roots; a candidate is kept iff the recursion gives a
-    positive multiplicity.
+    m is W-invariant, so the recursion runs on the dominant weights of V(lam) only
+    (Moody and Patera, Bull. AMS 7, 1982): the dominant mu <= lam, reached from lam
+    through dominant weights one positive root at a time (Stembridge, Adv. Math.
+    136, 1998), by decreasing |mu + rho|^2, which is smaller for dominant mu < nu
+    (Humphreys, 13.4).  So m(mu + j alpha), read at its dominant W-conjugate, is
+    known before mu; the j-walk stops at the first weight not in V(lam), as
+    alpha-strings are unbroken (Humphreys, 21.2 and 22.3).  Each dominant weight's
+    orbit (`weyl_orbit`) is then expanded with its multiplicity.
     """
     lam = _check_dominant(rs, lam)
-    rho = (1,) * rs.rank
+    dominant, todo = {lam}, [lam]
+    while todo:
+        mu = todo.pop()
+        for al in rs.positive_root_labels:
+            nu = tuple(a - b for a, b in zip(mu, al))
+            if min(nu) >= 0 and nu not in dominant:
+                dominant.add(nu)
+                todo.append(nu)
 
     def norm_shifted(mu: Labels) -> int:
-        v = tuple(a + b for a, b in zip(mu, rho))
+        v = tuple(a + 1 for a in mu)  # mu + rho
         return rs.label_form(v, v)
 
     # per positive root alpha: alpha, its row r of root_forms (label_form(mu, alpha) = mu . r)
@@ -161,40 +176,24 @@ def weight_multiplicities(rs: RootSystem, lam: Sequence[int]) -> WeightSystem:
              for al, r in zip(rs.positive_root_labels, rs.root_forms)]
     lam_norm = norm_shifted(lam)
     mult: dict[Labels, int] = {lam: 1}
-    frontier = [lam]
-    while frontier:
-        candidates: set[Labels] = set()
-        for w in frontier:
-            for s in rs.cartan_matrix:
-                candidates.add(tuple(a - b for a, b in zip(w, s)))
-        frontier = []
-        for mu in sorted(candidates):
-            if mu in mult:
-                continue
-            denom = lam_norm - norm_shifted(mu)
-            if denom <= 0:
-                continue
-            acc = 0
-            for al, r, al_norm in roots:
-                up, form = mu, sum(map(mul, mu, r))
-                while True:  # up = mu + j alpha, form = label_form(up, alpha), j = 1, 2, ...
-                    up = tuple(a + b for a, b in zip(up, al))
-                    form += al_norm
-                    m = mult.get(up)
-                    if m is None:
-                        break
-                    acc += 2 * m * form
-            if acc == 0:
-                continue
-            m_mu, rem = divmod(acc, denom)
-            assert rem == 0 and m_mu > 0, (lam, mu, acc, denom)
-            mult[mu] = m_mu
-            frontier.append(mu)
+    for mu in sorted(dominant, key=norm_shifted, reverse=True)[1:]:  # lam comes first
+        acc = 0
+        for al, r, al_norm in roots:
+            up, form = mu, sum(map(mul, mu, r))
+            while True:  # up = mu + j alpha, form = label_form(up, alpha), j = 1, 2, ...
+                up = tuple(a + b for a, b in zip(up, al))
+                form += al_norm
+                m = mult.get(to_dominant(rs, up)[0])
+                if m is None:
+                    break
+                acc += 2 * m * form
+        m_mu, rem = divmod(acc, lam_norm - norm_shifted(mu))
+        assert rem == 0 and m_mu > 0, (lam, mu, acc)
+        mult[mu] = m_mu
 
-    ws = WeightSystem(rs=rs, multiplicities=mult)
-    if ws.dimension() != weyl_dimension(rs, lam):
-        raise AssertionError(
-            f"Freudenthal total {ws.dimension()} != Weyl dimension "
-            f"{weyl_dimension(rs, lam)} for {rs.name} weight {lam}"
-        )
+    ws = WeightSystem(rs=rs, multiplicities={
+        w: m for mu, m in mult.items() for w, _ in weyl_orbit(rs, mu)})
+    if ws.dimension() != (dim := weyl_dimension(rs, lam)):
+        raise AssertionError(f"Freudenthal total {ws.dimension()} != Weyl dimension {dim} "
+                             f"for {rs.name} weight {lam}")
     return ws

@@ -4,6 +4,7 @@ import math
 import operator
 import os
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +22,17 @@ from shadowsum.roots import build_root_system, weyl_orbit
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+BENCH = SRC.parent / "bench"
+
+
+def bench_workloads():
+    """The benchmark's job generator, `bench/workloads.py`, as a module."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    return workloads
 
 
 def src_env() -> dict:
@@ -197,6 +209,45 @@ def character_eval(ws, b):
             phase = phase - math.floor(phase)
         total += m * cmath.exp(2j * math.pi * float(phase))
     return total
+
+
+def all_weights_multiplicities(rs, lam):
+    """{weight: multiplicity} of V(lam) by Freudenthal's recursion over every weight:
+    the oracle of `reps.weight_multiplicities`, which recurses on dominant weights.
+
+    Weights are found breadth-first from lam by subtracting simple roots, each layer
+    in sorted order; a candidate is kept iff the recursion gives it a positive
+    multiplicity, and m(mu + j alpha) is read at mu + j alpha itself, so no Weyl
+    group action (`to_dominant`, `weyl_orbit`) is used.
+    """
+    lam = tuple(lam)
+
+    def norm_shifted(mu):
+        v = tuple(a + 1 for a in mu)
+        return rs.label_form(v, v)
+
+    lam_norm = norm_shifted(lam)
+    mult = {lam: 1}
+    frontier = [lam]
+    while frontier:
+        candidates = {tuple(a - b for a, b in zip(w, s))
+                      for w in frontier for s in rs.cartan_matrix}
+        frontier = []
+        for mu in sorted(candidates):
+            if mu in mult or (denom := lam_norm - norm_shifted(mu)) <= 0:
+                continue
+            acc = 0
+            for al, r in zip(rs.positive_root_labels, rs.root_forms):
+                up = tuple(a + b for a, b in zip(mu, al))
+                while up in mult:  # label_form(up, alpha) = up . r
+                    acc += 2 * mult[up] * sum(map(operator.mul, up, r))
+                    up = tuple(a + b for a, b in zip(up, al))
+            if acc:
+                m, rem = divmod(acc, denom)
+                assert rem == 0 and m > 0, (lam, mu, acc, denom)
+                mult[mu] = m
+                frontier.append(mu)
+    return mult
 
 
 def verlinde_link_value(alphabet, components):

@@ -3,18 +3,16 @@ import itertools
 import json
 import math
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (CYCLE_FORESTS, densify, dual_link, flat_forest, fusion_rows, link_value,
-                      mirror_link, random_forest_diagram, random_link, table_array,
-                      verlinde_link_value)
+from conftest import (BENCH, CYCLE_FORESTS, bench_workloads, densify, dual_link, flat_forest,
+                      fusion_rows, link_value, mirror_link, random_forest_diagram, random_link,
+                      table_array, verlinde_link_value)
 from shadowsum.determinants import det_k
 from shadowsum.diagrams import build_diagram, contract_state_sum, list_terms, prepare_terms
 from shadowsum.errors import PreconditionError
@@ -517,13 +515,8 @@ def test_contraction_deep_chain_is_iterative(a1):
 
 def _bench_reference_links():
     """Every shadow input the benchmark records a reference for, with its key."""
-    bench = Path(__file__).resolve().parent.parent / "bench"
-    sys.path.insert(0, str(bench))
-    try:
-        import workloads as wl
-    finally:
-        sys.path.remove(str(bench))
-    refs = json.loads((bench / "references.json").read_text())
+    wl = bench_workloads()
+    refs = json.loads((BENCH / "references.json").read_text())
     for workload, slots in (("statesum_deep", wl.STATESUM_SLOTS), ("fusion_wide", wl.FUSION_WIDE_SLOTS)):
         for name, group, k, parents, colors, sides in slots:
             n = len(parents)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ambient, character_eval, level_rank_dual, simple_reflection_matrix
+from conftest import (all_weights_multiplicities, ambient, bench_workloads, character_eval,
+                      level_rank_dual, simple_reflection_matrix)
 from shadowsum.errors import PreconditionError
 from shadowsum.reps import (
     MAX_ALPHABET_PAIRS,
@@ -106,6 +107,42 @@ class TestMultiplicities:
                     b - beta[i] * rs.cartan_matrix[i][j] for j, b in enumerate(beta)
                 )
                 assert ws.multiplicities.get(refl) == m
+
+
+# The largest dim V |R+| of a fundamental module compared with the oracle
+ORACLE_PAIRS = 30_000
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_dominant_recursion_equals_the_all_weights_oracle(label):
+    """The multiplicities equal, weight for weight, those of Freudenthal's recursion
+    over every weight (`all_weights_multiplicities`): on each fundamental weight with
+    dim V |R+| at most ORACLE_PAIRS, 124 of the 163 and at least one per type (on E8
+    only the adjoint omega_8, 248 x 120 = 29,760 pairs), and at rank <= 3 also on
+    each 2 omega_i and on rho."""
+    rs = build_root_system(label)
+    units = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    weights = [w for w in units if weyl_dimension(rs, w) * len(rs.root_forms) <= ORACLE_PAIRS]
+    assert weights
+    if rs.rank <= 3:
+        weights += [tuple(2 * v for v in w) for w in units] + [(1,) * rs.rank]
+    for w in weights:
+        assert weight_multiplicities(rs, w).multiplicities == all_weights_multiplicities(rs, w), w
+
+
+def test_bench_colours_equal_the_all_weights_oracle():
+    """The same comparison on every circle colour of the benchmark's `shadow` slots
+    and every colour of its `holonomy` slots."""
+    wl = bench_workloads()
+    colours = {(group, tuple(c)) for _, group, _, _, circles, _ in
+               wl.STATESUM_SLOTS + wl.FUSION_WIDE_SLOTS for c in circles}
+    colours |= {(p["group"], tuple(map(int, p["color"].split(","))))
+                for _, kind, p in wl.KERNEL_SLOTS if kind == "holonomy"}
+    assert len(colours) == 21
+    for group, colour in sorted(colours):
+        rs = build_root_system(group)
+        assert (weight_multiplicities(rs, colour).multiplicities
+                == all_weights_multiplicities(rs, colour)), (group, colour)
 
 
 class TestWeylDimension:
