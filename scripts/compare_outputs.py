@@ -21,8 +21,11 @@ Verlinde orbit budget refuses (VERIFY_JOBS), runs `fusion --dump` without
 `--verify` on E6 k=14, E7 k=20 and E8 k=32, the only E-type tables it exports,
 E8 k=32 the largest E8 table Freudenthal's budget admits (E_DUMP_JOBS), runs
 `holonomy` on the E8 adjoint omega_8, the largest E8 colour its dimension
-budget admits (E8_ADJOINT_HOLONOMY), runs `det`, `regularize` and
-`holonomy` at large exact field values on A1 and G2 (LARGE_FIELDS), runs
+budget admits (E8_ADJOINT_HOLONOMY), runs `regularize` on the singular constant
+A1 field alpha(b) = 1 at n = 4 (`regularize/A1-singular`), whose finite stage
+bounds nothing and prints beside `"singular": true` and a null bound, runs
+`det`, `regularize` and `holonomy` at large exact field values on A1 and G2
+(LARGE_FIELDS), runs
 `shadow` (with `--diagnostics` and `validate`) on one nested three-circle link
 of each type whose fold path no benchmark `shadow` job takes, A4 k=8, C4 k=7,
 D4 k=8, D5 k=10, E6 k=14 and F4 k=12, coloured by omega_1 and the last
@@ -408,6 +411,9 @@ def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
         jobs += [(name, argv, {}) for name, argv in VERIFY_JOBS.items()]
         jobs += [(name, argv, {}) for name, argv in E_DUMP_JOBS.items()]
         jobs.append(("holonomy/E8-adjoint", E8_ADJOINT_HOLONOMY, {}))
+        # a singular constant field: a finite stage beside "singular": true and a null bound
+        jobs.append(("regularize/A1-singular",
+                     ["regularize", "--group", "A1", "--alpha-b", "1", "--n", "4"], {}))
         for group, (field, color) in LARGE_FIELDS.items():
             at = ["--group", group, field]
             jobs += [(f"large/{group}/det", ["det", *at], {}),

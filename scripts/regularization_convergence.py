@@ -17,7 +17,6 @@ from shadowsum.diagrams import build_diagram
 from shadowsum.regularize import (
     constant_field,
     det_rig_n,
-    det_rig_step,
     log_poly,
     regularized_indicator,
     require_stage,
@@ -54,7 +53,8 @@ def main():
         [{"id": "c", "parent": None, "winding": 1, "positive_side": "inside", "color": [0]}]
     )
     step = stepped_field(diagram.faces, ((Q(1, 2),), (Q(1, 3),)))
-    table(step, det_rig_step(step), "step field, faces alpha(b) = 1/2 and 1/3")
+    table(step, math.prod(det_rig_constant(a, euler) for euler, a in step),
+          "step field, faces alpha(b) = 1/2 and 1/3")
 
     singular = stepped_field(diagram.faces, ((Q(1, 2),), (Q(2),)))
     print("\nsingular step field: indicator =",

@@ -15,10 +15,10 @@ The regularized determinant of a t-valued field B on a closed surface is
 with log the principal branch restricted to the nonzero reals.  Constant
 fields reduce to det^{1/2}(...)^chi by Gauss-Bonnet, which is det(...)^{chi/2}
 for even chi and keeps the half-power's sign for odd chi; step fields reduce to
-face-wise half-power determinants raised to the face Euler numbers
-(`regularize.det_rig_step`), provided the metric gives the projected
-ribbons vanishing geodesic curvature (the standing metric assumption), so
-that the curvature measure of each face is 4 pi chi(face).
+the product over faces of `det_rig_constant` at the face's value and Euler
+number (the limit of `regularize.det_rig_n`), provided the metric gives the
+projected ribbons vanishing geodesic curvature (the standing metric
+assumption), so that the curvature measure of each face is 4 pi chi(face).
 
 The closed forms and the quadrature run in Python floats (`math`, `cmath`), so
 no `det` job loads numpy.  `det_rig_quadrature` integrates the one field a

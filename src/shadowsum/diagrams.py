@@ -74,7 +74,6 @@ class Circle(NamedTuple):
 
 
 class Face(NamedTuple):
-    face_id: str  # display name: "outer" or "in:<circle id>"
     euler: int
     gleam: int
 
@@ -242,14 +241,8 @@ def build_diagram(circles: Iterable[dict]) -> ShadowDiagram:
         gleams[circle.inner] += s
         gleams[circle.outer] -= s
         cs.append(circle)
-    faces = tuple(
-        Face(
-            face_id="outer" if cid is None else f"in:{cid}",
-            euler=(2 if cid is None else 1) - len(children[cid]),
-            gleam=gleams[f],
-        )
-        for cid, f in face_of.items()
-    )
+    faces = tuple(Face(euler=(2 if cid is None else 1) - len(children[cid]), gleam=gleams[f])
+                  for cid, f in face_of.items())
     return ShadowDiagram(circles=tuple(cs), faces=faces)
 
 

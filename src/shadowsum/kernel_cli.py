@@ -12,7 +12,7 @@ Output for `regularize`: { "indicator", "singular", "det_rig_n": {"re", "im"},
 "det_rig_n_bound", ... } at a stage n admitted once (`regularize.require_stage`);
 "singular" is true iff some face has an integer root pairing; "det_rig_n_bound"
 bounds |det_rig_n - limit| / |limit| and is null where log^(n) has no stated
-accuracy.
+accuracy, which includes every singular field.
 """
 
 from __future__ import annotations
@@ -90,14 +90,14 @@ def cmd_regularize(args) -> dict:
             raise PreconditionError("--face-values needed with a link file")
         field = stepped_field(diagram.faces, args.face_values)  # refuses a wrong count
         cut = require_stage(len(rs.positive_root_labels), args.n, len(field))
-        field = tuple((face_id, euler, root_pairings(rs, _reduced(coweight_coordinates(rs, b))))
-                      for face_id, euler, b in field)
+        field = tuple((euler, root_pairings(rs, _reduced(coweight_coordinates(rs, b))))
+                      for euler, b in field)
     det, bound = det_rig_n(args.n, field)
     return {
         "group": rs.name,
         "n": args.n,
         "indicator": regularized_indicator(cut, field),
-        "singular": not all(is_regular(pairings) for _, _, pairings in field),
+        "singular": not all(is_regular(pairings) for _, pairings in field),
         "det_rig_n": _c2j(det),
         "det_rig_n_bound": bound,
         "faces": len(field),

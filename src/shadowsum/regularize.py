@@ -1,10 +1,10 @@
 """Regularization sequences for the indicator of the regular set and the
 determinant: trigonometric-polynomial cutoffs and polynomial exp/log.
 
-Fields are stepped: one (face_id, euler, alpha(b)) triple per face of a diagram,
-in face order, the value held as its exact root pairings (see `roots`); a field
-is read through each face's value and Euler number alone, so no function here
-takes a diagram.  The n-th stage works on the n-th barycentric refinement of a
+Fields are stepped: one (euler, alpha(b)) pair per face of a diagram, in face
+order, the value held as its exact root pairings (see `roots`); a field is read
+through each face's Euler number and value alone, so no function here takes a
+diagram.  The n-th stage works on the n-th barycentric refinement of a
 face mesh compatible with the diagram, simulated combinatorially: every face
 is subdivided fourfold per step, so stage n has N_n = max(1, #faces) * 4^n
 cells and each cell inherits its face's (exact) field value.
@@ -43,7 +43,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .determinants import det_rig_constant, principal_log_sum, root_sines
+from .determinants import principal_log_sum, root_sines
 from .errors import PreconditionError, require_budget, shown
 
 # -- stepped fields -----------------------------------------------------------
@@ -51,34 +51,20 @@ from .errors import PreconditionError, require_budget, shown
 
 def stepped_field(faces: Sequence, values: Sequence) -> tuple[tuple, ...]:
     """The field with `values[i]` on face i of a diagram (`diagrams.Face`): one
-    (face_id, euler, value) triple per face, in face order.  The kernels read each
-    value as its root pairings alpha(b) (see `roots`)."""
+    (euler, value) pair per face, in face order.  The kernels read each value as
+    its root pairings alpha(b) (see `roots`)."""
     if len(values) != len(faces):
         raise PreconditionError(
             f"stepped field needs one value per face: got {len(values)} "
             f"values for {len(faces)} faces"
         )
-    return tuple((face.face_id, face.euler, v) for face, v in zip(faces, values))
+    return tuple((face.euler, v) for face, v in zip(faces, values))
 
 
 def constant_field(pairings: Sequence) -> tuple[tuple, ...]:
     """The constant field with root pairings alpha(b): the bare sphere's one face,
-    "outer", with chi = 2, as `diagrams.build_diagram([])` makes it."""
-    return (("outer", 2, tuple(map(Fraction, pairings))),)
-
-
-def det_rig_step(field: Sequence[tuple]) -> float:
-    """prod_faces det_half(b_face)^chi(face), the limit of `det_rig_n` as n grows: the
-    product of the faces' constant-field values (`det_rig_constant`), whose refusal of
-    a singular value or of a power that is not a finite nonzero double is raised with
-    the face's id in front."""
-    out = 1.0
-    for face_id, euler, a in field:
-        try:
-            out *= det_rig_constant(a, euler)
-        except PreconditionError as e:
-            raise PreconditionError(f"face {face_id!r}: {e}") from None
-    return out
+    with chi = 2, as `diagrams.build_diagram([])` makes it."""
+    return ((2, tuple(map(Fraction, pairings))),)
 
 
 # -- smooth periodic bump and its trig-polynomial approximation ---------------
@@ -232,7 +218,7 @@ def regularized_indicator(cut: TrigCutoff, field: Sequence[tuple]) -> float:
     """
     cells = 4 ** cut.n  # per face
     out = 1.0
-    for _, _, pairings in field:
+    for _, pairings in field:
         face_factor = 1.0
         for pairing in pairings:
             v = cut(pairing)
@@ -325,13 +311,16 @@ def log_poly(n: int) -> LogPoly:
 
 def det_rig_n(n: int, field: Sequence[tuple]) -> tuple[complex, float | None]:
     """Stage-n regularized determinant of a stepped (or constant) field and its
-    relative error bound against the limit `det_rig_step`, from one pass over the roots.
+    relative error bound against the limit prod_faces det_half(b_face)^chi(face), from
+    one pass over the roots.
 
     The value is prod_{alpha>0} exp^(n)(sum_faces log^(n)(2 sin(pi alpha(b_face))) chi(face)),
     using that the curvature measure of each face is 4 pi chi(face) under
     the standing metric assumption and that the mesh refines the faces, so
     cell means reproduce the face values exactly.  Defined (finite) for any
-    bounded field, singular values included.
+    bounded field, singular values included; a singular face of chi > 0 sends the
+    limit to 0 and one of chi < 0 past every bound, so there the stage bounds
+    nothing.
 
     The bound is prod_{alpha>0} (1 + r_alpha) - 1.  Per root,
     z = sum_faces chi(face) log(2 sin(pi alpha(b_face))) (principal branch) and the
@@ -348,11 +337,11 @@ def det_rig_n(n: int, field: Sequence[tuple]) -> tuple[complex, float | None]:
     if n < 1:
         raise PreconditionError(f"regularization index must be >= 1, got {shown(n)}")
     lp = log_poly(n)
-    chis = [euler for _, euler, _ in field]
+    chis = [euler for euler, _ in field]
     eps = _log_target(n) * sum(map(abs, chis))
     total = 1.0 + 0j
     bound = 1.0 if n <= 18 else None
-    for column in zip(*(root_sines(a) for _, _, a in field)):  # one root, every face
+    for column in zip(*(root_sines(a) for _, a in field)):  # one root, every face
         acc = 0j
         for chi, s in zip(chis, column):
             acc += lp(s) * chi

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from shadowsum.determinants import det_rig_constant
 from shadowsum.diagrams import build_diagram, contract_state_sum, prepare_terms, read_link
 from shadowsum.errors import PreconditionError
 from shadowsum.field import cartan_inverse, form_scale, simple_roots
@@ -187,8 +188,15 @@ def alphas(rs, labels):
 def stage_indicator(n, field):
     """The stage-n regularized indicator of `field`, its stage admitted as `regularize`
     admits it, with |R+| the length of a face's pairing tuple."""
-    cut = require_stage(len(field[0][2]), n, len(field))
+    cut = require_stage(len(field[0][1]), n, len(field))
     return regularized_indicator(cut, field)
+
+
+def det_rig_step(field):
+    """prod_faces det_half(b_face)^chi(face), the limit of `regularize.det_rig_n` on a
+    stepped field of (euler, alpha(b)) pairs: the product of the faces' constant-field
+    values, each refused as `det_rig_constant` refuses it."""
+    return math.prod(det_rig_constant(a, euler) for euler, a in field)
 
 
 def character_eval(ws, b):

@@ -384,7 +384,8 @@ class TestRegularizeAndHolonomy:
                                                        singular):
         """Each indicator is 0.0, by construction where some root pairing on some face
         is an integer, and by underflow of a regular field's stage value elsewhere;
-        only "singular" tells the two apart."""
+        only "singular" tells the two apart.  A singular field's finite det_rig_n
+        stage bounds nothing, and its det_rig_n_bound says so by being null."""
         if circles is not None:
             group, ids = circles
             rank = build_root_system(group).rank
@@ -395,6 +396,8 @@ class TestRegularizeAndHolonomy:
         assert rc == 0
         assert doc["indicator"] == 0.0
         assert doc["singular"] is singular
+        if singular:
+            assert doc["det_rig_n_bound"] is None
 
     def test_regularize_refuses_the_stage_before_converting_values(
             self, tmp_path, capsys, monkeypatch):

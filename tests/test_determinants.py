@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import alphas, ambient, from_labels
+from conftest import alphas, ambient, det_rig_step, from_labels
 from shadowsum.determinants import (
     det_half,
     det_k,
@@ -19,7 +19,7 @@ from shadowsum.determinants import (
 )
 from shadowsum.diagrams import build_diagram
 from shadowsum.errors import PreconditionError
-from shadowsum.regularize import constant_field, det_rig_step, stepped_field
+from shadowsum.regularize import constant_field, stepped_field
 from shadowsum.roots import build_root_system
 
 SINGULAR_TOL = 1e-12  # distance of alpha(B) from an integer that `sphere_rule` counts as singular
@@ -39,8 +39,9 @@ def sphere_grid(n_theta: int, n_phi: int):
 def sphere_rule(rs, sampler, n_theta: int, n_phi: int) -> float:
     """The regularized determinant of a field that varies over the unit round sphere
     (R_g = 2), by the rule of `sphere_grid`: the oracle of `det_rig_quadrature` and of
-    `det_rig_step`.  sampler(theta, phi) maps the node arrays to the coweight
-    coordinates x of B, an (n, rank) array, or a (rank,) one for a constant field."""
+    the step-field limit `det_rig_step` (`conftest`).  sampler(theta, phi) maps the node
+    arrays to the coweight coordinates x of B, an (n, rank) array, or a (rank,) one for
+    a constant field."""
     theta, phi, weights = sphere_grid(n_theta, n_phi)
     pairs = np.asarray(sampler(theta, phi), dtype=float) @ np.array(
         rs.positive_root_labels, dtype=float).T
@@ -121,11 +122,11 @@ class TestSteppedField:
 
     def test_constant_field_is_the_bare_sphere(self, a1):
         """`constant_field` is `stepped_field` on the faces of the empty diagram: one
-        face, "outer", with chi = 2, its value held as Fractions."""
+        face, with chi = 2, its value held as Fractions."""
         a = (1, 0.5, Q(1, 3))
         assert constant_field(a) == stepped_field(build_diagram([]).faces,
                                                   [tuple(map(Q, a))])
-        assert constant_field(a) == (("outer", 2, (Q(1), Q(1, 2), Q(1, 3))),)
+        assert constant_field(a) == ((2, (Q(1), Q(1, 2), Q(1, 3))),)
 
     def test_det_rig_step_examples(self, a1):
         d = one_circle_diagram()
@@ -145,9 +146,8 @@ class TestSteppedField:
         step value -2 sqrt 3 is the product of the faces' constant-field values."""
         values = (alphas(a1, [Q(4, 3)]), alphas(a1, [Q(1, 2)]))
         f = stepped_field(one_circle_diagram().faces, values)
-        assert [euler for _, euler, _ in f] == [1, 1]
-        faces = math.prod(det_rig_constant(a, 1) for a in values)
-        assert det_rig_step(f) == pytest.approx(faces, rel=1e-15)
+        assert f == tuple((1, a) for a in values)
+        faces = math.prod(det_rig_constant(a, euler) for euler, a in f)
         assert faces == pytest.approx(-2.0 * math.sqrt(3.0), rel=1e-15)
 
     def test_vanishing_root_sine_under_negative_chi_refused(self, a1):
@@ -158,22 +158,23 @@ class TestSteppedField:
         d = build_diagram(circles)
         values = tuple(alphas(a1, [Q(2, 10**400)] if face.euler == -1 else [Q(2, 3)])
                        for face in d.faces)
-        assert sorted(face.euler for face in d.faces) == [-1, 1, 1, 1]
-        with pytest.raises(PreconditionError, match="^face 'outer': .*not a finite nonzero double"):
-            det_rig_step(stepped_field(d.faces, values))
+        assert [face.euler for face in d.faces] == [-1, 1, 1, 1]
+        euler, outer = stepped_field(d.faces, values)[0]
+        with pytest.raises(PreconditionError, match="^det_half.*not a finite nonzero double"):
+            det_rig_constant(outer, euler)
 
     def test_singular_face_rejected(self, a1):
         d = one_circle_diagram()
         f = stepped_field(d.faces, (alphas(a1, [Q(1, 2)]), alphas(a1, [2])))
-        with pytest.raises(PreconditionError) as ei:
+        with pytest.raises(PreconditionError):
             det_rig_step(f)
-        assert "in:c" in str(ei.value)
 
     def test_singular_face_message_shows_rationals(self, a2):
         """alpha_1(b) = 2/3 and alpha_2(b) = 1/3 force theta(b) = 1 on the inner face."""
         values = (alphas(a2, [Q(1, 5), Q(1, 7)]), alphas(a2, [Q(1, 3), Q(2, 3)]))
+        euler, inner = stepped_field(one_circle_diagram().faces, values)[1]
         with pytest.raises(PreconditionError) as ei:
-            det_rig_step(stepped_field(one_circle_diagram().faces, values))
+            det_rig_constant(inner, euler)
         assert "alpha(b) = (2/3, 1/3, 1)" in str(ei.value) and "Fraction(" not in str(ei.value)
 
 
@@ -225,7 +226,7 @@ class TestQuadrature:
         x_in, x_out = from_labels(rs, inside), from_labels(rs, outside)
         field = stepped_field(one_circle_diagram().faces,
                               (alphas(rs, outside), alphas(rs, inside)))
-        assert [(face_id, euler) for face_id, euler, _ in field] == [("outer", 1), ("in:c", 1)]
+        assert [euler for euler, _ in field] == [1, 1]
         want = det_rig_step(field)
 
         def sampler(theta, phi):

@@ -35,6 +35,19 @@ def circle(cid, parent=None, winding=1, side="inside", color=(0,)):
     }
 
 
+def face_names(diagram):
+    """Each face's name in face order: "outer" for face 0, "in:<circle id>" for the
+    face inside each circle (`Circle.inner`)."""
+    names = ["outer"] * len(diagram.faces)
+    for c in diagram.circles:
+        names[c.inner] = f"in:{c.circle_id}"
+    return names
+
+
+def by_name(diagram):
+    return dict(zip(face_names(diagram), diagram.faces))
+
+
 def empty_link_value(alphabet):
     """sum_lambda dim_q(lambda)^2, the bare-sphere state sum."""
     return sum(quantum_dimension(alphabet, lam) ** 2 for lam in alphabet.elements)
@@ -57,12 +70,12 @@ def naive_terms(diagram, alphabet, table):
         Fraction(rs.label_form(lam, tuple(a + b for a, b in zip(lam, rho2))), rs.weight_form_den)
         for lam in alphabet.elements
     ]
-    face_ids = [f.face_id for f in diagram.faces]
     gleams = [f.gleam for f in diagram.faces]
+    inner_of = {c.circle_id: c.inner for c in diagram.circles}
     circles = []
     for c in diagram.circles:
-        inner = face_ids.index(f"in:{c.circle_id}")
-        outer = face_ids.index("outer" if c.parent is None else f"in:{c.parent}")
+        inner = c.inner
+        outer = 0 if c.parent is None else inner_of[c.parent]
         plus, minus = (inner, outer) if c.positive_side == "inside" else (outer, inner)
         circles.append((minus, plus, alphabet.index(c.color), inner, outer))
     terms = []
@@ -97,7 +110,7 @@ class TestBuildDiagram:
 
     def test_single_circle(self):
         d = build_diagram([circle("c", winding=1, side="inside")])
-        by_id = {f.face_id: f for f in d.faces}
+        by_id = by_name(d)
         assert by_id["in:c"].euler == 1 and by_id["in:c"].gleam == 1
         assert by_id["outer"].euler == 1 and by_id["outer"].gleam == -1
 
@@ -105,18 +118,18 @@ class TestBuildDiagram:
         d = build_diagram(
             [circle("a", winding=2), circle("b", parent="a", winding=5)]
         )
-        by_id = {f.face_id: f for f in d.faces}
+        by_id = by_name(d)
         # middle annulus: inside a, outside b
         assert by_id["in:a"].euler == 0
         assert by_id["in:a"].gleam == 2 - 5
         d2 = build_diagram(
             [circle("a", winding=2), circle("b", parent="a", winding=5, side="outside")]
         )
-        assert {f.face_id: f for f in d2.faces}["in:a"].gleam == 2 + 5
+        assert by_name(d2)["in:a"].gleam == 2 + 5
 
     def test_gleam_of_face_examples(self):
         def gleams(d):
-            return {f.face_id: f.gleam for f in d.faces}
+            return {name: f.gleam for name, f in by_name(d).items()}
 
         d = build_diagram([circle("c", winding=3, side="inside")])
         assert gleams(d)["outer"] == -3
@@ -170,12 +183,11 @@ TWO_LEVEL_FACES = ["outer", "in:m", "in:p", "in:q", "in:r"]
 class TestFaceOrder:
     def test_preorder_by_sorted_id_whatever_the_file_order(self):
         want = build_diagram(TWO_LEVEL).faces
-        assert [f.face_id for f in want] == TWO_LEVEL_FACES
         assert [f.euler for f in want] == [0, 1, -1, 1, 1]
         rng = random.Random(13)
-        for _ in range(12):
-            shuffled = rng.sample(TWO_LEVEL, len(TWO_LEVEL))
-            assert build_diagram(shuffled).faces == want
+        for order in [TWO_LEVEL] + [rng.sample(TWO_LEVEL, len(TWO_LEVEL)) for _ in range(12)]:
+            d = build_diagram(order)
+            assert face_names(d) == TWO_LEVEL_FACES and d.faces == want
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**9))
@@ -184,7 +196,8 @@ class TestFaceOrder:
         by_id = {c.circle_id: c for c in d.circles}
         assert sorted(c.inner for c in d.circles) == list(range(1, len(d.faces)))
         for c in d.circles:
-            assert d.faces[c.inner].face_id == f"in:{c.circle_id}"
+            children = sum(child.parent == c.circle_id for child in d.circles)
+            assert d.faces[c.inner].euler == 1 - children
             assert c.outer == (0 if c.parent is None else by_id[c.parent].inner)
 
     def test_regularize_reads_face_values_in_face_order(self, tmp_path, capsys, a1):

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from conftest import alphas, ambient, stage_indicator
+from conftest import alphas, ambient, det_rig_step, stage_indicator
 from shadowsum.determinants import det_rig_constant
 from shadowsum.diagrams import build_diagram
 from shadowsum.errors import PreconditionError
@@ -15,7 +15,6 @@ from shadowsum.regularize import (
     _bump,
     constant_field,
     det_rig_n,
-    det_rig_step,
     exp_poly,
     log_poly,
     require_stage,
