@@ -8,9 +8,9 @@ multiplicities of mu:
     N^nu_{mu lam} = sum_{tau in W_k} sgn(tau) m_mu(nu - tau(lam))
 
 Only finitely many tau contribute, because m_mu vanishes outside the convex
-hull of the mu-orbit; those are enumerated exactly by running over the
-(finite) support of m_mu and folding each candidate point into the
-fundamental alcove of the level-k action (Kac-Walton).  `fusion_matrices` is
+hull of the mu-orbit; those are enumerated exactly by running over the (finite)
+support of m_mu and folding each candidate point into the fundamental alcove of
+the level-k action (Kac-Walton), by one affine `roots.to_dominant`.  `fusion_matrices` is
 the one evaluator of that sum: for each distinct mu, all N^nu_{mu lam} as an
 integer matrix over the level alphabet held by rows (`Rows`), lam the row and
 nu the column: rows[a] maps each column b of a nonzero entry to it, a Python
@@ -34,7 +34,6 @@ from .errors import require_budget
 from .reps import Labels, LevelAlphabet, weight_multiplicities, weyl_dimension
 from .roots import RootSystem, to_dominant
 
-_FOLD_LIMIT = 100_000
 # Budget of one call: the integers it computes, |A|^2 per matrix (|A|^3 for the full table).
 MAX_FUSION_COEFFS = 10**6
 # Budget of one call's Freudenthal recursions: sum over its colours of dim V(gamma) |R+|.
@@ -49,7 +48,9 @@ class QuantumWeylGroup(NamedTuple):
 
     In the rho-shifted picture x = lam + rho, the group acts by
     x -> w(x) + k*gamma (w in W, gamma a coroot-lattice vector), with
-    fundamental domain {x dominant, <x, theta> <= k}.  Points of the open
+    fundamental domain {x dominant, <x, theta> <= k}: the dominant chamber of the
+    affine Weyl group on the affine labels (k - <x, theta>, x), where `fold` runs
+    `roots.to_dominant` on `RootSystem.affine_cartan_matrix`.  Points of the open
     alcove have trivial stabilizer; points on a wall are fixed by a
     reflection, so their orbit contributions cancel in signed sums.
     """
@@ -62,25 +63,12 @@ class QuantumWeylGroup(NamedTuple):
 
         Returns (folded, sign): the folded point and the sign
         (-1)^(reflections applied) of an alcove-interior point, or (None, 0)
-        for a point on a wall (vanishing signed-orbit sum).  Each alcove step
-        takes the point to its dominant W-conjugate (`roots.to_dominant`),
-        stops it on a wall (a zero label, or level k) or inside (level below
-        k), and else reflects it in the affine wall <x, theta> = k.  The
-        finite walk always ends; a point still moving after _FOLD_LIMIT alcove
-        steps raises AssertionError.
+        for a point on a wall (a zero affine label: vanishing signed-orbit sum).
+        The affine walk ends for every point, as k > 0.
         """
-        rs, k = self.rs, self.k
-        m, sign = point, 1
-        for _ in range(_FOLD_LIMIT):
-            m, s = to_dominant(rs, m)
-            level = rs.level_of_labels(m)
-            if 0 in m or level == k:
-                return None, 0
-            if level < k:
-                return m, sign * s
-            m = [v - (level - k) * t for v, t in zip(m, rs.highest_root_labels)]
-            sign = -sign * s
-        raise AssertionError(f"alcove folding did not terminate for {tuple(point)}")
+        m, sign = to_dominant(self.rs.affine_cartan_matrix,
+                              (self.k - self.rs.level_of_labels(point), *point))
+        return (None, 0) if 0 in m else (m[1:], sign)
 
 
 def fusion_matrices(alphabet: LevelAlphabet, gammas: Iterable[Sequence[int]]) -> dict[Labels, Rows]:

@@ -66,7 +66,8 @@ def _s_matrix(alphabet: LevelAlphabet) -> tuple[list[list[complex]], list[int]]:
         for b, y in enumerate(paired[a:], a):
             rows[a][b] = rows[b][a] = (sum(unit[sum(map(mul, p, y)) % period] for p in plus)
                                        - sum(unit[sum(map(mul, p, y)) % period] for p in minus))
-        dual.append(alphabet.index([v - 1 for v in to_dominant(rs, [-v for v in x])[0]]))
+        dual_x, _ = to_dominant(rs.cartan_matrix, [-v for v in x])
+        dual.append(alphabet.index([v - 1 for v in dual_x]))
     return rows, dual
 
 

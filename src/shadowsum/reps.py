@@ -183,7 +183,7 @@ def weight_multiplicities(rs: RootSystem, lam: Sequence[int]) -> WeightSystem:
             while True:  # up = mu + j alpha, form = label_form(up, alpha), j = 1, 2, ...
                 up = tuple(a + b for a, b in zip(up, al))
                 form += al_norm
-                m = mult.get(to_dominant(rs, up)[0])
+                m = mult.get(to_dominant(rs.cartan_matrix, up)[0])
                 if m is None:
                     break
                 acc += 2 * m * form

@@ -17,9 +17,11 @@ module loads no `fractions`: the rational views of the data and the field
 values b that are read through them are `field`'s.
 
 The Weyl group acts on labels by the simple reflections.  `weyl_orbit` lists
-an orbit with signs; `to_dominant`, the one walk to the dominant chamber,
-serves the alcove fold of `fusion` and the Verlinde dual of `fusion_table`;
-`weyl_group_order` reads |W| from the root heights.
+an orbit with signs; `to_dominant` is the one walk to the dominant chamber of
+the Cartan matrix it is given: on `cartan_matrix` it serves Freudenthal in
+`reps` and the Verlinde dual of `fusion_table`, and on `affine_cartan_matrix`,
+whose chamber is the fundamental alcove, it is the whole alcove fold of
+`fusion`; `weyl_group_order` reads |W| from the root heights.
 """
 
 from __future__ import annotations
@@ -90,6 +92,7 @@ class RootSystem(NamedTuple):
     doubled_simple_roots: tuple[tuple[int, ...], ...]  # 2 alpha_i in ambient coordinates
     dual_coxeter: int
     cartan_matrix: tuple[tuple[int, ...], ...]
+    affine_cartan_matrix: tuple[tuple[int, ...], ...]  # row, column 0: alpha_0 = delta - theta
     cartan_adjugate: tuple[tuple[int, ...], ...]  # adj(C) = det(C) C^-1
     cartan_det: int  # det(C) > 0
     comarks: tuple[int, ...]
@@ -231,6 +234,9 @@ def build_root_system(type_label: str) -> RootSystem:
         doubled_simple_roots=tuple(doubled),
         dual_coxeter=1 + sum(comarks),
         cartan_matrix=cartan,
+        # <alpha_i, coroot(alpha_0)> = -<alpha_i, sum_j comark_j coroot(alpha_j)>
+        affine_cartan_matrix=((2, *(-t for t in labels_of[theta])),) + tuple(
+            (-sum(map(mul, row, comarks)), *row) for row in cartan),
         cartan_adjugate=tuple(map(tuple, adj)),
         cartan_det=det,
         comarks=comarks,
@@ -272,14 +278,16 @@ def weyl_orbit(rs: RootSystem, labels: Sequence) -> list[tuple[tuple, int]]:
     return sorted(seen.items())
 
 
-def to_dominant(rs: RootSystem, labels: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """(the dominant W-conjugate of a weight given by its labels, (-1)^(reflections)).
+def to_dominant(cartan: Sequence, labels: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """(the dominant conjugate of a weight given by its labels, (-1)^(reflections))
+    under the Weyl group of a Cartan matrix, finite or affine.
 
     Each step reflects in the simple root of the first negative label,
-    s_i(m) = m - m_i C[i], until no label is negative.  s_i permutes the positive
-    roots other than alpha_i, so each step lowers by one the number of positive
-    roots the weight pairs negatively with, and the walk ends at the one dominant
-    W-conjugate of the weight (Humphreys, 10.3).
+    s_i(m) = m - m_i cartan[i], until no label is negative.  s_i permutes the positive
+    roots other than alpha_i, so each step removes one wall between the weight and the
+    dominant chamber, and the walk ends at the weight's one dominant conjugate after
+    l(w) steps (Humphreys, 10.3): on an affine matrix, for every weight of positive
+    level, which lies in the Tits cone (Kac, Infinite-Dimensional Lie Algebras, 3.12).
     """
     m, sign = list(labels), 1
     while True:
@@ -287,7 +295,7 @@ def to_dominant(rs: RootSystem, labels: Sequence[int]) -> tuple[tuple[int, ...],
         if i is None:
             return tuple(m), sign
         mi = m[i]
-        m, sign = [v - mi * c for v, c in zip(m, rs.cartan_matrix[i])], -sign
+        m, sign = [v - mi * c for v, c in zip(m, cartan[i])], -sign
 
 
 def weyl_group_order(rs: RootSystem) -> int:

@@ -348,7 +348,8 @@ class TestQuantumWeylGroup:
             assert qwg.fold(point) == (start, (-1) ** len(word))
 
     @settings(max_examples=40, deadline=None)
-    @given(label=st.sampled_from(["A2", "B2", "G2", "A3"]), k=st.integers(4, 12),
+    @given(label=st.sampled_from(["A2", "B2", "G2", "A3", "B3", "C3", "D4", "E6", "E7", "E8",
+                                  "F4"]), k=st.integers(4, 12),
            data=st.data())
     def test_equals_one_point_at_a_time(self, label, k, data):
         rs = build_root_system(label)
@@ -358,6 +359,42 @@ class TestQuantumWeylGroup:
         qwg = QuantumWeylGroup(rs=rs, k=k)
         for point in points:
             assert qwg.fold(point) == fold_point(rs, k, point)
+
+    @pytest.mark.parametrize("label,k", [
+        ("A1", 9), ("A2", 7), ("A4", 8), ("B3", 9), ("B4", 10), ("C3", 7), ("C4", 8),
+        ("D4", 8), ("D5", 10), ("G2", 14), ("F4", 12), ("E6", 14), ("E7", 20), ("E8", 32)])
+    def test_galois_symmetry_of_the_fold(self, label, k):
+        """Galois symmetry (Coste and Gannon, Phys. Lett. B 323, 1994): for l coprime to
+        M = 2k weight_form_den, fold(l(lam + rho)) = (sigma_l(lam) + rho, eps) lies off
+        every wall, sigma_l permutes the level alphabet, and
+        prod_alpha sin(pi l <lam+rho, alpha>/k) = eps prod_alpha sin(pi <sigma_l(lam)+rho,
+        alpha>/k), to 1e-10 of the larger side.  The alphabet is enumerated here from the
+        comarks, and each sine's argument reduced exactly modulo 2 pi."""
+        rs = build_root_system(label)
+        period = 2 * k * rs.weight_form_den  # <x, alpha> = x . root_form / weight_form_den
+        top = k - rs.dual_coxeter
+        alphabet = [lam for lam in itertools.product(
+                        *(range(top // a + 1) for a in rs.comarks))
+                    if sum(map(operator.mul, rs.comarks, lam)) <= top]
+
+        def sines(x, scale=1):
+            return math.prod(
+                math.sin(2 * math.pi * (scale * sum(map(operator.mul, x, r)) % period) / period)
+                for r in rs.root_forms)
+
+        qwg = QuantumWeylGroup(rs=rs, k=k)
+        units = [u for u in range(2, period) if math.gcd(u, period) == 1][:6]
+        assert len(units) == 6
+        for ell in units:
+            images = []
+            for lam in alphabet:
+                x = tuple(v + 1 for v in lam)
+                folded, eps = qwg.fold(tuple(ell * v for v in x))
+                assert folded is not None, (ell, lam)
+                images.append(tuple(v - 1 for v in folded))
+                lhs, rhs = sines(x, ell), eps * sines(folded)
+                assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs)), (ell, lam)
+            assert sorted(images) == sorted(alphabet), ell
 
     @pytest.mark.parametrize("label,k", [("A2", 6), ("B2", 6), ("G2", 7)])
     def test_walls_get_sign_zero(self, label, k):
@@ -371,20 +408,17 @@ class TestQuantumWeylGroup:
         qwg = QuantumWeylGroup(rs=rs, k=k)
         assert len(walls) > 3 * k and all(qwg.fold(m) == (None, 0) for m in walls)
 
-    def test_fold_limit_stops_a_long_fold(self, monkeypatch, a1, a2):
-        """An alphabet step walks the point to the dominant chamber, then stops it or
-        reflects it in the affine wall once.  On A1 at k = 5 that wall is 5:
-        -7 -> 7 -> 3 and -13 -> 13 -> -3 -> 3 take two steps, 23 -> -13 -> 13 ->
-        -3 -> 3 three.  On A2 the chamber walk (-1, -2) -> (2, 1) of three
-        reflections is one step."""
-        monkeypatch.setattr(fusion, "_FOLD_LIMIT", 2)
+    def test_fold_walks_the_affine_labels(self, a1, a2):
+        """The fold walks the affine labels (k - <x, theta>, x) to the affine dominant
+        chamber, one reflection in each negative label it meets.  On A1 at k = 5, where
+        the affine wall is x = 5, x runs -7 -> 7 -> 3, -13 -> 13 -> -3 -> 3 and
+        23 -> -13 -> 13 -> -3 -> 3; on A2 at k = 10 the finite walk (-1, -2) -> (1, -3)
+        -> (-2, 3) -> (2, 1) of three reflections ends inside the alcove."""
         qwg = QuantumWeylGroup(rs=a1, k=5)
         assert qwg.fold((-7,)) == ((3,), 1)
         assert qwg.fold((-13,)) == ((3,), -1)
+        assert qwg.fold((23,)) == ((3,), 1)
         assert qwg.fold((2,)) == ((2,), 1)
-        with pytest.raises(AssertionError, match=r"not terminate for \(23,\)"):
-            qwg.fold((23,))
-        monkeypatch.setattr(fusion, "_FOLD_LIMIT", 1)
         assert QuantumWeylGroup(rs=a2, k=10).fold((-1, -2)) == ((2, 1), -1)
 
     def test_folded_point_outside_the_alphabet_is_a_bug(self, monkeypatch, a1k4):

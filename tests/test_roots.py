@@ -219,24 +219,24 @@ def test_to_dominant_maps_each_orbit_to_its_dominant_point(label):
             points = [_reflected(rs, omega, rng, 300) for _ in range(200)]
         else:
             points = [p for p, _ in weyl_orbit(rs, omega)]
-        assert all(to_dominant(rs, p)[0] == omega for p in points)
+        assert all(to_dominant(rs.cartan_matrix, p)[0] == omega for p in points)
     rho = (1,) * rs.rank
     if weyl_group_order(rs) <= 2 * 10**4:
         orbit = weyl_orbit(rs, rho)
         assert len(orbit) == weyl_group_order(rs)
-        assert all(to_dominant(rs, p) == (rho, sign) for p, sign in orbit)
+        assert all(to_dominant(rs.cartan_matrix, p) == (rho, sign) for p, sign in orbit)
     for length in rng.sample(range(200), 50):
-        assert to_dominant(rs, _reflected(rs, rho, rng, length)) == (rho, (-1) ** length)
+        assert to_dominant(rs.cartan_matrix, _reflected(rs, rho, rng, length)) == (rho, (-1) ** length)
 
 
 def test_to_dominant_walks_in_the_first_negative_label():
     """The walk reflects in the first negative label and counts the reflections:
     on A2, (-1, -2) -> (1, -3) -> (-2, 3) -> (2, 1), and 0 is its own point."""
     a2 = build_root_system("A2")
-    assert to_dominant(a2, (-1, -2)) == ((2, 1), -1)
-    assert to_dominant(a2, [1, -3]) == ((2, 1), 1)
-    assert to_dominant(a2, (0, 0)) == ((0, 0), 1)
-    assert type(to_dominant(a2, [3, -1])[0]) is tuple
+    assert to_dominant(a2.cartan_matrix, (-1, -2)) == ((2, 1), -1)
+    assert to_dominant(a2.cartan_matrix, [1, -3]) == ((2, 1), 1)
+    assert to_dominant(a2.cartan_matrix, (0, 0)) == ((0, 0), 1)
+    assert type(to_dominant(a2.cartan_matrix, [3, -1])[0]) is tuple
 
 
 @settings(max_examples=40, deadline=None)
@@ -367,6 +367,24 @@ def test_cartan_adjugate_is_exact(label):
         [det * (i == j) for j in range(rs.rank)] for i in range(rs.rank)]
     assert cartan_inverse(rs) == tuple(tuple(Q(a, det) for a in row) for row in adj)
     assert all(type(v) is Q for row in cartan_inverse(rs) for v in row)
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_affine_cartan_matrix_is_of_affine_type(label):
+    """The affine Cartan matrix extends C by row and column 0 for alpha_0 = delta - theta:
+    2 on its diagonal, no positive entry off it, and it annihilates (1, comarks) on the
+    right and (1, marks) on the left, the marks being theta in simple roots (Kac, 4.8)."""
+    rs = build_root_system(label)
+    aff, r = rs.affine_cartan_matrix, rs.rank
+    assert tuple(row[1:] for row in aff[1:]) == rs.cartan_matrix
+    assert all(aff[i][j] == 2 if i == j else aff[i][j] <= 0
+               for i in range(r + 1) for j in range(r + 1))
+    marks = [sum(t * row[j] for t, row in zip(rs.highest_root_labels, rs.cartan_adjugate))
+             // rs.cartan_det for j in range(r)]
+    assert [sum(a * c for a, c in zip(row, (1, *rs.comarks))) for row in aff] == [0] * (r + 1)
+    assert [sum(a * c for a, c in zip(col, (1, *marks))) for col in zip(*aff)] == [0] * (r + 1)
+    if label == "A1":
+        assert aff == ((2, -2), (-2, 2))
 
 
 def test_name_reads_back():
