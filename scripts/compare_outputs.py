@@ -38,11 +38,14 @@ boundary on A1 and E8 and past its cutoff budget on five E8 faces and on
 2,001, long numbers shown by their order of magnitude: an E8 level of 601
 digits, a Weyl dimension with more digits than `str` converts, labels of 1,501
 and 4,001 digits and a type label whose rank has 5,000 (`qdim/long-rank` and
-`validate/long-rank`), weights with the wrong number of labels, and Freudenthal's
+`validate/long-rank`), weights with the wrong number of labels, a weight outside
+the level alphabet (`qdim/A1-weight-outside-alphabet`, refused by
+`LevelAlphabet.require`) and a colour that is not dominant
+(`holonomy/A1-negative-colour`, refused by `reps._check_dominant`), and Freudenthal's
 work past its budget, `fusion` on E7 k=22 and a one-circle E8 k=33 `shadow` coloured
 omega_7), runs
 `regularize` on admitted stepped fields of rank > 1 (STEPPED_JOBS: five E8 faces
-at n = 4, and three nested G2 faces at n = 6, one of them singular), runs
+at n = 4, and three nested G2 faces at n = 6, the middle one, of chi = 0, singular), runs
 the CLI's other error paths and its --config reading (ERROR_JOBS: among them
 `usage/no-command`, `usage/unknown-command`, `usage/version` and
 `usage/option-before-command`, whose first word names no subcommand, so the
@@ -74,7 +77,9 @@ tree that files it under `level-bound`, `malformed/big-k/validate` and
 `error/long/validate-k` differ by design.  Freudenthal's work is budgeted, so
 against a tree without that budget `refusal/fusion/E7-k=22` and
 `refusal/shadow/E8-k=33-omega7` differ by design: that tree runs them, for tens of
-seconds each.
+seconds each.  `det_rig_n` reads only the faces of chi != 0, so against a tree whose
+bound reads a face of chi = 0 too, `stepped/G2-nested-n=6` differs by design, in
+`det_rig_n_bound` alone: its singular middle face of chi = 0 made that bound null.
 
 With no arguments it compares this checkout's src/ with itself on the probe
 and help jobs only, which checks the script itself in a few seconds.
@@ -226,6 +231,9 @@ REFUSAL_JOBS = {
     "validate/long-rank": ["validate", "long-rank.json"],
     "holonomy/A2-one-label": ["holonomy", "--group", "A2", "--b=1/3,1/5,0"],
     "qdim/A2-one-label": ["qdim", "--group", "A2", "--k", "5", "--weight", "1"],
+    "qdim/A1-weight-outside-alphabet": ["qdim", "--group", "A1", "--k", "4", "--weight", "5"],
+    "holonomy/A1-negative-colour": ["holonomy", "--group", "A1", "--alpha-b", "1/3",
+                                    "--color", "-1"],
     "fusion/E7-k=22": ["fusion", "--group", "E7", "--k", "22"],
     "shadow/E8-k=33-omega7": ["shadow", "e8-omega7.json"],
 }
@@ -238,7 +246,7 @@ E8_ADJOINT_HOLONOMY = ["holonomy", "--group", "E8", f"--b={E8_FACE}",
 # four-circle E8 link at n = 4, inside the trust bound and the cutoff budget (E8_FACE
 # is regular, but a root pairing within 3/122 of an integer takes the indicator to 0.0
 # and the bound to null), and the three faces of a G2 circle nested in another at
-# n = 6, the middle face at the singular value 0.
+# n = 6, the middle face, of chi = 0, at the singular value 0.
 STEPPED_FILES = {"e8-4.json": REFUSAL_FILES["e8-4.json"],
                  "g2-nested.json": json.dumps({"group": "G2", "circles": [
                      {"id": cid, "parent": parent, "winding": 1, "positive_side": "inside",

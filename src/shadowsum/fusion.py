@@ -97,7 +97,7 @@ def fusion_matrices(alphabet: LevelAlphabet, gammas: Iterable[Sequence[int]]) ->
     nu + rho - beta lies in 0..7k-1, and its key is the key of nu + rho minus
     sum_i beta_i (7k)^(rank-1-i).
     """
-    distinct = list(dict.fromkeys(tuple(int(v) for v in g) for g in gammas))
+    distinct = list(dict.fromkeys(map(tuple, gammas)))
     rs, k = alphabet.rs, alphabet.k
     require_budget(len(alphabet.elements) ** 2 * len(distinct), MAX_FUSION_COEFFS,
                    f"{len(distinct)} fusion matrices of {rs.name} at k = {k}", "coefficients")

@@ -12,7 +12,7 @@ Output for `regularize`: { "indicator", "singular", "det_rig_n": {"re", "im"},
 "det_rig_n_bound", ... } at a stage n admitted once (`regularize.require_stage`);
 "singular" is true iff some face has an integer root pairing; "det_rig_n_bound"
 bounds |det_rig_n - limit| / |limit| and is null where log^(n) has no stated
-accuracy, which includes every singular field.
+accuracy, which includes every field singular on a face of chi != 0.
 """
 
 from __future__ import annotations

@@ -317,7 +317,8 @@ def det_rig_n(n: int, field: Sequence[tuple]) -> tuple[complex, float | None]:
     The value is prod_{alpha>0} exp^(n)(sum_faces log^(n)(2 sin(pi alpha(b_face))) chi(face)),
     using that the curvature measure of each face is 4 pi chi(face) under
     the standing metric assumption and that the mesh refines the faces, so
-    cell means reproduce the face values exactly.  Defined (finite) for any
+    cell means reproduce the face values exactly.  A face of chi = 0 is a factor 1
+    of both, so only the faces of chi != 0 are read.  Defined (finite) for any
     bounded field, singular values included; a singular face of chi > 0 sends the
     limit to 0 and one of chi < 0 past every bound, so there the stage bounds
     nothing.
@@ -331,11 +332,12 @@ def det_rig_n(n: int, field: Sequence[tuple]) -> tuple[complex, float | None]:
 
     bounds the Taylor remainder at z + d plus |e^(z+d) - e^z|, relative to |e^z|.
     None where log^(n) has no stated accuracy: a root sine below 1/n in modulus on
-    some face (singular values included) or a stage past n = 18; None too for a bound
-    that is not a finite double.
+    some face of chi != 0 (singular values included) or a stage past n = 18; None too
+    for a bound that is not a finite double.
     """
     if n < 1:
         raise PreconditionError(f"regularization index must be >= 1, got {shown(n)}")
+    field = [(euler, a) for euler, a in field if euler]  # a face of chi = 0 counts for 1
     lp = log_poly(n)
     chis = [euler for euler, _ in field]
     eps = _log_target(n) * sum(map(abs, chis))

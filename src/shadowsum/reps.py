@@ -49,12 +49,12 @@ class LevelAlphabet:
 
     def require(self, labels: Sequence[int], name: str) -> Labels:
         """`labels` as an int tuple; PreconditionError, naming it `name`, unless it is
-        in the alphabet."""
+        in the alphabet, each label read exactly, as an integer."""
         t = _of_rank(self.rs, tuple(int(v) for v in labels))
-        if t not in self:
+        if t != tuple(labels) or t not in self:
             raise PreconditionError(
-                f"{name} = {shown(t)} is not integrable at level {self.k - self.rs.dual_coxeter} "
-                f"for {self.rs.name} at k = {self.k}"
+                f"{name} = {shown(tuple(labels))} is not integrable at level "
+                f"{self.k - self.rs.dual_coxeter} for {self.rs.name} at k = {self.k}"
             )
         return t
 

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CYCLE_FORESTS, ambient, character_eval, src_env
+from conftest import CYCLE_FORESTS, ambient, character_eval, det_rig_step, src_env
 from shadowsum import cli, fusion_table
+from shadowsum.diagrams import build_diagram
 from shadowsum.errors import ParseError
-from shadowsum.field import coweight_coordinates, simple_roots
+from shadowsum.field import coweight_coordinates, root_pairings, simple_roots
 from shadowsum.reps import weight_multiplicities, weyl_dimension
 from shadowsum.roots import build_root_system
 
@@ -371,33 +372,46 @@ class TestRegularizeAndHolonomy:
         assert "Infinity" not in r.stdout and "NaN" not in r.stdout
 
     E8_FACE = "-27/61,-24/61,0,-48/61,39/61,-58/61,46/61,-9/61"
+    G2_NESTED_FACES = ("5/7,1/11,-3/13", "0,0,0", "1/3,-1/5,2/9")
 
     @pytest.mark.parametrize("argv,circles,singular", [
         (["--group", "A1", "--alpha-b", "1", "--n", "4"], None, True),
         (["--group", "A1", "--alpha-b", "1/1000", "--n", "4"], None, False),
         (["--n", "4", "--face-values=" + ";".join([E8_FACE] * 5)],
          ("E8", [(f"c{i}", None) for i in range(4)]), False),
-        (["--n", "6", "--face-values=5/7,1/11,-3/13;0,0,0;1/3,-1/5,2/9"],
+        (["--n", "6", "--face-values=" + ";".join(G2_NESTED_FACES)],
          ("G2", [("a", None), ("b", "a")]), True),
     ], ids=["A1-singular", "A1-underflow", "E8-5-faces-underflow", "G2-nested-zero-face"])
     def test_regularize_says_whether_its_zero_is_exact(self, tmp_path, capsys, argv, circles,
                                                        singular):
         """Each indicator is 0.0, by construction where some root pairing on some face
         is an integer, and by underflow of a regular field's stage value elsewhere;
-        only "singular" tells the two apart.  A singular field's finite det_rig_n
-        stage bounds nothing, and its det_rig_n_bound says so by being null."""
+        only "singular" tells the two apart.  A field singular on a face of chi != 0
+        has a finite det_rig_n stage that bounds nothing, and its det_rig_n_bound says
+        so by being null.  The nested G2 field is singular only on its middle face, of
+        chi = 0, which neither the stage nor its limit reads: its bound is finite and
+        holds against the product of det_rig_constant over the other two faces."""
         if circles is not None:
             group, ids = circles
-            rank = build_root_system(group).rank
-            argv = [write(tmp_path, "link.json", {"group": group, "circles": [
-                {"id": cid, "parent": parent, "winding": 1, "positive_side": "inside",
-                 "color": [0] * rank} for cid, parent in ids]}), *argv]
+            rs = build_root_system(group)
+            link = [{"id": cid, "parent": parent, "winding": 1, "positive_side": "inside",
+                     "color": [0] * rs.rank} for cid, parent in ids]
+            argv = [write(tmp_path, "link.json", {"group": group, "circles": link}), *argv]
         rc, doc = run_main(capsys, "regularize", *argv)
         assert rc == 0
         assert doc["indicator"] == 0.0
         assert doc["singular"] is singular
-        if singular:
+        if circles is None and singular:
             assert doc["det_rig_n_bound"] is None
+        elif singular:
+            faces = build_diagram(link).faces
+            assert [face.euler for face in faces] == [1, 0, 1]
+            values = [tuple(map(Fraction, v.split(","))) for v in self.G2_NESTED_FACES]
+            limit = det_rig_step((face.euler, root_pairings(rs, coweight_coordinates(rs, b)))
+                                 for face, b in zip(faces, values) if face.euler)
+            stage = complex(doc["det_rig_n"]["re"], doc["det_rig_n"]["im"])
+            bound = doc["det_rig_n_bound"]
+            assert bound is not None and abs(stage - limit) <= bound * abs(limit)
 
     def test_regularize_refuses_the_stage_before_converting_values(
             self, tmp_path, capsys, monkeypatch):

@@ -51,6 +51,15 @@ class TestQuantumDimension:
         with pytest.raises(PreconditionError):
             quantum_dimension(a1k4, (3,))
 
+    def test_fractional_labels_rejected(self, a1k4):
+        """A label is read exactly, as `weyl_dimension` reads it: 1.5 is not (1,), and
+        a colour of 1.9 is not folded as (1,)."""
+        with pytest.raises(PreconditionError, match=r"lambda = \(1\.5,\)"):
+            quantum_dimension(a1k4, (1.5,))
+        with pytest.raises(PreconditionError, match=r"gamma = \(1\.9,\)"):
+            fusion_matrices(a1k4, [(1.9,)])
+        assert fusion_matrices(a1k4, [(1,), (1.0,)]).keys() == {(1,)}
+
     @pytest.mark.parametrize("label,k", [("A2", 5), ("B2", 6), ("G2", 6), ("C3", 6)])
     def test_strictly_positive(self, label, k):
         al = level_alphabet(build_root_system(label), k)

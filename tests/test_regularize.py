@@ -347,6 +347,22 @@ class TestDetRigNBound:
             value, bound = det_rig_n(n, f)
             assert abs(value - limit) <= bound * abs(limit)
 
+    @pytest.mark.parametrize("middle", [Q(1, 4), Q(1), Q(0), Q(1, 1000)])
+    def test_a_face_of_chi_zero_is_not_read(self, a1, middle):
+        """A face of chi = 0 is a factor 1 of the stage and of its limit, so the stage
+        and its bound are those of the other faces, whatever its value, singular (1, 0)
+        or near a wall (1/1000) included, and wherever it stands.  A field of such
+        faces alone is the empty product: 1, exactly."""
+        outer, inner = (1, alphas(a1, [Q(1, 3)])), (1, alphas(a1, [Q(1, 2)]))
+        zero = (0, alphas(a1, [middle]))
+        for n in (1, 4, 8, 12):
+            value, bound = det_rig_n(n, (outer, inner))
+            assert det_rig_n(n, (outer, zero, inner)) == (value, bound)
+            assert det_rig_n(n, (zero, outer, inner)) == (value, bound)
+            limit = det_rig_step((outer, inner))
+            assert abs(value - limit) <= bound * abs(limit)
+        assert det_rig_n(4, (zero,)) == (1, 0.0)
+
     def test_none_where_log_has_no_stated_accuracy(self, a1):
         """A root sine below 1/n in modulus (singular values included), or a stage past
         n = 18, where log^(n) no longer meets its target."""
