@@ -226,7 +226,8 @@ def test_to_dominant_maps_each_orbit_to_its_dominant_point(label):
         assert len(orbit) == weyl_group_order(rs)
         assert all(to_dominant(rs.cartan_matrix, p) == (rho, sign) for p, sign in orbit)
     for length in rng.sample(range(200), 50):
-        assert to_dominant(rs.cartan_matrix, _reflected(rs, rho, rng, length)) == (rho, (-1) ** length)
+        point = _reflected(rs, rho, rng, length)
+        assert to_dominant(rs.cartan_matrix, point) == (rho, (-1) ** length)
 
 
 def test_to_dominant_walks_in_the_first_negative_label():
