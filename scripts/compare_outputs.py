@@ -56,7 +56,17 @@ paths, and one and three face values on that two-face link,
 `regularize/link-too-few-face-values` and `regularize/link-too-many-face-values`,
 so the refusal of a wrong count is compared), and runs each malformed link document of
 MALFORMED_LINKS, HUGE_K_LINK and BIG_K_LINK through `shadow`, `validate`
-and `regularize`, so the error paths are compared too.  Each job runs as one
+and `regularize`, so the error paths are compared too: besides one document per
+report code of `validate`, each parse problem of `diagrams.read_link` and each
+refusal of `diagrams.build_diagram` that no other job reaches, a document that is
+not an object (`malformed/not-object`), an unknown top-level key
+(`malformed/unknown-key`), a group that is not a string (`malformed/group-not-string`)
+and a missing group (`malformed/no-group`), a level that is not an integer
+(`malformed/k-not-integer`), `circles` that is not an array
+(`malformed/circles-not-array`) and a circle that is not an object
+(`malformed/circle-not-object`), a colour that is not an integer
+(`malformed/color-not-integer`), and duplicate circle ids (`malformed/duplicate-ids`)
+and a parent that names no circle (`malformed/dangling-parent`).  Each job runs as one
 `python -m shadowsum` process per tree, in a fresh directory holding its
 input files.  The exit code, stdout and the --output
 file must agree byte for byte.  Prints one line per job that differs and a
@@ -337,8 +347,9 @@ def _circle(cid="a", parent=None, **fields):
             "color": [1], **fields}
 
 
-# One A1 link document per report code of `validate`, and two that mix codes, so
-# that a change in the order of the checks shows.
+# One A1 link document per report code of `validate`, two that mix codes, so that a
+# change in the order of the checks shows, and one per other parse problem of
+# `read_link` and per other refusal of `build_diagram`.
 MALFORMED_LINKS = {
     "parse": {"group": "A1", "k": 4, "circles": [{"id": "a", "winding": 1,
                                                   "positive_side": "inside", "colour": [1]}]},
@@ -352,6 +363,16 @@ MALFORMED_LINKS = {
     "color+forest": {"group": "A1", "k": 4, "circles": [_circle(parent="b", color=[7]),
                                                         _circle("b", parent="a", color=[8])]},
     "no-k+circle": {"group": "A1", "circles": [_circle(id=1), _circle("b", winding="1")]},
+    "not-object": [_circle()],
+    "unknown-key": {"group": "A1", "k": 4, "circles": [_circle()], "framing": 0},
+    "group-not-string": {"group": 1, "k": 4, "circles": [_circle()]},
+    "no-group": {"k": 4, "circles": [_circle()]},
+    "k-not-integer": {"group": "A1", "k": 4.5, "circles": [_circle()]},
+    "circles-not-array": {"group": "A1", "k": 4, "circles": {"a": _circle()}},
+    "circle-not-object": {"group": "A1", "k": 4, "circles": [_circle(), "b"]},
+    "color-not-integer": {"group": "A1", "k": 4, "circles": [_circle(color=[1.5])]},
+    "duplicate-ids": {"group": "A1", "k": 4, "circles": [_circle(), _circle(color=[2])]},
+    "dangling-parent": {"group": "A1", "k": 4, "circles": [_circle(parent="z")]},
 }
 # A one-circle link whose level has 5001 digits, past CPython's limit on int parsing;
 # json.dumps refuses such an int, so the document is written as text.
@@ -366,7 +387,9 @@ def malformed_jobs() -> list[tuple[str, list[str], dict[str, str]]]:
     """Each MALFORMED_LINKS document, HUGE_K_LINK and BIG_K_LINK through shadow,
     validate and regularize; regularize gets one A1 field value per face."""
     jobs = []
-    links = {name: (json.dumps(doc), len(doc["circles"])) for name, doc in MALFORMED_LINKS.items()}
+    links = {name: (json.dumps(doc), len(doc["circles"]) if isinstance(doc, dict)
+                    and isinstance(doc.get("circles"), list) else 0)
+             for name, doc in MALFORMED_LINKS.items()}
     links["huge-k"] = (HUGE_K_LINK, 1)
     links["big-k"] = (BIG_K_LINK, 0)
     for name, (text, circles) in links.items():

@@ -19,15 +19,15 @@ instead; the two agree only for a self-dual mu.  The matrices are sparse
 (0.3-9% nonzero on small colours), so nothing dense is built for the state sum.
 `QuantumWeylGroup.fold` folds one rho-shifted point.  The candidate points of one call repeat
 across columns, weights and colours, so each is folded once: the one fold
-cache of a call maps a point's integer mixed-radix key to its alphabet row
-and sign, for every mu.  The key of nu + rho - beta
-is the key of nu + rho minus that of beta, one subtraction.  This is all a
-`shadow` job runs of fusion; the full table of the `fusion` command, its
-Verlinde oracle and its export are `fusion_table`'s.  The module uses no numpy.
+cache of a call maps each point it has folded to its alphabet row and sign,
+for every mu.  This is all a `shadow` job runs of fusion; the full table of
+the `fusion` command, its Verlinde oracle and its export are `fusion_table`'s.
+The module uses no numpy.
 """
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import require_budget
@@ -86,16 +86,9 @@ def fusion_matrices(alphabet: LevelAlphabet, gammas: Iterable[Sequence[int]]) ->
     column b (nu = A[b]) and each weight beta in the support of m_gamma, the
     point nu + rho - beta equals tau(lam + rho) for at most one lam = A[a];
     alcove folding finds it and its sign (or a wall, where stabilized points
-    contribute canceling pairs and are skipped).
-
-    The fold cache, one for all the colours, maps the key of every point
-    folded so far to (row of the folded point in A, sign), sign 0 on a wall.
-    The key of a point x is sum_i (x_i + 3k) (7k)^(rank-1-i).  A weight beta
-    of V(gamma) has |beta_i| < 3k: beta_i = <beta, alpha_i^vee> is at most the
-    pairing of gamma with the highest coroot, which is at most the lacing
-    number (at most 3) times the level of gamma (below k).  So every digit of
-    nu + rho - beta lies in 0..7k-1, and its key is the key of nu + rho minus
-    sum_i beta_i (7k)^(rank-1-i).
+    contribute canceling pairs and are skipped).  The fold cache, one for all
+    the colours, maps every point folded so far to (row of the folded point in
+    A, sign), sign 0 on a wall.
     """
     distinct = list(dict.fromkeys(map(tuple, gammas)))
     rs, k = alphabet.rs, alphabet.k
@@ -107,28 +100,26 @@ def fusion_matrices(alphabet: LevelAlphabet, gammas: Iterable[Sequence[int]]) ->
                    f"the weight multiplicities of {len(colours)} colour{'s' * (len(colours) != 1)} "
                    f"of {rs.name} at k = {k}",
                    "dimension-root pairs (dim V |R+|)")
-    places = [(7 * k) ** p for p in range(rs.rank - 1, -1, -1)]
     shifted = [tuple(v + 1 for v in lam) for lam in alphabet.elements]
     index = {x: a for a, x in enumerate(shifted)}
-    bases = [sum((v + 3 * k) * p for v, p in zip(x, places)) for x in shifted]
     qwg = QuantumWeylGroup(rs=rs, k=k)
-    folds: dict[int, tuple[int, int]] = {}
+    folds: dict[Labels, tuple[int, int]] = {}
     matrices: dict[Labels, Rows] = {}
     for gamma in colours:
-        support = [(beta, sum(v * p for v, p in zip(beta, places)), m)
-                   for beta, m in weight_multiplicities(rs, gamma).multiplicities.items()]
+        support = weight_multiplicities(rs, gamma).multiplicities.items()
         rows: Rows = [{} for _ in shifted]
-        for b, (x, base) in enumerate(zip(shifted, bases)):
+        for b, x in enumerate(shifted):
             column: dict[int, int] = {}  # a -> N_gamma[a, b]
-            for beta, offset, m in support:
-                hit = folds.get(base - offset)
+            for beta, m in support:
+                point = tuple(map(sub, x, beta))
+                hit = folds.get(point)
                 if hit is None:
-                    folded, sign = qwg.fold([v - w for v, w in zip(x, beta)])
+                    folded, sign = qwg.fold(point)
                     row = 0 if folded is None else index.get(folded)
                     if row is None:
                         raise AssertionError(
                             f"a folded point for gamma = {gamma} is not in the alphabet")
-                    hit = folds[base - offset] = (row, sign)
+                    hit = folds[point] = (row, sign)
                 row, sign = hit
                 if sign:
                     column[row] = column.get(row, 0) + sign * m

@@ -4,6 +4,7 @@ import json
 import math
 import operator
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowsum import cli, fusion, fusion_table, reps
-from shadowsum.diagrams import contract_state_sum, prepare_terms
+from shadowsum.diagrams import build_diagram, contract_state_sum, prepare_terms
 from shadowsum.errors import BudgetError, OracleError, PreconditionError
 from shadowsum.fusion import (
     MAX_FUSION_COEFFS,
@@ -99,24 +100,35 @@ class TestFusionCoefficient:
             assert all(list(row) == sorted(row) for row in rows)
             assert all(type(c) is int and c > 0 for row in rows for c in row.values())
 
-    @pytest.mark.parametrize("label,k", [
-        *((label, build_root_system(label).dual_coxeter + d)
-          for label in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4",
-                        "G2")
-          for d in (1, 2)),
-        ("E6", 13)])
-    def test_fold_key_digits_in_range(self, label, k):
-        """The fold cache's key is exact: every weight beta of V(gamma), for every
-        colour gamma of the alphabet, has |beta_i| < 3k, so every digit
-        x_i - beta_i + 3k of a keyed point x - beta (x = nu + rho) lies in 0..7k-1."""
+    @pytest.mark.parametrize("label,k,gammas", [
+        ("A2", 12, [(1, 0), (0, 1), (1, 1)]),
+        ("G2", 11, [(1, 0), (0, 1)]),
+        ("C3", 7, [(1, 0, 0), (0, 1, 0)]),
+        ("E6", 14, None)])
+    def test_each_point_is_folded_once(self, monkeypatch, label, k, gammas):
+        """The fold cache of one call folds every point nu + rho - beta (nu in the
+        alphabet, beta a weight of some colour) exactly once, for all the colours
+        together: on the `fusion_wide` colour sets through `fusion_matrices`, and on
+        the fundamentals that `build_fusion_table` folds (gammas None)."""
         al = level_alphabet(build_root_system(label), k)
-        shifted = [[v + 1 for v in nu] for nu in al.elements]
-        for gamma in al.elements:
-            weights = reps.weight_multiplicities(al.rs, gamma).multiplicities
-            assert all(abs(v) < 3 * k for beta in weights for v in beta), gamma
-            digits = {x_i - b_i + 3 * k for x in shifted for beta in weights
-                      for x_i, b_i in zip(x, beta)}
-            assert 0 <= min(digits) and max(digits) < 7 * k, gamma
+        points = []
+        fold = QuantumWeylGroup.fold
+
+        def counting_fold(qwg, point):
+            points.append(tuple(point))
+            return fold(qwg, point)
+
+        monkeypatch.setattr(QuantumWeylGroup, "fold", counting_fold)
+        if gammas is None:
+            gammas = [w for w in al.elements if sum(w) == 1]
+            build_fusion_table(al)
+        else:
+            fusion_matrices(al, gammas)
+        expected = {tuple(v + 1 - b for v, b in zip(nu, beta)) for gamma in gammas
+                    for beta in reps.weight_multiplicities(al.rs, gamma).multiplicities
+                    for nu in al.elements}
+        assert len(points) == len(set(points)) == len(expected)
+        assert set(points) == expected
 
     def test_budget_refuses_before_building(self, a1):
         """|A|^2 = 1001^2 coefficients at A1 k=1002 exceeds the budget."""
@@ -333,6 +345,14 @@ class TestVerlindeOracle:
         assert verlinde_table(al) == build_fusion_table(al)
 
 
+def _sine_product(rs, x, ell, period):
+    """prod_alpha sin(pi ell <x, alpha>/k) for labels x, with period = 2k weight_form_den:
+    each argument is 2 pi (ell weight_form_den <x, alpha> mod period)/period, reduced
+    exactly."""
+    return math.prod(math.sin(2 * math.pi * (ell * sum(map(operator.mul, x, r)) % period)
+                              / period) for r in rs.root_forms)
+
+
 class TestQuantumWeylGroup:
     @pytest.mark.parametrize("label,k", [("A1", 5), ("A2", 5), ("B2", 6), ("G2", 7)])
     def test_alphabet_shifts_are_alcove_interior(self, label, k):
@@ -386,11 +406,6 @@ class TestQuantumWeylGroup:
                         *(range(top // a + 1) for a in rs.comarks))
                     if sum(map(operator.mul, rs.comarks, lam)) <= top]
 
-        def sines(x, scale=1):
-            return math.prod(
-                math.sin(2 * math.pi * (scale * sum(map(operator.mul, x, r)) % period) / period)
-                for r in rs.root_forms)
-
         qwg = QuantumWeylGroup(rs=rs, k=k)
         units = [u for u in range(2, period) if math.gcd(u, period) == 1][:6]
         assert len(units) == 6
@@ -401,7 +416,8 @@ class TestQuantumWeylGroup:
                 folded, eps = qwg.fold(tuple(ell * v for v in x))
                 assert folded is not None, (ell, lam)
                 images.append(tuple(v - 1 for v in folded))
-                lhs, rhs = sines(x, ell), eps * sines(folded)
+                lhs = _sine_product(rs, x, ell, period)
+                rhs = eps * _sine_product(rs, folded, 1, period)
                 assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs)), (ell, lam)
             assert sorted(images) == sorted(alphabet), ell
 
@@ -600,3 +616,56 @@ class TestRingRecursion:
         with pytest.raises(AssertionError, match=re.escape("negative fusion coefficient for "
                                                            "gamma = (0, 2)")):
             build_fusion_table(al)
+
+
+class TestModularData:
+    """Oracles of the modular data that need no S-matrix, so they reach the E types."""
+
+    @pytest.mark.parametrize("label,k", [
+        ("A1", 3), ("A1", 40), ("A2", 9), ("A3", 8), ("A4", 8), ("A8", 13),
+        ("B2", 9), ("B3", 30), ("B4", 10), ("B8", 17), ("C2", 8), ("C3", 10), ("C4", 8),
+        ("C8", 12), ("D4", 8), ("D5", 10), ("D8", 16), ("E6", 14), ("E6", 24), ("E7", 20),
+        ("E8", 32), ("E8", 34), ("F4", 12), ("G2", 14), ("G2", 40)])
+    def test_gauss_sum(self, label, k):
+        """sum_a d_a^2 theta_a = D exp(2 pi i c/8), with D^2 = sum_a d_a^2, the twist
+        theta_a = exp(i pi <a, a + 2 rho>/k) and the central charge c = (k - h) dim g/k
+        at the shifted level k (Kac, Infinite-Dimensional Lie Algebras, 3rd ed., ch. 13;
+        Bakalov and Kirillov, Lectures on Tensor Categories and Modular Functors, 3.1),
+        to 1e-13 D^2.  d and theta are the state sum's own, `prepare_terms`' qdims and
+        phase_q = weight_form_den <a, a + 2 rho>."""
+        rs = build_root_system(label)
+        data = prepare_terms(build_diagram([]), level_alphabet(rs, k))
+        period = 2 * k * data.form_den
+        total = sum(d * d * cmath.exp(2j * math.pi * (p % period) / period)
+                    for d, p in zip(data.qdims, data.phase_q))
+        d2 = math.fsum(d * d for d in data.qdims)
+        c = Fraction((k - rs.dual_coxeter) * (rs.rank + 2 * len(rs.root_forms)), k)
+        gap = abs(total - math.sqrt(d2) * cmath.exp(2j * math.pi * (c % 8) / 8))
+        assert gap <= 1e-13 * d2, (len(data.qdims), gap / d2)
+
+    @pytest.mark.parametrize("label,k", [
+        ("G2", 14), ("F4", 12), ("E6", 14), ("E7", 20), ("E8", 32), ("A4", 8), ("B4", 10)])
+    def test_galois_characters_of_the_table(self, label, k):
+        """For l coprime to M = 2k weight_form_den, q_l(a) = prod_alpha sin(pi l <a+rho,
+        alpha>/k) / prod_alpha sin(pi l <rho, alpha>/k) is a character of the fusion ring
+        (Coste and Gannon, Phys. Lett. B 323, 1994): sum_c N^c_{ab} q_l(c) = q_l(a) q_l(b)
+        on `build_fusion_table`, to 1e-11 of sum_c N^c_{ab} |q_l(c)| + |q_l(a) q_l(b)|,
+        for one l of each distinct character."""
+        al = level_alphabet(build_root_system(label), k)
+        rs, n = al.rs, len(al.elements)
+        period = 2 * k * rs.weight_form_den
+        table = build_fusion_table(al)
+        characters = {}
+        for ell in range(1, period // 2):
+            if math.gcd(ell, period) == 1:
+                rho = _sine_product(rs, [1] * rs.rank, ell, period)
+                q = [_sine_product(rs, [v + 1 for v in lam], ell, period) / rho
+                     for lam in al.elements]
+                characters.setdefault(tuple(round(v, 9) for v in q), q)
+        assert len(characters) >= 2
+        for q in characters.values():
+            for a, b in itertools.product(range(n), repeat=2):
+                row = table[(a * n + b) * n:(a * n + b + 1) * n]
+                lhs = math.fsum(c * v for c, v in zip(row, q))
+                scale = math.fsum(c * abs(v) for c, v in zip(row, q)) + abs(q[a] * q[b])
+                assert abs(lhs - q[a] * q[b]) <= 1e-11 * scale, (a, b)
