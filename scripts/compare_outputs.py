@@ -2,6 +2,7 @@
 """Compare the CLI's outputs from two source trees, byte for byte.
 
     python scripts/compare_outputs.py OLD_SRC NEW_SRC --seeds 1 2
+    python scripts/compare_outputs.py --record tests/cli_outputs.jsonl --seeds 1 2
 
 OLD_SRC and NEW_SRC are directories holding the shadowsum package, such as
 the src/ of two checkouts.  The jobs are the benchmark's, built from
@@ -90,6 +91,21 @@ against a tree without that budget `refusal/fusion/E7-k=22` and
 seconds each.  `det_rig_n` reads only the faces of chi != 0, so against a tree whose
 bound reads a face of chi = 0 too, `stepped/G2-nested-n=6` differs by design, in
 `det_rig_n_bound` alone: its singular middle face of chi = 0 made that bound null.
+The level alphabet is refused first by the count of its first label alone,
+((k - g) // a_1 + 1) |R+|, and a colour's Weyl dimension is multiplied out only
+until it passes holonomy.MAX_REP_DIM ("or more" where it stopped early), so
+against a tree that built up to 100,001 prefixes or formed the whole dimension,
+`refusal/qdim/E8-level-digits`, `error/long/qdim-k`, `error/long/fusion-k`,
+`error/long/shadow-k`, `error/long/validate-k`, `malformed/big-k/shadow` and
+`/validate`, `refusal/holonomy/A2-dim-digits` and `refusal/holonomy/E8-label-digits`
+differ by design, in the count their message gives.
+
+With --record FILE it compares nothing: it runs the jobs on one tree, OLD_SRC or
+this checkout's src/, and writes FILE, a header line naming the Python and the C
+library, then one JSON line per job with its name, its argv (`shown_argv`) and the
+sha256 of its exit code, stdout and --output bytes (`digest`).  tests/cli_outputs.jsonl
+is that corpus for --seeds 1 2, which tests/test_scripts.py replays in process.  Its
+hashes hold on the recorded Python and libm; another platform may need a re-recording.
 
 With no arguments it compares this checkout's src/ with itself on the probe
 and help jobs only, which checks the script itself in a few seconds.
@@ -98,8 +114,10 @@ and help jobs only, which checks the script itself in a few seconds.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
+import platform
 import random
 import subprocess
 import sys
@@ -463,6 +481,14 @@ def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
     return jobs + (malformed_jobs() if seeds else [])
 
 
+def output_file(cwd: str, argv: list[str]) -> bytes | None:
+    """The --output file a job wrote in its directory `cwd`; None if it wrote none."""
+    if "--output" not in argv:
+        return None
+    path = Path(cwd, argv[argv.index("--output") + 1])
+    return path.read_bytes() if path.exists() else None
+
+
 def run(src: Path, argv: list[str], files: dict[str, str]) -> tuple[int, bytes, bytes | None]:
     """Exit code, stdout and --output file contents of one job on one tree."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -472,11 +498,32 @@ def run(src: Path, argv: list[str], files: dict[str, str]) -> tuple[int, bytes, 
                               env=dict(os.environ, PYTHONPATH=str(src)),
                               stdin=subprocess.DEVNULL, capture_output=True,
                               timeout=JOB_TIMEOUT_S)
-        output = None
-        if "--output" in argv:
-            path = Path(tmp, argv[argv.index("--output") + 1])
-            output = path.read_bytes() if path.exists() else None
-    return proc.returncode, proc.stdout, output
+        return proc.returncode, proc.stdout, output_file(tmp, argv)
+
+
+def digest(code: int, stdout: bytes, output: bytes | None) -> str:
+    """sha256 of one job's exit code, stdout and --output file (None: no file)."""
+    sizes = [code, len(stdout), None if output is None else len(output)]
+    return hashlib.sha256(json.dumps(sizes).encode() + stdout + (output or b"")).hexdigest()
+
+
+def shown_argv(argv: list[str]) -> list[str]:
+    """argv as a corpus line holds it: a token of more than 60 characters (a number of
+    4,001 digits, 2,001 face values) is cut to its head and its length."""
+    return [t if len(t) <= 60 else f"{t[:40]}... ({len(t)} characters)" for t in argv]
+
+
+def record(path: Path, src: Path, jobs: list, seeds: list[int]) -> None:
+    """Write the corpus of `src`: a header line naming the Python and the C library its
+    hashes hold on, then one JSON line per job holding its name, its argv (`shown_argv`)
+    and the `digest` of its outputs."""
+    lines = [f"# python scripts/compare_outputs.py --record FILE --seeds "
+             f"{' '.join(map(str, seeds))}; Python {platform.python_version()} on "
+             f"{platform.system()} {platform.machine()} with {' '.join(platform.libc_ver())}"]
+    for name, job_argv, files in jobs:
+        lines.append(json.dumps({"name": name, "argv": shown_argv(job_argv),
+                                 "sha256": digest(*run(src, job_argv, files))}))
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _numeric_leaves(doc, path: str = ""):
@@ -539,12 +586,20 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("new", nargs="?", type=Path, help="source tree to compare with it")
     p.add_argument("--seeds", type=int, nargs="+", default=[],
                    help="workload seeds (default: none, the probe and help jobs only)")
+    p.add_argument("--record", type=Path, metavar="FILE",
+                   help="write the corpus of one tree, OLD_SRC or this checkout's src/, "
+                        "to FILE instead of comparing")
     args = p.parse_args(argv)
-    if (args.old is None) != (args.new is None):
+    if args.record is not None and args.new is not None:
+        p.error("--record runs one tree: give OLD_SRC alone, or no tree")
+    if args.record is None and (args.old is None) != (args.new is None):
         p.error("give both OLD_SRC and NEW_SRC, or neither")
     old, new = (args.old or ROOT / "src").resolve(), (args.new or ROOT / "src").resolve()
 
     jobs = job_set(args.seeds)
+    if args.record is not None:
+        record(args.record, old, jobs, args.seeds)
+        return 0
     differ = 0
     for name, job_argv, files in jobs:
         a, b = run(old, job_argv, files), run(new, job_argv, files)

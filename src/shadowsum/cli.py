@@ -4,7 +4,9 @@ One JSON document goes to stdout; diagnostics go to stderr.  Exit codes:
 0 ok, 2 parse failure (usage errors included), 3 precondition violation,
 4 internal-oracle failure (`fusion --verify`, at the fixed tolerance
 `fusion_table.ORACLE_TOL`), 141 stdout closed by its reader before the
-document was written.  The keys of a --config JSON file are the
+document was written; a stdout that cannot be written otherwise (`> /dev/full`)
+ends as an unwritable --output does, with exit 2 and its `shadowsum: parse:`
+line on stderr.  The keys of a --config JSON file are the
 subcommand's long flag names; each becomes `--key=value` (`true`: a bare
 `--key`) ahead of the command line, so explicit flags win.  Each command
 imports the modules it runs when it runs, so a job loads no other, and
@@ -161,16 +163,26 @@ def cmd_validate(args) -> tuple[dict, int]:
     return {"ok": False, "report": report}, 2 if report[0]["code"] == "parse" else 3
 
 
-def _list_of(convert, what: str, sep: str = ","):
-    """An argparse type: `sep`-joined values, each read by `convert`."""
+def _exact(convert, what: str):
+    """An argparse type: one exact value read by `convert`.  Malformed text, a zero
+    denominator and more digits than CPython converts to text (4300, which int
+    parsing enforces and exponent notation such as 1e5000 would bypass) are usage
+    errors, `expected {what}, got {text!r}`."""
 
-    def parse(text: str) -> tuple:
+    def parse(text: str):
         try:
-            return tuple(convert(x) for x in text.split(sep))
+            value = convert(text)
+            str(value)
+            return value
         except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError):
             raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
 
     return parse
+
+
+def _list_of(convert, what: str, sep: str = ","):
+    """An argparse type: `sep`-joined values, each read by `convert`, as one `_exact` tuple."""
+    return _exact(lambda text: tuple(map(convert, text.split(sep))), what)
 
 
 _labels = _list_of(int, "comma-joined integer labels")
@@ -271,10 +283,22 @@ def _parse_argv(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args([args.command, *_config_tokens(_load_json(args.config)), *argv[1:]])
 
 
+def _write(stream, line: str) -> OSError | None:
+    """Print and flush one line.  On OSError (a reader closed the pipe, `2>&1 | head`
+    included, or the disk is full) the stream goes to devnull, the Python docs' recipe,
+    so exit flushes nothing, and the error is returned."""
+    try:
+        print(line, file=stream, flush=True)
+    except OSError as e:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return e
+    return None
+
+
 def _emit(text: str, path: str | None, status: int) -> int:
     """Write the document; a reader closing stdout early (`| head`) gives 141 = 128 + SIGPIPE.
 
-    An --output path that cannot be written is a parse error, reported on stdout."""
+    An --output path or a stdout that cannot be written otherwise is a parse error."""
     if path:
         try:
             with open(path, "w") as f:
@@ -282,27 +306,17 @@ def _emit(text: str, path: str | None, status: int) -> int:
         except OSError as e:
             return _fail(ParseError(f"cannot write {path}: {e}"))
         return status
-    try:
-        print(text, flush=True)
-    except BrokenPipeError:  # the Python docs' recipe: stdout to devnull, so exit flushes nothing
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        _note("shadowsum: stdout was closed before the document was written")
+    error = _write(sys.stdout, text)
+    if isinstance(error, BrokenPipeError):
+        _write(sys.stderr, "shadowsum: stdout was closed before the document was written")
         return 141
-    return status
-
-
-def _note(line: str) -> None:
-    """One stderr line, best-effort: stderr may be the pipe a reader closed (`2>&1 | head`)."""
-    try:
-        print(line, file=sys.stderr, flush=True)
-    except OSError:  # same recipe as for stdout
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    return _fail(ParseError(f"cannot write stdout: {error}")) if error else status
 
 
 def _fail(e: ShadowsumError) -> int:
     """One stderr line and the JSON error document on stdout; the error's exit code."""
     err = {"error": {"code": e.code, "exit": e.exit_code, "message": str(e)}}
-    _note(f"shadowsum: {e.code}: {e}")
+    _write(sys.stderr, f"shadowsum: {e.code}: {e}")
     return _emit(json.dumps(err, sort_keys=True), None, e.exit_code)
 
 

@@ -25,20 +25,31 @@ from __future__ import annotations
 import cmath
 import math
 from numbers import Rational
+from operator import mul
 from typing import Sequence
 
 from .errors import PreconditionError, require_budget, shown
-from .reps import WeightSystem, weyl_dimension
+from .reps import WeightSystem, _check_dominant
 from .roots import RootSystem
 
 MAX_REP_DIM = 256  # budget of the `holonomy` command: dimension of the coloured module
 
 
 def require_rep_dim(rs: RootSystem, color: Sequence[int]) -> None:
-    """Refuse a colour whose module is larger than MAX_REP_DIM, by its exact
-    Weyl dimension, before any multiplicity is computed."""
-    require_budget(weyl_dimension(rs, color), MAX_REP_DIM,
-                   f"the module of highest weight {shown(tuple(color))} of {rs.name}", "dimensions")
+    """Refuse a colour whose module is larger than MAX_REP_DIM, before any multiplicity
+    is computed.  The Weyl dimension prod_{alpha>0} <lam+rho, alpha> / <rho, alpha> is
+    multiplied out only until it passes the budget: each ratio is at least 1, so a
+    partial product is a lower bound, and a refusal that stopped early says so."""
+    lam_rho = [a + 1 for a in _check_dominant(rs, color)]
+    num = den = 1  # products of weight_form_den <lam+rho, alpha> and <rho, alpha>, as in reps
+    for j, r in enumerate(rs.root_forms, 1):
+        num, den = num * sum(map(mul, lam_rho, r)), den * sum(r)
+        if num > MAX_REP_DIM * den:
+            break
+    # the dimension is an integer at least num / den, so the ceiling is a lower bound too
+    require_budget(-(-num // den), MAX_REP_DIM,
+                   f"the module of highest weight {shown(tuple(color))} of {rs.name}",
+                   "dimensions" + " or more" * (j < len(rs.root_forms)))
 
 
 def holonomy(phases: Sequence[complex], n: int) -> list[complex]:

@@ -21,7 +21,7 @@ import argparse
 import math
 from fractions import Fraction
 
-from .cli import _c2j, _labels, _list_of, _read_link, _root_system
+from .cli import _c2j, _exact, _labels, _list_of, _read_link, _root_system
 from .errors import ParseError, PreconditionError, shown
 from .field import coweight_coordinates, format_vector, is_regular, root_pairings
 
@@ -132,25 +132,8 @@ def cmd_holonomy(args) -> dict:
     }
 
 
-def _exact(convert, what: str):
-    """An argparse type: one exact value read by `convert`.  Malformed text, a zero
-    denominator and more digits than CPython converts to text (4300, which int
-    parsing enforces and exponent notation such as 1e5000 would bypass) are usage
-    errors."""
-
-    def parse(text: str):
-        try:
-            value = convert(text)
-            str(value)
-            return value
-        except (ValueError, ZeroDivisionError):
-            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
-
-    return parse
-
-
 _rational = _exact(Fraction, "a rational number")
-_rationals = _list_of(_rational, "comma-joined rationals")
+_rationals = _list_of(Fraction, "comma-joined rationals")
 _winding = _exact(int, "an integer")
 
 

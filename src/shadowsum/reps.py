@@ -66,10 +66,12 @@ def level_alphabet(rs: RootSystem, k: int) -> LevelAlphabet:
     degenerates and is out of scope here.  The labels are chosen in order:
     label i runs from 0 to rem // a_i, where a_i is its comark and rem the level
     the labels before it leave unused.  Every prefix extends to a weight, so the
-    prefixes of each length are at most |A|, and the enumeration stops once
-    they pass the budget of MAX_ALPHABET_PAIRS weight-root pairs: a refused
-    level costs at most rank (MAX_ALPHABET_PAIRS // |R+| + 1) prefixes, and its
-    refusal gives the lower bound on |A| |R+| reached.
+    prefixes of each length are at most |A|.  The first label alone takes
+    (k - g) // a_1 + 1 values, a lower bound on |A| read before any prefix is
+    built, and the enumeration stops once the prefixes pass the budget of
+    MAX_ALPHABET_PAIRS weight-root pairs: a refused level costs at most rank
+    (MAX_ALPHABET_PAIRS // |R+| + 1) prefixes, and its refusal gives the lower
+    bound on |A| |R+| reached.
     """
     g = rs.dual_coxeter
     if k <= g:
@@ -79,13 +81,15 @@ def level_alphabet(rs: RootSystem, k: int) -> LevelAlphabet:
         )
     roots = len(rs.root_forms)
     most = MAX_ALPHABET_PAIRS // roots  # the largest alphabet admitted
+    what = f"the level alphabet of {rs.name} at k = {shown(k)}"
+    require_budget(((k - g) // rs.comarks[0] + 1) * roots, MAX_ALPHABET_PAIRS, what,
+                   "weight-root pairs or more")
     prefixes = [((), k - g)]  # (labels chosen, level left), in lexicographic order
     for a in rs.comarks:
         prefixes = list(itertools.islice(
             ((p + (v,), rem - a * v) for p, rem in prefixes for v in range(rem // a + 1)),
             most + 1))
-        require_budget(len(prefixes) * roots, MAX_ALPHABET_PAIRS,
-                       f"the level alphabet of {rs.name} at k = {shown(k)}",
+        require_budget(len(prefixes) * roots, MAX_ALPHABET_PAIRS, what,
                        "weight-root pairs or more")
     return LevelAlphabet(rs=rs, k=k, elements=tuple(p for p, _ in prefixes))
 

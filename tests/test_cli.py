@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import CYCLE_FORESTS, ambient, character_eval, det_rig_step, src_env
-from shadowsum import cli, fusion_table
+from shadowsum import cli, fusion_table, reps
 from shadowsum.diagrams import build_diagram
 from shadowsum.errors import ParseError
 from shadowsum.field import coweight_coordinates, root_pairings, simple_roots
@@ -459,10 +460,20 @@ class TestRegularizeAndHolonomy:
         assert doc["error"]["message"] == (
             "stepped field needs one value per face: got 3 values for 2 faces")
 
-    def test_holonomy_long_labels_shown_by_magnitude(self, capsys):
+    def test_holonomy_long_labels_shown_by_magnitude(self, capsys, monkeypatch):
         """Eight E8 labels of 10^4000 make a module of about 10^480000 dimensions: the
-        refusal names each label and the count by its order of magnitude, in a JSON
-        error under 1 KB, where echoing every digit took 32 KB."""
+        refusal names each label by its order of magnitude, in a JSON error under 1 KB,
+        where echoing every digit took 32 KB.  The dimension is multiplied out only
+        until it passes the budget, at its first root, so the whole Weyl dimension,
+        which cost 0.6 s, is never formed."""
+
+        def whole_dimension(*args):
+            raise AssertionError("weyl_dimension called on the refusal path")
+
+        from shadowsum import holonomy
+
+        monkeypatch.setattr(reps, "weyl_dimension", whole_dimension)
+        monkeypatch.setattr(holonomy, "weyl_dimension", whole_dimension, raising=False)
         big = ",".join([str(10**4000)] * 8)
         rc = cli.main(["holonomy", "--group", "E8", "--b=1/3,1/5,1/7,1/11,1/13,1/17,1/19,1/23",
                        "--color", big])
@@ -470,7 +481,7 @@ class TestRegularizeAndHolonomy:
         assert rc == 3 and len(out.encode()) < 1024
         assert json.loads(out)["error"]["message"] == (
             "the module of highest weight (" + ", ".join(["about 10^4000"] * 8) + ") of E8: "
-            "about 10^480000 dimensions; the budget is 256")
+            "about 10^4000 dimensions or more; the budget is 256")
 
     @pytest.mark.parametrize("argv", [
         ["qdim", "--group", "E8", "--k", "BIG"],
@@ -668,8 +679,8 @@ class TestValidate:
         refused by its budget: report code `budget`, exit 3.  `shadow` stops on the
         same file with the JSON error of any precondition."""
         path = write(tmp_path, "big-k.json", {"group": "A2", "k": 10**2200, "circles": []})
-        message = ("the level alphabet of A2 at k = about 10^2200: 300003 weight-root pairs "
-                   "or more; the budget is 300000")
+        message = ("the level alphabet of A2 at k = about 10^2200: about 10^2200 weight-root "
+                   "pairs or more; the budget is 300000")
         r = run_cli("validate", path)
         assert r.returncode == 3
         assert json.loads(r.stdout) == {"ok": False,
@@ -983,6 +994,26 @@ class TestUsageErrorsAsJson:
         rc, doc = run_main(capsys, *argv)
         assert rc == 2 and doc["error"]["code"] == "parse"
 
+    @pytest.mark.parametrize("argv,what,head", [
+        (["det", "--group", "A1", "--alpha-b"], "a rational number", ""),
+        (["det", "--group", "A2", "--b"], "comma-joined rationals", "1/3,"),
+        (["holonomy", "--group", "A1", "--alpha-b", "1/3", "--wind"], "an integer", ""),
+        (["holonomy", "--group", "A1", "--alpha-b", "1/3", "--color"],
+         "comma-joined integer labels", "1,"),
+        (["qdim", "--group", "A2", "--k", "5", "--weight"], "comma-joined integer labels", "1,"),
+        (["regularize", "x.json", "--face-values"], "';'-separated rational lists", "1/3,0;1/5,"),
+    ], ids=lambda v: v[-1] if isinstance(v, list) else None)
+    @pytest.mark.parametrize("value", ["1/3x", "1/0", "1" + "0" * 5000, "1e5000"],
+                             ids=["malformed", "zero-denominator", "5000-digits", "exponent"])
+    def test_value_readers_keep_their_messages(self, capsys, argv, what, head, value):
+        """Each exact flag value, alone or in a list, is read by one reader: malformed
+        text, a zero denominator and a number past CPython's 4300-digit limit on int
+        text (by digits or by an exponent) are usage errors naming the whole value."""
+        rc, doc = run_main(capsys, *argv, head + value)
+        assert rc == 2
+        assert doc["error"]["message"] == (
+            f"shadowsum {argv[0]}: argument {argv[-1]}: expected {what}, got {head + value!r}")
+
     @pytest.mark.parametrize("cmd", ["fusion", "qdim", "regularize", "holonomy", "validate"])
     def test_diagnostics_only_where_used(self, capsys, cmd):
         rc, doc = run_main(capsys, cmd, "--diagnostics", "--group", "A1", "x.json")
@@ -1192,6 +1223,26 @@ class TestUsageErrorsAsJson:
         assert len(proc.stdout.read(100)) == 100
         proc.stdout.close()
         assert proc.wait() == 141
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv,refusal", [
+        (["qdim", "--group", "A1", "--k", "4"], []),
+        (["qdim", "--group", "A1", "--k", "2"], ["shadowsum: precondition: level bound violated: "
+                                                 "need k > g, got k = 2 with dual Coxeter number "
+                                                 "g = 2 for A1 (the alphabet requires <lambda, "
+                                                 "theta> <= k - g)"]),
+    ], ids=["admitted", "refused"])
+    def test_unwritable_stdout_exits_2(self, argv, refusal):
+        """A stdout that cannot be written (`> /dev/full`), with an admitted document or
+        a refusal's error document, ends as an unwritable --output does: exit 2 and its
+        one `shadowsum: parse:` line on stderr, after the refusal's own line, with no
+        traceback."""
+        with open("/dev/full", "w") as full:
+            r = subprocess.run([sys.executable, "-m", "shadowsum", *argv], stdout=full,
+                               stderr=subprocess.PIPE, text=True, env=src_env())
+        assert r.returncode == 2
+        assert r.stderr.splitlines() == [
+            *refusal, "shadowsum: parse: cannot write stdout: [Errno 28] No space left on device"]
 
     def test_shadow_overflow_exit_3(self, tmp_path, capsys):
         doc = {"group": "A1", "k": 10, "circles": [

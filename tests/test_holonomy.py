@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from fractions import Fraction as Q
 
@@ -151,6 +152,33 @@ class TestHolonomy:
         for color in ((MAX_REP_DIM,), (100000,)):
             with pytest.raises(PreconditionError, match="budget"):
                 require_rep_dim(a1, color)
+
+    def test_rep_dim_budget_stops_at_the_budget(self, a2):
+        """The Weyl dimension is multiplied out only until it passes MAX_REP_DIM; a
+        count that stopped early says "or more".  On A2, (21, 0) has dimension 253 and
+        (22, 0) 276, passed only by the last ratio, so its count is exact; dominance
+        is refused first.  On colours of small labels the refusal agrees with
+        `weyl_dimension`: admitted iff dim <= MAX_REP_DIM, else a count past the budget
+        and at most dim, equal to it unless it says "or more"."""
+        require_rep_dim(a2, (21, 0))
+        with pytest.raises(PreconditionError, match=r": 276 dimensions; the budget is 256$"):
+            require_rep_dim(a2, (22, 0))
+        with pytest.raises(PreconditionError, match=r": about 10\^4000 dimensions or more;"):
+            require_rep_dim(a2, (10**4000, 0))
+        with pytest.raises(PreconditionError, match="not dominant"):
+            require_rep_dim(a2, (10**4000, -1))
+        for label in ("A2", "B3", "G2", "F4"):
+            rs = build_root_system(label)
+            for color in itertools.product(range(4), repeat=rs.rank):
+                dim = weyl_dimension(rs, color)
+                if dim <= MAX_REP_DIM:
+                    require_rep_dim(rs, color)
+                    continue
+                with pytest.raises(PreconditionError) as refused:
+                    require_rep_dim(rs, color)
+                count, unit = str(refused.value).split(": ")[-1].split(";")[0].split(" ", 1)
+                assert MAX_REP_DIM < int(count) <= dim
+                assert unit == "dimensions or more" or (unit, int(count)) == ("dimensions", dim)
 
 
 class TestRibbonHolonomy:

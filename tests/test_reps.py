@@ -1,6 +1,8 @@
 import itertools
 import math
+import re
 from fractions import Fraction as Q
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (all_weights_multiplicities, ambient, bench_workloads, character_eval,
                       level_rank_dual, simple_reflection_matrix)
+from shadowsum import reps
 from shadowsum.errors import PreconditionError
 from shadowsum.reps import (
     MAX_ALPHABET_PAIRS,
@@ -224,18 +227,46 @@ class TestCharacter:
         assert abs(character_eval(ws, sb) - character_eval(ws, b)) < 1e-12
 
 
+# the weight-root pairs each refusal of test_alphabet_budget_refuses_before_scanning states
+REFUSED_PAIRS = {("A1", 10**12): "999999999999", ("E8", 10**6): "59998320",
+                 ("A8", 10**40): "about 10^42", ("E8", 10**600): "about 10^602",
+                 ("A2", 1000): "300003"}
+
+
 @pytest.mark.parametrize("label,k", [("A1", 10**12), ("E8", 10**6), ("A8", 10**40),
-                                     pytest.param("E8", 10**600, id="E8-10^600")])
+                                     pytest.param("E8", 10**600, id="E8-10^600"), ("A2", 1000)])
 def test_alphabet_budget_refuses_before_scanning(label, k):
-    """The enumeration stops at the first label whose prefixes pass the budget: it
-    refuses with the lower bound (MAX_ALPHABET_PAIRS // |R+| + 1) |R+| it reached,
-    having built at most that many prefixes per label."""
-    rs = build_root_system(label)
-    roots = len(rs.positive_root_labels)
-    reached = (MAX_ALPHABET_PAIRS // roots + 1) * roots
+    """The first label alone takes (k - g) // a_1 + 1 values, a lower bound on |A| that
+    refuses a level before any prefix is built, with that bound times |R+|.  Past it
+    (A2 at k = 1000: 998 first labels), the enumeration stops at the first label whose
+    prefixes pass the budget, with the lower bound (MAX_ALPHABET_PAIRS // |R+| + 1) |R+|
+    it reached."""
+    reached = re.escape(REFUSED_PAIRS[label, k])
     with pytest.raises(PreconditionError, match=f": {reached} weight-root pairs or more; "
                                                  f"the budget is {MAX_ALPHABET_PAIRS}$"):
-        level_alphabet(rs, k)
+        level_alphabet(build_root_system(label), k)
+
+
+def test_alphabet_refuses_before_building_a_prefix(monkeypatch):
+    """A level whose first label alone passes the budget builds no prefix: A2 at
+    k = 10^4000 once built 100,001 prefixes of 4,000-digit arithmetic.  A level the
+    first label admits builds at most MAX_ALPHABET_PAIRS // |R+| + 1 per label."""
+    built = []
+
+    def counted(prefixes, n):
+        return (built.append(p) or p for p in itertools.islice(prefixes, n))
+
+    monkeypatch.setattr(reps, "itertools", SimpleNamespace(islice=counted))
+    a2 = build_root_system("A2")
+    with pytest.raises(PreconditionError, match=r"about 10\^4000 weight-root pairs or more"):
+        level_alphabet(a2, 10**4000)
+    assert built == []
+    with pytest.raises(PreconditionError, match=": 300003 weight-root pairs or more"):
+        level_alphabet(a2, 1000)
+    assert len(built) == 998 + MAX_ALPHABET_PAIRS // 3 + 1
+    built.clear()
+    assert len(level_alphabet(a2, 6).elements) == 10  # 4 first labels, then 10 weights
+    assert len(built) == 4 + 10
 
 
 def test_alphabet_budget_edge():

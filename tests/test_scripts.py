@@ -1,8 +1,10 @@
 """Smoke test of the scripts: each runs to exit 0 against the current library."""
 
 import importlib.util
+import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,41 @@ def test_max_relative_diff():
         == (3e-16, "im")
     assert script.max_relative_diff(b'{"x": {"im": 1e-16}}', b'{"x": {"im": 0.0}}') \
         == (1.0, "x.im")
+
+
+CORPUS = Path(__file__).with_name("cli_outputs.jsonl")
+
+
+def test_outputs_match_the_recorded_corpus(tmp_path, monkeypatch, capsys):
+    """Every comparison job of `compare_outputs.py --seeds 1 2`, run in process through
+    `cli.main`, has the exit code, stdout and --output bytes the corpus recorded for it.
+
+    A change of documents by design re-records the corpus (`compare_outputs.py --record
+    tests/cli_outputs.jsonl --seeds 1 2`); the header names the Python and libc the
+    hashes were taken on.  COLUMNS=80 wraps `--help` as in a job, whose stdout is a pipe."""
+    from shadowsum import cli
+
+    script = load_script("compare_outputs")
+    header, *lines = CORPUS.read_text().splitlines()
+    rows = [json.loads(line) for line in lines]
+    jobs = {name: (argv, files) for name, argv, files in script.job_set([1, 2])}
+    assert [row["name"] for row in rows] == list(jobs), "the job set moved: re-record"
+    monkeypatch.setenv("COLUMNS", "80")
+    moved = []
+    for row in rows:
+        argv, files = jobs[row["name"]]
+        assert row["argv"] == script.shown_argv(argv), f"{row['name']}: re-record"
+        with tempfile.TemporaryDirectory(dir=tmp_path) as cwd:
+            for name, text in files.items():
+                Path(cwd, name).write_text(text)
+            monkeypatch.chdir(cwd)
+            try:
+                code = cli.main(argv)
+            except SystemExit as e:  # --help and --version
+                code = e.code or 0
+            out = capsys.readouterr().out.encode()
+            if script.digest(code, out, script.output_file(cwd, argv)) != row["sha256"]:
+                moved.append(f"{row['name']}: {' '.join(row['argv'])}")
+            monkeypatch.chdir(tmp_path)
+    assert not moved, f"{len(moved)} jobs differ from the corpus ({header[2:]}):\n" + \
+        "\n".join(moved)
