@@ -42,9 +42,10 @@ and 4,001 digits and a type label whose rank has 5,000 (`qdim/long-rank` and
 `validate/long-rank`), weights with the wrong number of labels, a weight outside
 the level alphabet (`qdim/A1-weight-outside-alphabet`, refused by
 `LevelAlphabet.require`) and a colour that is not dominant
-(`holonomy/A1-negative-colour`, refused by `reps._check_dominant`), and Freudenthal's
+(`holonomy/A1-negative-colour`, refused by `reps._check_dominant`), Freudenthal's
 work past its budget, `fusion` on E7 k=22 and a one-circle E8 k=33 `shadow` coloured
-omega_7), runs
+omega_7, and a refused colour and a refused stage, each beside a field value of the
+wrong length, `holonomy/A2-colour-and-field` and `regularize/A1-stage-and-field`), runs
 `regularize` on admitted stepped fields of rank > 1 (STEPPED_JOBS: five E8 faces
 at n = 4, and three nested G2 faces at n = 6, the middle one, of chi = 0, singular), runs
 the CLI's other error paths and its --config reading (ERROR_JOBS: among them
@@ -67,7 +68,13 @@ and a missing group (`malformed/no-group`), a level that is not an integer
 (`malformed/circles-not-array`) and a circle that is not an object
 (`malformed/circle-not-object`), a colour that is not an integer
 (`malformed/color-not-integer`), and duplicate circle ids (`malformed/duplicate-ids`)
-and a parent that names no circle (`malformed/dangling-parent`).  Each job runs as one
+and a parent that names no circle (`malformed/dangling-parent`).  It also runs one job
+per open defect (DEFECT_JOBS), each named by the ROADMAP item that mends it, so the
+change that mends it re-records exactly that line: `defect/item-4/A1-k=4-unknot`, whose
+`re` prints -2.2e-16 for an exact 0, `defect/item-4/G2-k=40-unknot`, whose `im` prints
+-2.5e-4 beside `re` 1.1e12, `defect/item-4/qdim-A1-k=3`, which prints
+1.0000000000000002 for an exact 1, and `defect/item-10/qdim-A9-k=12`, refused by the
+rank cap of the type table.  Each job runs as one
 `python -m shadowsum` process per tree, in a fresh directory holding its
 input files.  The exit code, stdout and the --output
 file must agree byte for byte.  Prints one line per job that differs and a
@@ -98,7 +105,13 @@ against a tree that built up to 100,001 prefixes or formed the whole dimension,
 `refusal/qdim/E8-level-digits`, `error/long/qdim-k`, `error/long/fusion-k`,
 `error/long/shadow-k`, `error/long/validate-k`, `malformed/big-k/shadow` and
 `/validate`, `refusal/holonomy/A2-dim-digits` and `refusal/holonomy/E8-label-digits`
-differ by design, in the count their message gives.
+differ by design, in the count their message gives.  A colour and a constant
+field's stage are checked before the field value is converted, so against a tree that
+converts it first, `refusal/holonomy/A2-colour-and-field` and
+`refusal/regularize/A1-stage-and-field` differ by design: that tree refuses the field
+value's length.  Every value flag is read by `cli._exact`, so against a tree that
+reads `--k`, `--n` and `--chi` by argparse's `int`, `error/usage/bad-int` differs by
+design, in its message alone (`invalid int value: 'four'`).
 
 With --record FILE it compares nothing: it runs the jobs on one tree, OLD_SRC or
 this checkout's src/, and writes FILE, a header line naming the Python and the C
@@ -108,7 +121,8 @@ is that corpus for --seeds 1 2, which tests/test_scripts.py replays in process. 
 hashes hold on the recorded Python and libm; another platform may need a re-recording.
 
 With no arguments it compares this checkout's src/ with itself on the probe
-and help jobs only, which checks the script itself in a few seconds.
+and help jobs only, which checks the script itself in a few seconds.  A tree that
+holds no shadowsum/cli.py is refused with exit 2 before any job runs.
 """
 
 from __future__ import annotations
@@ -264,6 +278,12 @@ REFUSAL_JOBS = {
                                     "--color", "-1"],
     "fusion/E7-k=22": ["fusion", "--group", "E7", "--k", "22"],
     "shadow/E8-k=33-omega7": ["shadow", "e8-omega7.json"],
+    # a refused colour or stage beside a field value of the wrong length: the
+    # colour and the stage are checked first
+    "holonomy/A2-colour-and-field": ["holonomy", "--group", "A2", "--b=1/3,1/5",
+                                     "--color", "22,0"],
+    "regularize/A1-stage-and-field": ["regularize", "--group", "A1", "--b=1/3,0,0",
+                                      "--n", "0"],
 }
 # `holonomy` on the E8 adjoint omega_8 (dim 248), the largest E8 colour that
 # holonomy.MAX_REP_DIM admits
@@ -400,6 +420,19 @@ HUGE_K_LINK = json.dumps({"group": "A1", "k": 0, "circles": [_circle()]}).replac
 # the level by its order of magnitude.
 BIG_K_LINK = json.dumps({"group": "A2", "k": 10**2200, "circles": []})
 
+# One job per open defect, named by the ROADMAP item that mends it, so the change that
+# mends one re-records exactly its line: a float printed for an exact value (item 4)
+# and a rank the type table does not reach (item 10).
+DEFECT_FILES = {f"{group.lower()}-unknot.json": json.dumps(
+    {"group": group, "k": k, "circles": [_circle(color=color)]})
+    for group, k, color in (("A1", 4, [1]), ("G2", 40, [0, 0]))}
+DEFECT_JOBS = {
+    "item-4/A1-k=4-unknot": ["shadow", "a1-unknot.json"],  # re -2.2e-16 for an exact 0
+    "item-4/G2-k=40-unknot": ["shadow", "g2-unknot.json"],  # im -2.5e-4 beside re 1.1e12
+    "item-4/qdim-A1-k=3": ["qdim", "--group", "A1", "--k", "3"],  # 1.0000000000000002 for 1
+    "item-10/qdim-A9-k=12": ["qdim", "--group", "A9", "--k", "12"],  # refused: rank 9
+}
+
 
 def malformed_jobs() -> list[tuple[str, list[str], dict[str, str]]]:
     """Each MALFORMED_LINKS document, HUGE_K_LINK and BIG_K_LINK through shadow,
@@ -478,6 +511,7 @@ def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
         jobs += [(f"refusal/{name}", argv, REFUSAL_FILES) for name, argv in REFUSAL_JOBS.items()]
         jobs += [(f"stepped/{name}", argv, STEPPED_FILES) for name, argv in STEPPED_JOBS.items()]
         jobs += [(f"error/{name}", argv, ERROR_FILES) for name, argv in ERROR_JOBS.items()]
+        jobs += [(f"defect/{name}", argv, DEFECT_FILES) for name, argv in DEFECT_JOBS.items()]
     return jobs + (malformed_jobs() if seeds else [])
 
 
@@ -595,6 +629,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.record is None and (args.old is None) != (args.new is None):
         p.error("give both OLD_SRC and NEW_SRC, or neither")
     old, new = (args.old or ROOT / "src").resolve(), (args.new or ROOT / "src").resolve()
+    for tree in [old] if args.record is not None else [old, new]:
+        if not (tree / "shadowsum" / "cli.py").is_file():
+            p.error(f"{tree} holds no shadowsum/cli.py: give a source tree such as src/")
 
     jobs = job_set(args.seeds)
     if args.record is not None:

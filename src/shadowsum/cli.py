@@ -2,7 +2,8 @@
 
 One JSON document goes to stdout; diagnostics go to stderr.  Exit codes:
 0 ok, 2 parse failure (usage errors included), 3 precondition violation,
-4 internal-oracle failure (`fusion --verify`, at the fixed tolerance
+4 any broken internal invariant (`errors.OracleError`: the checks of `roots`,
+`reps`, `fusion` and `fusion_table`, and `fusion --verify` at the fixed tolerance
 `fusion_table.ORACLE_TOL`), 141 stdout closed by its reader before the
 document was written; a stdout that cannot be written otherwise (`> /dev/full`)
 ends as an unwritable --output does, with exit 2 and its `shadowsum: parse:`
@@ -164,16 +165,14 @@ def cmd_validate(args) -> tuple[dict, int]:
 
 
 def _exact(convert, what: str):
-    """An argparse type: one exact value read by `convert`.  Malformed text, a zero
-    denominator and more digits than CPython converts to text (4300, which int
-    parsing enforces and exponent notation such as 1e5000 would bypass) are usage
-    errors, `expected {what}, got {text!r}`."""
+    """An argparse type, the one reader of every value flag: one value read by
+    `convert`, whose ValueError or ZeroDivisionError is a usage error, `expected
+    {what}, got {text!r}`.  Each converter refuses a value past CPython's 4300-digit
+    limit on int text itself: `int` by parsing, `kernel_cli._fraction` by converting."""
 
     def parse(text: str):
         try:
-            value = convert(text)
-            str(value)
-            return value
+            return convert(text)
         except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError):
             raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
 
@@ -185,6 +184,7 @@ def _list_of(convert, what: str, sep: str = ","):
     return _exact(lambda text: tuple(map(convert, text.split(sep))), what)
 
 
+_integer = _exact(int, "an integer")
 _labels = _list_of(int, "comma-joined integer labels")
 
 
@@ -253,7 +253,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sp.set_defaults(run=func)
         sp.add_argument("--group", help="simple type label, e.g. A1, B3, G2")
         if with_k:
-            sp.add_argument("--k", type=int, help="level parameter k (requires k > g)")
+            sp.add_argument("--k", type=_integer, help="level parameter k (requires k > g)")
         sp.add_argument("--config", help="JSON file of flag values, keyed by long flag name")
         sp.add_argument("--output", help="write the JSON document here instead of stdout")
         flags(sp)

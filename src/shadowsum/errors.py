@@ -1,7 +1,9 @@
 """Exception taxonomy shared by the library and the CLI.
 
 Exit-code mapping used by the CLI: 0 ok, 2 parse, 3 precondition,
-4 internal-oracle failure.  The exception classes live here, the one refusal
+4 internal-oracle failure: every broken internal invariant raises OracleError,
+so it ends as exit 4 under any interpreter flags (`-O` included).  The
+exception classes live here, the one refusal
 of a resource budget (`require_budget`) and the one way a refusal shows a
 number (`shown`); each budget and each tolerance is a constant of the module
 whose check it gates, such as `fusion.MAX_FUSION_COEFFS` or `fusion_table.ORACLE_TOL`.

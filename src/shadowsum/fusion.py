@@ -30,7 +30,7 @@ from __future__ import annotations
 from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import require_budget
+from .errors import OracleError, require_budget
 from .reps import Labels, LevelAlphabet, weight_multiplicities, weyl_dimension
 from .roots import RootSystem, to_dominant
 
@@ -117,7 +117,7 @@ def fusion_matrices(alphabet: LevelAlphabet, gammas: Iterable[Sequence[int]]) ->
                     folded, sign = qwg.fold(point)
                     row = 0 if folded is None else index.get(folded)
                     if row is None:
-                        raise AssertionError(
+                        raise OracleError(
                             f"a folded point for gamma = {gamma} is not in the alphabet")
                     hit = folds[point] = (row, sign)
                 row, sign = hit
@@ -125,7 +125,7 @@ def fusion_matrices(alphabet: LevelAlphabet, gammas: Iterable[Sequence[int]]) ->
                     column[row] = column.get(row, 0) + sign * m
             for a, c in column.items():
                 if c < 0:
-                    raise AssertionError(f"negative fusion coefficient for gamma = {gamma}")
+                    raise OracleError(f"negative fusion coefficient for gamma = {gamma}")
                 if c:
                     rows[a][b] = c
         matrices[gamma] = rows

@@ -134,7 +134,7 @@ def build_fusion_table(alphabet: LevelAlphabet) -> list[int]:
     increasing height, the sum of their simple-root coordinates (ordered by
     det(C) > 0 times it, from the row sums of `cartan_adjugate`), and N_kappa is
     N_{omega_i} N_lam less the other terms, in exact sparse integer rows.  A
-    coefficient of N_kappa other than 1, or a negative entry, raises AssertionError.
+    coefficient of N_kappa other than 1, or a negative entry, raises OracleError.
     """
     elems = alphabet.elements
     n = len(elems)
@@ -156,8 +156,8 @@ def build_fusion_table(alphabet: LevelAlphabet) -> list[int]:
         lam = alphabet.index([v - (j == i) for j, v in enumerate(labels)])
         coeffs, lam_rows = omega[lam], rows[lam]
         if coeffs.get(kappa) != 1:
-            raise AssertionError(f"N_{labels} has coefficient {coeffs.get(kappa, 0)} in the "
-                                 "fusion-ring relation that defines it, not 1")
+            raise OracleError(f"N_{labels} has coefficient {coeffs.get(kappa, 0)} in the "
+                              "fusion-ring relation that defines it, not 1")
         product = []
         for row in omega:
             acc: dict[int, int] = {}
@@ -171,7 +171,7 @@ def build_fusion_table(alphabet: LevelAlphabet) -> list[int]:
                     for d, e in row.items():
                         acc[d] = acc.get(d, 0) - c * e
         if any(e < 0 for acc in product for e in acc.values()):
-            raise AssertionError(f"negative fusion coefficient for gamma = {labels}")
+            raise OracleError(f"negative fusion coefficient for gamma = {labels}")
         rows[kappa] = [{d: e for d, e in acc.items() if e} for acc in product]
     table = [0] * n ** 3
     for m, matrix in enumerate(rows):

@@ -17,7 +17,7 @@ The ordered product of a connection that varies along the loop, and the
 general ribbon formula for ribbons that move across a non-constant field,
 live in the tests (`tests/test_holonomy.py`) as oracles, until a command
 feeds such a field.  A t-valued value b is passed as its coweight
-coordinates x (see `roots`), so beta(b) = sum_j label_j(beta) x_j.
+coordinates x (see `field`), so beta(b) = sum_j label_j(beta) x_j.
 """
 
 from __future__ import annotations

@@ -17,11 +17,10 @@ accuracy, which includes every field singular on a face of chi != 0.
 
 from __future__ import annotations
 
-import argparse
 import math
 from fractions import Fraction
 
-from .cli import _c2j, _exact, _labels, _list_of, _read_link, _root_system
+from .cli import _c2j, _exact, _integer, _labels, _list_of, _read_link, _root_system
 from .errors import ParseError, PreconditionError, shown
 from .field import coweight_coordinates, format_vector, is_regular, root_pairings
 
@@ -80,8 +79,8 @@ def cmd_regularize(args) -> dict:
         rs = _root_system(args)
         if args.face_values is not None:
             raise ParseError("--face-values needs a link file")
+        cut = require_stage(len(rs.positive_root_labels), args.n, 1)  # constant_field's one face
         field = constant_field(root_pairings(rs, _field_b(args, rs)))
-        cut = require_stage(len(rs.positive_root_labels), args.n, len(field))
     else:
         if args.b is not None or args.alpha_b is not None:
             raise ParseError("a link file takes --face-values, not --b or --alpha-b")
@@ -110,8 +109,8 @@ def cmd_holonomy(args) -> dict:
     from .reps import weight_multiplicities
 
     rs = _root_system(args)
-    x = _field_b(args, rs)
     require_rep_dim(rs, args.color)
+    x = _field_b(args, rs)
     ws = weight_multiplicities(rs, args.color)
     # Weights have integer labels, so both values are unchanged by a coroot-lattice vector
     # in b, an integer vector in x, and depend on the winding only modulo the lcm D of the
@@ -132,19 +131,24 @@ def cmd_holonomy(args) -> dict:
     }
 
 
-_rational = _exact(Fraction, "a rational number")
-_rationals = _list_of(Fraction, "comma-joined rationals")
-_winding = _exact(int, "an integer")
+def _fraction(text: str) -> Fraction:
+    """Fraction(text); ValueError past CPython's 4300-digit limit on int text, which
+    int parsing enforces and exponent notation such as 1e5000 would bypass."""
+    value = Fraction(text)
+    str(value)  # raises past the limit
+    return value
 
 
 def _grid(text: str) -> tuple[int, int]:
-    try:
-        n_theta, n_phi = (int(x) for x in text.split("x"))
-        if n_theta > 0 and n_phi > 0:
-            return n_theta, n_phi
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a grid such as 64x128, got {text!r}")
+    """Two positive integers joined by x, such as 64x128; ValueError otherwise."""
+    n_theta, n_phi = map(int, text.split("x"))
+    if min(n_theta, n_phi) < 1:
+        raise ValueError(text)
+    return n_theta, n_phi
+
+
+_rational = _exact(_fraction, "a rational number")
+_rationals = _list_of(_fraction, "comma-joined rationals")
 
 
 def _field(sp):
@@ -156,16 +160,16 @@ def _field(sp):
 
 def _det_flags(sp):
     _field(sp)
-    sp.add_argument("--chi", type=int, default=2, help="Euler number of the surface")
+    sp.add_argument("--chi", type=_integer, default=2, help="Euler number of the surface")
     sp.add_argument("--diagnostics", action="store_true", help="add the surface quadrature")
-    sp.add_argument("--quad-res", type=_grid,
+    sp.add_argument("--quad-res", type=_exact(_grid, "a grid such as 64x128"),
                     help="quadrature grid, e.g. 512x1024; with --diagnostics "
                          "(every grid gives the same value)")
 
 
 def _regularize_flags(sp):
     sp.add_argument("input", nargs="?", help="link JSON file for a stepped field")
-    sp.add_argument("--n", type=int, default=4, help="regularization index")
+    sp.add_argument("--n", type=_integer, default=4, help="regularization index")
     _field(sp)
     sp.add_argument("--face-values", type=_list_of(_rationals, "';'-separated rational lists", ";"),
                     help="per-face ambient coords, ';'-separated")
@@ -175,8 +179,8 @@ def _holonomy_flags(sp):
     _field(sp)
     sp.add_argument("--color", type=_labels, default=(1,),
                     help="highest weight labels, comma-joined (default 1, a rank-1 colour)")
-    sp.add_argument("--wind", type=_winding, default=1)
-    sp.add_argument("--n", type=int, default=64)
+    sp.add_argument("--wind", type=_integer, default=1)
+    sp.add_argument("--n", type=_integer, default=64)
 
 
 # {name: (run, adds the command's own flags)}: the rows `cli.COMMANDS` leaves to this module

@@ -2,7 +2,7 @@
 determinant: trigonometric-polynomial cutoffs and polynomial exp/log.
 
 Fields are stepped: one (euler, alpha(b)) pair per face of a diagram, in face
-order, the value held as its exact root pairings (see `roots`); a field is read
+order, the value held as its exact root pairings (see `field`); a field is read
 through each face's Euler number and value alone, so no function here takes a
 diagram.  The n-th stage works on the n-th barycentric refinement of a
 face mesh compatible with the diagram, simulated combinatorially: every face
@@ -52,7 +52,7 @@ from .errors import PreconditionError, require_budget, shown
 def stepped_field(faces: Sequence, values: Sequence) -> tuple[tuple, ...]:
     """The field with `values[i]` on face i of a diagram (`diagrams.Face`): one
     (euler, value) pair per face, in face order.  The kernels read each value as
-    its root pairings alpha(b) (see `roots`)."""
+    its root pairings alpha(b) (see `field`)."""
     if len(values) != len(faces):
         raise PreconditionError(
             f"stepped field needs one value per face: got {len(values)} "

@@ -20,7 +20,7 @@ import math
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .errors import PreconditionError, require_budget, shown
+from .errors import OracleError, PreconditionError, require_budget, shown
 from .roots import RootSystem, to_dominant, weyl_orbit
 
 Labels = tuple[int, ...]
@@ -110,7 +110,9 @@ def weyl_dimension(rs: RootSystem, lam: Sequence[int]) -> int:
     # rho has every label 1, so sum(r) is weight_form_den <rho, alpha>
     dim, rem = divmod(math.prod(sum(map(mul, lam_rho, r)) for r in rs.root_forms),
                       math.prod(map(sum, rs.root_forms)))
-    assert rem == 0
+    if rem:
+        raise OracleError(f"Weyl dimension of {rs.name} weight {shown(tuple(lam))} "
+                          f"leaves the remainder {rem}")
     return dim
 
 
@@ -192,12 +194,14 @@ def weight_multiplicities(rs: RootSystem, lam: Sequence[int]) -> WeightSystem:
                     break
                 acc += 2 * m * form
         m_mu, rem = divmod(acc, lam_norm - norm_shifted(mu))
-        assert rem == 0 and m_mu > 0, (lam, mu, acc)
+        if rem or m_mu <= 0:
+            raise OracleError(f"Freudenthal gives {rs.name} weight {mu} of {lam} the "
+                              f"multiplicity {acc}/{lam_norm - norm_shifted(mu)}")
         mult[mu] = m_mu
 
     ws = WeightSystem(rs=rs, multiplicities={
         w: m for mu, m in mult.items() for w, _ in weyl_orbit(rs, mu)})
     if ws.dimension() != (dim := weyl_dimension(rs, lam)):
-        raise AssertionError(f"Freudenthal total {ws.dimension()} != Weyl dimension {dim} "
-                             f"for {rs.name} weight {lam}")
+        raise OracleError(f"Freudenthal total {ws.dimension()} != Weyl dimension {dim} "
+                          f"for {rs.name} weight {lam}")
     return ws

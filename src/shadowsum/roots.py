@@ -30,7 +30,7 @@ import math
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .errors import PreconditionError, shown
+from .errors import OracleError, PreconditionError, shown
 
 # {type: {supported rank: dim g}}: dim g validates construction.
 _TYPES = {
@@ -139,7 +139,7 @@ def _adjugate(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     for col in range(n):
         p, pivot = a[col][col], a[col]
         if p <= 0:
-            raise AssertionError(f"leading minor {col + 1} of {mat} is {p}, not positive")
+            raise OracleError(f"leading minor {col + 1} of {mat} is {p}, not positive")
         for r in range(n):
             if r != col:
                 f = a[r][col]
@@ -198,22 +198,22 @@ def build_root_system(type_label: str) -> RootSystem:
 
     expected = _TYPES[t][rank]
     if 2 * len(labels_of) != expected - rank:
-        raise AssertionError(
+        raise OracleError(
             f"{t}{rank}: generated {2 * len(labels_of)} roots, expected {expected - rank}"
         )
     if [sum(col) for col in zip(*labels_of.values())] != [2] * rank:
-        raise AssertionError(f"{t}{rank}: rho != sum of fundamental weights")
+        raise OracleError(f"{t}{rank}: rho != sum of fundamental weights")
     # |beta|^2 = sum_i c_i label_i(beta) |alpha_i|^2 / 2, so a long root has squared length
     # long_norm / (8 scale_den); when that is 2, so is 4 / 2, that of a short coroot
     long_norm = max(sum(map(mul, c, map(mul, lab, norms))) for c, lab in labels_of.items())
     if long_norm != 16 * scale_den:
-        raise AssertionError(f"{t}{rank}: long roots have norm {long_norm}/{8 * scale_den}, "
-                             "expected 2")
+        raise OracleError(f"{t}{rank}: long roots have norm {long_norm}/{8 * scale_den}, "
+                          "expected 2")
 
     theta = max(labels_of, key=sum)  # the root of greatest height
     comarks, rest = zip(*(divmod(c * n, 8 * scale_den) for c, n in zip(theta, norms)))
     if any(rest):
-        raise AssertionError(f"{t}{rank}: bad comarks, theta = {theta}")
+        raise OracleError(f"{t}{rank}: bad comarks, theta = {theta}")
 
     # <omega_i, omega_j> = adj_ij |alpha_j|^2 / (2 det) = gram[i][j] / q, reduced over den
     adj, det = _adjugate(cartan)

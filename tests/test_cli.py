@@ -442,6 +442,25 @@ class TestRegularizeAndHolonomy:
         assert doc["error"]["message"] == (
             "stepped field needs one value per face: got 2000 values for 2001 faces")
 
+    @pytest.mark.parametrize("argv,want", [
+        (["holonomy", "--group", "A2", "--b=1/3,1/5", "--color", "22,0"],
+         "the module of highest weight (22, 0) of A2: 276 dimensions; the budget is 256"),
+        (["regularize", "--group", "A1", "--b=1/3,0,0", "--n", "0"],
+         "regularization index must be >= 1, got 0"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else "")
+    def test_refusals_come_before_the_field_value(self, capsys, monkeypatch, argv, want):
+        """A refused colour (`holonomy`) or a refused stage on a constant field
+        (`regularize`) is refused before --b is converted, so it wins over a field
+        value of the wrong length."""
+        from shadowsum import kernel_cli
+
+        def unreachable(*_):
+            raise AssertionError("a field value was converted")
+
+        monkeypatch.setattr(kernel_cli, "coweight_coordinates", unreachable)
+        rc, doc = run_main(capsys, *argv)
+        assert rc == 3 and doc["error"]["message"] == want
+
     def test_regularize_refuses_too_many_face_values(self, tmp_path, capsys, monkeypatch):
         """Three --face-values for the two faces of one circle: refused with the count's
         message before any value is converted, as too few are."""
@@ -756,7 +775,7 @@ def test_group_is_printed_as_parsed(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv,want", [
     (["det", "--group", "A2", "--b", "1/3,1/5"], "needs 3 ambient coordinates, got 2"),
-    (["holonomy", "--group", "A2", "--b", "1/3,1/5,1/7,1/11"],
+    (["holonomy", "--group", "A2", "--b", "1/3,1/5,1/7,1/11", "--color", "1,0"],
      "needs 3 ambient coordinates, got 4"),
     (["regularize", "--group", "A1", "link.json", "--face-values", "1/4,-1/4;1/6"],
      "needs 2 ambient coordinates, got 1"),
@@ -1002,11 +1021,16 @@ class TestUsageErrorsAsJson:
          "comma-joined integer labels", "1,"),
         (["qdim", "--group", "A2", "--k", "5", "--weight"], "comma-joined integer labels", "1,"),
         (["regularize", "x.json", "--face-values"], "';'-separated rational lists", "1/3,0;1/5,"),
+        (["qdim", "--group", "A2", "--k"], "an integer", ""),
+        (["regularize", "--group", "A1", "--alpha-b", "1/3", "--n"], "an integer", ""),
+        (["det", "--group", "A1", "--alpha-b", "1/3", "--chi"], "an integer", ""),
+        (["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics", "--quad-res"],
+         "a grid such as 64x128", "8x"),
     ], ids=lambda v: v[-1] if isinstance(v, list) else None)
     @pytest.mark.parametrize("value", ["1/3x", "1/0", "1" + "0" * 5000, "1e5000"],
                              ids=["malformed", "zero-denominator", "5000-digits", "exponent"])
     def test_value_readers_keep_their_messages(self, capsys, argv, what, head, value):
-        """Each exact flag value, alone or in a list, is read by one reader: malformed
+        """Each value flag, alone or in a list, is read by one reader: malformed
         text, a zero denominator and a number past CPython's 4300-digit limit on int
         text (by digits or by an exponent) are usage errors naming the whole value."""
         rc, doc = run_main(capsys, *argv, head + value)

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import shadowsum
 from shadowsum.errors import BudgetError, PreconditionError, require_budget, shown
 
 
@@ -35,3 +39,24 @@ def test_shown_names_numbers_past_twenty_digits_by_their_magnitude():
     assert shown(10**20) == "about 10^20"
     assert shown((-3 * 10**4000, 7)) == "(-about 10^4000, 7)"
     assert shown(10**5000) == "about 10^5000"
+
+
+def _is_assertion(node) -> bool:
+    """An `assert` statement, or a `raise` of AssertionError, called or bare."""
+    if isinstance(node, ast.Assert):
+        return True
+    if not isinstance(node, ast.Raise):
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_no_invariant_is_checked_by_assert():
+    """No module of the package holds an `assert` statement, which `python -O` strips,
+    or raises AssertionError, which the CLI does not map: every broken internal
+    invariant raises OracleError, so it ends as exit 4 under any interpreter flags."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(shadowsum.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if _is_assertion(node)]
+    assert not found, found

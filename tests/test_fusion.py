@@ -451,7 +451,7 @@ class TestQuantumWeylGroup:
             return (4,) * len(point), 1
 
         monkeypatch.setattr(QuantumWeylGroup, "fold", outside)
-        with pytest.raises(AssertionError, match="not in the alphabet"):
+        with pytest.raises(OracleError, match="not in the alphabet"):
             fusion_rows(a1k4, (1,))
 
     @pytest.mark.parametrize("c", [1, 500, 998])
@@ -552,6 +552,14 @@ def test_fusion_table_budget_refuses_before_building(a1):
         build_fusion_table(level_alphabet(a1, 200))
 
 
+def _double_fundamental_rows(monkeypatch):
+    """Make `build_fusion_table` read every fundamental matrix doubled."""
+    build = fusion_table.fusion_matrices
+    monkeypatch.setattr(fusion_table, "fusion_matrices", lambda al, gs: {
+        g: [{b: 2 * c for b, c in row.items()} for row in rows]
+        for g, rows in build(al, gs).items()})
+
+
 class TestRingRecursion:
     """`build_fusion_table` folds the fundamental weights and builds every other
     matrix by the fusion-ring recursion."""
@@ -593,12 +601,20 @@ class TestRingRecursion:
         """Doubled fundamental matrices give N_(0,2) the coefficient 2 in
         N_(0,1) N_(0,1) = N_(0,2) + N_(1,0)."""
         al = level_alphabet(build_root_system("A2"), 6)
-        build = fusion_table.fusion_matrices
-        monkeypatch.setattr(fusion_table, "fusion_matrices", lambda al, gs: {
-            g: [{b: 2 * c for b, c in row.items()} for row in rows]
-            for g, rows in build(al, gs).items()})
-        with pytest.raises(AssertionError, match=re.escape("N_(0, 2) has coefficient 2")):
+        _double_fundamental_rows(monkeypatch)
+        with pytest.raises(OracleError, match=re.escape("N_(0, 2) has coefficient 2")):
             build_fusion_table(al)
+
+    def test_corrupted_coefficient_exits_4(self, monkeypatch, capsys):
+        """A broken invariant ends a job as an oracle failure: exit 4, one JSON error of
+        code `oracle` on stdout and one `shadowsum: oracle:` line on stderr."""
+        _double_fundamental_rows(monkeypatch)
+        assert cli.main(["fusion", "--group", "A2", "--k", "5"]) == 4
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert doc["error"]["code"] == "oracle" and doc["error"]["exit"] == 4
+        assert "has coefficient 2" in doc["error"]["message"]
+        assert err.splitlines() == [f"shadowsum: oracle: {doc['error']['message']}"]
 
     def test_corrupted_entry_is_caught(self, monkeypatch):
         """A spurious N^(0,0)_{(1,0) (1,0)} = 1 is subtracted with N_(1,0) from
@@ -613,8 +629,8 @@ class TestRingRecursion:
             return matrices
 
         monkeypatch.setattr(fusion_table, "fusion_matrices", spurious)
-        with pytest.raises(AssertionError, match=re.escape("negative fusion coefficient for "
-                                                           "gamma = (0, 2)")):
+        with pytest.raises(OracleError, match=re.escape("negative fusion coefficient for "
+                                                        "gamma = (0, 2)")):
             build_fusion_table(al)
 
 

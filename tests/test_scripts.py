@@ -73,6 +73,22 @@ def test_max_relative_diff():
         == (1.0, "x.im")
 
 
+@pytest.mark.parametrize("argv", [["{missing}", "{src}"], ["--record", "{corpus}", "{missing}"]],
+                         ids=["compare", "record"])
+def test_compare_outputs_refuses_a_tree_without_the_package(tmp_path, capsys, argv):
+    """A tree that holds no shadowsum/cli.py is a usage error (exit 2) before any job
+    runs, so it is neither reported as differing everywhere nor recorded as a corpus
+    of failures."""
+    script = load_script("compare_outputs")
+    paths = {"missing": tmp_path / "no-such-dir", "src": ROOT / "src",
+             "corpus": tmp_path / "corpus.jsonl"}
+    with pytest.raises(SystemExit) as e:
+        script.main([arg.format(**paths) for arg in argv])
+    assert e.value.code == 2
+    assert f"{paths['missing']} holds no shadowsum/cli.py" in capsys.readouterr().err
+    assert not paths["corpus"].exists()
+
+
 CORPUS = Path(__file__).with_name("cli_outputs.jsonl")
 
 
