@@ -44,8 +44,9 @@ the level alphabet (`qdim/A1-weight-outside-alphabet`, refused by
 `LevelAlphabet.require`) and a colour that is not dominant
 (`holonomy/A1-negative-colour`, refused by `reps._check_dominant`), Freudenthal's
 work past its budget, `fusion` on E7 k=22 and a one-circle E8 k=33 `shadow` coloured
-omega_7, and a refused colour and a refused stage, each beside a field value of the
-wrong length, `holonomy/A2-colour-and-field` and `regularize/A1-stage-and-field`), runs
+omega_7, and a refused colour, a refused stage and a refused `holonomy --n`, each beside a
+field value of the wrong length, `holonomy/A2-colour-and-field`,
+`regularize/A1-stage-and-field` and `holonomy/n-and-field`), runs
 `regularize` on admitted stepped fields of rank > 1 (STEPPED_JOBS: five E8 faces
 at n = 4, and three nested G2 faces at n = 6, the middle one, of chi = 0, singular), runs
 the CLI's other error paths and its --config reading (ERROR_JOBS: among them
@@ -109,9 +110,11 @@ differ by design, in the count their message gives.  A colour and a constant
 field's stage are checked before the field value is converted, so against a tree that
 converts it first, `refusal/holonomy/A2-colour-and-field` and
 `refusal/regularize/A1-stage-and-field` differ by design: that tree refuses the field
-value's length.  Every value flag is read by `cli._exact`, so against a tree that
-reads `--k`, `--n` and `--chi` by argparse's `int`, `error/usage/bad-int` differs by
-design, in its message alone (`invalid int value: 'four'`).
+value's length.  `holonomy` checks n >= 1 before it builds the root system, so against a
+tree that checks n last, `refusal/holonomy/n-and-field` differs by design: that tree
+refuses the field value's length.  Every value flag is read by `cli._exact`, so against
+a tree that reads `--k`, `--n` and `--chi` by argparse's `int`, `error/usage/bad-int`
+differs by design, in its message alone (`invalid int value: 'four'`).
 
 With --record FILE it compares nothing: it runs the jobs on one tree, OLD_SRC or
 this checkout's src/, and writes FILE, a header line naming the Python and the C
@@ -278,12 +281,14 @@ REFUSAL_JOBS = {
                                     "--color", "-1"],
     "fusion/E7-k=22": ["fusion", "--group", "E7", "--k", "22"],
     "shadow/E8-k=33-omega7": ["shadow", "e8-omega7.json"],
-    # a refused colour or stage beside a field value of the wrong length: the
-    # colour and the stage are checked first
+    # a refused colour, stage or n beside a field value of the wrong length: each is
+    # checked first
     "holonomy/A2-colour-and-field": ["holonomy", "--group", "A2", "--b=1/3,1/5",
                                      "--color", "22,0"],
     "regularize/A1-stage-and-field": ["regularize", "--group", "A1", "--b=1/3,0,0",
                                       "--n", "0"],
+    "holonomy/n-and-field": ["holonomy", "--group", "A2", "--b=1/3,1/5", "--color", "1,0",
+                             "--n", "0"],
 }
 # `holonomy` on the E8 adjoint omega_8 (dim 248), the largest E8 colour that
 # holonomy.MAX_REP_DIM admits

@@ -1,4 +1,4 @@
-"""Closed forms and quadrature for the torus-gauge determinant kernels.
+"""Closed forms for the torus-gauge determinant kernels.
 
 A field value b in the Cartan subalgebra enters every kernel as its root
 pairings alpha(b), one per positive root (`field.root_pairings`),
@@ -20,16 +20,16 @@ number (the limit of `regularize.det_rig_n`), provided the metric gives the
 projected ribbons vanishing geodesic curvature (the standing metric
 assumption), so that the curvature measure of each face is 4 pi chi(face).
 
-The closed forms and the quadrature run in Python floats (`math`, `cmath`), so
-no `det` job loads numpy.  `det_rig_quadrature` integrates the one field a
-command gives it, a constant one on the round sphere, exactly and without a
-grid.  The general rule, for fields that vary over the surface, is the
+The closed forms run in Python floats (`math`), so no `det` job loads numpy.
+On the one field a command gives the surface integral, a constant one on the
+round sphere, it is exp(2L) for the root-log sum L (`principal_log_sum`),
+which `det --diagnostics` prints; any product rule integrates a constant
+exactly.  The general rule, for fields that vary over the surface, is the
 test-side oracle `sphere_rule` in `tests/test_determinants.py`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Sequence
 
@@ -73,28 +73,9 @@ def det_rig_constant(pairings: Sequence, chi: int) -> float:
     return out
 
 
-# -- quadrature on the round sphere ------------------------------------------
-
-
 def principal_log_sum(sines: Sequence[float], coeffs: Sequence[int]) -> complex:
     """sum_i c_i log(s_i) over nonzero root sines s_i, log the principal branch
     ln|s| + i pi [s < 0]: the one evaluator of a root-log sum."""
     return complex(math.fsum(c * math.log(abs(s)) for c, s in zip(coeffs, sines)),
                    math.pi * sum(c for c, s in zip(coeffs, sines) if s < 0))
 
-
-def det_rig_quadrature(pairings: Sequence) -> float:
-    """The regularized determinant of the constant field alpha(b) integrated over the unit
-    round sphere (R_g = 2): the root-log sum L (`principal_log_sum`) weighted by
-    R_g/(4 pi) times the area 4 pi, exp(2 L) = det_half(b)^2 (Gauss-Bonnet), which
-    every product rule gives exactly.  A singular field is refused exactly, as
-    `det_rig_constant` refuses it, and so is a root sine that rounds to 0.0, whose
-    log is undefined."""
-    if not is_regular(pairings):
-        raise PreconditionError(f"singular constant field alpha(b) = {format_vector(pairings)}")
-    two_sin = root_sines(pairings)
-    if 0.0 in two_sin:
-        raise PreconditionError(
-            "a root sine 2 sin(pi alpha(B)) rounds to 0.0; its log is undefined")
-    # e^{2 L}: the phase e^{2 pi i m} of the negative sines leaves a rounding residue in .imag
-    return cmath.exp(2 * principal_log_sum(two_sin, [1] * len(two_sin))).real

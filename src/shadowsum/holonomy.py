@@ -4,10 +4,10 @@ A t-valued (abelian) connection is given as its weight-phase vector: the
 diagonal of A in a weight basis of the module (`weight_phases`).  The one
 connection a command evaluates is constant along the loop, so the n-point
 ordered product prod_{j=1..n} exp((1/n) A) has n equal commuting factors and
-is exp(A) entry by entry (`holonomy`): one exponential per weight whatever n
-is, so n is checked (n >= 1) but has no budget.  Non-abelian (matrix-valued)
-connections are not handled.  The module is plain Python (`math`, `cmath`)
-and loads no numpy; results are lists of complex numbers.
+is exp(A) entry by entry, one exponential per weight whatever n is: the
+`holonomy` command's `product_trace` is `weight_trace` of those exponentials.
+Non-abelian (matrix-valued) connections are not handled.  The module is plain
+Python (`math`, `cmath`) and loads no numpy.
 
 The one ribbon a command evaluates is vertical: it winds w times around the
 S^1 factor over a sphere point where the field is constant at b.  Its
@@ -50,17 +50,6 @@ def require_rep_dim(rs: RootSystem, color: Sequence[int]) -> None:
     require_budget(-(-num // den), MAX_REP_DIM,
                    f"the module of highest weight {shown(tuple(color))} of {rs.name}",
                    "dimensions" + " or more" * (j < len(rs.root_forms)))
-
-
-def holonomy(phases: Sequence[complex], n: int) -> list[complex]:
-    """Weight phases of prod_{j=1..n} exp((1/n) A) for the constant connection A with
-    weight phases `phases` (see `weight_phases`), as a list.
-
-    The n factors are equal and commute, so the product is exp(A) entry by entry.
-    """
-    if n < 1:
-        raise PreconditionError(f"holonomy needs n >= 1, got {shown(n)}")
-    return [cmath.exp(z) for z in phases]
 
 
 def weight_phases(ws: WeightSystem, x: Sequence) -> list[complex]:

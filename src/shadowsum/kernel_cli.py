@@ -5,8 +5,12 @@ regularization or holonomy kernel on it; their flags read rationals, so this
 module loads `fractions`, and it converts them through `field`.  `cli.build_parser` imports it only when it adds one
 of these commands (`HANDLERS`), so a lattice job (`shadow`, `fusion`, `qdim`,
 `validate`) neither compiles this code nor loads `fractions`.  Each command
-imports the modules it runs when it runs, as in `cli`.  `det --quad-res` is
-checked but, like `holonomy --n`, changes no output.
+imports the modules it runs when it runs, as in `cli`.  `det --diagnostics`
+prints the round-sphere integral of the constant field, exp(2L) for the root-log
+sum L (`determinants.principal_log_sum`), which any product rule gives exactly,
+and `holonomy`'s "product_trace" is `weight_trace` of exp(wind b), the product of
+n equal commuting factors exp(wind b / n); so `det --quad-res` and `holonomy --n`
+are checked but change no output.
 
 Output for `regularize`: { "indicator", "singular", "det_rig_n": {"re", "im"},
 "det_rig_n_bound", ... } at a stage n admitted once (`regularize.require_stage`);
@@ -47,7 +51,7 @@ def _field_b(args, rs) -> tuple:
 
 
 def cmd_det(args) -> dict:
-    from .determinants import det_half, det_k, det_rig_constant, det_rig_quadrature
+    from .determinants import det_half, det_k, det_rig_constant, principal_log_sum, root_sines
 
     if args.quad_res is not None and not args.diagnostics:
         raise ParseError("--quad-res needs --diagnostics")
@@ -67,7 +71,12 @@ def cmd_det(args) -> dict:
         "det_rig_constant": det_rig_constant(a, args.chi),
     }
     if args.diagnostics:
-        out["det_rig_quadrature"] = det_rig_quadrature(a)
+        import cmath
+
+        # det_rig_constant refused a root sine of 0.0 above; e^{2 L}: the phase
+        # e^{2 pi i m} of the negative sines leaves a rounding residue in .imag
+        sines = root_sines(a)
+        out["det_rig_quadrature"] = cmath.exp(2 * principal_log_sum(sines, [1] * len(sines))).real
     return out
 
 
@@ -104,8 +113,11 @@ def cmd_regularize(args) -> dict:
 
 
 def cmd_holonomy(args) -> dict:
-    from .holonomy import (
-        holonomy, require_rep_dim, weight_phases, weight_trace, wilson_closed_form)
+    if args.n < 1:
+        raise PreconditionError(f"holonomy needs n >= 1, got {shown(args.n)}")
+    import cmath
+
+    from .holonomy import require_rep_dim, weight_phases, weight_trace, wilson_closed_form
     from .reps import weight_multiplicities
 
     rs = _root_system(args)
@@ -119,15 +131,14 @@ def cmd_holonomy(args) -> dict:
     period = math.lcm(*(v.denominator for v in x))
     wind = args.wind - period * round(Fraction(args.wind, period))
     closed = wilson_closed_form(ws, x, wind)
-    phases = [wind * p for p in weight_phases(ws, x)]
-    product = holonomy(phases, n=args.n)
+    product = weight_trace([cmath.exp(wind * p) for p in weight_phases(ws, x)])
     return {
         "group": rs.name,
         "color": list(args.color),
         "winding": args.wind,
         "n": args.n,
         "closed_form": _c2j(closed),
-        "product_trace": _c2j(weight_trace(product)),
+        "product_trace": _c2j(product),
     }
 
 

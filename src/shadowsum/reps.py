@@ -42,10 +42,12 @@ class LevelAlphabet:
         return tuple(labels) in self._positions
 
     def index(self, labels) -> int:
+        """The position of `labels`, which every caller derives from the alphabet, so a
+        miss is a broken invariant: OracleError, not a refusal of input."""
         try:
             return self._positions[tuple(labels)]
         except KeyError:
-            raise ValueError(f"{tuple(labels)} is not in the level alphabet") from None
+            raise OracleError(f"{tuple(labels)} is not in the level alphabet") from None
 
     def require(self, labels: Sequence[int], name: str) -> Labels:
         """`labels` as an int tuple; PreconditionError, naming it `name`, unless it is

@@ -1,5 +1,6 @@
 import cmath
 import functools
+import json
 import math
 import operator
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from shadowsum import cli
 from shadowsum.determinants import det_rig_constant
 from shadowsum.diagrams import build_diagram, contract_state_sum, prepare_terms, read_link
 from shadowsum.errors import PreconditionError
@@ -39,6 +41,13 @@ def bench_workloads():
 def src_env() -> dict:
     """The environment for a subprocess that imports shadowsum from this checkout."""
     return dict(os.environ, PYTHONPATH=str(SRC))
+
+
+def run_main(capsys, *args):
+    """cli.main in this process: (exit code, the one JSON document on stdout)."""
+    rc = cli.main([str(a) for a in args])
+    out = capsys.readouterr().out
+    return rc, json.loads(out)
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,7 @@ import numpy as np
 
 from conftest import (
     alphas, ambient, from_labels, random_forest_diagram, stage_indicator, table_array)
+from test_determinants import det_quadrature
 from test_diagrams import all_small_diagrams, empty_link_value, naive_terms
 from test_holonomy import (
     circling_ribbon,
@@ -28,12 +29,7 @@ from shadowsum.circleop import (
     circle_inverse_apply,
     random_admissible_series,
 )
-from shadowsum.determinants import (
-    det_half,
-    det_k,
-    det_rig_constant,
-    det_rig_quadrature,
-)
+from shadowsum.determinants import det_half, det_k, det_rig_constant
 from shadowsum.diagrams import build_diagram, contract_state_sum, list_terms, prepare_terms
 from shadowsum.errors import PreconditionError
 from shadowsum.fusion_table import build_fusion_table, verlinde_table
@@ -126,13 +122,12 @@ def test_state_sum_oracle_equivalence():
     print(f"\nACCEPTANCE PASS: pruned == naive term by term on {count} diagrams with <= 3 faces (A1, k <= 5)")
 
 
-def test_determinant_closed_forms():
+def test_determinant_closed_forms(capsys):
     """Gauss-Bonnet quadrature check within 1e-6; half-squares to 1e-12."""
     rs = build_root_system("A1")
     for x in (Q(1, 2), Q(1, 3), Q(2, 5)):
-        a = alphas(rs, [x])
-        got = det_rig_quadrature(a)
-        want = det_rig_constant(a, 2)
+        got = det_quadrature(capsys, rs, [x])
+        want = det_rig_constant(alphas(rs, [x]), 2)
         assert abs(got - want) < 1e-6, x
     rs2 = build_root_system("B2")
     rng = random.Random(7)

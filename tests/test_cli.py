@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CYCLE_FORESTS, ambient, character_eval, det_rig_step, src_env
+from conftest import (
+    CYCLE_FORESTS, ambient, character_eval, det_rig_step, run_main, src_env)
 from shadowsum import cli, fusion_table, reps
 from shadowsum.diagrams import build_diagram
 from shadowsum.errors import ParseError
@@ -232,14 +233,29 @@ class TestFusion:
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0.5"])
     def test_oracle_tol_outside_open_interval_exit_2(self, capsys, tol):
+        """`--oracle-tol` is retired: any value of it is refused as an unknown flag
+        is, exit 2 with a `parse` error that names the flag."""
         rc, doc = run_main(capsys, "fusion", "--group", "A1", "--k", "4", "--verify",
                            "--oracle-tol", tol)
-        assert rc == 2 and "--oracle-tol" in doc["error"]["message"]
+        assert rc == 2 and doc["error"]["code"] == "parse"
+        assert "--oracle-tol" in doc["error"]["message"]
 
     def test_oracle_failure_exit_4(self, capsys, monkeypatch):
         monkeypatch.setattr(fusion_table, "ORACLE_TOL", 1e-30)
         rc, doc = run_main(capsys, "fusion", "--group", "A1", "--k", "4", "--verify")
         assert rc == 4 and doc["error"]["code"] == "oracle"
+
+    def test_alphabet_miss_is_an_oracle_failure(self, capsys, monkeypatch):
+        """Every label `fusion_table` looks up in the alphabet is derived from it, so a
+        miss, here a dual weight from a broken `to_dominant`, is a broken invariant:
+        exit 4, an `oracle` error and one stderr line, not a traceback."""
+        monkeypatch.setattr(fusion_table, "to_dominant", lambda cartan, x: ((8, 8), 1))
+        rc = cli.main(["fusion", "--group", "A2", "--k", "5", "--verify"])
+        out, err = capsys.readouterr()
+        message = "(7, 7) is not in the level alphabet"
+        assert rc == 4
+        assert json.loads(out)["error"] == {"code": "oracle", "exit": 4, "message": message}
+        assert err.splitlines() == [f"shadowsum: oracle: {message}"]
 
 
 class TestDetAndQdim:
@@ -745,13 +761,6 @@ class TestConfigFile:
 # -- one input path: in-process runs of cli.main ---------------------------------
 
 
-def run_main(capsys, *args):
-    """cli.main in this process: (exit code, the one JSON document on stdout)."""
-    rc = cli.main([str(a) for a in args])
-    out = capsys.readouterr().out
-    return rc, json.loads(out)
-
-
 def one_circle(**fields):
     c = {"id": "a", "parent": None, "winding": 1, "positive_side": "inside", "color": [1]}
     return {"group": "A1", "k": 4, "circles": [dict(c, **fields)]}
@@ -1013,6 +1022,13 @@ class TestUsageErrorsAsJson:
         rc, doc = run_main(capsys, *argv)
         assert rc == 2 and doc["error"]["code"] == "parse"
 
+    def test_retired_workers_flag_is_a_usage_error_that_names_it(self, capsys):
+        """A flag that was removed is refused as any unknown flag is, exit 2 with a
+        `parse` error, and the message names it (`--oracle-tol`: see TestFusion)."""
+        rc, doc = run_main(capsys, "shadow", "x.json", "--workers", "2")
+        assert rc == 2 and doc["error"]["code"] == "parse"
+        assert "--workers" in doc["error"]["message"]
+
     @pytest.mark.parametrize("argv,what,head", [
         (["det", "--group", "A1", "--alpha-b"], "a rational number", ""),
         (["det", "--group", "A2", "--b"], "comma-joined rationals", "1/3,"),
@@ -1143,33 +1159,38 @@ class TestUsageErrorsAsJson:
 
     SHADOW_MODULES = {"cli", "errors", "roots", "reps", "fusion", "diagrams"}
     LATTICE_COMMANDS = {"qdim", "shadow", "validate", "fusion"}
-    STATE_SUM_COMMANDS = {"shadow", "validate"}
     TABLE_AND_FIELD = {"fusion_table", "field"}
 
     @pytest.mark.parametrize("argv,only,never", [
         (["qdim", "--group", "E6", "--k", "16"], {"cli", "errors", "roots", "reps"},
          {"numpy", *TABLE_AND_FIELD}),
         (["det", "--group", "A1", "--alpha-b", "1/3", "--diagnostics", "--quad-res", "8x16"],
-         {"cli", "kernel_cli", "errors", "roots", "field", "determinants"}, {"numpy"}),
+         {"cli", "kernel_cli", "errors", "roots", "field", "determinants", "cmath"}, {"numpy"}),
         (["det", "--group", "A1", "--alpha-b", "1/3"],
-         {"cli", "kernel_cli", "errors", "roots", "field", "determinants"}, {"numpy"}),
+         {"cli", "kernel_cli", "errors", "roots", "field", "determinants"}, {"cmath", "numpy"}),
         (["shadow", "link.json"], SHADOW_MODULES, {"determinants", "holonomy", "regularize",
-                                                   "circleop", "numpy", *TABLE_AND_FIELD}),
-        (["shadow", "link.json", "--diagnostics"], SHADOW_MODULES, {"numpy", *TABLE_AND_FIELD}),
-        (["validate", "link.json"], SHADOW_MODULES - {"fusion"}, {"numpy", *TABLE_AND_FIELD}),
+                                                   "circleop", "cmath", "numpy",
+                                                   *TABLE_AND_FIELD}),
+        (["shadow", "link.json", "--diagnostics"], SHADOW_MODULES,
+         {"cmath", "numpy", *TABLE_AND_FIELD}),
+        (["validate", "link.json"], SHADOW_MODULES - {"fusion"},
+         {"cmath", "numpy", *TABLE_AND_FIELD}),
         (["fusion", "--group", "A1", "--k", "5", "--dump", "--verify"],
-         {"cli", "errors", "roots", "reps", "fusion", "fusion_table"}, {"diagrams", "numpy"}),
+         {"cli", "errors", "roots", "reps", "fusion", "fusion_table", "cmath"},
+         {"diagrams", "numpy"}),
         (["fusion", "--group", "A2", "--k", "5", "--dump", "--format", "text", "--verify"],
-         {"cli", "errors", "roots", "reps", "fusion", "fusion_table"}, {"diagrams", "numpy"}),
+         {"cli", "errors", "roots", "reps", "fusion", "fusion_table", "cmath"},
+         {"diagrams", "numpy"}),
         (["regularize", "--group", "A1", "--alpha-b", "1/3", "--n", "3"],
          {"cli", "kernel_cli", "errors", "roots", "field", "determinants", "regularize"},
-         {"diagrams", "fusion", "reps", "numpy"}),
+         {"diagrams", "fusion", "reps", "cmath", "numpy"}),
         (["regularize", "--n", "3", "link.json", "--face-values", "1/4,-1/4;1/6,-1/6;1/5,-1/5"],
          {"cli", "kernel_cli", "errors", "roots", "field", "diagrams", "determinants",
           "regularize"},
-         {"fusion", "reps", "numpy"}),
+         {"fusion", "reps", "cmath", "numpy"}),
         (["holonomy", "--group", "G2", "--b=1/7,1/5,-12/35", "--color", "1,1", "--n", "1024"],
-         {"cli", "kernel_cli", "errors", "roots", "field", "reps", "holonomy"}, {"numpy"}),
+         {"cli", "kernel_cli", "errors", "roots", "field", "reps", "holonomy", "cmath"},
+         {"numpy"}),
     ], ids=["qdim", "det", "det-plain", "shadow", "shadow-diagnostics", "validate", "fusion",
             "fusion-text", "regularize", "regularize-stepped", "holonomy"])
     def test_command_loads_only_its_modules(self, tmp_path, argv, only, never):
@@ -1182,9 +1203,10 @@ class TestUsageErrorsAsJson:
         fusion data, on a constant field without the diagrams and on a stepped
         field with them, and none of them numpy.  The kernel commands alone load
         `kernel_cli` and `field`, only `fusion` loads `fusion_table`, a lattice
-        command loads none of `fractions`, `decimal` and `numbers`, and `shadow`
-        and `validate` load no `cmath`.  Each also runs, and exits 0, in an
-        interpreter where numpy cannot be imported."""
+        command loads none of `fractions`, `decimal` and `numbers`, and only
+        `fusion`, `holonomy` and `det --diagnostics` load `cmath` (listed as a module
+        here, as numpy is).  Each also runs, and exits 0, in an interpreter where
+        numpy cannot be imported."""
         write(tmp_path, "link.json", TWO_CIRCLES)
         for block_numpy in ("", "sys.modules['numpy'] = None\n"):
             code = ("import json, sys\n" + block_numpy + "import shadowsum.cli as cli\n"
@@ -1192,20 +1214,18 @@ class TestUsageErrorsAsJson:
                     "loaded = [m.split('.', 1)[1] for m in sys.modules\n"
                     "          if m.startswith('shadowsum.')]\n"
                     "loaded += ['numpy'] if sys.modules.get('numpy') else []\n"
+                    "loaded += ['cmath'] if 'cmath' in sys.modules else []\n"
                     "rational = [m for m in ('fractions', 'decimal', 'numbers')\n"
                     "            if m in sys.modules]\n"
-                    "print(json.dumps([rc, loaded, rational, 'cmath' in sys.modules]),\n"
-                    "      file=sys.stderr)\n")
+                    "print(json.dumps([rc, loaded, rational]), file=sys.stderr)\n")
             r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
                                text=True, check=True, env=src_env())
-            rc, loaded, rational, cmath = json.loads(r.stderr)
+            rc, loaded, rational = json.loads(r.stderr)
             assert rc == 0, block_numpy
             assert set(loaded) == only
             assert not never & set(loaded)
             if argv[0] in self.LATTICE_COMMANDS:
                 assert rational == []
-            if argv[0] in self.STATE_SUM_COMMANDS:
-                assert not cmath
 
     @pytest.mark.parametrize("preset,expected", [(None, "1 1"), ("2", "2 1")])
     def test_import_defaults_blas_threads_to_one(self, preset, expected):

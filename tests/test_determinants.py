@@ -9,14 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import alphas, ambient, det_rig_step, from_labels
-from shadowsum.determinants import (
-    det_half,
-    det_k,
-    det_rig_constant,
-    det_rig_quadrature,
-    root_sines,
-)
+from conftest import alphas, ambient, det_rig_step, from_labels, run_main
+from shadowsum.determinants import det_half, det_k, det_rig_constant, root_sines
 from shadowsum.diagrams import build_diagram
 from shadowsum.errors import PreconditionError
 from shadowsum.regularize import constant_field, stepped_field
@@ -38,10 +32,10 @@ def sphere_grid(n_theta: int, n_phi: int):
 
 def sphere_rule(rs, sampler, n_theta: int, n_phi: int) -> float:
     """The regularized determinant of a field that varies over the unit round sphere
-    (R_g = 2), by the rule of `sphere_grid`: the oracle of `det_rig_quadrature` and of
-    the step-field limit `det_rig_step` (`conftest`).  sampler(theta, phi) maps the node
-    arrays to the coweight coordinates x of B, an (n, rank) array, or a (rank,) one for
-    a constant field."""
+    (R_g = 2), by the rule of `sphere_grid`: the oracle of `det --diagnostics`
+    (`det_quadrature`) and of the step-field limit `det_rig_step` (`conftest`).
+    sampler(theta, phi) maps the node arrays to the coweight coordinates x of B, an
+    (n, rank) array, or a (rank,) one for a constant field."""
     theta, phi, weights = sphere_grid(n_theta, n_phi)
     pairs = np.asarray(sampler(theta, phi), dtype=float) @ np.array(
         rs.positive_root_labels, dtype=float).T
@@ -51,6 +45,15 @@ def sphere_rule(rs, sampler, n_theta: int, n_phi: int) -> float:
     value = np.exp((weights * 2.0 / (4.0 * math.pi) * logs).sum())
     assert abs(value.imag) <= 1e-8 * max(1.0, abs(value.real)), value
     return float(value.real)
+
+
+def det_quadrature(capsys, rs, labels) -> float:
+    """The round-sphere integral of the constant field b = sum_j labels_j omega_j as
+    `det --diagnostics` prints it, b given by its ambient coordinates."""
+    b = ",".join(map(str, ambient(rs).from_labels(labels)))
+    rc, doc = run_main(capsys, "det", "--group", rs.name, f"--b={b}", "--diagnostics")
+    assert rc == 0, doc
+    return doc["det_rig_quadrature"]
 
 
 def one_circle_diagram():
@@ -188,19 +191,19 @@ class TestMetricSamples:
 
 
 class TestQuadrature:
-    def test_constant_matches_closed_form(self, a1):
-        v = det_rig_quadrature(alphas(a1, [Q(1, 2)]))
+    def test_constant_matches_closed_form(self, a1, capsys):
+        v = det_quadrature(capsys, a1, [Q(1, 2)])
         assert abs(v - 4.0) < 1e-6
 
-    def test_negative_branch_constant(self, a1):
+    def test_negative_branch_constant(self, a1, capsys):
         # alpha(b) = 3/2: the half-determinant is negative but chi = 2 squares it
-        v = det_rig_quadrature(alphas(a1, [Q(3, 2)]))
+        v = det_quadrature(capsys, a1, [Q(3, 2)])
         assert abs(v - 4.0) < 1e-6
 
     @pytest.mark.parametrize("label, labels", [
         ("A1", [Q(2, 7)]), ("B2", [Q(1, 13), Q(-2, 17)]), ("G2", [Q(1, 29), Q(2, 31)]),
         ("E8", [Q(1, p) for p in (31, 37, 41, 43, 47, 53, 59, 61)])])
-    def test_constant_field_matches_the_sphere_rule(self, label, labels):
+    def test_constant_field_matches_the_sphere_rule(self, capsys, label, labels):
         """The production rule against the test-side general rule fed a constant
         sampler, on two grids, to 32 eps (1 + 2L), L = sum_alpha |log|2 sin(pi alpha(b))||:
         an error of a few eps in the exponent 2L is that much relative error in the
@@ -211,9 +214,10 @@ class TestQuadrature:
         xf = tuple(float(v) for v in from_labels(rs, labels))
         logs = math.fsum(abs(math.log(abs(s))) for s in root_sines(a))
         rel = 32 * sys.float_info.epsilon * (1 + 2 * logs)
+        got = det_quadrature(capsys, rs, labels)
         for grid in ((8, 16), (64, 128)):
             want = sphere_rule(rs, lambda t, p: xf, *grid)
-            assert det_rig_quadrature(a) == pytest.approx(want, rel=rel, abs=0)
+            assert got == pytest.approx(want, rel=rel, abs=0)
 
     @pytest.mark.parametrize("label, inside, outside", [
         ("A1", [Q(4, 3)], [Q(1, 2)]),
@@ -264,12 +268,17 @@ class TestQuadrature:
         e_fine = abs(sphere_rule(a1, sampler, 8, 16) - ref)
         assert e_fine <= e_coarse / 4.0 + 1e-12
 
-    def test_singular_node_rejected(self, a1):
-        with pytest.raises(PreconditionError) as ei:
-            det_rig_quadrature(alphas(a1, [2]))  # b = coroot, alpha(b) = 2
-        assert str(ei.value) == "singular constant field alpha(b) = (2)"
+    def test_singular_node_rejected(self, capsys):
+        """b = coroot, alpha(b) = 2: `det` refuses the field exactly, before the integral."""
+        rc, doc = run_main(capsys, "det", "--group", "A1", "--alpha-b", "2", "--diagnostics")
+        assert rc == 3
+        assert doc["error"]["message"] == "constant field value alpha(b) = 2 is singular"
 
-    def test_root_sine_rounding_to_zero_refused(self, a1):
-        """alpha(B) = 2/10^400 is regular, but its sine rounds to 0.0, whose log is undefined."""
-        with pytest.raises(PreconditionError, match="rounds to 0.0"):
-            det_rig_quadrature(alphas(a1, [Q(2, 10**400)]))
+    def test_root_sine_rounding_to_zero_refused(self, capsys):
+        """alpha(B) = 2/10^400 is regular, but its sine rounds to 0.0, whose log is
+        undefined: det_rig_constant, computed before the integral, refuses its power."""
+        rc, doc = run_main(capsys, "det", "--group", "A1", "--alpha-b", f"2/{10**400}",
+                           "--diagnostics")
+        assert rc == 3
+        assert doc["error"]["message"] == (
+            "det_half(b)^chi at chi = 2 is not a finite nonzero double (0.0)")

@@ -7,14 +7,8 @@ import numpy as np
 import pytest
 
 from shadowsum.errors import PreconditionError
-from shadowsum.holonomy import (
-    MAX_REP_DIM,
-    holonomy,
-    require_rep_dim,
-    weight_phases,
-    wilson_closed_form,
-)
-from conftest import ambient, character_eval, from_labels
+from shadowsum.holonomy import MAX_REP_DIM, require_rep_dim, weight_phases, wilson_closed_form
+from conftest import ambient, character_eval, from_labels, run_main
 from shadowsum.reps import weight_multiplicities, weyl_dimension
 from shadowsum.roots import build_root_system
 
@@ -66,6 +60,16 @@ def ribbon_closed_form(ribbons, colors, a_form, b_field, t_nodes=256, u_nodes=16
     return total
 
 
+def product_trace(capsys, rs, labels, color, n):
+    """The trace of the n-factor product as `holonomy` prints it, winding once at
+    b = sum_j labels_j omega_j, given by its ambient coordinates."""
+    b = ",".join(map(str, ambient(rs).from_labels(labels)))
+    rc, doc = run_main(capsys, "holonomy", "--group", rs.name, f"--b={b}",
+                       "--color", ",".join(map(str, color)), "--n", n)
+    assert rc == 0, doc
+    return complex(doc["product_trace"]["re"], doc["product_trace"]["im"])
+
+
 def phase_map(ws):
     """The linear map x -> weight_phases(ws, x) as a matrix, so rows of coweight
     coordinates map to rows of weight phases: phases = rows @ phase_map(ws)."""
@@ -86,15 +90,16 @@ def circling_ribbon(t, u):
 
 
 class TestHolonomy:
-    def test_vertical_constant_is_exact_for_every_n(self, a1):
-        b = from_labels(a1, [Q(1, 3)])
+    def test_vertical_constant_is_exact_for_every_n(self, a1, capsys):
+        """The printed trace of the n-factor product is the trace of exp of the weight
+        phases and the character at b, the same for every n."""
         ws = weight_multiplicities(a1, (1,))
-        phases = weight_phases(ws, b)
-        want = np.exp(phases)
-        for n in (1, 2, 7, 64):
-            got = holonomy(phases, n)
-            assert len(got) == 2
-            assert np.max(np.abs(got - want)) < 1e-12
+        phases = weight_phases(ws, from_labels(a1, [Q(1, 3)]))
+        want = np.exp(phases).sum()
+        got = [product_trace(capsys, a1, [Q(1, 3)], (1,), n) for n in (1, 2, 7, 64)]
+        assert got == [got[0]] * 4
+        assert abs(got[0] - want) < 1e-12
+        assert abs(got[0] - character_eval(ws, ambient(a1).from_labels([Q(1, 3)]))) < 1e-12
 
     def test_abelian_limit_and_richardson(self, a1):
         # smooth t-valued connection with mean v: product tends to exp(v)
@@ -121,9 +126,13 @@ class TestHolonomy:
         slope = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
         assert 0.8 <= slope <= 1.2
 
-    def test_bad_n_rejected(self):
-        with pytest.raises(PreconditionError, match="holonomy needs n >= 1, got 0"):
-            holonomy([0j], 0)
+    def test_bad_n_rejected(self, capsys):
+        """n = 0 is refused first, before the colour and the field are read: here beside
+        a field value of the wrong length."""
+        for argv in (["--group", "A1", "--alpha-b", "1/3"], ["--group", "A2", "--b=1/3,1/5"]):
+            rc, doc = run_main(capsys, "holonomy", *argv, "--n", "0")
+            assert rc == 3
+            assert doc["error"]["message"] == "holonomy needs n >= 1, got 0"
 
     def test_weight_phases_trace_is_the_character(self, a2):
         ws = weight_multiplicities(a2, (1, 1))
@@ -182,14 +191,15 @@ class TestHolonomy:
 
 
 class TestRibbonHolonomy:
-    def test_vertical_ribbon_matches_loop(self, a1):
+    def test_vertical_ribbon_matches_loop(self, a1, capsys):
+        """The direct ribbon product of a constant connection against the trace the
+        `holonomy` command prints at the same n."""
         b = from_labels(a1, [Q(2, 7)])
         ws = weight_multiplicities(a1, (1,))
         phases = weight_phases(ws, b)
         got = ribbon_holonomy(lambda t, u: None, lambda _: phases, 16)
-        want = holonomy(phases, 16)
-        assert got.shape == (2,) and len(want) == 2
-        assert np.max(np.abs(got - want)) < 1e-12
+        assert got.shape == (2,)
+        assert abs(got.sum() - product_trace(capsys, a1, [Q(2, 7)], (1,), 16)) < 1e-12
 
     def test_scaled_ribbon_limit_recovers_core(self, a1):
         """s -> 0 shrinks the ribbon onto its core loop for a smooth connection."""
@@ -203,7 +213,7 @@ class TestRibbonHolonomy:
             scale = 1.0 + du * du  # nonlinear profile across the ribbon width
             return scale[:, None] * phases
 
-        core = holonomy(phases, 64)
+        core = loop_holonomy(lambda t: np.tile(phases, (len(t), 1)), 64)
         diffs = []
         for s in (1.0, 0.5, 0.25, 0.125):
             h = ribbon_holonomy(scaled_ribbon(family, s), conn, 64)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import (all_weights_multiplicities, ambient, bench_workloads, character_eval,
                       level_rank_dual, simple_reflection_matrix)
 from shadowsum import reps
-from shadowsum.errors import PreconditionError
+from shadowsum.errors import OracleError, PreconditionError
 from shadowsum.reps import (
     MAX_ALPHABET_PAIRS,
     level_alphabet,
@@ -39,7 +39,7 @@ class TestLevelAlphabet:
             assert al.index(lam) == i and al.index(list(lam)) == i
             assert lam in al and list(lam) in al
         assert (9, 9) not in al
-        with pytest.raises(ValueError):
+        with pytest.raises(OracleError, match=r"\(9, 9\) is not in the level alphabet"):
             al.index((9, 9))
 
     def test_level_bound_rejected(self, a1):
