@@ -3,129 +3,39 @@
 
     python scripts/compare_outputs.py OLD_SRC NEW_SRC --seeds 1 2
     python scripts/compare_outputs.py --record tests/cli_outputs.jsonl --seeds 1 2
+    python scripts/compare_outputs.py
 
-OLD_SRC and NEW_SRC are directories holding the shadowsum package, such as
-the src/ of two checkouts.  The jobs are the benchmark's, built from
-bench/workloads.py: every job of each workload for each seed and the layer
-probe jobs, each shadow job's file also through `shadow --diagnostics` and
-`validate`, and `--help` of the top-level parser and of each subcommand.
-With seeds, it adds `det --diagnostics --b` and `holonomy --b` jobs on the
-types the benchmark never runs (FIELD_JOBS), and plain `det --b` on each of
-the 32 supported types (DET_TYPES), so every type's ambient realization is
-read, each with b drawn per seed; runs `qdim --k g+2` on each of the 32
-supported types (QDIM_JOBS; the benchmark runs `qdim` on E6 and F4 only) and
-on the high-rank alphabets of A8 at k = 13 (495 weights) and E6 at k = 22 (861
-weights) (HIGH_RANK_QDIM_JOBS), runs `fusion --dump --verify` on alphabets no
-benchmark job exports, C3 k=7, C4 k=7 (as text), A4 k=8, B4 k=10, D4 k=8, F4
-k=12 and G2 k=14, each inside both oracle budgets, and on E6 k=13, which the
-Verlinde orbit budget refuses (VERIFY_JOBS), runs `fusion --dump` without
-`--verify` on E6 k=14, E7 k=20 and E8 k=32, the only E-type tables it exports,
-E8 k=32 the largest E8 table Freudenthal's budget admits (E_DUMP_JOBS), runs
-`holonomy` on the E8 adjoint omega_8, the largest E8 colour its dimension
-budget admits (E8_ADJOINT_HOLONOMY), runs `regularize` on the singular constant
-A1 field alpha(b) = 1 at n = 4 (`regularize/A1-singular`), whose finite stage
-bounds nothing and prints beside `"singular": true` and a null bound, runs
-`det`, `regularize` and `holonomy` at large exact field values on A1 and G2
-(LARGE_FIELDS), runs
-`shadow` (with `--diagnostics` and `validate`) on one nested three-circle link
-of each type whose fold path no benchmark `shadow` job takes, A4 k=8, C4 k=7,
-D4 k=8, D5 k=10, E6 k=14 and F4 k=12, coloured by omega_1 and the last
-fundamental weight (SHADOW_TYPE_JOBS), runs
-`det --diagnostics` at a field within 1e-15 of the singular set
-(NEAR_SINGULAR), runs large grids, up to 10^2200 x 10^2200, and a large
-`holonomy --n`, which cost nothing (FREE_SIZES), runs the refusals
-(REFUSAL_JOBS: `holonomy` at n = 0, `regularize` on each side of its trust
-boundary on A1 and E8 and past its cutoff budget on five E8 faces and on
-2,001, long numbers shown by their order of magnitude: an E8 level of 601
-digits, a Weyl dimension with more digits than `str` converts, labels of 1,501
-and 4,001 digits and a type label whose rank has 5,000 (`qdim/long-rank` and
-`validate/long-rank`), weights with the wrong number of labels, a weight outside
-the level alphabet (`qdim/A1-weight-outside-alphabet`, refused by
-`LevelAlphabet.require`) and a colour that is not dominant
-(`holonomy/A1-negative-colour`, refused by `reps._check_dominant`), Freudenthal's
-work past its budget, `fusion` on E7 k=22 and a one-circle E8 k=33 `shadow` coloured
-omega_7, and a refused colour, a refused stage and a refused `holonomy --n`, each beside a
-field value of the wrong length, `holonomy/A2-colour-and-field`,
-`regularize/A1-stage-and-field` and `holonomy/n-and-field`), runs
-`regularize` on admitted stepped fields of rank > 1 (STEPPED_JOBS: five E8 faces
-at n = 4, and three nested G2 faces at n = 6, the middle one, of chi = 0, singular), runs
-the CLI's other error paths and its --config reading (ERROR_JOBS: among them
-`usage/no-command`, `usage/unknown-command`, `usage/version` and
-`usage/option-before-command`, whose first word names no subcommand, so the
-CLI builds every subcommand's parser, and `usage/shadow-without-input`, which
-builds one; `regularize --n 0` on a constant A1 field, and `--n 0` and `--n 20` on a link
-file with valid face values, so each refusal of a stage is compared on both
-paths, and one and three face values on that two-face link,
-`regularize/link-too-few-face-values` and `regularize/link-too-many-face-values`,
-so the refusal of a wrong count is compared), and runs each malformed link document of
-MALFORMED_LINKS, HUGE_K_LINK and BIG_K_LINK through `shadow`, `validate`
-and `regularize`, so the error paths are compared too: besides one document per
-report code of `validate`, each parse problem of `diagrams.read_link` and each
-refusal of `diagrams.build_diagram` that no other job reaches, a document that is
-not an object (`malformed/not-object`), an unknown top-level key
-(`malformed/unknown-key`), a group that is not a string (`malformed/group-not-string`)
-and a missing group (`malformed/no-group`), a level that is not an integer
-(`malformed/k-not-integer`), `circles` that is not an array
-(`malformed/circles-not-array`) and a circle that is not an object
-(`malformed/circle-not-object`), a colour that is not an integer
-(`malformed/color-not-integer`), and duplicate circle ids (`malformed/duplicate-ids`)
-and a parent that names no circle (`malformed/dangling-parent`).  It also runs one job
-per open defect (DEFECT_JOBS), each named by the ROADMAP item that mends it, so the
-change that mends it re-records exactly that line: `defect/item-4/A1-k=4-unknot`, whose
-`re` prints -2.2e-16 for an exact 0, `defect/item-4/G2-k=40-unknot`, whose `im` prints
--2.5e-4 beside `re` 1.1e12, `defect/item-4/qdim-A1-k=3`, which prints
-1.0000000000000002 for an exact 1, and `defect/item-10/qdim-A9-k=12`, refused by the
-rank cap of the type table.  Each job runs as one
-`python -m shadowsum` process per tree, in a fresh directory holding its
-input files.  The exit code, stdout and the --output
-file must agree byte for byte.  Prints one line per job that differs and a
-summary line; exits 1 on any difference.  Where the differing outputs are
-JSON, the line also gives the largest absolute and the largest relative
-difference over the numeric leaves, each with its key path, such as
-`max |Δ| 3e-16 at closed_form.re; max rel 5e-17 at closed_form.re`.
+OLD_SRC and NEW_SRC are directories holding the shadowsum package, such as the src/
+of two checkouts.  Each job runs as one `python -m shadowsum` process per tree, in a
+fresh directory holding its input files, and its exit code, stdout and --output file
+must agree byte for byte.  The script prints one line per job that differs and a
+summary line, `448 jobs, 0 differ`, and exits 1 on any difference.  A DIFF line names
+the job and what differs (exit code, stdout, --output); where the differing outputs
+are JSON it also gives the largest absolute and the largest relative difference over
+the numeric leaves, each with its key path:
 
-Refusals name an integer of more than 20 digits by its order of magnitude, so
-against a tree whose refusals echo every digit of a long level, stage index, n
-or chi, the `error/long/` jobs, `refusal/qdim/E8-level-digits` and
-`malformed/big-k/shadow` and `/validate` differ by design.  The level alphabet
-is refused by a lower bound on its weight-root pairs, so against a tree that
-budgets the box of its labels, every alphabet refusal differs by design, and the
-jobs that box refused (`qdim/A8-k=13`, `qdim/E6-k=22`) differ too.  A link's
-alphabet refused by its budget is reported under the code `budget`, so against a
-tree that files it under `level-bound`, `malformed/big-k/validate` and
-`error/long/validate-k` differ by design.  Freudenthal's work is budgeted, so
-against a tree without that budget `refusal/fusion/E7-k=22` and
-`refusal/shadow/E8-k=33-omega7` differ by design: that tree runs them, for tens of
-seconds each.  `det_rig_n` reads only the faces of chi != 0, so against a tree whose
-bound reads a face of chi = 0 too, `stepped/G2-nested-n=6` differs by design, in
-`det_rig_n_bound` alone: its singular middle face of chi = 0 made that bound null.
-The level alphabet is refused first by the count of its first label alone,
-((k - g) // a_1 + 1) |R+|, and a colour's Weyl dimension is multiplied out only
-until it passes holonomy.MAX_REP_DIM ("or more" where it stopped early), so
-against a tree that built up to 100,001 prefixes or formed the whole dimension,
-`refusal/qdim/E8-level-digits`, `error/long/qdim-k`, `error/long/fusion-k`,
-`error/long/shadow-k`, `error/long/validate-k`, `malformed/big-k/shadow` and
-`/validate`, `refusal/holonomy/A2-dim-digits` and `refusal/holonomy/E8-label-digits`
-differ by design, in the count their message gives.  A colour and a constant
-field's stage are checked before the field value is converted, so against a tree that
-converts it first, `refusal/holonomy/A2-colour-and-field` and
-`refusal/regularize/A1-stage-and-field` differ by design: that tree refuses the field
-value's length.  `holonomy` checks n >= 1 before it builds the root system, so against a
-tree that checks n last, `refusal/holonomy/n-and-field` differs by design: that tree
-refuses the field value's length.  Every value flag is read by `cli._exact`, so against
-a tree that reads `--k`, `--n` and `--chi` by argparse's `int`, `error/usage/bad-int`
-differs by design, in its message alone (`invalid int value: 'four'`).
+    DIFF <job>: stdout; max |Δ| 3e-16 at closed_form.re; max rel 5e-17 at closed_form.re
 
-With --record FILE it compares nothing: it runs the jobs on one tree, OLD_SRC or
-this checkout's src/, and writes FILE, a header line naming the Python and the C
-library, then one JSON line per job with its name, its argv (`shown_argv`) and the
-sha256 of its exit code, stdout and --output bytes (`digest`).  tests/cli_outputs.jsonl
-is that corpus for --seeds 1 2, which tests/test_scripts.py replays in process.  Its
-hashes hold on the recorded Python and libm; another platform may need a re-recording.
+With --record FILE it compares nothing: it runs the jobs on one tree, OLD_SRC or this
+checkout's src/, and writes FILE, a header line naming the Python and the C library,
+then one JSON line per job with its name, its argv (`shown_argv`) and the sha256 of
+its exit code, stdout and --output bytes (`digest`).  tests/cli_outputs.jsonl is that
+corpus for --seeds 1 2, which tests/test_scripts.py replays in process.  Its hashes
+hold on the recorded Python and libm; another platform may need a re-recording.
 
-With no arguments it compares this checkout's src/ with itself on the probe
-and help jobs only, which checks the script itself in a few seconds.  A tree that
-holds no shadowsum/cli.py is refused with exit 2 before any job runs.
+With no arguments it compares this checkout's src/ with itself on the help and probe
+jobs only, which checks the script itself in a few seconds.  A tree that holds no
+shadowsum/cli.py, or a seed that tests/cli_jobs.json holds no jobs for, is refused
+with exit 2 before any job runs.
+
+The jobs come from two places, and `job_set` names and orders them all.
+tests/cli_jobs.json holds the benchmark's probe jobs and, for seeds 1 and 2, one
+cycle of each benchmark workload and the field value b drawn for each type, frozen
+from the benchmark's job generator at commit 520ed0f, so an edit of the benchmark
+moves no job.  The constants below hold every other job, each with a comment on what
+it reaches.  To add a job, add it to a constant here (or add a constant and read it
+in `job_set`), then re-record the corpus.  A change that makes a job differ by design
+names the job in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -135,24 +45,23 @@ import hashlib
 import json
 import os
 import platform
-import random
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.dont_write_bytecode = True  # leave bench/ as it is
-sys.path.insert(0, str(ROOT / "bench"))
-
-import workloads as wl  # noqa: E402
-
+# {"probe_jobs": [argv], "probe_files": {name: text},
+#  "workloads": {workload: {seed: [{"slot", "argv", "files"}]}},
+#  "field_b": {seed: {group: "comma-joined rationals"}}}
+FROZEN = json.loads((ROOT / "tests" / "cli_jobs.json").read_text())
 JOB_TIMEOUT_S = 600
 COMMANDS = ("shadow", "fusion", "qdim", "det", "regularize", "holonomy", "validate")
-# (group, ambient dimension, holonomy colour): types no benchmark job runs, each colour
-# of dimension at most holonomy.MAX_REP_DIM (7, 6, 8, 27, 56 and 26)
-FIELD_JOBS = [("B3", 3, "1,0,0"), ("C3", 3, "1,0,0"), ("D4", 4, "1,0,0,0"),
-              ("E6", 8, "1,0,0,0,0,0"), ("E7", 8, "0,0,0,0,0,0,1"), ("F4", 4, "0,0,0,1")]
+# (group, holonomy colour): types no benchmark job runs, each colour of dimension at
+# most holonomy.MAX_REP_DIM (7, 6, 8, 27, 56 and 26), for `det --diagnostics --b` and
+# `holonomy --b` at the field value FROZEN draws per seed
+FIELD_JOBS = [("B3", "1,0,0"), ("C3", "1,0,0"), ("D4", "1,0,0,0"),
+              ("E6", "1,0,0,0,0,0"), ("E7", "0,0,0,0,0,0,1"), ("F4", "0,0,0,1")]
 # `qdim` at level 2, k = g + 2, on every supported type, with its dual Coxeter number g
 QDIM_JOBS = [["qdim", "--group", f"{t}{n}", "--k", str(g(n) + 2)] for t, ranks, g in (
     ("A", range(1, 9), lambda n: n + 1), ("B", range(2, 9), lambda n: 2 * n - 1),
@@ -184,12 +93,9 @@ VERIFY_JOBS = {f"verify/{group}-k={k}": ["fusion", "--group", group, "--k", str(
 # pairs: the largest E8 table fusion.MAX_MULTIPLICITY_PAIRS admits.
 E_DUMP_JOBS = {f"dump/{group}-k={k}": ["fusion", "--group", group, "--k", str(k), "--dump"]
                for group, k in (("E6", 14), ("E7", 20), ("E8", 32))}
-# Every supported type with its ambient dimension, for `det --b`
-DET_TYPES = [(f"{t}{n}", dim(n)) for t, ranks, dim in (
-    ("A", range(1, 9), lambda n: n + 1), ("B", range(2, 9), lambda n: n),
-    ("C", range(2, 9), lambda n: n), ("D", range(4, 9), lambda n: n),
-    ("E", (6, 7, 8), lambda n: 8), ("F", (4,), lambda n: 4), ("G", (2,), lambda n: 3))
-    for n in ranks]
+# Every supported type, for `det --b` at the field value FROZEN draws per seed, so every
+# type's ambient realization is read
+DET_TYPES = [argv[2] for argv in QDIM_JOBS]
 # A circle b in a and c in b, windings 2, -1 and 3, coloured omega_1, omega_rank and
 # omega_1, on each type no benchmark `shadow` job folds; each link's 2 |A|^2 fusion
 # coefficients lie far inside fusion.MAX_FUSION_COEFFS (A4 k=8 has the most, |A| = 35).
@@ -467,31 +373,27 @@ def _with_file_jobs(name: str, argv: list[str], files: dict[str, str]) -> list:
     return jobs
 
 
-def _field_b(group: str, dim: int, seed: int) -> str:
-    """The --b flag of a regular field value on `group`, drawn per group and seed."""
-    return "--b=" + ",".join(map(str, wl.generic_b(random.Random(f"{group}:{seed}"), dim)))
-
-
 def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
     """(name, argv, input files) of every job to compare."""
     jobs = [("help", ["--help"], {})]
     jobs += [(f"help/{cmd}", [cmd, "--help"], {}) for cmd in COMMANDS]
-    for argv in wl.PROBE_JOBS:
-        jobs += _with_file_jobs(f"probe/{argv[0]}", argv, wl.PROBE_FILES)
-    for workload in wl.WORKLOADS:
+    for argv in FROZEN["probe_jobs"]:
+        jobs += _with_file_jobs(f"probe/{argv[0]}", argv, FROZEN["probe_files"])
+    for workload, cycles in FROZEN["workloads"].items():
         for seed in seeds:
-            for job in wl.make_jobs(workload, seed):
+            for job in cycles[str(seed)]:
                 jobs += _with_file_jobs(f"{workload}/{seed}/{job['slot']}", job["argv"],
                                         job["files"])
     for seed in seeds:
-        for group, dim, color in FIELD_JOBS:
-            b = _field_b(group, dim, seed)
+        field_b = {group: f"--b={b}" for group, b in FROZEN["field_b"][str(seed)].items()}
+        for group, color in FIELD_JOBS:
+            b = field_b[group]
             det = ["det", "--group", group, b, "--diagnostics", "--quad-res", "32x64"]
             hol = ["holonomy", "--group", group, b, "--color", color, "--wind", "2"]
             jobs += [(f"field/{seed}/det/{group}", det, {}),
                      (f"field/{seed}/holonomy/{group}", hol, {})]
-        jobs += [(f"det/{seed}/{group}", ["det", "--group", group, _field_b(group, dim, seed)], {})
-                 for group, dim in DET_TYPES]
+        jobs += [(f"det/{seed}/{group}", ["det", "--group", group, field_b[group]], {})
+                 for group in DET_TYPES]
     if seeds:
         jobs += [(f"qdim/{argv[2]}", argv, {}) for argv in QDIM_JOBS]
         jobs += [(name, argv, {}) for name, argv in HIGH_RANK_QDIM_JOBS.items()]
@@ -624,7 +526,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("old", nargs="?", type=Path, help="source tree of the reference")
     p.add_argument("new", nargs="?", type=Path, help="source tree to compare with it")
     p.add_argument("--seeds", type=int, nargs="+", default=[],
-                   help="workload seeds (default: none, the probe and help jobs only)")
+                   help=f"seeds whose frozen jobs to run, of {' '.join(FROZEN['field_b'])}, "
+                        "with every other job (default: none, the probe and help jobs only)")
     p.add_argument("--record", type=Path, metavar="FILE",
                    help="write the corpus of one tree, OLD_SRC or this checkout's src/, "
                         "to FILE instead of comparing")
@@ -637,6 +540,10 @@ def main(argv: list[str] | None = None) -> int:
     for tree in [old] if args.record is not None else [old, new]:
         if not (tree / "shadowsum" / "cli.py").is_file():
             p.error(f"{tree} holds no shadowsum/cli.py: give a source tree such as src/")
+    for seed in args.seeds:
+        if str(seed) not in FROZEN["field_b"]:
+            p.error(f"tests/cli_jobs.json holds no jobs for seed {seed}: "
+                    f"give seeds of {' '.join(FROZEN['field_b'])}")
 
     jobs = job_set(args.seeds)
     if args.record is not None:

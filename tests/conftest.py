@@ -29,7 +29,13 @@ BENCH = SRC.parent / "bench"
 
 
 def bench_workloads():
-    """The benchmark's job generator, `bench/workloads.py`, as a module."""
+    """The benchmark's job generator, `bench/workloads.py`, as a module.
+
+    Its one reader is `test_diagrams._bench_reference_links`, the one Tier-1 test that
+    reads `bench/`: it pairs each shadow slot with its value in `bench/references.json`,
+    which is recorded once and never re-recorded.  The comparison corpus and every
+    other test hold their jobs and colours themselves, so an edit of the benchmark
+    moves none of them."""
     sys.path.insert(0, str(BENCH))
     try:
         import workloads

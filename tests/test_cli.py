@@ -990,34 +990,34 @@ class TestOneLinkParser:
             assert rc == 2, doc
 
 
+# Command lines refused as usage errors.  Each keeps its id when another is removed:
+# the ids are the positions the rows held when pytest numbered them.
+USAGE_ERRORS = {
+    "argv1": ["qdim", "--k", "four"],
+    "argv2": ["qdim", "--group", "A1", "--k", "4", "--weight", "1.5"],
+    "argv3": ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--color", "x"],
+    "argv4": ["det", "--group", "A1", "--alpha-b", "1/2", "--diagnostics", "--quad-res", "64"],
+    "argv5": ["det", "--group", "A1", "--alpha-b", "1/2", "--diagnostics", "--quad-res", "0x8"],
+    "argv6": ["regularize", "--group", "A1", "--face-values", "1/4;x"],
+    "argv7": ["nosuchcommand"],
+    "argv8": [],
+    "argv9": ["qdim", "--group", "A1", "--k", "4", "--output", "/dev/null/x.json"],
+    "argv10": ["det", "--group", "A1", "--alpha-b", f"{10**400}/0"],
+    "argv11": ["regularize", "--group", "A1", "--alpha-b", "1e5000", "--n", "3"],
+    "argv12": ["holonomy", "--group", "A1", "--alpha-b", "1/3x"],
+    "argv13": ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--wind", "1" + "0" * 5000],
+    "argv14": ["regularize", "--group", "A1", "--alpha-b", "1/3", "--face-values", "1/4,-1/4"],
+    "argv15": ["det", "--group", "A1", "--b", "1/6,-1/6", "--alpha-b", "1/3"],
+    "argv16": ["regularize", "--group", "A1", "--alpha-b", "1/3", "--b", "1/6,-1/6"],
+    "argv17": ["holonomy", "--group", "A1", "--b", "1/6,-1/6", "--alpha-b", "1/3"],
+    "argv18": ["fusion", "--group", "A1", "--k", "4", "--format", "text"],
+    "argv20": ["det", "--group", "A1", "--alpha-b", "1/2", "--quad-res", "16x32"],
+    "argv21": ["det", "--group", "A1", "--alpha-b", "1/2", "--diagnostics", "--quad-res", "8x0"],
+}
+
+
 class TestUsageErrorsAsJson:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["shadow", "--workers", "2", "x.json"],
-            ["qdim", "--k", "four"],
-            ["qdim", "--group", "A1", "--k", "4", "--weight", "1.5"],
-            ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--color", "x"],
-            ["det", "--group", "A1", "--alpha-b", "1/2", "--diagnostics", "--quad-res", "64"],
-            ["det", "--group", "A1", "--alpha-b", "1/2", "--diagnostics", "--quad-res", "0x8"],
-            ["regularize", "--group", "A1", "--face-values", "1/4;x"],
-            ["nosuchcommand"],
-            [],
-            ["qdim", "--group", "A1", "--k", "4", "--output", "/dev/null/x.json"],
-            ["det", "--group", "A1", "--alpha-b", f"{10**400}/0"],
-            ["regularize", "--group", "A1", "--alpha-b", "1e5000", "--n", "3"],
-            ["holonomy", "--group", "A1", "--alpha-b", "1/3x"],
-            ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--wind", "1" + "0" * 5000],
-            ["regularize", "--group", "A1", "--alpha-b", "1/3", "--face-values", "1/4,-1/4"],
-            ["det", "--group", "A1", "--b", "1/6,-1/6", "--alpha-b", "1/3"],
-            ["regularize", "--group", "A1", "--alpha-b", "1/3", "--b", "1/6,-1/6"],
-            ["holonomy", "--group", "A1", "--b", "1/6,-1/6", "--alpha-b", "1/3"],
-            ["fusion", "--group", "A1", "--k", "4", "--format", "text"],
-            ["fusion", "--group", "A1", "--k", "4", "--oracle-tol", "1e-3"],
-            ["det", "--group", "A1", "--alpha-b", "1/2", "--quad-res", "16x32"],
-            ["det", "--group", "A1", "--alpha-b", "1/2", "--diagnostics", "--quad-res", "8x0"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
     def test_usage_error_exit_2(self, capsys, argv):
         rc, doc = run_main(capsys, *argv)
         assert rc == 2 and doc["error"]["code"] == "parse"

@@ -527,7 +527,14 @@ def test_contraction_deep_chain_is_iterative(a1):
 
 
 def _bench_reference_links():
-    """Every shadow input the benchmark records a reference for, with its key."""
+    """Every shadow input the benchmark records a reference for, with its key.
+
+    This is the one Tier-1 reader of `bench/` left: it must pair each existing slot
+    with its entry in `bench/references.json`, which is never re-recorded, so it reads
+    the slots where the references were taken.  A new slot goes in a new section of
+    the workloads, with its own references.  Editing an existing `shadow` slot (its
+    level, colours or shape) fails `test_abs_sum_matches_bench_references` by design:
+    the edited link no longer has the recorded value."""
     wl = bench_workloads()
     refs = json.loads((BENCH / "references.json").read_text())
     for workload, slots in (("statesum_deep", wl.STATESUM_SLOTS), ("fusion_wide", wl.FUSION_WIDE_SLOTS)):

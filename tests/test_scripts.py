@@ -23,15 +23,22 @@ def test_script_runs(script, tmp_path):
 
 
 def load_script(name):
-    """Import a script as a module, leaving sys.path and the bytecode flag as they were."""
-    saved = sys.dont_write_bytecode, list(sys.path)
-    try:
-        spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode, sys.path[:] = saved
+    """Import a script as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
     return module
+
+
+def test_compare_outputs_reads_no_benchmark_code(monkeypatch):
+    """The corpus's jobs are the script's own and tests/cli_jobs.json's, so an edit of
+    the benchmark moves none: loading the script puts no bench/ directory on sys.path
+    and imports no `workloads`."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    load_script("compare_outputs")
+    assert not [entry for entry in sys.path if Path(entry).name == "bench"]
+    assert "workloads" not in sys.modules
 
 
 def test_max_numeric_diff():
@@ -86,6 +93,22 @@ def test_compare_outputs_refuses_a_tree_without_the_package(tmp_path, capsys, ar
         script.main([arg.format(**paths) for arg in argv])
     assert e.value.code == 2
     assert f"{paths['missing']} holds no shadowsum/cli.py" in capsys.readouterr().err
+    assert not paths["corpus"].exists()
+
+
+@pytest.mark.parametrize("argv", [["{src}", "{src}", "--seeds", "1", "3"],
+                                  ["--record", "{corpus}", "--seeds", "3"]],
+                         ids=["compare", "record"])
+def test_compare_outputs_refuses_a_seed_without_frozen_jobs(tmp_path, capsys, monkeypatch, argv):
+    """Only the seeds tests/cli_jobs.json holds jobs for can be run: any other is a usage
+    error (exit 2) before any job runs, and no corpus is written."""
+    script = load_script("compare_outputs")
+    monkeypatch.setattr(script, "run", lambda *job: pytest.fail(f"a job ran: {job}"))
+    paths = {"src": ROOT / "src", "corpus": tmp_path / "corpus.jsonl"}
+    with pytest.raises(SystemExit) as e:
+        script.main([arg.format(**paths) for arg in argv])
+    assert e.value.code == 2
+    assert "holds no jobs for seed 3" in capsys.readouterr().err
     assert not paths["corpus"].exists()
 
 
