@@ -9,7 +9,7 @@ OLD_SRC and NEW_SRC are directories holding the shadowsum package, such as the s
 of two checkouts.  Each job runs as one `python -m shadowsum` process per tree, in a
 fresh directory holding its input files, and its exit code, stdout and --output file
 must agree byte for byte.  The script prints one line per job that differs and a
-summary line, `448 jobs, 0 differ`, and exits 1 on any difference.  A DIFF line names
+summary line, `449 jobs, 0 differ`, and exits 1 on any difference.  A DIFF line names
 the job and what differs (exit code, stdout, --output); where the differing outputs
 are JSON it also gives the largest absolute and the largest relative difference over
 the numeric leaves, each with its key path:
@@ -58,7 +58,7 @@ FROZEN = json.loads((ROOT / "tests" / "cli_jobs.json").read_text())
 JOB_TIMEOUT_S = 600
 COMMANDS = ("shadow", "fusion", "qdim", "det", "regularize", "holonomy", "validate")
 # (group, holonomy colour): types no benchmark job runs, each colour of dimension at
-# most holonomy.MAX_REP_DIM (7, 6, 8, 27, 56 and 26), for `det --diagnostics --b` and
+# most reps.MAX_REP_DIM (7, 6, 8, 27, 56 and 26), for `det --diagnostics --b` and
 # `holonomy --b` at the field value FROZEN draws per seed
 FIELD_JOBS = [("B3", "1,0,0"), ("C3", "1,0,0"), ("D4", "1,0,0,0"),
               ("E6", "1,0,0,0,0,0"), ("E7", "0,0,0,0,0,0,1"), ("F4", "0,0,0,1")]
@@ -197,7 +197,7 @@ REFUSAL_JOBS = {
                              "--n", "0"],
 }
 # `holonomy` on the E8 adjoint omega_8 (dim 248), the largest E8 colour that
-# holonomy.MAX_REP_DIM admits
+# reps.MAX_REP_DIM admits
 E8_ADJOINT_HOLONOMY = ["holonomy", "--group", "E8", f"--b={E8_FACE}",
                        "--color", "0,0,0,0,0,0,0,1", "--wind", "2"]
 
@@ -218,12 +218,13 @@ STEPPED_JOBS = {
 }
 
 # The CLI's other error paths, and its --config reading, which no job above reaches:
-# argparse usage errors, flags that exclude or need each other, a singular field, a
-# missing group, level or field value, the `regularize` stage index 0 on a constant
-# field and 0 and 20 (past CUTOFF_SUP_ERRORS) on a link file with valid face values,
-# input files that cannot be read, are not JSON or nest too deeply, an --output path
-# that cannot be written, and a level, stage index, n or chi of 4,001 digits (the
-# `error/long/` jobs).
+# argparse usage errors (a --quad-res grid that is not two integers joined by x, and
+# one below 1, the two ways `_grid` refuses), flags that exclude or need each other,
+# a singular field, a missing group, level or field value, the `regularize` stage
+# index 0 on a constant field and 0 and 20 (past CUTOFF_SUP_ERRORS) on a link file
+# with valid face values, input files that cannot be read, are not JSON or nest too
+# deeply, an --output path that cannot be written, and a level, stage index, n or chi
+# of 4,001 digits (the `error/long/` jobs).
 BIG = str(10**4000)
 ERROR_FILES = {
     "link.json": json.dumps({"group": "A1", "k": 4, "circles": [
@@ -245,6 +246,7 @@ ERROR_JOBS = {
     "usage/bad-int": ["qdim", "--group", "A1", "--k", "four"],
     "usage/bad-rational": ["det", "--group", "A1", "--alpha-b", "1/0"],
     "usage/bad-grid": ["det", *A1_FIELD, "--diagnostics", "--quad-res", "8by16"],
+    "usage/grid-below-one": ["det", *A1_FIELD, "--diagnostics", "--quad-res", "0x8"],
     "usage/bad-labels": ["qdim", "--group", "A2", "--k", "5", "--weight", "1,x"],
     "usage/b-and-alpha-b": ["det", *A1_FIELD, "--b=1/3,0"],
     "usage/shadow-without-input": ["shadow"],

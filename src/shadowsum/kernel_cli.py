@@ -117,8 +117,8 @@ def cmd_holonomy(args) -> dict:
         raise PreconditionError(f"holonomy needs n >= 1, got {shown(args.n)}")
     import cmath
 
-    from .holonomy import require_rep_dim, weight_phases, weight_trace, wilson_closed_form
-    from .reps import weight_multiplicities
+    from .holonomy import weight_phases, weight_trace, wilson_closed_form
+    from .reps import require_rep_dim, weight_multiplicities
 
     rs = _root_system(args)
     require_rep_dim(rs, args.color)

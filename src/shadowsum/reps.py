@@ -7,10 +7,12 @@ weight_form_den times the invariant form, and on `root_forms`, its values on the
 positive roots; the factor cancels in each ratio.  Multiplicities are W-invariant,
 so the recursion runs on dominant weights (Stembridge, Adv. Math. 136, 1998), reads
 each m through `roots.to_dominant` and expands orbits with `roots.weyl_orbit`.  The
-quantum dimension, the Weyl dimension's q-analogue at level k, reads the same
-integers and divides each once, in floats.  The level alphabet is enumerated
-label by label and budgeted by its weight-root pairs |A| |R+|, the work of the
-sine products `qdim` spends on it.
+one Weyl product prod_{alpha>0} <lam+rho, alpha> / <rho, alpha> forms its integer
+row once, lazily (`_weyl_row`): `weyl_dimension` divides it exactly,
+`quantum_dimension`, its q-analogue at level k, in floats, and `require_rep_dim`,
+the `holonomy` budget, only until it passes MAX_REP_DIM.  The level alphabet is
+enumerated label by label and budgeted by its weight-root pairs |A| |R+|, the
+work of the sine products `qdim` spends on it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import OracleError, PreconditionError, require_budget, shown
 from .roots import RootSystem, to_dominant, weyl_orbit
@@ -27,6 +29,7 @@ Labels = tuple[int, ...]
 
 # Budget of `level_alphabet`: weight-root pairs |A| |R+|, one sine ratio each in `qdim`.
 MAX_ALPHABET_PAIRS = 3 * 10**5
+MAX_REP_DIM = 256  # budget of the `holonomy` command: dimension of the coloured module
 
 
 class LevelAlphabet:
@@ -106,16 +109,36 @@ class WeightSystem(NamedTuple):
         return sum(self.multiplicities.values())
 
 
+def _weyl_row(rs: RootSystem, labels: Labels) -> Iterator[tuple[int, int]]:
+    """Per positive root alpha, weight_form_den (<lam+rho, alpha>, <rho, alpha>) from
+    `root_forms`, lazily; rho has every label 1, so the second is sum(r)."""
+    lam_rho = [a + 1 for a in labels]
+    return ((sum(map(mul, lam_rho, r)), sum(r)) for r in rs.root_forms)
+
+
 def weyl_dimension(rs: RootSystem, lam: Sequence[int]) -> int:
     """dim = prod_{alpha>0} <lam+rho, alpha> / <rho, alpha>, an exact integer."""
-    lam_rho = [a + 1 for a in _check_dominant(rs, lam)]
-    # rho has every label 1, so sum(r) is weight_form_den <rho, alpha>
-    dim, rem = divmod(math.prod(sum(map(mul, lam_rho, r)) for r in rs.root_forms),
-                      math.prod(map(sum, rs.root_forms)))
+    nums, dens = zip(*_weyl_row(rs, _check_dominant(rs, lam)))
+    dim, rem = divmod(math.prod(nums), math.prod(dens))
     if rem:
         raise OracleError(f"Weyl dimension of {rs.name} weight {shown(tuple(lam))} "
                           f"leaves the remainder {rem}")
     return dim
+
+
+def require_rep_dim(rs: RootSystem, color: Sequence[int]) -> None:
+    """Refuse a colour whose module is larger than MAX_REP_DIM, before any multiplicity
+    is computed.  The Weyl product, each ratio at least 1, is multiplied out only until
+    it passes the budget: a partial product is a lower bound, and the refusal says so."""
+    num = den = 1
+    for j, (a, b) in enumerate(_weyl_row(rs, _check_dominant(rs, color)), 1):
+        num, den = num * a, den * b
+        if num > MAX_REP_DIM * den:
+            break
+    # the dimension is an integer at least num / den, so the ceiling is a lower bound too
+    require_budget(-(-num // den), MAX_REP_DIM,
+                   f"the module of highest weight {shown(tuple(color))} of {rs.name}",
+                   "dimensions" + " or more" * (j < len(rs.root_forms)))
 
 
 def quantum_dimension(alphabet: LevelAlphabet, lam: Sequence[int]) -> float:
@@ -124,14 +147,10 @@ def quantum_dimension(alphabet: LevelAlphabet, lam: Sequence[int]) -> float:
     Strictly positive on the level alphabet: for integrable lam every
     <lam+rho, alpha> lies strictly between 0 and k.
     """
-    rs = alphabet.rs
-    lam_rho = [a + 1 for a in alphabet.require(lam, "lambda")]
-    k = alphabet.k
+    k, d = alphabet.k, alphabet.rs.weight_form_den
     out = 1.0
-    for r in rs.root_forms:  # weight_form_den <lam+rho, alpha>, and <rho, alpha> by sum(r)
-        num = sum(map(mul, lam_rho, r)) / rs.weight_form_den
-        den = sum(r) / rs.weight_form_den
-        out *= math.sin(math.pi * num / k) / math.sin(math.pi * den / k)
+    for a, b in _weyl_row(alphabet.rs, alphabet.require(lam, "lambda")):
+        out *= math.sin(math.pi * (a / d) / k) / math.sin(math.pi * (b / d) / k)
     return out
 
 

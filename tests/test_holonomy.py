@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from shadowsum.errors import PreconditionError
-from shadowsum.holonomy import MAX_REP_DIM, require_rep_dim, weight_phases, wilson_closed_form
+from shadowsum.holonomy import weight_phases, wilson_closed_form
 from conftest import ambient, character_eval, from_labels, run_main
-from shadowsum.reps import weight_multiplicities, weyl_dimension
+from shadowsum.reps import MAX_REP_DIM, require_rep_dim, weight_multiplicities, weyl_dimension
 from shadowsum.roots import build_root_system
 
 

@@ -12,6 +12,7 @@ from shadowsum.errors import PreconditionError
 from shadowsum.regularize import (
     CUTOFF_FLOOR,
     CUTOFF_SUP_ERRORS,
+    LogPoly,
     _bump,
     constant_field,
     det_rig_n,
@@ -293,6 +294,16 @@ class TestLogExpPolys:
         re0 = [log_poly(n)(0.0).real for n in range(1, 17)]
         assert all(b < a for a, b in zip(re0, re0[1:]))
 
+    def test_value_at_a_node_is_the_sample(self):
+        """Where t, the image of y = x^2 in [-1, 1], is a node t_k, the barycentric
+        quotient is 0/0, so `_parts` returns that node's samples (e_k, x o_k) as they
+        are.  At n = 1, x = +-1 and x = +-2 map to t = -1 and t = 1 exactly; the two
+        nodes hold the samples (1/2) ln y and y^(-1/2) at y = 1 and y = 4."""
+        lp = LogPoly(1, 1, [(-1.0, 0.5, 0.0, 1.0), (1.0, -0.5, math.log(2.0), 0.5)])
+        assert lp._parts(1.0) == (0.0, 1.0)
+        assert lp._parts(2.0) == (math.log(2.0), 1.0)
+        assert lp(-2.0) == complex(math.log(2.0), math.pi)
+
 
 class TestDetRigN:
     def test_constant_convergence_by_n12(self, a1):
@@ -365,11 +376,16 @@ class TestDetRigNBound:
 
     def test_none_where_log_has_no_stated_accuracy(self, a1):
         """A root sine below 1/n in modulus (singular values included), or a stage past
-        n = 18, where log^(n) no longer meets its target."""
+        n = 18, where log^(n) no longer meets its target; and a bound that is no finite
+        double: a face of chi = -999 at alpha(b) = 1/3 puts the Taylor remainder of
+        exp^(4) past every double, while the stage itself stays finite."""
         near = constant_field(alphas(a1, [Q(1, 1000)]))  # |2 sin(pi/1000)| = 0.0063
         assert det_rig_n(6, near)[1] is None
         assert det_rig_n(1, near)[1] is None
         assert det_rig_n(6, constant_field(alphas(a1, [2])))[1] is None
         assert det_rig_n(19, constant_field(alphas(a1, [Q(1, 3)])))[1] is None
+        value, bound = det_rig_n(4, ((-999, (Q(1, 3),)),))
+        assert math.isfinite(value.real) and math.isfinite(value.imag) and bound is None
+        assert det_rig_n(4, ((-1, (Q(1, 3),)),))[1] is not None
         with pytest.raises(PreconditionError):
             det_rig_n(0, near)

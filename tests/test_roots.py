@@ -155,6 +155,9 @@ def test_is_regular_examples(a1, a2):
     b2v = amb.from_labels([Q(1, 3), Q(2, 3)])
     assert amb.inner(amb.highest_root, b2v) == 1
     assert not is_regular(amb.root_pairings(b2v))
+    # a float pairing is integral only when it is exactly integral as a float
+    assert not is_regular([2.0])
+    assert is_regular([0.5])
 
 
 def test_weyl_orbit_examples(a1, a2):
