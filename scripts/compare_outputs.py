@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Compare the CLI's outputs from two source trees, byte for byte.
 
-    python scripts/compare_outputs.py OLD_SRC NEW_SRC --seeds 1 2
-    python scripts/compare_outputs.py --record tests/cli_outputs.jsonl --seeds 1 2
+    python scripts/compare_outputs.py OLD_SRC NEW_SRC
+    python scripts/compare_outputs.py --record tests/cli_outputs.jsonl
     python scripts/compare_outputs.py
 
 OLD_SRC and NEW_SRC are directories holding the shadowsum package, such as the src/
 of two checkouts.  Each job runs as one `python -m shadowsum` process per tree, in a
 fresh directory holding its input files, and its exit code, stdout and --output file
 must agree byte for byte.  The script prints one line per job that differs and a
-summary line, `449 jobs, 0 differ`, and exits 1 on any difference.  A DIFF line names
+summary line, `454 jobs, 0 differ`, and exits 1 on any difference.  A DIFF line names
 the job and what differs (exit code, stdout, --output); where the differing outputs
 are JSON it also gives the largest absolute and the largest relative difference over
 the numeric leaves, each with its key path:
@@ -20,13 +20,12 @@ With --record FILE it compares nothing: it runs the jobs on one tree, OLD_SRC or
 checkout's src/, and writes FILE, a header line naming the Python and the C library,
 then one JSON line per job with its name, its argv (`shown_argv`) and the sha256 of
 its exit code, stdout and --output bytes (`digest`).  tests/cli_outputs.jsonl is that
-corpus for --seeds 1 2, which tests/test_scripts.py replays in process.  Its hashes
-hold on the recorded Python and libm; another platform may need a re-recording.
+corpus, which tests/test_scripts.py replays in process.  Its hashes hold on the
+recorded Python and libm; another platform may need a re-recording.
 
 With no arguments it compares this checkout's src/ with itself on the help and probe
 jobs only, which checks the script itself in a few seconds.  A tree that holds no
-shadowsum/cli.py, or a seed that tests/cli_jobs.json holds no jobs for, is refused
-with exit 2 before any job runs.
+shadowsum/cli.py is refused with exit 2 before any job runs.
 
 The jobs come from two places, and `job_set` names and orders them all.
 tests/cli_jobs.json holds the benchmark's probe jobs and, for seeds 1 and 2, one
@@ -151,7 +150,14 @@ FREE_SIZES = {
 # A2, through the default `holonomy` colour and `qdim --weight`.  Then the budget of
 # Freudenthal's work, fusion.MAX_MULTIPLICITY_PAIRS: the fundamentals of the E7 k=22
 # table (25,496,037 dimension-root pairs) and one E8 k=33 circle coloured omega_7
-# (dim 30,380: 3,645,600 pairs).
+# (dim 30,380: 3,645,600 pairs).  Then the budgets that nothing above reaches, each
+# refused in a few ms: cli.MAX_LISTED_TERMS on the `shadow --diagnostics` listing of 18
+# side-by-side A1 k=10 circles coloured [1] (1,835,010 terms), fusion.MAX_FUSION_COEFFS
+# on the matrices of one A1 k=1002 circle (1,002,001 coefficients) and on the A1 k=102
+# table of `fusion --dump` (1,030,301), and reps.MAX_ALPHABET_PAIRS on the A2 k=1000
+# alphabet, counted as its labels are enumerated (300,003 pairs or more).  Last, the
+# state sum of 700 side-by-side A1 k=10 circles coloured [4], which is not a finite
+# double.
 LONG_RANK = "A" + "9" * 5000
 E8_FACE = "-27/61,-24/61,0,-48/61,39/61,-58/61,46/61,-9/61"
 REFUSAL_FILES = {f"e8-{n}.json": json.dumps({"group": "E8", "circles": [
@@ -161,6 +167,10 @@ REFUSAL_FILES["long-rank.json"] = json.dumps({"group": LONG_RANK, "k": 5, "circl
 REFUSAL_FILES["e8-omega7.json"] = json.dumps({"group": "E8", "k": 33, "circles": [
     {"id": "a", "parent": None, "winding": 1, "positive_side": "inside",
      "color": [0, 0, 0, 0, 0, 0, 1, 0]}]})
+REFUSAL_FILES.update({f"a1-k={k}-{n}.json": json.dumps({"group": "A1", "k": k, "circles": [
+    {"id": f"c{i}", "parent": None, "winding": 1, "positive_side": "inside",
+     "color": color} for i in range(n)]}) for k, n, color in (
+         (10, 18, [1]), (1002, 1, [1]), (10, 700, [4]))})
 REFUSAL_JOBS = {
     "holonomy/n=0": ["holonomy", "--group", "A1", "--alpha-b", "1/3", "--n", "0"],
     **{f"regularize/{group}-n={n}": ["regularize", "--group", group, field, "--n", str(n)]
@@ -195,6 +205,11 @@ REFUSAL_JOBS = {
                                       "--n", "0"],
     "holonomy/n-and-field": ["holonomy", "--group", "A2", "--b=1/3,1/5", "--color", "1,0",
                              "--n", "0"],
+    "shadow/A1-18-circles-listing": ["shadow", "--diagnostics", "a1-k=10-18.json"],
+    "shadow/A1-k=1002": ["shadow", "a1-k=1002-1.json"],
+    "fusion/A1-k=102-dump": ["fusion", "--group", "A1", "--k", "102", "--dump"],
+    "qdim/A2-k=1000": ["qdim", "--group", "A2", "--k", "1000"],
+    "shadow/A1-700-circles": ["shadow", "a1-k=10-700.json"],
 }
 # `holonomy` on the E8 adjoint omega_8 (dim 248), the largest E8 colour that
 # reps.MAX_REP_DIM admits
@@ -375,19 +390,19 @@ def _with_file_jobs(name: str, argv: list[str], files: dict[str, str]) -> list:
     return jobs
 
 
-def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
-    """(name, argv, input files) of every job to compare."""
+def job_set() -> list[tuple[str, list[str], dict[str, str]]]:
+    """(name, argv, input files) of every job to compare, for both frozen seeds."""
     jobs = [("help", ["--help"], {})]
     jobs += [(f"help/{cmd}", [cmd, "--help"], {}) for cmd in COMMANDS]
     for argv in FROZEN["probe_jobs"]:
         jobs += _with_file_jobs(f"probe/{argv[0]}", argv, FROZEN["probe_files"])
     for workload, cycles in FROZEN["workloads"].items():
-        for seed in seeds:
-            for job in cycles[str(seed)]:
+        for seed, cycle in cycles.items():
+            for job in cycle:
                 jobs += _with_file_jobs(f"{workload}/{seed}/{job['slot']}", job["argv"],
                                         job["files"])
-    for seed in seeds:
-        field_b = {group: f"--b={b}" for group, b in FROZEN["field_b"][str(seed)].items()}
+    for seed in FROZEN["field_b"]:
+        field_b = {group: f"--b={b}" for group, b in FROZEN["field_b"][seed].items()}
         for group, color in FIELD_JOBS:
             b = field_b[group]
             det = ["det", "--group", group, b, "--diagnostics", "--quad-res", "32x64"]
@@ -396,32 +411,31 @@ def job_set(seeds: list[int]) -> list[tuple[str, list[str], dict[str, str]]]:
                      (f"field/{seed}/holonomy/{group}", hol, {})]
         jobs += [(f"det/{seed}/{group}", ["det", "--group", group, field_b[group]], {})
                  for group in DET_TYPES]
-    if seeds:
-        jobs += [(f"qdim/{argv[2]}", argv, {}) for argv in QDIM_JOBS]
-        jobs += [(name, argv, {}) for name, argv in HIGH_RANK_QDIM_JOBS.items()]
-        jobs += [(name, argv, {}) for name, argv in VERIFY_JOBS.items()]
-        jobs += [(name, argv, {}) for name, argv in E_DUMP_JOBS.items()]
-        jobs.append(("holonomy/E8-adjoint", E8_ADJOINT_HOLONOMY, {}))
-        # a singular constant field: a finite stage beside "singular": true and a null bound
-        jobs.append(("regularize/A1-singular",
-                     ["regularize", "--group", "A1", "--alpha-b", "1", "--n", "4"], {}))
-        for group, (field, color) in LARGE_FIELDS.items():
-            at = ["--group", group, field]
-            jobs += [(f"large/{group}/det", ["det", *at], {}),
-                     (f"large/{group}/det --diagnostics",
-                      ["det", *at, "--diagnostics", "--quad-res", "32x64"], {}),
-                     (f"large/{group}/regularize", ["regularize", *at, "--n", "6"], {}),
-                     (f"large/{group}/holonomy",
-                      ["holonomy", *at, "--color", color, "--wind", "3", "--n", "16"], {})]
-        for name, (argv, files) in SHADOW_TYPE_JOBS.items():
-            jobs += _with_file_jobs(name, argv, files)
-        jobs.append(("near-singular/A1/det --diagnostics", NEAR_SINGULAR, {}))
-        jobs += [(f"free/{name}", argv, {}) for name, argv in FREE_SIZES.items()]
-        jobs += [(f"refusal/{name}", argv, REFUSAL_FILES) for name, argv in REFUSAL_JOBS.items()]
-        jobs += [(f"stepped/{name}", argv, STEPPED_FILES) for name, argv in STEPPED_JOBS.items()]
-        jobs += [(f"error/{name}", argv, ERROR_FILES) for name, argv in ERROR_JOBS.items()]
-        jobs += [(f"defect/{name}", argv, DEFECT_FILES) for name, argv in DEFECT_JOBS.items()]
-    return jobs + (malformed_jobs() if seeds else [])
+    jobs += [(f"qdim/{argv[2]}", argv, {}) for argv in QDIM_JOBS]
+    jobs += [(name, argv, {}) for name, argv in HIGH_RANK_QDIM_JOBS.items()]
+    jobs += [(name, argv, {}) for name, argv in VERIFY_JOBS.items()]
+    jobs += [(name, argv, {}) for name, argv in E_DUMP_JOBS.items()]
+    jobs.append(("holonomy/E8-adjoint", E8_ADJOINT_HOLONOMY, {}))
+    # a singular constant field: a finite stage beside "singular": true and a null bound
+    jobs.append(("regularize/A1-singular",
+                 ["regularize", "--group", "A1", "--alpha-b", "1", "--n", "4"], {}))
+    for group, (field, color) in LARGE_FIELDS.items():
+        at = ["--group", group, field]
+        jobs += [(f"large/{group}/det", ["det", *at], {}),
+                 (f"large/{group}/det --diagnostics",
+                  ["det", *at, "--diagnostics", "--quad-res", "32x64"], {}),
+                 (f"large/{group}/regularize", ["regularize", *at, "--n", "6"], {}),
+                 (f"large/{group}/holonomy",
+                  ["holonomy", *at, "--color", color, "--wind", "3", "--n", "16"], {})]
+    for name, (argv, files) in SHADOW_TYPE_JOBS.items():
+        jobs += _with_file_jobs(name, argv, files)
+    jobs.append(("near-singular/A1/det --diagnostics", NEAR_SINGULAR, {}))
+    jobs += [(f"free/{name}", argv, {}) for name, argv in FREE_SIZES.items()]
+    jobs += [(f"refusal/{name}", argv, REFUSAL_FILES) for name, argv in REFUSAL_JOBS.items()]
+    jobs += [(f"stepped/{name}", argv, STEPPED_FILES) for name, argv in STEPPED_JOBS.items()]
+    jobs += [(f"error/{name}", argv, ERROR_FILES) for name, argv in ERROR_JOBS.items()]
+    jobs += [(f"defect/{name}", argv, DEFECT_FILES) for name, argv in DEFECT_JOBS.items()]
+    return jobs + malformed_jobs()
 
 
 def output_file(cwd: str, argv: list[str]) -> bytes | None:
@@ -456,13 +470,13 @@ def shown_argv(argv: list[str]) -> list[str]:
     return [t if len(t) <= 60 else f"{t[:40]}... ({len(t)} characters)" for t in argv]
 
 
-def record(path: Path, src: Path, jobs: list, seeds: list[int]) -> None:
+def record(path: Path, src: Path, jobs: list) -> None:
     """Write the corpus of `src`: a header line naming the Python and the C library its
     hashes hold on, then one JSON line per job holding its name, its argv (`shown_argv`)
     and the `digest` of its outputs."""
-    lines = [f"# python scripts/compare_outputs.py --record FILE --seeds "
-             f"{' '.join(map(str, seeds))}; Python {platform.python_version()} on "
-             f"{platform.system()} {platform.machine()} with {' '.join(platform.libc_ver())}"]
+    lines = [f"# python scripts/compare_outputs.py --record FILE; Python "
+             f"{platform.python_version()} on {platform.system()} {platform.machine()} "
+             f"with {' '.join(platform.libc_ver())}"]
     for name, job_argv, files in jobs:
         lines.append(json.dumps({"name": name, "argv": shown_argv(job_argv),
                                  "sha256": digest(*run(src, job_argv, files))}))
@@ -527,9 +541,6 @@ def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("old", nargs="?", type=Path, help="source tree of the reference")
     p.add_argument("new", nargs="?", type=Path, help="source tree to compare with it")
-    p.add_argument("--seeds", type=int, nargs="+", default=[],
-                   help=f"seeds whose frozen jobs to run, of {' '.join(FROZEN['field_b'])}, "
-                        "with every other job (default: none, the probe and help jobs only)")
     p.add_argument("--record", type=Path, metavar="FILE",
                    help="write the corpus of one tree, OLD_SRC or this checkout's src/, "
                         "to FILE instead of comparing")
@@ -542,15 +553,13 @@ def main(argv: list[str] | None = None) -> int:
     for tree in [old] if args.record is not None else [old, new]:
         if not (tree / "shadowsum" / "cli.py").is_file():
             p.error(f"{tree} holds no shadowsum/cli.py: give a source tree such as src/")
-    for seed in args.seeds:
-        if str(seed) not in FROZEN["field_b"]:
-            p.error(f"tests/cli_jobs.json holds no jobs for seed {seed}: "
-                    f"give seeds of {' '.join(FROZEN['field_b'])}")
 
-    jobs = job_set(args.seeds)
+    jobs = job_set()
     if args.record is not None:
-        record(args.record, old, jobs, args.seeds)
+        record(args.record, old, jobs)
         return 0
+    if args.old is None:  # no arguments: the help and probe jobs only
+        jobs = [job for job in jobs if job[0].split("/")[0] in ("help", "probe")]
     differ = 0
     for name, job_argv, files in jobs:
         a, b = run(old, job_argv, files), run(new, job_argv, files)

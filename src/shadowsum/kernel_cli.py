@@ -21,6 +21,7 @@ accuracy, which includes every field singular on a face of chi != 0.
 
 from __future__ import annotations
 
+import argparse
 import math
 from fractions import Fraction
 
@@ -151,10 +152,11 @@ def _fraction(text: str) -> Fraction:
 
 
 def _grid(text: str) -> tuple[int, int]:
-    """Two positive integers joined by x, such as 64x128; ValueError otherwise."""
+    """Two positive integers joined by x, such as 64x128; ValueError or
+    argparse.ArgumentTypeError otherwise."""
     n_theta, n_phi = map(int, text.split("x"))
     if min(n_theta, n_phi) < 1:
-        raise ValueError(text)
+        raise argparse.ArgumentTypeError(text)
     return n_theta, n_phi
 
 

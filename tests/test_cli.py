@@ -505,10 +505,7 @@ class TestRegularizeAndHolonomy:
         def whole_dimension(*args):
             raise AssertionError("weyl_dimension called on the refusal path")
 
-        from shadowsum import holonomy
-
         monkeypatch.setattr(reps, "weyl_dimension", whole_dimension)
-        monkeypatch.setattr(holonomy, "weyl_dimension", whole_dimension, raising=False)
         big = ",".join([str(10**4000)] * 8)
         rc = cli.main(["holonomy", "--group", "E8", "--b=1/3,1/5,1/7,1/11,1/13,1/17,1/19,1/23",
                        "--color", big])

@@ -42,11 +42,6 @@ def test_shown_names_numbers_past_twenty_digits_by_their_magnitude():
     assert shown(10**5000) == "about 10^5000"
 
 
-# (module, function) whose raise of a builtin exception is read where it is caught:
-# `_grid`'s ValueError becomes a usage error in `cli._exact`
-BUILTIN_RAISES_READ = {("kernel_cli.py", "_grid")}
-
-
 def _raised_builtin(node) -> bool:
     """A `raise` of a builtin exception class, such as ValueError, called or bare."""
     if not isinstance(node, ast.Raise) or node.exc is None:
@@ -57,21 +52,17 @@ def _raised_builtin(node) -> bool:
 
 
 def _unchecked_invariants(path: Path) -> list[str]:
-    """module:line of each `assert` and each raise of a builtin exception in `path`,
-    but for the raises of BUILTIN_RAISES_READ."""
+    """module:line of each `assert` and each raise of a builtin exception in `path`."""
     tree = ast.parse(path.read_text(), str(path))
-    allowed = {id(node) for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
-               and (path.name, func.name) in BUILTIN_RAISES_READ for node in ast.walk(func)}
     return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-            if isinstance(node, ast.Assert) or (_raised_builtin(node) and id(node) not in allowed)]
+            if isinstance(node, ast.Assert) or _raised_builtin(node)]
 
 
 def test_no_invariant_is_checked_by_assert():
     """No module of the package holds an `assert` statement, which `python -O` strips,
     or raises a builtin exception (AssertionError, ValueError, KeyError, ...), which the
     CLI does not map: every broken internal invariant raises OracleError, so it ends as
-    exit 4 under any interpreter flags.  The one builtin raise is `_grid`'s ValueError,
-    which `cli._exact` turns into a usage error."""
+    exit 4 under any interpreter flags."""
     found = [line for path in sorted(Path(shadowsum.__file__).parent.glob("*.py"))
              for line in _unchecked_invariants(path)]
     assert not found, found

@@ -1,5 +1,7 @@
 """Smoke test of the scripts: each runs to exit 0 against the current library."""
 
+import ast
+import collections
 import importlib.util
 import json
 import subprocess
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import src_env
+from shadowsum.errors import ShadowsumError, require_budget
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -20,7 +23,8 @@ def test_script_runs(script, tmp_path):
     """Each script exits 0 in a fresh directory, and the README's two examples print
     what they document: `sample_links.py` one |L| line per sample, each written to
     ./examples_out, and `regularization_convergence.py` the indicator of its singular
-    step field, exactly 0 at every stage n = 1..8."""
+    step field, exactly 0 at every stage n = 1..8.  `compare_outputs.py` with no
+    arguments compares the 16 help and probe jobs only."""
     r = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=src_env(),
                        capture_output=True, text=True, timeout=300)
     assert r.returncode == 0, r.stderr[-2000:]
@@ -31,6 +35,8 @@ def test_script_runs(script, tmp_path):
         assert sorted(p.stem for p in (tmp_path / "examples_out").glob("*.json")) == samples
     elif script.name == "regularization_convergence.py":
         assert lines[-1] == "singular step field: indicator = " + str([0.0] * 8)
+    elif script.name == "compare_outputs.py":
+        assert lines[-1] == "16 jobs, 0 differ"
 
 
 def load_script(name):
@@ -107,38 +113,109 @@ def test_compare_outputs_refuses_a_tree_without_the_package(tmp_path, capsys, ar
     assert not paths["corpus"].exists()
 
 
-@pytest.mark.parametrize("argv", [["{src}", "{src}", "--seeds", "1", "3"],
-                                  ["--record", "{corpus}", "--seeds", "3"]],
-                         ids=["compare", "record"])
-def test_compare_outputs_refuses_a_seed_without_frozen_jobs(tmp_path, capsys, monkeypatch, argv):
-    """Only the seeds tests/cli_jobs.json holds jobs for can be run: any other is a usage
-    error (exit 2) before any job runs, and no corpus is written."""
-    script = load_script("compare_outputs")
-    monkeypatch.setattr(script, "run", lambda *job: pytest.fail(f"a job ran: {job}"))
-    paths = {"src": ROOT / "src", "corpus": tmp_path / "corpus.jsonl"}
-    with pytest.raises(SystemExit) as e:
-        script.main([arg.format(**paths) for arg in argv])
-    assert e.value.code == 2
-    assert "holds no jobs for seed 3" in capsys.readouterr().err
-    assert not paths["corpus"].exists()
-
-
 CORPUS = Path(__file__).with_name("cli_outputs.jsonl")
 
 
+def test_compare_outputs_runs_every_corpus_job(monkeypatch, capsys):
+    """OLD_SRC NEW_SRC, with no other argument, runs every corpus job on both trees, not
+    the help and probe jobs that the call with no arguments runs."""
+    script = load_script("compare_outputs")
+    ran = []
+    monkeypatch.setattr(script, "run", lambda src, argv, files: ran.append(argv) or (0, b"", None))
+    src = str(ROOT / "src")
+    assert script.main([src, src]) == 0
+    rows = [json.loads(line) for line in CORPUS.read_text().splitlines()[1:]]
+    assert [script.shown_argv(argv) for argv in ran[::2]] == [row["argv"] for row in rows]
+    assert ran[::2] == ran[1::2]
+    assert capsys.readouterr().out == f"{len(rows)} jobs, 0 differ\n"
+
+
+PACKAGE = ROOT / "src" / "shadowsum"
+CIRCLEOP = "no command runs the circle operator; test_acceptance.py does"
+CHECKED_LABELS = "a label count: every caller passes labels of the rank's length"
+ORACLE = "OracleError: a broken invariant, which no input reaches on working code"
+# {(module, top-level function or class): (how many of its error sites no corpus job
+# reaches, why)}
+UNREACHED_BY_DESIGN = {
+    ("circleop", "CircleOperatorData"): (2, CIRCLEOP),
+    ("circleop", "_check_series"): (1, CIRCLEOP),
+    ("circleop", "circle_inverse_apply"): (1, CIRCLEOP),
+    ("cli", "_emit"): (1, "a stdout that cannot be written: only a subprocess in "
+                          "test_cli.py reaches it"),
+    ("cli", "_exact"): (1, "an argparse.ArgumentTypeError, which argparse turns into "
+                           "_ArgumentParser.error's ParseError"),
+    ("kernel_cli", "_grid"): (1, "an argparse.ArgumentTypeError, read by cli._exact"),
+    ("determinants", "det_rig_constant"): (1, "a singular field: cmd_det refuses it first"),
+    ("field", "root_pairings"): (1, CHECKED_LABELS),
+    ("holonomy", "weight_phases"): (1, CHECKED_LABELS),
+    ("roots", "weyl_orbit"): (1, CHECKED_LABELS),
+    ("regularize", "det_rig_n"): (1, "n < 1: require_stage refuses it first"),
+    ("fusion_table", "verlinde_table"): (2, "|A|^3 coefficients, which build_fusion_table's "
+                                            "budget refuses first; " + ORACLE),
+    ("fusion_table", "build_fusion_table"): (2, ORACLE),
+    ("fusion_table", "verify_against_verlinde"): (1, ORACLE),
+    ("fusion", "fusion_matrices"): (2, ORACLE),
+    ("reps", "LevelAlphabet"): (1, ORACLE),
+    ("reps", "weyl_dimension"): (1, ORACLE),
+    ("reps", "weight_multiplicities"): (2, ORACLE),
+    ("roots", "_adjugate"): (1, ORACLE),
+    ("roots", "build_root_system"): (4, ORACLE),
+}
+
+
+def _builds_error(node) -> bool:
+    """A `raise`, a `require_budget(...)` call or a `_fail(ParseError(...))`."""
+    if isinstance(node, ast.Raise):
+        return True
+    name = getattr(node.func, "id", None) if isinstance(node, ast.Call) else None
+    return name == "require_budget" or (name == "_fail" and isinstance(node.args[0], ast.Call))
+
+
+def error_sites() -> dict[tuple[str, int, int], tuple[str, str]]:
+    """{(module, first line, last line): (module, top-level function or class)} of each
+    place in the package that builds an error; `require_budget`'s own raise is not one,
+    since a refusal is charged to the line that calls it."""
+    sites = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if path.stem == "errors" and getattr(top, "name", None) == "require_budget":
+                continue
+            for node in ast.walk(top):
+                if _builds_error(node):
+                    sites[path.stem, node.lineno, node.end_lineno] = (path.stem, top.name)
+    return sites
+
+
 def test_outputs_match_the_recorded_corpus(tmp_path, monkeypatch, capsys):
-    """Every comparison job of `compare_outputs.py --seeds 1 2`, run in process through
-    `cli.main`, has the exit code, stdout and --output bytes the corpus recorded for it.
+    """Every comparison job of `compare_outputs.py`, run in process through `cli.main`,
+    has the exit code, stdout and --output bytes the corpus recorded for it.
 
     A change of documents by design re-records the corpus (`compare_outputs.py --record
-    tests/cli_outputs.jsonl --seeds 1 2`); the header names the Python and libc the
-    hashes were taken on.  COLUMNS=80 wraps `--help` as in a job, whose stdout is a pipe."""
+    tests/cli_outputs.jsonl`); the header names the Python and libc the hashes were
+    taken on.  COLUMNS=80 wraps `--help` as in a job, whose stdout is a pipe.
+
+    While the jobs run, each ShadowsumError records the line that builds it (for a
+    `require_budget` refusal, the line that calls it), and every `error_sites` entry
+    that no job reaches is one that UNREACHED_BY_DESIGN counts: so no refusal the CLI
+    can reach goes unpinned, and a site a new job reaches leaves the list."""
     from shadowsum import cli
 
+    built = set()
+
+    def record_site(self, *args):
+        frame = sys._getframe(1)
+        if frame.f_code is require_budget.__code__:
+            frame = frame.f_back
+        path = Path(frame.f_code.co_filename)
+        if path.parent == PACKAGE:
+            built.add((path.stem, frame.f_lineno))
+        Exception.__init__(self, *args)
+
+    monkeypatch.setattr(ShadowsumError, "__init__", record_site)
     script = load_script("compare_outputs")
     header, *lines = CORPUS.read_text().splitlines()
     rows = [json.loads(line) for line in lines]
-    jobs = {name: (argv, files) for name, argv, files in script.job_set([1, 2])}
+    jobs = {name: (argv, files) for name, argv, files in script.job_set()}
     assert [row["name"] for row in rows] == list(jobs), "the job set moved: re-record"
     monkeypatch.setenv("COLUMNS", "80")
     moved = []
@@ -159,3 +236,13 @@ def test_outputs_match_the_recorded_corpus(tmp_path, monkeypatch, capsys):
             monkeypatch.chdir(tmp_path)
     assert not moved, f"{len(moved)} jobs differ from the corpus ({header[2:]}):\n" + \
         "\n".join(moved)
+
+    unreached = collections.defaultdict(list)
+    for (module, first, last), where in sorted(error_sites().items()):
+        if not any(m == module and first <= line <= last for m, line in built):
+            unreached[where].append(f"{module}.py:{first}")
+    allowed = {where: n for where, (n, _) in UNREACHED_BY_DESIGN.items()}
+    wrong = [f"{'.'.join(where)}: {unreached[where]}, {allowed.get(where, 0)} allowed"
+             for where in sorted(unreached.keys() | allowed.keys())
+             if len(unreached[where]) != allowed.get(where, 0)]
+    assert not wrong, "unreached error sites against UNREACHED_BY_DESIGN:\n" + "\n".join(wrong)
